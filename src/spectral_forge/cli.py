@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import io
-from .decomposition import decompose, verify
+from .decomposition import RECONSTRUCTION_FACTOR, decompose, verify
 from .errors import (
     BadSpec,
     DimensionMismatch,
@@ -33,9 +33,6 @@ from .product import product_validate
 from .report import VerificationReport
 
 __all__ = ["main"]
-
-# Reconstruction bound factor shared with the library's verify layers.
-RECONSTRUCTION_FACTOR = 100.0
 
 _USAGE_ERRORS = (ParseError, BadSpec, FileError, DimensionMismatch)
 

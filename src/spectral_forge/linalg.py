@@ -46,6 +46,9 @@ JACOBI_BUDGET_FACTOR = 30
 # Smallest normal double: rotations on pivots below this are pure noise.
 _TINY_PIVOT = float(np.finfo(np.float64).tiny)
 
+# Machine epsilon of float64, the scale of the Jacobi stopping test.
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -216,6 +219,19 @@ def _off_diagonal_norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w[mask]))
 
 
+def _relatively_diagonal(w: np.ndarray) -> bool:
+    """Demmel-Veselic test: every ``|w_pq| <= eps * sqrt(|w_pp w_qq|)``.
+
+    Entries at or below ``_TINY_PIVOT`` also pass, as rotating them is
+    pure noise.  Once the test holds, a further rotation moves each
+    eigenvalue by less than eps relative to itself.
+    """
+    root = np.sqrt(np.abs(w.diagonal().real))
+    bound = np.maximum(_EPS * np.outer(root, root), _TINY_PIVOT)
+    np.fill_diagonal(bound, np.inf)  # the diagonal is not tested
+    return bool(np.all(np.abs(w) <= bound))
+
+
 @lru_cache(maxsize=None)
 def _round_robin_rounds(n: int) -> tuple:
     """Pairings of a cyclic Jacobi sweep, grouped into disjoint rounds.
@@ -248,10 +264,14 @@ def _jacobi_hermitian(matrix: np.ndarray, off_target: float,
 
     Rotations are applied in round-robin order; the pairs inside one
     round are disjoint, so their rotations commute and a whole round is
-    applied with vectorized column and row updates.  Sweeps run past
-    ``off_target`` down to the rounding floor; NoConvergence means the
-    floor, or the rotation budget (default ``30 n^2``), was reached
-    while the off-diagonal mass still exceeded the target.
+    applied with vectorized column and row updates.  Sweeps stop at the
+    Demmel-Veselic point, where every off-diagonal entry is below eps
+    relative to its diagonal pair (Demmel & Veselic, "Jacobi's method is
+    more accurate than QR", SIAM J. Matrix Anal. Appl. 13(4), 1992);
+    ``off_target`` then decides between success and NoConvergence.  A
+    sweep that fails to shrink the off-diagonal mass, or the rotation
+    budget (default ``30 n^2``), also ends the solve, with NoConvergence
+    when the mass still exceeds the target.
 
     Returns ``(eigenvalues, vectors)`` unsorted; callers sort and fix
     phases.
@@ -266,10 +286,16 @@ def _jacobi_hermitian(matrix: np.ndarray, off_target: float,
     prev_off = np.inf
     while True:
         off = _off_diagonal_norm(w)
-        # Sweeps continue below the target until a sweep stops shrinking
-        # the mass (the rounding floor), so eigenvectors of tightly
-        # clustered eigenvalues come out as accurate as the arithmetic
-        # allows, not merely target-accurate.
+        # Past the relative test a rotation changes no eigenvalue beyond
+        # rounding and an eigenvector by about eps |lambda| / gap, so
+        # further sweeps buy clustered eigenvectors nothing.
+        if _relatively_diagonal(w):
+            if off <= off_target:
+                break
+            raise NoConvergence(
+                f"Jacobi sweeps reached the relative rounding floor with "
+                f"off-diagonal mass {off:.3e} above target {off_target:.3e}"
+            )
         if off >= prev_off:
             if off <= off_target:
                 break

@@ -11,7 +11,7 @@ A direct diagonalization of T is kept only as an optional cross check.
 
 Accuracy degrades with the square of the operator norm once ||T||
 passes 1e2 (the reciprocal map amplifies first-factor errors by
-1 + |z|^2), which is why the pipeline refuses inputs beyond 1e8 unless
+1 + |z|^2), which is why the pipeline refuses inputs beyond 1e6 unless
 forced; the tolerance schedule below encodes exactly that growth.
 """
 

@@ -146,6 +146,50 @@ def test_jacobi_budget_exhaustion():
         _jacobi_hermitian(m, 1e-14, rotation_budget=0)
 
 
+def test_jacobi_stops_at_relative_rounding_floor(monkeypatch):
+    # the off-diagonal mass is measured once per sweep, plus once at exit
+    from spectral_forge import linalg
+    sweeps = []
+    measure = linalg._off_diagonal_norm
+
+    def counted(w):
+        sweeps.append(1)
+        return measure(w)
+
+    monkeypatch.setattr(linalg, "_off_diagonal_norm", counted)
+    rng = np.random.default_rng(64)
+    m = random_hermitian(rng, 64)
+    es = hermitian_eig(m)
+    # stopping only when a sweep stalls takes about 98 sweeps here
+    assert len(sweeps) <= 20
+    oracle = np.linalg.eigvalsh(m.array)
+    np.testing.assert_allclose(es.eigenvalues.real, oracle,
+                               atol=1e-11 * (1 + np.abs(oracle).max()))
+
+
+def test_hermitian_eig_graded_relative_accuracy():
+    # graded 2x2 blocks: the small eigenvalue det / lambda_big sits far
+    # below eps * ||M||, so only a relative stopping test resolves it;
+    # the last block's coupling is below any absolute test's floor
+    blocks = [
+        (1.0, 1e-7, 1e-12),
+        (2.0, 1e-9, 1e-16),
+        (1e-10, 1e-17, 1e-14),
+    ]
+    n = 2 * len(blocks)
+    dense = np.zeros((n, n))
+    want = []
+    for i, (a, b, d) in enumerate(blocks):
+        dense[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[a, b], [b, d]]
+        big = (a + d) / 2 + np.hypot((a - d) / 2, b)
+        want += [(a * d - b * b) / big, big]
+    perm = np.random.default_rng(2).permutation(n)
+    es = hermitian_eig(OperatorMatrix(dense[np.ix_(perm, perm)]))
+    want = np.sort(want)
+    rel = np.abs(es.eigenvalues.real - want) / want
+    assert rel.max() <= 8 * np.finfo(np.float64).eps
+
+
 def test_normal_eig_diagonal():
     es = normal_eig(OperatorMatrix(np.diag([2j, -3.0])))
     # lexicographic by (Re, Im)
