@@ -169,6 +169,41 @@ def _cmd_pipeline(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _decomposition_check(doc: dict, name: str, tol: Tolerances,
+                         source: OperatorMatrix | None
+                         ) -> VerificationReport | None:
+    """Verify a stored decomposition against its own T, else ``source``.
+
+    Returns None when there is neither.
+    """
+    t, d = io.decomposition_from_doc(doc, where=name)
+    t = t if t is not None else source
+    return None if t is None else verify(t, d, tol)
+
+
+def _measure_check(doc: dict, name: str, tol: Tolerances,
+                   source: OperatorMatrix | None) -> VerificationReport:
+    """Validate a stored measure, or a product measure when atoms carry t.
+
+    A measure is also held to reconstruction against ``source`` when
+    their dimensions match.
+    """
+    atoms = doc.get("atoms")
+    if (isinstance(atoms, list) and atoms and isinstance(atoms[0], dict)
+            and "t" in atoms[0]):
+        return product_validate(io.product_from_doc(doc, where=name), tol)
+    e = io.pvm_from_doc(doc, where=name)
+    if source is not None and source.dim == e.dim:
+        return _pvm_report(source, e, tol)
+    return pvm_validate(e, tol)
+
+
+def _status(kind: str, report: VerificationReport) -> tuple[str, bool]:
+    failed = [k for k, ok in report.passed.items() if not ok]
+    return (kind + " " + ("FAIL " + ",".join(failed) if failed else "pass"),
+            not failed)
+
+
 def _verify_one(path: str, tol: Tolerances,
                 source: OperatorMatrix | None) -> tuple[str, bool | None]:
     """Classify one artifact file and re-check it.
@@ -179,65 +214,29 @@ def _verify_one(path: str, tol: Tolerances,
     doc = io.read_json(path)
     name = os.path.basename(path)
     if "a" in doc and "b" in doc:
-        t, d = io.decomposition_from_doc(doc, where=name)
-        if t is None:
-            t = source
-        if t is None:
+        report = _decomposition_check(doc, name, tol, source)
+        if report is None:
             return "skipped (no source operator; pass --input)", None
-        report = verify(t, d, tol)
-        return ("decomposition " +
-                ("pass" if report.all_passed else
-                 "FAIL " + ",".join(k for k, ok in report.passed.items()
-                                    if not ok)),
-                report.all_passed)
+        return _status("decomposition", report)
     if "atoms" in doc:
-        atoms = doc["atoms"]
-        if atoms and isinstance(atoms[0], dict) and "t" in atoms[0]:
-            prod = io.product_from_doc(doc, where=name)
-            report = product_validate(prod, tol)
-        else:
-            e = io.pvm_from_doc(doc, where=name)
-            report = pvm_validate(e, tol)
-            if source is not None and source.dim == e.dim:
-                report = _pvm_report(source, e, tol)
-        return ("measure " +
-                ("pass" if report.all_passed else
-                 "FAIL " + ",".join(k for k, ok in report.passed.items()
-                                    if not ok)),
-                report.all_passed)
+        return _status("measure", _measure_check(doc, name, tol, source))
     if isinstance(doc.get("measure"), dict):
         # --emit all bundle: re-check every part that carries an
         # invariant.  The embedded source operator, when present, gives
-        # the reconstruction target.
+        # the reconstruction target of the decomposition and the measure.
         src = source
         if isinstance(doc.get("t"), dict):
             src = io.matrix_from_doc(doc["t"], where=name)
-        checked: list[str] = []
-        failures: list[str] = []
-
-        def _part(label: str, ok: bool):
-            checked.append(label)
-            if not ok:
-                failures.append(label)
-
-        sub = doc.get("decomposition")
-        if isinstance(sub, dict):
-            t_in, d = io.decomposition_from_doc(sub, where=name)
-            t_in = t_in if t_in is not None else src
-            if t_in is not None:
-                _part("decomposition", verify(t_in, d, tol).all_passed)
-        for key in ("e1", "e2"):
+        reports = {}
+        if isinstance(doc.get("decomposition"), dict):
+            reports["decomposition"] = _decomposition_check(
+                doc["decomposition"], name, tol, src)
+        for key in ("e1", "e2", "product"):
             if isinstance(doc.get(key), dict):
-                e = io.pvm_from_doc(doc[key], where=name)
-                _part(key, pvm_validate(e, tol).all_passed)
-        if isinstance(doc.get("product"), dict):
-            prod = io.product_from_doc(doc["product"], where=name)
-            _part("product", product_validate(prod, tol).all_passed)
-        e = io.pvm_from_doc(doc["measure"], where=name)
-        rep = (_pvm_report(src, e, tol)
-               if src is not None and src.dim == e.dim
-               else pvm_validate(e, tol))
-        _part("measure", rep.all_passed)
+                reports[key] = _measure_check(doc[key], name, tol, None)
+        reports["measure"] = _measure_check(doc["measure"], name, tol, src)
+        checked = [k for k, r in reports.items() if r is not None]
+        failures = [k for k in checked if not reports[k].all_passed]
         return ("bundle(" + ",".join(checked) + ") " +
                 ("pass" if not failures else "FAIL " + ",".join(failures)),
                 not failures)
@@ -282,19 +281,12 @@ def _cmd_verify(args) -> int:
         doc = io.read_json(path)
         name = os.path.basename(path)
         if path == args.decomposition:
-            t, d = io.decomposition_from_doc(doc, where=name)
-            if t is None:
-                t = source
-            if t is None:
+            report = _decomposition_check(doc, name, tol, source)
+            if report is None:
                 raise ParseError(f"{name}: stores no source operator; "
                                  "pass --input FILE")
-            report = verify(t, d, tol)
         else:
-            e = io.pvm_from_doc(doc, where=name)
-            if source is not None and source.dim == e.dim:
-                report = _pvm_report(source, e, tol)
-            else:
-                report = pvm_validate(e, tol)
+            report = _measure_check(doc, name, tol, source)
         checked = True
         print(name)
         for line in _report_lines(report):

@@ -498,7 +498,8 @@ def op_norm_2(m: OperatorMatrix, tol: Tolerances | None = None) -> float:
     """
     tol = _resolve(tol)
     a = m.array
-    if is_hermitian(m, tol):
+    hermitian = is_hermitian(m, tol)
+    if hermitian:
         work = (a + a.conj().T) / 2.0
     else:
         work = a.conj().T @ a
@@ -506,7 +507,7 @@ def op_norm_2(m: OperatorMatrix, tol: Tolerances | None = None) -> float:
     off_target = tol.atol * (1.0 + np.linalg.norm(work))
     vals, _ = _jacobi_hermitian(work, off_target)
     top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if is_hermitian(m, tol):
+    if hermitian:
         return top
     return float(np.sqrt(max(top, 0.0)))
 

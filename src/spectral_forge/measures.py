@@ -38,8 +38,95 @@ __all__ = [
 PVM_FACTOR = 10.0
 
 
+class _AtomStore:
+    """Atoms stored as orthonormal bases or as dense projections.
+
+    Shared by SpectralMeasure and ProductMeasure, which are frozen
+    dataclasses with ``dim``, ``bases`` and ``projections`` fields of
+    their own.  Each checks its own points, then calls ``_store_atoms``;
+    ``_atom_label`` names an atom's point in error messages.
+    """
+
+    def _store_atoms(self, count: int):
+        if (self.bases is None) == (self.projections is None):
+            raise ValueError("exactly one of bases and projections is required")
+        if self.bases is not None:
+            blocks = tuple(np.array(b, dtype=np.complex128, copy=True)
+                           for b in self.bases)
+            for b in blocks:
+                if b.ndim != 2 or b.shape[0] != self.dim or b.shape[1] == 0:
+                    raise DimensionMismatch("basis blocks must be dim x rank")
+                b.setflags(write=False)
+            if len(blocks) != count:
+                raise DimensionMismatch("one basis block per atom is required")
+            object.__setattr__(self, "bases", blocks)
+        else:
+            mats = tuple(np.array(p, dtype=np.complex128, copy=True)
+                         for p in self.projections)
+            for p in mats:
+                if p.shape != (self.dim, self.dim):
+                    raise DimensionMismatch("projections must be dim x dim")
+                p.setflags(write=False)
+            if len(mats) != count:
+                raise DimensionMismatch("one projection per atom is required")
+            object.__setattr__(self, "projections", mats)
+
+    @property
+    def num_atoms(self) -> int:
+        return len(self.bases if self.bases is not None else self.projections)
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        if self.bases is not None:
+            return tuple(b.shape[1] for b in self.bases)
+        return tuple(int(round(float(np.trace(p).real))) for p in self.projections)
+
+    def basis(self, i: int) -> np.ndarray:
+        """Orthonormal columns spanning atom ``i``.
+
+        For dense-only measures the basis is recovered from the
+        projection's top eigenvectors; this assumes the projection is
+        genuine, so validate first when provenance is unknown.
+        """
+        if self.bases is not None:
+            return self.bases[i]
+        proj = self.projections[i]
+        rank = max(1, int(round(float(np.trace(proj).real))))
+        es = hermitian_eig(OperatorMatrix((proj + proj.conj().T) / 2.0))
+        return es.unitary.array[:, self.dim - rank:]
+
+    def projection(self, i: int) -> OperatorMatrix:
+        """Dense projection of atom ``i``."""
+        if self.bases is not None:
+            b = self.bases[i]
+            return OperatorMatrix(b @ b.conj().T)
+        return OperatorMatrix(self.projections[i])
+
+    def stacked_basis(self) -> np.ndarray:
+        """All atom bases side by side, in atom order."""
+        return np.hstack([self.basis(i) for i in range(self.num_atoms)])
+
+    def _weighted_sum(self, weights: np.ndarray) -> OperatorMatrix:
+        """``sum weights[k] P_k``; NonFiniteValue names the first bad atom."""
+        bad = ~np.isfinite(weights.view(np.float64)).reshape(-1, 2).all(axis=1)
+        if bad.any():
+            where = int(np.argmax(bad))
+            raise NonFiniteValue(
+                f"integrand is not finite at atom {where} "
+                f"({self._atom_label(where)})"
+            )
+        if self.bases is not None:
+            stacked = self.stacked_basis()
+            per_column = np.repeat(weights, self.ranks)
+            return OperatorMatrix((stacked * per_column) @ stacked.conj().T)
+        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for w, p in zip(weights, self.projections):
+            total += w * p
+        return OperatorMatrix(total)
+
+
 @dataclass(frozen=True, eq=False)
-class SpectralMeasure:
+class SpectralMeasure(_AtomStore):
     """Finite projection valued measure.
 
     Parameters
@@ -70,73 +157,20 @@ class SpectralMeasure:
             raise NonFiniteValue("atom points must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if (self.bases is None) == (self.projections is None):
-            raise ValueError("exactly one of bases and projections is required")
-        if self.bases is not None:
-            blocks = tuple(np.array(b, dtype=np.complex128, copy=True)
-                           for b in self.bases)
-            for b in blocks:
-                if b.ndim != 2 or b.shape[0] != self.dim or b.shape[1] == 0:
-                    raise DimensionMismatch("basis blocks must be dim x rank")
-                b.setflags(write=False)
-            if len(blocks) != pts.size:
-                raise DimensionMismatch("one basis block per atom is required")
-            object.__setattr__(self, "bases", blocks)
-        else:
-            mats = tuple(np.array(p, dtype=np.complex128, copy=True)
-                         for p in self.projections)
-            for p in mats:
-                if p.shape != (self.dim, self.dim):
-                    raise DimensionMismatch("projections must be dim x dim")
-                p.setflags(write=False)
-            if len(mats) != pts.size:
-                raise DimensionMismatch("one projection per atom is required")
-            object.__setattr__(self, "projections", mats)
+        self._store_atoms(pts.size)
 
-    @property
-    def num_atoms(self) -> int:
-        return int(self.points.size)
+    def _atom_label(self, i: int) -> str:
+        return f"point {complex(self.points[i])}"
 
     @property
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.points)))
 
     @property
-    def ranks(self) -> tuple[int, ...]:
-        if self.bases is not None:
-            return tuple(b.shape[1] for b in self.bases)
-        return tuple(int(round(float(np.trace(p).real))) for p in self.projections)
-
-    def basis(self, i: int) -> np.ndarray:
-        """Orthonormal columns spanning atom ``i``.
-
-        For dense-only measures the basis is recovered from the
-        projection's top eigenvectors; this assumes the projection is
-        genuine, so validate first when provenance is unknown.
-        """
-        if self.bases is not None:
-            return self.bases[i]
-        proj = self.projections[i]
-        rank = max(1, int(round(float(np.trace(proj).real))))
-        es = hermitian_eig(OperatorMatrix((proj + proj.conj().T) / 2.0))
-        return es.unitary.array[:, self.dim - rank:]
-
-    def projection(self, i: int) -> OperatorMatrix:
-        """Dense projection of atom ``i``."""
-        if self.bases is not None:
-            b = self.bases[i]
-            return OperatorMatrix(b @ b.conj().T)
-        return OperatorMatrix(self.projections[i])
-
-    @property
     def atoms(self) -> list[tuple[complex, OperatorMatrix]]:
         """Atoms as (point, projection) pairs, dense projections included."""
         return [(complex(self.points[i]), self.projection(i))
                 for i in range(self.num_atoms)]
-
-    def stacked_basis(self) -> np.ndarray:
-        """All atom bases side by side, in atom order."""
-        return np.hstack([self.basis(i) for i in range(self.num_atoms)])
 
 
 def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> SpectralMeasure:
@@ -163,24 +197,10 @@ def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:
     Raises NonFiniteValue when f produces a NaN or infinity on an atom.
     """
     weights = np.array([complex(f(complex(z))) for z in e.points])
-    bad = ~np.isfinite(weights.view(np.float64)).reshape(-1, 2).all(axis=1)
-    if bad.any():
-        where = int(np.argmax(bad))
-        raise NonFiniteValue(
-            f"integrand is not finite at atom {where} "
-            f"(point {complex(e.points[where])})"
-        )
-    if e.bases is not None:
-        stacked = e.stacked_basis()
-        per_column = np.repeat(weights, e.ranks)
-        return OperatorMatrix((stacked * per_column) @ stacked.conj().T)
-    total = np.zeros((e.dim, e.dim), dtype=np.complex128)
-    for w, p in zip(weights, e.projections):
-        total += w * p
-    return OperatorMatrix(total)
+    return e._weighted_sum(weights)
 
 
-def _factored_invariants(e: SpectralMeasure) -> tuple[float, float, float, float]:
+def _factored_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
     stacked = e.stacked_basis()
     gram = stacked.conj().T @ stacked
     total_rank = gram.shape[0]
@@ -203,7 +223,7 @@ def _factored_invariants(e: SpectralMeasure) -> tuple[float, float, float, float
     return idem, herm, ortho, completeness
 
 
-def _dense_invariants(e: SpectralMeasure) -> tuple[float, float, float, float]:
+def _dense_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
     mats = [e.projection(i).array for i in range(e.num_atoms)]
     idem = max(float(np.linalg.norm(p @ p - p)) for p in mats)
     herm = max(float(np.linalg.norm(p - p.conj().T)) for p in mats)
@@ -216,6 +236,39 @@ def _dense_invariants(e: SpectralMeasure) -> tuple[float, float, float, float]:
     return idem, herm, ortho, completeness
 
 
+def _store_residuals(e: _AtomStore, tol: Tolerances):
+    """Projection system residuals shared by measures and product measures.
+
+    Returns residual, tolerance and pass dicts keyed, in order, by
+    idempotency, hermitian_defect, orthogonality, completeness (each
+    held to ``10 rel(n)``) and rank_deficit (held to zero).
+    """
+    bound = PVM_FACTOR * tol.rel(e.dim)
+    if e.bases is not None:
+        idem, herm, ortho, completeness = _factored_invariants(e)
+    else:
+        idem, herm, ortho, completeness = _dense_invariants(e)
+    rank_deficit = float(abs(sum(e.ranks) - e.dim))
+    residuals = {
+        "idempotency": idem,
+        "hermitian_defect": herm,
+        "orthogonality": ortho,
+        "completeness": completeness,
+        "rank_deficit": rank_deficit,
+    }
+    tolerances = {
+        "idempotency": bound,
+        "hermitian_defect": bound,
+        "orthogonality": bound,
+        "completeness": bound,
+        "rank_deficit": 0.0,
+    }
+    passed = {key: residuals[key] <= bound for key in
+              ("idempotency", "hermitian_defect", "orthogonality", "completeness")}
+    passed["rank_deficit"] = rank_deficit == 0.0
+    return residuals, tolerances, passed
+
+
 def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> VerificationReport:
     """Check the defining invariants of a projection valued measure.
 
@@ -226,13 +279,7 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     report.
     """
     tol = _resolve(tol)
-    n = e.dim
-    bound = PVM_FACTOR * tol.rel(n)
-    if e.bases is not None:
-        idem, herm, ortho, completeness = _factored_invariants(e)
-    else:
-        idem, herm, ortho, completeness = _dense_invariants(e)
-    rank_deficit = float(abs(sum(e.ranks) - n))
+    residuals, tolerances, passed = _store_residuals(e, tol)
     if e.num_atoms > 1:
         pts = e.points
         gaps = np.abs(pts[:, None] - pts[None, :])
@@ -240,28 +287,7 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     else:
         min_gap = float("inf")
     radius = tol.cluster_radius(e.support_radius)
-    residuals = {
-        "idempotency": idem,
-        "hermitian_defect": herm,
-        "orthogonality": ortho,
-        "completeness": completeness,
-        "rank_deficit": rank_deficit,
-        "min_point_gap": min_gap,
-    }
-    tolerances = {
-        "idempotency": bound,
-        "hermitian_defect": bound,
-        "orthogonality": bound,
-        "completeness": bound,
-        "rank_deficit": 0.0,
-        "min_point_gap": radius,
-    }
-    passed = {
-        "idempotency": idem <= bound,
-        "hermitian_defect": herm <= bound,
-        "orthogonality": ortho <= bound,
-        "completeness": completeness <= bound,
-        "rank_deficit": rank_deficit == 0.0,
-        "min_point_gap": min_gap > radius,
-    }
+    residuals["min_point_gap"] = min_gap
+    tolerances["min_point_gap"] = radius
+    passed["min_point_gap"] = min_gap > radius
     return VerificationReport(residuals, passed, tolerances)

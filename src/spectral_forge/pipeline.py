@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Decomposition, decompose
-from .errors import NotCommuting, NotNormal, ScaleLimit, SingularWeightWarning
-from .linalg import OperatorMatrix, Tolerances, _resolve, is_normal, op_norm_2
+from .errors import NotCommuting, ScaleLimit, SingularWeightWarning
+from .linalg import OperatorMatrix, Tolerances, _resolve, op_norm_2
 from .measures import SpectralMeasure, pvm_from_normal, pvm_integrate
 from .product import ProductMeasure, inverse_weight, product_measure, pushforward
 from .report import VerificationReport
@@ -88,7 +88,9 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     Parameters
     ----------
     t : OperatorMatrix
-        Normal input.  NotNormal is raised otherwise.
+        Normal input.  NotNormal is raised otherwise, by ``decompose``;
+        since the norm guard runs first, a non-normal input whose norm
+        exceeds ``NORM_LIMIT`` raises ScaleLimit instead unless forced.
     tol : Tolerances, optional
     direct_check : bool
         Also diagonalize T directly and fold the atom-matching residuals
@@ -104,8 +106,6 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         cross-check residuals when requested.
     """
     tol = _resolve(tol)
-    if not is_normal(t, tol):
-        raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
     n = t.dim
     source_norm = op_norm_2(t, tol)
     if source_norm > NORM_LIMIT and not force_scale:

@@ -30,7 +30,13 @@ from .linalg import (
     _resolve,
     cluster_points,
 )
-from .measures import PVM_FACTOR, SpectralMeasure, pvm_integrate
+from .measures import (
+    PVM_FACTOR,
+    SpectralMeasure,
+    _AtomStore,
+    _store_residuals,
+    pvm_integrate,
+)
 from .report import VerificationReport
 
 __all__ = [
@@ -50,13 +56,13 @@ PRUNE_FACTOR = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class ProductMeasure:
+class ProductMeasure(_AtomStore):
     """Joint measure of a commuting pair, atoms indexed by (t, w) pairs.
 
     ``t_points`` are real (the first factor lives on the real line),
-    ``w_points`` complex.  Projections are stored factored or dense with
-    the same conventions as SpectralMeasure.  ``rectangle_residual`` is
-    the largest deviation of a stored projection from the literal
+    ``w_points`` complex.  Projections are stored factored or dense in
+    the atom store shared with SpectralMeasure.  ``rectangle_residual``
+    is the largest deviation of a stored projection from the literal
     product P_i Q_j, measured at construction time.
     """
 
@@ -78,49 +84,10 @@ class ProductMeasure:
         ws.setflags(write=False)
         object.__setattr__(self, "t_points", ts)
         object.__setattr__(self, "w_points", ws)
-        if (self.bases is None) == (self.projections is None):
-            raise ValueError("exactly one of bases and projections is required")
-        if self.bases is not None:
-            blocks = tuple(np.array(b, dtype=np.complex128, copy=True)
-                           for b in self.bases)
-            for b in blocks:
-                if b.ndim != 2 or b.shape[0] != self.dim or b.shape[1] == 0:
-                    raise DimensionMismatch("basis blocks must be dim x rank")
-                b.setflags(write=False)
-            if len(blocks) != ts.size:
-                raise DimensionMismatch("one basis block per atom is required")
-            object.__setattr__(self, "bases", blocks)
-        else:
-            mats = tuple(np.array(p, dtype=np.complex128, copy=True)
-                         for p in self.projections)
-            for p in mats:
-                if p.shape != (self.dim, self.dim):
-                    raise DimensionMismatch("projections must be dim x dim")
-                p.setflags(write=False)
-            if len(mats) != ts.size:
-                raise DimensionMismatch("one projection per atom is required")
-            object.__setattr__(self, "projections", mats)
+        self._store_atoms(ts.size)
 
-    @property
-    def num_atoms(self) -> int:
-        return int(self.t_points.size)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        if self.bases is not None:
-            return tuple(b.shape[1] for b in self.bases)
-        return tuple(int(round(float(np.trace(p).real))) for p in self.projections)
-
-    def basis(self, i: int) -> np.ndarray:
-        if self.bases is not None:
-            return self.bases[i]
-        return _measure_view(self).basis(i)
-
-    def projection(self, i: int) -> OperatorMatrix:
-        if self.bases is not None:
-            b = self.bases[i]
-            return OperatorMatrix(b @ b.conj().T)
-        return OperatorMatrix(self.projections[i])
+    def _atom_label(self, i: int) -> str:
+        return f"t={float(self.t_points[i])}, w={complex(self.w_points[i])}"
 
     @property
     def atoms(self) -> list[tuple[tuple[float, complex], OperatorMatrix]]:
@@ -129,32 +96,9 @@ class ProductMeasure:
 
     def integrate(self, g) -> OperatorMatrix:
         """``sum g(t_k, w_k) Pi_k`` for a scalar function of the pair."""
-        weights = np.array([complex(g(float(t), complex(w)))
-                            for t, w in zip(self.t_points, self.w_points)])
-        finite = np.isfinite(weights.view(np.float64)).reshape(-1, 2).all(axis=1)
-        if not finite.all():
-            where = int(np.argmax(~finite))
-            raise NonFiniteValue(
-                f"integrand is not finite at atom {where} "
-                f"(t={float(self.t_points[where])}, w={complex(self.w_points[where])})"
-            )
-        if self.bases is not None:
-            stacked = np.hstack(self.bases)
-            per_column = np.repeat(weights, self.ranks)
-            return OperatorMatrix((stacked * per_column) @ stacked.conj().T)
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for w, p in zip(weights, self.projections):
-            total += w * p
-        return OperatorMatrix(total)
-
-
-def _measure_view(prod: ProductMeasure) -> SpectralMeasure:
-    """Reindex a product measure by its w points only, for shared helpers."""
-    # Points are synthetic and may repeat; only the projections matter here.
-    fake = np.arange(prod.num_atoms, dtype=np.complex128)
-    if prod.bases is not None:
-        return SpectralMeasure(prod.dim, fake, bases=prod.bases)
-    return SpectralMeasure(prod.dim, fake, projections=prod.projections)
+        return self._weighted_sum(np.array([
+            complex(g(float(t), complex(w)))
+            for t, w in zip(self.t_points, self.w_points)]))
 
 
 def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
@@ -212,8 +156,7 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     off2 = np.cumsum((0,) + e2.ranks)
     t_points, w_points, bases = [], [], []
     rectangle = 0.0
-    order1 = range(e1.num_atoms)
-    for i in order1:
+    for i in range(e1.num_atoms):
         ui = e1.basis(i)
         for j in range(e2.num_atoms):
             block = cross[off1[i]:off1[i + 1], off2[j]:off2[j + 1]]
@@ -223,33 +166,24 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
             wj = e2.basis(j)
             ri, rj = block.shape
             # Singular vectors of the cross block with singular value
-            # near 1 span the intersection of the two ranges.
-            if ri <= rj:
-                gram = block @ block.conj().T
-                gram = (gram + gram.conj().T) / 2.0
-                s2, x = _jacobi_hermitian(gram, tol.atol * (1.0 + np.linalg.norm(gram)))
-                keep = s2 > 0.25
-                if not keep.any():
-                    if mass > 0.1:
-                        raise NotCommuting(
-                            f"pair ({i}, {j}) has projection product mass "
-                            f"{mass:.3e} but no stable intersection"
-                        )
-                    continue
+            # near 1 span the intersection of the two ranges; take the
+            # Gram matrix on the smaller side.
+            wide = ri <= rj
+            gram = block @ block.conj().T if wide else block.conj().T @ block
+            gram = (gram + gram.conj().T) / 2.0
+            s2, x = _jacobi_hermitian(gram, tol.atol * (1.0 + np.linalg.norm(gram)))
+            keep = s2 > 0.25
+            if not keep.any():
+                if mass > 0.1:
+                    raise NotCommuting(
+                        f"pair ({i}, {j}) has projection product mass "
+                        f"{mass:.3e} but no stable intersection"
+                    )
+                continue
+            if wide:
                 z = ui @ x[:, keep]
             else:
-                gram = block.conj().T @ block
-                gram = (gram + gram.conj().T) / 2.0
-                s2, y = _jacobi_hermitian(gram, tol.atol * (1.0 + np.linalg.norm(gram)))
-                keep = s2 > 0.25
-                if not keep.any():
-                    if mass > 0.1:
-                        raise NotCommuting(
-                            f"pair ({i}, {j}) has projection product mass "
-                            f"{mass:.3e} but no stable intersection"
-                        )
-                    continue
-                z = ui @ (block @ y[:, keep]) / np.sqrt(s2[keep])
+                z = ui @ (block @ x[:, keep]) / np.sqrt(s2[keep])
             pq = (ui @ block) @ wj.conj().T
             rectangle = max(rectangle, float(np.linalg.norm(z @ z.conj().T - pq)))
             t_points.append(float(e1.points[i].real))
@@ -302,32 +236,9 @@ def product_validate(prod: ProductMeasure,
     residual when available.
     """
     tol = _resolve(tol)
-    from .measures import _dense_invariants, _factored_invariants
-    view = _measure_view(prod)
-    if view.bases is not None:
-        idem, herm, ortho, completeness = _factored_invariants(view)
-    else:
-        idem, herm, ortho, completeness = _dense_invariants(view)
-    bound = PVM_FACTOR * tol.rel(prod.dim)
-    rank_deficit = float(abs(sum(prod.ranks) - prod.dim))
-    residuals = {
-        "idempotency": idem,
-        "hermitian_defect": herm,
-        "orthogonality": ortho,
-        "completeness": completeness,
-        "rank_deficit": rank_deficit,
-    }
-    tolerances = {
-        "idempotency": bound,
-        "hermitian_defect": bound,
-        "orthogonality": bound,
-        "completeness": bound,
-        "rank_deficit": 0.0,
-    }
-    passed = {key: residuals[key] <= tolerances[key] for key in
-              ("idempotency", "hermitian_defect", "orthogonality", "completeness")}
-    passed["rank_deficit"] = rank_deficit == 0.0
+    residuals, tolerances, passed = _store_residuals(prod, tol)
     if prod.rectangle_residual is not None:
+        bound = PVM_FACTOR * tol.rel(prod.dim)
         residuals["rectangle"] = float(prod.rectangle_residual)
         tolerances["rectangle"] = bound
         passed["rectangle"] = prod.rectangle_residual <= bound

@@ -226,3 +226,28 @@ def test_gen_bad_spec_is_usage_error(capsys):
                        capsys)
     assert code == 2
     assert "seed" in err
+
+
+def test_verify_pvm_on_product_from_bundle(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "47")
+    bundle = str(tmp_path / "full.json")
+    assert main(["pipeline", "--input", t, "--output", bundle]) == 0
+    product = str(tmp_path / "product.json")
+    io.write_json(json.loads(open(bundle).read())["product"], product)
+    capsys.readouterr()
+    code, out, _ = run(["verify", "--pvm", product], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "product.json"
+    assert [line.split()[0] for line in lines[1:]] == [
+        "idempotency", "hermitian_defect", "orthogonality", "completeness",
+        "rank_deficit"]
+    assert all(line.endswith("pass") for line in lines[1:])
+
+    doc = json.loads(open(product).read())
+    doc["atoms"][0]["projection"]["entries"][0][0] += 0.05
+    open(product, "w").write(io.dumps(doc))
+    code, out, _ = run(["verify", "--pvm", product], capsys)
+    assert code == 1
+    assert "FAIL" in out

@@ -161,3 +161,66 @@ def test_product_is_reconstruction_grade():
     prod = product_measure(e1, e2)
     recon = prod.integrate(lambda x, w: w / x)
     assert np.linalg.norm(recon.array - t.array) < 1e-8
+
+
+def test_product_measure_construction_checks():
+    from spectral_forge.errors import NonFiniteValue
+    from spectral_forge.product import ProductMeasure
+    eye = np.eye(2)
+    ts, ws = np.array([0.1, 0.2]), np.array([-0.3, 0.4j])
+    with pytest.raises(DimensionMismatch):
+        ProductMeasure(2, ts, ws[:1], projections=(eye, eye))
+    with pytest.raises(DimensionMismatch):
+        ProductMeasure(2, np.array([]), np.array([], dtype=complex), bases=())
+    with pytest.raises(NonFiniteValue):
+        ProductMeasure(2, np.array([0.1, np.nan]), ws, bases=(eye[:, :1], eye[:, 1:]))
+    with pytest.raises(NonFiniteValue):
+        ProductMeasure(2, ts, np.array([0.0, np.inf * 1j]),
+                       bases=(eye[:, :1], eye[:, 1:]))
+    with pytest.raises(ValueError, match="exactly one"):
+        ProductMeasure(2, ts, ws)
+    with pytest.raises(ValueError, match="exactly one"):
+        ProductMeasure(2, ts, ws, bases=(eye[:, :1], eye[:, 1:]),
+                       projections=(eye, eye))
+    with pytest.raises(DimensionMismatch):
+        ProductMeasure(2, ts, ws, bases=(np.eye(3)[:, :1], eye[:, 1:]))
+    with pytest.raises(DimensionMismatch):
+        ProductMeasure(2, ts, ws, projections=(eye, np.eye(3)))
+    with pytest.raises(DimensionMismatch):
+        ProductMeasure(2, ts, ws, bases=(eye[:, :1],))
+    prod = ProductMeasure(2, ts, ws, bases=(eye[:, :1], eye[:, 1:]))
+    for arr in (prod.t_points, prod.w_points, prod.bases[0], prod.bases[1]):
+        assert not arr.flags.writeable
+    assert prod.num_atoms == 2
+    assert prod.ranks == (1, 1)
+    dense = ProductMeasure(2, ts, ws, projections=(np.diag([1.0, 0.0]),
+                                                   np.diag([0.0, 1.0])))
+    assert not any(p.flags.writeable for p in dense.projections)
+
+
+def test_product_validate_on_dense_read_back():
+    from spectral_forge import io
+    t = generate(OperatorSpec("random_normal", dim=8, scale=2.0, seed=19))
+    e1, e2 = measures_for(t)
+    prod = product_measure(e1, e2)
+    dense = io.product_from_doc(io.product_to_doc(prod))
+    assert dense.bases is None and dense.rectangle_residual is None
+    report = product_validate(dense)
+    assert report.all_passed
+    assert list(report.residuals) == ["idempotency", "hermitian_defect",
+                                      "orthogonality", "completeness",
+                                      "rank_deficit"]
+    # the dense store recovers a basis spanning the same projection
+    for i in range(dense.num_atoms):
+        b = dense.basis(i)
+        np.testing.assert_allclose(b @ b.conj().T, prod.projection(i).array,
+                                   atol=1e-12)
+
+
+def test_product_integrate_names_the_pair_on_non_finite():
+    from spectral_forge.errors import NonFiniteValue
+    e1, e2 = measures_for(OperatorMatrix(np.diag([2j, -3.0])))
+    prod = product_measure(e1, e2)
+    with pytest.raises(NonFiniteValue,
+                       match=r"atom 1 \(t=0\.19999\d*, w=0\.39999\d*j\)"):
+        prod.integrate(lambda x, w: np.inf if x > 0.15 else 1.0)
