@@ -277,16 +277,23 @@ def _cmd_verify(args) -> int:
                 if not ok:
                     worst = 1
             continue
-        # Explicit single artifacts produce the full residual table.
+        # Explicit targets print the full residual table; of an --emit all
+        # bundle, the part the flag names, against the bundle's T if stored.
         doc = io.read_json(path)
         name = os.path.basename(path)
+        src = source
+        if "atoms" not in doc and isinstance(doc.get("measure"), dict):
+            if isinstance(doc.get("t"), dict):
+                src = io.matrix_from_doc(doc["t"], where=name)
+            doc = doc.get("decomposition" if path == args.decomposition
+                          else "measure", {})
         if path == args.decomposition:
-            report = _decomposition_check(doc, name, tol, source)
+            report = _decomposition_check(doc, name, tol, src)
             if report is None:
                 raise ParseError(f"{name}: stores no source operator; "
                                  "pass --input FILE")
         else:
-            report = _measure_check(doc, name, tol, source)
+            report = _measure_check(doc, name, tol, src)
         checked = True
         print(name)
         for line in _report_lines(report):

@@ -289,26 +289,19 @@ def _jacobi_hermitian(matrix: np.ndarray, off_target: float,
         # Past the relative test a rotation changes no eigenvalue beyond
         # rounding and an eigenvector by about eps |lambda| / gap, so
         # further sweeps buy clustered eigenvectors nothing.
+        reason = None
         if _relatively_diagonal(w):
+            reason = "sweeps reached the relative rounding floor"
+        elif off >= prev_off:
+            reason = "sweeps stalled"
+        elif rotations >= budget:
+            reason = f"sweep budget of {budget} rotations exhausted"
+        if reason is not None:
             if off <= off_target:
                 break
             raise NoConvergence(
-                f"Jacobi sweeps reached the relative rounding floor with "
-                f"off-diagonal mass {off:.3e} above target {off_target:.3e}"
-            )
-        if off >= prev_off:
-            if off <= off_target:
-                break
-            raise NoConvergence(
-                f"Jacobi sweeps stalled with off-diagonal mass {off:.3e} "
+                f"Jacobi {reason} with off-diagonal mass {off:.3e} "
                 f"above target {off_target:.3e}"
-            )
-        if rotations >= budget:
-            if off <= off_target:
-                break
-            raise NoConvergence(
-                f"Jacobi sweep budget of {budget} rotations exhausted with "
-                f"off-diagonal mass {off:.3e} above target {off_target:.3e}"
             )
         prev_off = off
         skip_threshold = off / (4.0 * n)

@@ -101,6 +101,25 @@ class ProductMeasure(_AtomStore):
             for t, w in zip(self.t_points, self.w_points)]))
 
 
+def _pair_blocks(e1: SpectralMeasure, e2: SpectralMeasure, floor: float):
+    """Yield ``(i, j, u_i, w_j, block, mass)`` for pairs with mass > floor.
+
+    Block masses of ``S1* S2`` come from one reduction; pairs follow in
+    row-major order, with bases sliced from the stacked ones.
+    """
+    s1 = e1.stacked_basis()
+    s2 = e2.stacked_basis()
+    cross = s1.conj().T @ s2
+    off1 = np.cumsum((0,) + e1.ranks)
+    off2 = np.cumsum((0,) + e2.ranks)
+    masses = np.sqrt(np.add.reduceat(np.add.reduceat(
+        np.abs(cross) ** 2, off1[:-1], axis=0), off2[:-1], axis=1))
+    for i, j in zip(*np.nonzero(masses > floor)):
+        rows, cols = slice(off1[i], off1[i + 1]), slice(off2[j], off2[j + 1])
+        yield (int(i), int(j), s1[:, rows], s2[:, cols], cross[rows, cols],
+               float(masses[i, j]))
+
+
 def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
                   tol: Tolerances | None = None) -> bool:
     """True when every projection of e1 commutes with every one of e2.
@@ -113,20 +132,11 @@ def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
     if e1.dim != e2.dim:
         raise DimensionMismatch("measures act on different dimensions")
     threshold = PVM_FACTOR * tol.rel(e1.dim) + tol.atol
-    cross = e1.stacked_basis().conj().T @ e2.stacked_basis()
-    off1 = np.cumsum((0,) + e1.ranks)
-    off2 = np.cumsum((0,) + e2.ranks)
-    worst = 0.0
-    for i in range(e1.num_atoms):
-        ui = e1.basis(i)
-        for j in range(e2.num_atoms):
-            block = cross[off1[i]:off1[i + 1], off2[j]:off2[j + 1]]
-            mass = float(np.linalg.norm(block))
-            if 2.0 * mass <= 0.5 * threshold:
-                continue
-            pq = (ui @ block) @ e2.basis(j).conj().T
-            worst = max(worst, float(np.linalg.norm(pq - pq.conj().T)))
-    return worst <= threshold
+    for _, _, ui, wj, block, _ in _pair_blocks(e1, e2, threshold / 4.0):
+        pq = (ui @ block) @ wj.conj().T
+        if float(np.linalg.norm(pq - pq.conj().T)) > threshold:
+            return False
+    return True
 
 
 def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
@@ -148,47 +158,42 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     n = e1.dim
     if float(np.max(np.abs(e1.points.imag))) > tol.atol:
         raise ValueError("the first factor must be supported on the real line")
-    if not commute_check(e1, e2, tol):
-        raise NotCommuting("projections of the two measures do not commute")
+    threshold = PVM_FACTOR * tol.rel(n) + tol.atol
     prune = PRUNE_FACTOR * n if prune is None else prune
-    cross = e1.stacked_basis().conj().T @ e2.stacked_basis()
-    off1 = np.cumsum((0,) + e1.ranks)
-    off2 = np.cumsum((0,) + e2.ranks)
     t_points, w_points, bases = [], [], []
     rectangle = 0.0
-    for i in range(e1.num_atoms):
-        ui = e1.basis(i)
-        for j in range(e2.num_atoms):
-            block = cross[off1[i]:off1[i + 1], off2[j]:off2[j + 1]]
-            mass = float(np.linalg.norm(block))
-            if mass <= prune:
-                continue
-            wj = e2.basis(j)
-            ri, rj = block.shape
-            # Singular vectors of the cross block with singular value
-            # near 1 span the intersection of the two ranges; take the
-            # Gram matrix on the smaller side.
-            wide = ri <= rj
-            gram = block @ block.conj().T if wide else block.conj().T @ block
-            gram = (gram + gram.conj().T) / 2.0
-            s2, x = _jacobi_hermitian(gram, tol.atol * (1.0 + np.linalg.norm(gram)))
-            keep = s2 > 0.25
-            if not keep.any():
-                if mass > 0.1:
-                    raise NotCommuting(
-                        f"pair ({i}, {j}) has projection product mass "
-                        f"{mass:.3e} but no stable intersection"
-                    )
-                continue
-            if wide:
-                z = ui @ x[:, keep]
-            else:
-                z = ui @ (block @ x[:, keep]) / np.sqrt(s2[keep])
-            pq = (ui @ block) @ wj.conj().T
-            rectangle = max(rectangle, float(np.linalg.norm(z @ z.conj().T - pq)))
-            t_points.append(float(e1.points[i].real))
-            w_points.append(complex(e2.points[j]))
-            bases.append(z)
+    # A pair that commutes has P_i Q_j near a projection, so "no stable
+    # intersection" only follows a pair that failed the commute test.
+    screen = threshold / 4.0
+    for i, j, ui, wj, block, mass in _pair_blocks(e1, e2, min(prune, screen)):
+        pq = (ui @ block) @ wj.conj().T
+        if mass > screen and float(np.linalg.norm(pq - pq.conj().T)) > threshold:
+            raise NotCommuting("projections of the two measures do not commute")
+        if mass <= prune:
+            continue
+        # Singular vectors of the cross block with singular value
+        # near 1 span the intersection of the two ranges; take the
+        # Gram matrix on the smaller side.
+        wide = block.shape[0] <= block.shape[1]
+        gram = block @ block.conj().T if wide else block.conj().T @ block
+        gram = (gram + gram.conj().T) / 2.0
+        s2, x = _jacobi_hermitian(gram, tol.atol * (1.0 + np.linalg.norm(gram)))
+        keep = s2 > 0.25
+        if not keep.any():
+            if mass > 0.1:
+                raise NotCommuting(
+                    f"pair ({i}, {j}) has projection product mass "
+                    f"{mass:.3e} but no stable intersection"
+                )
+            continue
+        if wide:
+            z = ui @ x[:, keep]
+        else:
+            z = ui @ (block @ x[:, keep]) / np.sqrt(s2[keep])
+        rectangle = max(rectangle, float(np.linalg.norm(z @ z.conj().T - pq)))
+        t_points.append(float(e1.points[i].real))
+        w_points.append(complex(e2.points[j]))
+        bases.append(z)
     if not t_points:
         raise NotCommuting("no atom pair survived pruning")
     bound = PVM_FACTOR * tol.rel(n)
@@ -208,23 +213,17 @@ def marginal_residuals(prod: ProductMeasure, e1: SpectralMeasure,
     Summing product projections over j must recover P_i, and over i
     must recover Q_j.
     """
-    first = 0.0
-    for i in range(e1.num_atoms):
-        t = float(e1.points[i].real)
-        acc = np.zeros((prod.dim, prod.dim), dtype=np.complex128)
-        for k in range(prod.num_atoms):
-            if prod.t_points[k] == t:
-                acc += prod.projection(k).array
-        first = max(first, float(np.linalg.norm(acc - e1.projection(i).array)))
-    second = 0.0
-    for j in range(e2.num_atoms):
-        w = complex(e2.points[j])
-        acc = np.zeros((prod.dim, prod.dim), dtype=np.complex128)
-        for k in range(prod.num_atoms):
-            if complex(prod.w_points[k]) == w:
-                acc += prod.projection(k).array
-        second = max(second, float(np.linalg.norm(acc - e2.projection(j).array)))
-    return first, second
+    def gap(keys: np.ndarray, points: np.ndarray, e: SpectralMeasure) -> float:
+        worst = 0.0
+        for i, point in enumerate(points):
+            acc = np.zeros((prod.dim, prod.dim), dtype=np.complex128)
+            for k in np.flatnonzero(keys == point):
+                acc += prod.projection(int(k)).array
+            worst = max(worst, float(np.linalg.norm(acc - e.projection(i).array)))
+        return worst
+
+    return (gap(prod.t_points, e1.points.real, e1),
+            gap(prod.w_points, e2.points, e2))
 
 
 def product_validate(prod: ProductMeasure,

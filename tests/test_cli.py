@@ -251,3 +251,33 @@ def test_verify_pvm_on_product_from_bundle(tmp_path, capsys):
     code, out, _ = run(["verify", "--pvm", product], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_explicit_targets_on_bundle(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "53")
+    bundle = str(tmp_path / "full.json")
+    assert main(["pipeline", "--input", t, "--output", bundle]) == 0
+    capsys.readouterr()
+    # each flag checks its own part, against the bundle's stored T
+    code, out, _ = run(["verify", "--pvm", bundle], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "full.json"
+    assert [line.split()[0] for line in lines[1:]] == [
+        "idempotency", "hermitian_defect", "orthogonality", "completeness",
+        "rank_deficit", "min_point_gap", "reconstruction"]
+    assert all(line.endswith("pass") for line in lines[1:])
+    code, out, _ = run(["verify", "--decomposition", bundle], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "full.json"
+    assert "reconstruction" in [line.split()[0] for line in lines[1:]]
+    assert all(line.endswith("pass") for line in lines[1:])
+
+    doc = json.loads(open(bundle).read())
+    doc["measure"]["atoms"][0]["projection"]["entries"][0][0] += 0.05
+    open(bundle, "w").write(io.dumps(doc))
+    code, out, _ = run(["verify", "--pvm", bundle], capsys)
+    assert code == 1
+    assert "FAIL" in out

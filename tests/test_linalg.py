@@ -142,8 +142,18 @@ def test_hermitian_eig_rejects_non_hermitian():
 def test_jacobi_budget_exhaustion():
     from spectral_forge.linalg import _jacobi_hermitian
     m = np.array([[0, 1], [1, 0]], dtype=complex)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence,
+                       match="sweep budget of 0 rotations exhausted"):
         _jacobi_hermitian(m, 1e-14, rotation_budget=0)
+
+
+def test_jacobi_target_below_rounding_floor_raises():
+    # the mass left at the relative stopping point is about eps ||M||,
+    # far above an absolute target of 1e-20
+    m = random_hermitian(np.random.default_rng(3), 8)
+    with pytest.raises(NoConvergence,
+                       match="reached the relative rounding floor"):
+        hermitian_eig(m, Tolerances(atol=1e-20))
 
 
 def test_jacobi_stops_at_relative_rounding_floor(monkeypatch):

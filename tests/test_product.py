@@ -52,7 +52,7 @@ def test_commute_check_rejects_skew_projections():
                                                  dtype=complex)))
     ez = pvm_from_normal(OperatorMatrix(np.diag([1.0, -1.0])))
     assert not commute_check(ex, ez)
-    with pytest.raises(NotCommuting):
+    with pytest.raises(NotCommuting, match="do not commute"):
         product_measure(ez, ex)
 
 
@@ -224,3 +224,57 @@ def test_product_integrate_names_the_pair_on_non_finite():
     with pytest.raises(NonFiniteValue,
                        match=r"atom 1 \(t=0\.19999\d*, w=0\.39999\d*j\)"):
         prod.integrate(lambda x, w: np.inf if x > 0.15 else 1.0)
+
+
+def test_product_on_dense_read_back_derives_each_basis_once(monkeypatch):
+    # a dense-stored atom recovers its basis with one Hermitian solve, so
+    # one pass over the atom pairs needs exactly k1 + k2 of them
+    from spectral_forge import io, measures
+    from spectral_forge.pipeline import spectral_theorem
+    t = generate(OperatorSpec("random_normal", dim=12, scale=2.0, seed=12))
+    result = spectral_theorem(t)
+    e1 = io.pvm_from_doc(io.pvm_to_doc(result.e1))
+    e2 = io.pvm_from_doc(io.pvm_to_doc(result.e2))
+    calls = []
+    solve = measures.hermitian_eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "hermitian_eig", counted)
+    prod = product_measure(e1, e2)
+    assert len(calls) == e1.num_atoms + e2.num_atoms == 24
+    factored = result.product
+    np.testing.assert_array_equal(prod.t_points, factored.t_points)
+    np.testing.assert_array_equal(prod.w_points, factored.w_points)
+    assert prod.ranks == factored.ranks
+    for i in range(prod.num_atoms):
+        np.testing.assert_allclose(prod.projection(i).array,
+                                   factored.projection(i).array, atol=1e-12)
+
+
+def test_pair_blocks_match_per_block_norms():
+    # the one-reduction screen against the per-pair loop it replaced
+    from spectral_forge.product import _pair_blocks
+    t = generate(OperatorSpec("random_normal", dim=10, scale=2.0, seed=31))
+    e1, e2 = measures_for(t)
+    s1, s2 = e1.stacked_basis(), e2.stacked_basis()
+    cross = s1.conj().T @ s2
+    off1 = np.cumsum((0,) + e1.ranks)
+    off2 = np.cumsum((0,) + e2.ranks)
+    floor = 1e-3
+    expected = []
+    for i in range(e1.num_atoms):
+        for j in range(e2.num_atoms):
+            block = cross[off1[i]:off1[i + 1], off2[j]:off2[j + 1]]
+            mass = float(np.linalg.norm(block))
+            if mass > floor:
+                expected.append((i, j, block, mass))
+    got = list(_pair_blocks(e1, e2, floor))
+    assert [(i, j) for i, j, *_ in got] == [(i, j) for i, j, *_ in expected]
+    for (i, j, ui, wj, block, mass), ref in zip(got, expected):
+        np.testing.assert_array_equal(ui, e1.basis(i))
+        np.testing.assert_array_equal(wj, e2.basis(j))
+        np.testing.assert_array_equal(block, ref[2])
+        assert mass == pytest.approx(ref[3], rel=8 * np.finfo(float).eps)
