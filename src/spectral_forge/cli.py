@@ -73,34 +73,13 @@ def _deliver(doc: dict, args):
         sys.stdout.write(io.dumps(doc))
 
 
-def _report_lines(report: VerificationReport) -> list[str]:
-    lines = []
-    for name, residual in report.residuals.items():
-        bound = report.tolerances.get(name, float("nan"))
-        verdict = "pass" if report.passed.get(name, False) else "FAIL"
-        lines.append(
-            f"{name:<24} value {residual:.6e}  bound {bound:.6e}  {verdict}")
-    return lines
-
-
-def _summarize(label: str, report: VerificationReport):
-    failed = [k for k, ok in report.passed.items() if not ok]
-    if failed:
-        print(f"{label}: FAIL ({', '.join(failed)})", file=sys.stderr)
-    else:
-        print(f"{label}: all {len(report.passed)} checks passed",
-              file=sys.stderr)
-
-
-def _with_reconstruction(report: VerificationReport, residual: float,
-                         bound: float) -> VerificationReport:
-    residuals = dict(report.residuals)
-    passed = dict(report.passed)
-    tolerances = dict(report.tolerances)
-    residuals["reconstruction"] = residual
-    tolerances["reconstruction"] = bound
-    passed["reconstruction"] = residual <= bound
-    return VerificationReport(residuals, passed, tolerances)
+def _summarize(label: str, report: VerificationReport) -> int:
+    """Print the report's one-line verdict and return the exit code."""
+    if report.failed:
+        print(f"{label}: FAIL ({', '.join(report.failed)})", file=sys.stderr)
+        return 1
+    print(f"{label}: all {len(report.passed)} checks passed", file=sys.stderr)
+    return 0
 
 
 def _cmd_decompose(args) -> int:
@@ -114,15 +93,13 @@ def _cmd_decompose(args) -> int:
         doc = io.decomposition_to_doc(t, d,
                                       None if args.emit == "measure" else report)
     _deliver(doc, args)
-    _summarize("decompose", report)
-    return 0 if report.all_passed else 1
+    return _summarize("decompose", report)
 
 
 def _pvm_report(t: OperatorMatrix, e, tol: Tolerances) -> VerificationReport:
-    report = pvm_validate(e, tol)
-    residual = frobenius(pvm_integrate(lambda z: z, e) - t)
-    bound = RECONSTRUCTION_FACTOR * tol.rel(t.dim) * (1.0 + frobenius(t))
-    return _with_reconstruction(report, residual, bound)
+    return pvm_validate(e, tol).extended([(
+        "reconstruction", frobenius(pvm_integrate(lambda z: z, e) - t),
+        RECONSTRUCTION_FACTOR * tol.rel(t.dim) * (1.0 + frobenius(t)))])
 
 
 def _cmd_spectrum(args) -> int:
@@ -137,8 +114,7 @@ def _cmd_spectrum(args) -> int:
     else:
         doc = {"measure": io.pvm_to_doc(e), "report": io.report_to_doc(report)}
     _deliver(doc, args)
-    _summarize(f"spectrum ({e.num_atoms} atoms)", report)
-    return 0 if report.all_passed else 1
+    return _summarize(f"spectrum ({e.num_atoms} atoms)", report)
 
 
 def _cmd_pipeline(args) -> int:
@@ -165,8 +141,8 @@ def _cmd_pipeline(args) -> int:
         if result.direct_measure is not None:
             doc["direct"] = io.pvm_to_doc(result.direct_measure)
     _deliver(doc, args)
-    _summarize(f"pipeline ({result.spectral_measure.num_atoms} atoms)", report)
-    return 0 if report.all_passed else 1
+    return _summarize(f"pipeline ({result.spectral_measure.num_atoms} atoms)",
+                      report)
 
 
 def _decomposition_check(doc: dict, name: str, tol: Tolerances,
@@ -198,8 +174,7 @@ def _measure_check(doc: dict, name: str, tol: Tolerances,
     return pvm_validate(e, tol)
 
 
-def _status(kind: str, report: VerificationReport) -> tuple[str, bool]:
-    failed = [k for k, ok in report.passed.items() if not ok]
+def _status(kind: str, failed: list[str]) -> tuple[str, bool]:
     return (kind + " " + ("FAIL " + ",".join(failed) if failed else "pass"),
             not failed)
 
@@ -217,9 +192,9 @@ def _verify_one(path: str, tol: Tolerances,
         report = _decomposition_check(doc, name, tol, source)
         if report is None:
             return "skipped (no source operator; pass --input)", None
-        return _status("decomposition", report)
+        return _status("decomposition", report.failed)
     if "atoms" in doc:
-        return _status("measure", _measure_check(doc, name, tol, source))
+        return _status("measure", _measure_check(doc, name, tol, source).failed)
     if isinstance(doc.get("measure"), dict):
         # --emit all bundle: re-check every part that carries an
         # invariant.  The embedded source operator, when present, gives
@@ -236,10 +211,8 @@ def _verify_one(path: str, tol: Tolerances,
                 reports[key] = _measure_check(doc[key], name, tol, None)
         reports["measure"] = _measure_check(doc["measure"], name, tol, src)
         checked = [k for k, r in reports.items() if r is not None]
-        failures = [k for k in checked if not reports[k].all_passed]
-        return ("bundle(" + ",".join(checked) + ") " +
-                ("pass" if not failures else "FAIL " + ",".join(failures)),
-                not failures)
+        return _status("bundle(" + ",".join(checked) + ")",
+                       [k for k in checked if reports[k].failed])
     if "entries" in doc:
         return "skipped (operator matrix)", None
     if "residuals" in doc:
@@ -296,8 +269,10 @@ def _cmd_verify(args) -> int:
             report = _measure_check(doc, name, tol, src)
         checked = True
         print(name)
-        for line in _report_lines(report):
-            print(f"  {line}")
+        for key, residual in report.residuals.items():
+            bound = report.tolerances[key]
+            verdict = "pass" if report.passed[key] else "FAIL"
+            print(f"  {key:<24} value {residual:.6e}  bound {bound:.6e}  {verdict}")
         if not report.all_passed:
             worst = 1
         last_report_doc = io.report_to_doc(report)

@@ -113,12 +113,10 @@ def verify(t: OperatorMatrix, d: Decomposition,
     tol = _resolve(tol)
     if t.dim != d.dim:
         raise DimensionMismatch("operator and decomposition dimensions differ")
-    n = t.dim
-    rel = tol.rel(n)
+    rel = tol.rel(t.dim)
     ta = t.array
     aa = d.a.array
     ba = d.b.array
-    m = _gram_plus_identity(t)
 
     herm_a = (aa + aa.conj().T) / 2.0
     min_eig_a = float(np.min(hermitian_eig(OperatorMatrix(herm_a), tol)
@@ -128,49 +126,28 @@ def verify(t: OperatorMatrix, d: Decomposition,
     fro_a = float(np.linalg.norm(aa))
     fro_b = float(np.linalg.norm(ba))
 
-    reconstruction = float(np.linalg.norm(m @ ba - ta))
-    commutator = float(np.linalg.norm(aa @ ba - ba @ aa))
-    claim_product = float(np.linalg.norm(aa @ ta - ba))
-    adjoint_identity = float(np.linalg.norm(ba.conj().T - ta.conj().T @ aa))
-    hermitian_defect_a = float(np.linalg.norm(aa - aa.conj().T))
-    bh = ba.conj().T
-    normality_defect_b = float(np.linalg.norm(bh @ ba - ba @ bh))
-
-    floor = 1.0 / (1.0 + op_t * op_t)
+    margin_bound = 1.0 / (1.0 + op_t * op_t) - rel
     identity_bound = IDENTITY_FACTOR * rel * (1.0 + op_t)
-    residuals = {
-        "injectivity_margin": min_eig_a,
-        "reconstruction": reconstruction,
-        "commutator": commutator,
-        "claim_product": claim_product,
-        "adjoint_identity": adjoint_identity,
-        "hermitian_defect_a": hermitian_defect_a,
-        "normality_defect_b": normality_defect_b,
-    }
-    tolerances = {
-        "injectivity_margin": floor - rel,
-        "reconstruction": RECONSTRUCTION_FACTOR * rel * (1.0 + fro_t),
-        "commutator": rel * fro_a * fro_b + tol.atol,
-        "claim_product": identity_bound,
-        "adjoint_identity": identity_bound,
-        "hermitian_defect_a": identity_bound,
-        "normality_defect_b": identity_bound,
-    }
-    passed = {
-        "injectivity_margin": min_eig_a >= tolerances["injectivity_margin"],
-        "reconstruction": reconstruction <= tolerances["reconstruction"],
-        "commutator": commutator <= tolerances["commutator"],
-        "claim_product": claim_product <= tolerances["claim_product"],
-        "adjoint_identity": adjoint_identity <= tolerances["adjoint_identity"],
-        "hermitian_defect_a": hermitian_defect_a <= tolerances["hermitian_defect_a"],
-        "normality_defect_b": normality_defect_b <= tolerances["normality_defect_b"],
-    }
+    bh = ba.conj().T
+    checks = [
+        ("injectivity_margin", min_eig_a, margin_bound,
+         min_eig_a >= margin_bound),
+        ("reconstruction", float(np.linalg.norm(_gram_plus_identity(t) @ ba - ta)),
+         RECONSTRUCTION_FACTOR * rel * (1.0 + fro_t)),
+        ("commutator", float(np.linalg.norm(aa @ ba - ba @ aa)),
+         rel * fro_a * fro_b + tol.atol),
+        ("claim_product", float(np.linalg.norm(aa @ ta - ba)), identity_bound),
+        ("adjoint_identity", float(np.linalg.norm(bh - ta.conj().T @ aa)),
+         identity_bound),
+        ("hermitian_defect_a", float(np.linalg.norm(aa - aa.conj().T)),
+         identity_bound),
+        ("normality_defect_b", float(np.linalg.norm(bh @ ba - ba @ bh)),
+         identity_bound),
+    ]
     if is_hermitian(t, tol):
-        defect = float(np.linalg.norm(ba - ba.conj().T))
-        residuals["hermitian_defect_b"] = defect
-        tolerances["hermitian_defect_b"] = identity_bound
-        passed["hermitian_defect_b"] = defect <= identity_bound
-    return VerificationReport(residuals, passed, tolerances)
+        checks.append(("hermitian_defect_b", float(np.linalg.norm(ba - bh)),
+                       identity_bound))
+    return VerificationReport.from_checks(checks)
 
 
 def norm_bounds(d: Decomposition, tol: Tolerances | None = None) -> tuple[float, float]:

@@ -254,7 +254,10 @@ def report_from_doc(doc: dict, where: str = "report") -> VerificationReport:
                     raise ParseError(f"{where}.pass.{name}: expected a boolean")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ParseError(f"{where}.{key}.{name}: expected a number")
-    return VerificationReport.from_json_dict(doc)
+    try:
+        return VerificationReport.from_json_dict(doc)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def write_report(report: VerificationReport, path: str):

@@ -86,10 +86,6 @@ class Tolerances:
         """Clustering radius for eigenvalues of magnitude up to ``scale``."""
         return self.cluster if self.cluster is not None else 1e-8 * (1.0 + scale)
 
-    def residual(self, dim: int) -> float:
-        """Budget for eigendecomposition reconstruction residuals."""
-        return 10.0 * self.rel(dim)
-
 
 DEFAULT_TOLERANCES = Tolerances()
 

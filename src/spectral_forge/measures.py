@@ -38,6 +38,11 @@ __all__ = [
 PVM_FACTOR = 10.0
 
 
+def _dense_rank(proj: np.ndarray) -> int:
+    """Rank of a dense atom: its rounded trace, and at least one column."""
+    return max(1, int(round(float(np.trace(proj).real))))
+
+
 class _AtomStore:
     """Atoms stored as orthonormal bases or as dense projections.
 
@@ -79,7 +84,7 @@ class _AtomStore:
     def ranks(self) -> tuple[int, ...]:
         if self.bases is not None:
             return tuple(b.shape[1] for b in self.bases)
-        return tuple(int(round(float(np.trace(p).real))) for p in self.projections)
+        return tuple(_dense_rank(p) for p in self.projections)
 
     def basis(self, i: int) -> np.ndarray:
         """Orthonormal columns spanning atom ``i``.
@@ -91,9 +96,8 @@ class _AtomStore:
         if self.bases is not None:
             return self.bases[i]
         proj = self.projections[i]
-        rank = max(1, int(round(float(np.trace(proj).real))))
         es = hermitian_eig(OperatorMatrix((proj + proj.conj().T) / 2.0))
-        return es.unitary.array[:, self.dim - rank:]
+        return es.unitary.array[:, self.dim - _dense_rank(proj):]
 
     def projection(self, i: int) -> OperatorMatrix:
         """Dense projection of atom ``i``."""
@@ -236,37 +240,25 @@ def _dense_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
     return idem, herm, ortho, completeness
 
 
-def _store_residuals(e: _AtomStore, tol: Tolerances):
-    """Projection system residuals shared by measures and product measures.
+def _store_checks(e: _AtomStore, tol: Tolerances) -> list[tuple]:
+    """Projection system checks shared by measures and product measures.
 
-    Returns residual, tolerance and pass dicts keyed, in order, by
-    idempotency, hermitian_defect, orthogonality, completeness (each
-    held to ``10 rel(n)``) and rank_deficit (held to zero).
+    Records, in order, for idempotency, hermitian_defect, orthogonality,
+    completeness (each held to ``10 rel(n)``) and rank_deficit (held to
+    zero).
     """
     bound = PVM_FACTOR * tol.rel(e.dim)
     if e.bases is not None:
         idem, herm, ortho, completeness = _factored_invariants(e)
     else:
         idem, herm, ortho, completeness = _dense_invariants(e)
-    rank_deficit = float(abs(sum(e.ranks) - e.dim))
-    residuals = {
-        "idempotency": idem,
-        "hermitian_defect": herm,
-        "orthogonality": ortho,
-        "completeness": completeness,
-        "rank_deficit": rank_deficit,
-    }
-    tolerances = {
-        "idempotency": bound,
-        "hermitian_defect": bound,
-        "orthogonality": bound,
-        "completeness": bound,
-        "rank_deficit": 0.0,
-    }
-    passed = {key: residuals[key] <= bound for key in
-              ("idempotency", "hermitian_defect", "orthogonality", "completeness")}
-    passed["rank_deficit"] = rank_deficit == 0.0
-    return residuals, tolerances, passed
+    return [
+        ("idempotency", idem, bound),
+        ("hermitian_defect", herm, bound),
+        ("orthogonality", ortho, bound),
+        ("completeness", completeness, bound),
+        ("rank_deficit", float(abs(sum(e.ranks) - e.dim)), 0.0),
+    ]
 
 
 def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> VerificationReport:
@@ -279,7 +271,6 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     report.
     """
     tol = _resolve(tol)
-    residuals, tolerances, passed = _store_residuals(e, tol)
     if e.num_atoms > 1:
         pts = e.points
         gaps = np.abs(pts[:, None] - pts[None, :])
@@ -287,7 +278,5 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     else:
         min_gap = float("inf")
     radius = tol.cluster_radius(e.support_radius)
-    residuals["min_point_gap"] = min_gap
-    tolerances["min_point_gap"] = radius
-    passed["min_point_gap"] = min_gap > radius
-    return VerificationReport(residuals, passed, tolerances)
+    return VerificationReport.from_checks(_store_checks(e, tol) + [
+        ("min_point_gap", min_gap, radius, min_gap > radius)])

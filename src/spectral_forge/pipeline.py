@@ -25,8 +25,9 @@ import numpy as np
 from .decomposition import Decomposition, decompose
 from .errors import NotCommuting, ScaleLimit, SingularWeightWarning
 from .linalg import OperatorMatrix, Tolerances, _resolve, op_norm_2
-from .measures import SpectralMeasure, pvm_from_normal, pvm_integrate
-from .product import ProductMeasure, inverse_weight, product_measure, pushforward
+from .measures import PVM_FACTOR, SpectralMeasure, pvm_from_normal, pvm_integrate
+from .product import (SINGULAR_MARGIN, ProductMeasure, inverse_weight,
+                      product_measure, pushforward)
 from .report import VerificationReport
 
 __all__ = [
@@ -118,8 +119,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     e1 = _realified(pvm_from_normal(d.a, tol), tol.atol)
     e2 = pvm_from_normal(d.b, tol)
     prod = product_measure(e1, e2, tol)
-    eps_sing = 1e-14 * (1.0 + e1.support_radius)
-    singular_hits = 0
+    eps_sing = SINGULAR_MARGIN * (1.0 + e1.support_radius)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SingularWeightWarning)
         measure = pushforward(
@@ -129,42 +129,27 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     recon = float(np.linalg.norm(
         pvm_integrate(lambda z: z, measure).array - t.array))
     fro_t = float(np.linalg.norm(t.array))
-    recon_bound = pipeline_tolerance(n, source_norm, tol) * (1.0 + fro_t)
-    support_excess = max(0.0, e2.support_radius - 0.5)
-    support_bound = 10.0 * tol.rel(n)
-    residuals = {
-        "atom_count": float(measure.num_atoms),
-        "reconstruction": recon,
-        "e2_support_excess": support_excess,
-        "singular_weight_atoms": float(singular_hits),
-    }
-    tolerances = {
-        "atom_count": float(n),
-        "reconstruction": recon_bound,
-        "e2_support_excess": support_bound,
-        "singular_weight_atoms": 0.0,
-    }
-    passed = {
-        "atom_count": 1 <= measure.num_atoms <= n,
-        "reconstruction": recon <= recon_bound,
-        "e2_support_excess": support_excess <= support_bound,
-        "singular_weight_atoms": singular_hits == 0,
-    }
+    checks = [
+        ("atom_count", float(measure.num_atoms), float(n),
+         1 <= measure.num_atoms <= n),
+        ("reconstruction", recon,
+         pipeline_tolerance(n, source_norm, tol) * (1.0 + fro_t)),
+        ("e2_support_excess", max(0.0, e2.support_radius - 0.5),
+         PVM_FACTOR * tol.rel(n)),
+        ("singular_weight_atoms", float(singular_hits), 0.0),
+    ]
     direct = None
     if direct_check:
         direct = pvm_from_normal(t, tol)
-        cc = _match_measures(measure, direct, tol, source_norm, n)
-        residuals.update(cc.residuals)
-        tolerances.update(cc.tolerances)
-        passed.update(cc.passed)
-    report = VerificationReport(residuals, passed, tolerances)
+        checks += _match_measures(measure, direct, tol, source_norm)
+    report = VerificationReport.from_checks(checks)
     return PipelineResult(d, e1, e2, prod, measure, report, direct)
 
 
 def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
-                    tol: Tolerances, scale: float, n: int,
-                    radius: float | None = None) -> VerificationReport:
-    """Greedy nearest-pair matching of two atom systems."""
+                    tol: Tolerances, scale: float,
+                    radius: float | None = None) -> list[tuple]:
+    """Check records of a greedy nearest-pair matching of two atom systems."""
     if radius is None:
         radius = 1e-7 * (1.0 + scale)
     pa = result.points
@@ -192,23 +177,11 @@ def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
         diff = result.projection(i).array - direct.projection(j).array
         projection_gap = max(projection_gap, float(np.linalg.norm(diff)))
     unmatched = (pa.size - matched) + (pb.size - matched)
-    projection_bound = 1e4 * tol.rel(n)
-    residuals = {
-        "cross_point_gap": point_gap,
-        "cross_projection_gap": projection_gap,
-        "cross_unmatched": float(unmatched),
-    }
-    tolerances = {
-        "cross_point_gap": radius,
-        "cross_projection_gap": projection_bound,
-        "cross_unmatched": 0.0,
-    }
-    passed = {
-        "cross_point_gap": point_gap <= radius,
-        "cross_projection_gap": projection_gap <= projection_bound,
-        "cross_unmatched": unmatched == 0,
-    }
-    return VerificationReport(residuals, passed, tolerances)
+    return [
+        ("cross_point_gap", point_gap, radius),
+        ("cross_projection_gap", projection_gap, 1e4 * tol.rel(result.dim)),
+        ("cross_unmatched", float(unmatched), 0.0),
+    ]
 
 
 def cross_check(result: PipelineResult, direct: SpectralMeasure,
@@ -222,6 +195,6 @@ def cross_check(result: PipelineResult, direct: SpectralMeasure,
     with the number of unmatched atoms on either side.
     """
     tol = _resolve(tol)
-    return _match_measures(result.spectral_measure, direct, tol,
-                           result.decomposition.source_norm,
-                           result.spectral_measure.dim, radius)
+    return VerificationReport.from_checks(_match_measures(
+        result.spectral_measure, direct, tol,
+        result.decomposition.source_norm, radius))

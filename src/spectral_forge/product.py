@@ -34,7 +34,7 @@ from .measures import (
     PVM_FACTOR,
     SpectralMeasure,
     _AtomStore,
-    _store_residuals,
+    _store_checks,
     pvm_integrate,
 )
 from .report import VerificationReport
@@ -53,6 +53,10 @@ __all__ = [
 # Atoms whose projection product has Frobenius mass below 1e-10 * n are
 # dropped as numerical dust.
 PRUNE_FACTOR = 1e-10
+
+# Singular weight margin: the guarded reciprocal sends weights this
+# close to the origin to zero (the pipeline scales it by 1 + ||A||).
+SINGULAR_MARGIN = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +124,11 @@ def _pair_blocks(e1: SpectralMeasure, e2: SpectralMeasure, floor: float):
                float(masses[i, j]))
 
 
+def _commute_threshold(n: int, tol: Tolerances) -> float:
+    """Commutator norm above which two projections do not commute."""
+    return PVM_FACTOR * tol.rel(n) + tol.atol
+
+
 def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
                   tol: Tolerances | None = None) -> bool:
     """True when every projection of e1 commutes with every one of e2.
@@ -131,7 +140,7 @@ def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
     tol = _resolve(tol)
     if e1.dim != e2.dim:
         raise DimensionMismatch("measures act on different dimensions")
-    threshold = PVM_FACTOR * tol.rel(e1.dim) + tol.atol
+    threshold = _commute_threshold(e1.dim, tol)
     for _, _, ui, wj, block, _ in _pair_blocks(e1, e2, threshold / 4.0):
         pq = (ui @ block) @ wj.conj().T
         if float(np.linalg.norm(pq - pq.conj().T)) > threshold:
@@ -158,7 +167,7 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     n = e1.dim
     if float(np.max(np.abs(e1.points.imag))) > tol.atol:
         raise ValueError("the first factor must be supported on the real line")
-    threshold = PVM_FACTOR * tol.rel(n) + tol.atol
+    threshold = _commute_threshold(n, tol)
     prune = PRUNE_FACTOR * n if prune is None else prune
     t_points, w_points, bases = [], [], []
     rectangle = 0.0
@@ -235,13 +244,11 @@ def product_validate(prod: ProductMeasure,
     residual when available.
     """
     tol = _resolve(tol)
-    residuals, tolerances, passed = _store_residuals(prod, tol)
+    checks = _store_checks(prod, tol)
     if prod.rectangle_residual is not None:
-        bound = PVM_FACTOR * tol.rel(prod.dim)
-        residuals["rectangle"] = float(prod.rectangle_residual)
-        tolerances["rectangle"] = bound
-        passed["rectangle"] = prod.rectangle_residual <= bound
-    return VerificationReport(residuals, passed, tolerances)
+        checks.append(("rectangle", float(prod.rectangle_residual),
+                       PVM_FACTOR * tol.rel(prod.dim)))
+    return VerificationReport.from_checks(checks)
 
 
 def fubini_check(f1, f2, e1: SpectralMeasure, e2: SpectralMeasure,
@@ -259,7 +266,7 @@ def fubini_check(f1, f2, e1: SpectralMeasure, e2: SpectralMeasure,
     return float(np.linalg.norm(lhs - rhs))
 
 
-def inverse_weight(t: float, eps_sing: float = 1e-14) -> float:
+def inverse_weight(t: float, eps_sing: float = SINGULAR_MARGIN) -> float:
     """Reciprocal with a guarded origin: 0 maps to 0, else 1/t.
 
     Values with ``0 < |t| <= eps_sing`` also map to 0 but emit a

@@ -143,6 +143,18 @@ def test_report_doc_type_checks():
                             "tolerances": {}})
 
 
+def test_report_with_mismatched_blocks_is_rejected(tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"residuals": {"reconstruction": 5.0},
+                                "pass": {}, "tolerances": {}}))
+    with pytest.raises(ParseError, match="rep.json: .*same checks"):
+        io.read_report(str(path))
+    with pytest.raises(ParseError, match="same checks in the same order"):
+        io.report_from_doc({"residuals": {"a": 1.0, "b": 2.0},
+                            "pass": {"b": True, "a": True},
+                            "tolerances": {"a": 1.0, "b": 2.0}})
+
+
 def test_decomposition_round_trip(tmp_path):
     t = generate(OperatorSpec("random_normal", dim=5, scale=2.0, seed=6))
     d = decompose(t)

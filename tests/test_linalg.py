@@ -81,7 +81,6 @@ def test_tolerances_defaults_and_validation():
     tol = Tolerances()
     assert tol.rel(10) == pytest.approx(1e-9)
     assert tol.cluster_radius(4.0) == pytest.approx(5e-8)
-    assert tol.residual(10) == pytest.approx(1e-8)
     custom = Tolerances(rtol=1e-6, cluster=1e-3)
     assert custom.rel(10) == 1e-6
     assert custom.cluster_radius(100.0) == 1e-3

@@ -110,6 +110,18 @@ def test_validate_catches_rank_deficit():
     assert not report.passed["rank_deficit"] or not report.passed["completeness"]
 
 
+def test_zero_dense_atom_keeps_ranks_and_stacked_basis_aligned():
+    # A zero projection between two genuine atoms: its basis has one
+    # column, so its rank must count one, and the rank total exposes it.
+    zero = np.zeros((3, 3), dtype=complex)
+    bad = SpectralMeasure(3, np.array([0.0, 1.0, 2.0], dtype=complex),
+                          projections=(np.diag([1.0, 0.0, 0.0]).astype(complex),
+                                       zero,
+                                       np.diag([0.0, 1.0, 1.0]).astype(complex)))
+    assert sum(bad.ranks) == bad.stacked_basis().shape[1]
+    assert pvm_validate(bad).failed == ["rank_deficit"]
+
+
 def test_validate_catches_colliding_points():
     e = pvm_from_normal(OperatorMatrix(np.diag([1.0, 2.0])))
     bad = SpectralMeasure(2, np.array([1.0, 1.0 + 1e-12], dtype=complex),
