@@ -1,10 +1,11 @@
 """JSON persistence for matrices, measures, and reports.
 
-All floating point numbers are written with 17 significant digits so a
-write/read cycle reproduces every double bit for bit, and documents are
-emitted with a fixed key order so identical inputs give byte-identical
-files.  Complex numbers are [real, imaginary] pairs; matrices store
-row-major entry lists under their dimension.
+Documents are written by the standard ``json`` encoder: every float as
+the shortest text that reads back to the same double, so a write/read
+cycle reproduces every double bit for bit, and keys in a fixed order so
+identical inputs give byte-identical files.  Complex numbers are [real,
+imaginary] pairs; matrices store row-major entry lists under their
+dimension.
 """
 
 from __future__ import annotations
@@ -32,62 +33,35 @@ __all__ = [
 ]
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise NonFiniteValue("cannot serialize a non-finite number")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return f"{x:.17g}"
+def _plain(value):
+    """``json.dumps`` hook: numpy scalars become Python numbers."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def dumps(doc) -> str:
-    """Serialize with deterministic layout and 17-digit floats."""
-    pieces: list[str] = []
-    _emit(doc, pieces)
-    return "".join(pieces) + "\n"
+    """Serialize with a fixed layout and shortest round-trip floats.
+
+    Keys keep their order; a float is written as ``repr`` writes it, the
+    shortest text that reads back to the same double.  NonFiniteValue on
+    NaN or infinity, ParseError on a value JSON cannot hold.
+    """
+    try:
+        return json.dumps(doc, allow_nan=False, default=_plain) + "\n"
+    except ValueError as exc:
+        raise NonFiniteValue("cannot serialize a non-finite number") from exc
+    except TypeError as exc:
+        raise ParseError(str(exc)) from exc
 
 
-def _emit(node, out: list[str]):
-    if isinstance(node, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(node.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(node, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(node):
-            if i:
-                out.append(", ")
-            _emit(value, out)
-        out.append("]")
-    elif isinstance(node, bool):
-        out.append("true" if node else "false")
-    elif isinstance(node, (int, np.integer)):
-        out.append(str(int(node)))
-    elif isinstance(node, (float, np.floating)):
-        out.append(_fmt_float(float(node)))
-    elif isinstance(node, str):
-        out.append(json.dumps(node))
-    elif node is None:
-        out.append("null")
-    else:
-        raise ParseError(f"cannot serialize value of type {type(node).__name__}")
-
-
-def _write_text(path: str, text: str):
+def write_json(doc: dict, path: str):
+    text = dumps(doc)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise FileError(f"cannot write {path}: {exc}") from exc
-
-
-def write_json(doc: dict, path: str):
-    _write_text(path, dumps(doc))
 
 
 def read_json(path: str) -> dict:
@@ -96,24 +70,31 @@ def read_json(path: str) -> dict:
             raw = handle.read()
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     return doc
 
 
 def _field(doc: dict, name: str, kind, where: str):
+    """``doc[name]`` checked against ``kind`` (float, int, complex or a type)."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object")
     if name not in doc:
         raise ParseError(f"{where}: missing field {name!r}")
     value = doc[name]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"{where}: field {name!r} must be a number")
-        return float(value)
+        return _double(value, f"{where}.{name}")
+    if kind is complex:
+        return _complex_from(_field(doc, name, list, where), f"{where}.{name}")
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParseError(f"{where}: field {name!r} must be an integer")
@@ -123,19 +104,27 @@ def _field(doc: dict, name: str, kind, where: str):
     return value
 
 
+def _double(value, where: str) -> float:
+    """A JSON number as a finite double, else ParseError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: expected a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{where}: not a finite double")
+    return x
+
+
 def _complex_from(pair, where: str) -> complex:
-    if (not isinstance(pair, list) or len(pair) != 2 or
-            any(isinstance(v, bool) or not isinstance(v, (int, float))
-                for v in pair)):
+    if not isinstance(pair, list) or len(pair) != 2:
         raise ParseError(f"{where}: expected [real, imaginary] pair")
-    value = complex(float(pair[0]), float(pair[1]))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ParseError(f"{where}: non-finite entry")
-    return value
+    return complex(_double(pair[0], where), _double(pair[1], where))
 
 
 def matrix_to_doc(m: OperatorMatrix) -> dict:
-    entries = [[float(z.real), float(z.imag)] for z in m.array.ravel()]
+    entries = m.array.view(np.float64).reshape(-1, 2).tolist()
     return {"dim": m.dim, "entries": entries}
 
 
@@ -153,51 +142,53 @@ def matrix_from_doc(doc: dict, where: str = "matrix") -> OperatorMatrix:
 
 
 def write_matrix(m: OperatorMatrix, path: str):
-    _write_text(path, dumps(matrix_to_doc(m)))
+    write_json(matrix_to_doc(m), path)
 
 
 def read_matrix(path: str) -> OperatorMatrix:
     return matrix_from_doc(read_json(path), where=os.path.basename(path))
 
 
-def pvm_to_doc(e: SpectralMeasure) -> dict:
-    atoms = []
-    for i in range(e.num_atoms):
-        point = complex(e.points[i])
-        atoms.append({
-            "point": [point.real, point.imag],
-            "projection": matrix_to_doc(e.projection(i)),
-            "rank": int(e.ranks[i]),
-        })
-    return {"dim": e.dim, "atoms": atoms, "support_radius": e.support_radius}
+def _read_atoms(doc: dict, where: str, head: tuple) -> tuple:
+    """Dimension, head columns and projections of a measure document.
 
-
-def pvm_from_doc(doc: dict, where: str = "pvm") -> SpectralMeasure:
+    ``head`` lists the kind's own atom fields as ``(name, kind)`` pairs;
+    their values come back as one column per field, in atom order.
+    """
     dim = _field(doc, "dim", int, where)
     atoms = _field(doc, "atoms", list, where)
     if not atoms:
         raise ParseError(f"{where}: a measure needs at least one atom")
-    points, projections = [], []
+    rows, projections = [], []
     for i, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise ParseError(f"{where}.atoms[{i}]: expected an object")
-        points.append(_complex_from(
-            _field(atom, "point", list, f"{where}.atoms[{i}]"),
-            f"{where}.atoms[{i}].point"))
-        proj = matrix_from_doc(
-            _field(atom, "projection", dict, f"{where}.atoms[{i}]"),
-            f"{where}.atoms[{i}].projection")
+        at = f"{where}.atoms[{i}]"
+        rows.append([_field(atom, name, kind, at) for name, kind in head])
+        proj = matrix_from_doc(_field(atom, "projection", dict, at),
+                               f"{at}.projection")
         if proj.dim != dim:
-            raise ParseError(f"{where}.atoms[{i}]: projection dimension "
+            raise ParseError(f"{at}: projection dimension "
                              f"{proj.dim} does not match {dim}")
-        _field(atom, "rank", int, f"{where}.atoms[{i}]")
         projections.append(proj.array)
+    return dim, list(zip(*rows)), tuple(projections)
+
+
+def pvm_to_doc(e: SpectralMeasure) -> dict:
+    atoms = [{"point": [point.real, point.imag],
+              "projection": matrix_to_doc(e.projection(i)),
+              "rank": rank}
+             for i, (point, rank) in enumerate(zip(e.points.tolist(), e.ranks))]
+    return {"dim": e.dim, "atoms": atoms, "support_radius": e.support_radius}
+
+
+def pvm_from_doc(doc: dict, where: str = "pvm") -> SpectralMeasure:
+    dim, (points, _), projections = _read_atoms(
+        doc, where, (("point", complex), ("rank", int)))
     return SpectralMeasure(dim, np.array(points, dtype=np.complex128),
-                           projections=tuple(projections))
+                           projections=projections)
 
 
 def write_pvm(e: SpectralMeasure, path: str):
-    _write_text(path, dumps(pvm_to_doc(e)))
+    write_json(pvm_to_doc(e), path)
 
 
 def read_pvm(path: str) -> SpectralMeasure:
@@ -205,40 +196,19 @@ def read_pvm(path: str) -> SpectralMeasure:
 
 
 def product_to_doc(prod: ProductMeasure) -> dict:
-    atoms = []
-    for i in range(prod.num_atoms):
-        w = complex(prod.w_points[i])
-        atoms.append({
-            "t": float(prod.t_points[i]),
-            "w": [w.real, w.imag],
-            "projection": matrix_to_doc(prod.projection(i)),
-        })
+    pairs = zip(prod.t_points.tolist(), prod.w_points.tolist())
+    atoms = [{"t": t, "w": [w.real, w.imag],
+              "projection": matrix_to_doc(prod.projection(i))}
+             for i, (t, w) in enumerate(pairs)]
     return {"dim": prod.dim, "atoms": atoms}
 
 
 def product_from_doc(doc: dict, where: str = "product") -> ProductMeasure:
-    dim = _field(doc, "dim", int, where)
-    atoms = _field(doc, "atoms", list, where)
-    if not atoms:
-        raise ParseError(f"{where}: a measure needs at least one atom")
-    t_points, w_points, projections = [], [], []
-    for i, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise ParseError(f"{where}.atoms[{i}]: expected an object")
-        t_points.append(_field(atom, "t", float, f"{where}.atoms[{i}]"))
-        w_points.append(_complex_from(
-            _field(atom, "w", list, f"{where}.atoms[{i}]"),
-            f"{where}.atoms[{i}].w"))
-        proj = matrix_from_doc(
-            _field(atom, "projection", dict, f"{where}.atoms[{i}]"),
-            f"{where}.atoms[{i}].projection")
-        if proj.dim != dim:
-            raise ParseError(f"{where}.atoms[{i}]: projection dimension "
-                             f"{proj.dim} does not match {dim}")
-        projections.append(proj.array)
+    dim, (t_points, w_points), projections = _read_atoms(
+        doc, where, (("t", float), ("w", complex)))
     return ProductMeasure(dim, np.array(t_points, dtype=np.float64),
                           np.array(w_points, dtype=np.complex128),
-                          projections=tuple(projections))
+                          projections=projections)
 
 
 def report_to_doc(report: VerificationReport) -> dict:
@@ -252,8 +222,8 @@ def report_from_doc(doc: dict, where: str = "report") -> VerificationReport:
             if key == "pass":
                 if not isinstance(value, bool):
                     raise ParseError(f"{where}.pass.{name}: expected a boolean")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(f"{where}.{key}.{name}: expected a number")
+            else:
+                _double(value, f"{where}.{key}.{name}")
     try:
         return VerificationReport.from_json_dict(doc)
     except ValueError as exc:
@@ -261,7 +231,7 @@ def report_from_doc(doc: dict, where: str = "report") -> VerificationReport:
 
 
 def write_report(report: VerificationReport, path: str):
-    _write_text(path, dumps(report_to_doc(report)))
+    write_json(report_to_doc(report), path)
 
 
 def read_report(path: str) -> VerificationReport:
@@ -285,15 +255,13 @@ def decomposition_from_doc(doc: dict, where: str = "decomposition"):
     a = matrix_from_doc(_field(doc, "a", dict, where), f"{where}.a")
     b = matrix_from_doc(_field(doc, "b", dict, where), f"{where}.b")
     norm = _field(doc, "source_norm", float, where)
-    t = None
-    if "t" in doc:
-        t = matrix_from_doc(doc["t"], f"{where}.t")
+    t = matrix_from_doc(doc["t"], f"{where}.t") if "t" in doc else None
     return t, Decomposition(a, b, norm)
 
 
 def write_decomposition(t: OperatorMatrix | None, d: Decomposition, path: str,
                         report: VerificationReport | None = None):
-    _write_text(path, dumps(decomposition_to_doc(t, d, report)))
+    write_json(decomposition_to_doc(t, d, report), path)
 
 
 def read_decomposition(path: str):

@@ -158,13 +158,20 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     ``1e-10 n``) the projection onto the intersection of ranges is
     extracted from the singular structure of the cross Gram block, and
     its deviation from the literal product P_i Q_j is re-measured.
-    Raises NotCommuting when the measures fail the commutation test or
-    when a product refuses to behave like a projection.
+    Raises DimensionMismatch unless both factors resolve the identity
+    of the same space (atom ranks summing to the dimension), and
+    NotCommuting when the measures fail the commutation test or when a
+    product refuses to behave like a projection.
     """
     tol = _resolve(tol)
     if e1.dim != e2.dim:
         raise DimensionMismatch("measures act on different dimensions")
     n = e1.dim
+    for name, e in (("e1", e1), ("e2", e2)):
+        if sum(e.ranks) != n:
+            raise DimensionMismatch(
+                f"factor {name} is not a resolution of the identity: its "
+                f"atom ranks sum to {sum(e.ranks)}, not the dimension {n}")
     if float(np.max(np.abs(e1.points.imag))) > tol.atol:
         raise ValueError("the first factor must be supported on the real line")
     threshold = _commute_threshold(n, tol)

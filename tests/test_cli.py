@@ -281,3 +281,83 @@ def test_verify_explicit_targets_on_bundle(tmp_path, capsys):
     code, out, _ = run(["verify", "--pvm", bundle], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+BIG = "1" + "0" * 400  # an integer literal beyond double range
+
+
+@pytest.mark.parametrize("name, path, literal, command, where", [
+    ("t.json", ("entries", 0, 0), BIG, ["decompose", "--input"],
+     "t.json.entries[0]"),
+    ("e.json", ("atoms", 0, "point", 0), BIG, ["verify", "--pvm"],
+     "e.json.atoms[0].point"),
+    ("p.json", ("atoms", 0, "w", 1), BIG, ["verify", "--pvm"],
+     "p.json.atoms[0].w"),
+    ("p.json", ("atoms", 0, "t"), BIG, ["verify", "--pvm"],
+     "p.json.atoms[0].t"),
+    ("d.json", ("source_norm",), BIG, ["verify", "--decomposition"],
+     "d.json.source_norm"),
+    ("p.json", ("atoms", 0, "t"), "1e999", ["verify", "--pvm"],
+     "p.json.atoms[0].t"),
+    ("d.json", ("source_norm",), "1e999", ["verify", "--decomposition"],
+     "d.json.source_norm"),
+], ids=["entries-big", "point-big", "w-big", "t-big", "source_norm-big",
+        "t-inf", "source_norm-inf"])
+def test_number_beyond_double_range_exits_2(tmp_path, capsys, name, path,
+                                             literal, command, where):
+    # json reads 1e999 as inf and keeps a long integer exact; neither is
+    # a double an artifact can hold, so both are malformed input
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "3", "--seed", "61")
+    bundle = json.loads(run(["pipeline", "--input", t], capsys)[1])
+    io.write_json(bundle["measure"], str(tmp_path / "e.json"))
+    io.write_json(bundle["product"], str(tmp_path / "p.json"))
+    assert main(["decompose", "--input", t,
+                 "--output", str(tmp_path / "d.json")]) == 0
+    target = str(tmp_path / name)
+    doc = json.loads(open(target).read())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    open(target, "w").write(json.dumps(doc).replace('"@"', literal))
+    capsys.readouterr()
+    code, _, err = run(command + [target], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {where}: not a finite double")
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"dim": 1, "entries": [[1.0, 0.0]], "note": "\xff"}')
+    code, _, err = run(["decompose", "--input", str(path)], capsys)
+    assert code == 2
+    assert f"{path}: not UTF-8 text" in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"dim": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, _, err = run(["verify", "--pvm", str(path)], capsys)
+    assert code == 2
+    assert f"{path}: JSON nested too deeply" in err
+
+
+def test_non_object_part_exits_2(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "3", "--seed", "67")
+    dec = str(tmp_path / "d.json")
+    assert main(["decompose", "--input", t, "--output", dec]) == 0
+    doc = json.loads(open(dec).read())
+    doc["t"] = 5
+    open(dec, "w").write(json.dumps(doc))
+    bundle = str(tmp_path / "b.json")
+    assert main(["pipeline", "--input", t, "--output", bundle]) == 0
+    doc = json.loads(open(bundle).read())
+    doc["decomposition"] = 5
+    open(bundle, "w").write(json.dumps(doc))
+    capsys.readouterr()
+    code, _, err = run(["verify", "--decomposition", dec], capsys)
+    assert (code, err) == (2, "error: d.json.t: expected an object\n")
+    code, _, err = run(["verify", "--decomposition", bundle], capsys)
+    assert (code, err) == (2, "error: b.json: expected an object\n")

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_forge import io
 from spectral_forge.decomposition import decompose, verify
@@ -41,6 +44,52 @@ def test_awkward_floats_survive():
         again = io.matrix_from_doc(json.loads(text))
         assert again.array[0, 0].real == x or (
             np.isnan(x) and np.isnan(again.array[0, 0].real))
+
+
+PROPERTY = settings(max_examples=300, derandomize=True, database=None,
+                    deadline=None)
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+LEAVES = (st.none() | st.booleans() | st.integers() | FINITE
+          | st.text(max_size=4))
+
+
+@PROPERTY
+@given(st.lists(FINITE, min_size=8, max_size=8))
+def test_every_finite_double_survives_bit_for_bit(parts):
+    # uint64 views see the sign of zero, which == cannot
+    m = OperatorMatrix(np.array(parts).view(np.complex128).reshape(2, 2))
+    back = io.matrix_from_doc(json.loads(io.dumps(io.matrix_to_doc(m))))
+    np.testing.assert_array_equal(back.array.view(np.uint64),
+                                  m.array.view(np.uint64))
+
+
+def _around(inner):
+    """A list or object holding ``inner`` among finite leaves."""
+    return (st.tuples(st.lists(LEAVES, max_size=3), inner,
+                      st.lists(LEAVES, max_size=3))
+            .map(lambda t: t[0] + [t[1]] + t[2])
+            | st.tuples(st.dictionaries(st.text(max_size=4), LEAVES, max_size=3),
+                        st.text(max_size=4), inner)
+            .map(lambda t: {**t[0], t[1]: t[2]}))
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf,
+                              np.float64(np.nan), np.float32(-np.inf)])
+
+
+@PROPERTY
+@given(st.recursive(NON_FINITE, _around, max_leaves=8))
+def test_non_finite_anywhere_is_refused(doc):
+    with pytest.raises(NonFiniteValue):
+        io.dumps(doc)
+
+
+@PROPERTY
+@given(st.integers(-2**63, 2**63 - 1), st.floats(width=32, allow_nan=False,
+                                                 allow_infinity=False))
+def test_numpy_scalars_serialize(i, f):
+    doc = {"i": np.int64(i), "f": np.float32(f), "v": [np.float64(f)]}
+    assert json.loads(io.dumps(doc)) == {"i": i, "f": f, "v": [f]}
 
 
 def test_dumps_is_deterministic():
@@ -141,6 +190,14 @@ def test_report_doc_type_checks():
     with pytest.raises(ParseError, match="residuals"):
         io.report_from_doc({"residuals": {"x": True}, "pass": {},
                             "tolerances": {}})
+    doc = json.loads('{"residuals": {"x": 1e999}, "pass": {"x": true}, '
+                     '"tolerances": {"x": 1.0}}')
+    with pytest.raises(ParseError, match=r"residuals\.x: not a finite double"):
+        io.report_from_doc(doc)
+    doc = json.loads('{"residuals": {"x": 1.0}, "pass": {"x": true}, '
+                     '"tolerances": {"x": NaN}}')
+    with pytest.raises(ParseError, match=r"tolerances\.x: not a finite double"):
+        io.report_from_doc(doc)
 
 
 def test_report_with_mismatched_blocks_is_rejected(tmp_path):

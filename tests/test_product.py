@@ -9,7 +9,7 @@ from spectral_forge.errors import (
 )
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import OperatorMatrix
-from spectral_forge.measures import pvm_from_normal, pvm_validate
+from spectral_forge.measures import SpectralMeasure, pvm_from_normal, pvm_validate
 from spectral_forge.product import (
     commute_check,
     fubini_check,
@@ -67,6 +67,22 @@ def test_product_dimension_mismatch():
     other = pvm_from_normal(OperatorMatrix.identity(3))
     with pytest.raises(DimensionMismatch):
         product_measure(e1, other)
+
+
+def test_product_refuses_factor_that_misses_the_identity():
+    # a zero dense atom between two genuine ones counts one column, so
+    # the ranks (1, 1, 2) sum past n = 3; the parent built 4 atoms on C^3
+    zero = np.zeros((3, 3), dtype=complex)
+    bad = SpectralMeasure(3, np.array([0.1, 0.2, 0.3], dtype=complex),
+                          projections=(np.diag([1.0, 0.0, 0.0]).astype(complex),
+                                       zero,
+                                       np.diag([0.0, 1.0, 1.0]).astype(complex)))
+    good = pvm_from_normal(OperatorMatrix(np.diag([1.0, 2.0, 3.0])))
+    assert bad.ranks == (1, 1, 2)
+    with pytest.raises(DimensionMismatch, match="factor e1 .*sum to 4"):
+        product_measure(bad, good)
+    with pytest.raises(DimensionMismatch, match="factor e2 .*sum to 4"):
+        product_measure(good, bad)
 
 
 def test_product_validate_and_marginals():
