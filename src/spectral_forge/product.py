@@ -105,23 +105,85 @@ class ProductMeasure(_AtomStore):
             for t, w in zip(self.t_points, self.w_points)]))
 
 
-def _pair_blocks(e1: SpectralMeasure, e2: SpectralMeasure, floor: float):
+def _basis_defects(stacked: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """``||u_k* u_k - I||_F`` of every atom, one batched product per rank."""
+    ranks = np.diff(off)
+    defects = np.empty(ranks.size)
+    for r in set(ranks.tolist()):
+        atoms = np.flatnonzero(ranks == r)
+        u = stacked[:, off[atoms, None] + np.arange(r)].transpose(1, 0, 2)
+        defects[atoms] = np.linalg.norm(
+            u.conj().transpose(0, 2, 1) @ u - np.eye(r), axis=(1, 2))
+    return defects
+
+
+def _pair_blocks(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
+                 tol: Tolerances | None = None):
     """Yield ``(i, j, u_i, w_j, block, mass)`` for pairs with mass > floor.
 
     Block masses of ``S1* S2`` come from one reduction; pairs follow in
-    row-major order, with bases sliced from the stacked ones.
+    row-major order, with bases sliced from the stacked ones.  The pair
+    algebra needs orthonormal bases, so each atom's ``||u* u - I||_F`` is
+    measured once first and DimensionMismatch names the first atom whose
+    defect exceeds the commutation threshold.
     """
+    limit = _commute_threshold(e1.dim, _resolve(tol))
     s1 = e1.stacked_basis()
     s2 = e2.stacked_basis()
-    cross = s1.conj().T @ s2
     off1 = np.cumsum((0,) + e1.ranks)
     off2 = np.cumsum((0,) + e2.ranks)
+    for name, s, off in (("e1", s1, off1), ("e2", s2, off2)):
+        defects = _basis_defects(s, off)
+        k = int(np.argmax(defects > limit))
+        if defects[k] > limit:
+            raise DimensionMismatch(
+                f"factor {name} atom {k} has no orthonormal basis: "
+                f"||u* u - I||_F = {defects[k]:.3e}, beyond {limit:.3e}")
+    cross = s1.conj().T @ s2
     masses = np.sqrt(np.add.reduceat(np.add.reduceat(
         np.abs(cross) ** 2, off1[:-1], axis=0), off2[:-1], axis=1))
     for i, j in zip(*np.nonzero(masses > floor)):
         rows, cols = slice(off1[i], off1[i + 1]), slice(off2[j], off2[j + 1])
         yield (int(i), int(j), s1[:, rows], s2[:, cols], cross[rows, cols],
                float(masses[i, j]))
+
+
+def _outside_norm(ui: np.ndarray, wj: np.ndarray, block: np.ndarray) -> float:
+    """``||D C*||_F`` for ``C = u_i* w_j`` and ``D = w_j - u_i C``.
+
+    D is the part of range(Q_j) outside range(P_i).  Formed as an n x r_j
+    product, it carries no cancellation, unlike the equal Gram-trace
+    form ``sum sigma^2 (1 - sigma^2)`` over the principal cosines.
+    """
+    return float(np.linalg.norm((wj - ui @ block) @ block.conj().T))
+
+
+def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
+                  tol: Tolerances):
+    """``(z, ||z z* - P_i Q_j||_F)`` for the intersection of two ranges.
+
+    Singular vectors of the cross block C with singular value near 1
+    span range(P_i) and range(Q_j) in common; the Gram matrix is taken
+    on the smaller side.  The gap is ``hypot(||y y* - C C*||_F,
+    outside)`` for z = u_i y and outside = ``||D C*||_F``.  None when
+    no singular value is near 1.
+    """
+    wide = block.shape[0] <= block.shape[1]
+    gram = block @ block.conj().T if wide else block.conj().T @ block
+    gram = (gram + gram.conj().T) / 2.0
+    s2, x = _jacobi_hermitian(gram, tol.atol * (1.0 + np.linalg.norm(gram)))
+    keep = s2 > 0.25
+    if not keep.any():
+        return None
+    if wide:
+        y = x[:, keep]
+        z = ui @ y
+    else:
+        y = block @ x[:, keep]
+        z = ui @ y / np.sqrt(s2[keep])
+        y /= np.sqrt(s2[keep])
+    inside = float(np.linalg.norm(y @ y.conj().T - block @ block.conj().T))
+    return z, float(np.hypot(inside, outside))
 
 
 def _commute_threshold(n: int, tol: Tolerances) -> float:
@@ -133,17 +195,21 @@ def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
                   tol: Tolerances | None = None) -> bool:
     """True when every projection of e1 commutes with every one of e2.
 
-    The commutator norm of a pair is bounded by twice the mass of the
-    projection product, so pairs whose product is already below half
-    the threshold are accepted without being formed densely.
+    For P = u u* and Q = w w* with orthonormal u and w, C = u* w and
+    D = w - u C, ``||P Q - Q P||_F = sqrt(2) ||D C*||_F``: the commutator
+    is ``P Q (I - P) - (I - P) Q P``, two Frobenius-orthogonal terms, and
+    ``(I - P) Q P = D C* u*`` (principal angles between subspaces:
+    Bjorck & Golub 1973).  So each pair costs O(n r_i r_j).  The
+    commutator norm is at most twice the mass ``||C||_F``, so pairs
+    below a quarter of the threshold are accepted unmeasured.  Raises
+    DimensionMismatch when an atom basis is not orthonormal.
     """
     tol = _resolve(tol)
     if e1.dim != e2.dim:
         raise DimensionMismatch("measures act on different dimensions")
     threshold = _commute_threshold(e1.dim, tol)
-    for _, _, ui, wj, block, _ in _pair_blocks(e1, e2, threshold / 4.0):
-        pq = (ui @ block) @ wj.conj().T
-        if float(np.linalg.norm(pq - pq.conj().T)) > threshold:
+    for _, _, ui, wj, block, _ in _pair_blocks(e1, e2, threshold / 4.0, tol):
+        if np.sqrt(2.0) * _outside_norm(ui, wj, block) > threshold:
             return False
     return True
 
@@ -156,12 +222,24 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     The first factor must be supported on the real line.  For each pair
     with ``||P_i Q_j||_F`` above the pruning threshold (default
     ``1e-10 n``) the projection onto the intersection of ranges is
-    extracted from the singular structure of the cross Gram block, and
-    its deviation from the literal product P_i Q_j is re-measured.
-    Raises DimensionMismatch unless both factors resolve the identity
-    of the same space (atom ranks summing to the dimension), and
-    NotCommuting when the measures fail the commutation test or when a
-    product refuses to behave like a projection.
+    extracted from the singular structure of the cross Gram block
+    C = u_i* w_j, and its deviation from the literal product P_i Q_j is
+    re-measured.  All of it stays in the rank space (Bjorck & Golub
+    1973): with D = w_j - u_i C and the atom basis z = u_i y,
+
+    - ``||P_i Q_j - Q_j P_i||_F = sqrt(2) ||D C*||_F`` (see
+      ``commute_check``), and
+    - ``||z z* - P_i Q_j||_F = hypot(||y y* - C C*||_F, ||D C*||_F)``,
+      splitting the gap into its part inside P_i and its
+      ``P_i Q_j (I - P_i)`` part.
+
+    Both identities need orthonormal atom bases, so each pair costs
+    O(n r_i r_j) and no n x n product is formed.  Raises
+    DimensionMismatch unless both factors resolve the identity of the
+    same space (atom ranks summing to the dimension, every atom basis
+    orthonormal), and NotCommuting when the measures fail the
+    commutation test or when a product refuses to behave like a
+    projection.
     """
     tol = _resolve(tol)
     if e1.dim != e2.dim:
@@ -181,32 +259,23 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     # A pair that commutes has P_i Q_j near a projection, so "no stable
     # intersection" only follows a pair that failed the commute test.
     screen = threshold / 4.0
-    for i, j, ui, wj, block, mass in _pair_blocks(e1, e2, min(prune, screen)):
-        pq = (ui @ block) @ wj.conj().T
-        if mass > screen and float(np.linalg.norm(pq - pq.conj().T)) > threshold:
+    for i, j, ui, wj, block, mass in _pair_blocks(e1, e2, min(prune, screen),
+                                                  tol):
+        outside = _outside_norm(ui, wj, block)
+        if mass > screen and np.sqrt(2.0) * outside > threshold:
             raise NotCommuting("projections of the two measures do not commute")
         if mass <= prune:
             continue
-        # Singular vectors of the cross block with singular value
-        # near 1 span the intersection of the two ranges; take the
-        # Gram matrix on the smaller side.
-        wide = block.shape[0] <= block.shape[1]
-        gram = block @ block.conj().T if wide else block.conj().T @ block
-        gram = (gram + gram.conj().T) / 2.0
-        s2, x = _jacobi_hermitian(gram, tol.atol * (1.0 + np.linalg.norm(gram)))
-        keep = s2 > 0.25
-        if not keep.any():
+        atom = _intersection(ui, block, outside, tol)
+        if atom is None:
             if mass > 0.1:
                 raise NotCommuting(
                     f"pair ({i}, {j}) has projection product mass "
                     f"{mass:.3e} but no stable intersection"
                 )
             continue
-        if wide:
-            z = ui @ x[:, keep]
-        else:
-            z = ui @ (block @ x[:, keep]) / np.sqrt(s2[keep])
-        rectangle = max(rectangle, float(np.linalg.norm(z @ z.conj().T - pq)))
+        z, gap = atom
+        rectangle = max(rectangle, gap)
         t_points.append(float(e1.points[i].real))
         w_points.append(complex(e2.points[j]))
         bases.append(z)
@@ -259,7 +328,7 @@ def product_validate(prod: ProductMeasure,
 
 
 def fubini_check(f1, f2, e1: SpectralMeasure, e2: SpectralMeasure,
-                 prod: ProductMeasure, tol: Tolerances | None = None) -> float:
+                 prod: ProductMeasure) -> float:
     """Residual of the iterated-integral identity.
 
     Compares ``(integral of f1 dE1)(integral of f2 dE2)`` against the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_forge.decomposition import decompose
 from spectral_forge.errors import (
@@ -294,3 +296,134 @@ def test_pair_blocks_match_per_block_norms():
         np.testing.assert_array_equal(wj, e2.basis(j))
         np.testing.assert_array_equal(block, ref[2])
         assert mass == pytest.approx(ref[3], rel=8 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("factor", ["e1", "e2"])
+@pytest.mark.parametrize("scale", [0.9, 1.0 + 1e-6])
+def test_product_refuses_factor_basis_that_is_not_orthonormal(factor, scale):
+    # the rank-space pair algebra assumes u* u = I; a scaled basis keeps
+    # the ranks summing to n, so it must be refused by its defect
+    e1, e2 = measures_for(OperatorMatrix(np.diag([2j, -3.0, 1.0 + 1.0j])))
+    factors = {"e1": e1, "e2": e2}
+    e = factors[factor]
+    bases = [e.basis(k) for k in range(e.num_atoms)]
+    bases[1] = scale * bases[1]
+    factors[factor] = SpectralMeasure(e.dim, e.points, bases=tuple(bases))
+    message = f"factor {factor} atom 1 has no orthonormal basis"
+    with pytest.raises(DimensionMismatch, match=message):
+        product_measure(factors["e1"], factors["e2"])
+    with pytest.raises(DimensionMismatch, match=message):
+        commute_check(factors["e1"], factors["e2"])
+
+
+def _unitary(rng, n, spread=1.0):
+    """QR factor of ``I + spread * G`` for a complex Gaussian G."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(np.eye(n) + spread * g)
+    return q
+
+
+def test_basis_defects_match_per_atom_products():
+    # the batched defect against the per-atom loop, over mixed ranks
+    from spectral_forge.product import _basis_defects
+    q = _unitary(np.random.default_rng(5), 9)
+    off = np.array([0, 1, 4, 6, 8, 9])
+    q[:, 4:6] *= 1.0 + 1e-3
+    expected = [np.linalg.norm(q[:, a:b].conj().T @ q[:, a:b] - np.eye(b - a))
+                for a, b in zip(off[:-1], off[1:])]
+    np.testing.assert_allclose(_basis_defects(q, off), expected, rtol=0,
+                               atol=8 * np.finfo(float).eps * 9)
+    assert np.argmax(_basis_defects(q, off) > 1e-6) == 2
+
+
+PROPERTY = settings(max_examples=300, derandomize=True, database=None,
+                    deadline=None)
+
+
+def _pair(n, r1, r2, shift, log_delta, seed):
+    """Two-atom factors whose first atoms share columns of one unitary.
+
+    Such factors commute; a ``log_delta`` tilts the second factor by a
+    unitary within about 10**log_delta of the identity.  Returns both
+    measures and the largest dense commutator norm over their pairs.
+    """
+    rng = np.random.default_rng(seed)
+    q = _unitary(rng, n, spread=10.0)
+    q2 = q if log_delta is None else q @ _unitary(rng, n, 10.0 ** log_delta)
+    cols = (np.arange(r2) + shift) % n
+    rest = np.setdiff1d(np.arange(n), cols)
+    e1 = SpectralMeasure(n, np.array([0.1, 0.2]), bases=(q[:, :r1], q[:, r1:]))
+    e2 = SpectralMeasure(n, np.array([0.3, 0.4j]),
+                         bases=(q2[:, cols], q2[:, rest]))
+    ps = [e1.projection(i).array for i in range(2)]
+    qs = [e2.projection(j).array for j in range(2)]
+    return e1, e2, max(float(np.linalg.norm(p @ r - r @ p))
+                       for p in ps for r in qs)
+
+
+PAIRS = dict(n=st.integers(4, 12), r1=st.integers(1, 3), r2=st.integers(1, 3),
+             shift=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(log_delta=st.none() | st.floats(-13.0, 0.0) | st.floats(-9.5, -7.0),
+       **PAIRS)
+def test_commute_check_agrees_with_dense_commutator(n, r1, r2, shift,
+                                                     log_delta, seed):
+    # the last range of tilts puts commutators near the default
+    # threshold, 1e-9 n + 1e-12
+    from spectral_forge.linalg import DEFAULT_TOLERANCES
+    from spectral_forge.product import _commute_threshold
+    e1, e2, commutator = _pair(n, r1, r2, shift, log_delta, seed)
+    threshold = _commute_threshold(n, DEFAULT_TOLERANCES)
+    assume(abs(commutator / threshold - 1.0) > 1e-3)
+    commutes = commute_check(e1, e2)
+    assert commutes == (commutator <= threshold)
+    if not commutes:
+        with pytest.raises(NotCommuting, match="do not commute"):
+            product_measure(e1, e2)
+
+
+@PROPERTY
+@given(log_delta=st.none() | st.floats(-13.0, 0.0), **PAIRS)
+def test_rectangle_gap_matches_dense_product(n, r1, r2, shift, log_delta,
+                                             seed):
+    # pair by pair, tilted or not, against the literal n x n product
+    from spectral_forge.linalg import DEFAULT_TOLERANCES
+    from spectral_forge.product import (
+        _intersection,
+        _outside_norm,
+        _pair_blocks,
+    )
+    e1, e2, _ = _pair(n, r1, r2, shift, log_delta, seed)
+    for _, _, u, w, block, _ in _pair_blocks(e1, e2, 0.0):
+        atom = _intersection(u, block, _outside_norm(u, w, block),
+                             DEFAULT_TOLERANCES)
+        if atom is None:
+            continue
+        z, gap = atom
+        dense = np.linalg.norm(z @ z.conj().T - (u @ block) @ w.conj().T)
+        assert abs(gap - dense) <= 8 * np.finfo(float).eps * n
+
+
+def test_product_measure_forms_no_dense_array_per_pair():
+    # the screen holds two stacked bases, the conjugated copy its product
+    # reads, the cross matrix and its squared moduli (4.5 n x n complex
+    # arrays); beyond that only the atom bases and O(n r) per pair
+    import tracemalloc
+    n = 256
+    d = np.diag(generate(OperatorSpec("multiplication", dim=n, scale=100.0,
+                                      seed=7)).array)
+    order = np.random.default_rng(7).permutation(n)
+    e1, e2 = measures_for(OperatorMatrix(np.diag(d[order])))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        prod = product_measure(e1, e2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    square = 16 * n * n
+    atoms = sum(b.nbytes for b in prod.bases)
+    assert prod.num_atoms == n
+    assert peak <= 4.5 * square + atoms + 64 * 16 * n
