@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, NotNormal
 from .linalg import (
     OperatorMatrix,
     Tolerances,
+    _norm_in_frame,
     _resolve,
     hermitian_eig,
     hpd_solve,
@@ -64,6 +65,16 @@ def _gram_plus_identity(t: OperatorMatrix) -> np.ndarray:
     return gram + np.eye(t.dim)
 
 
+def _bounded_pair(t: OperatorMatrix,
+                  tol: Tolerances) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """``(A, B)`` from ``(I + T*T) A = I`` and ``B = T A``; NotNormal first."""
+    if not is_normal(t, tol):
+        raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
+    m = OperatorMatrix(_gram_plus_identity(t))
+    a = hpd_solve(m, OperatorMatrix.identity(t.dim), tol)
+    return a, OperatorMatrix(t.array @ a.array)
+
+
 def decompose(t: OperatorMatrix, tol: Tolerances | None = None,
               source_norm: float | None = None) -> Decomposition:
     """Split a normal operator into its bounded commuting pair.
@@ -82,11 +93,7 @@ def decompose(t: OperatorMatrix, tol: Tolerances | None = None,
         A solved from ``(I + T*T) A = I`` and ``B = T A``.
     """
     tol = _resolve(tol)
-    if not is_normal(t, tol):
-        raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
-    m = OperatorMatrix(_gram_plus_identity(t))
-    a = hpd_solve(m, OperatorMatrix.identity(t.dim), tol)
-    b = OperatorMatrix(t.array @ a.array)
+    a, b = _bounded_pair(t, tol)
     if source_norm is None:
         source_norm = op_norm_2(t, tol)
     return Decomposition(a, b, float(source_norm))
@@ -99,7 +106,8 @@ def verify(t: OperatorMatrix, d: Decomposition,
     Residuals reported (Frobenius norms throughout):
 
     - ``injectivity_margin``: smallest eigenvalue of A, compared against
-      ``1/(1 + ||T||_2^2) - rel(n)``.
+      ``1/(1 + ||T||_2^2) - rel(n)``.  ||T||_2 is solved in the eigenframe
+      of that same solve of A, never read from ``d.source_norm``.
     - ``reconstruction``: ||(I + T*T) B - T||, using the exactly known
       inverse of A rather than anything computed from A itself.
     - ``commutator``: ||AB - BA||.
@@ -119,9 +127,10 @@ def verify(t: OperatorMatrix, d: Decomposition,
     ba = d.b.array
 
     herm_a = (aa + aa.conj().T) / 2.0
-    min_eig_a = float(np.min(hermitian_eig(OperatorMatrix(herm_a), tol)
-                             .eigenvalues.real))
-    op_t = op_norm_2(t, tol)
+    es_a = hermitian_eig(OperatorMatrix(herm_a), tol)
+    min_eig_a = float(np.min(es_a.eigenvalues.real))
+    # A's eigenframe nearly diagonalizes T*T, so the norm solve is warm.
+    op_t = _norm_in_frame(t, es_a.unitary.array, tol)
     fro_t = float(np.linalg.norm(ta))
     fro_a = float(np.linalg.norm(aa))
     fro_b = float(np.linalg.norm(ba))

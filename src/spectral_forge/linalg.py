@@ -501,6 +501,22 @@ def op_norm_2(m: OperatorMatrix, tol: Tolerances | None = None) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def _norm_in_frame(m: OperatorMatrix, frame: np.ndarray,
+                   tol: Tolerances | None = None) -> float:
+    """Spectral norm ``sqrt(lambda_max(G* G))`` with ``G = M V``.
+
+    Any unitary ``frame`` V gives ||M||_2, for Hermitian and general M
+    alike.  When V nearly diagonalizes M*M, as an eigenbasis of
+    (I + M*M)^(-1) does, the Gram matrix starts at rounding level off
+    its diagonal and the Jacobi solve converges in a few sweeps
+    (Henrici 1958); a poorer frame costs sweeps, not accuracy.
+    """
+    g = m.array @ frame
+    top = float(hermitian_eig(OperatorMatrix(g.conj().T @ g),
+                              tol).eigenvalues[-1].real)
+    return float(np.sqrt(max(top, 0.0)))
+
+
 def _cholesky_lower(matrix: np.ndarray, atol: float) -> np.ndarray:
     """Lower Cholesky factor of a Hermitian positive definite array."""
     n = matrix.shape[0]

@@ -195,6 +195,24 @@ def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> Spectra
     return SpectralMeasure(m.dim, points, bases=bases)
 
 
+def _measure_in_frame(m: OperatorMatrix, frame: np.ndarray,
+                      tol: Tolerances | None = None) -> SpectralMeasure:
+    """Spectral measure of a normal ``m`` solved as ``V* M V``.
+
+    For a unitary ``frame`` V the matrix V* M V is unitarily similar to
+    M, so ``pvm_from_normal`` finds the same atoms, and one product with
+    V maps their bases back.  A frame that nearly diagonalizes M, such as
+    the eigenbasis of an operator commuting with it, leaves only
+    rounding-level mass off the diagonal and saves Jacobi sweeps.
+    """
+    local = pvm_from_normal(
+        OperatorMatrix(frame.conj().T @ m.array @ frame), tol)
+    rotated = frame @ local.stacked_basis()
+    cuts = np.cumsum(local.ranks)[:-1]
+    return SpectralMeasure(m.dim, local.points,
+                           bases=tuple(np.hsplit(rotated, cuts)))
+
+
 def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:
     """Integrate a scalar function against a measure: ``sum f(z_k) P_k``.
 

@@ -9,10 +9,19 @@ surviving joint atoms satisfy w / t = z for the corresponding
 eigenvalue z of T, so the pushforward reassembles T's own measure.
 A direct diagonalization of T is kept only as an optional cross check.
 
+Exactly one Jacobi solve starts cold, the one for E_A.  Since T, A and
+B share eigenvectors, A's eigenframe V nearly diagonalizes T*T and B:
+||T||_2 is read off the Gram matrix of T V and E_B off V* B V, two warm
+solves of matrices unitarily similar to their targets, which converge
+in a few sweeps and would reach the same answer from any frame.
+
 Accuracy degrades with the square of the operator norm once ||T||
 passes 1e2 (the reciprocal map amplifies first-factor errors by
 1 + |z|^2), which is why the pipeline refuses inputs beyond 1e6 unless
-forced; the tolerance schedule below encodes exactly that growth.
+forced; the tolerance schedule below encodes exactly that growth.  The
+guard needs no solve below the limit: ||T||_2 <= ||T||_F, so only an
+input whose Frobenius norm passes ``NORM_LIMIT`` gets a cold
+``op_norm_2`` to decide the refusal.
 """
 
 from __future__ import annotations
@@ -22,10 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, decompose
+from .decomposition import Decomposition, _bounded_pair
 from .errors import NotCommuting, ScaleLimit, SingularWeightWarning
-from .linalg import OperatorMatrix, Tolerances, _resolve, op_norm_2
-from .measures import PVM_FACTOR, SpectralMeasure, pvm_from_normal, pvm_integrate
+from .linalg import (OperatorMatrix, Tolerances, _norm_in_frame, _resolve,
+                     frobenius, op_norm_2)
+from .measures import (PVM_FACTOR, SpectralMeasure, _measure_in_frame,
+                       pvm_from_normal, pvm_integrate)
 from .product import (SINGULAR_MARGIN, ProductMeasure, inverse_weight,
                       product_measure, pushforward)
 from .report import VerificationReport
@@ -86,12 +97,20 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
                      force_scale: bool = False) -> PipelineResult:
     """Resolve a normal operator into a discrete spectral measure.
 
+    One Jacobi solve starts cold, E_A = ``pvm_from_normal(A)``.  Its
+    stacked basis V is the frame for the other two: ``source_norm`` is
+    the square root of the top eigenvalue of (T V)*(T V), and E_B is the
+    measure of V* B V with its bases rotated back by V.  The norm guard
+    runs first and solves nothing while ``||T||_F <= NORM_LIMIT``;
+    past that it refuses on a cold ``op_norm_2`` above the limit.
+
     Parameters
     ----------
     t : OperatorMatrix
-        Normal input.  NotNormal is raised otherwise, by ``decompose``;
-        since the norm guard runs first, a non-normal input whose norm
-        exceeds ``NORM_LIMIT`` raises ScaleLimit instead unless forced.
+        Normal input.  NotNormal is raised otherwise, while building the
+        pair; since the norm guard runs first, a non-normal input whose
+        norm exceeds ``NORM_LIMIT`` raises ScaleLimit instead unless
+        forced.
     tol : Tolerances, optional
     direct_check : bool
         Also diagonalize T directly and fold the atom-matching residuals
@@ -108,16 +127,22 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     """
     tol = _resolve(tol)
     n = t.dim
-    source_norm = op_norm_2(t, tol)
-    if source_norm > NORM_LIMIT and not force_scale:
-        raise ScaleLimit(
-            f"operator norm {source_norm:.3e} exceeds {NORM_LIMIT:.0e}; "
-            "the reciprocal map would amplify atom errors beyond recovery "
-            "(pass force_scale=True to proceed anyway)"
-        )
-    d = decompose(t, tol, source_norm=source_norm)
-    e1 = _realified(pvm_from_normal(d.a, tol), tol.atol)
-    e2 = pvm_from_normal(d.b, tol)
+    fro_t = frobenius(t)
+    if fro_t > NORM_LIMIT and not force_scale:
+        norm = op_norm_2(t, tol)
+        if norm > NORM_LIMIT:
+            raise ScaleLimit(
+                f"operator norm {norm:.3e} exceeds {NORM_LIMIT:.0e}; "
+                "the reciprocal map would amplify atom errors beyond recovery "
+                "(pass force_scale=True to proceed anyway)"
+            )
+    a, b = _bounded_pair(t, tol)
+    e1 = _realified(pvm_from_normal(a, tol), tol.atol)
+    frame = e1.stacked_basis()
+    source_norm = _norm_in_frame(t, frame, tol)
+    e2 = _measure_in_frame(b, frame, tol)
+    del frame  # one n x n array fewer under product_measure's peak
+    d = Decomposition(a, b, source_norm)
     prod = product_measure(e1, e2, tol)
     eps_sing = SINGULAR_MARGIN * (1.0 + e1.support_radius)
     with warnings.catch_warnings(record=True) as caught:
@@ -128,7 +153,6 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
             1 for c in caught if issubclass(c.category, SingularWeightWarning))
     recon = float(np.linalg.norm(
         pvm_integrate(lambda z: z, measure).array - t.array))
-    fro_t = float(np.linalg.norm(t.array))
     checks = [
         ("atom_count", float(measure.num_atoms), float(n),
          1 <= measure.num_atoms <= n),

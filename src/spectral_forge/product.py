@@ -281,6 +281,9 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
         bases.append(z)
     if not t_points:
         raise NotCommuting("no atom pair survived pruning")
+    # The loop's views would keep both stacked bases and the cross
+    # matrix alive while ProductMeasure copies every atom basis.
+    del ui, wj, block
     bound = PVM_FACTOR * tol.rel(n)
     if rectangle > bound:
         raise NotCommuting(

@@ -145,3 +145,25 @@ def test_source_norm_override_is_used():
     d = decompose(t, source_norm=2.0)
     assert d.source_norm == 2.0
     assert op_norm_2(t) == pytest.approx(2.0)
+
+
+def test_verify_norm_comes_from_its_own_eigenframe(monkeypatch):
+    # the margin bound uses ||T||_2 solved in the frame of verify's own
+    # eigensolve of A: no cold op_norm_2, and never the stored source_norm
+    from spectral_forge import decomposition
+    t = generate(OperatorSpec("random_normal", dim=16, scale=30.0, seed=9))
+    d = decompose(t)
+    cold = op_norm_2(t)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran a cold op_norm_2")
+
+    monkeypatch.setattr(decomposition, "op_norm_2", refuse)
+    report = verify(t, d)
+    tampered = verify(t, Decomposition(d.a, d.b, 1e-3))
+    assert report.all_passed, report.residuals
+    assert tampered.residuals == report.residuals
+    assert tampered.tolerances == report.tolerances
+    rel = 1e-10 * t.dim
+    assert report.tolerances["injectivity_margin"] == pytest.approx(
+        1.0 / (1.0 + cold * cold) - rel, rel=1e-12)

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from spectral_forge import linalg, pipeline
+from spectral_forge.decomposition import _bounded_pair
 from spectral_forge.errors import NotNormal, ScaleLimit
 from spectral_forge.gallery import OperatorSpec, generate
-from spectral_forge.linalg import OperatorMatrix
-from spectral_forge.measures import pvm_from_normal, pvm_integrate, pvm_validate
+from spectral_forge.linalg import (DEFAULT_TOLERANCES, OperatorMatrix,
+                                   _norm_in_frame, frobenius, op_norm_2)
+from spectral_forge.measures import (_measure_in_frame, pvm_from_normal,
+                                     pvm_integrate, pvm_validate)
 from spectral_forge.pipeline import (
+    NORM_LIMIT,
     cross_check,
     pipeline_tolerance,
     spectral_theorem,
@@ -140,3 +145,99 @@ def test_e2_support_within_half():
     res = spectral_theorem(t)
     assert res.e2.support_radius <= 0.5 + 1e-9
     assert res.report.passed["e2_support_excess"]
+
+
+# Warm route: E_A is the one cold solve; the norm and E_B are solved in
+# its eigenframe.
+
+WARM_KINDS = ("random_normal", "random_hermitian", "random_unitary",
+              "multiplication", "laplacian_1d", "momentum_1d")
+WARM_NORMS = (1e-2, 1.0, 1e2, 1e4, 1e6)
+
+
+def _warm_cases(kind):
+    for n in (5, 16, 32):
+        for norm in WARM_NORMS:
+            t = generate(OperatorSpec(kind, dim=n, scale=norm, seed=n + 3))
+            a, b = _bounded_pair(t, DEFAULT_TOLERANCES)
+            yield t, b, pvm_from_normal(a).stacked_basis()
+
+
+def test_guard_skips_op_norm_2_below_frobenius_limit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("op_norm_2 ran below the Frobenius limit")
+
+    monkeypatch.setattr(pipeline, "op_norm_2", refuse)
+    for spec in (OperatorSpec("random_normal", dim=12, scale=3.0, seed=4),
+                 OperatorSpec("random_hermitian", dim=7, scale=5e5, seed=2),
+                 OperatorSpec("multiplication", dim=1, scale=1e6)):
+        t = generate(spec)
+        assert frobenius(t) <= NORM_LIMIT
+        assert spectral_theorem(t).report.all_passed
+
+
+def test_pipeline_sweeps_once_cold(monkeypatch):
+    # three cold solves of 64 x 64 matrices take 51 sweep heads here;
+    # the two warm ones converge in a few sweeps each
+    heads = []
+    measure = linalg._off_diagonal_norm
+
+    def counted(w):
+        if w.shape[0] >= 8:
+            heads.append(1)
+        return measure(w)
+
+    monkeypatch.setattr(linalg, "_off_diagonal_norm", counted)
+    t = generate(OperatorSpec("random_normal", dim=64, scale=10.0, seed=64))
+    assert spectral_theorem(t).report.all_passed
+    assert len(heads) <= 30
+
+
+@pytest.mark.parametrize("kind", WARM_KINDS)
+def test_warm_e2_matches_cold_measure(kind):
+    eps = np.finfo(float).eps
+    for t, b, frame in _warm_cases(kind):
+        warm = _measure_in_frame(b, frame)
+        cold = pvm_from_normal(b)
+        n = t.dim
+        assert warm.ranks == cold.ranks
+        np.testing.assert_allclose(
+            warm.points, cold.points, rtol=0,
+            atol=4 * eps * n * float(np.max(np.abs(cold.points))))
+        for k in range(cold.num_atoms):
+            gap = np.linalg.norm(warm.projection(k).array
+                                 - cold.projection(k).array)
+            assert gap <= 10 * DEFAULT_TOLERANCES.rel(n)
+
+
+@pytest.mark.parametrize("kind", WARM_KINDS)
+def test_norm_in_frame_matches_op_norm_2(kind):
+    for t, _, frame in _warm_cases(kind):
+        cold = op_norm_2(t)
+        assert abs(_norm_in_frame(t, frame) - cold) <= 1e-13 * cold
+
+
+def test_guard_proceeds_when_only_frobenius_passes_limit():
+    t = OperatorMatrix(np.diag([9e5, -9e5j]))
+    assert frobenius(t) > NORM_LIMIT >= op_norm_2(t)
+    res = spectral_theorem(t)
+    assert res.report.all_passed, res.report.residuals
+    np.testing.assert_allclose(res.spectral_measure.points, [-9e5j, 9e5],
+                               rtol=1e-9)
+
+
+def test_guard_refuses_above_limit_with_cold_norm():
+    with pytest.raises(ScaleLimit) as err:
+        spectral_theorem(OperatorMatrix(np.diag([1.5e6, 1.0])))
+    assert str(err.value) == (
+        "operator norm 1.500e+06 exceeds 1e+06; the reciprocal map would "
+        "amplify atom errors beyond recovery (pass force_scale=True to "
+        "proceed anyway)")
+
+
+def test_guard_refuses_large_non_normal_before_normality_test():
+    t = generate(OperatorSpec("jordan_block", dim=3, scale=2e6))
+    with pytest.raises(ScaleLimit):
+        spectral_theorem(t)
+    with pytest.raises(NotNormal):
+        spectral_theorem(t, force_scale=True)

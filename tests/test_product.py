@@ -427,3 +427,25 @@ def test_product_measure_forms_no_dense_array_per_pair():
     atoms = sum(b.nbytes for b in prod.bases)
     assert prod.num_atoms == n
     assert peak <= 4.5 * square + atoms + 64 * 16 * n
+
+
+def test_product_measure_peak_excludes_pair_views_at_construction():
+    # while pairs are screened, two stacked bases, the cross matrix, its
+    # real block masses and the growing atom bases are alive (4.5 n x n
+    # complex arrays); the pair views must not keep the first three alive
+    # while ProductMeasure copies the atom bases (5.1 n x n arrays)
+    import tracemalloc
+    n = 256
+    d = np.diag(generate(OperatorSpec("multiplication", dim=n, scale=100.0,
+                                      seed=7)).array)
+    order = np.random.default_rng(7).permutation(n)
+    e1, e2 = measures_for(OperatorMatrix(np.diag(d[order])))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        prod = product_measure(e1, e2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert prod.num_atoms == n
+    assert peak <= 4.5 * 16 * n * n + 64 * 16 * n
