@@ -197,8 +197,8 @@ def _verify_one(path: str, tol: Tolerances,
         return _status("measure", _measure_check(doc, name, tol, source).failed)
     if isinstance(doc.get("measure"), dict):
         # --emit all bundle: re-check every part that carries an
-        # invariant.  The embedded source operator, when present, gives
-        # the reconstruction target of the decomposition and the measure.
+        # invariant.  The embedded source operator, when present, is the
+        # reconstruction target of the decomposition and the measures of T.
         src = source
         if isinstance(doc.get("t"), dict):
             src = io.matrix_from_doc(doc["t"], where=name)
@@ -206,10 +206,10 @@ def _verify_one(path: str, tol: Tolerances,
         if isinstance(doc.get("decomposition"), dict):
             reports["decomposition"] = _decomposition_check(
                 doc["decomposition"], name, tol, src)
-        for key in ("e1", "e2", "product"):
+        for key in ("e1", "e2", "product", "measure", "direct"):
             if isinstance(doc.get(key), dict):
-                reports[key] = _measure_check(doc[key], name, tol, None)
-        reports["measure"] = _measure_check(doc["measure"], name, tol, src)
+                target = src if key in ("measure", "direct") else None
+                reports[key] = _measure_check(doc[key], name, tol, target)
         checked = [k for k, r in reports.items() if r is not None]
         return _status("bundle(" + ",".join(checked) + ")",
                        [k for k in checked if reports[k].failed])
@@ -287,47 +287,47 @@ def _cmd_gen(args) -> int:
     if not args.kind:
         raise ParseError("gen needs --kind")
     spec = OperatorSpec(kind=args.kind, dim=args.dim or 0,
-                        scale=args.scale, seed=args.seed,
-                        path=args.path or args.input)
+                        scale=args.scale, seed=args.seed, path=args.path)
     m = generate(spec)
     _deliver(io.matrix_to_doc(m), args)
     return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rel", type=float, default=None, metavar="X",
-                        help="relative tolerance (default 1e-10 times the "
-                             "dimension; env SPECTRAL_FORGE_TOL overrides)")
-    common.add_argument("--tol-abs", type=float, default=None, metavar="X",
-                        help="absolute tolerance floor (default 1e-12)")
-    common.add_argument("--cluster", type=float, default=None, metavar="X",
-                        help="eigenvalue clustering radius (default "
-                             "1e-8 times (1 + spectral scale))")
-    common.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="generator seed (used by gen)")
-    common.add_argument("--input", metavar="FILE",
-                        help="input operator file")
-    common.add_argument("--output", metavar="FILE",
+    # Shared flags, grouped by the subcommands that read them.
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--tol-rel", type=float, default=None, metavar="X",
+                       help="relative tolerance (default $SPECTRAL_FORGE_TOL"
+                            ", else 1e-10 times the dimension)")
+    solve.add_argument("--tol-abs", type=float, default=None, metavar="X",
+                       help="absolute tolerance floor (default 1e-12)")
+    solve.add_argument("--cluster", type=float, default=None, metavar="X",
+                       help="eigenvalue clustering radius (default "
+                            "1e-8 times (1 + spectral scale))")
+    solve.add_argument("--input", metavar="FILE",
+                       help="input operator file")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", metavar="FILE",
                         help="write the JSON result here instead of stdout")
-    common.add_argument("--emit", choices=("all", "measure", "report"),
-                        default="all",
-                        help="which part of the result to write")
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument("--emit", choices=("all", "measure", "report"),
+                      default="all",
+                      help="which part of the result to write")
 
     parser = argparse.ArgumentParser(
         prog="spectral-forge",
         description="Operator decomposition and spectral measure toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[solve, output, emit],
                        help="split a normal operator into its bounded pair")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[solve, output, emit],
                        help="diagonalize into a projection-valued measure")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("pipeline", parents=[common],
+    p = sub.add_parser("pipeline", parents=[solve, output, emit],
                        help="reconstruct the spectral measure through the "
                             "bounded pair")
     p.add_argument("--cross-check", action="store_true",
@@ -337,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "large norms")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[solve, output],
                        help="re-check stored artifacts")
     p.add_argument("--decomposition", metavar="FILE",
                    help="decomposition bundle to verify")
@@ -347,9 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="verify every .json artifact in a directory")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen", parents=[output],
                        help="write a gallery operator")
     p.add_argument("--kind", choices=KINDS, help="operator family")
+    p.add_argument("--seed", type=int, default=None, metavar="N",
+                   help="generator seed")
     p.add_argument("--dim", type=int, default=0, metavar="N",
                    help="matrix dimension")
     p.add_argument("--scale", type=float, default=1.0, metavar="X",

@@ -126,8 +126,9 @@ def verify(t: OperatorMatrix, d: Decomposition,
     aa = d.a.array
     ba = d.b.array
 
-    herm_a = (aa + aa.conj().T) / 2.0
-    es_a = hermitian_eig(OperatorMatrix(herm_a), tol)
+    # A stored decomposition may be tampered with: its Hermitian part is
+    # solved so that a non-Hermitian A fails a check instead of raising.
+    es_a = hermitian_eig(OperatorMatrix((aa + aa.conj().T) / 2.0), tol)
     min_eig_a = float(np.min(es_a.eigenvalues.real))
     # A's eigenframe nearly diagonalizes T*T, so the norm solve is warm.
     op_t = _norm_in_frame(t, es_a.unitary.array, tol)

@@ -49,6 +49,10 @@ _TINY_PIVOT = float(np.finfo(np.float64).tiny)
 # Machine epsilon of float64, the scale of the Jacobi stopping test.
 _EPS = float(np.finfo(np.float64).eps)
 
+# Largest entry that norms and Gram products take unscaled: 2^128
+# leaves their sums of squares far inside the float range.
+_SCALE_LIMIT = 2.0 ** 128
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -106,7 +110,7 @@ class OperatorMatrix:
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=np.complex128, copy=True)
+        arr = np.array(self.array, dtype=np.complex128, copy=True, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
@@ -187,9 +191,24 @@ def adjoint(m: OperatorMatrix) -> OperatorMatrix:
     return m.adjoint()
 
 
+def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a 2^-e, e)``, with e = 0 unless an entry passes ``_SCALE_LIMIT``.
+
+    Norms and Gram products square the entries, which overflows past
+    about 1e154; a power of two scales without rounding, and the Jacobi
+    rotations commute with it, so only the exponent is carried.
+    """
+    peak = float(np.max(np.abs(a.view(np.float64))))
+    if peak <= _SCALE_LIMIT:
+        return a, 0
+    e = int(np.frexp(peak)[1])
+    return np.ldexp(a.view(np.float64), -e).view(np.complex128), e
+
+
 def frobenius(m: OperatorMatrix) -> float:
     """Frobenius norm of ``m``."""
-    return float(np.linalg.norm(m.array))
+    a, e = _power_of_two_scaled(m.array)
+    return float(np.ldexp(np.linalg.norm(a), e))
 
 
 def is_hermitian(m: OperatorMatrix, tol: Tolerances | None = None) -> bool:
@@ -254,26 +273,30 @@ def _round_robin_rounds(n: int) -> tuple:
     return tuple(rounds)
 
 
-def _jacobi_hermitian(matrix: np.ndarray, off_target: float,
+def _jacobi_hermitian(matrix: np.ndarray, atol: float,
                       rotation_budget: int | None = None):
-    """Diagonalize a Hermitian array by cyclic complex Jacobi rotations.
+    """Diagonalize the Hermitian part of an array by cyclic Jacobi rotations.
 
+    The solve works on ``W = (M + M*)/2`` in complex128, so callers pass
+    their raw arrays; the projection leaves a matrix that is Hermitian
+    to the bit unchanged.  Its stopping target is ``atol (1 + ||W||_F)``.
     Rotations are applied in round-robin order; the pairs inside one
     round are disjoint, so their rotations commute and a whole round is
     applied with vectorized column and row updates.  Sweeps stop at the
     Demmel-Veselic point, where every off-diagonal entry is below eps
     relative to its diagonal pair (Demmel & Veselic, "Jacobi's method is
     more accurate than QR", SIAM J. Matrix Anal. Appl. 13(4), 1992);
-    ``off_target`` then decides between success and NoConvergence.  A
-    sweep that fails to shrink the off-diagonal mass, or the rotation
-    budget (default ``30 n^2``), also ends the solve, with NoConvergence
-    when the mass still exceeds the target.
+    the target then decides between success and NoConvergence.  A sweep
+    that fails to shrink the off-diagonal mass, or the rotation budget
+    (default ``30 n^2``), also ends the solve, with NoConvergence when
+    the mass still exceeds the target.
 
-    Returns ``(eigenvalues, vectors)`` unsorted; callers sort and fix
-    phases.
+    Returns ``(eigenvalues, vectors)`` unsorted.
     """
-    n = matrix.shape[0]
-    w = np.array(matrix, dtype=np.complex128, copy=True)
+    m = np.asarray(matrix, dtype=np.complex128)
+    w = (m + m.conj().T) / 2.0
+    off_target = atol * (1.0 + np.linalg.norm(w))
+    n = w.shape[0]
     v = np.eye(n, dtype=np.complex128)
     if n == 1:
         return w.diagonal().real.copy(), v
@@ -345,25 +368,21 @@ def _jacobi_hermitian(matrix: np.ndarray, off_target: float,
     return w.diagonal().real.copy(), v
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest-magnitude component is real positive."""
-    out = vectors.copy()
-    idx = np.argmax(np.abs(out), axis=0)
-    lead = out[idx, np.arange(out.shape[1])]
-    mags = np.abs(lead)
-    safe = mags > 0.0
-    phase = np.ones_like(lead)
-    phase[safe] = lead[safe].conj() / mags[safe]
-    return out * phase[None, :]
+def _eigensystem(vals: np.ndarray, vecs: np.ndarray) -> EigenSystem:
+    """EigenSystem in (real, imaginary) order, phases fixed.
+
+    Each eigenvector is scaled so its largest-magnitude component is
+    real positive.
+    """
+    vals = np.asarray(vals, dtype=np.complex128)
+    order = np.lexsort((vals.imag, vals.real))
+    vecs = vecs[:, order]
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return EigenSystem(OperatorMatrix(vecs * (lead.conj() / np.abs(lead))),
+                       vals[order])
 
 
-def _sort_lexicographic(values: np.ndarray) -> np.ndarray:
-    """Sort order by (real, imaginary) part."""
-    return np.lexsort((values.imag, values.real))
-
-
-def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None,
-                  rotation_budget: int | None = None) -> EigenSystem:
+def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     """Diagonalize a Hermitian matrix.
 
     Parameters
@@ -372,8 +391,6 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None,
         Hermitian input; checked first, NotHermitian on failure.
     tol : Tolerances, optional
         Convergence target is ``atol * (1 + ||M||_F)``.
-    rotation_budget : int, optional
-        Override for the rotation budget, mainly for tests.
 
     Returns
     -------
@@ -383,14 +400,7 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None,
     tol = _resolve(tol)
     if not is_hermitian(m, tol):
         raise NotHermitian("hermitian_eig requires a Hermitian matrix")
-    a = m.array
-    work = (a + a.conj().T) / 2.0
-    off_target = tol.atol * (1.0 + np.linalg.norm(work))
-    vals, vecs = _jacobi_hermitian(work, off_target, rotation_budget)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = _fix_phases(vecs[:, order])
-    return EigenSystem(OperatorMatrix(vecs), vals.astype(np.complex128))
+    return _eigensystem(*_jacobi_hermitian(m.array, tol.atol))
 
 
 def cluster_points(points: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -446,75 +456,60 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
         raise NotNormal("normal_eig requires a normal matrix")
     a = m.array
     n = m.dim
-    h = (a + a.conj().T) / 2.0
-    k = (a - a.conj().T) / 2.0j
-    k = (k + k.conj().T) / 2.0
-    off_target = tol.atol * (1.0 + np.linalg.norm(h))
-    h_vals, h_vecs = _jacobi_hermitian(h, off_target)
+    h_vals, h_vecs = _jacobi_hermitian(a, tol.atol)  # H = (M + M*)/2
     order = np.argsort(h_vals, kind="stable")
     h_vals = h_vals[order]
     h_vecs = h_vecs[:, order]
-    scale = float(np.max(np.abs(h_vals))) if n else 0.0
-    radius = tol.cluster_radius(scale)
+    radius = tol.cluster_radius(float(np.max(np.abs(h_vals))))
+    k = (a - a.conj().T) / 2.0j
     vals = np.empty(n, dtype=np.complex128)
     vecs = np.empty((n, n), dtype=np.complex128)
     col = 0
     for cluster in cluster_points(h_vals.astype(np.complex128), radius):
         basis = h_vecs[:, cluster]
-        kc = basis.conj().T @ k @ basis
-        kc = (kc + kc.conj().T) / 2.0
-        target = tol.atol * (1.0 + np.linalg.norm(kc))
-        k_vals, k_vecs = _jacobi_hermitian(kc, target)
-        joint = basis @ k_vecs
+        k_vals, k_vecs = _jacobi_hermitian(basis.conj().T @ k @ basis, tol.atol)
+        cols = slice(col, col + cluster.size)
         # Rayleigh quotient of H per joint vector; within a cluster the
         # weights are |k_vecs|^2 column sums against the member h values.
-        weights = np.abs(k_vecs) ** 2
-        h_joint = h_vals[cluster] @ weights
-        m_size = cluster.size
-        vals[col:col + m_size] = h_joint + 1.0j * k_vals
-        vecs[:, col:col + m_size] = joint
-        col += m_size
-    order = _sort_lexicographic(vals)
-    return EigenSystem(OperatorMatrix(_fix_phases(vecs[:, order])), vals[order])
+        vals[cols] = h_vals[cluster] @ np.abs(k_vecs) ** 2 + 1.0j * k_vals
+        vecs[:, cols] = basis @ k_vecs
+        col += cluster.size
+    return _eigensystem(vals, vecs)
 
 
 def op_norm_2(m: OperatorMatrix, tol: Tolerances | None = None) -> float:
     """Spectral norm, the largest singular value.
 
-    Hermitian inputs use their own eigenvalues; general inputs use the
-    square root of the largest eigenvalue of ``M*M``.  Both paths run
-    through the Jacobi eigensolver.
+    Hermitian inputs use their own eigenvalues; general inputs go through
+    ``_norm_in_frame`` in the identity frame.  Both paths run through the
+    Jacobi eigensolver, on a copy scaled by a power of two when an entry
+    is large enough for a norm to overflow.
     """
     tol = _resolve(tol)
-    a = m.array
-    hermitian = is_hermitian(m, tol)
-    if hermitian:
-        work = (a + a.conj().T) / 2.0
-    else:
-        work = a.conj().T @ a
-        work = (work + work.conj().T) / 2.0
-    off_target = tol.atol * (1.0 + np.linalg.norm(work))
-    vals, _ = _jacobi_hermitian(work, off_target)
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if hermitian:
-        return top
-    return float(np.sqrt(max(top, 0.0)))
+    a, e = _power_of_two_scaled(m.array)
+    m = OperatorMatrix(a) if e else m
+    if not is_hermitian(m, tol):
+        return float(np.ldexp(_norm_in_frame(m, None, tol), e))
+    vals, _ = _jacobi_hermitian(m.array, tol.atol)
+    return float(np.ldexp(np.max(np.abs(vals)), e))
 
 
-def _norm_in_frame(m: OperatorMatrix, frame: np.ndarray,
+def _norm_in_frame(m: OperatorMatrix, frame: np.ndarray | None = None,
                    tol: Tolerances | None = None) -> float:
     """Spectral norm ``sqrt(lambda_max(G* G))`` with ``G = M V``.
 
     Any unitary ``frame`` V gives ||M||_2, for Hermitian and general M
-    alike.  When V nearly diagonalizes M*M, as an eigenbasis of
-    (I + M*M)^(-1) does, the Gram matrix starts at rounding level off
-    its diagonal and the Jacobi solve converges in a few sweeps
-    (Henrici 1958); a poorer frame costs sweeps, not accuracy.
+    alike; None stands for the identity.  When V nearly diagonalizes
+    M*M, as an eigenbasis of (I + M*M)^(-1) does, the Gram matrix starts
+    at rounding level off its diagonal and the Jacobi solve converges in
+    a few sweeps (Henrici 1958); a poorer frame costs sweeps, not
+    accuracy.
     """
-    g = m.array @ frame
-    top = float(hermitian_eig(OperatorMatrix(g.conj().T @ g),
-                              tol).eigenvalues[-1].real)
-    return float(np.sqrt(max(top, 0.0)))
+    tol = _resolve(tol)
+    a, e = _power_of_two_scaled(m.array)
+    g = a if frame is None else a @ frame
+    vals, _ = _jacobi_hermitian(g.conj().T @ g, tol.atol)
+    return float(np.ldexp(np.sqrt(max(float(vals.max()), 0.0)), e))
 
 
 def _cholesky_lower(matrix: np.ndarray, atol: float) -> np.ndarray:

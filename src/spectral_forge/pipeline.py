@@ -171,11 +171,9 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
 
 
 def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
-                    tol: Tolerances, scale: float,
-                    radius: float | None = None) -> list[tuple]:
+                    tol: Tolerances, scale: float) -> list[tuple]:
     """Check records of a greedy nearest-pair matching of two atom systems."""
-    if radius is None:
-        radius = 1e-7 * (1.0 + scale)
+    radius = 1e-7 * (1.0 + scale)
     pa = result.points
     pb = direct.points
     gaps = np.abs(pa[:, None] - pb[None, :])
@@ -209,16 +207,15 @@ def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
 
 
 def cross_check(result: PipelineResult, direct: SpectralMeasure,
-                tol: Tolerances | None = None,
-                radius: float | None = None) -> VerificationReport:
+                tol: Tolerances | None = None) -> VerificationReport:
     """Match pipeline atoms against a directly computed measure.
 
     Pairs atoms greedily by point distance inside the acceptance radius
-    (default ``1e-7 (1 + ||T||_2)``, ten times the default clustering
-    radius) and reports the largest point and projection gaps together
-    with the number of unmatched atoms on either side.
+    ``1e-7 (1 + ||T||_2)``, ten times the default clustering radius, and
+    reports the largest point and projection gaps together with the
+    number of unmatched atoms on either side.
     """
     tol = _resolve(tol)
     return VerificationReport.from_checks(_match_measures(
         result.spectral_measure, direct, tol,
-        result.decomposition.source_norm, radius))
+        result.decomposition.source_norm))

@@ -34,6 +34,7 @@ from .measures import (
     PVM_FACTOR,
     SpectralMeasure,
     _AtomStore,
+    _block_norms,
     _store_checks,
     pvm_integrate,
 )
@@ -140,8 +141,7 @@ def _pair_blocks(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
                 f"factor {name} atom {k} has no orthonormal basis: "
                 f"||u* u - I||_F = {defects[k]:.3e}, beyond {limit:.3e}")
     cross = s1.conj().T @ s2
-    masses = np.sqrt(np.add.reduceat(np.add.reduceat(
-        np.abs(cross) ** 2, off1[:-1], axis=0), off2[:-1], axis=1))
+    masses = _block_norms(cross, off1, off2)
     for i, j in zip(*np.nonzero(masses > floor)):
         rows, cols = slice(off1[i], off1[i + 1]), slice(off2[j], off2[j + 1])
         yield (int(i), int(j), s1[:, rows], s2[:, cols], cross[rows, cols],
@@ -170,8 +170,7 @@ def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
     """
     wide = block.shape[0] <= block.shape[1]
     gram = block @ block.conj().T if wide else block.conj().T @ block
-    gram = (gram + gram.conj().T) / 2.0
-    s2, x = _jacobi_hermitian(gram, tol.atol * (1.0 + np.linalg.norm(gram)))
+    s2, x = _jacobi_hermitian(gram, tol.atol)
     keep = s2 > 0.25
     if not keep.any():
         return None
@@ -215,13 +214,12 @@ def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
 
 
 def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
-                    tol: Tolerances | None = None,
-                    prune: float | None = None) -> ProductMeasure:
+                    tol: Tolerances | None = None) -> ProductMeasure:
     """Product of commuting measures, one atom per surviving pair.
 
     The first factor must be supported on the real line.  For each pair
-    with ``||P_i Q_j||_F`` above the pruning threshold (default
-    ``1e-10 n``) the projection onto the intersection of ranges is
+    with ``||P_i Q_j||_F`` above the pruning threshold ``1e-10 n`` the
+    projection onto the intersection of ranges is
     extracted from the singular structure of the cross Gram block
     C = u_i* w_j, and its deviation from the literal product P_i Q_j is
     re-measured.  All of it stays in the rank space (Bjorck & Golub
@@ -253,7 +251,7 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     if float(np.max(np.abs(e1.points.imag))) > tol.atol:
         raise ValueError("the first factor must be supported on the real line")
     threshold = _commute_threshold(n, tol)
-    prune = PRUNE_FACTOR * n if prune is None else prune
+    prune = PRUNE_FACTOR * n
     t_points, w_points, bases = [], [], []
     rectangle = 0.0
     # A pair that commutes has P_i Q_j near a projection, so "no stable

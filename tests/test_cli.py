@@ -177,6 +177,28 @@ def test_verify_dir_recheck_emit_all_bundle(tmp_path, capsys):
     assert "FAIL measure" in out
 
 
+def test_verify_dir_rechecks_direct_part(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "43")
+    bundle = str(tmp_path / "full.json")
+    assert main(["pipeline", "--input", t, "--cross-check",
+                 "--output", bundle]) == 0
+    capsys.readouterr()
+    parts = "bundle(decomposition,e1,e2,product,measure,direct)"
+    code, out, _ = run(["verify", "--dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert f"full.json: {parts} pass" in out
+
+    doc = json.loads(open(bundle).read())
+    atom = doc["direct"]["atoms"][0]
+    atom["projection"]["entries"][0][0] += 0.05
+    atom["point"][0] += 0.05
+    open(bundle, "w").write(json.dumps(doc))
+    code, out, _ = run(["verify", "--dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert f"full.json: {parts} FAIL direct" in out
+
+
 def test_verify_requires_a_target(capsys):
     code, _, err = run(["verify"], capsys)
     assert code == 2
@@ -361,3 +383,30 @@ def test_non_object_part_exits_2(tmp_path, capsys):
     assert (code, err) == (2, "error: d.json.t: expected an object\n")
     code, _, err = run(["verify", "--decomposition", bundle], capsys)
     assert (code, err) == (2, "error: b.json: expected an object\n")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen", ["--tol-rel", "1e-9"]),
+    ("gen", ["--tol-abs", "1e-12"]),
+    ("gen", ["--cluster", "1e-8"]),
+    ("gen", ["--emit", "all"]),
+    ("gen", ["--input", "t.json"]),
+    ("verify", ["--emit", "all"]),
+    ("verify", ["--seed", "1"]),
+    ("decompose", ["--seed", "1"]),
+    ("spectrum", ["--seed", "1"]),
+    ("pipeline", ["--seed", "1"]),
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command,
+                                               flag):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "multiplication",
+                 "--dim", "3")
+    m = str(tmp_path / "m.json")
+    assert main(["spectrum", "--input", t, "--emit", "measure",
+                 "--output", m]) == 0
+    args = {"gen": ["--kind", "multiplication", "--dim", "3"],
+            "verify": ["--pvm", m]}.get(command, ["--input", t])
+    capsys.readouterr()
+    code, _, err = run([command] + args + flag, capsys)
+    assert code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in err

@@ -54,6 +54,14 @@ def test_operator_matrix_copies_input():
     assert m.array[0, 0] == 1.0
 
 
+def test_operator_matrix_accepts_any_memory_order():
+    # a transpose is a Fortran-ordered view; the adjoint is one
+    a = np.array([[1, 2j], [3, 4]], dtype=complex)
+    np.testing.assert_array_equal(OperatorMatrix(a).adjoint().array,
+                                  [[1, 3], [-2j, 4]])
+    np.testing.assert_array_equal(OperatorMatrix(np.asfortranarray(a)).array, a)
+
+
 def test_operator_arithmetic():
     x = OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
     i2 = OperatorMatrix.identity(2)

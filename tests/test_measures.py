@@ -172,3 +172,26 @@ def test_measure_is_read_only():
     e = pvm_from_normal(OperatorMatrix(np.diag([1.0, 2.0])))
     with pytest.raises(ValueError):
         e.points[0] = 9.0
+
+
+@pytest.mark.parametrize("kind", ["random_normal", "random_unitary",
+                                  "laplacian_1d", "momentum_1d"])
+def test_block_norm_invariants_match_per_pair_loop(kind):
+    # momentum_1d's eigenvalues come in pairs, so its atoms have rank 2
+    e = pvm_from_normal(generate(OperatorSpec(kind, dim=12, scale=3.0,
+                                              seed=5)))
+    stacked = e.stacked_basis()
+    gram = stacked.conj().T @ stacked
+    off = np.cumsum((0,) + e.ranks)
+    idem = ortho = 0.0
+    for i in range(e.num_atoms):
+        rows = slice(off[i], off[i + 1])
+        idem = max(idem, np.linalg.norm(gram[rows, rows]
+                                        - np.eye(e.ranks[i])))
+        for j in range(i + 1, e.num_atoms):
+            ortho = max(ortho, np.linalg.norm(gram[rows, off[j]:off[j + 1]]))
+    assert max(e.ranks) == (2 if kind == "momentum_1d" else 1)
+    report = pvm_validate(e)
+    eps = np.finfo(np.float64).eps
+    assert abs(report.residuals["idempotency"] - idem) <= 8 * eps * idem
+    assert abs(report.residuals["orthogonality"] - ortho) <= 8 * eps * ortho

@@ -241,3 +241,17 @@ def test_guard_refuses_large_non_normal_before_normality_test():
         spectral_theorem(t)
     with pytest.raises(NotNormal):
         spectral_theorem(t, force_scale=True)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("kind, seed", [("random_normal", 2),
+                                        ("momentum_1d", None)])
+def test_guard_holds_past_squared_overflow(kind, seed, scale):
+    # squares of these entries overflow, so a norm taken unscaled is
+    # inf and every matrix passes the Hermitian test
+    t = generate(OperatorSpec(kind, dim=4, scale=scale, seed=seed))
+    peak = float(np.max(np.abs(t.array)))
+    oracle = np.linalg.norm(t.array / peak, 2) * peak
+    assert abs(op_norm_2(t) - oracle) <= 1e-12 * oracle
+    with pytest.raises(ScaleLimit):
+        spectral_theorem(t)
