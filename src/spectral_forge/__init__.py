@@ -1,10 +1,11 @@
 """Numerical toolkit for normal operators at desk scale.
 
 Splits a normal matrix T into the bounded pair A = (I + T*T)^-1 and
-B = TA, builds discrete projection-valued measures for both, forms
-their product measure, and pushes it forward through (t, w) -> w/t to
-recover the spectral measure of T without diagonalizing T directly.
-Every stage ships with residual-based verification.
+B = TA from one one-sided Jacobi solve of T, builds discrete
+projection-valued measures for both, forms their product measure, and
+pushes it forward through (t, w) -> w/t to recover the spectral measure
+of T without diagonalizing T directly.  Every stage ships with
+residual-based verification.
 """
 
 from .decomposition import Decomposition, decompose, norm_bounds, verify
@@ -17,7 +18,6 @@ from .errors import (
     NotCommuting,
     NotHermitian,
     NotNormal,
-    NotPositiveDefinite,
     ParseError,
     ScaleLimit,
     SingularWeightWarning,
@@ -42,7 +42,6 @@ from .linalg import (
     cluster_points,
     frobenius,
     hermitian_eig,
-    hpd_solve,
     is_hermitian,
     is_normal,
     normal_eig,
@@ -78,11 +77,11 @@ __all__ = [
     "__version__",
     "BadSpec", "DimensionMismatch", "FileError", "NoConvergence",
     "NonFiniteValue", "NotCommuting", "NotHermitian", "NotNormal",
-    "NotPositiveDefinite", "ParseError", "ScaleLimit",
+    "ParseError", "ScaleLimit",
     "SingularWeightWarning", "SpectralForgeError",
     "OperatorMatrix", "EigenSystem", "Tolerances",
     "adjoint", "frobenius", "is_hermitian", "is_normal",
-    "hermitian_eig", "normal_eig", "op_norm_2", "hpd_solve",
+    "hermitian_eig", "normal_eig", "op_norm_2",
     "cluster_points",
     "Decomposition", "decompose", "verify", "norm_bounds",
     "SpectralMeasure", "pvm_from_normal", "pvm_integrate", "pvm_validate",

@@ -8,8 +8,11 @@ consists of a Hermitian positive definite A with ||A|| <= 1 and a
 normal B with ||B|| <= 1/2 that commute, and T is recovered as
 A^(-1) B.  At finite dimension A T equals B exactly (in the unbounded
 setting the product is only contained in B).  ``decompose`` builds the
-pair by linear solves against the exactly known I + T*T, so it never
-touches the spectral machinery it is later checked against.
+pair from one one-sided Jacobi solve T V = U S: A = V diag(1/(1 + s^2)) V*,
+whose weights keep the relative accuracy of the singular values s at
+every norm, and ||T||_2 = max s.  ``verify`` checks the pair against
+the exactly known I + T*T through the residual (I + T*T) B - T, which
+shares nothing with that solve.
 """
 
 from __future__ import annotations
@@ -19,17 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormal
-from .linalg import (
-    OperatorMatrix,
-    Tolerances,
-    _norm_in_frame,
-    _resolve,
-    hermitian_eig,
-    hpd_solve,
-    is_hermitian,
-    is_normal,
-    op_norm_2,
-)
+from .linalg import (EigenSystem, OperatorMatrix, Tolerances, _eigensystem,
+                     _jacobi_one_sided, _norm_in_frame, _power_of_two_scaled,
+                     _refuse_past_scale_limit, _resolve, hermitian_eig,
+                     is_hermitian, is_normal, op_norm_2)
 from .report import VerificationReport
 
 __all__ = ["Decomposition", "decompose", "verify", "norm_bounds"]
@@ -58,45 +54,43 @@ class Decomposition:
         return self.a.dim
 
 
-def _gram_plus_identity(t: OperatorMatrix) -> np.ndarray:
-    a = t.array
-    gram = a.conj().T @ a
-    gram = (gram + gram.conj().T) / 2.0
-    return gram + np.eye(t.dim)
-
-
-def _bounded_pair(t: OperatorMatrix,
-                  tol: Tolerances) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """``(A, B)`` from ``(I + T*T) A = I`` and ``B = T A``; NotNormal first."""
+def _require_normal(t: OperatorMatrix, tol: Tolerances):
     if not is_normal(t, tol):
         raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
-    m = OperatorMatrix(_gram_plus_identity(t))
-    a = hpd_solve(m, OperatorMatrix.identity(t.dim), tol)
-    return a, OperatorMatrix(t.array @ a.array)
 
 
-def decompose(t: OperatorMatrix, tol: Tolerances | None = None,
-              source_norm: float | None = None) -> Decomposition:
-    """Split a normal operator into its bounded commuting pair.
+def _bounded_pair(t: OperatorMatrix, tol: Tolerances
+                  ) -> tuple[OperatorMatrix, OperatorMatrix, EigenSystem, float]:
+    """``(A, B, E, ||T||_2)`` from one one-sided Jacobi solve of T.
 
-    Parameters
-    ----------
-    t : OperatorMatrix
-        Normal input; NotNormal is raised otherwise.
-    tol : Tolerances, optional
-    source_norm : float, optional
-        Known value of ||T||_2, to skip recomputing it.
+    With T V = U S, A = V diag(1/(1 + s^2)) V*, B = T A, and E is A's
+    eigensystem, the weights 1/(1 + s^2) ascending on the columns of V.
+    T is scaled by a power of two first when an entry is large enough
+    for a norm to overflow, and an s whose square overflows gets weight
+    0.  Normality is not tested here.
+    """
+    scaled, e = _power_of_two_scaled(t.array)
+    sigma, v = _jacobi_one_sided(scaled, tol.atol)
+    sigma = np.ldexp(sigma, e)
+    with np.errstate(over="ignore"):
+        weights = 1.0 / (1.0 + sigma * sigma)
+    es = _eigensystem(weights, v)
+    u = es.unitary.array
+    a = OperatorMatrix((u * es.eigenvalues.real) @ u.conj().T)
+    return a, OperatorMatrix(t.array @ a.array), es, float(sigma.max())
 
-    Returns
-    -------
-    Decomposition
-        A solved from ``(I + T*T) A = I`` and ``B = T A``.
+
+def decompose(t: OperatorMatrix, tol: Tolerances | None = None) -> Decomposition:
+    """Split a normal T into its bounded pair, from one solve of T.
+
+    Raises ScaleLimit past an entry of 2^128, where I + T*T would
+    overflow, and NotNormal for a non-normal input.
     """
     tol = _resolve(tol)
-    a, b = _bounded_pair(t, tol)
-    if source_norm is None:
-        source_norm = op_norm_2(t, tol)
-    return Decomposition(a, b, float(source_norm))
+    _refuse_past_scale_limit(t)
+    _require_normal(t, tol)
+    a, b, _, norm = _bounded_pair(t, tol)
+    return Decomposition(a, b, norm)
 
 
 def verify(t: OperatorMatrix, d: Decomposition,
@@ -138,11 +132,13 @@ def verify(t: OperatorMatrix, d: Decomposition,
 
     margin_bound = 1.0 / (1.0 + op_t * op_t) - rel
     identity_bound = IDENTITY_FACTOR * rel * (1.0 + op_t)
+    gram = ta.conj().T @ ta
+    gram = (gram + gram.conj().T) / 2.0 + np.eye(t.dim)  # I + T*T
     bh = ba.conj().T
     checks = [
         ("injectivity_margin", min_eig_a, margin_bound,
          min_eig_a >= margin_bound),
-        ("reconstruction", float(np.linalg.norm(_gram_plus_identity(t) @ ba - ta)),
+        ("reconstruction", float(np.linalg.norm(gram @ ba - ta)),
          RECONSTRUCTION_FACTOR * rel * (1.0 + fro_t)),
         ("commutator", float(np.linalg.norm(aa @ ba - ba @ aa)),
          rel * fro_a * fro_b + tol.atol),

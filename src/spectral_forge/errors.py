@@ -6,7 +6,6 @@ __all__ = [
     "NonFiniteValue",
     "NotHermitian",
     "NotNormal",
-    "NotPositiveDefinite",
     "NoConvergence",
     "NotCommuting",
     "ScaleLimit",
@@ -35,10 +34,6 @@ class NotHermitian(SpectralForgeError):
 
 class NotNormal(SpectralForgeError):
     """Input fails the normality test at the requested tolerance."""
-
-
-class NotPositiveDefinite(SpectralForgeError):
-    """A factorization pivot fell below the positivity threshold."""
 
 
 class NoConvergence(SpectralForgeError):

@@ -1,11 +1,12 @@
 """Dense complex linear algebra kernels.
 
 Everything in this module works on small dense matrices held in memory.
-Eigendecompositions are computed with cyclic complex Jacobi rotations,
-normal matrices are handled by splitting into commuting Hermitian and
-skew parts, and positive definite systems are solved by an in-house
-Cholesky factorization.  numpy is used for array arithmetic only; no
-LAPACK eigen or factorization routine is called anywhere in the package.
+Two cyclic Jacobi kernels share one rotation and one stopping rule: the
+two-sided one diagonalizes Hermitian matrices (and normal ones through
+their commuting Hermitian and skew parts), the one-sided (Hestenes) one
+gives singular values and right singular vectors, and with them every
+spectral norm.  numpy is used for array arithmetic only; no LAPACK
+eigen, singular value or factorization routine is called anywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     NonFiniteValue,
     NotHermitian,
     NotNormal,
-    NotPositiveDefinite,
+    ScaleLimit,
 )
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "op_norm_2",
     "hermitian_eig",
     "normal_eig",
-    "hpd_solve",
     "cluster_points",
 ]
 
@@ -205,6 +205,16 @@ def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a.view(np.float64), -e).view(np.complex128), e
 
 
+def _refuse_past_scale_limit(m: OperatorMatrix):
+    """ScaleLimit past an entry of 2^128, for routes that square unscaled."""
+    peak = float(np.max(np.abs(m.array.view(np.float64))))
+    if peak > _SCALE_LIMIT:
+        raise ScaleLimit(
+            f"largest entry {peak:.3e} passes 2^128; the sums of squares "
+            "this route forms unscaled would overflow"
+        )
+
+
 def frobenius(m: OperatorMatrix) -> float:
     """Frobenius norm of ``m``."""
     a, e = _power_of_two_scaled(m.array)
@@ -212,21 +222,27 @@ def frobenius(m: OperatorMatrix) -> float:
 
 
 def is_hermitian(m: OperatorMatrix, tol: Tolerances | None = None) -> bool:
-    """True when ``||M - M*||_F <= rtol * ||M||_F + atol``."""
+    """True when ``||M - M*||_F <= rel ||M||_F``, rel = max(rtol, n eps).
+
+    Both sides scale with M, so s M gets the verdict of M for every
+    s > 0.  The floor n eps is the rounding level of the products this
+    test and ``is_normal`` form: a tiny rtol tightens the residual checks
+    that share it without calling every computed matrix non-normal.
+    """
     tol = _resolve(tol)
-    a = m.array
+    a, _ = _power_of_two_scaled(m.array)
     defect = np.linalg.norm(a - a.conj().T)
-    return bool(defect <= tol.rel(m.dim) * np.linalg.norm(a) + tol.atol)
+    return bool(defect <= max(tol.rel(m.dim), m.dim * _EPS) * np.linalg.norm(a))
 
 
 def is_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> bool:
-    """True when ``||M*M - MM*||_F <= rtol * ||M||_F^2 + atol``."""
+    """True when ``||M*M - MM*||_F <= rel ||M||_F^2``, rel as in ``is_hermitian``."""
     tol = _resolve(tol)
-    a = m.array
+    a, _ = _power_of_two_scaled(m.array)
     ah = a.conj().T
     defect = np.linalg.norm(ah @ a - a @ ah)
     fro = np.linalg.norm(a)
-    return bool(defect <= tol.rel(m.dim) * fro * fro + tol.atol)
+    return bool(defect <= max(tol.rel(m.dim), m.dim * _EPS) * fro * fro)
 
 
 def _off_diagonal_norm(w: np.ndarray) -> float:
@@ -234,17 +250,62 @@ def _off_diagonal_norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w[mask]))
 
 
-def _relatively_diagonal(w: np.ndarray) -> bool:
-    """Demmel-Veselic test: every ``|w_pq| <= eps * sqrt(|w_pp w_qq|)``.
+def _sweep_head(w: np.ndarray, level: float, prev_off: float, rotations: int,
+                budget: int, off_target: float) -> float | None:
+    """Stopping rule of both Jacobi kernels, run on Hermitian ``w``.
 
-    Entries at or below ``_TINY_PIVOT`` also pass, as rotating them is
-    pure noise.  Once the test holds, a further rotation moves each
-    eigenvalue by less than eps relative to itself.
+    Sweeps stop once every ``|w_pq| <= level sqrt(|w_pp w_qq|)`` or
+    ``_TINY_PIVOT`` (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4),
+    1992: at level eps a further rotation moves no eigenvalue by more
+    than eps relative to itself), when a sweep fails to shrink the
+    off-diagonal mass, or when the budget is spent.  Returns that mass
+    while sweeps go on and None when they stop at or below
+    ``off_target``; stopping above it raises NoConvergence.
     """
+    off = _off_diagonal_norm(w)
     root = np.sqrt(np.abs(w.diagonal().real))
-    bound = np.maximum(_EPS * np.outer(root, root), _TINY_PIVOT)
+    bound = np.maximum(level * np.outer(root, root), _TINY_PIVOT)
     np.fill_diagonal(bound, np.inf)  # the diagonal is not tested
-    return bool(np.all(np.abs(w) <= bound))
+    if np.all(np.abs(w) <= bound):
+        reason = "sweeps reached the relative rounding floor"
+    elif off >= prev_off:
+        reason = "sweeps stalled"
+    elif rotations >= budget:
+        reason = f"sweep budget of {budget} rotations exhausted"
+    else:
+        return off
+    if off <= off_target:
+        return None
+    raise NoConvergence(
+        f"Jacobi {reason} with off-diagonal mass {off:.3e} "
+        f"above target {off_target:.3e}"
+    )
+
+
+def _rotation(alpha: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Rotations zeroing the pivots of blocks ``[[alpha, beta], [beta*, gamma]]``.
+
+    Phase u maps each pivot to a real symmetric block, then the classical
+    tangent formula, which never divides by |beta|, zeroes it.  Returns
+    ``(shift, c, s, u)``: alpha becomes alpha - shift, gamma becomes
+    gamma + shift, and vectors ``(x_p, x_q)`` become
+    ``(c x_p - s u x_q, s x_p + c u x_q)``.
+    """
+    absb = np.abs(beta)
+    u = beta.conj() / absb
+    delta = (gamma - alpha) / 2.0
+    sign = np.where(delta >= 0.0, 1.0, -1.0)
+    t = sign * absb / (np.abs(delta) + np.hypot(delta, absb))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return t * absb, c, t * c, u
+
+
+def _rotate_rows(x: np.ndarray, p, q, c, s, su, cu):
+    """Rows ``(x_p, x_q)`` to ``(c x_p - su x_q, s x_p + cu x_q)``, in place."""
+    xp = x[p, :]
+    xq = x[q, :]
+    x[p, :] = xp * c[:, None] - xq * su[:, None]
+    x[q, :] = xp * s[:, None] + xq * cu[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -279,17 +340,11 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float,
 
     The solve works on ``W = (M + M*)/2`` in complex128, so callers pass
     their raw arrays; the projection leaves a matrix that is Hermitian
-    to the bit unchanged.  Its stopping target is ``atol (1 + ||W||_F)``.
-    Rotations are applied in round-robin order; the pairs inside one
-    round are disjoint, so their rotations commute and a whole round is
-    applied with vectorized column and row updates.  Sweeps stop at the
-    Demmel-Veselic point, where every off-diagonal entry is below eps
-    relative to its diagonal pair (Demmel & Veselic, "Jacobi's method is
-    more accurate than QR", SIAM J. Matrix Anal. Appl. 13(4), 1992);
-    the target then decides between success and NoConvergence.  A sweep
-    that fails to shrink the off-diagonal mass, or the rotation budget
-    (default ``30 n^2``), also ends the solve, with NoConvergence when
-    the mass still exceeds the target.
+    to the bit unchanged.  Rotations are applied in round-robin order;
+    the pairs inside one round are disjoint, so their rotations commute
+    and a whole round is applied with vectorized column and row updates.
+    ``_sweep_head`` decides at level eps, against the target
+    ``atol (1 + ||W||_F)`` and the rotation budget (default ``30 n^2``).
 
     Returns ``(eigenvalues, vectors)`` unsorted.
     """
@@ -297,31 +352,14 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float,
     w = (m + m.conj().T) / 2.0
     off_target = atol * (1.0 + np.linalg.norm(w))
     n = w.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return w.diagonal().real.copy(), v
+    vt = np.eye(n, dtype=np.complex128)  # rows are eigenvectors
     budget = JACOBI_BUDGET_FACTOR * n * n if rotation_budget is None else rotation_budget
     rotations = 0
     prev_off = np.inf
     while True:
-        off = _off_diagonal_norm(w)
-        # Past the relative test a rotation changes no eigenvalue beyond
-        # rounding and an eigenvector by about eps |lambda| / gap, so
-        # further sweeps buy clustered eigenvectors nothing.
-        reason = None
-        if _relatively_diagonal(w):
-            reason = "sweeps reached the relative rounding floor"
-        elif off >= prev_off:
-            reason = "sweeps stalled"
-        elif rotations >= budget:
-            reason = f"sweep budget of {budget} rotations exhausted"
-        if reason is not None:
-            if off <= off_target:
-                break
-            raise NoConvergence(
-                f"Jacobi {reason} with off-diagonal mass {off:.3e} "
-                f"above target {off_target:.3e}"
-            )
+        off = _sweep_head(w, _EPS, prev_off, rotations, budget, off_target)
+        if off is None:
+            break
         prev_off = off
         skip_threshold = off / (4.0 * n)
         for p_all, q_all in _round_robin_rounds(n):
@@ -333,39 +371,78 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float,
             p = p_all[active]
             q = q_all[active]
             beta = beta[active]
-            absb = np.abs(beta)
             alpha = w[p, p].real
             gamma = w[q, q].real
-            # 2x2 rotation: phase u maps the pivot to a real symmetric
-            # block, then the classical tangent formula zeroes it.  The
-            # tangent is computed without dividing by |beta|, so pivots
-            # of any magnitude stay inside the float range.
-            u = beta.conj() / absb
-            delta = (gamma - alpha) / 2.0
-            sign = np.where(delta >= 0.0, 1.0, -1.0)
-            t = sign * absb / (np.abs(delta) + np.hypot(delta, absb))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
+            shift, c, s, u = _rotation(alpha, gamma, beta)
             su = s * u
             cu = c * u
             wp = w[:, p]
             wq = w[:, q]
             w[:, p] = wp * c - wq * su
             w[:, q] = wp * s + wq * cu
-            wp = w[p, :]
-            wq = w[q, :]
-            w[p, :] = wp * c[:, None] - wq * (s * u.conj())[:, None]
-            w[q, :] = wp * s[:, None] + wq * (c * u.conj())[:, None]
+            _rotate_rows(w, p, q, c, s, s * u.conj(), c * u.conj())
             w[p, q] = 0.0
             w[q, p] = 0.0
-            w[p, p] = alpha - t * absb
-            w[q, q] = gamma + t * absb
-            vp = v[:, p]
-            vq = v[:, q]
-            v[:, p] = vp * c - vq * su
-            v[:, q] = vp * s + vq * cu
+            w[p, p] = alpha - shift
+            w[q, q] = gamma + shift
+            _rotate_rows(vt, p, q, c, s, su, cu)
             rotations += int(p.size)
-    return w.diagonal().real.copy(), v
+    return w.diagonal().real.copy(), vt.T
+
+
+def _jacobi_one_sided(matrix: np.ndarray, atol: float,
+                      rotation_budget: int | None = None):
+    """Singular values and right singular vectors by one-sided Jacobi.
+
+    Hestenes' method rotates column pairs of ``G = M`` until they are
+    orthogonal: ``M V = G`` with V unitary, and the column norms of G are
+    the singular values, to high relative accuracy (Demmel & Veselic
+    1992; Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).  A
+    pair turns by ``_rotation`` of its block of G*G, whose diagonal is
+    updated per rotation.  G*G is formed per sweep for ``_sweep_head`` at
+    level sqrt(m) eps, the rounding floor of an m-term inner product (as
+    in LAPACK's zgesvj), which also marks a pair active; the target is
+    ``atol (1 + ||M*M||_F)``, the budget ``30 n^2`` rotations.
+
+    Returns ``(singular values, V)`` unsorted.
+    """
+    # rows of gt and vt are the columns of G and V: rotations move rows
+    gt = np.array(np.asarray(matrix, dtype=np.complex128).T, order="C")
+    n, rows = gt.shape
+    vt = np.eye(n, dtype=np.complex128)
+    level = np.sqrt(rows) * _EPS
+    budget = JACOBI_BUDGET_FACTOR * n * n if rotation_budget is None else rotation_budget
+    rotations = 0
+    prev_off = np.inf
+    gram = gt.conj() @ gt.T
+    off_target = atol * (1.0 + np.linalg.norm(gram))
+    while True:
+        off = _sweep_head(gram, level, prev_off, rotations, budget, off_target)
+        if off is None:
+            break
+        prev_off = off
+        norms = gram.diagonal().real.copy()
+        for p_all, q_all in _round_robin_rounds(n):
+            beta = np.einsum("ij,ij->i", gt[p_all].conj(), gt[q_all])
+            alpha = norms[p_all]
+            gamma = norms[q_all]
+            # updated norms may dip below zero by rounding on a null column
+            floor = level * np.sqrt(np.abs(alpha * gamma))
+            active = np.abs(beta) > np.maximum(floor, _TINY_PIVOT)
+            if not active.any():
+                continue
+            p = p_all[active]
+            q = q_all[active]
+            shift, c, s, u = _rotation(alpha[active], gamma[active], beta[active])
+            su = s * u
+            cu = c * u
+            _rotate_rows(gt, p, q, c, s, su, cu)
+            _rotate_rows(vt, p, q, c, s, su, cu)
+            norms[p] -= shift
+            norms[q] += shift
+            rotations += int(p.size)
+        gram = gt.conj() @ gt.T
+    return np.linalg.norm(gt, axis=1), vt.T
 
 
 def _eigensystem(vals: np.ndarray, vecs: np.ndarray) -> EigenSystem:
@@ -388,7 +465,8 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSyst
     Parameters
     ----------
     m : OperatorMatrix
-        Hermitian input; checked first, NotHermitian on failure.
+        Hermitian input; checked first, ScaleLimit past an entry of 2^128
+        and NotHermitian on failure.
     tol : Tolerances, optional
         Convergence target is ``atol * (1 + ||M||_F)``.
 
@@ -398,6 +476,7 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSyst
         Real eigenvalues (imaginary parts zeroed) in ascending order.
     """
     tol = _resolve(tol)
+    _refuse_past_scale_limit(m)
     if not is_hermitian(m, tol):
         raise NotHermitian("hermitian_eig requires a Hermitian matrix")
     return _eigensystem(*_jacobi_hermitian(m.array, tol.atol))
@@ -448,10 +527,11 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     and the joint eigenvalue of a vector is its H Rayleigh quotient plus
     i times its K eigenvalue.
 
-    Raises NotNormal when the commutator test fails and NoConvergence
-    when a Jacobi stage stalls.
+    Raises ScaleLimit past an entry of 2^128, NotNormal when the
+    commutator test fails and NoConvergence when a Jacobi stage stalls.
     """
     tol = _resolve(tol)
+    _refuse_past_scale_limit(m)
     if not is_normal(m, tol):
         raise NotNormal("normal_eig requires a normal matrix")
     a = m.array
@@ -478,93 +558,21 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
 
 
 def op_norm_2(m: OperatorMatrix, tol: Tolerances | None = None) -> float:
-    """Spectral norm, the largest singular value.
-
-    Hermitian inputs use their own eigenvalues; general inputs go through
-    ``_norm_in_frame`` in the identity frame.  Both paths run through the
-    Jacobi eigensolver, on a copy scaled by a power of two when an entry
-    is large enough for a norm to overflow.
-    """
-    tol = _resolve(tol)
-    a, e = _power_of_two_scaled(m.array)
-    m = OperatorMatrix(a) if e else m
-    if not is_hermitian(m, tol):
-        return float(np.ldexp(_norm_in_frame(m, None, tol), e))
-    vals, _ = _jacobi_hermitian(m.array, tol.atol)
-    return float(np.ldexp(np.max(np.abs(vals)), e))
+    """Spectral norm, the largest singular value, from ``_norm_in_frame``."""
+    return _norm_in_frame(m, None, tol)
 
 
 def _norm_in_frame(m: OperatorMatrix, frame: np.ndarray | None = None,
                    tol: Tolerances | None = None) -> float:
-    """Spectral norm ``sqrt(lambda_max(G* G))`` with ``G = M V``.
+    """Spectral norm, the top singular value of ``M V`` for any unitary V.
 
-    Any unitary ``frame`` V gives ||M||_2, for Hermitian and general M
-    alike; None stands for the identity.  When V nearly diagonalizes
-    M*M, as an eigenbasis of (I + M*M)^(-1) does, the Gram matrix starts
-    at rounding level off its diagonal and the Jacobi solve converges in
-    a few sweeps (Henrici 1958); a poorer frame costs sweeps, not
-    accuracy.
+    None stands for the identity.  A frame of nearly right singular
+    vectors of M leaves a one-sided solve of a few sweeps; a poorer frame
+    costs sweeps, not accuracy.  M is scaled by a power of two first
+    when an entry is large enough for a norm to overflow.
     """
     tol = _resolve(tol)
     a, e = _power_of_two_scaled(m.array)
     g = a if frame is None else a @ frame
-    vals, _ = _jacobi_hermitian(g.conj().T @ g, tol.atol)
-    return float(np.ldexp(np.sqrt(max(float(vals.max()), 0.0)), e))
-
-
-def _cholesky_lower(matrix: np.ndarray, atol: float) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive definite array."""
-    n = matrix.shape[0]
-    lower = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        pivot = matrix[j, j].real - float(np.sum(np.abs(lower[j, :j]) ** 2))
-        if pivot <= atol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} is not above {atol:.3e}"
-            )
-        ljj = np.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            rest = matrix[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j].conj()
-            lower[j + 1:, j] = rest / ljj
-    return lower
-
-
-def _solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = lower.shape[0]
-    y = np.zeros_like(rhs)
-    for i in range(n):
-        y[i] = (rhs[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    return y
-
-
-def _solve_upper_adjoint(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Solves L* x = rhs with L lower triangular.
-    n = lower.shape[0]
-    x = np.zeros_like(rhs)
-    for i in range(n - 1, -1, -1):
-        x[i] = (rhs[i] - lower[i + 1:, i].conj() @ x[i + 1:]) / lower[i, i].conj()
-    return x
-
-
-def hpd_solve(m: OperatorMatrix, rhs: OperatorMatrix,
-              tol: Tolerances | None = None) -> OperatorMatrix:
-    """Solve ``M X = RHS`` for Hermitian positive definite M.
-
-    Factors ``M = L L*`` by Cholesky elimination and applies forward and
-    back substitution columnwise.  Raises NotPositiveDefinite when a
-    pivot is at or below ``atol`` and NotHermitian when M fails the
-    Hermitian test.
-    """
-    tol = _resolve(tol)
-    if m.dim != rhs.dim:
-        raise DimensionMismatch(
-            f"matrix dimension {m.dim} does not match right-hand side {rhs.dim}"
-        )
-    if not is_hermitian(m, tol):
-        raise NotHermitian("hpd_solve requires a Hermitian matrix")
-    work = (m.array + m.array.conj().T) / 2.0
-    lower = _cholesky_lower(work, tol.atol)
-    y = _solve_lower(lower, np.array(rhs.array, copy=True))
-    x = _solve_upper_adjoint(lower, y)
-    return OperatorMatrix(x)
+    sigma, _ = _jacobi_one_sided(g, tol.atol)
+    return float(np.ldexp(sigma.max(), e))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
 from .linalg import (
+    EigenSystem,
     OperatorMatrix,
     Tolerances,
     _resolve,
@@ -188,13 +189,17 @@ def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> Spectra
     underlying eigendecomposition.
     """
     tol = _resolve(tol)
-    es = normal_eig(m, tol)
+    return _clustered_measure(normal_eig(m, tol), tol)
+
+
+def _clustered_measure(es: EigenSystem, tol: Tolerances) -> SpectralMeasure:
+    """Measure of a unitary diagonalization, clusters merged into atoms."""
     vals = es.eigenvalues
     radius = tol.cluster_radius(float(np.max(np.abs(vals))))
     clusters = cluster_points(vals, radius)
     points = np.array([vals[c].mean() for c in clusters])
     bases = tuple(es.unitary.array[:, c] for c in clusters)
-    return SpectralMeasure(m.dim, points, bases=bases)
+    return SpectralMeasure(es.dim, points, bases=bases)
 
 
 def _measure_in_frame(m: OperatorMatrix, frame: np.ndarray,

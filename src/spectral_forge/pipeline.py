@@ -9,34 +9,34 @@ surviving joint atoms satisfy w / t = z for the corresponding
 eigenvalue z of T, so the pushforward reassembles T's own measure.
 A direct diagonalization of T is kept only as an optional cross check.
 
-Exactly one Jacobi solve starts cold, the one for E_A.  Since T, A and
-B share eigenvectors, A's eigenframe V nearly diagonalizes T*T and B:
-||T||_2 is read off the Gram matrix of T V and E_B off V* B V, two warm
-solves of matrices unitarily similar to their targets, which converge
-in a few sweeps and would reach the same answer from any frame.
+Exactly one Jacobi solve starts cold: the one-sided solve T V = U S.
+It gives A = V diag(1/(1 + s^2)) V*, B = T A, E_A (the weights
+1/(1 + s^2) on the columns of V) and ||T||_2 = max s.  Since T, A and
+B share eigenvectors, V nearly diagonalizes B, so E_B is solved warm as
+V* B V, a matrix unitarily similar to B that converges in a few sweeps
+and would reach the same answer from any frame.
 
-Accuracy degrades with the square of the operator norm once ||T||
-passes 1e2 (the reciprocal map amplifies first-factor errors by
-1 + |z|^2), which is why the pipeline refuses inputs beyond 1e6 unless
-forced; the tolerance schedule below encodes exactly that growth.  The
-guard needs no solve below the limit: ||T||_2 <= ||T||_F, so only an
-input whose Frobenius norm passes ``NORM_LIMIT`` gets a cold
-``op_norm_2`` to decide the refusal.
+E_A's weights keep the relative accuracy of the singular values, but
+the pushforward divides E_B's points, whose errors are absolute, by
+them, amplifying those errors by 1 + |z|^2.  So accuracy degrades with
+the squared norm past 1e2, which is why the pipeline refuses inputs
+beyond 1e6 unless forced (reading ||T||_2 off the same solve, before
+the normality test); the tolerance schedule below encodes that growth.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import Decomposition, _bounded_pair
-from .errors import NotCommuting, ScaleLimit, SingularWeightWarning
-from .linalg import (OperatorMatrix, Tolerances, _norm_in_frame, _resolve,
-                     frobenius, op_norm_2)
-from .measures import (PVM_FACTOR, SpectralMeasure, _measure_in_frame,
-                       pvm_from_normal, pvm_integrate)
+from .decomposition import Decomposition, _bounded_pair, _require_normal
+from .errors import ScaleLimit, SingularWeightWarning
+from .linalg import (_EPS, OperatorMatrix, Tolerances,
+                     _refuse_past_scale_limit, _resolve, frobenius)
+from .measures import (PVM_FACTOR, SpectralMeasure, _clustered_measure,
+                       _measure_in_frame, pvm_from_normal, pvm_integrate)
 from .product import (SINGULAR_MARGIN, ProductMeasure, inverse_weight,
                       product_measure, pushforward)
 from .report import VerificationReport
@@ -81,15 +81,18 @@ class PipelineResult:
     direct_measure: SpectralMeasure | None = None
 
 
-def _realified(e: SpectralMeasure, atol: float) -> SpectralMeasure:
-    """Zero the imaginary parts of near-real atom points."""
-    drift = float(np.max(np.abs(e.points.imag)))
-    if drift > atol:
-        raise NotCommuting(
-            f"first-factor measure has imaginary drift {drift:.3e} beyond {atol:.3e}"
-        )
-    return SpectralMeasure(e.dim, e.points.real.astype(np.complex128),
-                           bases=e.bases, projections=e.projections)
+def _b_tolerance(t: OperatorMatrix, a: OperatorMatrix, b: OperatorMatrix,
+                 tol: Tolerances) -> Tolerances:
+    """``tol`` with the relative normality budget that B = T A can meet.
+
+    Computed, B carries an absolute error of about n eps ||T||_F ||A||_F
+    whatever its own size, so its normality defect relative to ||B||_F^2
+    reaches 2 n eps ||T||_F ||A||_F / ||B||_F, past rel(n) from ||T||
+    of about 1e3 on spectra that contain 0.  B = 0 only when T = 0.
+    """
+    fro_b = frobenius(b)
+    floor = 2 * t.dim * _EPS * frobenius(t) * frobenius(a) / fro_b if fro_b else 0.0
+    return replace(tol, rtol=max(tol.rel(t.dim), floor))
 
 
 def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
@@ -97,26 +100,21 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
                      force_scale: bool = False) -> PipelineResult:
     """Resolve a normal operator into a discrete spectral measure.
 
-    One Jacobi solve starts cold, E_A = ``pvm_from_normal(A)``.  Its
-    stacked basis V is the frame for the other two: ``source_norm`` is
-    the square root of the top eigenvalue of (T V)*(T V), and E_B is the
-    measure of V* B V with its bases rotated back by V.  The norm guard
-    runs first and solves nothing while ``||T||_F <= NORM_LIMIT``;
-    past that it refuses on a cold ``op_norm_2`` above the limit.
+    The route of the module docstring; E_B's bases are rotated back by V.
 
     Parameters
     ----------
     t : OperatorMatrix
-        Normal input.  NotNormal is raised otherwise, while building the
-        pair; since the norm guard runs first, a non-normal input whose
-        norm exceeds ``NORM_LIMIT`` raises ScaleLimit instead unless
-        forced.
+        Normal input.  NotNormal is raised otherwise; since the norm
+        guard runs first, a non-normal input whose norm exceeds
+        ``NORM_LIMIT`` raises ScaleLimit instead unless forced.
     tol : Tolerances, optional
     direct_check : bool
         Also diagonalize T directly and fold the atom-matching residuals
         into the report.
     force_scale : bool
-        Proceed past the ``NORM_LIMIT`` conditioning refusal.
+        Proceed past the ``NORM_LIMIT`` conditioning refusal.  An entry
+        past 2^128 is refused even so, as I + T*T would overflow.
 
     Returns
     -------
@@ -127,21 +125,18 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     """
     tol = _resolve(tol)
     n = t.dim
-    fro_t = frobenius(t)
-    if fro_t > NORM_LIMIT and not force_scale:
-        norm = op_norm_2(t, tol)
-        if norm > NORM_LIMIT:
-            raise ScaleLimit(
-                f"operator norm {norm:.3e} exceeds {NORM_LIMIT:.0e}; "
-                "the reciprocal map would amplify atom errors beyond recovery "
-                "(pass force_scale=True to proceed anyway)"
-            )
-    a, b = _bounded_pair(t, tol)
-    e1 = _realified(pvm_from_normal(a, tol), tol.atol)
-    frame = e1.stacked_basis()
-    source_norm = _norm_in_frame(t, frame, tol)
-    e2 = _measure_in_frame(b, frame, tol)
-    del frame  # one n x n array fewer under product_measure's peak
+    a, b, es_a, source_norm = _bounded_pair(t, tol)
+    if source_norm > NORM_LIMIT and not force_scale:
+        raise ScaleLimit(
+            f"operator norm {source_norm:.3e} exceeds {NORM_LIMIT:.0e}; "
+            "the reciprocal map would amplify atom errors beyond recovery "
+            "(pass force_scale=True to proceed anyway)"
+        )
+    _refuse_past_scale_limit(t)
+    _require_normal(t, tol)
+    e1 = _clustered_measure(es_a, tol)
+    e2 = _measure_in_frame(b, es_a.unitary.array, _b_tolerance(t, a, b, tol))
+    del es_a  # one n x n array fewer under product_measure's peak
     d = Decomposition(a, b, source_norm)
     prod = product_measure(e1, e2, tol)
     eps_sing = SINGULAR_MARGIN * (1.0 + e1.support_radius)
@@ -157,7 +152,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         ("atom_count", float(measure.num_atoms), float(n),
          1 <= measure.num_atoms <= n),
         ("reconstruction", recon,
-         pipeline_tolerance(n, source_norm, tol) * (1.0 + fro_t)),
+         pipeline_tolerance(n, source_norm, tol) * (1.0 + frobenius(t))),
         ("e2_support_excess", max(0.0, e2.support_radius - 0.5),
          PVM_FACTOR * tol.rel(n)),
         ("singular_weight_atoms", float(singular_hits), 0.0),

@@ -209,8 +209,7 @@ def test_criterion_3_uniform_norm_bounds(corpus, decomps):
             if s == 1.0:
                 d = base
             else:
-                d = decompose(OperatorMatrix(s * t.array),
-                              source_norm=s * base.source_norm)
+                d = decompose(OperatorMatrix(s * t.array))
             na = float(np.linalg.norm(d.a.array, 2))
             nb = float(np.linalg.norm(d.b.array, 2))
             if na > 1.0 + 1e-9:

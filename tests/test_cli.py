@@ -410,3 +410,33 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command,
     code, _, err = run([command] + args + flag, capsys)
     assert code == 2
     assert "unrecognized arguments: " + " ".join(flag) in err
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e300"])
+@pytest.mark.parametrize("kind", [["momentum_1d"],
+                                  ["random_normal", "--seed", "2"]],
+                         ids=["momentum_1d", "random_normal"])
+def test_every_command_past_squared_overflow(tmp_path, capsys, kind, scale):
+    # squares of these entries overflow: each command refuses with a
+    # ScaleLimit (exit 3) or succeeds, and no numpy overflow warning
+    # reaches stderr
+    import warnings
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", *kind, "--dim", "4",
+                 "--scale", scale)
+    refusals = {
+        "decompose": "passes 2^128",
+        "spectrum": "passes 2^128",
+        "pipeline": "exceeds 1e+06",
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command, message in refusals.items():
+            code, _, err = run([command, "--input", t], capsys)
+            assert code == 3 and message in err, (command, err)
+            assert "RuntimeWarning" not in err
+        code, _, err = run(["pipeline", "--input", t, "--force-scale"], capsys)
+        assert code == 3 and "passes 2^128" in err, err
+        code, out, err = run(["verify", "--dir", str(tmp_path), "--input", t],
+                             capsys)
+        assert code == 0 and "skipped (operator matrix)" in out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

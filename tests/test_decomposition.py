@@ -140,11 +140,20 @@ def test_verify_dimension_mismatch():
         verify(t2, d3)
 
 
-def test_source_norm_override_is_used():
-    t = OperatorMatrix(np.diag([2.0, 1.0]))
-    d = decompose(t, source_norm=2.0)
-    assert d.source_norm == 2.0
-    assert op_norm_2(t) == pytest.approx(2.0)
+def test_source_norm_comes_from_the_pair_solve(monkeypatch):
+    # the one-sided solve that gives A and B also gives ||T||_2
+    from spectral_forge import decomposition
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose ran a separate norm solve")
+
+    monkeypatch.setattr(decomposition, "op_norm_2", refuse)
+    assert decompose(OperatorMatrix(np.diag([2.0, 1.0]))).source_norm == 2.0
+    for seed in (1, 2, 3):
+        t = generate(OperatorSpec("random_normal", dim=12, scale=40.0,
+                                  seed=seed))
+        oracle = np.linalg.norm(t.array, 2)
+        assert abs(decompose(t).source_norm - oracle) <= 1e-13 * oracle
 
 
 def test_verify_norm_comes_from_its_own_eigenframe(monkeypatch):
@@ -167,3 +176,36 @@ def test_verify_norm_comes_from_its_own_eigenframe(monkeypatch):
     rel = 1e-10 * t.dim
     assert report.tolerances["injectivity_margin"] == pytest.approx(
         1.0 / (1.0 + cold * cold) - rel, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [32, 96])
+@pytest.mark.parametrize("kind", ["momentum_1d", "laplacian_1d"])
+def test_pair_weights_are_relative_accurate_at_every_norm(kind, n):
+    # the weights 1/(1 + s^2) of A against the closed-form spectrum; a
+    # solve of the formed I + T*T loses eps ||T||^2 of their relative
+    # accuracy, 1e-4 at ||T|| = 1e6
+    from spectral_forge.decomposition import _bounded_pair
+    from spectral_forge.linalg import DEFAULT_TOLERANCES
+    eps = np.finfo(np.float64).eps
+    k = np.arange(n)
+    for norm in (1e2, 1e4, 1e5, 1e6):
+        if kind == "momentum_1d":
+            # eigenvalues -norm sin(2 pi k / n), 0 among them
+            scale = norm
+            z = scale * np.sin(2 * np.pi * k / n)
+            bound = 4 * n * eps
+        else:
+            # eigenvalues 4 scale sin^2((k + 1) pi / (2 (n + 1))); an eps
+            # relative change of the diagonal moves the smallest by
+            # eps kappa / 2 relative to itself, so no backward stable
+            # solve promises better than about eps kappa for it
+            scale = norm / 4
+            z = 4 * scale * np.sin((k + 1) * np.pi / (2 * (n + 1))) ** 2
+            bound = max(4 * n, 2 * z.max() / z.min()) * eps
+        t = generate(OperatorSpec(kind, dim=n, scale=scale))
+        _, _, es, source_norm = _bounded_pair(t, DEFAULT_TOLERANCES)
+        want = np.sort(1.0 / (1.0 + z * z))
+        got = es.eigenvalues.real
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.max(np.abs(got - want) / want) <= bound, (norm, bound)
+        assert abs(source_norm - z.max()) <= 4 * n * eps * z.max()

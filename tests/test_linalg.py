@@ -7,7 +7,6 @@ from spectral_forge.errors import (
     NonFiniteValue,
     NotHermitian,
     NotNormal,
-    NotPositiveDefinite,
 )
 from spectral_forge.linalg import (
     OperatorMatrix,
@@ -15,7 +14,6 @@ from spectral_forge.linalg import (
     cluster_points,
     frobenius,
     hermitian_eig,
-    hpd_solve,
     is_hermitian,
     is_normal,
     normal_eig,
@@ -297,46 +295,65 @@ def test_op_norm_2_against_numpy(n):
     assert op_norm_2(m) == pytest.approx(oracle, rel=1e-9)
 
 
-def test_hpd_solve_multiply_back():
-    rng = np.random.default_rng(5)
-    n = 8
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a = OperatorMatrix(g @ g.conj().T + np.eye(n))
-    rhs = OperatorMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    x = hpd_solve(a, rhs)
-    assert np.linalg.norm(a.array @ x.array - rhs.array) < 1e-10
-    oracle = np.linalg.solve(a.array, rhs.array)
-    assert np.linalg.norm(x.array - oracle) < 1e-10
-
-
-def test_hpd_solve_identity_inverse():
-    a = OperatorMatrix(np.diag([4.0, 1.0]))
-    inv = hpd_solve(a, OperatorMatrix.identity(2))
-    np.testing.assert_allclose(inv.array, np.diag([0.25, 1.0]), atol=1e-14)
-
-
-def test_hpd_solve_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        hpd_solve(OperatorMatrix(np.diag([1.0, -1.0])),
-                  OperatorMatrix.identity(2))
-    # eigenvalues 3 and -1
-    with pytest.raises(NotPositiveDefinite):
-        hpd_solve(OperatorMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
-                  OperatorMatrix.identity(2))
-
-
-def test_hpd_solve_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hpd_solve(OperatorMatrix(np.array([[1, 1], [0, 1]], dtype=complex)),
-                  OperatorMatrix.identity(2))
-
-
-def test_hpd_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        hpd_solve(OperatorMatrix.identity(2), OperatorMatrix.identity(3))
-
-
 def test_frobenius_matches_numpy():
     rng = np.random.default_rng(1)
     g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     assert frobenius(OperatorMatrix(g)) == pytest.approx(np.linalg.norm(g))
+
+
+def test_one_sided_budget_exhaustion():
+    from spectral_forge.linalg import _jacobi_one_sided
+    m = np.array([[1, 1], [0, 1]], dtype=complex)
+    with pytest.raises(NoConvergence,
+                       match="sweep budget of 0 rotations exhausted"):
+        _jacobi_one_sided(m, 1e-14, rotation_budget=0)
+
+
+def test_one_sided_graded_relative_accuracy():
+    # 2x2 blocks at scales 1 down to 1e-12, mixed by a unitary on the
+    # left and permuted on the right: numpy's svd of the whole matrix is
+    # accurate only to eps times the largest singular value, but block
+    # by block, where each factor is well conditioned, it is accurate
+    # relative to each singular value
+    from spectral_forge.linalg import _jacobi_one_sided
+    rng = np.random.default_rng(5)
+    scales = [1.0, 1e-4, 1e-8, 1e-12]
+    n = 2 * len(scales)
+    x = np.zeros((n, n), dtype=complex)
+    want = []
+    for i, s in enumerate(scales):
+        c = np.eye(2) + 0.5 * (rng.normal(size=(2, 2))
+                               + 1j * rng.normal(size=(2, 2)))
+        x[2 * i:2 * i + 2, 2 * i:2 * i + 2] = s * c
+        want += list(s * np.linalg.svd(c, compute_uv=False))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    g = (q @ x)[:, rng.permutation(n)]
+    sigma, v = _jacobi_one_sided(g, 1e-12)
+    want = np.sort(want)
+    rel = np.abs(np.sort(sigma) - want) / want
+    assert rel.max() <= 8 * n * np.finfo(np.float64).eps
+    whole = np.sort(np.linalg.svd(g, compute_uv=False))
+    assert (np.abs(whole - want) / want).max() > 1e3 * rel.max()
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-13
+
+
+@pytest.mark.parametrize("m", [
+    [[2, 1j, 0], [-1j, 3, 1], [0, 1, -1]],
+    [[0, -1, 0], [1, 0, 0], [0, 0, 2j]],
+    [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+], ids=["hermitian", "normal", "non-normal"])
+def test_structure_tests_are_scale_invariant(m):
+    base = OperatorMatrix(np.array(m, dtype=complex))
+    verdicts = {(is_hermitian(OperatorMatrix(s * base.array)),
+                 is_normal(OperatorMatrix(s * base.array)))
+                for s in 10.0 ** np.arange(-20, 21)}
+    assert verdicts == {(is_hermitian(base), is_normal(base))}
+
+
+def test_tiny_non_hermitian_matrix_is_not_hermitian():
+    # an absolute floor in the Hermitian test once passed this matrix,
+    # and op_norm_2 then read it off the wrong eigenvalues as 5e-14
+    m = OperatorMatrix(np.array([[0, 1e-13], [0, 0]], dtype=complex))
+    with pytest.raises(NotHermitian):
+        hermitian_eig(m)
+    assert op_norm_2(m) == 1e-13
