@@ -8,11 +8,12 @@ consists of a Hermitian positive definite A with ||A|| <= 1 and a
 normal B with ||B|| <= 1/2 that commute, and T is recovered as
 A^(-1) B.  At finite dimension A T equals B exactly (in the unbounded
 setting the product is only contained in B).  ``decompose`` builds the
-pair from one one-sided Jacobi solve T V = U S: A = V diag(1/(1 + s^2)) V*,
-whose weights keep the relative accuracy of the singular values s at
-every norm, and ||T||_2 = max s.  ``verify`` checks the pair against
-the exactly known I + T*T through the residual (I + T*T) B - T, which
-shares nothing with that solve.
+pair from one one-sided Jacobi solve T V = U S.  With the weights
+W = diag(1/(1 + s^2)), whose relative accuracy is that of the singular
+values s at every norm, A = V W V* and B = V W^(1/2) (V* T V) W^(1/2) V*,
+which equals T A because A and T commute; ||T||_2 = max s.  ``verify``
+checks the pair against the exactly known I + T*T through the residual
+(I + T*T) B - T, which shares nothing with that solve.
 """
 
 from __future__ import annotations
@@ -22,10 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormal
-from .linalg import (EigenSystem, OperatorMatrix, Tolerances, _eigensystem,
-                     _jacobi_one_sided, _norm_in_frame, _power_of_two_scaled,
-                     _refuse_past_scale_limit, _resolve, hermitian_eig,
-                     is_hermitian, is_normal, op_norm_2)
+from .linalg import (
+    EigenSystem,
+    OperatorMatrix,
+    Tolerances,
+    _eigensystem,
+    _jacobi_one_sided,
+    _norm_in_frame,
+    _power_of_two_scaled,
+    _refuse_past_scale_limit,
+    _resolve,
+    hermitian_eig,
+    is_hermitian,
+    is_normal,
+    op_norm_2,
+)
 from .report import VerificationReport
 
 __all__ = ["Decomposition", "decompose", "verify", "norm_bounds"]
@@ -63,11 +75,13 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
                   ) -> tuple[OperatorMatrix, OperatorMatrix, EigenSystem, float]:
     """``(A, B, E, ||T||_2)`` from one one-sided Jacobi solve of T.
 
-    With T V = U S, A = V diag(1/(1 + s^2)) V*, B = T A, and E is A's
-    eigensystem, the weights 1/(1 + s^2) ascending on the columns of V.
-    T is scaled by a power of two first when an entry is large enough
-    for a norm to overflow, and an s whose square overflows gets weight
-    0.  Normality is not tested here.
+    With T V = U S and W the weights 1/(1 + s^2), E is A's eigensystem
+    (W ascending on the columns of V), A = V W V* and
+    B = V W^(1/2) (V* T V) W^(1/2) V*.  V* T V carries rounding of about
+    eps ||T|| per entry: formed as T A, B would keep it unweighted, and
+    ||[A, B]|| would reach eps ||T||.  T is scaled by a power of two
+    first when a norm of it would leave the float range, and an s whose
+    square overflows gets weight 0.  Normality is not tested here.
     """
     scaled, e = _power_of_two_scaled(t.array)
     sigma, v = _jacobi_one_sided(scaled, tol.atol)
@@ -76,8 +90,11 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
         weights = 1.0 / (1.0 + sigma * sigma)
     es = _eigensystem(weights, v)
     u = es.unitary.array
-    a = OperatorMatrix((u * es.eigenvalues.real) @ u.conj().T)
-    return a, OperatorMatrix(t.array @ a.array), es, float(sigma.max())
+    w = es.eigenvalues.real
+    # sqrt(w_i w_j), exactly w_i on the diagonal
+    b_local = (u.conj().T @ (t.array @ u)) * np.sqrt(np.outer(w, w))
+    a = OperatorMatrix((u * w) @ u.conj().T)
+    return a, OperatorMatrix(u @ b_local @ u.conj().T), es, float(sigma.max())
 
 
 def decompose(t: OperatorMatrix, tol: Tolerances | None = None) -> Decomposition:

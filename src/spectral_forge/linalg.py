@@ -49,8 +49,9 @@ _TINY_PIVOT = float(np.finfo(np.float64).tiny)
 # Machine epsilon of float64, the scale of the Jacobi stopping test.
 _EPS = float(np.finfo(np.float64).eps)
 
-# Largest entry that norms and Gram products take unscaled: 2^128
-# leaves their sums of squares far inside the float range.
+# Largest entry that norms and Gram products take unscaled, and the
+# reciprocal of the smallest peak: 2^128 leaves their sums of squares
+# far inside the float range.
 _SCALE_LIMIT = 2.0 ** 128
 
 
@@ -192,14 +193,15 @@ def adjoint(m: OperatorMatrix) -> OperatorMatrix:
 
 
 def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(a 2^-e, e)``, with e = 0 unless an entry passes ``_SCALE_LIMIT``.
+    """``(a 2^-e, e)``, e = 0 for a peak entry of 0 or in ``[2^-128, 2^128]``.
 
     Norms and Gram products square the entries, which overflows past
-    about 1e154; a power of two scales without rounding, and the Jacobi
-    rotations commute with it, so only the exponent is carried.
+    about 1e154 and underflows below about 1e-154; a power of two scales
+    without rounding, and the Jacobi rotations commute with it, so only
+    the exponent is carried.
     """
     peak = float(np.max(np.abs(a.view(np.float64))))
-    if peak <= _SCALE_LIMIT:
+    if peak == 0.0 or 1.0 / _SCALE_LIMIT <= peak <= _SCALE_LIMIT:
         return a, 0
     e = int(np.frexp(peak)[1])
     return np.ldexp(a.view(np.float64), -e).view(np.complex128), e
@@ -523,9 +525,10 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
 
     Writes ``M = H + iK`` with ``H = (M + M*)/2`` and ``K = (M - M*)/(2i)``,
     which commute exactly when M is normal.  H is diagonalized first;
-    K is then diagonalized inside each cluster of nearby H eigenvalues,
-    and the joint eigenvalue of a vector is its H Rayleigh quotient plus
-    i times its K eigenvalue.
+    K is then diagonalized inside each cluster of nearby H eigenvalues
+    whose K block has off-diagonal mass above ``n eps ||M||_F``, and the
+    joint eigenvalue of a vector is its H Rayleigh quotient plus i times
+    its K eigenvalue.
 
     Raises ScaleLimit past an entry of 2^128, NotNormal when the
     commutator test fails and NoConvergence when a Jacobi stage stalls.
@@ -544,10 +547,17 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     k = (a - a.conj().T) / 2.0j
     vals = np.empty(n, dtype=np.complex128)
     vecs = np.empty((n, n), dtype=np.complex128)
+    # a K block whose off-diagonal is rounding of M keeps H's vectors:
+    # rotating on it would mix the H values of a chained cluster at random
+    noise = n * _EPS * np.linalg.norm(a)
     col = 0
     for cluster in cluster_points(h_vals.astype(np.complex128), radius):
         basis = h_vecs[:, cluster]
-        k_vals, k_vecs = _jacobi_hermitian(basis.conj().T @ k @ basis, tol.atol)
+        kb = basis.conj().T @ k @ basis
+        if np.linalg.norm(kb - np.diag(kb.diagonal())) <= noise:
+            k_vals, k_vecs = kb.diagonal().real, np.eye(cluster.size)
+        else:
+            k_vals, k_vecs = _jacobi_hermitian(kb, tol.atol)
         cols = slice(col, col + cluster.size)
         # Rayleigh quotient of H per joint vector; within a cluster the
         # weights are |k_vecs|^2 column sums against the member h values.

@@ -10,11 +10,12 @@ eigenvalue z of T, so the pushforward reassembles T's own measure.
 A direct diagonalization of T is kept only as an optional cross check.
 
 Exactly one Jacobi solve starts cold: the one-sided solve T V = U S.
-It gives A = V diag(1/(1 + s^2)) V*, B = T A, E_A (the weights
-1/(1 + s^2) on the columns of V) and ||T||_2 = max s.  Since T, A and
-B share eigenvectors, V nearly diagonalizes B, so E_B is solved warm as
-V* B V, a matrix unitarily similar to B that converges in a few sweeps
-and would reach the same answer from any frame.
+It gives the weights W = diag(1/(1 + s^2)), A = V W V*, B = T A formed
+as V W^(1/2) (V* T V) W^(1/2) V*, E_A (W on the columns of V) and
+||T||_2 = max s.  Since T, A and B share eigenvectors, V nearly
+diagonalizes B, so E_B is solved warm as V* B V, a matrix unitarily
+similar to B that converges in a few sweeps and would reach the same
+answer from any frame.
 
 E_A's weights keep the relative accuracy of the singular values, but
 the pushforward divides E_B's points, whose errors are absolute, by
@@ -27,14 +28,14 @@ the normality test); the tolerance schedule below encodes that growth.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decomposition import Decomposition, _bounded_pair, _require_normal
 from .errors import ScaleLimit, SingularWeightWarning
-from .linalg import (_EPS, OperatorMatrix, Tolerances,
-                     _refuse_past_scale_limit, _resolve, frobenius)
+from .linalg import (OperatorMatrix, Tolerances, _refuse_past_scale_limit,
+                     _resolve, frobenius)
 from .measures import (PVM_FACTOR, SpectralMeasure, _clustered_measure,
                        _measure_in_frame, pvm_from_normal, pvm_integrate)
 from .product import (SINGULAR_MARGIN, ProductMeasure, inverse_weight,
@@ -81,20 +82,6 @@ class PipelineResult:
     direct_measure: SpectralMeasure | None = None
 
 
-def _b_tolerance(t: OperatorMatrix, a: OperatorMatrix, b: OperatorMatrix,
-                 tol: Tolerances) -> Tolerances:
-    """``tol`` with the relative normality budget that B = T A can meet.
-
-    Computed, B carries an absolute error of about n eps ||T||_F ||A||_F
-    whatever its own size, so its normality defect relative to ||B||_F^2
-    reaches 2 n eps ||T||_F ||A||_F / ||B||_F, past rel(n) from ||T||
-    of about 1e3 on spectra that contain 0.  B = 0 only when T = 0.
-    """
-    fro_b = frobenius(b)
-    floor = 2 * t.dim * _EPS * frobenius(t) * frobenius(a) / fro_b if fro_b else 0.0
-    return replace(tol, rtol=max(tol.rel(t.dim), floor))
-
-
 def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
                      direct_check: bool = False,
                      force_scale: bool = False) -> PipelineResult:
@@ -135,7 +122,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     _refuse_past_scale_limit(t)
     _require_normal(t, tol)
     e1 = _clustered_measure(es_a, tol)
-    e2 = _measure_in_frame(b, es_a.unitary.array, _b_tolerance(t, a, b, tol))
+    e2 = _measure_in_frame(b, es_a.unitary.array, tol)
     del es_a  # one n x n array fewer under product_measure's peak
     d = Decomposition(a, b, source_norm)
     prod = product_measure(e1, e2, tol)

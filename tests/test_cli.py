@@ -40,6 +40,15 @@ def test_decompose_round(tmp_path, capsys):
     assert all(doc["report"]["pass"].values())
 
 
+def test_decompose_passes_on_a_spectrum_with_0_at_1e4(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "momentum_1d",
+                 "--dim", "12", "--scale", "1e4")
+    code, out, _ = run(["decompose", "--input", t, "--emit", "report"],
+                       capsys)
+    assert code == 0
+    assert all(json.loads(out)["pass"].values())
+
+
 def test_decompose_emit_report_only(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "multiplication",
                  "--dim", "3")

@@ -133,6 +133,20 @@ def test_decomposition_commutes():
     assert np.linalg.norm(comm) < 1e-13
 
 
+@pytest.mark.parametrize("n, norm", [(3, 4.64e4), (8, 1e4), (12, 1e4),
+                                     (32, 1e4), (12, 1e6)])
+def test_pair_commutes_to_rounding_on_a_spectrum_with_0(n, norm):
+    # V* T V holds rounding of order eps ||T|| next to the null vectors;
+    # formed as T A, B kept it unweighted, ||[A, B]|| passed the bound
+    # rel ||A||_F ||B||_F + atol from ||T|| = 1e4 and (I + T*T) B - T
+    # grew as eps ||T||^3
+    t = generate(OperatorSpec("momentum_1d", dim=n, scale=norm))
+    d = decompose(t)
+    report = verify(t, d)
+    assert report.all_passed, report.residuals
+    assert report.residuals["commutator"] <= 100 * np.finfo(float).eps
+
+
 def test_verify_dimension_mismatch():
     t2 = OperatorMatrix.identity(2)
     d3 = decompose(OperatorMatrix.identity(3))

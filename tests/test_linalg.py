@@ -261,6 +261,20 @@ def test_normal_eig_clustered_hermitian_part():
     np.testing.assert_allclose(got, [1 - 2j, 4.0, 1 + 2j], atol=1e-10)
 
 
+def test_normal_eig_keeps_a_chained_cluster_of_a_hermitian_input():
+    # seven eigenvalues 1e-9 to 9e-9 apart chain into one cluster of H;
+    # the K block there is rounding, and rotating on it once replaced
+    # them by random averages, 9e-9 off
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    q, _ = np.linalg.qr(g)
+    h = np.concatenate([2.5e-7 + np.cumsum(np.linspace(1e-9, 9e-9, 7)),
+                        np.linspace(0.1, 0.5, 5)])
+    es = normal_eig(OperatorMatrix((q * h) @ q.conj().T))
+    np.testing.assert_allclose(np.sort(es.eigenvalues.real), np.sort(h),
+                               rtol=0, atol=1e-15)
+
+
 def test_cluster_points_groups_and_order():
     pts = np.array([5.0, 0.0, 5.0 + 2e-9, 1e-9], dtype=complex)
     groups = cluster_points(pts, 1e-8)
@@ -346,7 +360,7 @@ def test_structure_tests_are_scale_invariant(m):
     base = OperatorMatrix(np.array(m, dtype=complex))
     verdicts = {(is_hermitian(OperatorMatrix(s * base.array)),
                  is_normal(OperatorMatrix(s * base.array)))
-                for s in 10.0 ** np.arange(-20, 21)}
+                for s in [*10.0 ** np.arange(-20, 21), 1e-300, 1e-170, 1e170, 1e300]}
     assert verdicts == {(is_hermitian(base), is_normal(base))}
 
 

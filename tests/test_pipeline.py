@@ -160,8 +160,8 @@ def _warm_cases(kind):
     for n in (5, 16, 32):
         for norm in WARM_NORMS:
             t = generate(OperatorSpec(kind, dim=n, scale=norm, seed=n + 3))
-            a, b, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
-            yield t, a, b, es_a.unitary.array
+            _, b, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
+            yield t, b, es_a.unitary.array
 
 
 def test_guard_skips_op_norm_2_below_frobenius_limit(monkeypatch):
@@ -180,7 +180,7 @@ def test_guard_skips_op_norm_2_below_frobenius_limit(monkeypatch):
 def test_pipeline_sweeps_once_cold(monkeypatch):
     # every sweep head of either Jacobi kernel, the one-sided kernel's
     # Gram matrices included, measures its off-diagonal mass once; the
-    # cold one-sided solve of T and the warm E_B solve take 15 here,
+    # cold one-sided solve of T and the warm E_B solve take 16 here,
     # where three cold solves of 64 x 64 matrices took 51
     heads = []
     measure = linalg._off_diagonal_norm
@@ -199,14 +199,10 @@ def test_pipeline_sweeps_once_cold(monkeypatch):
 @pytest.mark.parametrize("kind", WARM_KINDS)
 def test_warm_e2_matches_cold_measure(kind):
     eps = np.finfo(float).eps
-    for t, a, b, frame in _warm_cases(kind):
+    for t, b, frame in _warm_cases(kind):
+        warm = _measure_in_frame(b, frame)
+        cold = pvm_from_normal(b)
         n = t.dim
-        # B = T A holds rounding of order eps ||T||, which a normality
-        # test at rel(n) relative to ||B|| rejects on spectra containing
-        # 0 from 1e4 on
-        tol_b = pipeline._b_tolerance(t, a, b, DEFAULT_TOLERANCES)
-        warm = _measure_in_frame(b, frame, tol_b)
-        cold = pvm_from_normal(b, tol_b)
         assert warm.ranks == cold.ranks
         np.testing.assert_allclose(
             warm.points, cold.points, rtol=0,
@@ -217,14 +213,15 @@ def test_warm_e2_matches_cold_measure(kind):
             assert gap <= 10 * DEFAULT_TOLERANCES.rel(n)
 
 
-def test_b_is_held_to_the_normality_its_rounding_allows():
-    # B = T A carries rounding of order eps ||T|| whatever its own size:
-    # at 1e4 on a spectrum containing 0, V* B V misses a normality test
-    # at rel(n) relative to itself, and the pipeline still recovers T
+def test_b_is_normal_to_its_own_rounding_on_a_spectrum_with_0():
+    # formed as T A, B carried rounding of order eps ||T|| whatever its
+    # own size, and at 1e4 on a spectrum containing 0 V* B V missed a
+    # normality test at rel(n) relative to itself; weighted on both
+    # sides by W^(1/2), it passes, and the pipeline recovers T
     t = generate(OperatorSpec("momentum_1d", dim=4, scale=1e4))
     _, b, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
     v = es_a.unitary.array
-    assert not linalg.is_normal(OperatorMatrix(v.conj().T @ b.array @ v))
+    assert linalg.is_normal(OperatorMatrix(v.conj().T @ b.array @ v))
     res = spectral_theorem(t)
     assert res.report.all_passed, res.report.residuals
     np.testing.assert_allclose(res.spectral_measure.points,
@@ -233,7 +230,7 @@ def test_b_is_held_to_the_normality_its_rounding_allows():
 
 @pytest.mark.parametrize("kind", WARM_KINDS)
 def test_norm_in_frame_matches_op_norm_2(kind):
-    for t, _, _, frame in _warm_cases(kind):
+    for t, _, frame in _warm_cases(kind):
         cold = op_norm_2(t)
         assert abs(_norm_in_frame(t, frame) - cold) <= 1e-13 * cold
 
