@@ -3,7 +3,8 @@
 Five subcommands cover the toolkit: ``gen`` writes gallery operators,
 ``decompose`` computes and checks the bounded pair, ``spectrum``
 diagonalizes into a projection-valued measure, ``pipeline`` runs the
-full reconstruction, and ``verify`` re-checks stored artifacts.
+full reconstruction, and ``verify`` re-checks stored artifacts, each
+mapped to its parts by one classifier and checked part by part.
 
 Exit codes: 0 all checks passed, 1 a verification check failed,
 2 usage or file/parse problem, 3 numerical failure (non-normal input,
@@ -132,8 +133,8 @@ def _cmd_pipeline(args) -> int:
             "t": io.matrix_to_doc(t),
             "decomposition": io.decomposition_to_doc(None,
                                                      result.decomposition),
-            "e1": io.pvm_to_doc(result.e1),
-            "e2": io.pvm_to_doc(result.e2),
+            "e1": io.pvm_to_doc(result.e1, "A"),
+            "e2": io.pvm_to_doc(result.e2, "B"),
             "product": io.product_to_doc(result.product),
             "measure": io.pvm_to_doc(result.spectral_measure),
             "report": io.report_to_doc(report),
@@ -145,128 +146,107 @@ def _cmd_pipeline(args) -> int:
                       report)
 
 
-def _decomposition_check(doc: dict, name: str, tol: Tolerances,
-                         source: OperatorMatrix | None
-                         ) -> VerificationReport | None:
-    """Verify a stored decomposition against its own T, else ``source``.
+# Parts of an ``--emit all`` bundle, in the order ``--dir`` reports them.
+_BUNDLE_PARTS = ("decomposition", "e1", "e2", "product", "measure", "direct")
 
-    Returns None when there is neither.
+
+def _classify(doc: dict, name: str, source: OperatorMatrix | None
+              ) -> tuple[str, dict]:
+    """Map one artifact document to its checkable parts.
+
+    Returns the document's kind and ``{part: (part document, operator)}``,
+    the operator being what a decomposition without its own ``t`` and a
+    measure of T are held to: a bundle's stored ``t``, else ``source``.
+    A matrix or report file is inert: its skip message and no parts.
     """
-    t, d = io.decomposition_from_doc(doc, where=name)
-    t = t if t is not None else source
-    return None if t is None else verify(t, d, tol)
+    if "a" in doc and "b" in doc:
+        return "decomposition", {"decomposition": (doc, source)}
+    if "atoms" in doc:
+        return "measure", {"measure": (doc, source)}
+    if isinstance(doc.get("measure"), dict):
+        if isinstance(doc.get("t"), dict):
+            source = io.matrix_from_doc(doc["t"], where=name)
+        return "bundle", {key: (doc[key], source)
+                          for key in _BUNDLE_PARTS if key in doc}
+    if "entries" in doc:
+        return "skipped (operator matrix)", {}
+    if "residuals" in doc:
+        return "skipped (report artifact)", {}
+    raise ParseError(f"{name}: unrecognized artifact layout")
 
 
-def _measure_check(doc: dict, name: str, tol: Tolerances,
-                   source: OperatorMatrix | None) -> VerificationReport:
-    """Validate a stored measure, or a product measure when atoms carry t.
+def _check(part: str, doc, operator: OperatorMatrix | None, name: str,
+           tol: Tolerances) -> VerificationReport | None:
+    """Re-check one part of an artifact; None when nothing can hold it.
 
-    A measure is also held to reconstruction against ``source`` when
-    their dimensions match.
+    A decomposition is verified against its own stored ``t``, else
+    ``operator`` (None when there is neither).  Atoms carrying ``t`` make
+    a product measure.  A measure whose ``of`` is T is also held to
+    reconstruction against an ``operator`` of its dimension; measures of
+    A and B, and products, are only validated.
     """
-    atoms = doc.get("atoms")
+    if part == "decomposition":
+        t, d = io.decomposition_from_doc(doc, where=name)
+        t = t if t is not None else operator
+        return None if t is None else verify(t, d, tol)
+    atoms = doc.get("atoms") if isinstance(doc, dict) else None
     if (isinstance(atoms, list) and atoms and isinstance(atoms[0], dict)
             and "t" in atoms[0]):
         return product_validate(io.product_from_doc(doc, where=name), tol)
     e = io.pvm_from_doc(doc, where=name)
-    if source is not None and source.dim == e.dim:
-        return _pvm_report(source, e, tol)
+    if doc["of"] == "T" and operator is not None and operator.dim == e.dim:
+        return _pvm_report(operator, e, tol)
     return pvm_validate(e, tol)
-
-
-def _status(kind: str, failed: list[str]) -> tuple[str, bool]:
-    return (kind + " " + ("FAIL " + ",".join(failed) if failed else "pass"),
-            not failed)
-
-
-def _verify_one(path: str, tol: Tolerances,
-                source: OperatorMatrix | None) -> tuple[str, bool | None]:
-    """Classify one artifact file and re-check it.
-
-    Returns a status string and pass/fail (None when nothing in the
-    file is checkable).
-    """
-    doc = io.read_json(path)
-    name = os.path.basename(path)
-    if "a" in doc and "b" in doc:
-        report = _decomposition_check(doc, name, tol, source)
-        if report is None:
-            return "skipped (no source operator; pass --input)", None
-        return _status("decomposition", report.failed)
-    if "atoms" in doc:
-        return _status("measure", _measure_check(doc, name, tol, source).failed)
-    if isinstance(doc.get("measure"), dict):
-        # --emit all bundle: re-check every part that carries an
-        # invariant.  The embedded source operator, when present, is the
-        # reconstruction target of the decomposition and the measures of T.
-        src = source
-        if isinstance(doc.get("t"), dict):
-            src = io.matrix_from_doc(doc["t"], where=name)
-        reports = {}
-        if isinstance(doc.get("decomposition"), dict):
-            reports["decomposition"] = _decomposition_check(
-                doc["decomposition"], name, tol, src)
-        for key in ("e1", "e2", "product", "measure", "direct"):
-            if isinstance(doc.get(key), dict):
-                target = src if key in ("measure", "direct") else None
-                reports[key] = _measure_check(doc[key], name, tol, target)
-        checked = [k for k, r in reports.items() if r is not None]
-        return _status("bundle(" + ",".join(checked) + ")",
-                       [k for k in checked if reports[k].failed])
-    if "entries" in doc:
-        return "skipped (operator matrix)", None
-    if "residuals" in doc:
-        return "skipped (report artifact)", None
-    raise ParseError(f"{name}: unrecognized artifact layout")
 
 
 def _cmd_verify(args) -> int:
     tol = _tolerances(args)
     source = io.read_matrix(args.input) if args.input else None
-    targets: list[str] = []
+    targets = []  # (path, the part an explicit flag names, else None)
     if args.dir:
         try:
             names = sorted(os.listdir(args.dir))
         except OSError as exc:
             raise FileError(f"cannot list {args.dir}: {exc}")
-        targets.extend(os.path.join(args.dir, n) for n in names
-                       if n.endswith(".json"))
-    if args.decomposition:
-        targets.append(args.decomposition)
-    if args.pvm:
-        targets.append(args.pvm)
+        targets = [(os.path.join(args.dir, n), None) for n in names
+                   if n.endswith(".json")]
+    targets += [(path, part) for path, part in
+                ((args.decomposition, "decomposition"), (args.pvm, "measure"))
+                if path]
     if not targets:
         raise ParseError(
             "verify needs --decomposition, --pvm, or --dir")
     worst = 0
     checked = False
     last_report_doc = None
-    for path in targets:
-        if args.dir and path not in (args.decomposition, args.pvm):
-            status, ok = _verify_one(path, tol, source)
-            print(f"{os.path.basename(path)}: {status}")
-            if ok is not None:
-                checked = True
-                if not ok:
-                    worst = 1
-            continue
-        # Explicit targets print the full residual table; of an --emit all
-        # bundle, the part the flag names, against the bundle's T if stored.
-        doc = io.read_json(path)
+    for path, part in targets:
         name = os.path.basename(path)
-        src = source
-        if "atoms" not in doc and isinstance(doc.get("measure"), dict):
-            if isinstance(doc.get("t"), dict):
-                src = io.matrix_from_doc(doc["t"], where=name)
-            doc = doc.get("decomposition" if path == args.decomposition
-                          else "measure", {})
-        if path == args.decomposition:
-            report = _decomposition_check(doc, name, tol, src)
-            if report is None:
-                raise ParseError(f"{name}: stores no source operator; "
-                                 "pass --input FILE")
-        else:
-            report = _measure_check(doc, name, tol, src)
+        kind, parts = _classify(io.read_json(path), name, source)
+        if part is None:
+            # a --dir file: one status line built from its part reports
+            reports = {key: r for key in parts
+                       if (r := _check(key, *parts[key], name, tol)) is not None}
+            if not reports:
+                print(f"{name}: " + ("skipped (no source operator; pass "
+                                     "--input)" if parts else kind))
+                continue
+            if kind == "bundle":
+                kind = "bundle(" + ",".join(reports) + ")"
+                failed = [key for key, r in reports.items() if r.failed]
+            else:
+                failed = [c for r in reports.values() for c in r.failed]
+            print(f"{name}: {kind} " + ("FAIL " + ",".join(failed) if failed
+                                        else "pass"))
+            checked = True
+            worst = 1 if failed else worst
+            continue
+        # an explicit flag: the residual table of the part it names
+        if part not in parts:
+            raise ParseError(f"{name}: holds no {part} to check")
+        report = _check(part, *parts[part], name, tol)
+        if report is None:
+            raise ParseError(f"{name}: stores no source operator; "
+                             "pass --input FILE")
         checked = True
         print(name)
         for key, residual in report.residuals.items():
@@ -276,7 +256,7 @@ def _cmd_verify(args) -> int:
         if not report.all_passed:
             worst = 1
         last_report_doc = io.report_to_doc(report)
-    if not checked and worst == 0:
+    if not checked:
         print("nothing checkable found", file=sys.stderr)
     if args.output and last_report_doc is not None:
         io.write_json(last_report_doc, args.output)

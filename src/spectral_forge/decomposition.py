@@ -72,12 +72,14 @@ def _require_normal(t: OperatorMatrix, tol: Tolerances):
 
 
 def _bounded_pair(t: OperatorMatrix, tol: Tolerances
-                  ) -> tuple[OperatorMatrix, OperatorMatrix, EigenSystem, float]:
-    """``(A, B, E, ||T||_2)`` from one one-sided Jacobi solve of T.
+                  ) -> tuple[Decomposition, EigenSystem, np.ndarray]:
+    """``(D, E, V* B V)`` from one one-sided Jacobi solve of T.
 
     With T V = U S and W the weights 1/(1 + s^2), E is A's eigensystem
-    (W ascending on the columns of V), A = V W V* and
-    B = V W^(1/2) (V* T V) W^(1/2) V*.  V* T V carries rounding of about
+    (W ascending on the columns of V), D holds A = V W V*,
+    B = V W^(1/2) (V* T V) W^(1/2) V* and ||T||_2 = max s, and the last
+    entry is B's local form W^(1/2) (V* T V) W^(1/2), which a solve of
+    E_B takes as it is.  V* T V carries rounding of about
     eps ||T|| per entry: formed as T A, B would keep it unweighted, and
     ||[A, B]|| would reach eps ||T||.  T is scaled by a power of two
     first when a norm of it would leave the float range, and an s whose
@@ -93,8 +95,9 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
     w = es.eigenvalues.real
     # sqrt(w_i w_j), exactly w_i on the diagonal
     b_local = (u.conj().T @ (t.array @ u)) * np.sqrt(np.outer(w, w))
-    a = OperatorMatrix((u * w) @ u.conj().T)
-    return a, OperatorMatrix(u @ b_local @ u.conj().T), es, float(sigma.max())
+    return Decomposition(OperatorMatrix((u * w) @ u.conj().T),
+                         OperatorMatrix(u @ b_local @ u.conj().T),
+                         float(sigma.max())), es, b_local
 
 
 def decompose(t: OperatorMatrix, tol: Tolerances | None = None) -> Decomposition:
@@ -106,8 +109,7 @@ def decompose(t: OperatorMatrix, tol: Tolerances | None = None) -> Decomposition
     tol = _resolve(tol)
     _refuse_past_scale_limit(t)
     _require_normal(t, tol)
-    a, b, _, norm = _bounded_pair(t, tol)
-    return Decomposition(a, b, norm)
+    return _bounded_pair(t, tol)[0]
 
 
 def verify(t: OperatorMatrix, d: Decomposition,

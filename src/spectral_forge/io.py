@@ -5,7 +5,9 @@ the shortest text that reads back to the same double, so a write/read
 cycle reproduces every double bit for bit, and keys in a fixed order so
 identical inputs give byte-identical files.  Complex numbers are [real,
 imaginary] pairs; matrices store row-major entry lists under their
-dimension.
+dimension.  A measure document is ``{"dim", "of", "atoms"}``: ``of``
+names the operator it resolves (``"T"``, ``"A"`` or ``"B"``) and each
+atom is a ``point`` with its ``projection``.
 """
 
 from __future__ import annotations
@@ -172,23 +174,25 @@ def _read_atoms(doc: dict, where: str, head: tuple) -> tuple:
     return dim, list(zip(*rows)), tuple(projections)
 
 
-def pvm_to_doc(e: SpectralMeasure) -> dict:
+def pvm_to_doc(e: SpectralMeasure, of: str = "T") -> dict:
     atoms = [{"point": [point.real, point.imag],
-              "projection": matrix_to_doc(e.projection(i)),
-              "rank": rank}
-             for i, (point, rank) in enumerate(zip(e.points.tolist(), e.ranks))]
-    return {"dim": e.dim, "atoms": atoms, "support_radius": e.support_radius}
+              "projection": matrix_to_doc(e.projection(i))}
+             for i, point in enumerate(e.points.tolist())]
+    return {"dim": e.dim, "of": of, "atoms": atoms}
 
 
 def pvm_from_doc(doc: dict, where: str = "pvm") -> SpectralMeasure:
-    dim, (points, _), projections = _read_atoms(
-        doc, where, (("point", complex), ("rank", int)))
+    of = _field(doc, "of", str, where)
+    if of not in ("T", "A", "B"):
+        raise ParseError(f"{where}: field 'of' must be T, A or B, got {of!r}")
+    dim, (points,), projections = _read_atoms(doc, where,
+                                              (("point", complex),))
     return SpectralMeasure(dim, np.array(points, dtype=np.complex128),
                            projections=projections)
 
 
-def write_pvm(e: SpectralMeasure, path: str):
-    write_json(pvm_to_doc(e), path)
+def write_pvm(e: SpectralMeasure, path: str, of: str = "T"):
+    write_json(pvm_to_doc(e, of), path)
 
 
 def read_pvm(path: str) -> SpectralMeasure:

@@ -202,9 +202,9 @@ def _clustered_measure(es: EigenSystem, tol: Tolerances) -> SpectralMeasure:
     return SpectralMeasure(es.dim, points, bases=bases)
 
 
-def _measure_in_frame(m: OperatorMatrix, frame: np.ndarray,
+def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
                       tol: Tolerances | None = None) -> SpectralMeasure:
-    """Spectral measure of a normal ``m`` solved as ``V* M V``.
+    """Spectral measure of a normal M given in a frame as ``V* M V``.
 
     For a unitary ``frame`` V the matrix V* M V is unitarily similar to
     M, so ``pvm_from_normal`` finds the same atoms, and one product with
@@ -212,11 +212,10 @@ def _measure_in_frame(m: OperatorMatrix, frame: np.ndarray,
     the eigenbasis of an operator commuting with it, leaves only
     rounding-level mass off the diagonal and saves Jacobi sweeps.
     """
-    local = pvm_from_normal(
-        OperatorMatrix(frame.conj().T @ m.array @ frame), tol)
-    rotated = frame @ local.stacked_basis()
-    cuts = np.cumsum(local.ranks)[:-1]
-    return SpectralMeasure(m.dim, local.points,
+    e = pvm_from_normal(OperatorMatrix(local), tol)
+    rotated = frame @ e.stacked_basis()
+    cuts = np.cumsum(e.ranks)[:-1]
+    return SpectralMeasure(e.dim, e.points,
                            bases=tuple(np.hsplit(rotated, cuts)))
 
 

@@ -13,8 +13,9 @@ Exactly one Jacobi solve starts cold: the one-sided solve T V = U S.
 It gives the weights W = diag(1/(1 + s^2)), A = V W V*, B = T A formed
 as V W^(1/2) (V* T V) W^(1/2) V*, E_A (W on the columns of V) and
 ||T||_2 = max s.  Since T, A and B share eigenvectors, V nearly
-diagonalizes B, so E_B is solved warm as V* B V, a matrix unitarily
-similar to B that converges in a few sweeps and would reach the same
+diagonalizes B, so E_B is solved warm from B's local form
+W^(1/2) (V* T V) W^(1/2), the V* B V that B was formed from: unitarily
+similar to B, it converges in a few sweeps and would reach the same
 answer from any frame.
 
 E_A's weights keep the relative accuracy of the singular values, but
@@ -112,7 +113,8 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     """
     tol = _resolve(tol)
     n = t.dim
-    a, b, es_a, source_norm = _bounded_pair(t, tol)
+    d, es_a, b_local = _bounded_pair(t, tol)
+    source_norm = d.source_norm
     if source_norm > NORM_LIMIT and not force_scale:
         raise ScaleLimit(
             f"operator norm {source_norm:.3e} exceeds {NORM_LIMIT:.0e}; "
@@ -122,9 +124,8 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     _refuse_past_scale_limit(t)
     _require_normal(t, tol)
     e1 = _clustered_measure(es_a, tol)
-    e2 = _measure_in_frame(b, es_a.unitary.array, tol)
-    del es_a  # one n x n array fewer under product_measure's peak
-    d = Decomposition(a, b, source_norm)
+    e2 = _measure_in_frame(b_local, es_a.unitary.array, tol)
+    del es_a, b_local  # two n x n arrays fewer under product_measure's peak
     prod = product_measure(e1, e2, tol)
     eps_sing = SINGULAR_MARGIN * (1.0 + e1.support_radius)
     with warnings.catch_warnings(record=True) as caught:

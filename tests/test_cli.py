@@ -314,6 +314,102 @@ def test_verify_explicit_targets_on_bundle(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _bundle_parts_as_files(tmp_path, capsys, seed):
+    """t.json and the e1, e2, product and measure parts of its bundle,
+    each written as its own file under parts/."""
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", str(seed))
+    bundle = json.loads(run(["pipeline", "--input", t], capsys)[1])
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    for key in ("e1", "e2", "product", "measure"):
+        io.write_json(bundle[key], str(parts / f"{key}.json"))
+    return t, parts
+
+
+def test_verify_dir_holds_only_measures_of_t_to_t(tmp_path, capsys):
+    # E_A and E_B are measures of A and B: saved as files beside E_T,
+    # they are validated, not held to reconstruction against --input
+    t, parts = _bundle_parts_as_files(tmp_path, capsys, 59)
+    code, out, _ = run(["verify", "--dir", str(parts), "--input", t], capsys)
+    assert code == 0, out
+    assert out.splitlines() == [f"{key}.json: measure pass" for key in
+                                ("e1", "e2", "measure", "product")]
+    e1 = parts / "e1.json"
+    doc = json.loads(e1.read_text())
+    doc["atoms"][0]["projection"]["entries"][0][0] += 0.05
+    e1.write_text(json.dumps(doc))
+    code, out, _ = run(["verify", "--dir", str(parts), "--input", t], capsys)
+    assert code == 1
+    assert "e1.json: measure FAIL" in out
+
+
+def test_verify_pvm_on_a_measure_of_a_has_no_reconstruction(tmp_path, capsys):
+    t, parts = _bundle_parts_as_files(tmp_path, capsys, 61)
+    for key, rows in (("e1", ()), ("measure", ("reconstruction",))):
+        code, out, _ = run(["verify", "--pvm", str(parts / f"{key}.json"),
+                            "--input", t], capsys)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[1:]] == [
+            "idempotency", "hermitian_defect", "orthogonality",
+            "completeness", "rank_deficit", "min_point_gap", *rows]
+
+
+@pytest.mark.parametrize("of", [None, "X"], ids=["missing", "unknown"])
+def test_measure_doc_must_name_its_operator(tmp_path, capsys, of):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "3", "--seed", "63")
+    m = tmp_path / "m.json"
+    assert main(["spectrum", "--input", t, "--emit", "measure",
+                 "--output", str(m)]) == 0
+    doc = json.loads(m.read_text())
+    if of is None:
+        del doc["of"]
+    else:
+        doc["of"] = of
+    m.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for args in (["--pvm", str(m)], ["--dir", str(tmp_path)]):
+        code, _, err = run(["verify"] + args, capsys)
+        assert code == 2
+        assert err.startswith("error: m.json:") and "'of'" in err, err
+
+
+def test_measure_docs_name_their_operator_and_nothing_unread(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "65")
+    code, out, _ = run(["pipeline", "--input", t, "--cross-check"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert {key: doc[key]["of"] for key in ("e1", "e2", "measure", "direct")
+            } == {"e1": "A", "e2": "B", "measure": "T", "direct": "T"}
+    for key in ("e1", "e2", "measure", "direct"):
+        assert set(doc[key]) == {"dim", "of", "atoms"}
+        assert all(set(atom) == {"point", "projection"}
+                   for atom in doc[key]["atoms"])
+
+
+@pytest.mark.parametrize("kind, per_norm", [
+    ("random_normal", 1.0), ("random_hermitian", 1.0),
+    ("momentum_1d", 1.0), ("laplacian_1d", 0.25)])
+def test_verify_dir_passes_the_bundles_the_pipeline_passes(tmp_path, capsys,
+                                                           kind, per_norm):
+    # where the pipeline's and spectrum's reconstruction rules both hold
+    # (||T|| up to 1e2), verify --dir agrees with the pipeline's report
+    for n in (4, 8, 16):
+        for norm in (1e-2, 1.0, 1e2):
+            case = tmp_path / f"{n}-{norm}"
+            case.mkdir()
+            t = gen_file(case, "t.json", "gen", "--kind", kind, "--dim",
+                         str(n), "--scale", str(norm * per_norm),
+                         "--seed", str(n))
+            assert main(["pipeline", "--input", t, "--emit", "all",
+                         "--output", str(case / "bundle.json")]) == 0
+            code, out, _ = run(["verify", "--dir", str(case), "--input", t],
+                               capsys)
+            assert code == 0, (n, norm, out)
+
+
 BIG = "1" + "0" * 400  # an integer literal beyond double range
 
 

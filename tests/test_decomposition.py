@@ -217,7 +217,8 @@ def test_pair_weights_are_relative_accurate_at_every_norm(kind, n):
             z = 4 * scale * np.sin((k + 1) * np.pi / (2 * (n + 1))) ** 2
             bound = max(4 * n, 2 * z.max() / z.min()) * eps
         t = generate(OperatorSpec(kind, dim=n, scale=scale))
-        _, _, es, source_norm = _bounded_pair(t, DEFAULT_TOLERANCES)
+        d, es, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
+        source_norm = d.source_norm
         want = np.sort(1.0 / (1.0 + z * z))
         got = es.eigenvalues.real
         assert np.all(np.diff(got) >= 0.0)

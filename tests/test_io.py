@@ -163,11 +163,9 @@ def test_pvm_round_trip(tmp_path):
 
 
 def test_pvm_doc_dimension_check():
-    doc = {"dim": 3, "atoms": [{"point": [0.0, 0.0],
-                                "projection": {"dim": 2,
-                                               "entries": [[1.0, 0.0]] * 4},
-                                "rank": 1}],
-           "support_radius": 0.0}
+    doc = {"dim": 3, "of": "T",
+           "atoms": [{"point": [0.0, 0.0],
+                      "projection": {"dim": 2, "entries": [[1.0, 0.0]] * 4}}]}
     with pytest.raises(ParseError, match=r"atoms\[0\]"):
         io.pvm_from_doc(doc)
 

@@ -160,8 +160,8 @@ def _warm_cases(kind):
     for n in (5, 16, 32):
         for norm in WARM_NORMS:
             t = generate(OperatorSpec(kind, dim=n, scale=norm, seed=n + 3))
-            _, b, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
-            yield t, b, es_a.unitary.array
+            d, es_a, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
+            yield t, d.b, b_local, es_a.unitary.array
 
 
 def test_guard_skips_op_norm_2_below_frobenius_limit(monkeypatch):
@@ -199,8 +199,8 @@ def test_pipeline_sweeps_once_cold(monkeypatch):
 @pytest.mark.parametrize("kind", WARM_KINDS)
 def test_warm_e2_matches_cold_measure(kind):
     eps = np.finfo(float).eps
-    for t, b, frame in _warm_cases(kind):
-        warm = _measure_in_frame(b, frame)
+    for t, b, b_local, frame in _warm_cases(kind):
+        warm = _measure_in_frame(b_local, frame)
         cold = pvm_from_normal(b)
         n = t.dim
         assert warm.ranks == cold.ranks
@@ -219,9 +219,9 @@ def test_b_is_normal_to_its_own_rounding_on_a_spectrum_with_0():
     # normality test at rel(n) relative to itself; weighted on both
     # sides by W^(1/2), it passes, and the pipeline recovers T
     t = generate(OperatorSpec("momentum_1d", dim=4, scale=1e4))
-    _, b, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
+    d, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
     v = es_a.unitary.array
-    assert linalg.is_normal(OperatorMatrix(v.conj().T @ b.array @ v))
+    assert linalg.is_normal(OperatorMatrix(v.conj().T @ d.b.array @ v))
     res = spectral_theorem(t)
     assert res.report.all_passed, res.report.residuals
     np.testing.assert_allclose(res.spectral_measure.points,
@@ -230,7 +230,7 @@ def test_b_is_normal_to_its_own_rounding_on_a_spectrum_with_0():
 
 @pytest.mark.parametrize("kind", WARM_KINDS)
 def test_norm_in_frame_matches_op_norm_2(kind):
-    for t, _, frame in _warm_cases(kind):
+    for t, _, _, frame in _warm_cases(kind):
         cold = op_norm_2(t)
         assert abs(_norm_in_frame(t, frame) - cold) <= 1e-13 * cold
 
