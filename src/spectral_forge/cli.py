@@ -213,7 +213,7 @@ def _cmd_verify(args) -> int:
     targets += [(path, part) for path, part in
                 ((args.decomposition, "decomposition"), (args.pvm, "measure"))
                 if path]
-    if not targets:
+    if not (args.dir or args.decomposition or args.pvm):
         raise ParseError(
             "verify needs --decomposition, --pvm, or --dir")
     worst = 0

@@ -5,7 +5,9 @@ the shortest text that reads back to the same double, so a write/read
 cycle reproduces every double bit for bit, and keys in a fixed order so
 identical inputs give byte-identical files.  Complex numbers are [real,
 imaginary] pairs; matrices store row-major entry lists under their
-dimension.  A measure document is ``{"dim", "of", "atoms"}``: ``of``
+dimension.  Reading decodes a list of pairs in one vectorized pass after
+an exact type screen; a malformed pair still gets a ParseError naming its
+index.  A measure document is ``{"dim", "of", "atoms"}``: ``of``
 names the operator it resolves (``"T"``, ``"A"`` or ``"B"``) and each
 atom is a ``point`` with its ``projection``.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -96,7 +99,8 @@ def _field(doc: dict, name: str, kind, where: str):
     if kind is float:
         return _double(value, f"{where}.{name}")
     if kind is complex:
-        return _complex_from(_field(doc, name, list, where), f"{where}.{name}")
+        pair = _field(doc, name, list, where)
+        return _complexes([pair], lambda i: f"{where}.{name}")[0]
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParseError(f"{where}: field {name!r} must be an integer")
@@ -125,6 +129,27 @@ def _complex_from(pair, where: str) -> complex:
     return complex(_double(pair[0], where), _double(pair[1], where))
 
 
+def _complexes(pairs: list, where) -> np.ndarray:
+    """[real, imaginary] pairs as complex128; ``where(i)`` names pair i.
+
+    Two-element lists of exact ``float``/``int`` leaves (so ``true`` and
+    ``"1.5"`` are refused) convert in one ``np.fromiter`` pass.  Anything
+    else, an integer past double range or a non-finite value goes through
+    the per-entry ``_complex_from`` loop, which names the first bad pair.
+    """
+    if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+        leaves = list(chain.from_iterable(pairs))
+        if set(map(type, leaves)) <= {float, int}:
+            try:
+                flat = np.fromiter(leaves, np.float64, len(leaves))
+            except OverflowError:  # an integer past double range
+                flat = None
+            if flat is not None and np.isfinite(flat).all():
+                return flat.view(np.complex128)
+    return np.array([_complex_from(pair, where(i))
+                     for i, pair in enumerate(pairs)], dtype=np.complex128)
+
+
 def matrix_to_doc(m: OperatorMatrix) -> dict:
     entries = m.array.view(np.float64).reshape(-1, 2).tolist()
     return {"dim": m.dim, "entries": entries}
@@ -138,9 +163,8 @@ def matrix_from_doc(doc: dict, where: str = "matrix") -> OperatorMatrix:
     if len(entries) != dim * dim:
         raise ParseError(f"{where}: expected {dim * dim} entries, "
                          f"got {len(entries)}")
-    values = [_complex_from(pair, f"{where}.entries[{i}]")
-              for i, pair in enumerate(entries)]
-    return OperatorMatrix(np.array(values, dtype=np.complex128).reshape(dim, dim))
+    values = _complexes(entries, lambda i: f"{where}.entries[{i}]")
+    return OperatorMatrix(values.reshape(dim, dim))
 
 
 def write_matrix(m: OperatorMatrix, path: str):

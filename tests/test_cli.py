@@ -167,6 +167,15 @@ def test_verify_dir_batch(tmp_path, capsys):
     assert lines[2].startswith("t.json: skipped")
 
 
+def test_verify_empty_dir_finds_nothing_checkable(tmp_path, capsys):
+    code, out, err = run(["verify", "--dir", str(tmp_path)], capsys)
+    assert (code, out) == (0, "")
+    assert err == "nothing checkable found\n"
+    code, _, err = run(["verify"], capsys)
+    assert code == 2
+    assert "verify needs --decomposition, --pvm, or --dir" in err
+
+
 def test_verify_dir_recheck_emit_all_bundle(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "4", "--seed", "43")
@@ -428,8 +437,12 @@ BIG = "1" + "0" * 400  # an integer literal beyond double range
      "p.json.atoms[0].t"),
     ("d.json", ("source_norm",), "1e999", ["verify", "--decomposition"],
      "d.json.source_norm"),
+    ("t.json", ("entries", 0, 0), "1e999", ["decompose", "--input"],
+     "t.json.entries[0]"),
+    ("e.json", ("atoms", 0, "projection", "entries", 5, 1), BIG,
+     ["verify", "--pvm"], "e.json.atoms[0].projection.entries[5]"),
 ], ids=["entries-big", "point-big", "w-big", "t-big", "source_norm-big",
-        "t-inf", "source_norm-inf"])
+        "t-inf", "source_norm-inf", "entries-inf", "projection-big"])
 def test_number_beyond_double_range_exits_2(tmp_path, capsys, name, path,
                                              literal, command, where):
     # json reads 1e999 as inf and keeps a long integer exact; neither is
@@ -452,6 +465,18 @@ def test_number_beyond_double_range_exits_2(tmp_path, capsys, name, path,
     code, _, err = run(command + [target], capsys)
     assert code == 2
     assert err.startswith(f"error: {where}: not a finite double")
+
+
+@pytest.mark.parametrize("literal", ["true", '"1.5"', "null"])
+def test_non_number_in_last_entry_exits_2(tmp_path, capsys, literal):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "3", "--seed", "61")
+    doc = json.loads(open(t).read())
+    doc["entries"][8][1] = "@"
+    open(t, "w").write(json.dumps(doc).replace('"@"', literal))
+    code, _, err = run(["pipeline", "--input", t], capsys)
+    assert code == 2
+    assert err.startswith("error: t.json.entries[8]: expected a number")
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):

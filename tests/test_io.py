@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_forge import io
+from spectral_forge.cli import main
 from spectral_forge.decomposition import decompose, verify
 from spectral_forge.errors import FileError, NonFiniteValue, ParseError
 from spectral_forge.gallery import OperatorSpec, generate
@@ -140,6 +141,116 @@ def test_non_finite_entry_rejected():
         io.matrix_from_doc({"dim": 1, "entries": [["oops", 0.0]]})
     with pytest.raises(ParseError):
         io.matrix_from_doc({"dim": 1, "entries": [[1.0]]})
+
+
+def _decode_entry_by_entry(entries: list) -> np.ndarray:
+    """The reference decoder: every pair checked and converted alone."""
+    values = []
+    for i, pair in enumerate(entries):
+        at = f"matrix.entries[{i}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{at}: expected [real, imaginary] pair")
+        parts = []
+        for x in pair:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ParseError(f"{at}: expected a number")
+            try:
+                x = float(x)
+            except OverflowError:
+                x = math.inf
+            if not math.isfinite(x):
+                raise ParseError(f"{at}: not a finite double")
+            parts.append(x)
+        values.append(complex(*parts))
+    return np.array(values, dtype=np.complex128)
+
+
+NUMBERS = (st.integers()
+           | st.sampled_from([2**70, -2**70, 10**400, -10**400, 0, 2**53 + 1])
+           | FINITE
+           | st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e308]))
+ANY_LEAF = (NUMBERS | st.none() | st.booleans() | st.text(max_size=3)
+            | st.sampled_from([math.inf, -math.inf, math.nan]))
+NON_PAIRS = (ANY_LEAF
+             | st.lists(NUMBERS, max_size=3).filter(lambda x: len(x) != 2)
+             | st.dictionaries(st.text(max_size=2), NUMBERS, max_size=2))
+
+
+def _square(entry):
+    """Entry lists of a square size, 1, 4 or 9 entries long."""
+    return st.sampled_from([1, 4, 9]).flatmap(
+        lambda size: st.lists(entry, min_size=size, max_size=size))
+
+
+@PROPERTY
+@given(_square(st.lists(NUMBERS, min_size=2, max_size=2))
+       | _square(st.lists(ANY_LEAF, min_size=2, max_size=2) | NON_PAIRS))
+def test_matrix_decode_matches_the_entry_by_entry_reference(entries):
+    doc = {"dim": math.isqrt(len(entries)), "entries": entries}
+    try:
+        expected = _decode_entry_by_entry(entries)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            io.matrix_from_doc(doc)
+        assert str(got.value) == str(exc)
+        return
+    # uint64 views see the sign of zero, which == cannot
+    np.testing.assert_array_equal(
+        io.matrix_from_doc(doc).array.reshape(-1).view(np.uint64),
+        expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("text", ['[[true, 0.0]]', '[["1.5", 0.0]]',
+                                  '[[null, 0]]', '[[1, 2, 3]]',
+                                  '[{"re": 1}]'])
+def test_entry_that_is_not_a_pair_of_numbers_is_refused(text):
+    with pytest.raises(ParseError, match=r"^matrix\.entries\[0\]: expected"):
+        io.matrix_from_doc({"dim": 1, "entries": json.loads(text)})
+
+
+def test_integer_pair_reads_as_complex():
+    m = io.matrix_from_doc({"dim": 1, "entries": json.loads("[[1, 2]]")})
+    assert m.array.dtype == np.complex128
+    assert m.array[0, 0] == 1 + 2j
+
+
+@pytest.mark.parametrize("last, message", [
+    ("[2.0, true]", "expected a number"),
+    ('[2.0, "1.5"]', "expected a number"),
+    ("[2.0, null]", "expected a number"),
+    ("[2.0, 1e999]", "not a finite double"),
+    ("[2.0, 1" + "0" * 400 + "]", "not a finite double"),
+    ("[1.0]", "expected [real, imaginary] pair")])
+def test_bad_last_entry_is_named_by_index(last, message):
+    text = "[" + "[0.5, -1], " * 8 + last + "]"
+    with pytest.raises(ParseError) as got:
+        io.matrix_from_doc({"dim": 3, "entries": json.loads(text)})
+    assert str(got.value) == f"matrix.entries[8]: {message}"
+
+
+def test_valid_documents_skip_the_per_entry_loop(tmp_path, monkeypatch):
+    # the loop only names a malformed pair; a valid document must decode
+    # without it, however large
+    def refuse(pair, where):
+        raise AssertionError(f"per-entry decode of {where}")
+
+    t = generate(OperatorSpec("random_normal", dim=5, scale=10.0, seed=9))
+    io.write_matrix(t, str(tmp_path / "t.json"))
+    path = str(tmp_path / "bundle.json")
+    assert main(["pipeline", "--input", str(tmp_path / "t.json"),
+                 "--emit", "all", "--output", path]) == 0
+    bundle = io.read_json(path)
+    order = np.random.default_rng(384).permutation(384)
+    diagonal = OperatorMatrix(np.diag(np.linspace(-100.0, 100.0, 384)[order]))
+    doc = json.loads(io.dumps(io.matrix_to_doc(diagonal)))
+
+    monkeypatch.setattr(io, "_complex_from", refuse)
+    assert np.array_equal(io.matrix_from_doc(doc).array, diagonal.array)
+    assert np.array_equal(io.matrix_from_doc(bundle["t"]).array, t.array)
+    io.decomposition_from_doc(bundle["decomposition"])
+    for part in ("e1", "e2", "measure"):
+        io.pvm_from_doc(bundle[part])
+    io.product_from_doc(bundle["product"])
 
 
 def test_top_level_must_be_object(tmp_path):
