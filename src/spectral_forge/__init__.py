@@ -20,7 +20,6 @@ from .errors import (
     NotNormal,
     ParseError,
     ScaleLimit,
-    SingularWeightWarning,
     SpectralForgeError,
 )
 from .gallery import KINDS, OperatorSpec, generate
@@ -38,7 +37,6 @@ from .linalg import (
     EigenSystem,
     OperatorMatrix,
     Tolerances,
-    adjoint,
     cluster_points,
     frobenius,
     hermitian_eig,
@@ -55,7 +53,6 @@ from .measures import (
 )
 from .pipeline import (
     PipelineResult,
-    cross_check,
     pipeline_tolerance,
     spectral_theorem,
 )
@@ -63,7 +60,6 @@ from .product import (
     ProductMeasure,
     commute_check,
     fubini_check,
-    inverse_weight,
     marginal_residuals,
     product_measure,
     product_validate,
@@ -77,19 +73,17 @@ __all__ = [
     "__version__",
     "BadSpec", "DimensionMismatch", "FileError", "NoConvergence",
     "NonFiniteValue", "NotCommuting", "NotHermitian", "NotNormal",
-    "ParseError", "ScaleLimit",
-    "SingularWeightWarning", "SpectralForgeError",
+    "ParseError", "ScaleLimit", "SpectralForgeError",
     "OperatorMatrix", "EigenSystem", "Tolerances",
-    "adjoint", "frobenius", "is_hermitian", "is_normal",
+    "frobenius", "is_hermitian", "is_normal",
     "hermitian_eig", "normal_eig", "op_norm_2",
     "cluster_points",
     "Decomposition", "decompose", "verify", "norm_bounds",
     "SpectralMeasure", "pvm_from_normal", "pvm_integrate", "pvm_validate",
     "ProductMeasure", "commute_check", "product_measure",
     "product_validate", "marginal_residuals", "fubini_check",
-    "inverse_weight", "pushforward",
+    "pushforward",
     "PipelineResult", "spectral_theorem", "pipeline_tolerance",
-    "cross_check",
     "OperatorSpec", "generate", "KINDS",
     "read_matrix", "write_matrix", "read_pvm", "write_pvm",
     "read_decomposition", "write_decomposition",

@@ -39,18 +39,9 @@ _USAGE_ERRORS = (ParseError, BadSpec, FileError, DimensionMismatch)
 
 
 def _tolerances(args) -> Tolerances:
-    rtol = args.tol_rel
-    if rtol is None:
-        env = os.environ.get("SPECTRAL_FORGE_TOL")
-        if env is not None:
-            try:
-                rtol = float(env)
-            except ValueError:
-                raise ParseError(
-                    f"SPECTRAL_FORGE_TOL must be a number, got {env!r}")
     kwargs = {}
-    if rtol is not None:
-        kwargs["rtol"] = rtol
+    if args.tol_rel is not None:
+        kwargs["rtol"] = args.tol_rel
     if args.tol_abs is not None:
         kwargs["atol"] = args.tol_abs
     if args.cluster is not None:
@@ -201,6 +192,9 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str,
 
 def _cmd_verify(args) -> int:
     tol = _tolerances(args)
+    if args.output and bool(args.decomposition) == bool(args.pvm):
+        raise ParseError("verify --output writes the report of one target: "
+                         "pass exactly one of --decomposition or --pvm")
     source = io.read_matrix(args.input) if args.input else None
     targets = []  # (path, the part an explicit flag names, else None)
     if args.dir:
@@ -218,7 +212,6 @@ def _cmd_verify(args) -> int:
             "verify needs --decomposition, --pvm, or --dir")
     worst = 0
     checked = False
-    last_report_doc = None
     for path, part in targets:
         name = os.path.basename(path)
         kind, parts = _classify(io.read_json(path), name, source)
@@ -255,11 +248,10 @@ def _cmd_verify(args) -> int:
             print(f"  {key:<24} value {residual:.6e}  bound {bound:.6e}  {verdict}")
         if not report.all_passed:
             worst = 1
-        last_report_doc = io.report_to_doc(report)
+        if args.output:
+            io.write_json(io.report_to_doc(report), args.output)
     if not checked:
         print("nothing checkable found", file=sys.stderr)
-    if args.output and last_report_doc is not None:
-        io.write_json(last_report_doc, args.output)
     return worst
 
 
@@ -267,7 +259,7 @@ def _cmd_gen(args) -> int:
     if not args.kind:
         raise ParseError("gen needs --kind")
     spec = OperatorSpec(kind=args.kind, dim=args.dim or 0,
-                        scale=args.scale, seed=args.seed, path=args.path)
+                        scale=args.scale, seed=args.seed)
     m = generate(spec)
     _deliver(io.matrix_to_doc(m), args)
     return 0
@@ -277,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # Shared flags, grouped by the subcommands that read them.
     solve = argparse.ArgumentParser(add_help=False)
     solve.add_argument("--tol-rel", type=float, default=None, metavar="X",
-                       help="relative tolerance (default $SPECTRAL_FORGE_TOL"
-                            ", else 1e-10 times the dimension)")
+                       help="relative tolerance (default 1e-10 times the "
+                            "dimension)")
     solve.add_argument("--tol-abs", type=float, default=None, metavar="X",
                        help="absolute tolerance floor (default 1e-12)")
     solve.add_argument("--cluster", type=float, default=None, metavar="X",
@@ -317,8 +309,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         "large norms")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("verify", parents=[solve, output],
+    p = sub.add_parser("verify", parents=[solve],
                        help="re-check stored artifacts")
+    p.add_argument("--output", metavar="FILE",
+                   help="also write the report of the one --decomposition "
+                        "or --pvm target here")
     p.add_argument("--decomposition", metavar="FILE",
                    help="decomposition bundle to verify")
     p.add_argument("--pvm", metavar="FILE",
@@ -336,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="matrix dimension")
     p.add_argument("--scale", type=float, default=1.0, metavar="X",
                    help="magnitude scale (default 1)")
-    p.add_argument("--path", metavar="FILE",
-                   help="source file for kind from_file")
     p.set_defaults(func=_cmd_gen)
     return parser
 

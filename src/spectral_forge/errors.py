@@ -12,7 +12,6 @@ __all__ = [
     "BadSpec",
     "FileError",
     "ParseError",
-    "SingularWeightWarning",
 ]
 
 
@@ -58,7 +57,3 @@ class FileError(SpectralForgeError):
 
 class ParseError(SpectralForgeError):
     """A document is not valid JSON or violates the expected schema."""
-
-
-class SingularWeightWarning(UserWarning):
-    """The reciprocal weight hit its singular branch on a nonzero atom."""

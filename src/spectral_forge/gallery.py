@@ -34,7 +34,6 @@ KINDS = (
     "laplacian_1d",
     "momentum_1d",
     "jordan_block",
-    "from_file",
 )
 
 _RANDOM_KINDS = ("random_normal", "random_hermitian", "random_unitary")
@@ -48,24 +47,18 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 class OperatorSpec:
     """Recipe for one gallery operator.
 
-    ``seed`` is required for the random kinds, ``path`` only for
-    ``from_file``.  Violations raise BadSpec.
+    ``seed`` is required for the random kinds.  Violations raise BadSpec.
     """
 
     kind: str
     dim: int = 0
     scale: float = 1.0
     seed: int | None = None
-    path: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise BadSpec(f"unknown operator kind {self.kind!r}; "
                           f"choose one of {', '.join(KINDS)}")
-        if self.kind == "from_file":
-            if not self.path:
-                raise BadSpec("from_file requires a path")
-            return
         if self.dim < 1:
             raise BadSpec(f"dimension must be at least 1, got {self.dim}")
         if not np.isfinite(self.scale) or self.scale <= 0:
@@ -125,9 +118,6 @@ def generate(spec: OperatorSpec) -> OperatorMatrix:
     """
     n = spec.dim
     kind = spec.kind
-    if kind == "from_file":
-        from .io import read_matrix
-        return read_matrix(spec.path)
     if kind == "random_normal":
         u = _uniforms(spec.seed, 2 * n, offset=2 * n * n)
         mags = spec.scale * np.sqrt(0.01 + 0.99 * u[:n])

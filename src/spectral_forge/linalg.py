@@ -30,7 +30,6 @@ __all__ = [
     "OperatorMatrix",
     "EigenSystem",
     "DEFAULT_TOLERANCES",
-    "adjoint",
     "is_hermitian",
     "is_normal",
     "frobenius",
@@ -187,11 +186,6 @@ class EigenSystem:
         return self.unitary.dim
 
 
-def adjoint(m: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate transpose of ``m``."""
-    return m.adjoint()
-
-
 def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``(a 2^-e, e)``, e = 0 for a peak entry of 0 or in ``[2^-128, 2^128]``.
 
@@ -336,8 +330,7 @@ def _round_robin_rounds(n: int) -> tuple:
     return tuple(rounds)
 
 
-def _jacobi_hermitian(matrix: np.ndarray, atol: float,
-                      rotation_budget: int | None = None):
+def _jacobi_hermitian(matrix: np.ndarray, atol: float):
     """Diagonalize the Hermitian part of an array by cyclic Jacobi rotations.
 
     The solve works on ``W = (M + M*)/2`` in complex128, so callers pass
@@ -346,7 +339,7 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float,
     the pairs inside one round are disjoint, so their rotations commute
     and a whole round is applied with vectorized column and row updates.
     ``_sweep_head`` decides at level eps, against the target
-    ``atol (1 + ||W||_F)`` and the rotation budget (default ``30 n^2``).
+    ``atol (1 + ||W||_F)`` and the rotation budget ``30 n^2``.
 
     Returns ``(eigenvalues, vectors)`` unsorted.
     """
@@ -355,7 +348,7 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float,
     off_target = atol * (1.0 + np.linalg.norm(w))
     n = w.shape[0]
     vt = np.eye(n, dtype=np.complex128)  # rows are eigenvectors
-    budget = JACOBI_BUDGET_FACTOR * n * n if rotation_budget is None else rotation_budget
+    budget = JACOBI_BUDGET_FACTOR * n * n
     rotations = 0
     prev_off = np.inf
     while True:
@@ -392,8 +385,7 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float,
     return w.diagonal().real.copy(), vt.T
 
 
-def _jacobi_one_sided(matrix: np.ndarray, atol: float,
-                      rotation_budget: int | None = None):
+def _jacobi_one_sided(matrix: np.ndarray, atol: float):
     """Singular values and right singular vectors by one-sided Jacobi.
 
     Hestenes' method rotates column pairs of ``G = M`` until they are
@@ -413,7 +405,7 @@ def _jacobi_one_sided(matrix: np.ndarray, atol: float,
     n, rows = gt.shape
     vt = np.eye(n, dtype=np.complex128)
     level = np.sqrt(rows) * _EPS
-    budget = JACOBI_BUDGET_FACTOR * n * n if rotation_budget is None else rotation_budget
+    budget = JACOBI_BUDGET_FACTOR * n * n
     rotations = 0
     prev_off = np.inf
     gram = gt.conj() @ gt.T

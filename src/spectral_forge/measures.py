@@ -173,12 +173,6 @@ class SpectralMeasure(_AtomStore):
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.points)))
 
-    @property
-    def atoms(self) -> list[tuple[complex, OperatorMatrix]]:
-        """Atoms as (point, projection) pairs, dense projections included."""
-        return [(complex(self.points[i]), self.projection(i))
-                for i in range(self.num_atoms)]
-
 
 def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> SpectralMeasure:
     """Spectral measure of a normal matrix.
@@ -292,16 +286,16 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     Reports idempotency, Hermitian defect, mutual orthogonality, and
     completeness residuals (all Frobenius, each held to ``10 rel(n)``),
     the total rank deficit against the space dimension, and the minimum
-    pairwise atom gap against the clustering radius.  Always returns a
-    report.
+    pairwise atom gap against the clustering radius; a single atom has
+    no pair to keep apart, so its report has no gap record.  Always
+    returns a report.
     """
     tol = _resolve(tol)
+    checks = _store_checks(e, tol)
     if e.num_atoms > 1:
         pts = e.points
         gaps = np.abs(pts[:, None] - pts[None, :])
         min_gap = float(np.min(gaps[~np.eye(e.num_atoms, dtype=bool)]))
-    else:
-        min_gap = float("inf")
-    radius = tol.cluster_radius(e.support_radius)
-    return VerificationReport.from_checks(_store_checks(e, tol) + [
-        ("min_point_gap", min_gap, radius, min_gap > radius)])
+        radius = tol.cluster_radius(e.support_radius)
+        checks.append(("min_point_gap", min_gap, radius, min_gap > radius))
+    return VerificationReport.from_checks(checks)

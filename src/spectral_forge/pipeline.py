@@ -3,10 +3,13 @@
 The route never diagonalizes the input directly: it decomposes T into
 the bounded pair (A, B), takes the spectral measures of both, forms
 their product, and pushes the product forward through
-``phi(t, w) = w / t`` (with the guarded reciprocal at the origin).
-Because A = (I + T*T)^(-1) and B = T A share eigenvectors with T, the
-surviving joint atoms satisfy w / t = z for the corresponding
-eigenvalue z of T, so the pushforward reassembles T's own measure.
+``phi(t, w) = w / t``.  Because A = (I + T*T)^(-1) and B = T A share
+eigenvectors with T, the surviving joint atoms satisfy w / t = z for
+the corresponding eigenvalue z of T, so the pushforward reassembles
+T's own measure.  A weight t within the singular margin
+``1e-14 (1 + ||A||)`` of the origin is sent to 0 instead, and the
+report counts the atoms with such a nonzero t: what they carried is
+below the conditioning floor and is lost.
 A direct diagonalization of T is kept only as an optional cross check.
 
 Exactly one Jacobi solve starts cold: the one-sided solve T V = U S.
@@ -28,25 +31,22 @@ the normality test); the tolerance schedule below encodes that growth.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decomposition import Decomposition, _bounded_pair, _require_normal
-from .errors import ScaleLimit, SingularWeightWarning
+from .errors import ScaleLimit
 from .linalg import (OperatorMatrix, Tolerances, _refuse_past_scale_limit,
                      _resolve, frobenius)
 from .measures import (PVM_FACTOR, SpectralMeasure, _clustered_measure,
                        _measure_in_frame, pvm_from_normal, pvm_integrate)
-from .product import (SINGULAR_MARGIN, ProductMeasure, inverse_weight,
-                      product_measure, pushforward)
+from .product import ProductMeasure, product_measure, pushforward
 from .report import VerificationReport
 
 __all__ = [
     "PipelineResult",
     "spectral_theorem",
-    "cross_check",
     "pipeline_tolerance",
     "NORM_LIMIT",
 ]
@@ -55,6 +55,10 @@ __all__ = [
 # smallest point of the first measure is 1/(1 + norm^2) and must clear
 # the singular weight margin of about 1e-14 with two decades to spare.
 NORM_LIMIT = 1e6
+
+# Singular weight margin: weights of E_A this close to the origin are
+# sent to zero by the reciprocal map (scaled by 1 + ||A||).
+SINGULAR_MARGIN = 1e-14
 
 # Reconstruction budget: 1e-7 * n at moderate scale, growing with the
 # squared norm past 1e2 as the reciprocal map amplifies atom errors.
@@ -89,6 +93,9 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     """Resolve a normal operator into a discrete spectral measure.
 
     The route of the module docstring; E_B's bases are rotated back by V.
+    The product atoms with ``0 < |t| <= SINGULAR_MARGIN (1 + ||A||)`` are
+    counted straight from their t points, and the pushforward sends
+    every t inside that margin to 0.
 
     Parameters
     ----------
@@ -108,8 +115,9 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     -------
     PipelineResult
         With a report carrying reconstruction and support residuals,
-        counts of atoms whose weight hit the singular margin, and the
-        cross-check residuals when requested.
+        the count of nonzero weights inside the singular margin, and,
+        with ``direct_check``, the cross-check residuals and
+        ``direct_measure``.
     """
     tol = _resolve(tol)
     n = t.dim
@@ -128,12 +136,10 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     del es_a, b_local  # two n x n arrays fewer under product_measure's peak
     prod = product_measure(e1, e2, tol)
     eps_sing = SINGULAR_MARGIN * (1.0 + e1.support_radius)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SingularWeightWarning)
-        measure = pushforward(
-            prod, lambda x, w: inverse_weight(x, eps_sing) * w, tol)
-        singular_hits = sum(
-            1 for c in caught if issubclass(c.category, SingularWeightWarning))
+    ts = np.abs(prod.t_points)
+    singular_hits = int(np.count_nonzero((ts > 0.0) & (ts <= eps_sing)))
+    measure = pushforward(
+        prod, lambda x, w: (0.0 if abs(x) <= eps_sing else 1.0 / x) * w, tol)
     recon = float(np.linalg.norm(
         pvm_integrate(lambda z: z, measure).array - t.array))
     checks = [
@@ -155,7 +161,13 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
 
 def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
                     tol: Tolerances, scale: float) -> list[tuple]:
-    """Check records of a greedy nearest-pair matching of two atom systems."""
+    """Check records of a greedy nearest-pair matching of two atom systems.
+
+    Pairs atoms by point distance inside the acceptance radius
+    ``1e-7 (1 + scale)``, ten times the default clustering radius, and
+    records the largest point and projection gaps together with the
+    number of unmatched atoms on either side.
+    """
     radius = 1e-7 * (1.0 + scale)
     pa = result.points
     pb = direct.points
@@ -188,17 +200,3 @@ def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
         ("cross_unmatched", float(unmatched), 0.0),
     ]
 
-
-def cross_check(result: PipelineResult, direct: SpectralMeasure,
-                tol: Tolerances | None = None) -> VerificationReport:
-    """Match pipeline atoms against a directly computed measure.
-
-    Pairs atoms greedily by point distance inside the acceptance radius
-    ``1e-7 (1 + ||T||_2)``, ten times the default clustering radius, and
-    reports the largest point and projection gaps together with the
-    number of unmatched atoms on either side.
-    """
-    tol = _resolve(tol)
-    return VerificationReport.from_checks(_match_measures(
-        result.spectral_measure, direct, tol,
-        result.decomposition.source_norm))

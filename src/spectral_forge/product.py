@@ -12,17 +12,11 @@ phi(t, w) = w / t.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonFiniteValue,
-    NotCommuting,
-    SingularWeightWarning,
-)
+from .errors import DimensionMismatch, NonFiniteValue, NotCommuting
 from .linalg import (
     OperatorMatrix,
     Tolerances,
@@ -46,7 +40,6 @@ __all__ = [
     "product_measure",
     "fubini_check",
     "pushforward",
-    "inverse_weight",
     "marginal_residuals",
     "product_validate",
 ]
@@ -54,10 +47,6 @@ __all__ = [
 # Atoms whose projection product has Frobenius mass below 1e-10 * n are
 # dropped as numerical dust.
 PRUNE_FACTOR = 1e-10
-
-# Singular weight margin: the guarded reciprocal sends weights this
-# close to the origin to zero (the pipeline scales it by 1 + ||A||).
-SINGULAR_MARGIN = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +82,6 @@ class ProductMeasure(_AtomStore):
 
     def _atom_label(self, i: int) -> str:
         return f"t={float(self.t_points[i])}, w={complex(self.w_points[i])}"
-
-    @property
-    def atoms(self) -> list[tuple[tuple[float, complex], OperatorMatrix]]:
-        return [((float(self.t_points[i]), complex(self.w_points[i])),
-                 self.projection(i)) for i in range(self.num_atoms)]
 
     def integrate(self, g) -> OperatorMatrix:
         """``sum g(t_k, w_k) Pi_k`` for a scalar function of the pair."""
@@ -341,27 +325,6 @@ def fubini_check(f1, f2, e1: SpectralMeasure, e2: SpectralMeasure,
         pvm_integrate(f2, e2).array
     rhs = prod.integrate(lambda t, w: complex(f1(t)) * complex(f2(w))).array
     return float(np.linalg.norm(lhs - rhs))
-
-
-def inverse_weight(t: float, eps_sing: float = SINGULAR_MARGIN) -> float:
-    """Reciprocal with a guarded origin: 0 maps to 0, else 1/t.
-
-    Values with ``0 < |t| <= eps_sing`` also map to 0 but emit a
-    SingularWeightWarning, since information carried by such an atom is
-    below the conditioning floor and is being discarded.
-    """
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    if abs(t) <= eps_sing:
-        warnings.warn(
-            f"weight {t:.3e} is inside the singular margin {eps_sing:.3e}; "
-            "its atom is sent to zero",
-            SingularWeightWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return 1.0 / t
 
 
 def pushforward(prod: ProductMeasure, phi,

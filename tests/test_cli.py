@@ -5,6 +5,7 @@ import pytest
 
 from spectral_forge import io
 from spectral_forge.cli import main
+from spectral_forge.linalg import OperatorMatrix
 
 
 def run(args, capsys):
@@ -150,6 +151,55 @@ def test_verify_pvm_with_source(tmp_path, capsys):
     assert "reconstruction" in out
 
 
+def test_verify_output_writes_its_one_targets_report(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "31")
+    bundle = str(tmp_path / "full.json")
+    assert main(["pipeline", "--input", t, "--output", bundle]) == 0
+    for flag, key in (("--pvm", "min_point_gap"),
+                      ("--decomposition", "commutator")):
+        out = str(tmp_path / "r.json")
+        assert main(["verify", flag, bundle, "--output", out]) == 0
+        assert key in json.loads(open(out).read())["residuals"]
+
+
+@pytest.mark.parametrize("targets", [
+    ["--dir", "."],
+    ["--pvm", "e.json", "--decomposition", "d.json"],
+    [],
+], ids=["dir", "two", "none"])
+def test_verify_output_needs_one_explicit_target(tmp_path, capsys, targets):
+    # refused before any file is read: none of these files exist
+    out = tmp_path / "r.json"
+    code, _, err = run(["verify", "--input", str(tmp_path / "t.json"),
+                        "--output", str(out)] + targets, capsys)
+    assert code == 2
+    assert "exactly one of --decomposition or --pvm" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entries", [
+    np.zeros((3, 3)), np.eye(4), np.array([[2.0]]),
+], ids=["zero3", "identity4", "one_by_one"])
+def test_one_atom_measure_reports_and_verifies(tmp_path, capsys, entries):
+    t = str(tmp_path / "t.json")
+    io.write_matrix(OperatorMatrix(entries.astype(complex)), t)
+    doc = str(tmp_path / "s.json")
+    code, _, _ = run(["spectrum", "--input", t, "--output", doc], capsys)
+    assert code == 0
+    report = json.loads(open(doc).read())["report"]
+    assert "min_point_gap" not in report["residuals"]
+    assert all(np.isfinite(v) for v in report["residuals"].values())
+    m = str(tmp_path / "m.json")
+    assert main(["spectrum", "--input", t, "--emit", "measure",
+                 "--output", m]) == 0
+    out = str(tmp_path / "r.json")
+    code, _, _ = run(["verify", "--pvm", m, "--input", t, "--output", out],
+                     capsys)
+    assert code == 0
+    assert json.loads(open(out).read())["pass"]["reconstruction"]
+
+
 def test_verify_dir_batch(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "4", "--seed", "41")
@@ -237,23 +287,25 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
+    # --tol-rel is the one way to set the relative tolerance
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "8", "--seed", "3")
+    code, _, _ = run(["decompose", "--input", t, "--tol-rel", "1e-20"], capsys)
+    assert code == 1  # residuals cannot clear a 1e-20 relative budget
+    code, _, _ = run(["decompose", "--input", t, "--tol-rel", "1e-9"], capsys)
+    assert code == 0
     monkeypatch.setenv("SPECTRAL_FORGE_TOL", "1e-20")
     code, _, _ = run(["decompose", "--input", t], capsys)
-    assert code == 1  # residuals cannot clear a 1e-20 relative budget
-    # explicit flag wins over the environment
-    code, _, _ = run(["decompose", "--input", t, "--tol-rel", "1e-9"], capsys)
     assert code == 0
 
 
-def test_env_tolerance_must_be_numeric(tmp_path, capsys, monkeypatch):
-    t = gen_file(tmp_path, "t.json", "gen", "--kind", "multiplication",
-                 "--dim", "2")
-    monkeypatch.setenv("SPECTRAL_FORGE_TOL", "banana")
-    code, _, err = run(["decompose", "--input", t], capsys)
+@pytest.mark.parametrize("args", [
+    ["--kind", "from_file"],
+    ["--kind", "multiplication", "--dim", "2", "--path", "m.json"],
+], ids=["from_file", "path"])
+def test_gen_reads_no_file(capsys, args):
+    code, _, _ = run(["gen"] + args, capsys)
     assert code == 2
-    assert "SPECTRAL_FORGE_TOL" in err
 
 
 def test_gen_without_kind_is_usage_error(capsys):

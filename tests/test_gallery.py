@@ -110,18 +110,8 @@ def test_bad_specs():
         OperatorSpec("from_file")
 
 
-def test_from_file_round_trip(tmp_path):
-    from spectral_forge.io import write_matrix
-    src = generate(OperatorSpec("random_normal", dim=5, scale=1.0, seed=9))
-    path = tmp_path / "m.json"
-    write_matrix(src, str(path))
-    loaded = generate(OperatorSpec("from_file", path=str(path)))
-    assert np.array_equal(src.array, loaded.array)
-
-
 def test_kinds_tuple_is_complete():
     assert set(KINDS) == {
         "random_normal", "random_hermitian", "random_unitary",
         "multiplication", "laplacian_1d", "momentum_1d", "jordan_block",
-        "from_file",
     }

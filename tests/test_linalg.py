@@ -144,12 +144,13 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex)))
 
 
-def test_jacobi_budget_exhaustion():
-    from spectral_forge.linalg import _jacobi_hermitian
+def test_jacobi_budget_exhaustion(monkeypatch):
+    from spectral_forge import linalg
+    monkeypatch.setattr(linalg, "JACOBI_BUDGET_FACTOR", 0)
     m = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(NoConvergence,
                        match="sweep budget of 0 rotations exhausted"):
-        _jacobi_hermitian(m, 1e-14, rotation_budget=0)
+        linalg._jacobi_hermitian(m, 1e-14)
 
 
 def test_jacobi_target_below_rounding_floor_raises():
@@ -315,12 +316,13 @@ def test_frobenius_matches_numpy():
     assert frobenius(OperatorMatrix(g)) == pytest.approx(np.linalg.norm(g))
 
 
-def test_one_sided_budget_exhaustion():
-    from spectral_forge.linalg import _jacobi_one_sided
+def test_one_sided_budget_exhaustion(monkeypatch):
+    from spectral_forge import linalg
+    monkeypatch.setattr(linalg, "JACOBI_BUDGET_FACTOR", 0)
     m = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(NoConvergence,
                        match="sweep budget of 0 rotations exhausted"):
-        _jacobi_one_sided(m, 1e-14, rotation_budget=0)
+        linalg._jacobi_one_sided(m, 1e-14)
 
 
 def test_one_sided_graded_relative_accuracy():

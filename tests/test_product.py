@@ -4,18 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_forge.decomposition import decompose
-from spectral_forge.errors import (
-    DimensionMismatch,
-    NotCommuting,
-    SingularWeightWarning,
-)
+from spectral_forge.errors import DimensionMismatch, NotCommuting
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import OperatorMatrix
 from spectral_forge.measures import SpectralMeasure, pvm_from_normal, pvm_validate
 from spectral_forge.product import (
     commute_check,
     fubini_check,
-    inverse_weight,
     marginal_residuals,
     product_measure,
     product_validate,
@@ -154,22 +149,6 @@ def test_pushforward_rejects_non_finite_image():
     from spectral_forge.errors import NonFiniteValue
     with pytest.raises(NonFiniteValue, match="not finite"):
         pushforward(prod, lambda x, w: np.inf)
-
-
-def test_inverse_weight_values():
-    assert inverse_weight(0.0) == 0.0
-    assert inverse_weight(0.2) == pytest.approx(5.0)
-    assert inverse_weight(-0.5) == pytest.approx(-2.0)
-
-
-def test_inverse_weight_warns_in_singular_margin():
-    with pytest.warns(SingularWeightWarning):
-        assert inverse_weight(1e-20) == 0.0
-    # clean zero stays silent
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert inverse_weight(0.0) == 0.0
 
 
 def test_product_is_reconstruction_grade():

@@ -17,7 +17,7 @@ from spectral_forge.decomposition import decompose, verify
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import Tolerances
 from spectral_forge.measures import pvm_validate
-from spectral_forge.pipeline import cross_check, spectral_theorem
+from spectral_forge.pipeline import spectral_theorem
 from spectral_forge.product import product_validate
 from spectral_forge.report import VerificationReport
 
@@ -123,8 +123,6 @@ CHECKERS = {
             io.product_from_doc(io.product_to_doc(r.product)), tol),
         STORE),
     "spectral_theorem": (_theorem, THEOREM + CROSS),
-    "cross_check": (
-        lambda t, h, r, tol: cross_check(r, r.direct_measure, tol), CROSS),
 }
 
 
