@@ -476,51 +476,89 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSyst
     return _eigensystem(*_jacobi_hermitian(m.array, tol.atol))
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + l)`` for each start s and length l, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
+def _clusters(points: np.ndarray, radius: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cluster_points`` as arrays: ``(members, offsets, means)``.
+
+    Cluster g holds ``members[offsets[g]:offsets[g + 1]]``, ascending, and
+    has mean ``means[g]``.  A pair within ``radius`` is within it in real
+    part, so the candidate pairs come from a window of twice the radius
+    over the points sorted by real part, which holds every such pair
+    whatever the rounding; union-find then takes one step per pair
+    within the radius, and the groups, their means and their order are
+    array passes.
+    """
+    pts = np.asarray(points, dtype=np.complex128)
+    k = pts.shape[0]
+    by_real = np.argsort(pts.real, kind="stable")
+    real = pts.real[by_real]
+    after = np.arange(1, k + 1)
+    width = np.searchsorted(real, real + 2.0 * radius, side="right") - after
+    a = by_real[np.repeat(after - 1, width)]
+    b = by_real[_ranges(after, width)]
+    near = np.abs(pts[a] - pts[b]) <= radius
+    roots = np.arange(k)
+    if near.any():
+        parent = list(range(k))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, j in zip(a[near].tolist(), b[near].tolist()):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
+        roots = np.array(parent)
+        while True:  # pointer jumping: every index to its root
+            up = roots[roots]
+            if np.array_equal(up, roots):
+                break
+            roots = up
+    _, first, labels = np.unique(roots, return_index=True, return_inverse=True)
+    counts = np.bincount(labels)
+    sums = np.empty(counts.size, dtype=np.complex128)
+    sums.real = np.bincount(labels, pts.real)
+    sums.imag = np.bincount(labels, pts.imag)
+    means = sums / counts
+    order = np.lexsort((first, means.imag, means.real))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    members = np.argsort(rank[labels], kind="stable")
+    return members, np.concatenate(([0], np.cumsum(counts[order]))), means[order]
+
+
 def cluster_points(points: np.ndarray, radius: float) -> list[np.ndarray]:
     """Group points whose union-find chains have gaps at most ``radius``.
 
     Two points join the same cluster whenever some chain of pairwise
     distances <= radius connects them.  Returns index arrays ordered by
-    the lexicographic (real, imaginary) position of each cluster mean.
+    the lexicographic (real, imaginary) position of each cluster mean,
+    then by first index.
     """
-    pts = np.asarray(points, dtype=np.complex128)
-    k = pts.shape[0]
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if k > 1:
-        gaps = np.abs(pts[:, None] - pts[None, :])
-        for i, j in np.argwhere(gaps <= radius):
-            if i < j:
-                ri, rj = find(int(i)), find(int(j))
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [np.array(sorted(ix), dtype=np.intp) for ix in groups.values()]
-    means = [pts[c].mean() for c in clusters]
-    order = sorted(
-        range(len(clusters)),
-        key=lambda g: (means[g].real, means[g].imag, int(clusters[g][0])),
-    )
-    return [clusters[g] for g in order]
+    members, offsets, _ = _clusters(points, radius)
+    return np.split(members, offsets[1:-1]) if members.size else []
 
 
 def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     """Diagonalize a normal matrix through its Hermitian/skew split.
 
     Writes ``M = H + iK`` with ``H = (M + M*)/2`` and ``K = (M - M*)/(2i)``,
-    which commute exactly when M is normal.  H is diagonalized first;
-    K is then diagonalized inside each cluster of nearby H eigenvalues
-    whose K block has off-diagonal mass above ``n eps ||M||_F``, and the
-    joint eigenvalue of a vector is its H Rayleigh quotient plus i times
-    its K eigenvalue.
+    which commute exactly when M is normal.  H is diagonalized first and
+    K is formed on H's vectors with one product.  K is then diagonalized
+    inside each cluster of nearby H eigenvalues whose K block has
+    off-diagonal mass above ``n eps ||M||_F``; every other vector keeps
+    its K Rayleigh quotient.  The joint eigenvalue of a vector is its H
+    Rayleigh quotient plus i times its K eigenvalue.
 
     Raises ScaleLimit past an entry of 2^128, NotNormal when the
     commutator test fails and NoConvergence when a Jacobi stage stalls.
@@ -533,30 +571,30 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     n = m.dim
     h_vals, h_vecs = _jacobi_hermitian(a, tol.atol)  # H = (M + M*)/2
     order = np.argsort(h_vals, kind="stable")
+    radius = tol.cluster_radius(float(np.max(np.abs(h_vals))))
+    members, offsets, _ = _clusters(h_vals[order], radius)
+    order = order[members]
     h_vals = h_vals[order]
     h_vecs = h_vecs[:, order]
-    radius = tol.cluster_radius(float(np.max(np.abs(h_vals))))
-    k = (a - a.conj().T) / 2.0j
-    vals = np.empty(n, dtype=np.complex128)
-    vecs = np.empty((n, n), dtype=np.complex128)
+    kh = ((a - a.conj().T) / 2.0j) @ h_vecs
+    vals = h_vals + 1.0j * np.einsum("ij,ij->j", h_vecs.conj(), kh).real
     # a K block whose off-diagonal is rounding of M keeps H's vectors:
     # rotating on it would mix the H values of a chained cluster at random
     noise = n * _EPS * np.linalg.norm(a)
-    col = 0
-    for cluster in cluster_points(h_vals.astype(np.complex128), radius):
-        basis = h_vecs[:, cluster]
-        kb = basis.conj().T @ k @ basis
-        if np.linalg.norm(kb - np.diag(kb.diagonal())) <= noise:
-            k_vals, k_vecs = kb.diagonal().real, np.eye(cluster.size)
-        else:
+    sizes = np.diff(offsets)
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        cols = offsets[:-1][sizes == size, None] + np.arange(size)
+        blocks = (h_vecs[:, cols].conj().transpose(1, 2, 0)
+                  @ kh[:, cols].transpose(1, 0, 2))
+        off = np.linalg.norm(blocks * ~np.eye(size, dtype=bool), axis=(1, 2))
+        for c, kb in zip(cols[off > noise], blocks[off > noise]):
             k_vals, k_vecs = _jacobi_hermitian(kb, tol.atol)
-        cols = slice(col, col + cluster.size)
-        # Rayleigh quotient of H per joint vector; within a cluster the
-        # weights are |k_vecs|^2 column sums against the member h values.
-        vals[cols] = h_vals[cluster] @ np.abs(k_vecs) ** 2 + 1.0j * k_vals
-        vecs[:, cols] = basis @ k_vecs
-        col += cluster.size
-    return _eigensystem(vals, vecs)
+            # Rayleigh quotient of H per joint vector: |k_vecs|^2 column
+            # sums against the member h values
+            vals[c] = h_vals[c] @ np.abs(k_vecs) ** 2 + 1.0j * k_vals
+            h_vecs[:, c] = h_vecs[:, c] @ k_vecs
+    del kh  # one n x n array fewer under _eigensystem's peak
+    return _eigensystem(vals, h_vecs)
 
 
 def op_norm_2(m: OperatorMatrix, tol: Tolerances | None = None) -> float:

@@ -12,6 +12,7 @@ verbatim so validation judges exactly what was supplied.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .linalg import (
     EigenSystem,
     OperatorMatrix,
     Tolerances,
+    _clusters,
     _resolve,
-    cluster_points,
     hermitian_eig,
     normal_eig,
 )
@@ -44,27 +45,51 @@ def _dense_rank(proj: np.ndarray) -> int:
     return max(1, int(round(float(np.trace(proj).real))))
 
 
+class _Blocks(Sequence):
+    """Atom bases as column blocks of one stacked array.
+
+    Block k is the view ``stacked[:, offsets[k]:offsets[k + 1]]``, so a
+    measure holds one basis array however many atoms it has.
+    """
+
+    def __init__(self, stacked: np.ndarray, offsets: np.ndarray):
+        self.stacked = stacked
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        k = range(len(self))[k]  # negative indices and IndexError as a tuple's
+        return self.stacked[:, self.offsets[k]:self.offsets[k + 1]]
+
+
 class _AtomStore:
     """Atoms stored as orthonormal bases or as dense projections.
 
     Shared by SpectralMeasure and ProductMeasure, which are frozen
     dataclasses with ``dim``, ``bases`` and ``projections`` fields of
     their own.  Each checks its own points, then calls ``_store_atoms``;
-    ``_atom_label`` names an atom's point in error messages.
+    ``_atom_label`` names an atom's point in error messages.  Bases given
+    as blocks are copied into one stacked array; the package's own
+    constructors pass a fresh ``_Blocks``, which is kept without a copy.
     """
 
     def _store_atoms(self, count: int):
         if (self.bases is None) == (self.projections is None):
             raise ValueError("exactly one of bases and projections is required")
         if self.bases is not None:
-            blocks = tuple(np.array(b, dtype=np.complex128, copy=True)
-                           for b in self.bases)
-            for b in blocks:
-                if b.ndim != 2 or b.shape[0] != self.dim or b.shape[1] == 0:
-                    raise DimensionMismatch("basis blocks must be dim x rank")
-                b.setflags(write=False)
+            blocks = self.bases
             if len(blocks) != count:
                 raise DimensionMismatch("one basis block per atom is required")
+            if not isinstance(blocks, _Blocks):
+                arrays = [np.asarray(b, dtype=np.complex128) for b in blocks]
+                for b in arrays:
+                    if b.ndim != 2 or b.shape[0] != self.dim or b.shape[1] == 0:
+                        raise DimensionMismatch("basis blocks must be dim x rank")
+                blocks = _Blocks(np.concatenate(arrays, axis=1), np.cumsum(
+                    [0] + [b.shape[1] for b in arrays]))
+            blocks.stacked.setflags(write=False)
             object.__setattr__(self, "bases", blocks)
         else:
             mats = tuple(np.array(p, dtype=np.complex128, copy=True)
@@ -84,7 +109,7 @@ class _AtomStore:
     @property
     def ranks(self) -> tuple[int, ...]:
         if self.bases is not None:
-            return tuple(b.shape[1] for b in self.bases)
+            return tuple(np.diff(self.bases.offsets).tolist())
         return tuple(_dense_rank(p) for p in self.projections)
 
     def basis(self, i: int) -> np.ndarray:
@@ -105,12 +130,14 @@ class _AtomStore:
     def projection(self, i: int) -> OperatorMatrix:
         """Dense projection of atom ``i``."""
         if self.bases is not None:
-            b = self.bases[i]
+            b = self.basis(i)
             return OperatorMatrix(b @ b.conj().T)
         return OperatorMatrix(self.projections[i])
 
     def stacked_basis(self) -> np.ndarray:
-        """All atom bases side by side, in atom order."""
+        """All atom bases side by side, in atom order (read-only)."""
+        if self.bases is not None:
+            return self.bases.stacked
         return np.hstack([self.basis(i) for i in range(self.num_atoms)])
 
     def _weighted_sum(self, weights: np.ndarray) -> OperatorMatrix:
@@ -190,10 +217,9 @@ def _clustered_measure(es: EigenSystem, tol: Tolerances) -> SpectralMeasure:
     """Measure of a unitary diagonalization, clusters merged into atoms."""
     vals = es.eigenvalues
     radius = tol.cluster_radius(float(np.max(np.abs(vals))))
-    clusters = cluster_points(vals, radius)
-    points = np.array([vals[c].mean() for c in clusters])
-    bases = tuple(es.unitary.array[:, c] for c in clusters)
-    return SpectralMeasure(es.dim, points, bases=bases)
+    members, offsets, means = _clusters(vals, radius)
+    return SpectralMeasure(es.dim, means, bases=_Blocks(
+        es.unitary.array[:, members], offsets))
 
 
 def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
@@ -207,10 +233,8 @@ def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
     rounding-level mass off the diagonal and saves Jacobi sweeps.
     """
     e = pvm_from_normal(OperatorMatrix(local), tol)
-    rotated = frame @ e.stacked_basis()
-    cuts = np.cumsum(e.ranks)[:-1]
-    return SpectralMeasure(e.dim, e.points,
-                           bases=tuple(np.hsplit(rotated, cuts)))
+    return SpectralMeasure(e.dim, e.points, bases=_Blocks(
+        frame @ e.stacked_basis(), e.bases.offsets))
 
 
 def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:

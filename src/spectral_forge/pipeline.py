@@ -100,9 +100,12 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     Parameters
     ----------
     t : OperatorMatrix
-        Normal input.  NotNormal is raised otherwise; since the norm
-        guard runs first, a non-normal input whose norm exceeds
-        ``NORM_LIMIT`` raises ScaleLimit instead unless forced.
+        Normal input.  NotNormal is raised otherwise.  The norm guard
+        runs first: it compares ||T||_2 as the one-sided solve computes
+        it with ``NORM_LIMIT`` and raises ScaleLimit past it unless
+        forced, for a non-normal input too.  The computed norm can round
+        an ulp above the true one, so an input of norm exactly
+        ``NORM_LIMIT`` may be refused.
     tol : Tolerances, optional
     direct_check : bool
         Also diagonalize T directly and fold the atom-matching residuals
@@ -164,39 +167,35 @@ def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
     """Check records of a greedy nearest-pair matching of two atom systems.
 
     Pairs atoms by point distance inside the acceptance radius
-    ``1e-7 (1 + scale)``, ten times the default clustering radius, and
-    records the largest point and projection gaps together with the
-    number of unmatched atoms on either side.
+    ``1e-7 (1 + scale)``, ten times the default clustering radius, taking
+    the candidates in (gap, i, j) order, and records the largest point
+    and projection gaps together with the number of unmatched atoms on
+    either side.  For orthonormal bases U and W the projection gap is
+    ``||P - Q||_F = hypot(||W - U (U* W)||_F, ||U - W (W* U)||_F)``, the
+    parts of Q outside range(P) and of P outside range(Q), formed in the
+    rank space and without cancellation.
     """
     radius = 1e-7 * (1.0 + scale)
-    pa = result.points
-    pb = direct.points
-    gaps = np.abs(pa[:, None] - pb[None, :])
-    pairs = sorted(
-        ((float(gaps[i, j]), i, j)
-         for i in range(pa.size) for j in range(pb.size)),
-        key=lambda item: (item[0], item[1], item[2]),
-    )
-    used_a: set[int] = set()
-    used_b: set[int] = set()
+    gaps = np.abs(result.points[:, None] - direct.points[None, :])
+    ii, jj = np.nonzero(gaps <= radius)
+    near = gaps[ii, jj]
+    used_a = np.zeros(result.num_atoms, dtype=bool)
+    used_b = np.zeros(direct.num_atoms, dtype=bool)
     point_gap = 0.0
     projection_gap = 0.0
-    matched = 0
-    for gap, i, j in pairs:
-        if gap > radius:
-            break
-        if i in used_a or j in used_b:
+    for k in np.lexsort((jj, ii, near)).tolist():
+        i, j = ii[k], jj[k]
+        if used_a[i] or used_b[j]:
             continue
-        used_a.add(i)
-        used_b.add(j)
-        matched += 1
-        point_gap = max(point_gap, gap)
-        diff = result.projection(i).array - direct.projection(j).array
-        projection_gap = max(projection_gap, float(np.linalg.norm(diff)))
-    unmatched = (pa.size - matched) + (pb.size - matched)
+        used_a[i] = used_b[j] = True
+        point_gap = max(point_gap, float(near[k]))
+        u, w = result.basis(i), direct.basis(j)
+        projection_gap = max(projection_gap, float(np.hypot(
+            np.linalg.norm(w - u @ (u.conj().T @ w)),
+            np.linalg.norm(u - w @ (w.conj().T @ u)))))
+    unmatched = int(np.count_nonzero(~used_a) + np.count_nonzero(~used_b))
     return [
         ("cross_point_gap", point_gap, radius),
         ("cross_projection_gap", projection_gap, 1e4 * tol.rel(result.dim)),
         ("cross_unmatched", float(unmatched), 0.0),
     ]
-

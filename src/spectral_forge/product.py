@@ -20,15 +20,17 @@ from .errors import DimensionMismatch, NonFiniteValue, NotCommuting
 from .linalg import (
     OperatorMatrix,
     Tolerances,
+    _clusters,
     _jacobi_hermitian,
+    _ranges,
     _resolve,
-    cluster_points,
 )
 from .measures import (
     PVM_FACTOR,
     SpectralMeasure,
     _AtomStore,
     _block_norms,
+    _Blocks,
     _store_checks,
     pvm_integrate,
 )
@@ -47,6 +49,10 @@ __all__ = [
 # Atoms whose projection product has Frobenius mass below 1e-10 * n are
 # dropped as numerical dust.
 PRUNE_FACTOR = 1e-10
+
+# Pairs whose smaller side has rank one are reduced about this many
+# columns at a time, which bounds their n x columns temporaries.
+_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +108,43 @@ def _basis_defects(stacked: np.ndarray, off: np.ndarray) -> np.ndarray:
     return defects
 
 
-def _pair_blocks(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
-                 tol: Tolerances | None = None):
-    """Yield ``(i, j, u_i, w_j, block, mass)`` for pairs with mass > floor.
+@dataclass(frozen=True, eq=False)
+class _Pairs:
+    """Atom pairs of two factors whose cross block mass passes a floor.
 
-    Block masses of ``S1* S2`` come from one reduction; pairs follow in
-    row-major order, with bases sliced from the stacked ones.  The pair
-    algebra needs orthonormal bases, so each atom's ``||u* u - I||_F`` is
-    measured once first and DimensionMismatch names the first atom whose
-    defect exceeds the commutation threshold.
+    Pair k joins atom ``i[k]`` of the first factor, with the columns
+    ``s1[:, off1[i]:off1[i + 1]]``, and atom ``j[k]`` of the second; its
+    cross block C = u_i* w_j is cut from ``cross = s1* s2`` and has
+    Frobenius norm ``mass[k]``.  Pairs are in row-major order, and
+    ``single`` marks those whose smaller side has rank one.
+    """
+
+    s1: np.ndarray
+    s2: np.ndarray
+    off1: np.ndarray
+    off2: np.ndarray
+    cross: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    mass: np.ndarray
+    single: np.ndarray
+
+    def block(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(u_i, w_j, C)`` of pair k, as views."""
+        i, j = self.i[k], self.j[k]
+        rows = slice(self.off1[i], self.off1[i + 1])
+        cols = slice(self.off2[j], self.off2[j + 1])
+        return self.s1[:, rows], self.s2[:, cols], self.cross[rows, cols]
+
+
+def _screened_pairs(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
+                    tol: Tolerances | None = None) -> _Pairs:
+    """The pairs with cross block mass above ``floor``.
+
+    Block masses of ``S1* S2`` come from one reduction over the stacked
+    bases.  The pair algebra needs orthonormal bases, so each atom's
+    ``||u* u - I||_F`` is measured once first and DimensionMismatch names
+    the first atom whose defect exceeds the commutation threshold.
     """
     limit = _commute_threshold(e1.dim, _resolve(tol))
     s1 = e1.stacked_basis()
@@ -126,10 +160,54 @@ def _pair_blocks(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
                 f"||u* u - I||_F = {defects[k]:.3e}, beyond {limit:.3e}")
     cross = s1.conj().T @ s2
     masses = _block_norms(cross, off1, off2)
-    for i, j in zip(*np.nonzero(masses > floor)):
-        rows, cols = slice(off1[i], off1[i + 1]), slice(off2[j], off2[j + 1])
-        yield (int(i), int(j), s1[:, rows], s2[:, cols], cross[rows, cols],
-               float(masses[i, j]))
+    i, j = np.nonzero(masses > floor)
+    single = np.minimum(np.diff(off1)[i], np.diff(off2)[j]) == 1
+    return _Pairs(s1, s2, off1, off2, cross, i, j, masses[i, j], single)
+
+
+def _rank_one(pairs: _Pairs, sel: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(||C||^2, ||D C*||_F, gap, z)`` of the pairs ``sel``, all ``single``.
+
+    With x the one column of the smaller side and Y the orthonormal
+    columns of the other, C is a vector, g = Y* x (C or its adjoint), and
+    the intersection needs no solve: the Gram matrix on the smaller side
+    is ``||C||^2``, z is u_i when x = u_i and u_i C / ||C|| otherwise, and
+    ``||D C*||_F = ||C|| ||x - Y g||``, both equal to
+    ``||C|| sqrt(1 - ||C||^2)``, with x - Y g formed as a difference of
+    vectors, so without cancellation.  Pairs are reduced ``_CHUNK``
+    columns of Y at a time.  As in ``_intersection``, the gap
+    ``||z z* - P_i Q_j||_F`` is ``hypot(|1 - ||C||^2|, ||D C*||_F)``, and z
+    is an atom basis only when ``||C||^2 > 1/4``.
+    """
+    i, j = pairs.i[sel], pairs.j[sel]
+    a1, a2 = pairs.off1[i], pairs.off2[j]
+    r1, r2 = pairs.off1[i + 1] - a1, pairs.off2[j + 1] - a2
+    normsq = np.empty(sel.size)
+    outside = np.empty(sel.size)
+    z = np.empty((pairs.s1.shape[0], sel.size), dtype=np.complex128)
+    for x_is_u, sx, ax, sy, ay, ry in ((True, pairs.s1, a1, pairs.s2, a2, r2),
+                                       (False, pairs.s2, a2, pairs.s1, a1, r1)):
+        side = np.flatnonzero((r1 == 1) == x_is_u)
+        if not side.size:
+            continue
+        lengths = ry[side]
+        starts = np.cumsum(lengths) - lengths
+        ycols = _ranges(ay[side], lengths)
+        xrep = np.repeat(ax[side], lengths)
+        g = (pairs.cross[xrep, ycols].conj() if x_is_u
+             else pairs.cross[ycols, xrep])
+        normsq[side] = np.add.reduceat(g.real ** 2 + g.imag ** 2, starts)
+        cuts = np.flatnonzero(np.diff(starts // _CHUNK)) + 1
+        for chunk in np.split(np.arange(side.size), cuts):
+            first = starts[chunk[0]]
+            terms = slice(first, starts[chunk[-1]] + lengths[chunk[-1]])
+            yg = np.add.reduceat(sy[:, ycols[terms]] * g[terms],
+                                 starts[chunk] - first, axis=1)
+            x = sx[:, ax[side[chunk]]]
+            norm_c = np.sqrt(normsq[side[chunk]])
+            outside[side[chunk]] = norm_c * np.linalg.norm(x - yg, axis=0)
+            z[:, side[chunk]] = x if x_is_u else yg / norm_c
+    return normsq, outside, np.hypot(1.0 - normsq, outside), z
 
 
 def _outside_norm(ui: np.ndarray, wj: np.ndarray, block: np.ndarray) -> float:
@@ -191,10 +269,12 @@ def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
     if e1.dim != e2.dim:
         raise DimensionMismatch("measures act on different dimensions")
     threshold = _commute_threshold(e1.dim, tol)
-    for _, _, ui, wj, block, _ in _pair_blocks(e1, e2, threshold / 4.0, tol):
-        if np.sqrt(2.0) * _outside_norm(ui, wj, block) > threshold:
-            return False
-    return True
+    pairs = _screened_pairs(e1, e2, threshold / 4.0, tol)
+    _, outside, _, _ = _rank_one(pairs, np.flatnonzero(pairs.single))
+    if np.any(np.sqrt(2.0) * outside > threshold):
+        return False
+    return all(np.sqrt(2.0) * _outside_norm(*pairs.block(k)) <= threshold
+               for k in np.flatnonzero(~pairs.single))
 
 
 def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
@@ -216,7 +296,12 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
       ``P_i Q_j (I - P_i)`` part.
 
     Both identities need orthonormal atom bases, so each pair costs
-    O(n r_i r_j) and no n x n product is formed.  Raises
+    O(n r_i r_j) and no n x n product is formed.  A pair whose smaller
+    side has rank one needs no solve (``_rank_one``), and all such pairs
+    are taken in a few array passes; only a pair whose atoms both have
+    rank two or more gets a Jacobi solve of its Gram block
+    (``_intersection``).  Refusals name the first failing pair in
+    row-major order, whichever path it takes.  Raises
     DimensionMismatch unless both factors resolve the identity of the
     same space (atom ranks summing to the dimension, every atom basis
     orthonormal), and NotCommuting when the measures fail the
@@ -236,44 +321,77 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
         raise ValueError("the first factor must be supported on the real line")
     threshold = _commute_threshold(n, tol)
     prune = PRUNE_FACTOR * n
-    t_points, w_points, bases = [], [], []
-    rectangle = 0.0
     # A pair that commutes has P_i Q_j near a projection, so "no stable
     # intersection" only follows a pair that failed the commute test.
     screen = threshold / 4.0
-    for i, j, ui, wj, block, mass in _pair_blocks(e1, e2, min(prune, screen),
-                                                  tol):
-        outside = _outside_norm(ui, wj, block)
-        if mass > screen and np.sqrt(2.0) * outside > threshold:
-            raise NotCommuting("projections of the two measures do not commute")
-        if mass <= prune:
+    pairs = _screened_pairs(e1, e2, min(prune, screen), tol)
+    mass = pairs.mass
+    clash = np.zeros(mass.size, dtype=bool)
+    lost = np.zeros(mass.size, dtype=bool)
+    kept = np.zeros(mass.size, dtype=bool)
+    gaps = np.zeros(mass.size)
+    one = np.flatnonzero(pairs.single)
+    normsq, outside, gap, z = _rank_one(pairs, one)
+    gaps[one] = gap
+    clash[one] = (mass[one] > screen) & (np.sqrt(2.0) * outside > threshold)
+    lost[one] = (mass[one] > prune) & (normsq <= 0.25) & (mass[one] > 0.1)
+    kept[one] = (mass[one] > prune) & (normsq > 0.25)
+    # the other pairs in row-major order, up to the first rank-one failure
+    stop = int(np.argmax(clash | lost)) if (clash | lost).any() else mass.size
+    solved = {}
+    for k in np.flatnonzero(~pairs.single[:stop]).tolist():
+        ui, wj, block = pairs.block(k)
+        out_k = _outside_norm(ui, wj, block)
+        clash[k] = mass[k] > screen and np.sqrt(2.0) * out_k > threshold
+        if clash[k]:
+            break
+        if mass[k] <= prune:
             continue
-        atom = _intersection(ui, block, outside, tol)
+        atom = _intersection(ui, block, out_k, tol)
         if atom is None:
-            if mass > 0.1:
-                raise NotCommuting(
-                    f"pair ({i}, {j}) has projection product mass "
-                    f"{mass:.3e} but no stable intersection"
-                )
+            lost[k] = mass[k] > 0.1
+            if lost[k]:
+                break
             continue
-        z, gap = atom
-        rectangle = max(rectangle, gap)
-        t_points.append(float(e1.points[i].real))
-        w_points.append(complex(e2.points[j]))
-        bases.append(z)
-    if not t_points:
+        solved[k], gaps[k] = atom
+        kept[k] = True
+    failed = np.flatnonzero(clash | lost)
+    if failed.size:
+        k = failed[0]
+        if clash[k]:
+            raise NotCommuting("projections of the two measures do not commute")
+        raise NotCommuting(
+            f"pair ({pairs.i[k]}, {pairs.j[k]}) has projection product mass "
+            f"{mass[k]:.3e} but no stable intersection"
+        )
+    if not kept.any():
         raise NotCommuting("no atom pair survived pruning")
-    # The loop's views would keep both stacked bases and the cross
-    # matrix alive while ProductMeasure copies every atom basis.
-    del ui, wj, block
+    rectangle = float(gaps[kept].max())
     bound = PVM_FACTOR * tol.rel(n)
     if rectangle > bound:
         raise NotCommuting(
             f"product projections deviate from P_i Q_j by {rectangle:.3e}, "
             f"beyond {bound:.3e}"
         )
-    return ProductMeasure(n, np.array(t_points), np.array(w_points),
-                          bases=tuple(bases), rectangle_residual=rectangle)
+    t_points = e1.points.real[pairs.i[kept]]
+    w_points = e2.points[pairs.j[kept]]
+    # the cross matrix goes before the atom bases are gathered
+    ui = wj = block = None
+    del pairs
+    widths = kept.astype(np.intp)
+    for k, zk in solved.items():
+        widths[k] = zk.shape[1]
+    offsets = np.cumsum(np.concatenate(([0], widths[kept])))
+    slot = np.cumsum(kept) - 1  # a kept pair's place among the atoms
+    stacked = np.empty((n, offsets[-1]), dtype=np.complex128)
+    stable = kept[one]
+    stacked[:, offsets[slot[one[stable]]]] = z[:, stable]
+    del z
+    for k, zk in solved.items():
+        stacked[:, offsets[slot[k]]:offsets[slot[k] + 1]] = zk
+    return ProductMeasure(n, t_points, w_points,
+                          bases=_Blocks(stacked, offsets),
+                          rectangle_residual=rectangle)
 
 
 def marginal_residuals(prod: ProductMeasure, e1: SpectralMeasure,
@@ -347,12 +465,15 @@ def pushforward(prod: ProductMeasure, phi,
         images.append(value)
     images = np.array(images, dtype=np.complex128)
     radius = tol.cluster_radius(float(np.max(np.abs(images))))
-    clusters = cluster_points(images, radius)
-    ranks = np.array(prod.ranks, dtype=np.float64)
-    points = []
-    blocks = []
-    for c in clusters:
-        weight = ranks[c]
-        points.append(complex((images[c] * weight).sum() / weight.sum()))
-        blocks.append(np.hstack([prod.basis(int(i)) for i in c]))
-    return SpectralMeasure(prod.dim, np.array(points), bases=tuple(blocks))
+    members, offsets, _ = _clusters(images, radius)
+    atom_offsets = np.cumsum((0,) + prod.ranks)
+    ranks = np.diff(atom_offsets)[members]
+    label = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    moments = images[members] * ranks
+    sums = np.empty(offsets.size - 1, dtype=np.complex128)
+    sums.real = np.bincount(label, moments.real)
+    sums.imag = np.bincount(label, moments.imag)
+    columns = _ranges(atom_offsets[members], ranks)
+    return SpectralMeasure(prod.dim, sums / np.bincount(label, ranks),
+                           bases=_Blocks(prod.stacked_basis()[:, columns],
+                                         np.cumsum(np.append(0, ranks))[offsets]))

@@ -1,0 +1,412 @@
+"""Batched atom bookkeeping against the per-atom loops it replaced.
+
+The references below keep the earlier forms as test oracles: the
+dict-based ``cluster_points``, the K step of ``normal_eig`` taken one
+cluster at a time, the measure built one cluster at a time, and
+``product_measure`` taken one pair at a time through ``_intersection``.
+The batched code must give the same clusters in the same order, the same
+atom ranks, the same refusals, and points and projections that agree to
+rounding.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectral_forge import linalg, measures, product
+from spectral_forge.decomposition import _bounded_pair
+from spectral_forge.errors import DimensionMismatch, NotCommuting
+from spectral_forge.gallery import OperatorSpec, generate
+from spectral_forge.linalg import (
+    DEFAULT_TOLERANCES,
+    OperatorMatrix,
+    Tolerances,
+    _eigensystem,
+    _jacobi_hermitian,
+    cluster_points,
+    normal_eig,
+)
+from spectral_forge.measures import (
+    PVM_FACTOR,
+    SpectralMeasure,
+    _block_norms,
+    _clustered_measure,
+    _measure_in_frame,
+)
+from spectral_forge.product import (
+    PRUNE_FACTOR,
+    _basis_defects,
+    _commute_threshold,
+    _intersection,
+    _outside_norm,
+    product_measure,
+    pushforward,
+)
+
+EPS = np.finfo(float).eps
+
+
+def ref_cluster_points(points, radius):
+    pts = np.asarray(points, dtype=np.complex128)
+    k = pts.shape[0]
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    if k > 1:
+        gaps = np.abs(pts[:, None] - pts[None, :])
+        for i, j in np.argwhere(gaps <= radius):
+            if i < j:
+                ri, rj = find(int(i)), find(int(j))
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    clusters = [np.array(sorted(ix), dtype=np.intp) for ix in groups.values()]
+    means = [pts[c].mean() for c in clusters]
+    order = sorted(
+        range(len(clusters)),
+        key=lambda g: (means[g].real, means[g].imag, int(clusters[g][0])),
+    )
+    return [clusters[g] for g in order]
+
+
+def ref_normal_eig(m, tol=DEFAULT_TOLERANCES):
+    a = m.array
+    n = m.dim
+    h_vals, h_vecs = _jacobi_hermitian(a, tol.atol)
+    order = np.argsort(h_vals, kind="stable")
+    h_vals = h_vals[order]
+    h_vecs = h_vecs[:, order]
+    radius = tol.cluster_radius(float(np.max(np.abs(h_vals))))
+    k = (a - a.conj().T) / 2.0j
+    vals = np.empty(n, dtype=np.complex128)
+    vecs = np.empty((n, n), dtype=np.complex128)
+    noise = n * EPS * np.linalg.norm(a)
+    col = 0
+    for cluster in ref_cluster_points(h_vals.astype(np.complex128), radius):
+        basis = h_vecs[:, cluster]
+        kb = basis.conj().T @ k @ basis
+        if np.linalg.norm(kb - np.diag(kb.diagonal())) <= noise:
+            k_vals, k_vecs = kb.diagonal().real, np.eye(cluster.size)
+        else:
+            k_vals, k_vecs = _jacobi_hermitian(kb, tol.atol)
+        cols = slice(col, col + cluster.size)
+        vals[cols] = h_vals[cluster] @ np.abs(k_vecs) ** 2 + 1.0j * k_vals
+        vecs[:, cols] = basis @ k_vecs
+        col += cluster.size
+    return _eigensystem(vals, vecs)
+
+
+def ref_measure(es, tol=DEFAULT_TOLERANCES):
+    vals = es.eigenvalues
+    radius = tol.cluster_radius(float(np.max(np.abs(vals))))
+    clusters = ref_cluster_points(vals, radius)
+    points = np.array([vals[c].mean() for c in clusters])
+    bases = tuple(es.unitary.array[:, c] for c in clusters)
+    return SpectralMeasure(es.dim, points, bases=bases)
+
+
+def ref_product_measure(e1, e2, tol=DEFAULT_TOLERANCES):
+    n = e1.dim
+    threshold = _commute_threshold(n, tol)
+    prune = PRUNE_FACTOR * n
+    screen = threshold / 4.0
+    s1 = np.hstack([e1.basis(i) for i in range(e1.num_atoms)])
+    s2 = np.hstack([e2.basis(j) for j in range(e2.num_atoms)])
+    off1 = np.cumsum((0,) + e1.ranks)
+    off2 = np.cumsum((0,) + e2.ranks)
+    for name, s, off in (("e1", s1, off1), ("e2", s2, off2)):
+        defects = _basis_defects(s, off)
+        k = int(np.argmax(defects > threshold))
+        if defects[k] > threshold:
+            raise DimensionMismatch(
+                f"factor {name} atom {k} has no orthonormal basis: "
+                f"||u* u - I||_F = {defects[k]:.3e}, beyond {threshold:.3e}")
+    cross = s1.conj().T @ s2
+    masses = _block_norms(cross, off1, off2)
+    t_points, w_points, bases = [], [], []
+    rectangle = 0.0
+    for i, j in zip(*np.nonzero(masses > min(prune, screen))):
+        rows = slice(off1[i], off1[i + 1])
+        cols = slice(off2[j], off2[j + 1])
+        ui, wj, block = s1[:, rows], s2[:, cols], cross[rows, cols]
+        mass = float(masses[i, j])
+        outside = _outside_norm(ui, wj, block)
+        if mass > screen and np.sqrt(2.0) * outside > threshold:
+            raise NotCommuting("projections of the two measures do not commute")
+        if mass <= prune:
+            continue
+        atom = _intersection(ui, block, outside, tol)
+        if atom is None:
+            if mass > 0.1:
+                raise NotCommuting(
+                    f"pair ({i}, {j}) has projection product mass "
+                    f"{mass:.3e} but no stable intersection")
+            continue
+        z, gap = atom
+        rectangle = max(rectangle, gap)
+        t_points.append(float(e1.points[i].real))
+        w_points.append(complex(e2.points[j]))
+        bases.append(z)
+    if not t_points:
+        raise NotCommuting("no atom pair survived pruning")
+    bound = PVM_FACTOR * tol.rel(n)
+    if rectangle > bound:
+        raise NotCommuting(
+            f"product projections deviate from P_i Q_j by {rectangle:.3e}, "
+            f"beyond {bound:.3e}")
+    return product.ProductMeasure(n, np.array(t_points), np.array(w_points),
+                                  bases=tuple(bases),
+                                  rectangle_residual=rectangle)
+
+
+def _ring_and_pair():
+    # a ring of 12 points of radius 3.5 (chained at radius 2) and the pair
+    # {-1, 1} (joined at gap exactly 2) have exactly equal means 0; the
+    # ring's points come as (p, -p) so its sums cancel exactly
+    half = 3.5 * np.exp(1j * np.pi * np.arange(6) / 6)
+    ring = np.ravel(np.column_stack([half, -half]))
+    return np.concatenate([[50.0 + 0j], ring, [-1.0, 1.0]])
+
+
+CLUSTER_CASES = {
+    "chain": (np.array([0.0, 1.0, 2.0, 3.5, 2.9]), 1.0),
+    "repeated": (np.array([2.0, 1.0, 2.0, 1.0, 3.0, 2.0]), 1e-8),
+    "real_ties": (np.array([1 + 1j, 1 - 1j, 1 + 0j, 0 + 1j, 0 - 1j]), 0.5),
+    "mean_ties": (_ring_and_pair(), 2.0),
+    "mean_ties_reversed": (_ring_and_pair()[::-1].copy(), 2.0),
+    "separate": (np.arange(40.0)[::-1] * (1 + 0.5j), 0.1),
+    "single": (np.array([3.0 - 1j]), 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
+def test_cluster_points_match_dict_reference(case):
+    points, radius = CLUSTER_CASES[case]
+    got = cluster_points(points, radius)
+    want = ref_cluster_points(points, radius)
+    assert [g.tolist() for g in got] == [g.tolist() for g in want]
+    _, _, means = linalg._clusters(points, radius)
+    np.testing.assert_allclose(means, [points[c].mean() for c in want],
+                               rtol=0, atol=8 * EPS * np.max(np.abs(points)))
+
+
+def _normal(values, seed):
+    rng = np.random.default_rng(seed)
+    n = len(values)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    return OperatorMatrix((q * np.asarray(values)) @ q.conj().T)
+
+
+def _direct_sum(c, diag):
+    n = 3 + len(diag)
+    m = np.zeros((n, n), dtype=complex)
+    m[:3, :3] = c * np.eye(3)
+    m[3:, 3:] = np.diag(diag)
+    return OperatorMatrix(m)
+
+
+NORMAL_CASES = {
+    "momentum_1d": generate(OperatorSpec("momentum_1d", dim=12, scale=3.0,
+                                         seed=0)),
+    "cI_plus_diag": _direct_sum(2.0 - 1j, [0.5, 2.0 - 1j, 3j, -1.0]),
+    # equal real parts: H clusters whose K blocks need a solve
+    "k_split": _normal([1 + 1j, 1 - 1j, 1 + 2j, 2.0, 2 + 0.5j, -1j], 3),
+    "repeated": _normal([1j, 1j, 1j, 2.0, 2.0, -3 + 1j], 4),
+    # H values chained by gaps under the clustering radius
+    "chained": _normal([1.0, 1.0 + 6e-9, 1.0 + 1.2e-8, 1.0 + 1.8e-8, 4.0,
+                        4.0 + 1j], 5),
+    "random_normal": generate(OperatorSpec("random_normal", dim=10,
+                                           scale=5.0, seed=6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NORMAL_CASES))
+def test_normal_eig_matches_per_cluster_reference(case):
+    m = NORMAL_CASES[case]
+    got = _clustered_measure(normal_eig(m), DEFAULT_TOLERANCES)
+    want = ref_measure(ref_normal_eig(m))
+    close = 100 * EPS * np.linalg.norm(m.array)
+    # atoms are ordered by the real parts of their points, so two whose
+    # real parts agree to rounding may come in either order
+    match = np.argmin(np.abs(got.points[:, None] - want.points[None, :]),
+                      axis=1)
+    assert sorted(match.tolist()) == list(range(want.num_atoms))
+    assert np.all(np.abs(want.points.real[match]
+                         - got.points.real) <= close)
+    assert np.all(np.diff(want.points.real[match]) >= -2 * close)
+    assert got.ranks == tuple(want.ranks[j] for j in match)
+    np.testing.assert_allclose(got.points, want.points[match], rtol=0,
+                               atol=close)
+    for k, j in enumerate(match):
+        np.testing.assert_allclose(got.projection(k).array,
+                                   want.projection(j).array, rtol=0,
+                                   atol=1e-12)
+
+
+def _factors(t):
+    d, es, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
+    e1 = _clustered_measure(es, DEFAULT_TOLERANCES)
+    return e1, _measure_in_frame(b_local, es.unitary.array)
+
+
+def _assert_same_product(got, want):
+    np.testing.assert_array_equal(got.t_points, want.t_points)
+    np.testing.assert_array_equal(got.w_points, want.w_points)
+    assert got.ranks == want.ranks
+    assert got.rectangle_residual == pytest.approx(
+        want.rectangle_residual, rel=0, abs=64 * EPS * got.dim)
+    for k in range(got.num_atoms):
+        np.testing.assert_allclose(got.projection(k).array,
+                                   want.projection(k).array, rtol=0,
+                                   atol=1e-13)
+
+
+@pytest.mark.parametrize("case", sorted(NORMAL_CASES))
+def test_product_measure_matches_per_pair_reference(case):
+    e1, e2 = _factors(NORMAL_CASES[case])
+    _assert_same_product(product_measure(e1, e2), ref_product_measure(e1, e2))
+
+
+def test_pushforward_matches_per_cluster_reference():
+    # E_A of momentum_1d has rank-2 atoms, so product atoms of mixed rank
+    # merge under the pushforward
+    e1, e2 = _factors(NORMAL_CASES["momentum_1d"])
+    prod = product_measure(e1, e2)
+    got = pushforward(prod, lambda t, w: w / t)
+    images = prod.w_points / prod.t_points
+    radius = DEFAULT_TOLERANCES.cluster_radius(float(np.max(np.abs(images))))
+    ranks = np.array(prod.ranks, dtype=np.float64)
+    clusters = ref_cluster_points(images, radius)
+    assert [got.basis(k).shape[1] for k in range(got.num_atoms)] == \
+        [int(ranks[c].sum()) for c in clusters]
+    for k, c in enumerate(clusters):
+        point = (images[c] * ranks[c]).sum() / ranks[c].sum()
+        assert got.points[k] == point
+        np.testing.assert_array_equal(
+            got.basis(k), np.hstack([prod.basis(int(i)) for i in c]))
+
+
+def _tilted_pair(n, r1, r2, shift, log_delta, seed):
+    """Two-atom factors sharing columns of one unitary, the second tilted."""
+    rng = np.random.default_rng(seed)
+
+    def unitary(spread):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(np.eye(n) + spread * g)[0]
+
+    q = unitary(10.0)
+    q2 = q if log_delta is None else q @ unitary(10.0 ** log_delta)
+    cols = (np.arange(r2) + shift) % n
+    rest = np.setdiff1d(np.arange(n), cols)
+    e1 = SpectralMeasure(n, np.array([0.1, 0.2]), bases=(q[:, :r1], q[:, r1:]))
+    e2 = SpectralMeasure(n, np.array([0.3, 0.4j]),
+                         bases=(q2[:, cols], q2[:, rest]))
+    return e1, e2
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (DimensionMismatch, NotCommuting) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(4, 9), r1=st.integers(1, 3), r2=st.integers(1, 3),
+       shift=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       log_delta=st.none() | st.floats(-13.0, 0.0),
+       rtol=st.sampled_from([None, 1e-2, 0.3]),
+       scaled=st.sampled_from([None, "e1", "e2"]))
+def test_batched_product_refuses_and_accepts_like_reference(
+        n, r1, r2, shift, seed, log_delta, rtol, scaled):
+    # mixed ranks, tilts that break commutation, tolerances loose enough
+    # to reach "no stable intersection", and a scaled atom basis
+    e1, e2 = _tilted_pair(n, r1, r2, shift, log_delta, seed)
+    factors = {"e1": e1, "e2": e2}
+    if scaled is not None:
+        e = factors[scaled]
+        bases = [e.basis(k) for k in range(e.num_atoms)]
+        bases[1] = 2.5 * bases[1]  # refused at every tolerance drawn
+        factors[scaled] = SpectralMeasure(n, e.points, bases=tuple(bases))
+    tol = Tolerances(rtol=rtol)
+    got = _outcome(product_measure, factors["e1"], factors["e2"], tol)
+    want = _outcome(ref_product_measure, factors["e1"], factors["e2"], tol)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_product(got, want)
+
+
+def _shuffled_diagonal(n):
+    d = np.diag(generate(OperatorSpec("multiplication", dim=n, scale=100.0,
+                                      seed=7)).array)
+    return OperatorMatrix(np.diag(d[np.random.default_rng(7).permutation(n)]))
+
+
+ALL_RANK_ONE = {
+    "shuffled_diagonal": lambda: _shuffled_diagonal(256),
+    "random_normal": lambda: generate(OperatorSpec("random_normal", dim=64,
+                                                   scale=10.0, seed=7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALL_RANK_ONE))
+def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
+    # with every atom of rank one, E_B's H solve is the only Hermitian
+    # Jacobi solve left after the one-sided solve: no K block, no pair
+    t = ALL_RANK_ONE[case]()
+    d, es, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
+    e1 = _clustered_measure(es, DEFAULT_TOLERANCES)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return _jacobi_hermitian(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_jacobi_hermitian", counted)
+    monkeypatch.setattr(product, "_jacobi_hermitian", counted)
+    e2 = _measure_in_frame(b_local, es.unitary.array)
+    prod = product_measure(e1, e2)
+    assert set(e1.ranks) == set(e2.ranks) == set(prod.ranks) == {1}
+    assert calls == [(t.dim, t.dim)]
+
+
+def test_measure_in_frame_peak_holds_no_per_atom_copy():
+    # the peak sits in the eigensystem's sort: the input's copy, H's
+    # vectors, and their sorted, phased and frozen copies (about 6.2 n x n
+    # complex arrays); the bases are rotated back in one product, with no
+    # per-atom split or copy on top (7.2 n x n arrays before)
+    import tracemalloc
+    n = 256
+    d, es, b_local = _bounded_pair(_shuffled_diagonal(n), DEFAULT_TOLERANCES)
+    frame = es.unitary.array
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        e2 = _measure_in_frame(b_local, frame)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert e2.num_atoms == n
+    assert peak <= 6.5 * 16 * n * n + 64 * 16 * n
+
+
+def test_atom_store_keeps_one_stacked_basis():
+    # basis(k) is a read-only view of the one stacked array
+    e = measures.pvm_from_normal(NORMAL_CASES["momentum_1d"])
+    stacked = e.stacked_basis()
+    assert not stacked.flags.writeable
+    for k in range(e.num_atoms):
+        assert np.shares_memory(e.basis(k), stacked)
+    assert e.basis(-1).shape[1] == e.ranks[-1]
+    with pytest.raises(IndexError):
+        e.basis(e.num_atoms)

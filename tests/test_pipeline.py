@@ -7,8 +7,9 @@ from spectral_forge.errors import NotNormal, ScaleLimit
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import (DEFAULT_TOLERANCES, OperatorMatrix,
                                    _norm_in_frame, frobenius, op_norm_2)
-from spectral_forge.measures import (_measure_in_frame, pvm_from_normal,
-                                     pvm_integrate, pvm_validate)
+from spectral_forge.measures import (SpectralMeasure, _measure_in_frame,
+                                     pvm_from_normal, pvm_integrate,
+                                     pvm_validate)
 from spectral_forge.pipeline import (
     NORM_LIMIT,
     SINGULAR_MARGIN,
@@ -279,3 +280,63 @@ def test_guard_holds_past_squared_overflow(kind, seed, scale):
     assert abs(op_norm_2(t) - oracle) <= 1e-12 * oracle
     with pytest.raises(ScaleLimit):
         spectral_theorem(t)
+
+
+def _dense_match(result, direct, tol, scale):
+    """The cross-check matching on sorted (gap, i, j) tuples and dense
+    projections, as a reference for the rank-space one."""
+    radius = 1e-7 * (1.0 + scale)
+    gaps = np.abs(result.points[:, None] - direct.points[None, :])
+    pairs = sorted((float(gaps[i, j]), i, j) for i in range(result.num_atoms)
+                   for j in range(direct.num_atoms))
+    used_a, used_b = set(), set()
+    point_gap = projection_gap = 0.0
+    for gap, i, j in pairs:
+        if gap > radius:
+            break
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        point_gap = max(point_gap, gap)
+        diff = result.projection(i).array - direct.projection(j).array
+        projection_gap = max(projection_gap, float(np.linalg.norm(diff)))
+    unmatched = result.num_atoms + direct.num_atoms - 2 * len(used_a)
+    return [("cross_point_gap", point_gap, radius),
+            ("cross_projection_gap", projection_gap,
+             1e4 * tol.rel(result.dim)),
+            ("cross_unmatched", float(unmatched), 0.0)]
+
+
+def _match_case(name):
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    q = np.linalg.qr(g)[0]
+    tilt = np.linalg.qr(np.eye(5) + 1e-3 * g)[0]
+    cuts = {"a": (q[:, :1], q[:, 1:3], q[:, 3:]),
+            "b": (q[:, :2], q[:, 2:3], q[:, 3:])}
+    if name == "ties":
+        # every result atom is 1 from two direct atoms: ties break on i, j
+        a = SpectralMeasure(5, np.array([0.0, 2.0, 4.0]), bases=cuts["a"])
+        b = SpectralMeasure(5, np.array([1.0, 3.0, 5.0]),
+                            bases=tuple(tilt @ c for c in cuts["b"]))
+        return a, b, 1e7
+    if name == "unmatched":
+        a = SpectralMeasure(5, np.array([0.0, 1.0, 2.0]), bases=cuts["a"])
+        b = SpectralMeasure(5, np.array([0.0, 1.0 + 1e-9, 7.0]),
+                            bases=cuts["b"])
+        return a, b, 1.0
+    t = generate(OperatorSpec(name, dim=12, scale=2.0, seed=3))
+    return spectral_theorem(t).spectral_measure, pvm_from_normal(t), 2.0
+
+
+@pytest.mark.parametrize("name", ["ties", "unmatched", "random_normal",
+                                  "momentum_1d"])
+def test_match_measures_agrees_with_dense_matching(name):
+    a, b, scale = _match_case(name)
+    got = pipeline._match_measures(a, b, DEFAULT_TOLERANCES, scale)
+    want = _dense_match(a, b, DEFAULT_TOLERANCES, scale)
+    assert [(k, bound) for k, _, bound in got] == \
+        [(k, bound) for k, _, bound in want]
+    assert got[0][1] == want[0][1] and got[2][1] == want[2][1]
+    assert got[1][1] == pytest.approx(want[1][1], rel=1e-9, abs=1e-14)

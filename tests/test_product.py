@@ -251,9 +251,9 @@ def test_product_on_dense_read_back_derives_each_basis_once(monkeypatch):
                                    factored.projection(i).array, atol=1e-12)
 
 
-def test_pair_blocks_match_per_block_norms():
+def test_screened_pairs_match_per_block_norms():
     # the one-reduction screen against the per-pair loop it replaced
-    from spectral_forge.product import _pair_blocks
+    from spectral_forge.product import _screened_pairs
     t = generate(OperatorSpec("random_normal", dim=10, scale=2.0, seed=31))
     e1, e2 = measures_for(t)
     s1, s2 = e1.stacked_basis(), e2.stacked_basis()
@@ -268,13 +268,16 @@ def test_pair_blocks_match_per_block_norms():
             mass = float(np.linalg.norm(block))
             if mass > floor:
                 expected.append((i, j, block, mass))
-    got = list(_pair_blocks(e1, e2, floor))
-    assert [(i, j) for i, j, *_ in got] == [(i, j) for i, j, *_ in expected]
-    for (i, j, ui, wj, block, mass), ref in zip(got, expected):
+    pairs = _screened_pairs(e1, e2, floor)
+    assert list(zip(pairs.i.tolist(), pairs.j.tolist())) == \
+        [(i, j) for i, j, *_ in expected]
+    for k, (i, j, block, mass) in enumerate(expected):
+        ui, wj, got = pairs.block(k)
         np.testing.assert_array_equal(ui, e1.basis(i))
         np.testing.assert_array_equal(wj, e2.basis(j))
-        np.testing.assert_array_equal(block, ref[2])
-        assert mass == pytest.approx(ref[3], rel=8 * np.finfo(float).eps)
+        np.testing.assert_array_equal(got, block)
+        assert pairs.mass[k] == pytest.approx(mass, rel=8 * np.finfo(float).eps)
+        assert pairs.single[k] == (min(block.shape) == 1)
 
 
 @pytest.mark.parametrize("factor", ["e1", "e2"])
@@ -372,15 +375,26 @@ def test_rectangle_gap_matches_dense_product(n, r1, r2, shift, log_delta,
     from spectral_forge.product import (
         _intersection,
         _outside_norm,
-        _pair_blocks,
+        _rank_one,
+        _screened_pairs,
     )
     e1, e2, _ = _pair(n, r1, r2, shift, log_delta, seed)
-    for _, _, u, w, block, _ in _pair_blocks(e1, e2, 0.0):
-        atom = _intersection(u, block, _outside_norm(u, w, block),
-                             DEFAULT_TOLERANCES)
-        if atom is None:
-            continue
-        z, gap = atom
+    pairs = _screened_pairs(e1, e2, 0.0)
+    one = np.flatnonzero(pairs.single)
+    normsq, _, gaps, zs = _rank_one(pairs, one)
+    for k in range(pairs.mass.size):
+        u, w, block = pairs.block(k)
+        if pairs.single[k]:
+            at = int(np.searchsorted(one, k))
+            if normsq[at] <= 0.25:
+                continue
+            z, gap = zs[:, at:at + 1], gaps[at]
+        else:
+            atom = _intersection(u, block, _outside_norm(u, w, block),
+                                 DEFAULT_TOLERANCES)
+            if atom is None:
+                continue
+            z, gap = atom
         dense = np.linalg.norm(z @ z.conj().T - (u @ block) @ w.conj().T)
         assert abs(gap - dense) <= 8 * np.finfo(float).eps * n
 
