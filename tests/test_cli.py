@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectral_forge
 from spectral_forge import io
 from spectral_forge.cli import main
 from spectral_forge.linalg import OperatorMatrix
@@ -622,3 +627,25 @@ def test_every_command_past_squared_overflow(tmp_path, capsys, kind, scale):
                              capsys)
         assert code == 0 and "skipped (operator matrix)" in out
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_pipeline_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 17 ms to import, and np.unique asked for no
+    # indices imports it; momentum_1d's rank-2 atoms take the K-block path
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "momentum_1d",
+                 "--dim", "12", "--scale", "3")
+    bundle = str(tmp_path / "bundle.json")
+    script = (
+        "import sys\n"
+        "from spectral_forge.cli import main\n"
+        f"code = main(['pipeline', '--input', {t!r}, '--emit', 'all', "
+        f"'--output', {bundle!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(spectral_forge.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -176,8 +176,9 @@ def test_jacobi_stops_at_relative_rounding_floor(monkeypatch):
     rng = np.random.default_rng(64)
     m = random_hermitian(rng, 64)
     es = hermitian_eig(m)
-    # stopping only when a sweep stalls takes about 98 sweeps here
-    assert len(sweeps) <= 20
+    # stopping only when a sweep stalls takes about 98 sweeps here, and
+    # a skip threshold falling linearly with the off-diagonal mass 17
+    assert len(sweeps) <= 12
     oracle = np.linalg.eigvalsh(m.array)
     np.testing.assert_allclose(es.eigenvalues.real, oracle,
                                atol=1e-11 * (1 + np.abs(oracle).max()))
