@@ -49,9 +49,13 @@ _TINY_PIVOT = float(np.finfo(np.float64).tiny)
 _EPS = float(np.finfo(np.float64).eps)
 
 # Largest block of rows or columns one two-sided Jacobi update gathers.
-# A round gathered whole (295 KB of columns at n = 192) costs more to
-# allocate than to rotate; blocks this small reuse freed heap memory, and
-# 128 KB ran faster than 64 KB at every n from 96 to 256.
+# Only rounds of more than 128 KB split, n > 128.  A round gathered whole
+# (295 KB of columns at n = 192) costs more to allocate than to rotate:
+# glibc malloc hands out blocks past 128 KB, its default mmap threshold,
+# as fresh pages and returns them on free, so every update page-faults
+# (n = 192: 4.2 s whole, 1.7 s in blocks; 2.1 s whole once glibc keeps
+# freed memory).  Blocks under the threshold reuse freed heap memory; any
+# smaller costs Python calls per block (64 KB was slower at n = 96..256).
 _BLOCK_BYTES = 128 * 1024
 
 # Largest entry that norms and Gram products take unscaled, and the
@@ -252,35 +256,32 @@ def _off_diagonal_norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w[mask]))
 
 
-def _pivot_bound(w: np.ndarray, level: float) -> np.ndarray:
-    """``max(level sqrt(|w_pp w_qq|), _TINY_PIVOT)`` per entry, inf on the diagonal."""
-    root = np.sqrt(np.abs(w.diagonal().real))
-    bound = np.maximum(level * np.outer(root, root), _TINY_PIVOT)
-    np.fill_diagonal(bound, np.inf)  # the diagonal is not tested
-    return bound
-
-
 def _sweep_head(w: np.ndarray, level: float, prev_off: float, rotations: int,
-                budget: int, off_target: float) -> float | None:
+                budget: int, off_target: float) -> tuple[float, float] | None:
     """Stopping rule of both Jacobi kernels, run on Hermitian ``w``.
 
     Sweeps stop once every ``|w_pq| <= level sqrt(|w_pp w_qq|)`` or
     ``_TINY_PIVOT`` (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4),
     1992: at level eps a further rotation moves no eigenvalue by more
     than eps relative to itself), when a sweep fails to shrink the
-    off-diagonal mass, or when the budget is spent.  Returns that mass
-    while sweeps go on and None when they stop at or below
-    ``off_target``; stopping above it raises NoConvergence.
+    off-diagonal mass, or when the budget is spent.  While sweeps go on
+    returns ``(off, refused)``: the off-diagonal mass and the mass of
+    the entries above that floor.  Returns None when they stop at or
+    below ``off_target``; stopping above it raises NoConvergence.
     """
     off = _off_diagonal_norm(w)
-    if np.all(np.abs(w) <= _pivot_bound(w, level)):
+    root = np.sqrt(np.abs(w.diagonal().real))
+    bound = np.maximum(level * np.outer(root, root), _TINY_PIVOT)
+    np.fill_diagonal(bound, np.inf)  # the diagonal is not tested
+    mag = np.abs(w)
+    if np.all(mag <= bound):
         reason = "sweeps reached the relative rounding floor"
     elif off >= prev_off:
         reason = "sweeps stalled"
     elif rotations >= budget:
         reason = f"sweep budget of {budget} rotations exhausted"
     else:
-        return off
+        return off, float(np.linalg.norm(mag[mag > bound]))
     if off <= off_target:
         return None
     raise NoConvergence(
@@ -361,24 +362,30 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float):
     and a round is applied in place, a block of pairs at a time, each
     block's gathered rows and columns at most ``_BLOCK_BYTES``.
     ``_sweep_head`` decides at level eps, against the target
-    ``atol (1 + ||W||_F)`` and the rotation budget ``30 n^2``.
+    ``atol (1 + ||W||_F)`` and the rotation budget ``30 n^2``.  W is
+    scaled by a power of two first when its largest entry lies outside
+    ``[2^-128, 2^128]``: below about 1e-154 the squares in the norms
+    underflow, and an off-diagonal mass that reads 0 would stop the
+    sweeps as stalled after one sweep.  The scale is exact and commutes
+    with the rotations, so only the eigenvalues and the target carry it.
 
     A pivot turns when ``|w_pq| > max(eps sqrt(|w_pp w_qq|), t, tiny)``.
     The first term is the stop test's own floor.  The threshold is
-    ``t = r (r / ||W||_F) / (4n)``, where r is the mass, at the sweep
-    head, of the off-diagonal entries above that floor: t falls with
-    r^2, so the sweeps converge quadratically; r <= ||W||_F, so it
-    cannot overflow; and the largest of those entries passes it, so each
-    sweep turns a pivot the stop test refuses.  (Taken from the whole
+    ``t = r (r / ||W||_F) / (4n)``, where r is the mass of the
+    off-diagonal entries above that floor, which ``_sweep_head`` returns:
+    t falls with r^2, so the sweeps converge quadratically; r <= ||W||_F,
+    so it cannot overflow, and ``||W||_F >= 2^-128`` once any entry is
+    refused; and the largest of those entries passes it, so each sweep
+    turns a pivot the stop test refuses.  (Taken from the whole
     off-diagonal mass, t could sit above every refused pivot of a graded
     matrix whose mass is in accepted ones, and the sweeps would stall.)
 
     Returns ``(eigenvalues, vectors)`` unsorted.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    w = (m + m.conj().T) / 2.0
+    w, e = _power_of_two_scaled((m + m.conj().T) / 2.0)
     fro = float(np.linalg.norm(w))
-    off_target = atol * (1.0 + fro)
+    off_target = float(np.ldexp(atol * (1.0 + np.ldexp(fro, e)), -e))
     n = w.shape[0]
     vt = np.eye(n, dtype=np.complex128)  # rows are eigenvectors
     width = max(1, _BLOCK_BYTES // (16 * n))  # pairs per block
@@ -386,15 +393,10 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float):
     rotations = 0
     prev_off = np.inf
     while True:
-        off = _sweep_head(w, _EPS, prev_off, rotations, budget, off_target)
-        if off is None:
+        head = _sweep_head(w, _EPS, prev_off, rotations, budget, off_target)
+        if head is None:
             break
-        prev_off = off
-        # r, the mass of the pivots the stop test still refuses
-        refused = np.abs(w)
-        refused[refused <= _pivot_bound(w, _EPS)] = 0.0
-        r = float(np.linalg.norm(refused))
-        del refused  # not alive under the next sweep head's temporaries
+        prev_off, r = head
         # denormal pivots are noise, and dividing by them overflows
         threshold = max(r * (r / fro) / (4.0 * n), _TINY_PIVOT)
         for p_all, q_all in _round_robin_rounds(n):
@@ -423,7 +425,7 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float):
             w[p, p] = alpha - shift
             w[q, q] = gamma + shift
             rotations += int(p.size)
-    return w.diagonal().real.copy(), vt.T
+    return np.ldexp(w.diagonal().real, e), vt.T
 
 
 def _jacobi_one_sided(matrix: np.ndarray, atol: float):
@@ -452,10 +454,10 @@ def _jacobi_one_sided(matrix: np.ndarray, atol: float):
     gram = gt.conj() @ gt.T
     off_target = atol * (1.0 + np.linalg.norm(gram))
     while True:
-        off = _sweep_head(gram, level, prev_off, rotations, budget, off_target)
-        if off is None:
+        head = _sweep_head(gram, level, prev_off, rotations, budget, off_target)
+        if head is None:
             break
-        prev_off = off
+        prev_off = head[0]
         norms = gram.diagonal().real.copy()
         for p_all, q_all in _round_robin_rounds(n):
             beta = np.einsum("ij,ij->i", gt[p_all].conj(), gt[q_all])

@@ -15,6 +15,7 @@ from spectral_forge import linalg
 from spectral_forge.errors import NoConvergence
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import (
+    OperatorMatrix,
     _EPS,
     _TINY_PIVOT,
     _jacobi_hermitian,
@@ -22,7 +23,10 @@ from spectral_forge.linalg import (
     _rotation,
     _round_robin_rounds,
     _sweep_head,
+    hermitian_eig,
+    normal_eig,
 )
+from spectral_forge.measures import pvm_from_normal
 
 
 def ref_jacobi_hermitian(matrix, atol):
@@ -35,10 +39,10 @@ def ref_jacobi_hermitian(matrix, atol):
     rotations = 0
     prev_off = np.inf
     while True:
-        off = _sweep_head(w, _EPS, prev_off, rotations, budget, off_target)
-        if off is None:
+        head = _sweep_head(w, _EPS, prev_off, rotations, budget, off_target)
+        if head is None:
             break
-        prev_off = off
+        off = prev_off = head[0]
         skip_threshold = off / (4.0 * n)
         for p_all, q_all in _round_robin_rounds(n):
             beta = w[p_all, q_all]
@@ -163,6 +167,28 @@ def test_refused_pivot_under_accepted_mass_still_turns():
     vals = np.sort(_jacobi_hermitian(w, 1e-12)[0])
     want = np.array([1e-30 - 1e-36, 1e-30 + 1e-36])
     assert np.all(np.abs(vals[:2] - want) <= 4 * _EPS * want)
+
+
+@pytest.mark.parametrize("scale", [1e-162, 1e-170, 1e-300])
+def test_tiny_inputs_keep_relative_accuracy(scale):
+    # below about 1e-154 the squares in the norms underflow; unscaled,
+    # the off-diagonal mass read 0 and the sweeps stopped as stalled
+    # after one (eigenvalues 15 % off at 1e-170), and the threshold's
+    # r / ||W||_F divided by zero
+    n = 12
+    h = generate(OperatorSpec("random_hermitian", dim=n, seed=3)).array
+    vals = hermitian_eig(OperatorMatrix(scale * h)).eigenvalues.real
+    err = np.max(np.abs(vals / scale - np.linalg.eigvalsh(h)))
+    assert err <= 4 * n * _EPS * np.linalg.norm(h)
+    t = generate(OperatorSpec("random_normal", dim=n, seed=3)).array
+    vals = np.sort_complex(normal_eig(OperatorMatrix(scale * t)).eigenvalues)
+    err = np.max(np.abs(vals / scale - np.sort_complex(np.linalg.eigvals(t))))
+    assert err <= 8 * n * _EPS * np.linalg.norm(t)
+    # every point is within the absolute cluster radius of every other:
+    # one atom of rank n at the mean eigenvalue
+    e = pvm_from_normal(OperatorMatrix(scale * t))
+    assert e.points.shape == (1,) and e.bases[0].shape == (n, n)
+    assert abs(e.points[0] / scale - np.trace(t) / n) <= 8 * n * _EPS
 
 
 def test_blocks_of_any_width_give_the_same_system(monkeypatch):
