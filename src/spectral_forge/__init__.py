@@ -51,11 +51,7 @@ from .measures import (
     pvm_integrate,
     pvm_validate,
 )
-from .pipeline import (
-    PipelineResult,
-    pipeline_tolerance,
-    spectral_theorem,
-)
+from .pipeline import PipelineResult, spectral_theorem
 from .product import (
     ProductMeasure,
     commute_check,
@@ -83,7 +79,7 @@ __all__ = [
     "ProductMeasure", "commute_check", "product_measure",
     "product_validate", "marginal_residuals", "fubini_check",
     "pushforward",
-    "PipelineResult", "spectral_theorem", "pipeline_tolerance",
+    "PipelineResult", "spectral_theorem",
     "OperatorSpec", "generate", "KINDS",
     "read_matrix", "write_matrix", "read_pvm", "write_pvm",
     "read_decomposition", "write_decomposition",

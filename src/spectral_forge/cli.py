@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import io
-from .decomposition import RECONSTRUCTION_FACTOR, decompose, verify
+from .decomposition import decompose, verify
 from .errors import (
     BadSpec,
     DimensionMismatch,
@@ -27,8 +27,8 @@ from .errors import (
     SpectralForgeError,
 )
 from .gallery import KINDS, OperatorSpec, generate
-from .linalg import OperatorMatrix, Tolerances, frobenius
-from .measures import pvm_from_normal, pvm_integrate, pvm_validate
+from .linalg import OperatorMatrix, Tolerances
+from .measures import _reconstruction_check, pvm_from_normal, pvm_validate
 from .pipeline import spectral_theorem
 from .product import product_validate
 from .report import VerificationReport
@@ -89,9 +89,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _pvm_report(t: OperatorMatrix, e, tol: Tolerances) -> VerificationReport:
-    return pvm_validate(e, tol).extended([(
-        "reconstruction", frobenius(pvm_integrate(lambda z: z, e) - t),
-        RECONSTRUCTION_FACTOR * tol.rel(t.dim) * (1.0 + frobenius(t)))])
+    return pvm_validate(e, tol).extended([_reconstruction_check(t, e, tol)])
 
 
 def _cmd_spectrum(args) -> int:
@@ -274,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol-abs", type=float, default=None, metavar="X",
                        help="absolute tolerance floor (default 1e-12)")
     solve.add_argument("--cluster", type=float, default=None, metavar="X",
-                       help="eigenvalue clustering radius (default "
-                            "1e-8 times (1 + spectral scale))")
+                       help="absolute clustering radius (default: points "
+                            "join within 1e-8 of their own size)")
     solve.add_argument("--input", metavar="FILE",
                        help="input operator file")
     output = argparse.ArgumentParser(add_help=False)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotNormal
 from .linalg import (
+    _EPS,
     EigenSystem,
     OperatorMatrix,
     Tolerances,
@@ -54,7 +55,7 @@ class Decomposition:
 
     ``a`` is Hermitian positive definite with norm at most 1, ``b`` is
     normal with norm at most 1/2, and ``a^(-1) b`` recovers the source.
-    ``source_norm`` records ||T||_2 for tolerance scaling.
+    ``source_norm`` records ||T||_2, which the pipeline's guard reads.
     """
 
     a: OperatorMatrix
@@ -81,20 +82,26 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
     entry is B's local form W^(1/2) (V* T V) W^(1/2), which a solve of
     E_B takes as it is.  V* T V carries rounding of about
     eps ||T|| per entry: formed as T A, B would keep it unweighted, and
-    ||[A, B]|| would reach eps ||T||.  T is scaled by a power of two
-    first when a norm of it would leave the float range, and an s whose
-    square overflows gets weight 0.  Normality is not tested here.
+    ||[A, B]|| would reach eps ||T||; it is set to 0 on T's null modes,
+    s <= 100 n eps max s, where it is all there is.  T is scaled by a
+    power of two first when a norm of it would leave the float range,
+    and an s whose square overflows gets weight 0.  Normality is not
+    tested here.
     """
     scaled, e = _power_of_two_scaled(t.array)
     sigma, v = _jacobi_one_sided(scaled, tol.atol)
     sigma = np.ldexp(sigma, e)
     with np.errstate(over="ignore"):
         weights = 1.0 / (1.0 + sigma * sigma)
-    es = _eigensystem(weights, v)
+    order = np.argsort(weights, kind="stable")  # E's order
+    es = _eigensystem(weights[order], v[:, order])
     u = es.unitary.array
     w = es.eigenvalues.real
     # sqrt(w_i w_j), exactly w_i on the diagonal
     b_local = (u.conj().T @ (t.array @ u)) * np.sqrt(np.outer(w, w))
+    # from s, not w: w underflows to 0 past s of about 1e154
+    null = sigma[order] <= 100.0 * t.dim * _EPS * sigma.max()
+    b_local[np.ix_(null, null)] = 0.0
     return Decomposition(OperatorMatrix((u * w) @ u.conj().T),
                          OperatorMatrix(u @ b_local @ u.conj().T),
                          float(sigma.max())), es, b_local

@@ -48,6 +48,9 @@ _TINY_PIVOT = float(np.finfo(np.float64).tiny)
 # Machine epsilon of float64, the scale of the Jacobi stopping test.
 _EPS = float(np.finfo(np.float64).eps)
 
+# Relative gap within which default clusters join (``_clusters``).
+_CLUSTER_REL = 1e-8
+
 # Largest block of rows or columns one two-sided Jacobi update gathers.
 # Only rounds of more than 128 KB split, n > 128.  A round gathered whole
 # (295 KB of columns at n = 192) costs more to allocate than to rotate:
@@ -76,8 +79,9 @@ class Tolerances:
     atol : float
         Absolute floor, also the Jacobi convergence target scale.
     cluster : float or None
-        Eigenvalue clustering radius.  When None it defaults to
-        ``1e-8 * (1 + s)`` where s estimates the spectral scale.
+        Absolute eigenvalue clustering radius.  When None, points a and b
+        join when ``|a - b| <= 1e-8 max(|a|, |b|) + 100 eps s``, s the
+        largest |point|, and never past ``cluster_radius(s)``.
     """
 
     rtol: float | None = None
@@ -97,8 +101,12 @@ class Tolerances:
         return self.rtol if self.rtol is not None else 1e-10 * dim
 
     def cluster_radius(self, scale: float) -> float:
-        """Clustering radius for eigenvalues of magnitude up to ``scale``."""
-        return self.cluster if self.cluster is not None else 1e-8 * (1.0 + scale)
+        """Widest gap at which points up to ``scale`` join (``_clusters``).
+
+        ``cluster`` when set; else ``1e-8 (1 + scale)``, and a pair must
+        also be within 1e-8 of its own size plus 100 eps ``scale``.
+        """
+        return self.cluster if self.cluster is not None else _CLUSTER_REL * (1.0 + scale)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -204,11 +212,11 @@ def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     without rounding, and the Jacobi rotations commute with it, so only
     the exponent is carried.
     """
-    peak = float(np.max(np.abs(a.view(np.float64))))
+    peak = float(np.max(np.abs(a.view(np.float64)), initial=0.0))
     if peak == 0.0 or 1.0 / _SCALE_LIMIT <= peak <= _SCALE_LIMIT:
         return a, 0
     e = int(np.frexp(peak)[1])
-    return np.ldexp(a.view(np.float64), -e).view(np.complex128), e
+    return np.ldexp(a.view(np.float64), -e).view(a.dtype), e
 
 
 def _refuse_past_scale_limit(m: OperatorMatrix):
@@ -221,10 +229,15 @@ def _refuse_past_scale_limit(m: OperatorMatrix):
         )
 
 
+def _norm(x: np.ndarray) -> float:
+    """2-norm of ``x``, whatever the range of its entries' squares."""
+    a, e = _power_of_two_scaled(x)
+    return float(np.ldexp(np.linalg.norm(a), e))
+
+
 def frobenius(m: OperatorMatrix) -> float:
     """Frobenius norm of ``m``."""
-    a, e = _power_of_two_scaled(m.array)
-    return float(np.ldexp(np.linalg.norm(a), e))
+    return _norm(m.array)
 
 
 def is_hermitian(m: OperatorMatrix, tol: Tolerances | None = None) -> bool:
@@ -253,7 +266,7 @@ def is_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> bool:
 
 def _off_diagonal_norm(w: np.ndarray) -> float:
     mask = ~np.eye(w.shape[0], dtype=bool)
-    return float(np.linalg.norm(w[mask]))
+    return _norm(w[mask])
 
 
 def _sweep_head(w: np.ndarray, level: float, prev_off: float, rotations: int,
@@ -281,7 +294,7 @@ def _sweep_head(w: np.ndarray, level: float, prev_off: float, rotations: int,
     elif rotations >= budget:
         reason = f"sweep budget of {budget} rotations exhausted"
     else:
-        return off, float(np.linalg.norm(mag[mag > bound]))
+        return off, _norm(mag[mag > bound])
     if off <= off_target:
         return None
     raise NoConvergence(
@@ -526,27 +539,37 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
-def _clusters(points: np.ndarray, radius: float
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``cluster_points`` as arrays: ``(members, offsets, means)``.
+def _clusters(points: np.ndarray, tol: Tolerances, relative: bool = True
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The clustering rule, as arrays: ``(members, offsets, means, reach)``.
+
+    Points a and b join when ``|a - b| <= max(reach_a, reach_b)``.  The
+    reach of x is ``min(R, 1e-8 |x| + 100 eps s)``, s the largest |point|
+    and ``R = tol.cluster_radius(s)``, or R alone under ``tol.cluster``
+    or when not ``relative``.
 
     Cluster g holds ``members[offsets[g]:offsets[g + 1]]``, ascending, and
-    has mean ``means[g]``.  A pair within ``radius`` is within it in real
-    part, so the candidate pairs come from a window of twice the radius
-    over the points sorted by real part, which holds every such pair
-    whatever the rounding; union-find then takes one step per pair
-    within the radius, and the groups, their means and their order are
-    array passes.
+    has mean ``means[g]``.  A pair that joins is within R in real part,
+    so the candidate pairs come from a window of twice R over the points
+    sorted by real part, which holds every such pair whatever the
+    rounding; union-find then takes one step per pair that joins, and
+    the groups, their means and their order are array passes.
     """
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[0]
+    mags = np.abs(pts)
+    top = float(np.max(mags, initial=0.0))
+    radius = tol.cluster_radius(top)
+    reach = np.full(k, radius)
+    if relative and tol.cluster is None:
+        reach = np.minimum(reach, _CLUSTER_REL * mags + 100.0 * _EPS * top)
     by_real = np.argsort(pts.real, kind="stable")
     real = pts.real[by_real]
     after = np.arange(1, k + 1)
     width = np.searchsorted(real, real + 2.0 * radius, side="right") - after
     a = by_real[np.repeat(after - 1, width)]
     b = by_real[_ranges(after, width)]
-    near = np.abs(pts[a] - pts[b]) <= radius
+    near = np.abs(pts[a] - pts[b]) <= np.maximum(reach[a], reach[b])
     roots = np.arange(k)
     if near.any():
         parent = list(range(k))
@@ -577,7 +600,8 @@ def _clusters(points: np.ndarray, radius: float
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     members = np.argsort(rank[labels], kind="stable")
-    return members, np.concatenate(([0], np.cumsum(counts[order]))), means[order]
+    offsets = np.concatenate(([0], np.cumsum(counts[order])))
+    return members, offsets, means[order], reach
 
 
 def cluster_points(points: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -588,7 +612,7 @@ def cluster_points(points: np.ndarray, radius: float) -> list[np.ndarray]:
     the lexicographic (real, imaginary) position of each cluster mean,
     then by first index.
     """
-    members, offsets, _ = _clusters(points, radius)
+    members, offsets, _, _ = _clusters(points, Tolerances(cluster=radius))
     return np.split(members, offsets[1:-1]) if members.size else []
 
 
@@ -614,8 +638,8 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     n = m.dim
     h_vals, h_vecs = _jacobi_hermitian(a, tol.atol)  # H = (M + M*)/2
     order = np.argsort(h_vals, kind="stable")
-    radius = tol.cluster_radius(float(np.max(np.abs(h_vals))))
-    members, offsets, _ = _clusters(h_vals[order], radius)
+    # H's vectors are as good as eps ||M|| over H's gaps: group absolutely
+    members, offsets, _, _ = _clusters(h_vals[order], tol, relative=False)
     order = order[members]
     h_vals = h_vals[order]
     h_vecs = h_vecs[:, order]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decomposition import RECONSTRUCTION_FACTOR
 from .errors import DimensionMismatch, NonFiniteValue
 from .linalg import (
     EigenSystem,
@@ -24,6 +25,7 @@ from .linalg import (
     Tolerances,
     _clusters,
     _resolve,
+    frobenius,
     hermitian_eig,
     normal_eig,
 )
@@ -204,7 +206,7 @@ class SpectralMeasure(_AtomStore):
 def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> SpectralMeasure:
     """Spectral measure of a normal matrix.
 
-    Eigenvalues within the clustering radius collapse into a single
+    Eigenvalues that cluster (``_clusters``) collapse into a single
     atom located at the cluster mean, whose projection spans all the
     member eigenvectors.  Raises NotNormal or NoConvergence from the
     underlying eigendecomposition.
@@ -215,9 +217,7 @@ def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> Spectra
 
 def _clustered_measure(es: EigenSystem, tol: Tolerances) -> SpectralMeasure:
     """Measure of a unitary diagonalization, clusters merged into atoms."""
-    vals = es.eigenvalues
-    radius = tol.cluster_radius(float(np.max(np.abs(vals))))
-    members, offsets, means = _clusters(vals, radius)
+    members, offsets, means, _ = _clusters(es.eigenvalues, tol)
     return SpectralMeasure(es.dim, means, bases=_Blocks(
         es.unitary.array[:, members], offsets))
 
@@ -244,6 +244,13 @@ def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:
     """
     weights = np.array([complex(f(complex(z))) for z in e.points])
     return e._weighted_sum(weights)
+
+
+def _reconstruction_check(t: OperatorMatrix, e: SpectralMeasure,
+                          tol: Tolerances) -> tuple:
+    """``||sum z_k P_k - T||_F`` against ``100 rel(n) (1 + ||T||_F)``."""
+    return ("reconstruction", frobenius(pvm_integrate(lambda z: z, e) - t),
+            RECONSTRUCTION_FACTOR * tol.rel(t.dim) * (1.0 + frobenius(t)))
 
 
 def _block_norms(m: np.ndarray, row_offsets: np.ndarray,
@@ -309,17 +316,23 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
 
     Reports idempotency, Hermitian defect, mutual orthogonality, and
     completeness residuals (all Frobenius, each held to ``10 rel(n)``),
-    the total rank deficit against the space dimension, and the minimum
-    pairwise atom gap against the clustering radius; a single atom has
-    no pair to keep apart, so its report has no gap record.  Always
+    the total rank deficit, and ``min_point_gap``: the gap and join
+    radius of the pair of atoms nearest to joining.  By default a pair
+    joins within 1e-8 of its own size above 100 eps of the largest
+    point, never past ``tol.cluster_radius``; an explicit
+    ``tol.cluster`` is an absolute radius (``_clusters``).  A single atom
+    has no pair to keep apart, so its report has no gap record.  Always
     returns a report.
     """
     tol = _resolve(tol)
     checks = _store_checks(e, tol)
     if e.num_atoms > 1:
         pts = e.points
+        reach = _clusters(pts, tol)[3]
         gaps = np.abs(pts[:, None] - pts[None, :])
-        min_gap = float(np.min(gaps[~np.eye(e.num_atoms, dtype=bool)]))
-        radius = tol.cluster_radius(e.support_radius)
-        checks.append(("min_point_gap", min_gap, radius, min_gap > radius))
+        np.fill_diagonal(gaps, np.inf)
+        radii = np.maximum.outer(reach, reach)
+        i, j = np.unravel_index(np.argmin(gaps - radii), gaps.shape)
+        gap, radius = float(gaps[i, j]), float(radii[i, j])
+        checks.append(("min_point_gap", gap, radius, gap > radius))
     return VerificationReport.from_checks(checks)

@@ -21,12 +21,12 @@ W^(1/2) (V* T V) W^(1/2), the V* B V that B was formed from: unitarily
 similar to B, it converges in a few sweeps and would reach the same
 answer from any frame.
 
-E_A's weights keep the relative accuracy of the singular values, but
-the pushforward divides E_B's points, whose errors are absolute, by
-them, amplifying those errors by 1 + |z|^2.  So accuracy degrades with
-the squared norm past 1e2, which is why the pipeline refuses inputs
-beyond 1e6 unless forced (reading ||T||_2 off the same solve, before
-the normality test); the tolerance schedule below encodes that growth.
+E_A's weights keep the relative accuracy of the singular values, and
+clusters join relative to their own size, so the result meets the
+reconstruction rule of ``spectrum`` and ``verify`` at every norm.
+``NORM_LIMIT`` guards only the singular margin: past it the smallest
+weight 1/(1 + ||T||^2) nears ``SINGULAR_MARGIN``, so unless forced the
+pipeline refuses such a norm, read off the same solve before normality.
 """
 
 from __future__ import annotations
@@ -38,16 +38,16 @@ import numpy as np
 from .decomposition import Decomposition, _bounded_pair, _require_normal
 from .errors import ScaleLimit
 from .linalg import (OperatorMatrix, Tolerances, _refuse_past_scale_limit,
-                     _resolve, frobenius)
+                     _resolve)
 from .measures import (PVM_FACTOR, SpectralMeasure, _clustered_measure,
-                       _measure_in_frame, pvm_from_normal, pvm_integrate)
+                       _measure_in_frame, _reconstruction_check,
+                       pvm_from_normal)
 from .product import ProductMeasure, product_measure, pushforward
 from .report import VerificationReport
 
 __all__ = [
     "PipelineResult",
     "spectral_theorem",
-    "pipeline_tolerance",
     "NORM_LIMIT",
 ]
 
@@ -59,19 +59,6 @@ NORM_LIMIT = 1e6
 # Singular weight margin: weights of E_A this close to the origin are
 # sent to zero by the reciprocal map (scaled by 1 + ||A||).
 SINGULAR_MARGIN = 1e-14
-
-# Reconstruction budget: 1e-7 * n at moderate scale, growing with the
-# squared norm past 1e2 as the reciprocal map amplifies atom errors.
-PIPELINE_FACTOR = 1000.0
-SCALE_KNEE = 100.0
-
-
-def pipeline_tolerance(dim: int, source_norm: float,
-                       tol: Tolerances | None = None) -> float:
-    """Reconstruction tolerance schedule for the full pipeline."""
-    tol = _resolve(tol)
-    growth = max(1.0, (source_norm / SCALE_KNEE) ** 2)
-    return PIPELINE_FACTOR * tol.rel(dim) * growth
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,13 +130,10 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     singular_hits = int(np.count_nonzero((ts > 0.0) & (ts <= eps_sing)))
     measure = pushforward(
         prod, lambda x, w: (0.0 if abs(x) <= eps_sing else 1.0 / x) * w, tol)
-    recon = float(np.linalg.norm(
-        pvm_integrate(lambda z: z, measure).array - t.array))
     checks = [
         ("atom_count", float(measure.num_atoms), float(n),
          1 <= measure.num_atoms <= n),
-        ("reconstruction", recon,
-         pipeline_tolerance(n, source_norm, tol) * (1.0 + frobenius(t))),
+        _reconstruction_check(t, measure, tol),
         ("e2_support_excess", max(0.0, e2.support_radius - 0.5),
          PVM_FACTOR * tol.rel(n)),
         ("singular_weight_atoms", float(singular_hits), 0.0),

@@ -449,7 +449,7 @@ def pushforward(prod: ProductMeasure, phi,
                 tol: Tolerances | None = None) -> SpectralMeasure:
     """Image measure of a product measure under ``phi(t, w)``.
 
-    Image points within the clustering radius merge into one atom at
+    Image points that cluster (``_clusters``) merge into one atom at
     their rank-weighted mean, with the member projections summed (their
     bases concatenated).  Raises NonFiniteValue when phi is not finite
     on some atom.
@@ -464,8 +464,7 @@ def pushforward(prod: ProductMeasure, phi,
             )
         images.append(value)
     images = np.array(images, dtype=np.complex128)
-    radius = tol.cluster_radius(float(np.max(np.abs(images))))
-    members, offsets, _ = _clusters(images, radius)
+    members, offsets, _, _ = _clusters(images, tol)
     atom_offsets = np.cumsum((0,) + prod.ranks)
     ranks = np.diff(atom_offsets)[members]
     label = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))

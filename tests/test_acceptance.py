@@ -319,18 +319,15 @@ def test_criterion_7_discretized_models():
     for kind, dim, t, res in runs:
         arr = t.array
         norm2 = float(np.linalg.norm(arr, 2))
-        # conditioning schedule: error amplification of the reciprocal
-        # map grows with the square of the norm past the knee at 100
-        relax = max(1.0, (norm2 / 100.0) ** 2)
         atoms = _oracle_atoms(arr, Tolerances().cluster_radius(norm2))
         unmatched, point_gap, proj_gap = _match_against_oracle(
-            res.spectral_measure, atoms, relax * 1e-7 * (1.0 + norm2))
+            res.spectral_measure, atoms, 1e-7 * (1.0 + norm2))
         if unmatched:
             bad.append(f"{kind}: {unmatched} unmatched atoms")
-        if proj_gap > relax * 1e-6 * dim:
+        if proj_gap > 1e-6 * dim:
             bad.append(f"{kind}: projection gap {proj_gap:.3e}")
         rec = _reconstruction(res.spectral_measure, arr)
-        if rec > relax * 1e-7 * dim * (1.0 + float(np.linalg.norm(arr))):
+        if rec > 1e-7 * dim * (1.0 + float(np.linalg.norm(arr))):
             bad.append(f"{kind}: reconstruction {rec:.3e}")
         if not res.report.all_passed:
             fails = [k for k, ok in res.report.passed.items() if not ok]
@@ -404,3 +401,54 @@ def test_criterion_9_determinism_and_io(tmp_path, capsys):
         if not np.array_equal(again.array, arr):
             bad.append(f"matrix {k} changed under write/read")
     _verdict(9, "seeded outputs byte-identical, write/read exact", bad)
+
+
+def _closed_form_atoms(kind, n):
+    """``(scale, points, ranks)`` of a ladder operator, from its formula."""
+    if kind == "laplacian_1d":
+        scale = float((n + 1) ** 2)
+        z = scale * (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+    else:
+        scale = float(n)
+        z = -scale * np.sin(2.0 * np.pi * np.arange(n) / n)
+    # sin(2 pi k / n) = sin(2 pi (n/2 - k) / n) holds to rounding only
+    points, ranks = np.unique(np.round(z / scale, 12), return_counts=True)
+    return scale, scale * points, ranks
+
+
+LADDER = [(kind, n) for n in (32, 64, 128, 256)
+          for kind in ("laplacian_1d", "momentum_1d")]
+
+
+def test_criterion_10_closed_form_ladder():
+    # laplacian_1d at scale (n+1)^2 (||T|| up to 2.6e5) and momentum_1d at
+    # scale n (mostly rank-2 atoms), each atom held to the closed form:
+    # its rank, its point, and ||T U - z U||_F for its basis U
+    start = time.perf_counter()
+    bad = []
+    for kind, n in LADDER:
+        scale, points, ranks = _closed_form_atoms(kind, n)
+        t = generate(OperatorSpec(kind=kind, dim=n, scale=scale))
+        res = spectral_theorem(t)
+        e = res.spectral_measure
+        norm = float(np.max(np.abs(points)))
+        if not res.report.all_passed:
+            bad.append(f"{kind} n={n}: report fails {res.report.failed}")
+        if e.num_atoms != points.size:
+            bad.append(f"{kind} n={n}: {e.num_atoms} atoms, "
+                       f"closed form has {points.size}")
+            continue
+        order = np.argsort(e.points.real, kind="stable")
+        gap = float(np.max(np.abs(e.points[order] - points)))
+        if gap > 1e-12 * norm:
+            bad.append(f"{kind} n={n}: point gap {gap:.3e}")
+        if tuple(e.ranks[k] for k in order) != tuple(ranks.tolist()):
+            bad.append(f"{kind} n={n}: ranks differ from the closed form")
+        residual = max(float(np.linalg.norm(t.array @ e.basis(k) - z * e.basis(k)))
+                       for k, z in zip(order, points))
+        if residual > 1e4 * n * np.finfo(float).eps * norm:
+            bad.append(f"{kind} n={n}: eigen residual {residual:.3e}")
+    elapsed = time.perf_counter() - start
+    if elapsed > 60.0:
+        bad.append(f"ladder took {elapsed:.1f}s, budget is 60s")
+    _verdict(10, f"closed-form ladder, n up to 256, in {elapsed:.1f}s", bad)

@@ -47,7 +47,23 @@ from spectral_forge.product import (
 EPS = np.finfo(float).eps
 
 
+def ref_radii(points, tol=DEFAULT_TOLERANCES):
+    """Join radius of every pair of points, written out pair by pair.
+
+    An explicit ``tol.cluster`` is one absolute radius.  By default a
+    pair joins within 1e-8 of its larger magnitude plus 100 eps of the
+    largest, and never past ``tol.cluster_radius`` of the largest.
+    """
+    mags = np.abs(np.asarray(points, dtype=np.complex128))
+    top = float(np.max(mags))
+    if tol.cluster is not None:
+        return tol.cluster
+    size = np.maximum(mags[:, None], mags[None, :])
+    return np.minimum(tol.cluster_radius(top), 1e-8 * size + 100 * EPS * top)
+
+
 def ref_cluster_points(points, radius):
+    """Union-find over pairs within ``radius``, a scalar or one per pair."""
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[0]
     parent = list(range(k))
@@ -106,8 +122,7 @@ def ref_normal_eig(m, tol=DEFAULT_TOLERANCES):
 
 def ref_measure(es, tol=DEFAULT_TOLERANCES):
     vals = es.eigenvalues
-    radius = tol.cluster_radius(float(np.max(np.abs(vals))))
-    clusters = ref_cluster_points(vals, radius)
+    clusters = ref_cluster_points(vals, ref_radii(vals, tol))
     points = np.array([vals[c].mean() for c in clusters])
     bases = tuple(es.unitary.array[:, c] for c in clusters)
     return SpectralMeasure(es.dim, points, bases=bases)
@@ -193,9 +208,37 @@ def test_cluster_points_match_dict_reference(case):
     got = cluster_points(points, radius)
     want = ref_cluster_points(points, radius)
     assert [g.tolist() for g in got] == [g.tolist() for g in want]
-    _, _, means = linalg._clusters(points, radius)
+    _, _, means, _ = linalg._clusters(points, Tolerances(cluster=radius))
     np.testing.assert_allclose(means, [points[c].mean() for c in want],
                                rtol=0, atol=8 * EPS * np.max(np.abs(points)))
+
+
+def _weights(norm, n):
+    # E_A's weights 1/(1 + s^2) for singular values spread up to norm:
+    # past norm 1e4 their gaps fall below the absolute radius 1e-8
+    s = norm * np.sort(np.random.default_rng(n).random(n))
+    return (1.0 / (1.0 + s * s)).astype(np.complex128)
+
+
+DEFAULT_CASES = {
+    "weights_1e4": _weights(1e4, 40),
+    "weights_1e6": _weights(1e6, 40),
+    # gaps of 0.9e-8 and 1.1e-8 relative: the first pair joins, the
+    # second does not, and the absolute radius 2e-8 would join all
+    "relative_edge": np.array([1.0, 1.0 + 0.9e-8, 1.0 + 2.0e-8]) + 0j,
+    # the points 1e-20 apart sit under the floor 100 eps max|point|
+    "floor": np.array([0.0, 1e-20, 1e-3, 1.0 + 1j, 1.0 + 1j]),
+    "chain": np.array([1e6, 1e6 + 0.009, 1e6 + 0.018, 1e6 + 0.03, 3.0]) + 0j,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFAULT_CASES))
+def test_default_clusters_match_pairwise_reference(case):
+    points = DEFAULT_CASES[case]
+    members, offsets, _, _ = linalg._clusters(points, DEFAULT_TOLERANCES)
+    want = ref_cluster_points(points, ref_radii(points))
+    assert [g.tolist() for g in np.split(members, offsets[1:-1])] == \
+        [g.tolist() for g in want]
 
 
 def _normal(values, seed):
@@ -283,9 +326,8 @@ def test_pushforward_matches_per_cluster_reference():
     prod = product_measure(e1, e2)
     got = pushforward(prod, lambda t, w: w / t)
     images = prod.w_points / prod.t_points
-    radius = DEFAULT_TOLERANCES.cluster_radius(float(np.max(np.abs(images))))
     ranks = np.array(prod.ranks, dtype=np.float64)
-    clusters = ref_cluster_points(images, radius)
+    clusters = ref_cluster_points(images, ref_radii(images))
     assert [got.basis(k).shape[1] for k in range(got.num_atoms)] == \
         [int(ranks[c].sum()) for c in clusters]
     for k, c in enumerate(clusters):

@@ -460,8 +460,7 @@ def test_measure_docs_name_their_operator_and_nothing_unread(tmp_path, capsys):
     ("momentum_1d", 1.0), ("laplacian_1d", 0.25)])
 def test_verify_dir_passes_the_bundles_the_pipeline_passes(tmp_path, capsys,
                                                            kind, per_norm):
-    # where the pipeline's and spectrum's reconstruction rules both hold
-    # (||T|| up to 1e2), verify --dir agrees with the pipeline's report
+    # verify --dir agrees with the pipeline's report on every bundle
     for n in (4, 8, 16):
         for norm in (1e-2, 1.0, 1e2):
             case = tmp_path / f"{n}-{norm}"
@@ -474,6 +473,23 @@ def test_verify_dir_passes_the_bundles_the_pipeline_passes(tmp_path, capsys,
             code, out, _ = run(["verify", "--dir", str(case), "--input", t],
                                capsys)
             assert code == 0, (n, norm, out)
+
+
+@pytest.mark.parametrize("kind, scale", [
+    ("random_normal", 1e5), ("random_normal", 9e5),
+    ("random_hermitian", 1e5), ("momentum_1d", 1e5), ("laplacian_1d", 1e5)])
+def test_verify_dir_passes_large_norm_bundles(tmp_path, capsys, kind, scale):
+    # the pipeline and verify hold a measure of T to one reconstruction
+    # rule, so past ||T|| = 1e2 too every bundle the pipeline passes
+    # passes verify --dir
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", kind, "--dim", "8",
+                 "--scale", str(scale), "--seed", "3")
+    case = tmp_path / "case"
+    case.mkdir()
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", str(case / "bundle.json")]) == 0
+    code, out, _ = run(["verify", "--dir", str(case), "--input", t], capsys)
+    assert code == 0, out
 
 
 BIG = "1" + "0" * 400  # an integer literal beyond double range

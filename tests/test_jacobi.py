@@ -184,11 +184,27 @@ def test_tiny_inputs_keep_relative_accuracy(scale):
     vals = np.sort_complex(normal_eig(OperatorMatrix(scale * t)).eigenvalues)
     err = np.max(np.abs(vals / scale - np.sort_complex(np.linalg.eigvals(t))))
     assert err <= 8 * n * _EPS * np.linalg.norm(t)
-    # every point is within the absolute cluster radius of every other:
-    # one atom of rank n at the mean eigenvalue
+    # clusters join relative to the points' own size, so the measure is
+    # the unscaled input's n atoms, scaled
     e = pvm_from_normal(OperatorMatrix(scale * t))
-    assert e.points.shape == (1,) and e.bases[0].shape == (n, n)
-    assert abs(e.points[0] / scale - np.trace(t) / n) <= 8 * n * _EPS
+    unscaled = pvm_from_normal(OperatorMatrix(t))
+    assert e.ranks == unscaled.ranks == (1,) * n
+    np.testing.assert_allclose(e.points / scale, unscaled.points, rtol=0,
+                               atol=8 * n * _EPS * np.linalg.norm(t))
+
+
+def test_tiny_off_diagonal_under_a_normal_peak_still_turns():
+    # the peak entry 1 is in range, so no power-of-two scale engages, and
+    # the couplings' squares underflow: taken plainly, the off-diagonal
+    # mass read 0 and the sweeps stopped as stalled after one, leaving
+    # the small eigenvalues 5.7e-3, 4.1e-3 and 7.7e-5 off
+    w = np.diag([1.0, 1e-170, 1e-170, 2e-170]).astype(complex)
+    for (p, q), v in {(1, 2): 3e-171, (1, 3): 4e-171, (2, 3): 5e-171}.items():
+        w[p, q] = w[q, p] = v
+    vals = hermitian_eig(OperatorMatrix(w)).eigenvalues.real
+    want = np.ldexp(np.linalg.eigvalsh(np.ldexp(w[1:, 1:].real, 565)), -565)
+    assert vals[3] == 1.0
+    assert np.all(np.abs(vals[:3] - want) <= 4 * _EPS * want)
 
 
 def test_blocks_of_any_width_give_the_same_system(monkeypatch):

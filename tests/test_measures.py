@@ -3,7 +3,7 @@ import pytest
 
 from spectral_forge.errors import DimensionMismatch, NonFiniteValue
 from spectral_forge.gallery import OperatorSpec, generate
-from spectral_forge.linalg import OperatorMatrix
+from spectral_forge.linalg import OperatorMatrix, Tolerances
 from spectral_forge.measures import (
     SpectralMeasure,
     pvm_from_normal,
@@ -33,7 +33,7 @@ def test_multiplicity_collapses_to_one_atom():
 
 
 def test_near_degenerate_pair_is_merged():
-    # gap 1e-12 sits far below the default clustering radius
+    # gap 1e-12 sits far below 1e-8 of the points' size
     e = pvm_from_normal(OperatorMatrix(np.diag([1.0, 1.0 + 1e-12, 5.0])))
     assert e.num_atoms == 2
     assert e.points[0] == pytest.approx(1.0 + 5e-13, abs=1e-13)
@@ -128,6 +128,42 @@ def test_validate_catches_colliding_points():
                           bases=(e.basis(0), e.basis(1)))
     report = pvm_validate(bad)
     assert not report.passed["min_point_gap"]
+
+
+def test_explicit_radius_stays_absolute():
+    # 1e-3 and 1e-3 + 1e-9 are 1e-6 apart relative to themselves: the
+    # default keeps them apart, an explicit radius of 1e-8 joins them
+    t = OperatorMatrix(np.diag([1e-3, 1e-3 + 1e-9, 1.0]).astype(complex))
+    assert pvm_from_normal(t).ranks == (1, 1, 1)
+    assert pvm_from_normal(t, Tolerances(cluster=1e-8)).ranks == (2, 1)
+    # at 1e6 the default joins within 1e-8 of the points' size, 0.01
+    t = OperatorMatrix(np.diag([1e6, 1e6 + 0.5, 1e6 + 0.505]).astype(complex))
+    assert pvm_from_normal(t).ranks == (1, 2)
+    assert pvm_from_normal(t, Tolerances(cluster=1.0)).ranks == (3,)
+
+
+def test_point_gap_record_holds_the_pair_closest_to_joining():
+    # the pair 1e-9 apart near 0 clears its radius of about 2e-11; the
+    # pair 5e-6 apart at 1e3 is within its radius of about 1e-5, so it
+    # decides the record, and value > bound still reads as the verdict
+    pts = np.array([0.0, 1e-9, 1e3, 1e3 + 5e-6], dtype=complex)
+    e = SpectralMeasure(4, pts, bases=tuple(np.eye(4, dtype=complex)[:, [k]]
+                                            for k in range(4)))
+    report = pvm_validate(e)
+    assert report.residuals["min_point_gap"] == pytest.approx(5e-6)
+    assert report.tolerances["min_point_gap"] == pytest.approx(1e-5, rel=1e-3)
+    assert report.failed == ["min_point_gap"]
+    apart = SpectralMeasure(3, pts[:3], bases=tuple(
+        np.eye(3, dtype=complex)[:, [k]] for k in range(3)))
+    report = pvm_validate(apart)
+    assert report.residuals["min_point_gap"] == pytest.approx(1e-9)
+    assert report.tolerances["min_point_gap"] == pytest.approx(
+        1e-17 + 100 * np.finfo(float).eps * 1e3)
+    assert report.all_passed
+    # an explicit radius holds every pair to it alone
+    report = pvm_validate(apart, Tolerances(cluster=1e-8))
+    assert report.tolerances["min_point_gap"] == 1e-8
+    assert report.failed == ["min_point_gap"]
 
 
 def test_dense_and_factored_storage_agree():

@@ -13,7 +13,6 @@ from spectral_forge.measures import (SpectralMeasure, _measure_in_frame,
 from spectral_forge.pipeline import (
     NORM_LIMIT,
     SINGULAR_MARGIN,
-    pipeline_tolerance,
     spectral_theorem,
 )
 
@@ -106,6 +105,22 @@ def test_momentum_ring_degenerate_spectrum():
     assert res.spectral_measure.num_atoms == want.size
 
 
+@pytest.mark.parametrize("norm", [1e3, 1e4, 1e5, 9e5])
+def test_momentum_zero_atom_keeps_rank_2(norm):
+    # B's local form on T's null modes is rounding of eps ||T||; left in,
+    # it splits the rank-2 atom at 0 once clusters join relative to their
+    # own size
+    n = 12
+    t = generate(OperatorSpec("momentum_1d", dim=n, scale=norm))
+    res = spectral_theorem(t)
+    assert res.report.all_passed, res.report.failed
+    for e in (res.e2, res.spectral_measure):
+        k = int(np.argmin(np.abs(e.points)))
+        assert e.ranks[k] == 2
+        assert abs(e.points[k]) <= 100 * n * np.finfo(float).eps * norm
+    assert res.spectral_measure.num_atoms == n // 2 + 1
+
+
 def test_scale_limit_refusal_and_override():
     t = OperatorMatrix(1e9 * np.eye(2))
     with pytest.raises(ScaleLimit):
@@ -140,11 +155,25 @@ def test_norm_at_limit_still_recovers():
     assert res.report.all_passed, res.report.residuals
 
 
-def test_pipeline_tolerance_conditioning_schedule():
-    # quadratic growth kicks in only beyond norm 100
-    assert pipeline_tolerance(4, 1.0) == pytest.approx(1000 * 4e-10)
-    assert pipeline_tolerance(4, 100.0) == pytest.approx(1000 * 4e-10)
-    assert pipeline_tolerance(4, 200.0) == pytest.approx(1000 * 4e-10 * 4.0)
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+def test_pipeline_reconstruction_is_the_spectrum_rule(scale):
+    # one rule at every norm: 100 rel(n) (1 + ||T||_F), as spectrum and
+    # verify hold a measure of T
+    t = generate(OperatorSpec("random_normal", dim=8, scale=scale, seed=3))
+    res = spectral_theorem(t)
+    assert res.report.tolerances["reconstruction"] == \
+        100 * DEFAULT_TOLERANCES.rel(8) * (1.0 + frobenius(t))
+    assert res.report.all_passed
+
+
+def test_explicit_radius_merging_eigenvalues_fails_reconstruction():
+    # an explicit radius of 0.5 merges the weights of E_A and the points
+    # of E_B, so T's three eigenvalues come back as one atom, which the
+    # pipeline's own report must refuse
+    t = OperatorMatrix(np.diag([1.0, 1.3, 4.0]).astype(complex))
+    res = spectral_theorem(t, linalg.Tolerances(cluster=0.5))
+    assert res.spectral_measure.num_atoms == 1
+    assert res.report.failed == ["reconstruction"]
 
 
 def test_e2_support_within_half():
