@@ -7,7 +7,7 @@ are stored as orthonormal column blocks of one eigenbasis; the dense
 projection of an atom is materialized on demand as ``V V*``, which is
 Hermitian by construction.  Measures loaded from files (or built by
 hand, for example in tampering tests) keep their dense projections
-verbatim so validation judges exactly what was supplied.
+verbatim, in one k x n x n array, so validation judges what was supplied.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ __all__ = [
 PVM_FACTOR = 10.0
 
 
-def _dense_rank(proj: np.ndarray) -> int:
-    """Rank of a dense atom: its rounded trace, and at least one column."""
-    return max(1, int(round(float(np.trace(proj).real))))
-
-
 class _Blocks(Sequence):
     """Atom bases as column blocks of one stacked array.
 
@@ -72,37 +67,37 @@ class _AtomStore:
     Shared by SpectralMeasure and ProductMeasure, which are frozen
     dataclasses with ``dim``, ``bases`` and ``projections`` fields of
     their own.  Each checks its own points, then calls ``_store_atoms``;
-    ``_atom_label`` names an atom's point in error messages.  Bases given
-    as blocks are copied into one stacked array; the package's own
-    constructors pass a fresh ``_Blocks``, which is kept without a copy.
+    ``_atom_label`` names an atom's point in error messages.  Each
+    layout is one read-only array with finite entries: bases given as
+    blocks are copied into one stacked array (a fresh ``_Blocks`` from
+    the package is kept as it is), dense projections into a k x n x n one.
     """
 
     def _store_atoms(self, count: int):
         if (self.bases is None) == (self.projections is None):
             raise ValueError("exactly one of bases and projections is required")
+        if self.num_atoms != count:
+            raise DimensionMismatch("one basis or projection per atom is required")
         if self.bases is not None:
             blocks = self.bases
-            if len(blocks) != count:
-                raise DimensionMismatch("one basis block per atom is required")
             if not isinstance(blocks, _Blocks):
                 arrays = [np.asarray(b, dtype=np.complex128) for b in blocks]
-                for b in arrays:
-                    if b.ndim != 2 or b.shape[0] != self.dim or b.shape[1] == 0:
-                        raise DimensionMismatch("basis blocks must be dim x rank")
+                if any(b.ndim != 2 or b.shape[0] != self.dim or b.shape[1] == 0
+                       for b in arrays):
+                    raise DimensionMismatch("basis blocks must be dim x rank")
                 blocks = _Blocks(np.concatenate(arrays, axis=1), np.cumsum(
                     [0] + [b.shape[1] for b in arrays]))
-            blocks.stacked.setflags(write=False)
+            stored = blocks.stacked
             object.__setattr__(self, "bases", blocks)
         else:
-            mats = tuple(np.array(p, dtype=np.complex128, copy=True)
-                         for p in self.projections)
-            for p in mats:
-                if p.shape != (self.dim, self.dim):
-                    raise DimensionMismatch("projections must be dim x dim")
-                p.setflags(write=False)
-            if len(mats) != count:
-                raise DimensionMismatch("one projection per atom is required")
-            object.__setattr__(self, "projections", mats)
+            mats = [np.asarray(p, dtype=np.complex128) for p in self.projections]
+            if any(p.shape != (self.dim, self.dim) for p in mats):
+                raise DimensionMismatch("projections must be dim x dim")
+            stored = np.stack(mats)
+            object.__setattr__(self, "projections", stored)
+        if not np.isfinite(stored).all():
+            raise NonFiniteValue("atom bases and projections must be finite")
+        stored.setflags(write=False)
 
     @property
     def num_atoms(self) -> int:
@@ -112,7 +107,8 @@ class _AtomStore:
     def ranks(self) -> tuple[int, ...]:
         if self.bases is not None:
             return tuple(np.diff(self.bases.offsets).tolist())
-        return tuple(_dense_rank(p) for p in self.projections)
+        traces = np.trace(self.projections, axis1=1, axis2=2).real
+        return tuple(max(1, int(t)) for t in np.rint(traces).tolist())
 
     def basis(self, i: int) -> np.ndarray:
         """Orthonormal columns spanning atom ``i``.
@@ -127,7 +123,7 @@ class _AtomStore:
         # Files may hold tampered atoms: solving the Hermitian part lets
         # validation report the defect instead of raising NotHermitian.
         es = hermitian_eig(OperatorMatrix((proj + proj.conj().T) / 2.0))
-        return es.unitary.array[:, self.dim - _dense_rank(proj):]
+        return es.unitary.array[:, self.dim - self.ranks[i]:]
 
     def projection(self, i: int) -> OperatorMatrix:
         """Dense projection of atom ``i``."""
@@ -155,10 +151,7 @@ class _AtomStore:
             stacked = self.stacked_basis()
             per_column = np.repeat(weights, self.ranks)
             return OperatorMatrix((stacked * per_column) @ stacked.conj().T)
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for w, p in zip(weights, self.projections):
-            total += w * p
-        return OperatorMatrix(total)
+        return OperatorMatrix((weights[:, None, None] * self.projections).sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +167,9 @@ class SpectralMeasure(_AtomStore):
         (real, imaginary) part.
     bases : tuple of ndarray, optional
         Orthonormal columns spanning each atom's range.
-    projections : tuple of ndarray, optional
-        Dense projections, used when no basis factorization is known.
+    projections : sequence of ndarray, optional
+        Dense projections, used when no basis factorization is known;
+        kept as one k x dim x dim array.
 
     Exactly one of ``bases`` and ``projections`` must be given.
     """
@@ -183,7 +177,7 @@ class SpectralMeasure(_AtomStore):
     dim: int
     points: np.ndarray
     bases: tuple | None = None
-    projections: tuple | None = None
+    projections: np.ndarray | tuple | None = None
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.complex128, copy=True)
@@ -272,22 +266,25 @@ def _factored_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
     # ||u_i* u_i - I|| on the diagonal, ||u_i* u_j|| above it
     idem = float(np.max(np.diagonal(blocks)))
     ortho = float(np.max(np.triu(blocks, 1)))
-    herm = max(float(np.linalg.norm(p - p.conj().T))
-               for p in (e.projection(i).array for i in range(e.num_atoms)))
-    return idem, herm, ortho, completeness
+    # U U* is Hermitian by construction
+    return idem, 0.0, ortho, completeness
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack, summed as ``np.linalg.norm`` sums one."""
+    flat = stack.reshape(len(stack), 1, -1)
+    return np.sqrt(sum(x @ x.transpose(0, 2, 1) for x in (flat.real, flat.imag)))
 
 
 def _dense_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
-    mats = [e.projection(i).array for i in range(e.num_atoms)]
-    idem = max(float(np.linalg.norm(p @ p - p)) for p in mats)
-    herm = max(float(np.linalg.norm(p - p.conj().T)) for p in mats)
-    ortho = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            ortho = max(ortho, float(np.linalg.norm(mats[i] @ mats[j])))
-    total = sum(mats)
-    completeness = float(np.linalg.norm(total - np.eye(e.dim)))
-    return idem, herm, ortho, completeness
+    p = e.projections
+    idem = _norms(p @ p - p).max()
+    herm = _norms(p - p.conj().transpose(0, 2, 1)).max()
+    # ||P_i P_j|| for j > i, one batched product per atom
+    ortho = max((_norms(p[i] @ p[i + 1:]).max() for i in range(len(p) - 1)),
+                default=0.0)
+    completeness = np.linalg.norm(p.sum(axis=0) - np.eye(e.dim))
+    return float(idem), float(herm), float(ortho), float(completeness)
 
 
 def _store_checks(e: _AtomStore, tol: Tolerances) -> list[tuple]:
@@ -298,10 +295,8 @@ def _store_checks(e: _AtomStore, tol: Tolerances) -> list[tuple]:
     zero).
     """
     bound = PVM_FACTOR * tol.rel(e.dim)
-    if e.bases is not None:
-        idem, herm, ortho, completeness = _factored_invariants(e)
-    else:
-        idem, herm, ortho, completeness = _dense_invariants(e)
+    invariants = _factored_invariants if e.bases is not None else _dense_invariants
+    idem, herm, ortho, completeness = invariants(e)
     return [
         ("idempotency", idem, bound),
         ("hermitian_defect", herm, bound),
@@ -322,7 +317,9 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     point, never past ``tol.cluster_radius``; an explicit
     ``tol.cluster`` is an absolute radius (``_clusters``).  A single atom
     has no pair to keep apart, so its report has no gap record.  Always
-    returns a report.
+    returns a report.  Factored atoms are judged from the Gram matrix
+    of their stacked basis, their Hermitian defect 0 by construction;
+    dense atoms are measured as stored.
     """
     tol = _resolve(tol)
     checks = _store_checks(e, tol)

@@ -60,17 +60,18 @@ class ProductMeasure(_AtomStore):
     """Joint measure of a commuting pair, atoms indexed by (t, w) pairs.
 
     ``t_points`` are real (the first factor lives on the real line),
-    ``w_points`` complex.  Projections are stored factored or dense in
-    the atom store shared with SpectralMeasure.  ``rectangle_residual``
-    is the largest deviation of a stored projection from the literal
-    product P_i Q_j, measured at construction time.
+    ``w_points`` complex.  Projections are stored factored (one stacked
+    basis) or dense (one k x n x n array) in the atom store shared with
+    SpectralMeasure.  ``rectangle_residual`` is the largest deviation of
+    a stored projection from the literal product P_i Q_j, measured at
+    construction time.
     """
 
     dim: int
     t_points: np.ndarray
     w_points: np.ndarray
     bases: tuple | None = None
-    projections: tuple | None = None
+    projections: np.ndarray | tuple | None = None
     rectangle_residual: float | None = None
 
     def __post_init__(self):

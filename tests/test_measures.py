@@ -167,18 +167,69 @@ def test_point_gap_record_holds_the_pair_closest_to_joining():
 
 
 def test_dense_and_factored_storage_agree():
-    t = generate(OperatorSpec("random_normal", dim=6, scale=1.0, seed=13))
-    e = pvm_from_normal(t)
-    dense = SpectralMeasure(6, e.points,
-                            projections=tuple(e.projection(i).array
-                                              for i in range(e.num_atoms)))
-    assert pvm_validate(dense).all_passed
-    for i in range(e.num_atoms):
-        np.testing.assert_allclose(dense.projection(i).array,
-                                   e.projection(i).array, atol=1e-13)
-        b = dense.basis(i)
-        np.testing.assert_allclose(b @ b.conj().T,
-                                   e.projection(i).array, atol=1e-11)
+    # every stage of the pipeline against its dense io round trip: the
+    # same verdicts and ranks, and the factored side's Hermitian defect
+    # is 0 by construction (momentum_1d has rank-2 atoms)
+    from spectral_forge import io
+    from spectral_forge.pipeline import spectral_theorem
+    from spectral_forge.product import product_validate
+    for kind in ("random_normal", "momentum_1d"):
+        result = spectral_theorem(generate(OperatorSpec(kind, dim=6,
+                                                        scale=1.0, seed=13)))
+        stages = [(e, pvm_validate, io.pvm_from_doc(io.pvm_to_doc(e)))
+                  for e in (result.e1, result.e2, result.spectral_measure)]
+        stages.append((result.product, product_validate, io.product_from_doc(
+            io.product_to_doc(result.product))))
+        for e, validate, dense in stages:
+            assert dense.projections.shape == (e.num_atoms, 6, 6)
+            factored_report, dense_report = validate(e), validate(dense)
+            assert factored_report.all_passed, factored_report.residuals
+            # a product document carries no rectangle residual
+            assert dense_report.passed.items() <= factored_report.passed.items()
+            assert factored_report.residuals["hermitian_defect"] == 0.0
+            assert dense.ranks == e.ranks
+            for i in range(e.num_atoms):
+                np.testing.assert_allclose(dense.projection(i).array,
+                                           e.projection(i).array, atol=1e-13)
+                b = dense.basis(i)
+                np.testing.assert_allclose(b @ b.conj().T,
+                                           e.projection(i).array, atol=1e-11)
+
+
+def test_validating_built_measures_forms_no_projection(monkeypatch):
+    # factored atoms are judged from their Gram matrix alone
+    from spectral_forge.measures import _AtomStore
+    from spectral_forge.pipeline import spectral_theorem
+    from spectral_forge.product import product_validate
+    result = spectral_theorem(generate(OperatorSpec("momentum_1d", dim=12,
+                                                    scale=3.0, seed=5)))
+    e, prod = result.spectral_measure, result.product
+    want = pvm_validate(e).to_json_dict(), product_validate(prod).to_json_dict()
+
+    def refuse(self, i):
+        raise AssertionError(f"projection {i} formed")
+
+    monkeypatch.setattr(_AtomStore, "projection", refuse)
+    got = pvm_validate(e).to_json_dict(), product_validate(prod).to_json_dict()
+    assert got == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_atoms_are_refused_at_construction(bad):
+    from spectral_forge.product import ProductMeasure
+    basis = np.eye(2, dtype=complex)
+    basis[0, 1] = bad
+    proj = np.diag([0.0, 1.0]).astype(complex)
+    proj[1, 1] = bad
+    blocks = (basis[:, :1], basis[:, 1:])
+    dense = (np.diag([1.0, 0.0]), proj)
+    ts, ws = np.array([0.1, 0.2]), np.array([-0.3, 0.4j])
+    for build in (lambda: SpectralMeasure(2, ws, bases=blocks),
+                  lambda: SpectralMeasure(2, ws, projections=dense),
+                  lambda: ProductMeasure(2, ts, ws, bases=blocks),
+                  lambda: ProductMeasure(2, ts, ws, projections=dense)):
+        with pytest.raises(NonFiniteValue, match="finite"):
+            build()
 
 
 def test_projection_is_exactly_hermitian_in_factored_mode():
@@ -202,6 +253,9 @@ def test_constructor_validation():
         SpectralMeasure(2, pts, bases=(np.eye(3),))
     with pytest.raises(DimensionMismatch):
         SpectralMeasure(2, pts, projections=(np.eye(2), np.eye(2)))
+    with pytest.raises(DimensionMismatch):
+        SpectralMeasure(2, np.array([0.0, 1.0], dtype=complex),
+                        projections=(np.eye(2), np.eye(3)))
 
 
 def test_measure_is_read_only():
@@ -231,3 +285,33 @@ def test_block_norm_invariants_match_per_pair_loop(kind):
     eps = np.finfo(np.float64).eps
     assert abs(report.residuals["idempotency"] - idem) <= 8 * eps * idem
     assert abs(report.residuals["orthogonality"] - ortho) <= 8 * eps * ortho
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 5])
+def test_dense_array_passes_match_per_atom_loop(atoms):
+    # tampered dense atoms (column blocks of a unitary, plus noise): the
+    # batched checks and weighted sum take the same sums in the same
+    # order as one np.linalg.norm per atom and per pair, so they agree
+    # to the bit
+    rng = np.random.default_rng(atoms)
+    n = 2 * atoms + 1
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    cuts = list(range(2, 2 * atoms, 2))
+    mats = [b @ b.conj().T + 1e-9 * rng.standard_normal((n, n))
+            for b in np.split(q, cuts, axis=1)]
+    e = SpectralMeasure(n, np.arange(atoms) + 0.5j, projections=tuple(mats))
+    residuals = pvm_validate(e).residuals
+    assert residuals["idempotency"] == max(np.linalg.norm(p @ p - p)
+                                           for p in mats)
+    assert residuals["hermitian_defect"] == max(np.linalg.norm(p - p.conj().T)
+                                                for p in mats)
+    assert residuals["orthogonality"] == max(
+        [np.linalg.norm(mats[i] @ mats[j])
+         for i in range(atoms) for j in range(i + 1, atoms)], default=0.0)
+    assert residuals["completeness"] == np.linalg.norm(sum(mats) - np.eye(n))
+    assert e.ranks == tuple(max(1, round(np.trace(p).real)) for p in mats)
+    total = np.zeros((n, n), dtype=complex)
+    for z, p in zip(e.points, mats):
+        total += (z * z - 1j) * p
+    assert np.array_equal(pvm_integrate(lambda z: z * z - 1j, e).array, total)
