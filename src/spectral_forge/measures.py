@@ -254,6 +254,17 @@ def _block_norms(m: np.ndarray, row_offsets: np.ndarray,
         np.abs(m) ** 2, row_offsets[:-1], axis=0), col_offsets[:-1], axis=1))
 
 
+def _range_gap(u: np.ndarray, w: np.ndarray) -> float:
+    """``||u u* - w w*||_F`` for orthonormal columns u and w.
+
+    Taken in the rank space as ``hypot(||w - u (u* w)||_F,
+    ||u - w (w* u)||_F)``, the parts of range(w) outside range(u) and of
+    range(u) outside range(w), without cancellation.
+    """
+    return float(np.hypot(np.linalg.norm(w - u @ (u.conj().T @ w)),
+                          np.linalg.norm(u - w @ (w.conj().T @ u))))
+
+
 def _factored_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
     stacked = e.stacked_basis()
     gram = stacked.conj().T @ stacked

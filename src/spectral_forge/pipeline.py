@@ -40,7 +40,7 @@ from .errors import ScaleLimit
 from .linalg import (OperatorMatrix, Tolerances, _refuse_past_scale_limit,
                      _resolve)
 from .measures import (PVM_FACTOR, SpectralMeasure, _clustered_measure,
-                       _measure_in_frame, _reconstruction_check,
+                       _measure_in_frame, _range_gap, _reconstruction_check,
                        pvm_from_normal)
 from .product import ProductMeasure, product_measure, pushforward
 from .report import VerificationReport
@@ -154,10 +154,8 @@ def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
     ``1e-7 (1 + scale)``, ten times the default clustering radius, taking
     the candidates in (gap, i, j) order, and records the largest point
     and projection gaps together with the number of unmatched atoms on
-    either side.  For orthonormal bases U and W the projection gap is
-    ``||P - Q||_F = hypot(||W - U (U* W)||_F, ||U - W (W* U)||_F)``, the
-    parts of Q outside range(P) and of P outside range(Q), formed in the
-    rank space and without cancellation.
+    either side.  The projection gap ``||P - Q||_F`` is taken in the rank
+    space (``_range_gap``).
     """
     radius = 1e-7 * (1.0 + scale)
     gaps = np.abs(result.points[:, None] - direct.points[None, :])
@@ -174,9 +172,7 @@ def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
         used_a[i] = used_b[j] = True
         point_gap = max(point_gap, float(near[k]))
         u, w = result.basis(i), direct.basis(j)
-        projection_gap = max(projection_gap, float(np.hypot(
-            np.linalg.norm(w - u @ (u.conj().T @ w)),
-            np.linalg.norm(u - w @ (w.conj().T @ u)))))
+        projection_gap = max(projection_gap, _range_gap(u, w))
     unmatched = int(np.count_nonzero(~used_a) + np.count_nonzero(~used_b))
     return [
         ("cross_point_gap", point_gap, radius),

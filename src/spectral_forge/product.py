@@ -31,6 +31,7 @@ from .measures import (
     _AtomStore,
     _block_norms,
     _Blocks,
+    _range_gap,
     _store_checks,
     pvm_integrate,
 )
@@ -49,11 +50,6 @@ __all__ = [
 # Atoms whose projection product has Frobenius mass below 1e-10 * n are
 # dropped as numerical dust.
 PRUNE_FACTOR = 1e-10
-
-# Pairs whose smaller side has rank one are reduced about this many
-# columns at a time, which bounds their n x columns temporaries.
-_CHUNK = 64
-
 
 @dataclass(frozen=True, eq=False)
 class ProductMeasure(_AtomStore):
@@ -109,43 +105,18 @@ def _basis_defects(stacked: np.ndarray, off: np.ndarray) -> np.ndarray:
     return defects
 
 
-@dataclass(frozen=True, eq=False)
-class _Pairs:
-    """Atom pairs of two factors whose cross block mass passes a floor.
+def _pairs(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
+           tol: Tolerances | None = None):
+    """Atom pairs whose cross block mass is above ``floor``, row-major.
 
-    Pair k joins atom ``i[k]`` of the first factor, with the columns
-    ``s1[:, off1[i]:off1[i + 1]]``, and atom ``j[k]`` of the second; its
-    cross block C = u_i* w_j is cut from ``cross = s1* s2`` and has
-    Frobenius norm ``mass[k]``.  Pairs are in row-major order, and
-    ``single`` marks those whose smaller side has rank one.
-    """
-
-    s1: np.ndarray
-    s2: np.ndarray
-    off1: np.ndarray
-    off2: np.ndarray
-    cross: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    mass: np.ndarray
-    single: np.ndarray
-
-    def block(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(u_i, w_j, C)`` of pair k, as views."""
-        i, j = self.i[k], self.j[k]
-        rows = slice(self.off1[i], self.off1[i + 1])
-        cols = slice(self.off2[j], self.off2[j + 1])
-        return self.s1[:, rows], self.s2[:, cols], self.cross[rows, cols]
-
-
-def _screened_pairs(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
-                    tol: Tolerances | None = None) -> _Pairs:
-    """The pairs with cross block mass above ``floor``.
-
-    Block masses of ``S1* S2`` come from one reduction over the stacked
-    bases.  The pair algebra needs orthonormal bases, so each atom's
-    ``||u* u - I||_F`` is measured once first and DimensionMismatch names
-    the first atom whose defect exceeds the commutation threshold.
+    Yields ``(i, j, u_i, w_j, C, mass)``: atom i of the first factor with
+    its basis u_i, atom j of the second with w_j, their cross block
+    C = u_i* w_j and its Frobenius norm ``mass``, the three arrays as
+    views.  Block masses of ``S1* S2`` come from one reduction over the
+    stacked bases.  The pair algebra needs orthonormal bases, so each
+    atom's ``||u* u - I||_F`` is measured once first and
+    DimensionMismatch names the first atom whose defect exceeds the
+    commutation threshold.
     """
     limit = _commute_threshold(e1.dim, _resolve(tol))
     s1 = e1.stacked_basis()
@@ -161,54 +132,11 @@ def _screened_pairs(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
                 f"||u* u - I||_F = {defects[k]:.3e}, beyond {limit:.3e}")
     cross = s1.conj().T @ s2
     masses = _block_norms(cross, off1, off2)
-    i, j = np.nonzero(masses > floor)
-    single = np.minimum(np.diff(off1)[i], np.diff(off2)[j]) == 1
-    return _Pairs(s1, s2, off1, off2, cross, i, j, masses[i, j], single)
-
-
-def _rank_one(pairs: _Pairs, sel: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(||C||^2, ||D C*||_F, gap, z)`` of the pairs ``sel``, all ``single``.
-
-    With x the one column of the smaller side and Y the orthonormal
-    columns of the other, C is a vector, g = Y* x (C or its adjoint), and
-    the intersection needs no solve: the Gram matrix on the smaller side
-    is ``||C||^2``, z is u_i when x = u_i and u_i C / ||C|| otherwise, and
-    ``||D C*||_F = ||C|| ||x - Y g||``, both equal to
-    ``||C|| sqrt(1 - ||C||^2)``, with x - Y g formed as a difference of
-    vectors, so without cancellation.  Pairs are reduced ``_CHUNK``
-    columns of Y at a time.  As in ``_intersection``, the gap
-    ``||z z* - P_i Q_j||_F`` is ``hypot(|1 - ||C||^2|, ||D C*||_F)``, and z
-    is an atom basis only when ``||C||^2 > 1/4``.
-    """
-    i, j = pairs.i[sel], pairs.j[sel]
-    a1, a2 = pairs.off1[i], pairs.off2[j]
-    r1, r2 = pairs.off1[i + 1] - a1, pairs.off2[j + 1] - a2
-    normsq = np.empty(sel.size)
-    outside = np.empty(sel.size)
-    z = np.empty((pairs.s1.shape[0], sel.size), dtype=np.complex128)
-    for x_is_u, sx, ax, sy, ay, ry in ((True, pairs.s1, a1, pairs.s2, a2, r2),
-                                       (False, pairs.s2, a2, pairs.s1, a1, r1)):
-        side = np.flatnonzero((r1 == 1) == x_is_u)
-        if not side.size:
-            continue
-        lengths = ry[side]
-        starts = np.cumsum(lengths) - lengths
-        ycols = _ranges(ay[side], lengths)
-        xrep = np.repeat(ax[side], lengths)
-        g = (pairs.cross[xrep, ycols].conj() if x_is_u
-             else pairs.cross[ycols, xrep])
-        normsq[side] = np.add.reduceat(g.real ** 2 + g.imag ** 2, starts)
-        cuts = np.flatnonzero(np.diff(starts // _CHUNK)) + 1
-        for chunk in np.split(np.arange(side.size), cuts):
-            first = starts[chunk[0]]
-            terms = slice(first, starts[chunk[-1]] + lengths[chunk[-1]])
-            yg = np.add.reduceat(sy[:, ycols[terms]] * g[terms],
-                                 starts[chunk] - first, axis=1)
-            x = sx[:, ax[side[chunk]]]
-            norm_c = np.sqrt(normsq[side[chunk]])
-            outside[side[chunk]] = norm_c * np.linalg.norm(x - yg, axis=0)
-            z[:, side[chunk]] = x if x_is_u else yg / norm_c
-    return normsq, outside, np.hypot(1.0 - normsq, outside), z
+    for i, j in zip(*np.nonzero(masses > floor)):
+        rows = slice(off1[i], off1[i + 1])
+        cols = slice(off2[j], off2[j + 1])
+        yield (i, j, s1[:, rows], s2[:, cols], cross[rows, cols],
+               float(masses[i, j]))
 
 
 def _outside_norm(ui: np.ndarray, wj: np.ndarray, block: np.ndarray) -> float:
@@ -216,9 +144,14 @@ def _outside_norm(ui: np.ndarray, wj: np.ndarray, block: np.ndarray) -> float:
 
     D is the part of range(Q_j) outside range(P_i).  Formed as an n x r_j
     product, it carries no cancellation, unlike the equal Gram-trace
-    form ``sum sigma^2 (1 - sigma^2)`` over the principal cosines.
+    form ``sum sigma^2 (1 - sigma^2)`` over the principal cosines.  When
+    w_j is one column, D C* is an outer product of norm ``||D|| ||C||``,
+    so no n x r_i array is formed.
     """
-    return float(np.linalg.norm((wj - ui @ block) @ block.conj().T))
+    d = wj - ui @ block
+    if wj.shape[1] == 1:
+        return float(np.linalg.norm(d) * np.linalg.norm(block))
+    return float(np.linalg.norm(d @ block.conj().T))
 
 
 def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
@@ -229,8 +162,16 @@ def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
     span range(P_i) and range(Q_j) in common; the Gram matrix is taken
     on the smaller side.  The gap is ``hypot(||y y* - C C*||_F,
     outside)`` for z = u_i y and outside = ``||D C*||_F``.  None when
-    no singular value is near 1.
+    no singular value is near 1.  When the smaller side has rank one the
+    Gram matrix is the scalar ``||C||^2``, so no solve is needed: y is 1
+    or ``C / ||C||``, and ``||y y* - C C*||_F = |1 - ||C||^2|``.
     """
+    if min(block.shape) == 1:
+        norm = float(np.linalg.norm(block))
+        if norm * norm <= 0.25:
+            return None
+        z = ui if ui.shape[1] == 1 else ui @ block / norm
+        return z, float(np.hypot(1.0 - norm * norm, outside))
     wide = block.shape[0] <= block.shape[1]
     gram = block @ block.conj().T if wide else block.conj().T @ block
     s2, x = _jacobi_hermitian(gram, tol.atol)
@@ -270,12 +211,9 @@ def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
     if e1.dim != e2.dim:
         raise DimensionMismatch("measures act on different dimensions")
     threshold = _commute_threshold(e1.dim, tol)
-    pairs = _screened_pairs(e1, e2, threshold / 4.0, tol)
-    _, outside, _, _ = _rank_one(pairs, np.flatnonzero(pairs.single))
-    if np.any(np.sqrt(2.0) * outside > threshold):
-        return False
-    return all(np.sqrt(2.0) * _outside_norm(*pairs.block(k)) <= threshold
-               for k in np.flatnonzero(~pairs.single))
+    return all(np.sqrt(2.0) * _outside_norm(ui, wj, block) <= threshold
+               for _, _, ui, wj, block, _ in _pairs(e1, e2, threshold / 4.0,
+                                                    tol))
 
 
 def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
@@ -298,16 +236,14 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
 
     Both identities need orthonormal atom bases, so each pair costs
     O(n r_i r_j) and no n x n product is formed.  A pair whose smaller
-    side has rank one needs no solve (``_rank_one``), and all such pairs
-    are taken in a few array passes; only a pair whose atoms both have
-    rank two or more gets a Jacobi solve of its Gram block
-    (``_intersection``).  Refusals name the first failing pair in
-    row-major order, whichever path it takes.  Raises
-    DimensionMismatch unless both factors resolve the identity of the
-    same space (atom ranks summing to the dimension, every atom basis
-    orthonormal), and NotCommuting when the measures fail the
-    commutation test or when a product refuses to behave like a
-    projection.
+    side has rank one takes its intersection in closed form; only a pair
+    whose atoms both have rank two or more gets a Jacobi solve of its
+    Gram block (``_intersection``).  Refusals name the first failing pair
+    in row-major order.  Raises DimensionMismatch unless both factors
+    resolve the identity of the same space (atom ranks summing to the
+    dimension, every atom basis orthonormal), and NotCommuting when the
+    measures fail the commutation test or when a product refuses to
+    behave like a projection.
     """
     tol = _resolve(tol)
     if e1.dim != e2.dim:
@@ -325,73 +261,39 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     # A pair that commutes has P_i Q_j near a projection, so "no stable
     # intersection" only follows a pair that failed the commute test.
     screen = threshold / 4.0
-    pairs = _screened_pairs(e1, e2, min(prune, screen), tol)
-    mass = pairs.mass
-    clash = np.zeros(mass.size, dtype=bool)
-    lost = np.zeros(mass.size, dtype=bool)
-    kept = np.zeros(mass.size, dtype=bool)
-    gaps = np.zeros(mass.size)
-    one = np.flatnonzero(pairs.single)
-    normsq, outside, gap, z = _rank_one(pairs, one)
-    gaps[one] = gap
-    clash[one] = (mass[one] > screen) & (np.sqrt(2.0) * outside > threshold)
-    lost[one] = (mass[one] > prune) & (normsq <= 0.25) & (mass[one] > 0.1)
-    kept[one] = (mass[one] > prune) & (normsq > 0.25)
-    # the other pairs in row-major order, up to the first rank-one failure
-    stop = int(np.argmax(clash | lost)) if (clash | lost).any() else mass.size
-    solved = {}
-    for k in np.flatnonzero(~pairs.single[:stop]).tolist():
-        ui, wj, block = pairs.block(k)
-        out_k = _outside_norm(ui, wj, block)
-        clash[k] = mass[k] > screen and np.sqrt(2.0) * out_k > threshold
-        if clash[k]:
-            break
-        if mass[k] <= prune:
-            continue
-        atom = _intersection(ui, block, out_k, tol)
-        if atom is None:
-            lost[k] = mass[k] > 0.1
-            if lost[k]:
-                break
-            continue
-        solved[k], gaps[k] = atom
-        kept[k] = True
-    failed = np.flatnonzero(clash | lost)
-    if failed.size:
-        k = failed[0]
-        if clash[k]:
+    ii, jj, zs = [], [], []
+    rectangle = 0.0
+    for i, j, ui, wj, block, mass in _pairs(e1, e2, min(prune, screen), tol):
+        outside = _outside_norm(ui, wj, block)
+        if mass > screen and np.sqrt(2.0) * outside > threshold:
             raise NotCommuting("projections of the two measures do not commute")
-        raise NotCommuting(
-            f"pair ({pairs.i[k]}, {pairs.j[k]}) has projection product mass "
-            f"{mass[k]:.3e} but no stable intersection"
-        )
-    if not kept.any():
+        if mass <= prune:
+            continue
+        atom = _intersection(ui, block, outside, tol)
+        if atom is None:
+            if mass > 0.1:
+                raise NotCommuting(
+                    f"pair ({i}, {j}) has projection product mass "
+                    f"{mass:.3e} but no stable intersection")
+            continue
+        z, gap = atom
+        rectangle = max(rectangle, gap)
+        ii.append(i)
+        jj.append(j)
+        zs.append(z)
+    if not zs:
         raise NotCommuting("no atom pair survived pruning")
-    rectangle = float(gaps[kept].max())
     bound = PVM_FACTOR * tol.rel(n)
     if rectangle > bound:
         raise NotCommuting(
             f"product projections deviate from P_i Q_j by {rectangle:.3e}, "
             f"beyond {bound:.3e}"
         )
-    t_points = e1.points.real[pairs.i[kept]]
-    w_points = e2.points[pairs.j[kept]]
-    # the cross matrix goes before the atom bases are gathered
+    # the views keep the cross matrix alive until the atom bases are joined
     ui = wj = block = None
-    del pairs
-    widths = kept.astype(np.intp)
-    for k, zk in solved.items():
-        widths[k] = zk.shape[1]
-    offsets = np.cumsum(np.concatenate(([0], widths[kept])))
-    slot = np.cumsum(kept) - 1  # a kept pair's place among the atoms
-    stacked = np.empty((n, offsets[-1]), dtype=np.complex128)
-    stable = kept[one]
-    stacked[:, offsets[slot[one[stable]]]] = z[:, stable]
-    del z
-    for k, zk in solved.items():
-        stacked[:, offsets[slot[k]]:offsets[slot[k] + 1]] = zk
-    return ProductMeasure(n, t_points, w_points,
-                          bases=_Blocks(stacked, offsets),
+    offsets = np.cumsum([0] + [z.shape[1] for z in zs])
+    return ProductMeasure(n, e1.points.real[ii], e2.points[jj],
+                          bases=_Blocks(np.concatenate(zs, axis=1), offsets),
                           rectangle_residual=rectangle)
 
 
@@ -400,15 +302,21 @@ def marginal_residuals(prod: ProductMeasure, e1: SpectralMeasure,
     """Largest Frobenius gaps of the two marginal sums.
 
     Summing product projections over j must recover P_i, and over i
-    must recover Q_j.
+    must recover Q_j.  Product atoms join a factor atom by exact point
+    equality.  With Z the stacked bases of the product atoms over a
+    factor atom, the gap ``||Z Z* - P_i||_F`` is taken in the rank space
+    (``_range_gap``), which assumes orthonormal atom bases.
     """
+    stacked = prod.stacked_basis()
+    offsets = np.cumsum((0,) + prod.ranks)
+    ranks = np.diff(offsets)
+
     def gap(keys: np.ndarray, points: np.ndarray, e: SpectralMeasure) -> float:
         worst = 0.0
         for i, point in enumerate(points):
-            acc = np.zeros((prod.dim, prod.dim), dtype=np.complex128)
-            for k in np.flatnonzero(keys == point):
-                acc += prod.projection(int(k)).array
-            worst = max(worst, float(np.linalg.norm(acc - e.projection(i).array)))
+            atoms = np.flatnonzero(keys == point)
+            z = stacked[:, _ranges(offsets[atoms], ranks[atoms])]
+            worst = max(worst, _range_gap(e.basis(i), z))
         return worst
 
     return (gap(prod.t_points, e1.points.real, e1),

@@ -2,11 +2,12 @@
 
 The references below keep the earlier forms as test oracles: the
 dict-based ``cluster_points``, the K step of ``normal_eig`` taken one
-cluster at a time, the measure built one cluster at a time, and
-``product_measure`` taken one pair at a time through ``_intersection``.
-The batched code must give the same clusters in the same order, the same
-atom ranks, the same refusals, and points and projections that agree to
-rounding.
+cluster at a time, and the measure built one cluster at a time.  The
+batched code must give the same clusters in the same order, the same
+atom ranks, and points and projections that agree to rounding.
+``product_measure`` is written out once more, pair by pair over bases
+stacked from ``basis(i)``: the package's one loop over ``_pairs`` must
+give the same atoms, the same refusals and the same first failing pair.
 """
 
 import numpy as np

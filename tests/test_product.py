@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectral_forge.decomposition import decompose
@@ -9,6 +9,7 @@ from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import OperatorMatrix
 from spectral_forge.measures import SpectralMeasure, pvm_from_normal, pvm_validate
 from spectral_forge.product import (
+    ProductMeasure,
     commute_check,
     fubini_check,
     marginal_residuals,
@@ -90,6 +91,43 @@ def test_product_validate_and_marginals():
     m1, m2 = marginal_residuals(prod, e1, e2)
     assert m1 < 1e-9
     assert m2 < 1e-9
+
+
+def _dense_marginals(prod, e1, e2):
+    """Marginal gaps summed as n x n projections, atom by atom."""
+    def gap(keys, points, e):
+        return max(float(np.linalg.norm(
+            sum((prod.projection(int(k)).array
+                 for k in np.flatnonzero(keys == point)),
+                np.zeros((prod.dim, prod.dim)))
+            - e.projection(i).array)) for i, point in enumerate(points))
+
+    return (gap(prod.t_points, e1.points.real, e1),
+            gap(prod.w_points, e2.points, e2))
+
+
+def test_marginal_residuals_fail_a_broken_product():
+    # one atom dropped, or one column turned into another t group's atom:
+    # product_validate passes the second, the marginals must not
+    t = generate(OperatorSpec("random_normal", dim=10, scale=1.0, seed=14))
+    e1, e2 = measures_for(t)
+    prod = product_measure(e1, e2)
+    bound = 1e-9 * prod.dim
+    ts, ws = prod.t_points, prod.w_points
+    bases = [prod.basis(k) for k in range(prod.num_atoms)]
+    dropped = ProductMeasure(prod.dim, ts[1:], ws[1:], bases=tuple(bases[1:]))
+    b = int(np.flatnonzero(ts != ts[0])[0])
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    turned = list(bases)
+    turned[0] = c * bases[0] + s * bases[b]
+    turned[b] = c * bases[b] - s * bases[0]
+    rotated = ProductMeasure(prod.dim, ts, ws, bases=tuple(turned))
+    assert product_validate(rotated).all_passed
+    for case, fails in ((prod, False), (dropped, True), (rotated, True)):
+        got = marginal_residuals(case, e1, e2)
+        np.testing.assert_allclose(got, _dense_marginals(case, e1, e2), rtol=0,
+                                   atol=64 * np.finfo(float).eps * prod.dim)
+        assert [m > bound for m in got] == [fails, fails]
 
 
 def test_product_total_rank_is_dimension():
@@ -253,7 +291,7 @@ def test_product_on_dense_read_back_derives_each_basis_once(monkeypatch):
 
 def test_screened_pairs_match_per_block_norms():
     # the one-reduction screen against the per-pair loop it replaced
-    from spectral_forge.product import _screened_pairs
+    from spectral_forge.product import _pairs
     t = generate(OperatorSpec("random_normal", dim=10, scale=2.0, seed=31))
     e1, e2 = measures_for(t)
     s1, s2 = e1.stacked_basis(), e2.stacked_basis()
@@ -268,16 +306,14 @@ def test_screened_pairs_match_per_block_norms():
             mass = float(np.linalg.norm(block))
             if mass > floor:
                 expected.append((i, j, block, mass))
-    pairs = _screened_pairs(e1, e2, floor)
-    assert list(zip(pairs.i.tolist(), pairs.j.tolist())) == \
-        [(i, j) for i, j, *_ in expected]
-    for k, (i, j, block, mass) in enumerate(expected):
-        ui, wj, got = pairs.block(k)
+    pairs = list(_pairs(e1, e2, floor))
+    assert [(i, j) for i, j, *_ in pairs] == [(i, j) for i, j, *_ in expected]
+    for (_, _, ui, wj, got, mass), (i, j, block, want) in zip(pairs, expected):
         np.testing.assert_array_equal(ui, e1.basis(i))
         np.testing.assert_array_equal(wj, e2.basis(j))
         np.testing.assert_array_equal(got, block)
-        assert pairs.mass[k] == pytest.approx(mass, rel=8 * np.finfo(float).eps)
-        assert pairs.single[k] == (min(block.shape) == 1)
+        assert np.shares_memory(ui, s1) and np.shares_memory(wj, s2)
+        assert mass == pytest.approx(want, rel=8 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("factor", ["e1", "e2"])
@@ -368,33 +404,23 @@ def test_commute_check_agrees_with_dense_commutator(n, r1, r2, shift,
 
 @PROPERTY
 @given(log_delta=st.none() | st.floats(-13.0, 0.0), **PAIRS)
+@example(n=6, r1=1, r2=3, shift=1, log_delta=None, seed=2)
+@example(n=6, r1=3, r2=1, shift=1, log_delta=None, seed=2)
+@example(n=6, r1=1, r2=3, shift=1, log_delta=-3.0, seed=2)
+@example(n=6, r1=3, r2=1, shift=1, log_delta=-3.0, seed=2)
 def test_rectangle_gap_matches_dense_product(n, r1, r2, shift, log_delta,
                                              seed):
-    # pair by pair, tilted or not, against the literal n x n product
+    # pair by pair, tilted or not, against the literal n x n product; the
+    # examples put a one-column atom on either side of the closed form
     from spectral_forge.linalg import DEFAULT_TOLERANCES
-    from spectral_forge.product import (
-        _intersection,
-        _outside_norm,
-        _rank_one,
-        _screened_pairs,
-    )
+    from spectral_forge.product import _intersection, _outside_norm, _pairs
     e1, e2, _ = _pair(n, r1, r2, shift, log_delta, seed)
-    pairs = _screened_pairs(e1, e2, 0.0)
-    one = np.flatnonzero(pairs.single)
-    normsq, _, gaps, zs = _rank_one(pairs, one)
-    for k in range(pairs.mass.size):
-        u, w, block = pairs.block(k)
-        if pairs.single[k]:
-            at = int(np.searchsorted(one, k))
-            if normsq[at] <= 0.25:
-                continue
-            z, gap = zs[:, at:at + 1], gaps[at]
-        else:
-            atom = _intersection(u, block, _outside_norm(u, w, block),
-                                 DEFAULT_TOLERANCES)
-            if atom is None:
-                continue
-            z, gap = atom
+    for _, _, u, w, block, _ in _pairs(e1, e2, 0.0):
+        atom = _intersection(u, block, _outside_norm(u, w, block),
+                             DEFAULT_TOLERANCES)
+        if atom is None:
+            continue
+        z, gap = atom
         dense = np.linalg.norm(z @ z.conj().T - (u @ block) @ w.conj().T)
         assert abs(gap - dense) <= 8 * np.finfo(float).eps * n
 
@@ -442,3 +468,37 @@ def test_product_measure_peak_excludes_pair_views_at_construction():
         tracemalloc.stop()
     assert prod.num_atoms == n
     assert peak <= 4.5 * 16 * n * n + 64 * 16 * n
+
+
+def test_product_measure_peak_with_one_full_rank_atom():
+    # the factors of random_unitary: A = I / 2 is one atom of rank n and
+    # B = T / 2 has n atoms of rank one.  The peak sits in the basis
+    # check of the rank-n atom (3.6 n x n complex arrays; 6.2 when these
+    # pairs were batched), and each pair's outside norm stays O(n)
+    # rather than an n x n outer product
+    import tracemalloc
+    from spectral_forge.product import _outside_norm
+    n = 256
+    rng = np.random.default_rng(7)
+    u = generate(OperatorSpec("random_unitary", dim=n, scale=1.0,
+                              seed=7)).array
+    q = _unitary(rng, n)
+    e1 = SpectralMeasure(n, np.array([0.5]), bases=(u,))
+    e2 = SpectralMeasure(n, 0.5 * np.exp(2j * np.pi * np.arange(n) / n),
+                         bases=tuple(q[:, k:k + 1] for k in range(n)))
+    block = u.conj().T @ q[:, :1]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        prod = product_measure(e1, e2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        _outside_norm(u, q[:, :1], block)
+        pair_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    atoms = sum(b.nbytes for b in prod.bases)
+    assert prod.num_atoms == n and set(prod.ranks) == {1}
+    assert peak <= 4.5 * 16 * n * n + atoms + 64 * 16 * n
+    assert pair_peak <= 8 * 16 * n
