@@ -8,12 +8,16 @@ consists of a Hermitian positive definite A with ||A|| <= 1 and a
 normal B with ||B|| <= 1/2 that commute, and T is recovered as
 A^(-1) B.  At finite dimension A T equals B exactly (in the unbounded
 setting the product is only contained in B).  ``decompose`` builds the
-pair from one one-sided Jacobi solve T V = U S.  With the weights
-W = diag(1/(1 + s^2)), whose relative accuracy is that of the singular
-values s at every norm, A = V W V* and B = V W^(1/2) (V* T V) W^(1/2) V*,
-which equals T A because A and T commute; ||T||_2 = max s.  ``verify``
-checks the pair against the exactly known I + T*T through the residual
-(I + T*T) B - T, which shares nothing with that solve.
+pair from one one-sided Jacobi solve T V = G, whose columns give the
+singular values s and U = G/s; V is never formed.  T is normal, so U
+spans the singular subspaces that V does, and with the weights
+W = diag(1/(1 + s^2)), whose relative accuracy is that of s at every
+norm, A = U W U* and B = U W^(1/2) (U* T U) W^(1/2) U*, which equals
+T A because A and T commute; ||T||_2 = max s.  On T's null modes,
+where G holds only rounding, U is the orthogonal complement of the
+range columns.  ``verify`` checks the pair against the exactly known
+I + T*T through the residual (I + T*T) B - T, which shares nothing
+with that solve.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ __all__ = ["Decomposition", "decompose", "verify", "norm_bounds"]
 RECONSTRUCTION_FACTOR = 100.0
 IDENTITY_FACTOR = 10.0
 
+# Pivots per panel of ``_complement``: one product forms their columns
+# of the projector, and each then takes off only the panel's earlier ones.
+_PANEL = 32
+
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
@@ -72,38 +80,92 @@ def _require_normal(t: OperatorMatrix, tol: Tolerances):
         raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
 
 
+def _complement(u: np.ndarray, k: int) -> np.ndarray:
+    """k orthonormal columns orthogonal to the orthonormal columns of u.
+
+    A pivoted Cholesky factor L of the projector P = I - u u*.  P's
+    columns are formed only as pivots, ``e_c - u u*_c``: a panel of the
+    ``_PANEL`` largest entries left on P's diagonal at a time, in one
+    product.  The diagonal, 1 - ||u_c||^2 at first, loses each column
+    of L as it comes off, and a panel's pivot turns while it holds at
+    least half the largest entry left when the panel began.  P has rank
+    and trace k, so what is left of it after j columns has a pivot of
+    at least (k - j)/n.  P^2 = P and L L* = P, so L* L = I: L's columns
+    are orthonormal.  One pass against u then takes out what rounding
+    left in u's span.
+    """
+    n = u.shape[0]
+    diag = 1.0 - np.linalg.norm(u, axis=1) ** 2
+    out = np.zeros((n, k), dtype=np.complex128, order="F")
+    j = 0
+    while j < k:
+        cand = np.argsort(-diag, kind="stable")[:min(_PANEL, k - j)]
+        floor = 0.5 * diag[cand[0]]
+        # minus what is left of P's columns at cand after L's columns so far
+        panel = u @ u[cand].conj().T + out[:, :j] @ out[cand, :j].conj().T
+        panel[cand, np.arange(cand.size)] -= 1.0
+        first = j
+        for i, c in enumerate(cand.tolist()):
+            if diag[c] < floor:
+                continue
+            col = panel[:, i] + out[:, first:j] @ out[c, first:j].conj()
+            col *= -1.0 / np.sqrt(diag[c])
+            out[:, j] = col
+            diag -= col.real ** 2 + col.imag ** 2
+            j += 1
+    out -= u @ (u.conj().T @ out)
+    return out
+
+
 def _bounded_pair(t: OperatorMatrix, tol: Tolerances
                   ) -> tuple[Decomposition, EigenSystem, np.ndarray]:
-    """``(D, E, V* B V)`` from one one-sided Jacobi solve of T.
+    """``(D, E, U* B U)`` from one one-sided Jacobi solve of T.
 
-    With T V = U S and W the weights 1/(1 + s^2), E is A's eigensystem
-    (W ascending on the columns of V), D holds A = V W V*,
-    B = V W^(1/2) (V* T V) W^(1/2) V* and ||T||_2 = max s, and the last
-    entry is B's local form W^(1/2) (V* T V) W^(1/2), which a solve of
-    E_B takes as it is.  V* T V carries rounding of about
+    The solve rotates T into T V = G and V is never formed: the columns
+    of G give the singular values s and U = G/s.  T is normal, so these
+    left singular vectors span the singular subspaces of T that right
+    ones would.  On T's null modes, s <= 100 n eps max s, G holds only
+    rounding (some columns are exactly 0), so U is completed there by
+    the orthogonal complement of the range columns (``_complement``).
+    With W the weights 1/(1 + s^2), E is A's eigensystem (W ascending
+    on the columns of U), D holds A = U W U*,
+    B = U W^(1/2) (U* T U) W^(1/2) U* and ||T||_2 = max s, and the last
+    entry is B's local form W^(1/2) (U* T U) W^(1/2), which a solve of
+    E_B takes as it is.  U* T U carries rounding of about
     eps ||T|| per entry: formed as T A, B would keep it unweighted, and
-    ||[A, B]|| would reach eps ||T||; it is set to 0 on T's null modes,
-    s <= 100 n eps max s, where it is all there is.  T is scaled by a
-    power of two first when a norm of it would leave the float range,
-    and an s whose square overflows gets weight 0.  Normality is not
-    tested here.
+    ||[A, B]|| would reach eps ||T||.  In the rows and columns of T's
+    null modes, where T u = T* u = 0, it is all there is, so only the
+    range block is formed and the rest is 0.  T is scaled by a power of
+    two first when a norm of it would leave the float range, and an s
+    whose square overflows gets weight 0.  Normality is not tested here.
     """
     scaled, e = _power_of_two_scaled(t.array)
-    sigma, v = _jacobi_one_sided(scaled, tol.atol)
+    sigma, u = _jacobi_one_sided(scaled, tol.atol)
+    # T's null modes from s, not w: w underflows to 0 past s of about
+    # 1e154.  G and s carry the same scale, so U = G/s takes them scaled
+    null = sigma <= 100.0 * t.dim * _EPS * sigma.max()
+    k = int(null.sum())
+    u /= np.where(null, 1.0, sigma)
+    if k:
+        u[:, null] = _complement(u[:, ~null], k)
     sigma = np.ldexp(sigma, e)
     with np.errstate(over="ignore"):
         weights = 1.0 / (1.0 + sigma * sigma)
-    order = np.argsort(weights, kind="stable")  # E's order
-    es = _eigensystem(weights[order], v[:, order])
+    # E's order: ascending, and a null mode has no smaller weight than a
+    # range mode, so with null modes last among equal weights the range
+    # modes come first
+    order = np.lexsort((null, weights))
+    es = _eigensystem(weights[order], u[:, order])
     u = es.unitary.array
     w = es.eigenvalues.real
+    r = t.dim - k
+    ur = u[:, :r]
+    b_local = np.zeros_like(u)
     # sqrt(w_i w_j), exactly w_i on the diagonal
-    b_local = (u.conj().T @ (t.array @ u)) * np.sqrt(np.outer(w, w))
-    # from s, not w: w underflows to 0 past s of about 1e154
-    null = sigma[order] <= 100.0 * t.dim * _EPS * sigma.max()
-    b_local[np.ix_(null, null)] = 0.0
+    np.multiply(ur.conj().T @ (t.array @ ur), np.sqrt(np.outer(w[:r], w[:r])),
+                out=b_local[:r, :r])
     return Decomposition(OperatorMatrix((u * w) @ u.conj().T),
-                         OperatorMatrix(u @ b_local @ u.conj().T),
+                         OperatorMatrix(ur @ b_local[:r, :r] @ ur.conj().T),
                          float(sigma.max())), es, b_local
 
 

@@ -4,9 +4,11 @@ Everything in this module works on small dense matrices held in memory.
 Two cyclic Jacobi kernels share one rotation and one stopping rule: the
 two-sided one diagonalizes Hermitian matrices (and normal ones through
 their commuting Hermitian and skew parts), the one-sided (Hestenes) one
-gives singular values and right singular vectors, and with them every
-spectral norm.  numpy is used for array arithmetic only; no LAPACK
-eigen, singular value or factorization routine is called anywhere.
+rotates the columns of M into ``M V = G`` with orthogonal columns and
+gives singular values s, left singular vectors ``U = G / s`` and with
+them every spectral norm; V itself is never formed.  numpy is used for
+array arithmetic only; no LAPACK eigen, singular value or factorization
+routine is called anywhere.
 """
 
 from __future__ import annotations
@@ -343,26 +345,24 @@ def _rotate_rows(x: np.ndarray, p, q, c, s, su, cu):
 def _round_robin_rounds(n: int) -> tuple:
     """Pairings of a cyclic Jacobi sweep, grouped into disjoint rounds.
 
-    Uses the circle method: with a possible bye slot appended, index 0 is
-    held fixed while the remaining indices rotate, so each round pairs
-    disjoint (p, q) and one sweep visits every pair exactly once.
+    Uses the circle method over m seats, n rounded up to even with a bye
+    seat: seat 0 holds index 0 and seat i >= 1 of round r holds
+    ``1 + (i - 1 - r) mod (m - 1)``.  Seat i plays seat m - 1 - i, and
+    pairs with the bye are dropped, so each round pairs disjoint (p, q)
+    and one sweep visits every pair exactly once.
     """
     if n < 2:
         return tuple()
-    m = n if n % 2 == 0 else n + 1
-    seats = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = seats[i], seats[m - 1 - i]
-            if a >= n or b >= n:
-                continue
-            ps.append(min(a, b))
-            qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        seats = [seats[0]] + [seats[-1]] + seats[1:-1]
-    return tuple(rounds)
+    m = n + n % 2
+    r = np.arange(m - 1, dtype=np.intp)[:, None]
+    i = np.arange(m, dtype=np.intp)
+    seats = np.where(i == 0, 0, 1 + (i - 1 - r) % (m - 1))
+    a = seats[:, :m // 2]
+    b = seats[:, ::-1][:, :m // 2]
+    p = np.minimum(a, b)
+    q = np.maximum(a, b)
+    keep = q < n
+    return tuple((p[k][keep[k]], q[k][keep[k]]) for k in range(m - 1))
 
 
 def _jacobi_hermitian(matrix: np.ndarray, atol: float):
@@ -442,24 +442,27 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float):
 
 
 def _jacobi_one_sided(matrix: np.ndarray, atol: float):
-    """Singular values and right singular vectors by one-sided Jacobi.
+    """Singular values and rotated columns by one-sided Jacobi.
 
     Hestenes' method rotates column pairs of ``G = M`` until they are
-    orthogonal: ``M V = G`` with V unitary, and the column norms of G are
-    the singular values, to high relative accuracy (Demmel & Veselic
-    1992; Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).  A
-    pair turns by ``_rotation`` of its block of G*G, whose diagonal is
-    updated per rotation.  G*G is formed per sweep for ``_sweep_head`` at
-    level sqrt(m) eps, the rounding floor of an m-term inner product (as
-    in LAPACK's zgesvj), which also marks a pair active; the target is
+    orthogonal: ``M V = G`` with V unitary, and the column norms s of G
+    are the singular values, to high relative accuracy (Demmel & Veselic
+    1992; Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).  V
+    is never formed, as in LAPACK's zgesvj with JOBV = 'N': the columns
+    ``G / s`` are left singular vectors, orthonormal to the stop test's
+    level wherever s is not rounding.  A pair turns by ``_rotation`` of
+    its block of G*G, whose diagonal is updated per rotation.  G*G is
+    formed per sweep for ``_sweep_head`` at level sqrt(m) eps, the
+    rounding floor of an m-term inner product (as in LAPACK's zgesvj),
+    which also marks a pair active; the target is
     ``atol (1 + ||M*M||_F)``, the budget ``30 n^2`` rotations.
 
-    Returns ``(singular values, V)`` unsorted.
+    Returns ``(singular values, G)``, the values unsorted and in the
+    order of G's columns.
     """
-    # rows of gt and vt are the columns of G and V: rotations move rows
+    # rows of gt are the columns of G: rotations move rows
     gt = np.array(np.asarray(matrix, dtype=np.complex128).T, order="C")
     n, rows = gt.shape
-    vt = np.eye(n, dtype=np.complex128)
     level = np.sqrt(rows) * _EPS
     budget = JACOBI_BUDGET_FACTOR * n * n
     rotations = 0
@@ -487,12 +490,11 @@ def _jacobi_one_sided(matrix: np.ndarray, atol: float):
             su = s * u
             cu = c * u
             _rotate_rows(gt, p, q, c, s, su, cu)
-            _rotate_rows(vt, p, q, c, s, su, cu)
             norms[p] -= shift
             norms[q] += shift
             rotations += int(p.size)
         gram = gt.conj() @ gt.T
-    return np.linalg.norm(gt, axis=1), vt.T
+    return np.linalg.norm(gt, axis=1), gt.T
 
 
 def _eigensystem(vals: np.ndarray, vecs: np.ndarray) -> EigenSystem:
@@ -672,7 +674,7 @@ def op_norm_2(m: OperatorMatrix, tol: Tolerances | None = None) -> float:
 
 def _norm_in_frame(m: OperatorMatrix, frame: np.ndarray | None = None,
                    tol: Tolerances | None = None) -> float:
-    """Spectral norm, the top singular value of ``M V`` for any unitary V.
+    """Spectral norm, the top singular value of ``M F`` for any unitary F.
 
     None stands for the identity.  A frame of nearly right singular
     vectors of M leaves a one-sided solve of a few sweeps; a poorer frame

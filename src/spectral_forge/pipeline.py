@@ -12,14 +12,17 @@ report counts the atoms with such a nonzero t: what they carried is
 below the conditioning floor and is lost.
 A direct diagonalization of T is kept only as an optional cross check.
 
-Exactly one Jacobi solve starts cold: the one-sided solve T V = U S.
-It gives the weights W = diag(1/(1 + s^2)), A = V W V*, B = T A formed
-as V W^(1/2) (V* T V) W^(1/2) V*, E_A (W on the columns of V) and
-||T||_2 = max s.  Since T, A and B share eigenvectors, V nearly
-diagonalizes B, so E_B is solved warm from B's local form
-W^(1/2) (V* T V) W^(1/2), the V* B V that B was formed from: unitarily
-similar to B, it converges in a few sweeps and would reach the same
-answer from any frame.
+Exactly one Jacobi solve starts cold: the one-sided solve T V = G,
+which never forms V.  The columns of G give the singular values s and
+U = G/s, completed on T's null modes by the orthogonal complement of
+the range columns; T is normal, so U spans T's singular subspaces as
+V would.  The solve gives the weights W = diag(1/(1 + s^2)),
+A = U W U*, B = T A formed as U W^(1/2) (U* T U) W^(1/2) U*, E_A (W on
+the columns of U) and ||T||_2 = max s.  Since T, A and B share
+eigenvectors, U nearly diagonalizes B, so E_B is solved warm from B's
+local form W^(1/2) (U* T U) W^(1/2), the U* B U that B was formed
+from: unitarily similar to B, it converges in a few sweeps and would
+reach the same answer from any frame.
 
 E_A's weights keep the relative accuracy of the singular values, and
 clusters join relative to their own size, so the result meets the
@@ -79,7 +82,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
                      force_scale: bool = False) -> PipelineResult:
     """Resolve a normal operator into a discrete spectral measure.
 
-    The route of the module docstring; E_B's bases are rotated back by V.
+    The route of the module docstring; E_B's bases are rotated back by U.
     The product atoms with ``0 < |t| <= SINGULAR_MARGIN (1 + ||A||)`` are
     counted straight from their t points, and the pushforward sends
     every t inside that margin to 0.

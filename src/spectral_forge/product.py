@@ -94,14 +94,22 @@ class ProductMeasure(_AtomStore):
 
 
 def _basis_defects(stacked: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """``||u_k* u_k - I||_F`` of every atom, one batched product per rank."""
+    """``||u_k* u_k - I||_F`` of every atom, one batched product per rank.
+
+    A rank held by one atom takes its columns as a view, not a gathered
+    copy, and I comes off each Gram matrix's diagonal in place.
+    """
     ranks = np.diff(off)
     defects = np.empty(ranks.size)
     for r in set(ranks.tolist()):
         atoms = np.flatnonzero(ranks == r)
-        u = stacked[:, off[atoms, None] + np.arange(r)].transpose(1, 0, 2)
-        defects[atoms] = np.linalg.norm(
-            u.conj().transpose(0, 2, 1) @ u - np.eye(r), axis=(1, 2))
+        if atoms.size == 1:
+            u = stacked[None, :, off[atoms[0]]:off[atoms[0] + 1]]
+        else:
+            u = stacked[:, off[atoms, None] + np.arange(r)].transpose(1, 0, 2)
+        gram = u.conj().transpose(0, 2, 1) @ u
+        gram.reshape(atoms.size, -1)[:, ::r + 1] -= 1.0
+        defects[atoms] = np.linalg.norm(gram, axis=(1, 2))
     return defects
 
 

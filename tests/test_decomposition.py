@@ -224,3 +224,66 @@ def test_pair_weights_are_relative_accurate_at_every_norm(kind, n):
         assert np.all(np.diff(got) >= 0.0)
         assert np.max(np.abs(got - want) / want) <= bound, (norm, bound)
         assert abs(source_norm - z.max()) <= 4 * n * eps * z.max()
+
+
+def _dense_normal_of_rank(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    z = np.zeros(n, dtype=complex)
+    z[:rank] = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+    return OperatorMatrix((q * z) @ q.conj().T)
+
+
+NULL_BLOCK_CASES = {
+    # null singular values 1.6e-44 and exactly 0 from the solve
+    "momentum_1d_6": lambda: generate(
+        OperatorSpec("momentum_1d", dim=6, scale=2154.0)),
+    "zero_1": lambda: OperatorMatrix.zeros(1),
+    "zero_8": lambda: OperatorMatrix.zeros(8),
+    "half_null_384": lambda: OperatorMatrix(
+        np.diag(np.r_[np.zeros(192), np.arange(1.0, 193.0)])),
+    "rank_44_of_64": lambda: _dense_normal_of_rank(64, 44, 64),
+}
+
+
+@pytest.mark.parametrize("case", NULL_BLOCK_CASES)
+def test_null_block_completes_an_orthonormal_eigenbasis(case):
+    # U = G/s holds on T's range; on its null modes G is rounding, and
+    # the complement of the range columns takes their place
+    from spectral_forge.decomposition import _bounded_pair
+    from spectral_forge.linalg import DEFAULT_TOLERANCES
+    from spectral_forge.pipeline import spectral_theorem
+    t = NULL_BLOCK_CASES[case]()
+    n = t.dim
+    _, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
+    u = es_a.unitary.array
+    eps = np.finfo(np.float64).eps
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 8 * n * eps * np.sqrt(n)
+    report = spectral_theorem(t).report
+    assert report.all_passed, report.residuals
+    report = verify(t, decompose(t))
+    assert report.all_passed, report.residuals
+
+
+def test_pair_solve_rotates_only_the_columns(monkeypatch):
+    # V is never formed: each round with an active pivot turns the rows
+    # of G^T once, where accumulating V turned a second array
+    from spectral_forge import linalg
+    from spectral_forge.decomposition import _bounded_pair
+    calls = {"rotate": 0, "rounds": 0}
+    rotate, rotation = linalg._rotate_rows, linalg._rotation
+
+    def counted_rotate(*args):
+        calls["rotate"] += 1
+        return rotate(*args)
+
+    def counted_rotation(*args):
+        calls["rounds"] += 1
+        return rotation(*args)
+
+    monkeypatch.setattr(linalg, "_rotate_rows", counted_rotate)
+    monkeypatch.setattr(linalg, "_rotation", counted_rotation)
+    t = generate(OperatorSpec("random_normal", dim=12, scale=10.0, seed=12))
+    _bounded_pair(t, linalg.DEFAULT_TOLERANCES)
+    assert calls["rounds"] > 0
+    assert calls["rotate"] == calls["rounds"]

@@ -272,3 +272,44 @@ def test_kernel_peak_memory_at_n_256():
         tracemalloc.stop()
     assert vecs.shape == (n, n)
     assert peak <= 5.13 * 16 * n * n
+
+
+def ref_round_robin_rounds(n):
+    # the circle method as a loop: seat 0 stays, the others turn one
+    # seat per round, and pairs with the bye seat n (odd n) are dropped
+    if n < 2:
+        return ()
+    m = n if n % 2 == 0 else n + 1
+    seats = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        ps, qs = [], []
+        for i in range(m // 2):
+            a, b = seats[i], seats[m - 1 - i]
+            if a >= n or b >= n:
+                continue
+            ps.append(min(a, b))
+            qs.append(max(a, b))
+        rounds.append((np.array(ps, dtype=np.intp),
+                       np.array(qs, dtype=np.intp)))
+        seats = [seats[0]] + [seats[-1]] + seats[1:-1]
+    return tuple(rounds)
+
+
+@pytest.mark.parametrize("n", range(0, 41))
+def test_round_robin_rounds_match_the_circle_loop(n):
+    got = _round_robin_rounds(n)
+    want = ref_round_robin_rounds(n)
+    assert len(got) == len(want)
+    for (p, q), (rp, rq) in zip(got, want):
+        assert p.dtype == rp.dtype == q.dtype == rq.dtype
+        np.testing.assert_array_equal(p, rp)
+        np.testing.assert_array_equal(q, rq)
+    pairs = set()
+    for p, q in got:
+        assert np.all(p < q)
+        # disjoint within a round
+        assert np.unique(np.concatenate([p, q])).size == 2 * p.size
+        pairs.update(zip(p.tolist(), q.tolist()))
+    # one sweep visits every pair once
+    assert sum(p.size for p, _ in got) == len(pairs) == n * (n - 1) // 2
