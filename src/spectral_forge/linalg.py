@@ -13,7 +13,7 @@ routine is called anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -541,17 +541,17 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
-def _clusters(points: np.ndarray, tol: Tolerances, relative: bool = True
+def _clusters(points: np.ndarray, tol: Tolerances, weights=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The clustering rule, as arrays: ``(members, offsets, means, reach)``.
 
     Points a and b join when ``|a - b| <= max(reach_a, reach_b)``.  The
     reach of x is ``min(R, 1e-8 |x| + 100 eps s)``, s the largest |point|
-    and ``R = tol.cluster_radius(s)``, or R alone under ``tol.cluster``
-    or when not ``relative``.
+    and ``R = tol.cluster_radius(s)``, or R alone under ``tol.cluster``.
 
     Cluster g holds ``members[offsets[g]:offsets[g + 1]]``, ascending, and
-    has mean ``means[g]``.  A pair that joins is within R in real part,
+    has mean ``means[g]`` under ``weights`` (1 each when None), which
+    orders the clusters.  A pair that joins is within R in real part,
     so the candidate pairs come from a window of twice R over the points
     sorted by real part, which holds every such pair whatever the
     rounding; union-find then takes one step per pair that joins, and
@@ -559,11 +559,12 @@ def _clusters(points: np.ndarray, tol: Tolerances, relative: bool = True
     """
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[0]
+    w = np.ones(k) if weights is None else weights
     mags = np.abs(pts)
     top = float(np.max(mags, initial=0.0))
     radius = tol.cluster_radius(top)
     reach = np.full(k, radius)
-    if relative and tol.cluster is None:
+    if tol.cluster is None:
         reach = np.minimum(reach, _CLUSTER_REL * mags + 100.0 * _EPS * top)
     by_real = np.argsort(pts.real, kind="stable")
     real = pts.real[by_real]
@@ -587,22 +588,19 @@ def _clusters(points: np.ndarray, tol: Tolerances, relative: bool = True
             if ri != rj:
                 parent[rj] = ri
         roots = np.array(parent)
-        while True:  # pointer jumping: every index to its root
-            up = roots[roots]
-            if np.array_equal(up, roots):
-                break
-            roots = up
+        for i in np.flatnonzero(roots[roots] != roots).tolist():
+            roots[i] = find(i)
     _, first, labels = np.unique(roots, return_index=True, return_inverse=True)
-    counts = np.bincount(labels)
-    sums = np.empty(counts.size, dtype=np.complex128)
-    sums.real = np.bincount(labels, pts.real)
-    sums.imag = np.bincount(labels, pts.imag)
-    means = sums / counts
+    mass = np.bincount(labels, w)
+    sums = np.empty(mass.size, dtype=np.complex128)
+    sums.real = np.bincount(labels, pts.real * w)
+    sums.imag = np.bincount(labels, pts.imag * w)
+    means = sums / mass
     order = np.lexsort((first, means.imag, means.real))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     members = np.argsort(rank[labels], kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(counts[order])))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(labels)[order])))
     return members, offsets, means[order], reach
 
 
@@ -641,7 +639,8 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     h_vals, h_vecs = _jacobi_hermitian(a, tol.atol)  # H = (M + M*)/2
     order = np.argsort(h_vals, kind="stable")
     # H's vectors are as good as eps ||M|| over H's gaps: group absolutely
-    members, offsets, _, _ = _clusters(h_vals[order], tol, relative=False)
+    absolute = replace(tol, cluster=tol.cluster_radius(np.abs(h_vals).max()))
+    members, offsets, _, _ = _clusters(h_vals[order], absolute)
     order = order[members]
     h_vals = h_vals[order]
     h_vecs = h_vecs[:, order]

@@ -20,10 +20,10 @@ import numpy as np
 from .decomposition import RECONSTRUCTION_FACTOR
 from .errors import DimensionMismatch, NonFiniteValue
 from .linalg import (
-    EigenSystem,
     OperatorMatrix,
     Tolerances,
     _clusters,
+    _ranges,
     _resolve,
     frobenius,
     hermitian_eig,
@@ -206,14 +206,23 @@ def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> Spectra
     underlying eigendecomposition.
     """
     tol = _resolve(tol)
-    return _clustered_measure(normal_eig(m, tol), tol)
+    es = normal_eig(m, tol)
+    return _merged(es.eigenvalues, es.unitary.array, np.arange(es.dim + 1), tol)
 
 
-def _clustered_measure(es: EigenSystem, tol: Tolerances) -> SpectralMeasure:
-    """Measure of a unitary diagonalization, clusters merged into atoms."""
-    members, offsets, means, _ = _clusters(es.eigenvalues, tol)
-    return SpectralMeasure(es.dim, means, bases=_Blocks(
-        es.unitary.array[:, members], offsets))
+def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
+            tol: Tolerances) -> SpectralMeasure:
+    """One atom per cluster of ``points`` (``_clusters``), the only merge.
+
+    Point k carries ``stacked[:, offsets[k]:offsets[k + 1]]``; an atom sits
+    at its members' rank-weighted mean and holds their bases side by side.
+    """
+    ranks = np.diff(offsets)
+    members, groups, means, _ = _clusters(points, tol, ranks)
+    ranks = ranks[members]
+    return SpectralMeasure(stacked.shape[0], means, bases=_Blocks(
+        stacked[:, _ranges(offsets[members], ranks)],
+        np.cumsum(np.append(0, ranks))[groups]))
 
 
 def _measure_in_frame(local: np.ndarray, frame: np.ndarray,

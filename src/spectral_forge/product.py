@@ -20,7 +20,6 @@ from .errors import DimensionMismatch, NonFiniteValue, NotCommuting
 from .linalg import (
     OperatorMatrix,
     Tolerances,
-    _clusters,
     _jacobi_hermitian,
     _ranges,
     _resolve,
@@ -30,7 +29,7 @@ from .measures import (
     SpectralMeasure,
     _AtomStore,
     _block_norms,
-    _Blocks,
+    _merged,
     _range_gap,
     _store_checks,
     pvm_integrate,
@@ -299,10 +298,8 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
         )
     # the views keep the cross matrix alive until the atom bases are joined
     ui = wj = block = None
-    offsets = np.cumsum([0] + [z.shape[1] for z in zs])
     return ProductMeasure(n, e1.points.real[ii], e2.points[jj],
-                          bases=_Blocks(np.concatenate(zs, axis=1), offsets),
-                          rectangle_residual=rectangle)
+                          bases=tuple(zs), rectangle_residual=rectangle)
 
 
 def marginal_residuals(prod: ProductMeasure, e1: SpectralMeasure,
@@ -380,16 +377,5 @@ def pushforward(prod: ProductMeasure, phi,
                 f"pushforward map is not finite at (t={float(t)}, w={complex(w)})"
             )
         images.append(value)
-    images = np.array(images, dtype=np.complex128)
-    members, offsets, _, _ = _clusters(images, tol)
-    atom_offsets = np.cumsum((0,) + prod.ranks)
-    ranks = np.diff(atom_offsets)[members]
-    label = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    moments = images[members] * ranks
-    sums = np.empty(offsets.size - 1, dtype=np.complex128)
-    sums.real = np.bincount(label, moments.real)
-    sums.imag = np.bincount(label, moments.imag)
-    columns = _ranges(atom_offsets[members], ranks)
-    return SpectralMeasure(prod.dim, sums / np.bincount(label, ranks),
-                           bases=_Blocks(prod.stacked_basis()[:, columns],
-                                         np.cumsum(np.append(0, ranks))[offsets]))
+    return _merged(np.array(images, dtype=np.complex128),
+                   prod.stacked_basis(), np.cumsum((0,) + prod.ranks), tol)

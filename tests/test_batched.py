@@ -26,14 +26,14 @@ from spectral_forge.linalg import (
     _eigensystem,
     _jacobi_hermitian,
     cluster_points,
-    normal_eig,
 )
 from spectral_forge.measures import (
     PVM_FACTOR,
     SpectralMeasure,
     _block_norms,
-    _clustered_measure,
     _measure_in_frame,
+    _merged,
+    pvm_from_normal,
 )
 from spectral_forge.product import (
     PRUNE_FACTOR,
@@ -214,6 +214,30 @@ def test_cluster_points_match_dict_reference(case):
                                rtol=0, atol=8 * EPS * np.max(np.abs(points)))
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(centers=st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1,
+                        max_size=4),
+       draws=st.lists(st.tuples(st.integers(0, 3), st.floats(-2.0, 2.0),
+                                st.floats(-2.0, 2.0), st.integers(1, 9)),
+                      min_size=1, max_size=24),
+       tol=st.sampled_from([DEFAULT_TOLERANCES, Tolerances(cluster=1e-8)]))
+def test_weighted_cluster_means(centers, draws, tol):
+    # jitters of about the join radius chain some points and split others
+    points = np.array([centers[c % len(centers)] + 1e-8 * complex(re, im)
+                       for c, re, im, _ in draws])
+    weights = np.array([w for *_, w in draws])
+    members, offsets, means, _ = linalg._clusters(points, tol, weights)
+    plain, plain_offsets, _, _ = linalg._clusters(points, tol)
+    groups = np.split(members, offsets[1:-1])
+    assert sorted(g.tolist() for g in groups) == \
+        sorted(g.tolist() for g in np.split(plain, plain_offsets[1:-1]))
+    want = [np.average(points[g], weights=weights[g]) for g in groups]
+    np.testing.assert_allclose(means, want, rtol=0,
+                               atol=8 * EPS * np.max(np.abs(points)))
+    keys = [(z.real, z.imag) for z in means]
+    assert keys == sorted(keys)
+
+
 def _weights(norm, n):
     # E_A's weights 1/(1 + s^2) for singular values spread up to norm:
     # past norm 1e4 their gaps fall below the absolute radius 1e-8
@@ -276,7 +300,7 @@ NORMAL_CASES = {
 @pytest.mark.parametrize("case", sorted(NORMAL_CASES))
 def test_normal_eig_matches_per_cluster_reference(case):
     m = NORMAL_CASES[case]
-    got = _clustered_measure(normal_eig(m), DEFAULT_TOLERANCES)
+    got = pvm_from_normal(m, DEFAULT_TOLERANCES)
     want = ref_measure(ref_normal_eig(m))
     close = 100 * EPS * np.linalg.norm(m.array)
     # atoms are ordered by the real parts of their points, so two whose
@@ -298,7 +322,8 @@ def test_normal_eig_matches_per_cluster_reference(case):
 
 def _factors(t):
     d, es, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
-    e1 = _clustered_measure(es, DEFAULT_TOLERANCES)
+    e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1),
+                 DEFAULT_TOLERANCES)
     return e1, _measure_in_frame(b_local, es.unitary.array)
 
 
@@ -408,7 +433,8 @@ def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
     # Jacobi solve left after the one-sided solve: no K block, no pair
     t = ALL_RANK_ONE[case]()
     d, es, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
-    e1 = _clustered_measure(es, DEFAULT_TOLERANCES)
+    e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1),
+                 DEFAULT_TOLERANCES)
     calls = []
 
     def counted(*args, **kwargs):

@@ -121,6 +121,23 @@ def test_momentum_zero_atom_keeps_rank_2(norm):
     assert res.spectral_measure.num_atoms == n // 2 + 1
 
 
+@pytest.mark.parametrize("n", [48, 64])
+def test_momentum_at_9e5_never_passes_a_wrong_measure(n):
+    # E_A's two smallest weights, 1/(1 + s^2) near s = 9e5, are closer
+    # than the clustering floor 100 eps that the weight 1 of T's null
+    # modes sets, so they merge and the points w/t are about 1 % off:
+    # the report must fail, or the measure must match numpy's
+    norm = 9e5
+    t = generate(OperatorSpec("momentum_1d", dim=n, scale=norm))
+    res = spectral_theorem(t)
+    if res.report.all_passed:
+        e = res.spectral_measure
+        gaps = np.abs(np.linalg.eigvals(t.array)[:, None] - e.points)
+        assert np.max(np.min(gaps, axis=1)) <= 1e-7 * (1.0 + norm)
+        near = np.bincount(np.argmin(gaps, axis=1), minlength=e.num_atoms)
+        assert tuple(near.tolist()) == e.ranks
+
+
 def test_scale_limit_refusal_and_override():
     t = OperatorMatrix(1e9 * np.eye(2))
     with pytest.raises(ScaleLimit):

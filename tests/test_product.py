@@ -180,6 +180,21 @@ def test_pushforward_constant_map_merges_everything():
     np.testing.assert_allclose(e.projection(0).array, np.eye(6), atol=1e-10)
 
 
+def test_pushforward_orders_atoms_by_their_stored_points():
+    # 1 and 1 + 5e-9 join into a rank-10 atom at the rank-weighted mean
+    # 1 + 4.5e-9, which sorts after 1 + 3e-9 + 3e-8i although the plain
+    # mean 1 + 2.5e-9 of the two images sorts before it
+    eye = np.eye(11)
+    prod = ProductMeasure(11, np.ones(3),
+                          np.array([1.0, 1.0 + 5e-9, 1.0 + 3e-9 + 3e-8j]),
+                          bases=(eye[:, :1], eye[:, 1:10], eye[:, 10:]))
+    e = pushforward(prod, lambda t, w: w)
+    np.testing.assert_allclose(e.points, [1.0 + 3e-9 + 3e-8j, 1.0 + 4.5e-9],
+                               rtol=0, atol=4 * np.finfo(float).eps)
+    assert e.ranks == (1, 10)
+    assert np.lexsort((e.points.imag, e.points.real)).tolist() == [0, 1]
+
+
 def test_pushforward_rejects_non_finite_image():
     t = OperatorMatrix(np.diag([2j, -3.0]))
     e1, e2 = measures_for(t)

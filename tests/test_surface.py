@@ -66,3 +66,4 @@ def test_removed_entry_points_are_gone():
     assert not hasattr(product.ProductMeasure, "atoms")
     for kernel in (linalg._jacobi_hermitian, linalg._jacobi_one_sided):
         assert "rotation_budget" not in inspect.signature(kernel).parameters
+    assert "relative" not in inspect.signature(linalg._clusters).parameters
