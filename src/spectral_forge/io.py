@@ -5,11 +5,16 @@ the shortest text that reads back to the same double, so a write/read
 cycle reproduces every double bit for bit, and keys in a fixed order so
 identical inputs give byte-identical files.  Complex numbers are [real,
 imaginary] pairs; matrices store row-major entry lists under their
-dimension.  Reading decodes a list of pairs in one vectorized pass after
-an exact type screen; a malformed pair still gets a ParseError naming its
-index.  A measure document is ``{"dim", "of", "atoms"}``: ``of``
-names the operator it resolves (``"T"``, ``"A"`` or ``"B"``) and each
-atom is a ``point`` with its ``projection``.
+dimension.  A ``*_to_doc`` document holds each matrix's entries as its
+flat complex128 array, which ``dumps`` encodes a block of pairs at a
+time, so no Python float exists per entry beyond one block.
+``read_json`` decodes each valid ``entries`` list to such an array in
+one vectorized pass, after an exact type screen, as the parser closes
+its object; a malformed list stays a list, and ``matrix_from_doc``
+names its first bad pair in a ParseError.  A measure document is
+``{"dim", "of", "atoms"}``: ``of`` names the operator it resolves
+(``"T"``, ``"A"`` or ``"B"``) and each atom is a ``point`` with its
+``projection``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ __all__ = [
 ]
 
 
+# Pairs of an ``entries`` array per encoder call: bounds the Python
+# floats that exist at once while a matrix is written.
+_BLOCK = 1024
+
+
 def _plain(value):
     """``json.dumps`` hook: numpy scalars become Python numbers."""
     if isinstance(value, np.generic):
@@ -49,15 +59,56 @@ def dumps(doc) -> str:
     """Serialize with a fixed layout and shortest round-trip floats.
 
     Keys keep their order; a float is written as ``repr`` writes it, the
-    shortest text that reads back to the same double.  NonFiniteValue on
-    NaN or infinity, ParseError on a value JSON cannot hold.
+    shortest text that reads back to the same double.  The text is what
+    ``json.dumps`` writes for the same document with every ``entries``
+    array as its list of [real, imaginary] pairs.  NonFiniteValue on NaN
+    or infinity, ParseError on a value JSON cannot hold, an array
+    anywhere but under ``entries`` among them.
     """
+    pieces = []
     try:
-        return json.dumps(doc, allow_nan=False, default=_plain) + "\n"
+        _encode(doc, pieces)
     except ValueError as exc:
         raise NonFiniteValue("cannot serialize a non-finite number") from exc
     except TypeError as exc:
         raise ParseError(str(exc)) from exc
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _encode(value, pieces: list, key=None):
+    """Append the JSON text of ``value``, held under ``key``, to ``pieces``.
+
+    Containers are walked, so that an ``entries`` array can be written
+    ``_BLOCK`` pairs per encoder call; keys and every other leaf go
+    through ``json.dumps``.
+    """
+    if (key == "entries" and isinstance(value, np.ndarray)
+            and value.dtype == np.complex128):
+        pairs = np.ascontiguousarray(value).view(np.float64).reshape(-1, 2)
+        pieces.append("[")
+        for start in range(0, len(pairs), _BLOCK):
+            block = pairs[start:start + _BLOCK].tolist()
+            text = json.dumps(block, allow_nan=False)[1:-1]
+            pieces.append(", " + text if start else text)
+        pieces.append("]")
+    elif isinstance(value, dict):
+        pieces.append("{")
+        for i, (name, item) in enumerate(value.items()):
+            # json.dumps's own key rules, refusals included
+            name_text = json.dumps({name: 0}, allow_nan=False)[1:-4]
+            pieces.append((", " if i else "") + name_text + ": ")
+            _encode(item, pieces, name)
+        pieces.append("}")
+    elif isinstance(value, (list, tuple)):
+        pieces.append("[")
+        for i, item in enumerate(value):
+            if i:
+                pieces.append(", ")
+            _encode(item, pieces)
+        pieces.append("]")
+    else:
+        pieces.append(json.dumps(value, allow_nan=False, default=_plain))
 
 
 def write_json(doc: dict, path: str):
@@ -78,7 +129,7 @@ def read_json(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_hook=_decode_entries)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
@@ -129,13 +180,27 @@ def _complex_from(pair, where: str) -> complex:
     return complex(_double(pair[0], where), _double(pair[1], where))
 
 
-def _complexes(pairs: list, where) -> np.ndarray:
-    """[real, imaginary] pairs as complex128; ``where(i)`` names pair i.
+def _decode_entries(obj: dict) -> dict:
+    """``json.loads`` hook: a valid ``entries`` list becomes complex128.
+
+    Runs as the parser closes each object, so one matrix's pairs are the
+    only lists alive at once.  A list ``_pairs`` refuses stays a list,
+    for ``matrix_from_doc`` to name its bad pair.
+    """
+    entries = obj.get("entries")
+    if isinstance(entries, list):
+        values = _pairs(entries)
+        if values is not None:
+            obj["entries"] = values
+    return obj
+
+
+def _pairs(pairs: list) -> np.ndarray | None:
+    """[real, imaginary] pairs as complex128, or None if any is not valid.
 
     Two-element lists of exact ``float``/``int`` leaves (so ``true`` and
-    ``"1.5"`` are refused) convert in one ``np.fromiter`` pass.  Anything
-    else, an integer past double range or a non-finite value goes through
-    the per-entry ``_complex_from`` loop, which names the first bad pair.
+    ``"1.5"`` are refused) convert in one ``np.fromiter`` pass; an integer
+    past double range or a non-finite value gives None.
     """
     if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
         leaves = list(chain.from_iterable(pairs))
@@ -143,28 +208,42 @@ def _complexes(pairs: list, where) -> np.ndarray:
             try:
                 flat = np.fromiter(leaves, np.float64, len(leaves))
             except OverflowError:  # an integer past double range
-                flat = None
-            if flat is not None and np.isfinite(flat).all():
+                return None
+            if np.isfinite(flat).all():
                 return flat.view(np.complex128)
+    return None
+
+
+def _complexes(pairs: list, where) -> np.ndarray:
+    """[real, imaginary] pairs as complex128; ``where(i)`` names pair i.
+
+    Valid pairs take the one-pass ``_pairs``; anything else goes through
+    the per-entry ``_complex_from`` loop, which names the first bad pair.
+    """
+    values = _pairs(pairs)
+    if values is not None:
+        return values
     return np.array([_complex_from(pair, where(i))
                      for i, pair in enumerate(pairs)], dtype=np.complex128)
 
 
 def matrix_to_doc(m: OperatorMatrix) -> dict:
-    entries = m.array.view(np.float64).reshape(-1, 2).tolist()
-    return {"dim": m.dim, "entries": entries}
+    return {"dim": m.dim, "entries": m.array.reshape(-1)}
 
 
 def matrix_from_doc(doc: dict, where: str = "matrix") -> OperatorMatrix:
     dim = _field(doc, "dim", int, where)
     if dim < 1:
         raise ParseError(f"{where}: dim must be at least 1")
-    entries = _field(doc, "entries", list, where)
+    entries = doc.get("entries")
+    if not isinstance(entries, np.ndarray):  # else decoded by read_json
+        entries = _field(doc, "entries", list, where)
     if len(entries) != dim * dim:
         raise ParseError(f"{where}: expected {dim * dim} entries, "
                          f"got {len(entries)}")
-    values = _complexes(entries, lambda i: f"{where}.entries[{i}]")
-    return OperatorMatrix(values.reshape(dim, dim))
+    if isinstance(entries, list):
+        entries = _complexes(entries, lambda i: f"{where}.entries[{i}]")
+    return OperatorMatrix(entries.reshape(dim, dim))
 
 
 def write_matrix(m: OperatorMatrix, path: str):

@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,15 +34,17 @@ def test_identity_round_trip(tmp_path):
     assert np.array_equal(back.array, np.eye(2))
 
 
+AWKWARD = [1.0 / 3.0, 0.1, 1e-17, 1e300, 5e-324, -0.0,
+           9007199254740993.0, 2.2250738585072014e-308]
+
+
 def test_awkward_floats_survive():
-    values = [1.0 / 3.0, 0.1, 1e-17, 1e300, 5e-324, -0.0,
-              9007199254740993.0, 2.2250738585072014e-308]
-    m = OperatorMatrix(np.array(values[:4] + values[4:]).reshape(2, 4)[:2, :2])
+    m = OperatorMatrix(np.array(AWKWARD).reshape(2, 4)[:2, :2])
     doc = io.matrix_to_doc(m)
     back = io.matrix_from_doc(json.loads(io.dumps(doc)))
     assert np.array_equal(m.array, back.array)
     # the full list, element by element
-    for x in values:
+    for x in AWKWARD:
         doc = {"dim": 1, "entries": [[x, 0.0]]}
         text = io.dumps(doc)
         again = io.matrix_from_doc(json.loads(text))
@@ -74,8 +79,22 @@ def _around(inner):
             .map(lambda t: {**t[0], t[1]: t[2]}))
 
 
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf,
-                              np.float64(np.nan), np.float32(-np.inf)])
+# entry counts at the edges of the writer's blocks
+BLOCK_EDGES = [0, 1, io._BLOCK - 1, io._BLOCK, io._BLOCK + 1]
+
+
+def _matrix_with(count: int, at: int, bad: float) -> dict:
+    """A matrix document whose entries array holds ``bad`` at one double."""
+    flat = np.linspace(-1.0, 1.0, 2 * count)
+    flat[at % flat.size] = bad
+    return {"dim": count, "entries": flat.view(np.complex128)}
+
+
+NON_FINITE = (st.sampled_from([math.nan, math.inf, -math.inf,
+                               np.float64(np.nan), np.float32(-np.inf)])
+              | st.builds(_matrix_with, st.sampled_from(BLOCK_EDGES[1:]),
+                          st.integers(0, 2**20),
+                          st.sampled_from([math.nan, math.inf, -math.inf])))
 
 
 @PROPERTY
@@ -91,6 +110,122 @@ def test_non_finite_anywhere_is_refused(doc):
 def test_numpy_scalars_serialize(i, f):
     doc = {"i": np.int64(i), "f": np.float32(f), "v": [np.float64(f)]}
     assert json.loads(io.dumps(doc)) == {"i": i, "f": f, "v": [f]}
+
+
+def _entries(count: int, seed: int) -> np.ndarray:
+    """``count`` entries of random finite doubles mixed with AWKWARD ones."""
+    rng = np.random.default_rng(seed)
+    flat = np.frombuffer(rng.bytes(16 * count), np.float64).copy()
+    flat[~np.isfinite(flat)] = 0.5
+    awkward = rng.random(flat.size) < 0.5
+    flat[awkward] = rng.choice(AWKWARD, awkward.sum())
+    return flat.view(np.complex128)
+
+
+def _listed(value):
+    """``value`` with entries arrays as pair lists, numpy scalars plain."""
+    if isinstance(value, np.ndarray):
+        return value.view(np.float64).reshape(-1, 2).tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_listed(item) for item in value]
+    return value
+
+
+ESCAPED = st.text(st.sampled_from('"\\/\n\t\x00\x1f\u00e9\u2028\ud800a'),
+                  max_size=5)
+NUMPY_SCALARS = (st.integers(-2**63, 2**63 - 1).map(np.int64)
+                 | FINITE.map(np.float64) | st.booleans().map(np.bool_)
+                 | st.floats(width=32, allow_nan=False,
+                             allow_infinity=False).map(np.float32))
+MATRICES = st.builds(lambda count, seed: {"dim": count,
+                                          "entries": _entries(count, seed)},
+                     st.sampled_from(BLOCK_EDGES), st.integers(0, 2**32))
+DOCS = st.recursive(
+    LEAVES | ESCAPED | NUMPY_SCALARS | MATRICES,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4) | ESCAPED
+                                     | st.just("entries"),
+                                     inner, max_size=3)),
+    max_leaves=6)
+
+
+@PROPERTY
+@given(DOCS)
+def test_dumps_writes_what_json_dumps_writes_for_pair_lists(doc):
+    assert io.dumps(doc) == json.dumps(_listed(doc)) + "\n"
+
+
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+def test_entries_at_block_edges_round_trip(tmp_path, count):
+    doc = {"dim": count, "entries": _entries(count, count)}
+    path = str(tmp_path / "m.json")
+    io.write_json(doc, path)
+    with open(path) as handle:
+        assert handle.read() == json.dumps(_listed(doc)) + "\n"
+    back = io.read_json(path)["entries"]
+    if count:  # an empty list is not decoded: it has no pairs to screen
+        np.testing.assert_array_equal(back.view(np.uint64),
+                                      doc["entries"].view(np.uint64))
+
+
+@pytest.mark.parametrize("doc", [
+    {"point": np.zeros(2)}, [np.zeros(1, complex)], np.zeros(1, complex),
+    {"entries": [np.zeros(1, complex)]}, {"entries": np.zeros(2)}],
+    ids=["field", "list", "top", "inside-entries", "real-entries"])
+def test_array_outside_entries_is_refused(doc):
+    with pytest.raises(ParseError, match="ndarray"):
+        io.dumps(doc)
+
+
+def test_write_json_refuses_non_finite_entries_before_opening(tmp_path):
+    # the text is encoded whole before the file is opened, so a refused
+    # document leaves nothing behind
+    path = tmp_path / "m.json"
+    with pytest.raises(NonFiniteValue):
+        io.write_json(_matrix_with(io._BLOCK + 1, 2 * io._BLOCK, math.nan),
+                      str(path))
+    assert not path.exists()
+
+
+def _peak(fn):
+    """``fn()`` and the most memory it held at once, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_peak_stays_near_twice_the_text():
+    # the text's pieces and their join, plus the measure's dense arrays
+    # at 16 bytes an entry against about 45 bytes of text
+    e = pvm_from_normal(generate(OperatorSpec("random_normal", dim=48,
+                                              scale=10.0, seed=1)))
+    text, peak = _peak(lambda: io.dumps(io.pvm_to_doc(e)))
+    assert peak <= 2.5 * len(text)
+
+
+def test_read_peak_stays_near_twice_the_file(tmp_path):
+    # decoding holds the file's bytes beside its text for a moment; the
+    # parse then holds the text, the arrays and one matrix's pair lists
+    t = str(tmp_path / "t.json")
+    io.write_matrix(generate(OperatorSpec("random_normal", dim=32,
+                                          scale=10.0, seed=1)), t)
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", bundle]) == 0
+    size = os.path.getsize(bundle)
+    doc, peak = _peak(lambda: io.read_json(bundle))
+    assert peak <= 2 * size + 2**16
+    assert isinstance(doc["e1"]["atoms"][0]["projection"]["entries"],
+                      np.ndarray)
 
 
 def test_dumps_is_deterministic():
