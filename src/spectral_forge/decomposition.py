@@ -52,11 +52,6 @@ __all__ = ["Decomposition", "decompose", "verify", "norm_bounds"]
 RECONSTRUCTION_FACTOR = 100.0
 IDENTITY_FACTOR = 10.0
 
-# Pivots per panel of ``_complement``: one product forms their columns
-# of the projector, and each then takes off only the panel's earlier ones.
-_PANEL = 32
-
-
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Pair (A, B) with the spectral norm of the source operator.
@@ -84,35 +79,24 @@ def _complement(u: np.ndarray, k: int) -> np.ndarray:
     """k orthonormal columns orthogonal to the orthonormal columns of u.
 
     A pivoted Cholesky factor L of the projector P = I - u u*.  P's
-    columns are formed only as pivots, ``e_c - u u*_c``: a panel of the
-    ``_PANEL`` largest entries left on P's diagonal at a time, in one
-    product.  The diagonal, 1 - ||u_c||^2 at first, loses each column
-    of L as it comes off, and a panel's pivot turns while it holds at
-    least half the largest entry left when the panel began.  P has rank
-    and trace k, so what is left of it after j columns has a pivot of
-    at least (k - j)/n.  P^2 = P and L L* = P, so L* L = I: L's columns
-    are orthonormal.  One pass against u then takes out what rounding
-    left in u's span.
+    columns are formed only as pivots, ``e_c - u u*_c``, one at a time
+    at the largest entry left on P's diagonal; the diagonal,
+    1 - ||u_c||^2 at first, loses each column of L as it comes off.  P
+    has rank and trace k, so what is left of it after j columns has a
+    pivot of at least (k - j)/n.  P^2 = P and L L* = P, so L* L = I: L's
+    columns are orthonormal.  One pass against u then takes out what
+    rounding left in u's span.
     """
-    n = u.shape[0]
     diag = 1.0 - np.linalg.norm(u, axis=1) ** 2
-    out = np.zeros((n, k), dtype=np.complex128, order="F")
-    j = 0
-    while j < k:
-        cand = np.argsort(-diag, kind="stable")[:min(_PANEL, k - j)]
-        floor = 0.5 * diag[cand[0]]
-        # minus what is left of P's columns at cand after L's columns so far
-        panel = u @ u[cand].conj().T + out[:, :j] @ out[cand, :j].conj().T
-        panel[cand, np.arange(cand.size)] -= 1.0
-        first = j
-        for i, c in enumerate(cand.tolist()):
-            if diag[c] < floor:
-                continue
-            col = panel[:, i] + out[:, first:j] @ out[c, first:j].conj()
-            col *= -1.0 / np.sqrt(diag[c])
-            out[:, j] = col
-            diag -= col.real ** 2 + col.imag ** 2
-            j += 1
+    out = np.zeros((u.shape[0], k), dtype=np.complex128, order="F")
+    for j in range(k):
+        c = int(np.argmax(diag))
+        # minus what is left of P's column c after L's columns so far
+        col = u @ u[c].conj() + out[:, :j] @ out[c, :j].conj()
+        col[c] -= 1.0
+        col *= -1.0 / np.sqrt(diag[c])
+        out[:, j] = col
+        diag -= col.real ** 2 + col.imag ** 2
     out -= u @ (u.conj().T @ out)
     return out
 
@@ -172,8 +156,8 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
 def decompose(t: OperatorMatrix, tol: Tolerances | None = None) -> Decomposition:
     """Split a normal T into its bounded pair, from one solve of T.
 
-    Raises ScaleLimit past an entry of 2^128, where I + T*T would
-    overflow, and NotNormal for a non-normal input.
+    Raises ScaleLimit past an entry of 2^128, where the I + T*T that
+    ``verify`` forms would overflow, and NotNormal for a non-normal input.
     """
     tol = _resolve(tol)
     _refuse_past_scale_limit(t)

@@ -7,7 +7,9 @@ are stored as orthonormal column blocks of one eigenbasis; the dense
 projection of an atom is materialized on demand as ``V V*``, which is
 Hermitian by construction.  Measures loaded from files (or built by
 hand, for example in tampering tests) keep their dense projections
-verbatim, in one k x n x n array, so validation judges what was supplied.
+verbatim, in one k x n x n array, so validation judges what was
+supplied; such a measure is validated, integrated and written, never
+solved on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .linalg import (
     _ranges,
     _resolve,
     frobenius,
-    hermitian_eig,
     normal_eig,
 )
 from .report import VerificationReport
@@ -71,12 +72,14 @@ class _AtomStore:
     layout is one read-only array with finite entries: bases given as
     blocks are copied into one stacked array (a fresh ``_Blocks`` from
     the package is kept as it is), dense projections into a k x n x n one.
+    Dense atoms come from files (or by hand, in tampering tests) and are
+    only validated, integrated and written: ``_factored`` refuses them.
     """
 
     def _store_atoms(self, count: int):
         if (self.bases is None) == (self.projections is None):
             raise ValueError("exactly one of bases and projections is required")
-        if self.num_atoms != count:
+        if len(self.bases if self.bases is not None else self.projections) != count:
             raise DimensionMismatch("one basis or projection per atom is required")
         if self.bases is not None:
             blocks = self.bases
@@ -87,7 +90,7 @@ class _AtomStore:
                     raise DimensionMismatch("basis blocks must be dim x rank")
                 blocks = _Blocks(np.concatenate(arrays, axis=1), np.cumsum(
                     [0] + [b.shape[1] for b in arrays]))
-            stored = blocks.stacked
+            stored, offsets = blocks.stacked, blocks.offsets
             object.__setattr__(self, "bases", blocks)
         else:
             mats = [np.asarray(p, dtype=np.complex128) for p in self.projections]
@@ -98,32 +101,37 @@ class _AtomStore:
         if not np.isfinite(stored).all():
             raise NonFiniteValue("atom bases and projections must be finite")
         stored.setflags(write=False)
+        if self.bases is None:
+            traces = np.rint(np.trace(stored, axis1=1, axis2=2).real).tolist()
+            offsets = np.cumsum([0] + [max(1, int(t)) for t in traces])
+        object.__setattr__(self, "_offsets", offsets)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Atom k spans ``offsets[k]:offsets[k + 1]``; a dense atom's rank
+        is its rounded trace, at least 1, so a zero one still counts."""
+        return self._offsets
 
     @property
     def num_atoms(self) -> int:
-        return len(self.bases if self.bases is not None else self.projections)
+        return self.offsets.size - 1
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        if self.bases is not None:
-            return tuple(np.diff(self.bases.offsets).tolist())
-        traces = np.trace(self.projections, axis1=1, axis2=2).real
-        return tuple(max(1, int(t)) for t in np.rint(traces).tolist())
+        return tuple(np.diff(self.offsets).tolist())
+
+    def _factored(self) -> _Blocks:
+        if self.bases is None:
+            raise ValueError("atoms stored as dense projections have no basis")
+        return self.bases
 
     def basis(self, i: int) -> np.ndarray:
-        """Orthonormal columns spanning atom ``i``.
+        """Orthonormal columns spanning atom ``i`` (a view)."""
+        return self._factored()[i]
 
-        For dense-only measures the basis is recovered from the
-        projection's top eigenvectors; this assumes the projection is
-        genuine, so validate first when provenance is unknown.
-        """
-        if self.bases is not None:
-            return self.bases[i]
-        proj = self.projections[i]
-        # Files may hold tampered atoms: solving the Hermitian part lets
-        # validation report the defect instead of raising NotHermitian.
-        es = hermitian_eig(OperatorMatrix((proj + proj.conj().T) / 2.0))
-        return es.unitary.array[:, self.dim - self.ranks[i]:]
+    def stacked_basis(self) -> np.ndarray:
+        """All atom bases side by side, in atom order (read-only)."""
+        return self._factored().stacked
 
     def projection(self, i: int) -> OperatorMatrix:
         """Dense projection of atom ``i``."""
@@ -131,12 +139,6 @@ class _AtomStore:
             b = self.basis(i)
             return OperatorMatrix(b @ b.conj().T)
         return OperatorMatrix(self.projections[i])
-
-    def stacked_basis(self) -> np.ndarray:
-        """All atom bases side by side, in atom order (read-only)."""
-        if self.bases is not None:
-            return self.bases.stacked
-        return np.hstack([self.basis(i) for i in range(self.num_atoms)])
 
     def _weighted_sum(self, weights: np.ndarray) -> OperatorMatrix:
         """``sum weights[k] P_k``; NonFiniteValue names the first bad atom."""
@@ -168,8 +170,8 @@ class SpectralMeasure(_AtomStore):
     bases : tuple of ndarray, optional
         Orthonormal columns spanning each atom's range.
     projections : sequence of ndarray, optional
-        Dense projections, used when no basis factorization is known;
-        kept as one k x dim x dim array.
+        Dense projections as read from a file, kept as one k x dim x dim
+        array: validated, integrated and written, with no basis.
 
     Exactly one of ``bases`` and ``projections`` must be given.
     """
@@ -237,7 +239,7 @@ def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
     """
     e = pvm_from_normal(OperatorMatrix(local), tol)
     return SpectralMeasure(e.dim, e.points, bases=_Blocks(
-        frame @ e.stacked_basis(), e.bases.offsets))
+        frame @ e.stacked_basis(), e.offsets))
 
 
 def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:
@@ -258,7 +260,7 @@ def _reconstruction_check(t: OperatorMatrix, e: SpectralMeasure,
 
 def _block_norms(m: np.ndarray, row_offsets: np.ndarray,
                  col_offsets: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the blocks cut at ``cumsum((0,) + ranks)``."""
+    """Frobenius norms of the blocks cut at the given atom offsets."""
     return np.sqrt(np.add.reduceat(np.add.reduceat(
         np.abs(m) ** 2, row_offsets[:-1], axis=0), col_offsets[:-1], axis=1))
 
@@ -281,8 +283,7 @@ def _factored_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
     defect = gram - np.eye(total_rank)
     completeness = float(np.linalg.norm(defect)) if total_rank == e.dim else \
         float(np.sqrt(np.linalg.norm(defect) ** 2 + abs(e.dim - total_rank)))
-    offsets = np.cumsum((0,) + e.ranks)
-    blocks = _block_norms(defect, offsets, offsets)
+    blocks = _block_norms(defect, e.offsets, e.offsets)
     # ||u_i* u_i - I|| on the diagonal, ||u_i* u_j|| above it
     idem = float(np.max(np.diagonal(blocks)))
     ortho = float(np.max(np.triu(blocks, 1)))

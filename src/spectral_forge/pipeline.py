@@ -106,7 +106,9 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         into the report.
     force_scale : bool
         Proceed past the ``NORM_LIMIT`` conditioning refusal.  An entry
-        past 2^128 is refused even so, as I + T*T would overflow.
+        past 2^128 is refused even so: ||T||_2 >= 2^128 puts the
+        smallest weight at or below 2^-256, inside the singular margin,
+        so the report cannot pass.
 
     Returns
     -------

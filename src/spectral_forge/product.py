@@ -7,7 +7,9 @@ is itself an orthogonal projection onto the intersection of ranges.
 Pushing the atoms forward through a map phi merges images that land
 within the clustering radius, which is how a spectral measure for the
 original operator is reassembled from the pair measure via
-phi(t, w) = w / t.
+phi(t, w) = w / t.  Everything here but validation and integration works
+on atom bases, so it takes factored measures: a measure read from a
+file holds dense projections and is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -56,8 +58,10 @@ class ProductMeasure(_AtomStore):
 
     ``t_points`` are real (the first factor lives on the real line),
     ``w_points`` complex.  Projections are stored factored (one stacked
-    basis) or dense (one k x n x n array) in the atom store shared with
-    SpectralMeasure.  ``rectangle_residual`` is the largest deviation of
+    basis, as ``product_measure`` builds them) or dense (one k x n x n
+    array, as read from a file, only validated, integrated and written)
+    in the atom store shared with SpectralMeasure.
+    ``rectangle_residual`` is the largest deviation of
     a stored projection from the literal product P_i Q_j, measured at
     construction time.
     """
@@ -128,8 +132,7 @@ def _pairs(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
     limit = _commute_threshold(e1.dim, _resolve(tol))
     s1 = e1.stacked_basis()
     s2 = e2.stacked_basis()
-    off1 = np.cumsum((0,) + e1.ranks)
-    off2 = np.cumsum((0,) + e2.ranks)
+    off1, off2 = e1.offsets, e2.offsets
     for name, s, off in (("e1", s1, off1), ("e2", s2, off2)):
         defects = _basis_defects(s, off)
         k = int(np.argmax(defects > limit))
@@ -312,8 +315,7 @@ def marginal_residuals(prod: ProductMeasure, e1: SpectralMeasure,
     factor atom, the gap ``||Z Z* - P_i||_F`` is taken in the rank space
     (``_range_gap``), which assumes orthonormal atom bases.
     """
-    stacked = prod.stacked_basis()
-    offsets = np.cumsum((0,) + prod.ranks)
+    stacked, offsets = prod.stacked_basis(), prod.offsets
     ranks = np.diff(offsets)
 
     def gap(keys: np.ndarray, points: np.ndarray, e: SpectralMeasure) -> float:
@@ -378,4 +380,4 @@ def pushforward(prod: ProductMeasure, phi,
             )
         images.append(value)
     return _merged(np.array(images, dtype=np.complex128),
-                   prod.stacked_basis(), np.cumsum((0,) + prod.ranks), tol)
+                   prod.stacked_basis(), prod.offsets, tol)

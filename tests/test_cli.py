@@ -65,6 +65,20 @@ def test_decompose_emit_report_only(tmp_path, capsys):
     assert set(doc) == {"residuals", "pass", "tolerances"}
 
 
+def test_decompose_emit_measure_writes_the_pair_without_report(tmp_path,
+                                                             capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "3")
+    out = str(tmp_path / "d.json")
+    code, _, err = run(["decompose", "--input", t, "--emit", "measure",
+                        "--output", out], capsys)
+    assert code == 0 and "checks passed" in err
+    assert set(json.loads(open(out).read())) == {"t", "a", "b", "source_norm"}
+    code, out, _ = run(["verify", "--decomposition", out], capsys)
+    assert code == 0
+    assert "FAIL" not in out and "injectivity_margin" in out
+
+
 def test_decompose_rejects_jordan_with_exit_3(tmp_path, capsys):
     t = gen_file(tmp_path, "j.json", "gen", "--kind", "jordan_block",
                  "--dim", "4")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -110,16 +112,52 @@ def test_validate_catches_rank_deficit():
     assert not report.passed["rank_deficit"] or not report.passed["completeness"]
 
 
-def test_zero_dense_atom_keeps_ranks_and_stacked_basis_aligned():
-    # A zero projection between two genuine atoms: its basis has one
-    # column, so its rank must count one, and the rank total exposes it.
+def test_zero_dense_atom_counts_rank_one():
+    # A zero projection between two genuine atoms: its trace rounds to 0,
+    # its rank counts one, and the rank total exposes it.
     zero = np.zeros((3, 3), dtype=complex)
     bad = SpectralMeasure(3, np.array([0.0, 1.0, 2.0], dtype=complex),
                           projections=(np.diag([1.0, 0.0, 0.0]).astype(complex),
                                        zero,
                                        np.diag([0.0, 1.0, 1.0]).astype(complex)))
-    assert sum(bad.ranks) == bad.stacked_basis().shape[1]
+    assert bad.ranks == (1, 1, 2)
+    assert bad.offsets.tolist() == [0, 1, 2, 4]
+    assert bad.num_atoms == 3
     assert pvm_validate(bad).failed == ["rank_deficit"]
+
+
+def test_dense_store_has_no_basis():
+    # dense atoms read back from a file are validated, integrated and
+    # written; whatever works on bases refuses them with one ValueError
+    from spectral_forge import io
+    from spectral_forge.pipeline import spectral_theorem
+    from spectral_forge.product import (commute_check, marginal_residuals,
+                                        product_measure, product_validate,
+                                        pushforward)
+    result = spectral_theorem(generate(OperatorSpec("momentum_1d", dim=6,
+                                                    scale=1.0, seed=13)))
+    e1, e2 = (io.pvm_from_doc(io.pvm_to_doc(e)) for e in (result.e1, result.e2))
+    prod = io.product_from_doc(io.product_to_doc(result.product))
+    calls = [partial(e.basis, 0) for e in (e1, e2, prod)]
+    calls += [e.stacked_basis for e in (e1, e2, prod)]
+    calls += [partial(product_measure, e1, result.e2),
+              partial(product_measure, result.e1, e2),
+              partial(commute_check, e1, e2),
+              partial(marginal_residuals, prod, result.e1, result.e2),
+              partial(marginal_residuals, result.product, e1, result.e2),
+              partial(pushforward, prod, lambda t, w: w / t)]
+    for call in calls:
+        with pytest.raises(ValueError, match="dense projections have no basis"):
+            call()
+    for dense, built, to_doc in ((e1, result.e1, io.pvm_to_doc),
+                                 (e2, result.e2, io.pvm_to_doc),
+                                 (prod, result.product, io.product_to_doc)):
+        assert dense.ranks == built.ranks
+        np.testing.assert_array_equal(dense.offsets, built.offsets)
+        assert io.dumps(to_doc(dense)) == io.dumps(to_doc(built))
+    assert pvm_validate(e1).all_passed and product_validate(prod).all_passed
+    np.testing.assert_allclose(pvm_integrate(lambda z: z, e2).array,
+                               result.decomposition.b.array, atol=1e-12)
 
 
 def test_validate_catches_colliding_points():
@@ -188,12 +226,10 @@ def test_dense_and_factored_storage_agree():
             assert dense_report.passed.items() <= factored_report.passed.items()
             assert factored_report.residuals["hermitian_defect"] == 0.0
             assert dense.ranks == e.ranks
+            np.testing.assert_array_equal(dense.offsets, e.offsets)
             for i in range(e.num_atoms):
                 np.testing.assert_allclose(dense.projection(i).array,
                                            e.projection(i).array, atol=1e-13)
-                b = dense.basis(i)
-                np.testing.assert_allclose(b @ b.conj().T,
-                                           e.projection(i).array, atol=1e-11)
 
 
 def test_validating_built_measures_forms_no_projection(monkeypatch):

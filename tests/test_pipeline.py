@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -217,17 +219,34 @@ def _warm_cases(kind):
             yield t, d.b, b_local, es_a.unitary.array
 
 
-def test_guard_skips_op_norm_2_below_frobenius_limit(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("op_norm_2 ran below the Frobenius limit")
+def test_guard_reads_the_norm_off_the_one_sided_solve(monkeypatch):
+    # the guard's ||T||_2 is the one-sided solve's max s: one
+    # _jacobi_one_sided call per run, and no norm solve besides it,
+    # whichever module namespace would reach one
+    calls = []
+    solve = linalg._jacobi_one_sided
 
-    monkeypatch.setattr(linalg, "op_norm_2", refuse)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a norm solve ran beside the one-sided solve")
+
+    modules = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "spectral_forge"]
+    for module in modules:
+        for name, stub in (("_jacobi_one_sided", counted),
+                           ("op_norm_2", refuse), ("_norm_in_frame", refuse)):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, stub)
     for spec in (OperatorSpec("random_normal", dim=12, scale=3.0, seed=4),
                  OperatorSpec("random_hermitian", dim=7, scale=5e5, seed=2),
                  OperatorSpec("multiplication", dim=1, scale=1e6)):
         t = generate(spec)
-        assert frobenius(t) <= NORM_LIMIT
+        calls.clear()
         assert spectral_theorem(t).report.all_passed
+        assert len(calls) == 1
 
 
 def test_pipeline_sweeps_once_cold(monkeypatch):
