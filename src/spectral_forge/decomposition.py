@@ -38,7 +38,6 @@ from .linalg import (
     _power_of_two_scaled,
     _refuse_past_scale_limit,
     _resolve,
-    hermitian_eig,
     is_hermitian,
     is_normal,
     op_norm_2,
@@ -171,9 +170,12 @@ def verify(t: OperatorMatrix, d: Decomposition,
 
     Residuals reported (Frobenius norms throughout):
 
-    - ``injectivity_margin``: smallest eigenvalue of A, compared against
-      ``1/(1 + ||T||_2^2) - rel(n)``.  ||T||_2 is solved in the eigenframe
-      of that same solve of A, never read from ``d.source_norm``.
+    - ``injectivity_margin``: smallest eigenvalue of A's Hermitian part
+      A_h, compared against ``1/(1 + ||T||_2^2) - rel(n)``.  A_h + cI,
+      c = 1 + ||A_h||_F, is positive definite, so one one-sided solve
+      gives its eigenvalues s (those of A_h plus c) and eigenvectors
+      G/s.  ||T||_2 is solved in that eigenframe, never read from
+      ``d.source_norm``.
     - ``reconstruction``: ||(I + T*T) B - T||, using the exactly known
       inverse of A rather than anything computed from A itself.
     - ``commutator``: ||AB - BA||.
@@ -182,11 +184,15 @@ def verify(t: OperatorMatrix, d: Decomposition,
     - ``hermitian_defect_a``, ``normality_defect_b``, and for Hermitian
       inputs ``hermitian_defect_b``.
 
-    Always returns a report; nothing is raised for failed checks.
+    Always returns a report; nothing is raised for failed checks.  An
+    entry of T, A or B past 2^128 is refused with ScaleLimit before any
+    product is formed.
     """
     tol = _resolve(tol)
     if t.dim != d.dim:
         raise DimensionMismatch("operator and decomposition dimensions differ")
+    for m in (t, d.a, d.b):
+        _refuse_past_scale_limit(m)
     rel = tol.rel(t.dim)
     ta = t.array
     aa = d.a.array
@@ -194,10 +200,12 @@ def verify(t: OperatorMatrix, d: Decomposition,
 
     # A stored decomposition may be tampered with: its Hermitian part is
     # solved so that a non-Hermitian A fails a check instead of raising.
-    es_a = hermitian_eig(OperatorMatrix((aa + aa.conj().T) / 2.0), tol)
-    min_eig_a = float(np.min(es_a.eigenvalues.real))
+    a_h = (aa + aa.conj().T) / 2.0
+    shift = 1.0 + float(np.linalg.norm(a_h))
+    s, g = _jacobi_one_sided(a_h + shift * np.eye(t.dim), tol.atol)
+    min_eig_a = float(s.min()) - shift
     # A's eigenframe nearly diagonalizes T*T, so the norm solve is warm.
-    op_t = _norm_in_frame(t, es_a.unitary.array, tol)
+    op_t = _norm_in_frame(t, g / s, tol)
     fro_t = float(np.linalg.norm(ta))
     fro_a = float(np.linalg.norm(aa))
     fro_b = float(np.linalg.norm(ba))

@@ -1,14 +1,18 @@
 """Dense complex linear algebra kernels.
 
 Everything in this module works on small dense matrices held in memory.
-Two cyclic Jacobi kernels share one rotation and one stopping rule: the
-two-sided one diagonalizes Hermitian matrices (and normal ones through
-their commuting Hermitian and skew parts), the one-sided (Hestenes) one
-rotates the columns of M into ``M V = G`` with orthogonal columns and
-gives singular values s, left singular vectors ``U = G / s`` and with
-them every spectral norm; V itself is never formed.  numpy is used for
-array arithmetic only; no LAPACK eigen, singular value or factorization
-routine is called anywhere.
+Two cyclic Jacobi kernels share one rotation and one stopping rule, and
+split the problems by class.  The one-sided (Hestenes) kernel takes
+every positive (semi)definite problem: it rotates the columns of M into
+``M V = G`` with orthogonal columns and gives singular values s and left
+singular vectors ``U = G / s``, so it solves T for its singular pair,
+every spectral norm, a positive definite matrix by its own eigenpairs
+(``verify`` shifts A's Hermitian part to one) and the cross blocks of a
+product measure; V itself is never formed.  The two-sided kernel keeps
+only the indefinite problems: Hermitian matrices (``hermitian_eig``)
+and normal ones through their commuting Hermitian and skew parts
+(``normal_eig``).  numpy is used for array arithmetic only; no LAPACK
+eigen, singular value or factorization routine is called anywhere.
 """
 
 from __future__ import annotations
@@ -221,14 +225,16 @@ def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a.view(np.float64), -e).view(a.dtype), e
 
 
-def _refuse_past_scale_limit(m: OperatorMatrix):
-    """ScaleLimit past an entry of 2^128, for routes that square unscaled."""
+def _refuse_past_scale_limit(m: OperatorMatrix, reason: str =
+                             "the sums of squares this route forms "
+                             "unscaled would overflow"):
+    """ScaleLimit past an entry of 2^128, the message ending in ``reason``.
+
+    The default reason is that of the routes that square unscaled.
+    """
     peak = float(np.max(np.abs(m.array.view(np.float64))))
     if peak > _SCALE_LIMIT:
-        raise ScaleLimit(
-            f"largest entry {peak:.3e} passes 2^128; the sums of squares "
-            "this route forms unscaled would overflow"
-        )
+        raise ScaleLimit(f"largest entry {peak:.3e} passes 2^128; {reason}")
 
 
 def _norm(x: np.ndarray) -> float:

@@ -21,8 +21,11 @@ A = U W U*, B = T A formed as U W^(1/2) (U* T U) W^(1/2) U*, E_A (W on
 the columns of U) and ||T||_2 = max s.  Since T, A and B share
 eigenvectors, U nearly diagonalizes B, so E_B is solved warm from B's
 local form W^(1/2) (U* T U) W^(1/2), the U* B U that B was formed
-from: unitarily similar to B, it converges in a few sweeps and would
-reach the same answer from any frame.
+from, unitarily similar to B.  B commutes with A, so between different
+atoms of E_A that form holds rounding alone: it is set to 0 there and
+E_B is solved on E_A's blocks, in a few sweeps.  Left in, the rounding
+would couple nearly equal eigenvalues of B across E_A's atoms, and E_B
+would not commute with E_A.
 
 E_A's weights keep the relative accuracy of the singular values, and
 clusters join relative to their own size, so the result meets the
@@ -128,9 +131,15 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
             "the reciprocal map would amplify atom errors beyond recovery "
             "(pass force_scale=True to proceed anyway)"
         )
-    _refuse_past_scale_limit(t)
+    _refuse_past_scale_limit(t, "the smallest weight 1/(1 + ||T||^2) "
+                             "falls inside the singular margin, so the "
+                             "report cannot pass")
     _require_normal(t, tol)
     e1 = _merged(es_a.eigenvalues, es_a.unitary.array, np.arange(n + 1), tol)
+    # E_B on E_A's blocks: E_A's points are real and ascending, so each
+    # atom is a run of U's columns, in order
+    atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
+    b_local[atom[:, None] != atom] = 0.0
     e2 = _measure_in_frame(b_local, es_a.unitary.array, tol)
     del es_a, b_local  # two n x n arrays fewer under product_measure's peak
     prod = product_measure(e1, e2, tol)

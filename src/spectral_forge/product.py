@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, NonFiniteValue, NotCommuting
 from .linalg import (
     OperatorMatrix,
     Tolerances,
-    _jacobi_hermitian,
+    _jacobi_one_sided,
     _ranges,
     _resolve,
 )
@@ -168,13 +168,14 @@ def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
                   tol: Tolerances):
     """``(z, ||z z* - P_i Q_j||_F)`` for the intersection of two ranges.
 
-    Singular vectors of the cross block C with singular value near 1
-    span range(P_i) and range(Q_j) in common; the Gram matrix is taken
-    on the smaller side.  The gap is ``hypot(||y y* - C C*||_F,
-    outside)`` for z = u_i y and outside = ``||D C*||_F``.  None when
-    no singular value is near 1.  When the smaller side has rank one the
-    Gram matrix is the scalar ``||C||^2``, so no solve is needed: y is 1
-    or ``C / ||C||``, and ``||y y* - C C*||_F = |1 - ||C||^2|``.
+    Left singular vectors of the cross block C with singular value near
+    1 span range(P_i) and range(Q_j) in common: one one-sided solve
+    C V = G gives them as y = G/s on the columns with s^2 > 1/4.  The
+    gap is ``hypot(||y y* - C C*||_F, outside)`` for z = u_i y and
+    outside = ``||D C*||_F``.  None when no singular value is near 1.
+    When either side has rank one, C's one singular value is ``||C||``,
+    so no solve is needed: y is 1 or ``C / ||C||``, and
+    ``||y y* - C C*||_F = |1 - ||C||^2|``.
     """
     if min(block.shape) == 1:
         norm = float(np.linalg.norm(block))
@@ -182,21 +183,13 @@ def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
             return None
         z = ui if ui.shape[1] == 1 else ui @ block / norm
         return z, float(np.hypot(1.0 - norm * norm, outside))
-    wide = block.shape[0] <= block.shape[1]
-    gram = block @ block.conj().T if wide else block.conj().T @ block
-    s2, x = _jacobi_hermitian(gram, tol.atol)
-    keep = s2 > 0.25
+    s, g = _jacobi_one_sided(block, tol.atol)
+    keep = s * s > 0.25
     if not keep.any():
         return None
-    if wide:
-        y = x[:, keep]
-        z = ui @ y
-    else:
-        y = block @ x[:, keep]
-        z = ui @ y / np.sqrt(s2[keep])
-        y /= np.sqrt(s2[keep])
+    y = g[:, keep] / s[keep]
     inside = float(np.linalg.norm(y @ y.conj().T - block @ block.conj().T))
-    return z, float(np.hypot(inside, outside))
+    return ui @ y, float(np.hypot(inside, outside))
 
 
 def _commute_threshold(n: int, tol: Tolerances) -> float:
@@ -233,7 +226,7 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     The first factor must be supported on the real line.  For each pair
     with ``||P_i Q_j||_F`` above the pruning threshold ``1e-10 n`` the
     projection onto the intersection of ranges is
-    extracted from the singular structure of the cross Gram block
+    extracted from the singular structure of the cross block
     C = u_i* w_j, and its deviation from the literal product P_i Q_j is
     re-measured.  All of it stays in the rank space (Bjorck & Golub
     1973): with D = w_j - u_i C and the atom basis z = u_i y,
@@ -245,15 +238,15 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
       ``P_i Q_j (I - P_i)`` part.
 
     Both identities need orthonormal atom bases, so each pair costs
-    O(n r_i r_j) and no n x n product is formed.  A pair whose smaller
-    side has rank one takes its intersection in closed form; only a pair
-    whose atoms both have rank two or more gets a Jacobi solve of its
-    Gram block (``_intersection``).  Refusals name the first failing pair
-    in row-major order.  Raises DimensionMismatch unless both factors
-    resolve the identity of the same space (atom ranks summing to the
-    dimension, every atom basis orthonormal), and NotCommuting when the
-    measures fail the commutation test or when a product refuses to
-    behave like a projection.
+    O(n r_i r_j) and no n x n product is formed.  A pair with a side of
+    rank one takes its intersection in closed form; only a pair whose
+    atoms both have rank two or more gets a one-sided Jacobi solve of
+    its cross block (``_intersection``).  Refusals name the first
+    failing pair in row-major order.  Raises DimensionMismatch unless
+    both factors resolve the identity of the same space (atom ranks
+    summing to the dimension, every atom basis orthonormal), and
+    NotCommuting when the measures fail the commutation test or when a
+    product refuses to behave like a projection.
     """
     tol = _resolve(tol)
     if e1.dim != e2.dim:

@@ -429,20 +429,24 @@ ALL_RANK_ONE = {
 
 @pytest.mark.parametrize("case", sorted(ALL_RANK_ONE))
 def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
-    # with every atom of rank one, E_B's H solve is the only Hermitian
-    # Jacobi solve left after the one-sided solve: no K block, no pair
+    # with every atom of rank one, E_B's H solve is the only Jacobi solve
+    # left after the one-sided solve of T: no K block, no pair solve
     t = ALL_RANK_ONE[case]()
     d, es, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
     e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1),
                  DEFAULT_TOLERANCES)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return _jacobi_hermitian(*args, **kwargs)
+    def counted(kernel):
+        def call(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kernel(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(linalg, "_jacobi_hermitian", counted)
-    monkeypatch.setattr(product, "_jacobi_hermitian", counted)
+    monkeypatch.setattr(linalg, "_jacobi_hermitian",
+                        counted(linalg._jacobi_hermitian))
+    monkeypatch.setattr(product, "_jacobi_one_sided",
+                        counted(product._jacobi_one_sided))
     e2 = _measure_in_frame(b_local, es.unitary.array)
     prod = product_measure(e1, e2)
     assert set(e1.ranks) == set(e2.ranks) == set(prod.ranks) == {1}

@@ -640,9 +640,11 @@ def test_every_command_past_squared_overflow(tmp_path, capsys, kind, scale):
     import warnings
     t = gen_file(tmp_path, "t.json", "gen", "--kind", *kind, "--dim", "4",
                  "--scale", scale)
+    overflow = "passes 2^128; the sums of squares this route forms " \
+        "unscaled would overflow"
     refusals = {
-        "decompose": "passes 2^128",
-        "spectrum": "passes 2^128",
+        "decompose": overflow,
+        "spectrum": overflow,
         "pipeline": "exceeds 1e+06",
     }
     with warnings.catch_warnings(record=True) as caught:
@@ -651,11 +653,37 @@ def test_every_command_past_squared_overflow(tmp_path, capsys, kind, scale):
             code, _, err = run([command, "--input", t], capsys)
             assert code == 3 and message in err, (command, err)
             assert "RuntimeWarning" not in err
+        # forced, the pipeline refuses for its own reason: the weights
         code, _, err = run(["pipeline", "--input", t, "--force-scale"], capsys)
-        assert code == 3 and "passes 2^128" in err, err
+        assert code == 3 and "passes 2^128; the smallest weight" in err, err
+        assert "inside the singular margin" in err and "overflow" not in err
         code, out, err = run(["verify", "--dir", str(tmp_path), "--input", t],
                              capsys)
         assert code == 0 and "skipped (operator matrix)" in out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("part", ["t", "a", "b"])
+def test_verify_refuses_a_stored_pair_past_2_128(tmp_path, capsys, part):
+    # a stored T, A or B of 1e200 is refused before verify forms any
+    # product: exit 3, and no numpy overflow warning
+    import warnings
+    from spectral_forge.decomposition import Decomposition, decompose
+    t = io.read_matrix(gen_file(tmp_path, "t.json", "gen", "--kind",
+                                "random_normal", "--dim", "4", "--seed", "2"))
+    d = decompose(t)
+    arrays = {"t": t.array, "a": d.a.array, "b": d.b.array}
+    arrays[part] = arrays[part] * 1e200
+    path = str(tmp_path / "d.json")
+    io.write_json(io.decomposition_to_doc(
+        OperatorMatrix(arrays["t"]), Decomposition(
+            OperatorMatrix(arrays["a"]), OperatorMatrix(arrays["b"]),
+            d.source_norm)), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(["verify", "--decomposition", path], capsys)
+    assert code == 3 and "passes 2^128" in err, err
+    assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

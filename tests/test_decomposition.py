@@ -7,7 +7,7 @@ from spectral_forge.decomposition import (
     norm_bounds,
     verify,
 )
-from spectral_forge.errors import DimensionMismatch, NotNormal
+from spectral_forge.errors import DimensionMismatch, NotNormal, ScaleLimit
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import OperatorMatrix, is_hermitian, op_norm_2
 
@@ -190,6 +190,61 @@ def test_verify_norm_comes_from_its_own_eigenframe(monkeypatch):
     rel = 1e-10 * t.dim
     assert report.tolerances["injectivity_margin"] == pytest.approx(
         1.0 / (1.0 + cold * cold) - rel, rel=1e-12)
+
+
+@pytest.mark.parametrize("change", ["as_written", "negative", "non_hermitian"])
+def test_verify_solves_a_with_the_one_sided_kernel_alone(change, monkeypatch):
+    # A's Hermitian part A_h, shifted by 1 + ||A_h||_F to be positive
+    # definite, is solved one-sided: the two-sided kernel never runs, and
+    # the margin is A_h's smallest eigenvalue
+    from spectral_forge import linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran the two-sided kernel")
+
+    t = generate(OperatorSpec("random_normal", dim=16, scale=30.0, seed=4))
+    d = decompose(t)
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    v /= np.linalg.norm(v)
+    a = d.a.array + {"as_written": 0.0,
+                     "negative": -2.0 * np.outer(v, v.conj()),
+                     "non_hermitian": 1e-3 * np.outer(v, v)}[change]
+    monkeypatch.setattr(linalg, "_jacobi_hermitian", refuse)
+    report = verify(t, Decomposition(OperatorMatrix(a), d.b, d.source_norm))
+    oracle = np.linalg.eigvalsh((a + a.conj().T) / 2.0).min()
+    assert abs(report.residuals["injectivity_margin"] - oracle) <= 1e-12
+    if change != "non_hermitian":
+        assert report.passed["injectivity_margin"] == (change == "as_written")
+
+
+@pytest.mark.parametrize("part", ["t", "a", "b"])
+def test_verify_refuses_entries_past_2_128(part):
+    # the products verify forms would overflow: ScaleLimit before any of
+    # them, and no numpy warning
+    import warnings
+    t = generate(OperatorSpec("random_normal", dim=6, scale=3.0, seed=2))
+    d = decompose(t)
+    arrays = {"t": t.array, "a": d.a.array, "b": d.b.array}
+    arrays[part] = arrays[part] * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScaleLimit, match="passes 2\\^128"):
+            verify(OperatorMatrix(arrays["t"]),
+                   Decomposition(OperatorMatrix(arrays["a"]),
+                                 OperatorMatrix(arrays["b"]), 1.0))
+
+
+def test_verify_fails_a_at_1e38_without_warnings():
+    import warnings
+    t = generate(OperatorSpec("random_normal", dim=6, scale=3.0, seed=2))
+    d = decompose(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(t, Decomposition(OperatorMatrix(1e38 * d.a.array),
+                                         d.b, d.source_norm))
+    assert not report.all_passed
+    assert "claim_product" in report.failed
 
 
 @pytest.mark.parametrize("n", [32, 96])

@@ -140,6 +140,44 @@ def test_momentum_at_9e5_never_passes_a_wrong_measure(n):
         assert tuple(near.tolist()) == e.ranks
 
 
+def _six_clusters_of_four(seed, norm, delta):
+    """T on C^24 with six points on the circle of radius ``norm``, each
+    four times, spread by ``delta`` relative to itself."""
+    from spectral_forge.gallery import _conjugated_diagonal
+    rng = np.random.default_rng(seed)
+    if delta is None:  # the points 1e-8 j apart, j = 0..3
+        points = np.exp(2j * np.pi * np.arange(6) / 6)
+        spread = 1.0 + 1e-8 * np.tile(np.arange(4), 6)
+    else:
+        points = np.exp(2j * np.pi * rng.random(6))
+        spread = 1.0 + delta * rng.standard_normal(24)
+    z = norm * np.repeat(points, 4) * spread
+    return OperatorMatrix(_conjugated_diagonal(seed + 1, 24, z))
+
+
+@pytest.mark.parametrize("seed, norm, delta", [
+    (0, 1e3, None), (4, 1e3, None), (9, 1e3, None),
+    (0, 1.0, 1e-7), (1, 1e3, 3e-8), (2, 9e5, 1e-6)])
+def test_clustered_spectrum_commutes_on_e_a_blocks(seed, norm, delta):
+    # B's local form between different E_A atoms is rounding; left in,
+    # it couples the clusters' near-equal eigenvalues across E_A's atoms
+    # and E_B fails to commute with E_A, so E_B is solved on E_A's blocks
+    # (the points of a cluster are as far apart as the reconstruction
+    # rule lets an atom's point stray, so atoms and numpy's eigenvalues
+    # are matched by distance, not one to one)
+    t = _six_clusters_of_four(seed, norm, delta)
+    res = spectral_theorem(t)
+    assert res.report.all_passed, res.report.failed
+    e = res.spectral_measure
+    gaps = np.abs(np.linalg.eigvals(t.array)[:, None] - e.points)
+    assert np.max(np.min(gaps, axis=0)) <= 1e-7 * (1.0 + norm)
+    assert np.max(np.min(gaps, axis=1)) <= 1e-7 * (1.0 + norm)
+    assert sum(e.ranks) == t.dim
+    u = e.stacked_basis()
+    rebuilt = (u * np.repeat(e.points, e.ranks)) @ u.conj().T
+    assert np.linalg.norm(rebuilt - t.array) <= 1e-6 * np.linalg.norm(t.array)
+
+
 def test_scale_limit_refusal_and_override():
     t = OperatorMatrix(1e9 * np.eye(2))
     with pytest.raises(ScaleLimit):
