@@ -146,15 +146,17 @@ def _classify(doc: dict, name: str, source: OperatorMatrix | None
     Returns the document's kind and ``{part: (part document, operator)}``,
     the operator being what a decomposition without its own ``t`` and a
     measure of T are held to: a bundle's stored ``t``, else ``source``.
-    A matrix or report file is inert: its skip message and no parts.
+    A bundle's ``t`` that is not a matrix is a ParseError, never a
+    silent fallback.  A matrix or report file is inert: its skip message
+    and no parts.
     """
     if "a" in doc and "b" in doc:
         return "decomposition", {"decomposition": (doc, source)}
     if "atoms" in doc:
         return "measure", {"measure": (doc, source)}
     if isinstance(doc.get("measure"), dict):
-        if isinstance(doc.get("t"), dict):
-            source = io.matrix_from_doc(doc["t"], where=name)
+        if "t" in doc:
+            source = io.matrix_from_doc(doc["t"], where=f"{name}.t")
         return "bundle", {key: (doc[key], source)
                           for key in _BUNDLE_PARTS if key in doc}
     if "entries" in doc:
@@ -303,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true",
                    help="also diagonalize directly and compare")
     p.add_argument("--force-scale", action="store_true",
-                   help="proceed past the conditioning refusal on very "
-                        "large norms")
+                   help="proceed past the refusal of a norm above 1e6 "
+                        "(an entry past 2^128 is still refused)")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("verify", parents=[solve],

@@ -118,22 +118,23 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
     eps ||T|| per entry: formed as T A, B would keep it unweighted, and
     ||[A, B]|| would reach eps ||T||.  In the rows and columns of T's
     null modes, where T u = T* u = 0, it is all there is, so only the
-    range block is formed and the rest is 0.  T is scaled by a power of
-    two first when a norm of it would leave the float range, and an s
-    whose square overflows gets weight 0.  Normality is not tested here.
+    range block is formed and the rest is 0.  An entry of T past 2^128
+    is refused with ScaleLimit first; below it, T is scaled by a power
+    of two when a norm of it would leave the float range.  Normality is
+    not tested here.
     """
+    _refuse_past_scale_limit(t)
     scaled, e = _power_of_two_scaled(t.array)
     sigma, u = _jacobi_one_sided(scaled, tol.atol)
-    # T's null modes from s, not w: w underflows to 0 past s of about
-    # 1e154.  G and s carry the same scale, so U = G/s takes them scaled
+    # T's null modes from s, not w: w rounds to 1 for every s below
+    # 1e-8.  G and s carry the same scale, so U = G/s takes them scaled
     null = sigma <= 100.0 * t.dim * _EPS * sigma.max()
     k = int(null.sum())
     u /= np.where(null, 1.0, sigma)
     if k:
         u[:, null] = _complement(u[:, ~null], k)
     sigma = np.ldexp(sigma, e)
-    with np.errstate(over="ignore"):
-        weights = 1.0 / (1.0 + sigma * sigma)
+    weights = 1.0 / (1.0 + sigma * sigma)
     # E's order: ascending, and a null mode has no smaller weight than a
     # range mode, so with null modes last among equal weights the range
     # modes come first
@@ -159,7 +160,6 @@ def decompose(t: OperatorMatrix, tol: Tolerances | None = None) -> Decomposition
     ``verify`` forms would overflow, and NotNormal for a non-normal input.
     """
     tol = _resolve(tol)
-    _refuse_past_scale_limit(t)
     _require_normal(t, tol)
     return _bounded_pair(t, tol)[0]
 

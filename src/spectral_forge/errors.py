@@ -36,7 +36,9 @@ class NotNormal(SpectralForgeError):
 
 
 class NoConvergence(SpectralForgeError):
-    """An iterative solver exhausted its rotation budget."""
+    """A Jacobi solve stopped above its target: its rotation budget ran
+    out, its sweeps stalled, or they reached the relative rounding floor
+    first."""
 
 
 class NotCommuting(SpectralForgeError):
@@ -44,7 +46,8 @@ class NotCommuting(SpectralForgeError):
 
 
 class ScaleLimit(SpectralForgeError):
-    """Operator norm exceeds the pipeline conditioning limit."""
+    """Operator norm exceeds the pipeline's ``NORM_LIMIT``, or an entry
+    passes 2^128, which every route refuses."""
 
 
 class BadSpec(SpectralForgeError):

@@ -225,16 +225,13 @@ def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a.view(np.float64), -e).view(a.dtype), e
 
 
-def _refuse_past_scale_limit(m: OperatorMatrix, reason: str =
-                             "the sums of squares this route forms "
-                             "unscaled would overflow"):
-    """ScaleLimit past an entry of 2^128, the message ending in ``reason``.
-
-    The default reason is that of the routes that square unscaled.
-    """
+def _refuse_past_scale_limit(m: OperatorMatrix):
+    """ScaleLimit past an entry of 2^128, every route's one refusal."""
     peak = float(np.max(np.abs(m.array.view(np.float64))))
     if peak > _SCALE_LIMIT:
-        raise ScaleLimit(f"largest entry {peak:.3e} passes 2^128; {reason}")
+        raise ScaleLimit(f"largest entry {peak:.3e} passes 2^128; the sums "
+                         "of squares this route forms unscaled would "
+                         "overflow")
 
 
 def _norm(x: np.ndarray) -> float:

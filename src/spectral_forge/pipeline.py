@@ -6,10 +6,8 @@ their product, and pushes the product forward through
 ``phi(t, w) = w / t``.  Because A = (I + T*T)^(-1) and B = T A share
 eigenvectors with T, the surviving joint atoms satisfy w / t = z for
 the corresponding eigenvalue z of T, so the pushforward reassembles
-T's own measure.  A weight t within the singular margin
-``1e-14 (1 + ||A||)`` of the origin is sent to 0 instead, and the
-report counts the atoms with such a nonzero t: what they carried is
-below the conditioning floor and is lost.
+T's own measure.  E_A's weights t are all positive, so phi is defined
+on every joint atom.
 A direct diagonalization of T is kept only as an optional cross check.
 
 Exactly one Jacobi solve starts cold: the one-sided solve T V = G,
@@ -30,10 +28,11 @@ would not commute with E_A.
 E_A's weights keep the relative accuracy of the singular values, and
 clusters join relative to their own size, so the result meets the
 reconstruction rule of ``spectrum`` and ``verify`` at every norm but
-for the inputs ``spectral_theorem`` names.
-``NORM_LIMIT`` guards only the singular margin: past it the smallest
-weight 1/(1 + ||T||^2) nears ``SINGULAR_MARGIN``, so unless forced the
-pipeline refuses such a norm, read off the same solve before normality.
+for the inputs ``spectral_theorem`` names.  Past ``NORM_LIMIT``
+E_A's clustering floor, 100 eps of its largest weight, nears its
+smallest weights 1/(1 + s^2), so unless forced the pipeline refuses
+such a norm, read off the same solve before normality.  An entry past
+2^128 is refused before any solve, as by every route of the package.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ import numpy as np
 
 from .decomposition import Decomposition, _bounded_pair, _require_normal
 from .errors import ScaleLimit
-from .linalg import (OperatorMatrix, Tolerances, _refuse_past_scale_limit,
-                     _resolve)
+from .linalg import OperatorMatrix, Tolerances, _resolve
 from .measures import (PVM_FACTOR, SpectralMeasure, _measure_in_frame,
                        _merged, _range_gap, _reconstruction_check,
                        pvm_from_normal)
@@ -58,14 +56,12 @@ __all__ = [
     "NORM_LIMIT",
 ]
 
-# Refuse inputs whose spectral norm exceeds this unless forced.  The
-# smallest point of the first measure is 1/(1 + norm^2) and must clear
-# the singular weight margin of about 1e-14 with two decades to spare.
+# Refuse inputs whose spectral norm exceeds this unless forced.  E_A's
+# smallest weights 1/(1 + norm^2) must stay apart by more than its
+# clustering floor, 100 eps of its largest weight, which is 1 when T
+# has null modes: past 1e6 two of them can merge (``momentum_1d``
+# already merges from n = 48 at 9e5).
 NORM_LIMIT = 1e6
-
-# Singular weight margin: weights of E_A this close to the origin are
-# sent to zero by the reciprocal map (scaled by 1 + ||A||).
-SINGULAR_MARGIN = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,39 +83,38 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     """Resolve a normal operator into a discrete spectral measure.
 
     The route of the module docstring; E_B's bases are rotated back by U.
-    The product atoms with ``0 < |t| <= SINGULAR_MARGIN (1 + ||A||)`` are
-    counted straight from their t points, and the pushforward sends
-    every t inside that margin to 0.  ``momentum_1d`` at norm 9e5 with n
-    of 48, 64 or 96 fails its own reconstruction check: E_A's two smallest
-    weights (2.1e-14 apart at n = 48) fall under the clustering floor,
-    100 eps times the weight 1 of T's null modes, and merge 1 % off.
+    ``momentum_1d`` at norm 9e5 with n >= 48 fails its own
+    reconstruction check: E_A's two smallest weights (2.1e-14 apart at
+    n = 48) fall under the clustering floor, 100 eps times the weight 1
+    of T's null modes, and merge 1 % off.  ``tests/test_designed_spectra``
+    records two more failures at 9e5: the same floor, and an E_A atom of
+    equal moduli at far phases whose singular subspace mixes with a
+    cluster 1.1e-8 below it in modulus.
 
     Parameters
     ----------
     t : OperatorMatrix
-        Normal input.  NotNormal is raised otherwise.  The norm guard
-        runs first: it compares ||T||_2 as the one-sided solve computes
-        it with ``NORM_LIMIT`` and raises ScaleLimit past it unless
-        forced, for a non-normal input too.  The computed norm can round
-        an ulp above the true one, so an input of norm exactly
+        Normal input.  NotNormal is raised otherwise.  An entry past
+        2^128 is refused with ScaleLimit before the solve.  The norm
+        guard runs next: it compares ||T||_2 as the one-sided solve
+        computes it with ``NORM_LIMIT`` and raises ScaleLimit past it
+        unless forced, for a non-normal input too.  The computed norm can
+        round an ulp above the true one, so an input of norm exactly
         ``NORM_LIMIT`` may be refused.
     tol : Tolerances, optional
     direct_check : bool
         Also diagonalize T directly and fold the atom-matching residuals
         into the report.
     force_scale : bool
-        Proceed past the ``NORM_LIMIT`` conditioning refusal.  An entry
-        past 2^128 is refused even so: ||T||_2 >= 2^128 puts the
-        smallest weight at or below 2^-256, inside the singular margin,
-        so the report cannot pass.
+        Proceed past the ``NORM_LIMIT`` refusal; the report then says
+        whether E_A's clustering floor merged distinct weights.
 
     Returns
     -------
     PipelineResult
-        With a report carrying reconstruction and support residuals,
-        the count of nonzero weights inside the singular margin, and,
-        with ``direct_check``, the cross-check residuals and
-        ``direct_measure``.
+        With a report carrying the atom count, reconstruction and
+        support residuals and, with ``direct_check``, the cross-check
+        residuals and ``direct_measure``.
     """
     tol = _resolve(tol)
     n = t.dim
@@ -131,9 +126,6 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
             "the reciprocal map would amplify atom errors beyond recovery "
             "(pass force_scale=True to proceed anyway)"
         )
-    _refuse_past_scale_limit(t, "the smallest weight 1/(1 + ||T||^2) "
-                             "falls inside the singular margin, so the "
-                             "report cannot pass")
     _require_normal(t, tol)
     e1 = _merged(es_a.eigenvalues, es_a.unitary.array, np.arange(n + 1), tol)
     # E_B on E_A's blocks: E_A's points are real and ascending, so each
@@ -143,18 +135,13 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     e2 = _measure_in_frame(b_local, es_a.unitary.array, tol)
     del es_a, b_local  # two n x n arrays fewer under product_measure's peak
     prod = product_measure(e1, e2, tol)
-    eps_sing = SINGULAR_MARGIN * (1.0 + e1.support_radius)
-    ts = np.abs(prod.t_points)
-    singular_hits = int(np.count_nonzero((ts > 0.0) & (ts <= eps_sing)))
-    measure = pushforward(
-        prod, lambda x, w: (0.0 if abs(x) <= eps_sing else 1.0 / x) * w, tol)
+    measure = pushforward(prod, lambda t, w: (1.0 / t) * w, tol)
     checks = [
         ("atom_count", float(measure.num_atoms), float(n),
          1 <= measure.num_atoms <= n),
         _reconstruction_check(t, measure, tol),
         ("e2_support_excess", max(0.0, e2.support_radius - 0.5),
          PVM_FACTOR * tol.rel(n)),
-        ("singular_weight_atoms", float(singular_hits), 0.0),
     ]
     direct = None
     if direct_check:

@@ -394,6 +394,43 @@ def test_verify_explicit_targets_on_bundle(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("bad", [0, [1]], ids=["zero", "list"])
+@pytest.mark.parametrize("flag", ["--dir", "--pvm", "--decomposition"])
+def test_verify_refuses_a_bundle_whose_t_is_no_matrix(tmp_path, capsys,
+                                                      flag, bad):
+    # a malformed stored T is a ParseError naming it (exit 2), never a
+    # silent fallback that drops the checks held to T
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "53")
+    os.mkdir(tmp_path / "run")
+    bundle = str(tmp_path / "run" / "full.json")
+    assert main(["pipeline", "--input", t, "--output", bundle]) == 0
+    doc = json.loads(open(bundle).read())
+    doc["t"] = bad
+    open(bundle, "w").write(io.dumps(doc))
+    capsys.readouterr()
+    target = str(tmp_path / "run") if flag == "--dir" else bundle
+    code, out, err = run(["verify", flag, target], capsys)
+    assert code == 2 and "full.json.t: " in err, err
+    assert "pass" not in out
+
+
+def test_verify_bundle_without_t_falls_back_to_input(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "53")
+    bundle = str(tmp_path / "full.json")
+    assert main(["pipeline", "--input", t, "--output", bundle]) == 0
+    doc = json.loads(open(bundle).read())
+    del doc["t"]
+    open(bundle, "w").write(io.dumps(doc))
+    capsys.readouterr()
+    code, _, err = run(["verify", "--decomposition", bundle], capsys)
+    assert code == 2 and "stores no source operator" in err, err
+    code, out, _ = run(["verify", "--decomposition", bundle, "--input", t],
+                       capsys)
+    assert code == 0 and "reconstruction" in out
+
+
 def _bundle_parts_as_files(tmp_path, capsys, seed):
     """t.json and the e1, e2, product and measure parts of its bundle,
     each written as its own file under parts/."""
@@ -634,29 +671,21 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command,
                                   ["random_normal", "--seed", "2"]],
                          ids=["momentum_1d", "random_normal"])
 def test_every_command_past_squared_overflow(tmp_path, capsys, kind, scale):
-    # squares of these entries overflow: each command refuses with a
-    # ScaleLimit (exit 3) or succeeds, and no numpy overflow warning
-    # reaches stderr
+    # squares of these entries overflow: every command, the pipeline
+    # forced or not, refuses with the one 2^128 ScaleLimit (exit 3)
+    # before any solve, and no numpy overflow warning reaches stderr
     import warnings
     t = gen_file(tmp_path, "t.json", "gen", "--kind", *kind, "--dim", "4",
                  "--scale", scale)
     overflow = "passes 2^128; the sums of squares this route forms " \
         "unscaled would overflow"
-    refusals = {
-        "decompose": overflow,
-        "spectrum": overflow,
-        "pipeline": "exceeds 1e+06",
-    }
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for command, message in refusals.items():
-            code, _, err = run([command, "--input", t], capsys)
-            assert code == 3 and message in err, (command, err)
-            assert "RuntimeWarning" not in err
-        # forced, the pipeline refuses for its own reason: the weights
-        code, _, err = run(["pipeline", "--input", t, "--force-scale"], capsys)
-        assert code == 3 and "passes 2^128; the smallest weight" in err, err
-        assert "inside the singular margin" in err and "overflow" not in err
+        for command in (["decompose"], ["spectrum"], ["pipeline"],
+                        ["pipeline", "--force-scale"]):
+            code, _, err = run(command + ["--input", t], capsys)
+            assert code == 3 and overflow in err, (command, err)
+            assert err.count("error:") == 1 and "RuntimeWarning" not in err
         code, out, err = run(["verify", "--dir", str(tmp_path), "--input", t],
                              capsys)
         assert code == 0 and "skipped (operator matrix)" in out

@@ -12,11 +12,7 @@ from spectral_forge.linalg import (DEFAULT_TOLERANCES, OperatorMatrix,
 from spectral_forge.measures import (SpectralMeasure, _measure_in_frame,
                                      pvm_from_normal, pvm_integrate,
                                      pvm_validate)
-from spectral_forge.pipeline import (
-    NORM_LIMIT,
-    SINGULAR_MARGIN,
-    spectral_theorem,
-)
+from spectral_forge.pipeline import NORM_LIMIT, spectral_theorem
 
 
 def test_scalar_example_end_to_end():
@@ -123,7 +119,7 @@ def test_momentum_zero_atom_keeps_rank_2(norm):
     assert res.spectral_measure.num_atoms == n // 2 + 1
 
 
-@pytest.mark.parametrize("n", [48, 64])
+@pytest.mark.parametrize("n", [48, 64, 128])
 def test_momentum_at_9e5_never_passes_a_wrong_measure(n):
     # E_A's two smallest weights, 1/(1 + s^2) near s = 9e5, are closer
     # than the clustering floor 100 eps that the weight 1 of T's null
@@ -182,27 +178,29 @@ def test_scale_limit_refusal_and_override():
     t = OperatorMatrix(1e9 * np.eye(2))
     with pytest.raises(ScaleLimit):
         spectral_theorem(t)
-    # forcing runs to completion; the atoms of A drown in the singular
-    # margin and the report says so instead of faking a recovery
+    # forced, the weight 1/(1 + 1e18) keeps the relative accuracy of the
+    # one-sided solve, and the pushforward recovers the point
     res = spectral_theorem(t, force_scale=True)
-    assert not res.report.all_passed
-    assert res.report.residuals["singular_weight_atoms"] >= 1.0
+    assert res.report.all_passed, res.report.failed
+    np.testing.assert_allclose(res.spectral_measure.points, [1e9], rtol=1e-12)
 
 
 @pytest.mark.parametrize("t", [
     OperatorMatrix(1e9 * np.eye(2)),
     generate(OperatorSpec("random_normal", dim=4, scale=1e9, seed=4)),
 ], ids=["scalar", "random_normal"])
-def test_forced_pipeline_counts_singular_atoms_without_warnings(t):
+def test_forced_pipeline_passes_without_warnings(t):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = spectral_theorem(t, force_scale=True)
-    eps_sing = SINGULAR_MARGIN * (1.0 + res.e1.support_radius)
-    ts = np.abs(res.product.t_points)
-    want = np.count_nonzero((ts > 0.0) & (ts <= eps_sing))
-    assert want >= 1
-    assert res.report.residuals["singular_weight_atoms"] == float(want)
+    assert res.report.all_passed, res.report.failed
+    e = res.spectral_measure
+    z = np.linalg.eigvals(t.array)
+    gaps = np.abs(z[:, None] - e.points)
+    assert np.max(np.min(gaps, axis=1)) <= 1e-7 * (1.0 + 1e9)
+    assert np.max(np.min(gaps, axis=0)) <= 1e-7 * (1.0 + 1e9)
+    assert sum(e.ranks) == t.dim
 
 
 def test_norm_at_limit_still_recovers():
@@ -384,6 +382,36 @@ def test_guard_holds_past_squared_overflow(kind, seed, scale):
     assert abs(op_norm_2(t) - oracle) <= 1e-12 * oracle
     with pytest.raises(ScaleLimit):
         spectral_theorem(t)
+
+
+@pytest.mark.parametrize("route", ["decompose", "spectral_theorem"])
+def test_one_scale_refusal_before_the_solve(monkeypatch, route):
+    # _bounded_pair refuses an entry past 2^128 once, before its one
+    # solve, for both routes; forcing the pipeline changes nothing
+    from spectral_forge import decomposition
+    events = []
+    refuse, solve = linalg._refuse_past_scale_limit, linalg._jacobi_one_sided
+
+    def refused(m):
+        events.append("refuse")
+        return refuse(m)
+
+    def solved(*args, **kwargs):
+        events.append("solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "_refuse_past_scale_limit", refused)
+    monkeypatch.setattr(decomposition, "_jacobi_one_sided", solved)
+    call = getattr(decomposition if route == "decompose" else pipeline, route)
+    t = generate(OperatorSpec("random_normal", dim=5, scale=3.0, seed=5))
+    call(t)
+    assert events == ["refuse", "solve"]
+    events.clear()
+    big = OperatorMatrix(t.array * 1e300)
+    kwargs = {} if route == "decompose" else {"force_scale": True}
+    with pytest.raises(ScaleLimit, match="passes 2\\^128; the sums of squares"):
+        call(big, **kwargs)
+    assert events == ["refuse"]
 
 
 def _dense_match(result, direct, tol, scale):

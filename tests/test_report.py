@@ -29,8 +29,7 @@ DECOMPOSITION = ["injectivity_margin", "reconstruction", "commutator",
                  "claim_product", "adjoint_identity", "hermitian_defect_a",
                  "normality_defect_b"]
 CROSS = ["cross_point_gap", "cross_projection_gap", "cross_unmatched"]
-THEOREM = ["atom_count", "reconstruction", "e2_support_excess",
-           "singular_weight_atoms"]
+THEOREM = ["atom_count", "reconstruction", "e2_support_excess"]
 
 
 def _constructions(source: str) -> list[int]:

@@ -52,6 +52,7 @@ def test_all_is_pinned_and_resolves(module, names):
     ("spectral_forge.pipeline", "cross_check"),
     ("spectral_forge.linalg", "adjoint"),
     ("spectral_forge.pipeline", "pipeline_tolerance"),
+    ("spectral_forge.pipeline", "SINGULAR_MARGIN"),
 ])
 def test_removed_names_cannot_be_imported(module, name):
     for where in ("spectral_forge", module):
@@ -67,3 +68,5 @@ def test_removed_entry_points_are_gone():
     for kernel in (linalg._jacobi_hermitian, linalg._jacobi_one_sided):
         assert "rotation_budget" not in inspect.signature(kernel).parameters
     assert "relative" not in inspect.signature(linalg._clusters).parameters
+    assert list(inspect.signature(linalg._refuse_past_scale_limit).parameters
+                ) == ["m"]
