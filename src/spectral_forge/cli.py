@@ -122,8 +122,8 @@ def _cmd_pipeline(args) -> int:
             "t": io.matrix_to_doc(t),
             "decomposition": io.decomposition_to_doc(None,
                                                      result.decomposition),
-            "e1": io.pvm_to_doc(result.e1, "A"),
-            "e2": io.pvm_to_doc(result.e2, "B"),
+            "e1": io.pvm_to_doc(result.e1),
+            "e2": io.pvm_to_doc(result.e2),
             "product": io.product_to_doc(result.product),
             "measure": io.pvm_to_doc(result.spectral_measure),
             "report": io.report_to_doc(report),
@@ -185,7 +185,7 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str,
             and "t" in atoms[0]):
         return product_validate(io.product_from_doc(doc, where=name), tol)
     e = io.pvm_from_doc(doc, where=name)
-    if doc["of"] == "T" and operator is not None and operator.dim == e.dim:
+    if e.of == "T" and operator is not None and operator.dim == e.dim:
         return _pvm_report(operator, e, tol)
     return pvm_validate(e, tol)
 
@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true",
                    help="also diagonalize directly and compare")
     p.add_argument("--force-scale", action="store_true",
-                   help="proceed past the refusal of a norm above 1e6 "
+                   help="run past the documented range, norms up to 1e6 "
                         "(an entry past 2^128 is still refused)")
     p.set_defaults(func=_cmd_pipeline)
 

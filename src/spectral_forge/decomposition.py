@@ -69,11 +69,6 @@ class Decomposition:
         return self.a.dim
 
 
-def _require_normal(t: OperatorMatrix, tol: Tolerances):
-    if not is_normal(t, tol):
-        raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
-
-
 def _complement(u: np.ndarray, k: int) -> np.ndarray:
     """k orthonormal columns orthogonal to the orthonormal columns of u.
 
@@ -118,11 +113,12 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
     eps ||T|| per entry: formed as T A, B would keep it unweighted, and
     ||[A, B]|| would reach eps ||T||.  In the rows and columns of T's
     null modes, where T u = T* u = 0, it is all there is, so only the
-    range block is formed and the rest is 0.  An entry of T past 2^128
-    is refused with ScaleLimit first; below it, T is scaled by a power
-    of two when a norm of it would leave the float range.  Normality is
-    not tested here.
+    range block is formed and the rest is 0.  Normality is tested first
+    (NotNormal), then an entry past 2^128 refused (ScaleLimit); below
+    it, T is scaled by a power of two when a norm would leave the float range.
     """
+    if not is_normal(t, tol):
+        raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
     _refuse_past_scale_limit(t)
     scaled, e = _power_of_two_scaled(t.array)
     sigma, u = _jacobi_one_sided(scaled, tol.atol)
@@ -156,12 +152,10 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
 def decompose(t: OperatorMatrix, tol: Tolerances | None = None) -> Decomposition:
     """Split a normal T into its bounded pair, from one solve of T.
 
-    Raises ScaleLimit past an entry of 2^128, where the I + T*T that
-    ``verify`` forms would overflow, and NotNormal for a non-normal input.
+    Raises NotNormal on a non-normal input, then ScaleLimit past an
+    entry of 2^128, where the I + T*T of ``verify`` would overflow.
     """
-    tol = _resolve(tol)
-    _require_normal(t, tol)
-    return _bounded_pair(t, tol)[0]
+    return _bounded_pair(t, _resolve(tol))[0]
 
 
 def verify(t: OperatorMatrix, d: Decomposition,

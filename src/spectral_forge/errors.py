@@ -46,8 +46,9 @@ class NotCommuting(SpectralForgeError):
 
 
 class ScaleLimit(SpectralForgeError):
-    """Operator norm exceeds the pipeline's ``NORM_LIMIT``, or an entry
-    passes 2^128, which every route refuses."""
+    """Operator norm past the pipeline's ``NORM_LIMIT``, the end of its
+    documented range, without ``force_scale``; or an entry past 2^128,
+    which every route refuses."""
 
 
 class BadSpec(SpectralForgeError):

@@ -12,9 +12,9 @@ time, so no Python float exists per entry beyond one block.
 one vectorized pass, after an exact type screen, as the parser closes
 its object; a malformed list stays a list, and ``matrix_from_doc``
 names its first bad pair in a ParseError.  A measure document is
-``{"dim", "of", "atoms"}``: ``of`` names the operator it resolves
-(``"T"``, ``"A"`` or ``"B"``) and each atom is a ``point`` with its
-``projection``.
+``{"dim", "of", "atoms"}``: ``of`` is the measure's own label of the
+operator it resolves (``"T"``, ``"A"`` or ``"B"``), written from it and
+read back into it, and each atom is a ``point`` with its ``projection``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .decomposition import Decomposition
 from .errors import FileError, NonFiniteValue, ParseError
 from .linalg import OperatorMatrix
-from .measures import SpectralMeasure
+from .measures import OPERATORS, SpectralMeasure
 from .product import ProductMeasure
 from .report import VerificationReport
 
@@ -277,25 +277,25 @@ def _read_atoms(doc: dict, where: str, head: tuple) -> tuple:
     return dim, list(zip(*rows)), tuple(projections)
 
 
-def pvm_to_doc(e: SpectralMeasure, of: str = "T") -> dict:
+def pvm_to_doc(e: SpectralMeasure) -> dict:
     atoms = [{"point": [point.real, point.imag],
               "projection": matrix_to_doc(e.projection(i))}
              for i, point in enumerate(e.points.tolist())]
-    return {"dim": e.dim, "of": of, "atoms": atoms}
+    return {"dim": e.dim, "of": e.of, "atoms": atoms}
 
 
 def pvm_from_doc(doc: dict, where: str = "pvm") -> SpectralMeasure:
     of = _field(doc, "of", str, where)
-    if of not in ("T", "A", "B"):
+    if of not in OPERATORS:
         raise ParseError(f"{where}: field 'of' must be T, A or B, got {of!r}")
     dim, (points,), projections = _read_atoms(doc, where,
                                               (("point", complex),))
     return SpectralMeasure(dim, np.array(points, dtype=np.complex128),
-                           projections=projections)
+                           projections=projections, of=of)
 
 
-def write_pvm(e: SpectralMeasure, path: str, of: str = "T"):
-    write_json(pvm_to_doc(e, of), path)
+def write_pvm(e: SpectralMeasure, path: str):
+    write_json(pvm_to_doc(e), path)
 
 
 def read_pvm(path: str) -> SpectralMeasure:

@@ -87,7 +87,8 @@ class Tolerances:
     cluster : float or None
         Absolute eigenvalue clustering radius.  When None, points a and b
         join when ``|a - b| <= 1e-8 max(|a|, |b|) + 100 eps s``, s the
-        largest |point|, and never past ``cluster_radius(s)``.
+        largest |point|, and never past ``cluster_radius(s)``; in a
+        measure of A, 100 eps max(|a|, |b|) stands for 100 eps s.
     """
 
     rtol: float | None = None
@@ -544,31 +545,43 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
-def _clusters(points: np.ndarray, tol: Tolerances, weights=None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The clustering rule, as arrays: ``(members, offsets, means, reach)``.
+def _reach(mags: np.ndarray, tol: Tolerances, own: bool = False) -> np.ndarray:
+    """How far a point of each modulus in ``mags`` reaches (``_clusters``).
 
-    Points a and b join when ``|a - b| <= max(reach_a, reach_b)``.  The
-    reach of x is ``min(R, 1e-8 |x| + 100 eps s)``, s the largest |point|
-    and ``R = tol.cluster_radius(s)``, or R alone under ``tol.cluster``.
+    ``min(R, 1e-8 |x| + 100 eps s)``, s the largest modulus and
+    ``R = tol.cluster_radius(s)``, or R alone under ``tol.cluster``.
+    With ``own``, for points as accurate relative to their own size as
+    E_A's one-sided weights, the floor is 100 eps |x| instead.
+    """
+    top = float(np.max(mags, initial=0.0))
+    radius = tol.cluster_radius(top)
+    if tol.cluster is not None:
+        return np.full(mags.shape, radius)
+    floor = mags if own else top
+    return np.minimum(radius, _CLUSTER_REL * mags + 100.0 * _EPS * floor)
+
+
+def _clusters(points: np.ndarray, tol: Tolerances, weights=None,
+              own: bool = False
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clustering rule, as arrays: ``(members, offsets, means)``.
+
+    Points a and b join when ``|a - b| <= max(reach_a, reach_b)``, each
+    reach from ``_reach(|points|, tol, own)``.
 
     Cluster g holds ``members[offsets[g]:offsets[g + 1]]``, ascending, and
     has mean ``means[g]`` under ``weights`` (1 each when None), which
-    orders the clusters.  A pair that joins is within R in real part,
-    so the candidate pairs come from a window of twice R over the points
-    sorted by real part, which holds every such pair whatever the
-    rounding; union-find then takes one step per pair that joins, and
-    the groups, their means and their order are array passes.
+    orders the clusters.  A pair that joins is within the widest reach
+    in real part, so the candidate pairs come from a window of twice it
+    over the points sorted by real part, which holds every such pair
+    whatever the rounding; union-find then takes one step per pair that
+    joins, and the groups, their means and their order are array passes.
     """
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[0]
     w = np.ones(k) if weights is None else weights
-    mags = np.abs(pts)
-    top = float(np.max(mags, initial=0.0))
-    radius = tol.cluster_radius(top)
-    reach = np.full(k, radius)
-    if tol.cluster is None:
-        reach = np.minimum(reach, _CLUSTER_REL * mags + 100.0 * _EPS * top)
+    reach = _reach(np.abs(pts), tol, own)
+    radius = float(np.max(reach, initial=0.0))
     by_real = np.argsort(pts.real, kind="stable")
     real = pts.real[by_real]
     after = np.arange(1, k + 1)
@@ -604,7 +617,7 @@ def _clusters(points: np.ndarray, tol: Tolerances, weights=None
     rank[order] = np.arange(order.size)
     members = np.argsort(rank[labels], kind="stable")
     offsets = np.concatenate(([0], np.cumsum(np.bincount(labels)[order])))
-    return members, offsets, means[order], reach
+    return members, offsets, means[order]
 
 
 def cluster_points(points: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -615,7 +628,7 @@ def cluster_points(points: np.ndarray, radius: float) -> list[np.ndarray]:
     the lexicographic (real, imaginary) position of each cluster mean,
     then by first index.
     """
-    members, offsets, _, _ = _clusters(points, Tolerances(cluster=radius))
+    members, offsets, _ = _clusters(points, Tolerances(cluster=radius))
     return np.split(members, offsets[1:-1]) if members.size else []
 
 
@@ -643,7 +656,7 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     order = np.argsort(h_vals, kind="stable")
     # H's vectors are as good as eps ||M|| over H's gaps: group absolutely
     absolute = replace(tol, cluster=tol.cluster_radius(np.abs(h_vals).max()))
-    members, offsets, _, _ = _clusters(h_vals[order], absolute)
+    members, offsets, _ = _clusters(h_vals[order], absolute)
     order = order[members]
     h_vals = h_vals[order]
     h_vecs = h_vecs[:, order]

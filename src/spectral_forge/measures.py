@@ -26,6 +26,7 @@ from .linalg import (
     Tolerances,
     _clusters,
     _ranges,
+    _reach,
     _resolve,
     frobenius,
     normal_eig,
@@ -41,6 +42,7 @@ __all__ = [
 
 # Residual multiplier: PVM invariants are held to 10 * rel(n).
 PVM_FACTOR = 10.0
+OPERATORS = ("T", "A", "B")  # what a measure resolves: T, or T's A or B
 
 
 class _Blocks(Sequence):
@@ -172,6 +174,9 @@ class SpectralMeasure(_AtomStore):
     projections : sequence of ndarray, optional
         Dense projections as read from a file, kept as one k x dim x dim
         array: validated, integrated and written, with no basis.
+    of : str
+        What the measure resolves: ``"T"``, or ``"A"`` or ``"B"`` of T's
+        bounded pair; a measure of A joins points by their own size.
 
     Exactly one of ``bases`` and ``projections`` must be given.
     """
@@ -180,8 +185,11 @@ class SpectralMeasure(_AtomStore):
     points: np.ndarray
     bases: tuple | None = None
     projections: np.ndarray | tuple | None = None
+    of: str = "T"
 
     def __post_init__(self):
+        if self.of not in OPERATORS:
+            raise ValueError(f"of must be T, A or B, got {self.of!r}")
         pts = np.array(self.points, dtype=np.complex128, copy=True)
         if pts.ndim != 1 or pts.size == 0:
             raise DimensionMismatch("a measure needs at least one atom")
@@ -213,22 +221,23 @@ def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> Spectra
 
 
 def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
-            tol: Tolerances) -> SpectralMeasure:
+            tol: Tolerances, of: str = "T") -> SpectralMeasure:
     """One atom per cluster of ``points`` (``_clusters``), the only merge.
 
     Point k carries ``stacked[:, offsets[k]:offsets[k + 1]]``; an atom sits
     at its members' rank-weighted mean and holds their bases side by side.
     """
     ranks = np.diff(offsets)
-    members, groups, means, _ = _clusters(points, tol, ranks)
+    members, groups, means = _clusters(points, tol, ranks, own=of == "A")
     ranks = ranks[members]
     return SpectralMeasure(stacked.shape[0], means, bases=_Blocks(
         stacked[:, _ranges(offsets[members], ranks)],
-        np.cumsum(np.append(0, ranks))[groups]))
+        np.cumsum(np.append(0, ranks))[groups]), of=of)
 
 
 def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
-                      tol: Tolerances | None = None) -> SpectralMeasure:
+                      tol: Tolerances | None = None,
+                      of: str = "T") -> SpectralMeasure:
     """Spectral measure of a normal M given in a frame as ``V* M V``.
 
     For a unitary ``frame`` V the matrix V* M V is unitarily similar to
@@ -239,7 +248,7 @@ def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
     """
     e = pvm_from_normal(OperatorMatrix(local), tol)
     return SpectralMeasure(e.dim, e.points, bases=_Blocks(
-        frame @ e.stacked_basis(), e.offsets))
+        frame @ e.stacked_basis(), e.offsets), of=of)
 
 
 def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:
@@ -334,19 +343,20 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     completeness residuals (all Frobenius, each held to ``10 rel(n)``),
     the total rank deficit, and ``min_point_gap``: the gap and join
     radius of the pair of atoms nearest to joining.  By default a pair
-    joins within 1e-8 of its own size above 100 eps of the largest
-    point, never past ``tol.cluster_radius``; an explicit
-    ``tol.cluster`` is an absolute radius (``_clusters``).  A single atom
-    has no pair to keep apart, so its report has no gap record.  Always
-    returns a report.  Factored atoms are judged from the Gram matrix
-    of their stacked basis, their Hermitian defect 0 by construction;
-    dense atoms are measured as stored.
+    joins within 1e-8 of its own size above 100 eps of the largest point
+    (of its own size in a measure of A), never past
+    ``tol.cluster_radius``; an explicit ``tol.cluster`` is an absolute
+    radius (``_reach``).  A single atom has no pair to keep apart, so
+    its report has no gap record.  Always returns a report.  Factored
+    atoms are judged from the Gram matrix of their stacked basis, their
+    Hermitian defect 0 by construction; dense atoms are measured as
+    stored.
     """
     tol = _resolve(tol)
     checks = _store_checks(e, tol)
     if e.num_atoms > 1:
         pts = e.points
-        reach = _clusters(pts, tol)[3]
+        reach = _reach(np.abs(pts), tol, own=e.of == "A")
         gaps = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(gaps, np.inf)
         radii = np.maximum.outer(reach, reach)

@@ -48,19 +48,21 @@ from spectral_forge.product import (
 EPS = np.finfo(float).eps
 
 
-def ref_radii(points, tol=DEFAULT_TOLERANCES):
+def ref_radii(points, tol=DEFAULT_TOLERANCES, own=False):
     """Join radius of every pair of points, written out pair by pair.
 
     An explicit ``tol.cluster`` is one absolute radius.  By default a
     pair joins within 1e-8 of its larger magnitude plus 100 eps of the
-    largest, and never past ``tol.cluster_radius`` of the largest.
+    largest, or with ``own`` of its larger magnitude, and never past
+    ``tol.cluster_radius`` of the largest.
     """
     mags = np.abs(np.asarray(points, dtype=np.complex128))
     top = float(np.max(mags))
     if tol.cluster is not None:
         return tol.cluster
     size = np.maximum(mags[:, None], mags[None, :])
-    return np.minimum(tol.cluster_radius(top), 1e-8 * size + 100 * EPS * top)
+    floor = size if own else top
+    return np.minimum(tol.cluster_radius(top), 1e-8 * size + 100 * EPS * floor)
 
 
 def ref_cluster_points(points, radius):
@@ -209,7 +211,7 @@ def test_cluster_points_match_dict_reference(case):
     got = cluster_points(points, radius)
     want = ref_cluster_points(points, radius)
     assert [g.tolist() for g in got] == [g.tolist() for g in want]
-    _, _, means, _ = linalg._clusters(points, Tolerances(cluster=radius))
+    _, _, means = linalg._clusters(points, Tolerances(cluster=radius))
     np.testing.assert_allclose(means, [points[c].mean() for c in want],
                                rtol=0, atol=8 * EPS * np.max(np.abs(points)))
 
@@ -226,8 +228,8 @@ def test_weighted_cluster_means(centers, draws, tol):
     points = np.array([centers[c % len(centers)] + 1e-8 * complex(re, im)
                        for c, re, im, _ in draws])
     weights = np.array([w for *_, w in draws])
-    members, offsets, means, _ = linalg._clusters(points, tol, weights)
-    plain, plain_offsets, _, _ = linalg._clusters(points, tol)
+    members, offsets, means = linalg._clusters(points, tol, weights)
+    plain, plain_offsets, _ = linalg._clusters(points, tol)
     groups = np.split(members, offsets[1:-1])
     assert sorted(g.tolist() for g in groups) == \
         sorted(g.tolist() for g in np.split(plain, plain_offsets[1:-1]))
@@ -260,8 +262,18 @@ DEFAULT_CASES = {
 @pytest.mark.parametrize("case", sorted(DEFAULT_CASES))
 def test_default_clusters_match_pairwise_reference(case):
     points = DEFAULT_CASES[case]
-    members, offsets, _, _ = linalg._clusters(points, DEFAULT_TOLERANCES)
+    members, offsets, _ = linalg._clusters(points, DEFAULT_TOLERANCES)
     want = ref_cluster_points(points, ref_radii(points))
+    assert [g.tolist() for g in np.split(members, offsets[1:-1])] == \
+        [g.tolist() for g in want]
+
+
+@pytest.mark.parametrize("case", sorted(DEFAULT_CASES))
+def test_own_size_clusters_match_pairwise_reference(case):
+    points = DEFAULT_CASES[case]
+    members, offsets, _ = linalg._clusters(points, DEFAULT_TOLERANCES,
+                                           own=True)
+    want = ref_cluster_points(points, ref_radii(points, own=True))
     assert [g.tolist() for g in np.split(members, offsets[1:-1])] == \
         [g.tolist() for g in want]
 

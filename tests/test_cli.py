@@ -472,6 +472,36 @@ def test_verify_pvm_on_a_measure_of_a_has_no_reconstruction(tmp_path, capsys):
             "completeness", "rank_deficit", "min_point_gap", *rows]
 
 
+def test_write_pvm_of_e_a_is_not_held_to_t(tmp_path, capsys):
+    # E_A written on its own says it resolves A, so verify --pvm
+    # validates it and holds it to no reconstruction against --input
+    from spectral_forge.gallery import OperatorSpec, generate
+    from spectral_forge.pipeline import spectral_theorem
+    t = generate(OperatorSpec("random_normal", dim=5, scale=2.0, seed=67))
+    src, e1 = str(tmp_path / "t.json"), str(tmp_path / "e1.json")
+    io.write_matrix(t, src)
+    io.write_pvm(spectral_theorem(t).e1, e1)
+    code, out, _ = run(["verify", "--pvm", e1, "--input", src], capsys)
+    assert code == 0, out
+    assert "reconstruction" not in out
+
+
+def test_momentum_at_9e5_bundle_passes_verify(tmp_path, capsys):
+    # E_A's points join relative to their own size in the pipeline and
+    # in verify's min_point_gap alike, so both pass the bundle
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "momentum_1d",
+                 "--dim", "48", "--scale", "9e5")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = run(["pipeline", "--input", t, "--emit", "all",
+                        "--output", str(out_dir / "bundle.json")], capsys)
+    assert code == 0, err
+    code, out, _ = run(["verify", "--dir", str(out_dir), "--input", t], capsys)
+    assert code == 0, out
+    assert out.splitlines() == ["bundle.json: bundle(decomposition,e1,e2,"
+                                "product,measure) pass"]
+
+
 @pytest.mark.parametrize("of", [None, "X"], ids=["missing", "unknown"])
 def test_measure_doc_must_name_its_operator(tmp_path, capsys, of):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",

@@ -100,21 +100,13 @@ def _matched_gap(z, e):
     return worst
 
 
-# T's null modes put the weight 1 in E_A, so its clustering floor is
-# 100 eps: the weights 1/(1 + |z|^2) of the live eigenvalues join once
-# they are closer than 2.2e-14, as ``momentum_1d``'s do at 9e5.  Past
-# ``NORM_LIMIT`` every live weight is below the floor.
-FLOOR = pytest.mark.xfail(strict=True, reason="E_A's clustering floor "
-                          "merges distinct weights below 2.2e-14")
 # Equal moduli at far phases share an E_A atom, whose singular subspace
 # is accurate to eps/delta against a cluster delta = 1.1e-8 below it in
 # modulus; seed 8's far point takes 0.17 of error, against a bound of
 # 0.13.  How far past the bound depends on rounding, so not strict.
 SUBSPACE = pytest.mark.xfail(strict=False, reason="singular subspaces of "
                              "moduli 1.1e-8 apart mix across phases")
-KNOWN = {("third_zero", 24, 9e5): FLOOR, ("cluster_3e-08", 6, 9e5): SUBSPACE}
-KNOWN.update({("third_zero", n, norm): FLOOR
-              for n in DIMS for norm in FORCED_NORMS})
+KNOWN = {("cluster_3e-08", 6, 9e5): SUBSPACE}
 
 
 @pytest.mark.parametrize("name, n, norm", [

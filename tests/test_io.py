@@ -408,6 +408,19 @@ def test_pvm_round_trip(tmp_path):
     assert back.ranks == e.ranks
 
 
+@pytest.mark.parametrize("key, of", [("spectral_measure", "T"), ("e1", "A"),
+                                     ("e2", "B")], ids=["T", "A", "B"])
+def test_pvm_round_trip_keeps_its_operator(tmp_path, key, of):
+    # the label travels with the measure: written from it, read back
+    # into it, and written again unchanged
+    from spectral_forge.pipeline import spectral_theorem
+    t = generate(OperatorSpec("random_normal", dim=5, scale=2.0, seed=27))
+    first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+    io.write_pvm(getattr(spectral_theorem(t), key), first)
+    io.write_pvm(io.read_pvm(first), second)
+    assert [io.read_json(path)["of"] for path in (first, second)] == [of, of]
+
+
 def test_pvm_doc_dimension_check():
     doc = {"dim": 3, "of": "T",
            "atoms": [{"point": [0.0, 0.0],

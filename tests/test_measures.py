@@ -14,6 +14,29 @@ from spectral_forge.measures import (
 )
 
 
+def test_measure_names_one_of_three_operators():
+    basis = [np.eye(2)]
+    assert SpectralMeasure(2, [1.0], bases=basis).of == "T"
+    for of in ("T", "A", "B"):
+        assert SpectralMeasure(2, [1.0], bases=basis, of=of).of == of
+    for of in ("X", "t", None):
+        with pytest.raises(ValueError, match="of must be T, A or B"):
+            SpectralMeasure(2, [1.0], bases=basis, of=of)
+
+
+def test_measure_of_a_joins_its_points_by_their_own_size():
+    # E_A's two smallest weights are 2.1e-14 apart near 1.2e-12, under
+    # 100 eps of the weight 1 of T's null modes: kept apart in a measure
+    # of A, and judged by that rule; the same atoms labelled T are not
+    from spectral_forge.pipeline import spectral_theorem
+    t = generate(OperatorSpec("momentum_1d", dim=48, scale=9e5))
+    e1 = spectral_theorem(t).e1
+    assert e1.of == "A"
+    assert pvm_validate(e1).all_passed
+    as_t = SpectralMeasure(e1.dim, e1.points, bases=e1.bases)
+    assert pvm_validate(as_t).failed == ["min_point_gap"]
+
+
 def test_atoms_of_flip_matrix():
     # projections (I -+ X)/2 onto the two eigenlines
     x = OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=complex))

@@ -119,21 +119,21 @@ def test_momentum_zero_atom_keeps_rank_2(norm):
     assert res.spectral_measure.num_atoms == n // 2 + 1
 
 
-@pytest.mark.parametrize("n", [48, 64, 128])
+@pytest.mark.parametrize("n", [48, 64, 96, 128, 160])
 def test_momentum_at_9e5_never_passes_a_wrong_measure(n):
-    # E_A's two smallest weights, 1/(1 + s^2) near s = 9e5, are closer
-    # than the clustering floor 100 eps that the weight 1 of T's null
-    # modes sets, so they merge and the points w/t are about 1 % off:
-    # the report must fail, or the measure must match numpy's
+    # E_A's two smallest weights, 1/(1 + s^2) near s = 9e5, are 2.1e-14
+    # apart at n = 48, closer than 100 eps of the weight 1 of T's null
+    # modes; joined relative to their own size they stay apart, so the
+    # report passes and the measure matches numpy's
     norm = 9e5
     t = generate(OperatorSpec("momentum_1d", dim=n, scale=norm))
     res = spectral_theorem(t)
-    if res.report.all_passed:
-        e = res.spectral_measure
-        gaps = np.abs(np.linalg.eigvals(t.array)[:, None] - e.points)
-        assert np.max(np.min(gaps, axis=1)) <= 1e-7 * (1.0 + norm)
-        near = np.bincount(np.argmin(gaps, axis=1), minlength=e.num_atoms)
-        assert tuple(near.tolist()) == e.ranks
+    assert res.report.all_passed, res.report.failed
+    e = res.spectral_measure
+    gaps = np.abs(np.linalg.eigvals(t.array)[:, None] - e.points)
+    assert np.max(np.min(gaps, axis=1)) <= 1e-7 * (1.0 + norm)
+    near = np.bincount(np.argmin(gaps, axis=1), minlength=e.num_atoms)
+    assert tuple(near.tolist()) == e.ranks
 
 
 def _six_clusters_of_four(seed, norm, delta):
@@ -357,17 +357,39 @@ def test_guard_refuses_above_limit_with_cold_norm():
     with pytest.raises(ScaleLimit) as err:
         spectral_theorem(OperatorMatrix(np.diag([1.5e6, 1.0])))
     assert str(err.value) == (
-        "operator norm 1.500e+06 exceeds 1e+06; the reciprocal map would "
-        "amplify atom errors beyond recovery (pass force_scale=True to "
-        "proceed anyway)")
+        "operator norm 1.500e+06 exceeds 1e+06, the end of the documented "
+        "range (pass force_scale=True to proceed anyway)")
 
 
-def test_guard_refuses_large_non_normal_before_normality_test():
+def test_normality_is_tested_before_the_norm_guard():
     t = generate(OperatorSpec("jordan_block", dim=3, scale=2e6))
-    with pytest.raises(ScaleLimit):
-        spectral_theorem(t)
+    for force in (False, True):
+        with pytest.raises(NotNormal):
+            spectral_theorem(t, force_scale=force)
+
+
+@pytest.mark.parametrize("route", ["decompose", "spectral_theorem"])
+@pytest.mark.parametrize("scale", [1.0, 2e6, 1e300])
+def test_non_normal_input_is_refused_before_the_solve(monkeypatch, route,
+                                                      scale):
+    # _bounded_pair tests normality first, for both routes: a non-normal
+    # T costs no one-sided solve, and its norm or its size decides nothing
+    from spectral_forge import decomposition
+    calls = []
+    solve = linalg._jacobi_one_sided
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "_jacobi_one_sided", counted)
+    call = getattr(decomposition if route == "decompose" else pipeline, route)
+    rng = np.random.default_rng(9)
+    t = OperatorMatrix(scale * (rng.standard_normal((16, 16))
+                                + 1j * rng.standard_normal((16, 16))))
     with pytest.raises(NotNormal):
-        spectral_theorem(t, force_scale=True)
+        call(t)
+    assert calls == []
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])
