@@ -274,8 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol-abs", type=float, default=None, metavar="X",
                        help="absolute tolerance floor (default 1e-12)")
     solve.add_argument("--cluster", type=float, default=None, metavar="X",
-                       help="absolute clustering radius (default: points "
-                            "join within 1e-8 of their own size)")
+                       help="absolute radius within which the atoms of T's "
+                            "measure join; E_A and E_B keep their own rules "
+                            "(default: points join within 1e-8 of their own "
+                            "size)")
     solve.add_argument("--input", metavar="FILE",
                        help="input operator file")
     output = argparse.ArgumentParser(add_help=False)

@@ -17,7 +17,7 @@ eigen, singular value or factorization routine is called anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -85,10 +85,11 @@ class Tolerances:
     atol : float
         Absolute floor, also the Jacobi convergence target scale.
     cluster : float or None
-        Absolute eigenvalue clustering radius.  When None, points a and b
-        join when ``|a - b| <= 1e-8 max(|a|, |b|) + 100 eps s``, s the
-        largest |point|, and never past ``cluster_radius(s)``; in a
-        measure of A, 100 eps max(|a|, |b|) stands for 100 eps s.
+        Absolute radius within which the atoms of a measure of T join;
+        E_A, E_B and ``normal_eig``'s split keep their own rules
+        (``_reach``).  When None, points a and b join when
+        ``|a - b| <= 1e-8 max(|a|, |b|) + 100 eps s``, s the largest
+        |point|, and never past ``cluster_radius(s)``.
     """
 
     rtol: float | None = None
@@ -108,12 +109,8 @@ class Tolerances:
         return self.rtol if self.rtol is not None else 1e-10 * dim
 
     def cluster_radius(self, scale: float) -> float:
-        """Widest gap at which points up to ``scale`` join (``_clusters``).
-
-        ``cluster`` when set; else ``1e-8 (1 + scale)``, and a pair must
-        also be within 1e-8 of its own size plus 100 eps ``scale``.
-        """
-        return self.cluster if self.cluster is not None else _CLUSTER_REL * (1.0 + scale)
+        """Cap of the default rule up to ``scale``: ``1e-8 (1 + scale)``."""
+        return _CLUSTER_REL * (1.0 + scale)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -521,8 +518,8 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSyst
     Parameters
     ----------
     m : OperatorMatrix
-        Hermitian input; checked first, ScaleLimit past an entry of 2^128
-        and NotHermitian on failure.
+        Hermitian input; checked first (NotHermitian on failure), then
+        ScaleLimit past an entry of 2^128.
     tol : Tolerances, optional
         Convergence target is ``atol * (1 + ||M||_F)``.
 
@@ -532,9 +529,9 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSyst
         Real eigenvalues (imaginary parts zeroed) in ascending order.
     """
     tol = _resolve(tol)
-    _refuse_past_scale_limit(m)
     if not is_hermitian(m, tol):
         raise NotHermitian("hermitian_eig requires a Hermitian matrix")
+    _refuse_past_scale_limit(m)
     return _eigensystem(*_jacobi_hermitian(m.array, tol.atol))
 
 
@@ -545,29 +542,31 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
-def _reach(mags: np.ndarray, tol: Tolerances, own: bool = False) -> np.ndarray:
-    """How far a point of each modulus in ``mags`` reaches (``_clusters``).
+def _reach(mags: np.ndarray, tol: Tolerances, of: str) -> np.ndarray:
+    """How far points of moduli ``mags`` reach in a measure of ``of``.
 
     ``min(R, 1e-8 |x| + 100 eps s)``, s the largest modulus and
-    ``R = tol.cluster_radius(s)``, or R alone under ``tol.cluster``.
-    With ``own``, for points as accurate relative to their own size as
-    E_A's one-sided weights, the floor is 100 eps |x| instead.
+    ``R = tol.cluster_radius(s)``; for E_A's weights, as accurate
+    relative to their own size as one-sided singular values, the floor
+    is 100 eps |x|.  ``tol.cluster`` is read here alone: the reach of
+    every point of T's measure, not of E_A's or E_B's, whose points lie
+    on other scales.
     """
+    if of == "T" and tol.cluster is not None:
+        return np.full(mags.shape, tol.cluster)
     top = float(np.max(mags, initial=0.0))
-    radius = tol.cluster_radius(top)
-    if tol.cluster is not None:
-        return np.full(mags.shape, radius)
-    floor = mags if own else top
-    return np.minimum(radius, _CLUSTER_REL * mags + 100.0 * _EPS * floor)
+    floor = mags if of == "A" else top
+    return np.minimum(tol.cluster_radius(top),
+                      _CLUSTER_REL * mags + 100.0 * _EPS * floor)
 
 
 def _clusters(points: np.ndarray, tol: Tolerances, weights=None,
-              own: bool = False
+              of: str = "T"
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The clustering rule, as arrays: ``(members, offsets, means)``.
 
     Points a and b join when ``|a - b| <= max(reach_a, reach_b)``, each
-    reach from ``_reach(|points|, tol, own)``.
+    reach from ``_reach(|points|, tol, of)``.
 
     Cluster g holds ``members[offsets[g]:offsets[g + 1]]``, ascending, and
     has mean ``means[g]`` under ``weights`` (1 each when None), which
@@ -580,7 +579,7 @@ def _clusters(points: np.ndarray, tol: Tolerances, weights=None,
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[0]
     w = np.ones(k) if weights is None else weights
-    reach = _reach(np.abs(pts), tol, own)
+    reach = _reach(np.abs(pts), tol, of)
     radius = float(np.max(reach, initial=0.0))
     by_real = np.argsort(pts.real, kind="stable")
     real = pts.real[by_real]
@@ -643,23 +642,23 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     its K Rayleigh quotient.  The joint eigenvalue of a vector is its H
     Rayleigh quotient plus i times its K eigenvalue.
 
-    Raises ScaleLimit past an entry of 2^128, NotNormal when the
-    commutator test fails and NoConvergence when a Jacobi stage stalls.
+    Raises NotNormal when the commutator test fails, first, ScaleLimit
+    past an entry of 2^128 and NoConvergence when a Jacobi stage stalls.
     """
     tol = _resolve(tol)
-    _refuse_past_scale_limit(m)
     if not is_normal(m, tol):
         raise NotNormal("normal_eig requires a normal matrix")
+    _refuse_past_scale_limit(m)
     a = m.array
     n = m.dim
     h_vals, h_vecs = _jacobi_hermitian(a, tol.atol)  # H = (M + M*)/2
     order = np.argsort(h_vals, kind="stable")
-    # H's vectors are as good as eps ||M|| over H's gaps: group absolutely
-    absolute = replace(tol, cluster=tol.cluster_radius(np.abs(h_vals).max()))
-    members, offsets, _ = _clusters(h_vals[order], absolute)
-    order = order[members]
     h_vals = h_vals[order]
     h_vecs = h_vecs[:, order]
+    # H's vectors are as good as eps ||M|| over H's gaps: cut H's sorted
+    # eigenvalues where a step passes the default rule's absolute radius
+    cuts = np.diff(h_vals) > tol.cluster_radius(np.abs(h_vals).max())
+    offsets = np.concatenate(([0], np.flatnonzero(cuts) + 1, [n]))
     kh = ((a - a.conj().T) / 2.0j) @ h_vecs
     vals = h_vals + 1.0j * np.einsum("ij,ij->j", h_vecs.conj(), kh).real
     # a K block whose off-diagonal is rounding of M keeps H's vectors:

@@ -176,7 +176,7 @@ class SpectralMeasure(_AtomStore):
         array: validated, integrated and written, with no basis.
     of : str
         What the measure resolves: ``"T"``, or ``"A"`` or ``"B"`` of T's
-        bounded pair; a measure of A joins points by their own size.
+        bounded pair; it picks the rule its points join by (``_reach``).
 
     Exactly one of ``bases`` and ``projections`` must be given.
     """
@@ -228,7 +228,7 @@ def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
     at its members' rank-weighted mean and holds their bases side by side.
     """
     ranks = np.diff(offsets)
-    members, groups, means = _clusters(points, tol, ranks, own=of == "A")
+    members, groups, means = _clusters(points, tol, ranks, of)
     ranks = ranks[members]
     return SpectralMeasure(stacked.shape[0], means, bases=_Blocks(
         stacked[:, _ranges(offsets[members], ranks)],
@@ -342,11 +342,11 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     Reports idempotency, Hermitian defect, mutual orthogonality, and
     completeness residuals (all Frobenius, each held to ``10 rel(n)``),
     the total rank deficit, and ``min_point_gap``: the gap and join
-    radius of the pair of atoms nearest to joining.  By default a pair
-    joins within 1e-8 of its own size above 100 eps of the largest point
-    (of its own size in a measure of A), never past
-    ``tol.cluster_radius``; an explicit ``tol.cluster`` is an absolute
-    radius (``_reach``).  A single atom has no pair to keep apart, so
+    radius of the pair of atoms nearest to joining, by the rule of the
+    measure's ``of`` (``_reach``): within 1e-8 of its own size above 100
+    eps of the largest point (of its own size for A), never past
+    ``tol.cluster_radius``; ``tol.cluster`` is one absolute radius for a
+    measure of T alone.  A single atom has no pair to keep apart, so
     its report has no gap record.  Always returns a report.  Factored
     atoms are judged from the Gram matrix of their stacked basis, their
     Hermitian defect 0 by construction; dense atoms are measured as
@@ -356,7 +356,7 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     checks = _store_checks(e, tol)
     if e.num_atoms > 1:
         pts = e.points
-        reach = _reach(np.abs(pts), tol, own=e.of == "A")
+        reach = _reach(np.abs(pts), tol, e.of)
         gaps = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(gaps, np.inf)
         radii = np.maximum.outer(reach, reach)

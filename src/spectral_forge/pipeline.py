@@ -38,7 +38,7 @@ of the documented range, read off the same solve, is refused after it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,11 +126,12 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         )
     e1 = _merged(es_a.eigenvalues, es_a.unitary.array, np.arange(n + 1), tol,
                  of="A")
-    # E_B on E_A's blocks: E_A's points are real and ascending, so each
-    # atom is a run of U's columns, in order
+    # E_B on E_A's blocks by the default rule (a radius is T's alone):
+    # E_A's points ascend, so each atom is a run of U's columns, in order
     atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
     b_local[atom[:, None] != atom] = 0.0
-    e2 = _measure_in_frame(b_local, es_a.unitary.array, tol, of="B")
+    e2 = _measure_in_frame(b_local, es_a.unitary.array,
+                           replace(tol, cluster=None), of="B")
     del es_a, b_local  # two n x n arrays fewer under product_measure's peak
     prod = product_measure(e1, e2, tol)
     measure = pushforward(prod, lambda t, w: (1.0 / t) * w, tol)

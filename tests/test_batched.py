@@ -48,20 +48,20 @@ from spectral_forge.product import (
 EPS = np.finfo(float).eps
 
 
-def ref_radii(points, tol=DEFAULT_TOLERANCES, own=False):
+def ref_radii(points, tol=DEFAULT_TOLERANCES, of="T"):
     """Join radius of every pair of points, written out pair by pair.
 
-    An explicit ``tol.cluster`` is one absolute radius.  By default a
-    pair joins within 1e-8 of its larger magnitude plus 100 eps of the
-    largest, or with ``own`` of its larger magnitude, and never past
-    ``tol.cluster_radius`` of the largest.
+    An explicit ``tol.cluster`` is one absolute radius for a measure of
+    T.  Otherwise a pair joins within 1e-8 of its larger magnitude plus
+    100 eps of the largest, or in a measure of A of its larger
+    magnitude, and never past ``tol.cluster_radius`` of the largest.
     """
     mags = np.abs(np.asarray(points, dtype=np.complex128))
     top = float(np.max(mags))
-    if tol.cluster is not None:
+    if of == "T" and tol.cluster is not None:
         return tol.cluster
     size = np.maximum(mags[:, None], mags[None, :])
-    floor = size if own else top
+    floor = size if of == "A" else top
     return np.minimum(tol.cluster_radius(top), 1e-8 * size + 100 * EPS * floor)
 
 
@@ -272,8 +272,8 @@ def test_default_clusters_match_pairwise_reference(case):
 def test_own_size_clusters_match_pairwise_reference(case):
     points = DEFAULT_CASES[case]
     members, offsets, _ = linalg._clusters(points, DEFAULT_TOLERANCES,
-                                           own=True)
-    want = ref_cluster_points(points, ref_radii(points, own=True))
+                                           of="A")
+    want = ref_cluster_points(points, ref_radii(points, of="A"))
     assert [g.tolist() for g in np.split(members, offsets[1:-1])] == \
         [g.tolist() for g in want]
 

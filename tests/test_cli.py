@@ -766,3 +766,74 @@ def test_pipeline_run_leaves_numpy_ma_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_explicit_radius_passes_pipeline_and_verify(tmp_path, capsys):
+    # --cluster is read for the measures of T alone: the pipeline passes
+    # its report with it, and verify --dir with any radius passes the
+    # bundle the pipeline wrote at default tolerances
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "12", "--scale", "1000", "--seed", "3")
+    code, _, err = run(["pipeline", "--input", t, "--cluster", "1e-6",
+                        "--emit", "report"], capsys)
+    assert code == 0, err
+    case = tmp_path / "case"
+    case.mkdir()
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", str(case / "bundle.json")]) == 0
+    for radius in ("1e-9", "1e-6", "1e-3"):
+        code, out, _ = run(["verify", "--dir", str(case), "--input", t,
+                            "--cluster", radius], capsys)
+        assert code == 0, (radius, out)
+
+
+def test_non_normal_past_2_128_is_refused_as_non_normal(tmp_path, capsys):
+    # every command tests normality before it refuses an entry past 2^128
+    t = gen_file(tmp_path, "j.json", "gen", "--kind", "jordan_block",
+                 "--dim", "4", "--scale", "1e300")
+    for command in (["decompose"], ["spectrum"], ["pipeline"],
+                    ["pipeline", "--force-scale"]):
+        code, _, err = run(command + ["--input", t], capsys)
+        assert code == 3 and "normal" in err and "2^128" not in err, err
+
+
+def test_tolerance_flags_are_read_and_checked(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "4")
+    code, out, _ = run(["spectrum", "--input", t, "--tol-abs", "1e-10",
+                        "--emit", "report"], capsys)
+    assert code == 0
+    assert set(json.loads(out)) == {"residuals", "pass", "tolerances"}
+    code, _, err = run(["spectrum", "--input", t, "--tol-rel", "-1"], capsys)
+    assert code == 2 and "rtol must be strictly positive" in err
+
+
+def test_verify_dir_of_a_report_finds_nothing_checkable(tmp_path, capsys):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "4")
+    case = tmp_path / "case"
+    case.mkdir()
+    assert main(["spectrum", "--input", t, "--emit", "report",
+                 "--output", str(case / "r.json")]) == 0
+    capsys.readouterr()
+    code, out, err = run(["verify", "--dir", str(case)], capsys)
+    assert code == 0
+    assert out == "r.json: skipped (report artifact)\n"
+    assert err == "nothing checkable found\n"
+
+
+def test_verify_usage_errors_exit_2(tmp_path, capsys):
+    odd = tmp_path / "odd.json"
+    odd.write_text('{"foo": 1}')
+    code, _, err = run(["verify", "--pvm", str(odd)], capsys)
+    assert code == 2 and "odd.json: unrecognized artifact layout" in err
+    code, _, err = run(["verify", "--dir", str(tmp_path / "none")], capsys)
+    assert code == 2 and "cannot list" in err
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "3", "--seed", "4")
+    e = str(tmp_path / "e.json")
+    assert main(["spectrum", "--input", t, "--emit", "measure",
+                 "--output", e]) == 0
+    capsys.readouterr()
+    code, _, err = run(["verify", "--decomposition", e], capsys)
+    assert code == 2 and "e.json: holds no decomposition to check" in err

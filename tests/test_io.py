@@ -503,3 +503,31 @@ def test_product_doc_round_trip():
     for i in range(prod.num_atoms):
         assert np.array_equal(back.projection(i).array,
                               prod.projection(i).array)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", 2.5, "field 'dim' must be an integer"),
+    ("atoms", {}, "field 'atoms' must be list"),
+    ("atoms", [], "a measure needs at least one atom"),
+])
+def test_malformed_measure_fields_exit_2(tmp_path, capsys, field, value,
+                                         message):
+    t = str(tmp_path / "t.json")
+    e = str(tmp_path / "e.json")
+    assert main(["gen", "--kind", "random_normal", "--dim", "3", "--seed",
+                 "1", "--output", t]) == 0
+    assert main(["spectrum", "--input", t, "--emit", "measure",
+                 "--output", e]) == 0
+    doc = json.loads(open(e).read())
+    doc[field] = value
+    open(e, "w").write(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--pvm", e]) == 2
+    assert f"e.json: {message}" in capsys.readouterr().err
+
+
+def test_matrix_of_dimension_0_exits_2(tmp_path, capsys):
+    t = tmp_path / "t.json"
+    t.write_text('{"dim": 0, "entries": []}')
+    assert main(["spectrum", "--input", str(t)]) == 2
+    assert "t.json: dim must be at least 1" in capsys.readouterr().err

@@ -89,7 +89,9 @@ def test_tolerances_defaults_and_validation():
     assert tol.cluster_radius(4.0) == pytest.approx(5e-8)
     custom = Tolerances(rtol=1e-6, cluster=1e-3)
     assert custom.rel(10) == 1e-6
-    assert custom.cluster_radius(100.0) == 1e-3
+    # the default rule's cap whatever the radius: cluster is read by
+    # the measures of T alone
+    assert custom.cluster_radius(100.0) == pytest.approx(1e-8 * 101)
     with pytest.raises(ValueError):
         Tolerances(rtol=-1e-10)
     with pytest.raises(ValueError):

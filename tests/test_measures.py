@@ -291,6 +291,13 @@ def test_non_finite_atoms_are_refused_at_construction(bad):
             build()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_non_finite_point_is_refused_at_construction(bad):
+    with pytest.raises(NonFiniteValue, match="atom points must be finite"):
+        SpectralMeasure(2, [0.5, bad], bases=tuple(np.eye(2)[:, [k]]
+                                                   for k in range(2)))
+
+
 def test_projection_is_exactly_hermitian_in_factored_mode():
     t = generate(OperatorSpec("random_normal", dim=8, scale=2.0, seed=21))
     e = pvm_from_normal(t)

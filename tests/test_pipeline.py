@@ -222,13 +222,37 @@ def test_pipeline_reconstruction_is_the_spectrum_rule(scale):
 
 
 def test_explicit_radius_merging_eigenvalues_fails_reconstruction():
-    # an explicit radius of 0.5 merges the weights of E_A and the points
-    # of E_B, so T's three eigenvalues come back as one atom, which the
-    # pipeline's own report must refuse
+    # an explicit radius of 0.5 joins T's atoms alone: 1 and 1.3 merge
+    # and 4 stays apart, as in pvm_from_normal with the same radius, and
+    # the pipeline's own report refuses the merged atom
     t = OperatorMatrix(np.diag([1.0, 1.3, 4.0]).astype(complex))
-    res = spectral_theorem(t, linalg.Tolerances(cluster=0.5))
-    assert res.spectral_measure.num_atoms == 1
+    tol = linalg.Tolerances(cluster=0.5)
+    res = spectral_theorem(t, tol)
+    assert res.spectral_measure.num_atoms == 2
+    assert res.spectral_measure.num_atoms == pvm_from_normal(t, tol).num_atoms
+    assert res.e1.num_atoms == res.e2.num_atoms == 3
     assert res.report.failed == ["reconstruction"]
+
+
+def test_explicit_radius_joins_the_atoms_of_t_alone():
+    # E_A's weights lie in (0, 1] and E_B's points within 1/2, so a radius
+    # given for T's points leaves both to their own rules: the pipeline
+    # passes its report with spectrum's atom count, E_A and E_B are those
+    # of default tolerances, and their gap records are judged by their rules
+    t = generate(OperatorSpec("random_normal", dim=12, scale=1000.0, seed=3))
+    tol = linalg.Tolerances(cluster=1e-6)
+    res = spectral_theorem(t, tol)
+    assert res.report.all_passed, res.report.failed
+    assert res.spectral_measure.num_atoms == pvm_from_normal(t, tol).num_atoms
+    default = spectral_theorem(t)
+    for got, want in ((res.e1, default.e1), (res.e2, default.e2)):
+        np.testing.assert_array_equal(got.points, want.points)
+        np.testing.assert_array_equal(got.stacked_basis(),
+                                      want.stacked_basis())
+    for radius in (1e-9, 1e-6, 1e-3):
+        wide = linalg.Tolerances(cluster=radius)
+        assert pvm_validate(default.e1, wide).passed["min_point_gap"]
+        assert pvm_validate(default.e2, wide).passed["min_point_gap"]
 
 
 def test_e2_support_within_half():
@@ -390,6 +414,30 @@ def test_non_normal_input_is_refused_before_the_solve(monkeypatch, route,
     with pytest.raises(NotNormal):
         call(t)
     assert calls == []
+
+
+def test_structure_is_tested_before_the_2_128_refusal_on_every_route():
+    # the normality and Hermitian tests scale by a power of two, so they
+    # hold past 2^128: a non-normal input gets NotNormal from every route
+    # and a non-Hermitian one NotHermitian, never ScaleLimit
+    from spectral_forge.decomposition import decompose
+    from spectral_forge.errors import NotHermitian
+    jordan = generate(OperatorSpec("jordan_block", dim=4, scale=1e300))
+    for route in (linalg.normal_eig, pvm_from_normal, decompose,
+                  spectral_theorem,
+                  lambda t: spectral_theorem(t, force_scale=True)):
+        with pytest.raises(NotNormal):
+            route(jordan)
+    normal = generate(OperatorSpec("random_normal", dim=4, scale=1e300, seed=2))
+    with pytest.raises(NotHermitian):
+        linalg.hermitian_eig(normal)
+    # a normal (or Hermitian) input past 2^128 keeps the one refusal
+    hermitian = generate(OperatorSpec("random_hermitian", dim=4, scale=1e300,
+                                      seed=2))
+    for route in (linalg.normal_eig, linalg.hermitian_eig, pvm_from_normal,
+                  decompose, spectral_theorem):
+        with pytest.raises(ScaleLimit, match="passes 2\\^128"):
+            route(hermitian)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])

@@ -491,3 +491,33 @@ def test_product_measure_peak_with_one_full_rank_atom():
     assert peak <= 4.5 * 16 * n * n + atoms + 64 * 16 * n
     assert peak <= 1.5 * 16 * n * n + atoms
     assert pair_peak <= 8 * 16 * n
+
+
+def _rank_one_atoms(basis):
+    n = basis.shape[1]
+    return SpectralMeasure(n, np.arange(1, n + 1) / (n + 1.0),
+                           bases=tuple(basis[:, [k]] for k in range(n)))
+
+
+def test_loose_rtol_refusals_past_the_commute_test():
+    # under a loose rtol, pairs that pass the commute test can still fail
+    # to form atoms; at rtol 1e-3 the commute test refuses them first
+    from spectral_forge.linalg import Tolerances
+    n = 128
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    standard = _rank_one_atoms(np.eye(n, dtype=complex))
+    spread = _rank_one_atoms(fourier / np.sqrt(n))
+    with pytest.raises(NotCommuting, match="no atom pair survived pruning"):
+        product_measure(standard, spread, Tolerances(rtol=0.02))
+    # two rank-2 atoms tilted so that every principal cosine^2 is 0.2
+    c, s = np.sqrt(0.2), np.sqrt(0.8)
+    tilt = np.array([[c, 0, -s, 0], [0, c, 0, -s],
+                     [s, 0, c, 0], [0, s, 0, c]], dtype=complex)
+    flat = SpectralMeasure(4, [0.1, 0.2], bases=(np.eye(4)[:, :2],
+                                                 np.eye(4)[:, 2:]))
+    tilted = SpectralMeasure(4, [-0.1, 0.1], bases=(tilt[:, :2], tilt[:, 2:]))
+    with pytest.raises(NotCommuting, match="no stable intersection"):
+        product_measure(flat, tilted, Tolerances(rtol=0.1))
+    for e1, e2 in ((standard, spread), (flat, tilted)):
+        with pytest.raises(NotCommuting, match="do not commute"):
+            product_measure(e1, e2, Tolerances(rtol=1e-3))

@@ -68,5 +68,8 @@ def test_removed_entry_points_are_gone():
     for kernel in (linalg._jacobi_hermitian, linalg._jacobi_one_sided):
         assert "rotation_budget" not in inspect.signature(kernel).parameters
     assert "relative" not in inspect.signature(linalg._clusters).parameters
+    # the measure's label picks its rule: no flag beside it
+    for rule in (linalg._clusters, linalg._reach):
+        assert "own" not in inspect.signature(rule).parameters
     assert list(inspect.signature(linalg._refuse_past_scale_limit).parameters
                 ) == ["m"]
