@@ -7,7 +7,11 @@ identical inputs give byte-identical files.  Complex numbers are [real,
 imaginary] pairs; matrices store row-major entry lists under their
 dimension.  A ``*_to_doc`` document holds each matrix's entries as its
 flat complex128 array, which ``dumps`` encodes a block of pairs at a
-time, so no Python float exists per entry beyond one block.
+time, so no Python float exists per entry beyond one block.  A write
+encodes each distinct array once: an array of the same bytes as one
+already written in that document reuses its text, as the measures of an
+``--emit all`` bundle do, whose atoms repeat.  A read still parses every
+copy.
 ``read_json`` decodes each valid ``entries`` list to such an array in
 one vectorized pass, after an exact type screen, as the parser closes
 its object; a malformed list stays a list, and ``matrix_from_doc``
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zlib
 from itertools import chain
 
 import numpy as np
@@ -61,13 +66,15 @@ def dumps(doc) -> str:
     Keys keep their order; a float is written as ``repr`` writes it, the
     shortest text that reads back to the same double.  The text is what
     ``json.dumps`` writes for the same document with every ``entries``
-    array as its list of [real, imaginary] pairs.  NonFiniteValue on NaN
-    or infinity, ParseError on a value JSON cannot hold, an array
-    anywhere but under ``entries`` among them.
+    array as its list of [real, imaginary] pairs.  Each distinct
+    ``entries`` array is encoded once: a later array of the same bytes
+    reuses its text.  NonFiniteValue on NaN or infinity, ParseError on a
+    value JSON cannot hold, an array anywhere but under ``entries`` among
+    them.
     """
     pieces = []
     try:
-        _encode(doc, pieces)
+        _encode(doc, pieces, {})
     except ValueError as exc:
         raise NonFiniteValue("cannot serialize a non-finite number") from exc
     except TypeError as exc:
@@ -76,39 +83,59 @@ def dumps(doc) -> str:
     return "".join(pieces)
 
 
-def _encode(value, pieces: list, key=None):
+def _encode(value, pieces: list, texts: dict, key=None):
     """Append the JSON text of ``value``, held under ``key``, to ``pieces``.
 
     Containers are walked, so that an ``entries`` array can be written
     ``_BLOCK`` pairs per encoder call; keys and every other leaf go
-    through ``json.dumps``.
+    through ``json.dumps``.  ``texts`` holds each ``entries`` array
+    encoded so far with its text pieces, under the CRC-32 of its bytes,
+    so equal bytes, and only they (``-0.0`` is not ``0.0``), are encoded
+    once.
     """
     if (key == "entries" and isinstance(value, np.ndarray)
             and value.dtype == np.complex128):
-        pairs = np.ascontiguousarray(value).view(np.float64).reshape(-1, 2)
-        pieces.append("[")
-        for start in range(0, len(pairs), _BLOCK):
-            block = pairs[start:start + _BLOCK].tolist()
-            text = json.dumps(block, allow_nan=False)[1:-1]
-            pieces.append(", " + text if start else text)
-        pieces.append("]")
+        bits = _bits(value)
+        # a checksum finds a candidate without copying the bytes (zlib is
+        # loaded at startup, where hashlib would map OpenSSL, about 4 MB);
+        # the words decide, compared as memoryviews, which make no
+        # temporary, so text is reused for bit-equal arrays alone
+        crc = zlib.crc32(bits)
+        seen, text = texts.get(crc, (None, None))
+        if seen is None or memoryview(_bits(seen)) != memoryview(bits):
+            pairs = bits.view(np.float64).reshape(-1, 2)
+            text = ["["]
+            for start in range(0, len(pairs), _BLOCK):
+                block = json.dumps(pairs[start:start + _BLOCK].tolist(),
+                                   allow_nan=False)[1:-1]
+                text.append(", " + block if start else block)
+            text.append("]")
+            # the document's own array, not a view of it: views made and
+            # kept here raised the n = 64 bundle's write peak by 11 MiB
+            texts[crc] = value, text
+        pieces.extend(text)
     elif isinstance(value, dict):
         pieces.append("{")
         for i, (name, item) in enumerate(value.items()):
             # json.dumps's own key rules, refusals included
             name_text = json.dumps({name: 0}, allow_nan=False)[1:-4]
             pieces.append((", " if i else "") + name_text + ": ")
-            _encode(item, pieces, name)
+            _encode(item, pieces, texts, name)
         pieces.append("}")
     elif isinstance(value, (list, tuple)):
         pieces.append("[")
         for i, item in enumerate(value):
             if i:
                 pieces.append(", ")
-            _encode(item, pieces)
+            _encode(item, pieces, texts)
         pieces.append("]")
     else:
         pieces.append(json.dumps(value, allow_nan=False, default=_plain))
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """Complex entries as flat uint64 words, which tell -0.0 from 0.0."""
+    return np.ascontiguousarray(values).reshape(-1).view(np.uint64)
 
 
 def write_json(doc: dict, path: str):

@@ -649,6 +649,11 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     if not is_normal(m, tol):
         raise NotNormal("normal_eig requires a normal matrix")
     _refuse_past_scale_limit(m)
+    return _normal_eig(m, tol)
+
+
+def _normal_eig(m: OperatorMatrix, tol: Tolerances) -> EigenSystem:
+    """``normal_eig`` past its checks, for a caller that made them."""
     a = m.array
     n = m.dim
     h_vals, h_vecs = _jacobi_hermitian(a, tol.atol)  # H = (M + M*)/2

@@ -44,10 +44,9 @@ import numpy as np
 
 from .decomposition import Decomposition, _bounded_pair
 from .errors import ScaleLimit
-from .linalg import OperatorMatrix, Tolerances, _resolve
+from .linalg import OperatorMatrix, Tolerances, _normal_eig, _resolve
 from .measures import (PVM_FACTOR, SpectralMeasure, _measure_in_frame,
-                       _merged, _range_gap, _reconstruction_check,
-                       pvm_from_normal)
+                       _merged, _range_gap, _reconstruction_check)
 from .product import ProductMeasure, product_measure, pushforward
 from .report import VerificationReport
 
@@ -144,7 +143,10 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     ]
     direct = None
     if direct_check:
-        direct = pvm_from_normal(t, tol)
+        # _bounded_pair has tested T's normality and scale: no second test
+        es = _normal_eig(t, tol)
+        direct = _merged(es.eigenvalues, es.unitary.array, np.arange(n + 1),
+                         tol)
         checks += _match_measures(measure, direct, tol, source_norm)
     report = VerificationReport.from_checks(checks)
     return PipelineResult(d, e1, e2, prod, measure, report, direct)

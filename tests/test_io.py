@@ -159,6 +159,104 @@ def test_dumps_writes_what_json_dumps_writes_for_pair_lists(doc):
     assert io.dumps(doc) == json.dumps(_listed(doc)) + "\n"
 
 
+def _twins(count: int, seed: int, how: str, at: int) -> tuple:
+    """An entries array and a second one: itself, an equal copy, or a copy
+    whose double ``at`` has the other sign of zero or is one ulp nearer 0."""
+    first = _entries(count, seed)
+    if how == "same":
+        return first, first
+    at %= 2 * count
+    if how == "zero sign":
+        first.view(np.float64)[at] = 0.0
+    second = first.copy()
+    flat = second.view(np.float64)
+    if how == "zero sign":
+        flat[at] = -0.0
+    elif how == "ulp":
+        flat[at] = np.nextafter(flat[at], 0.0)
+    return first, second
+
+
+# documents whose entries arrays repeat, bit for bit or nearly
+REPEATS = st.builds(
+    lambda twins, around: [{"dim": 1, "entries": twins[0]}, around,
+                           {"e": {"entries": twins[1]}}, {"entries": twins[0]}],
+    st.builds(_twins, st.sampled_from(BLOCK_EDGES[1:]), st.integers(0, 2**32),
+              st.sampled_from(["same", "copy", "zero sign", "ulp"]),
+              st.integers(0, 2**20)),
+    DOCS)
+
+
+@PROPERTY
+@given(REPEATS)
+def test_repeated_entries_are_written_as_json_dumps_writes_them(doc):
+    assert io.dumps(doc) == json.dumps(_listed(doc)) + "\n"
+
+
+def test_arrays_differing_in_the_sign_of_a_zero_are_written_apart():
+    doc = [{"entries": np.array([0.0, 2.0 + 1.0j])},
+           {"entries": np.array([-0.0, 2.0 + 1.0j])}]
+    assert io.dumps(doc) == ('[{"entries": [[0.0, 0.0], [2.0, 1.0]]}, '
+                             '{"entries": [[-0.0, 0.0], [2.0, 1.0]]}]\n')
+
+
+def test_a_checksum_collision_does_not_reuse_text(monkeypatch):
+    # the checksum only proposes a candidate: here every array shares
+    # one, and the bits alone decide which text is reused
+    monkeypatch.setattr(io.zlib, "crc32", lambda data: 0)
+    first, second = _twins(io._BLOCK + 1, 4, "ulp", 5)
+    doc = [{"entries": first}, {"entries": second}, {"entries": first},
+           {"entries": first.copy()}, {"entries": second[:1]}]
+    assert io.dumps(doc) == json.dumps(_listed(doc)) + "\n"
+
+
+@pytest.mark.parametrize("how", ["same", "copy"])
+def test_repeated_array_outside_entries_is_still_refused(how):
+    first, second = _twins(3, 2, how, 0)
+    with pytest.raises(ParseError, match="ndarray"):
+        io.dumps({"a": {"entries": first}, "b": {"point": second}})
+
+
+@pytest.mark.parametrize("how", ["same", "copy"])
+def test_repeated_non_finite_entries_are_still_refused(how):
+    first, second = _twins(io._BLOCK + 1, 3, how, 0)
+    first[-1] = second[-1] = complex(math.nan, 0.0)
+    with pytest.raises(NonFiniteValue):
+        io.dumps([{"entries": first}, {"entries": second}])
+
+
+def test_each_distinct_entries_array_is_encoded_once(tmp_path, monkeypatch):
+    # on this bundle E_A, E_B, the product and E_T hold the same
+    # projections, in other orders: their text is encoded once
+    t = str(tmp_path / "t.json")
+    io.write_matrix(generate(OperatorSpec("random_normal", dim=8,
+                                          scale=10.0, seed=3)), t)
+    blocks = []
+    encode = json.dumps
+
+    def seen(value, *args, **kwargs):
+        if isinstance(value, list):  # a block of pairs: no other leaf is
+            blocks.append(np.array(value, dtype=np.float64).tobytes())
+        return encode(value, *args, **kwargs)
+
+    monkeypatch.setattr(io.json, "dumps", seen)
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", bundle]) == 0
+    monkeypatch.undo()
+    doc = io.read_json(bundle)
+    projections = {part: sorted(atom["projection"]["entries"].tobytes()
+                                for atom in doc[part]["atoms"])
+                   for part in ("e1", "e2", "product", "measure")}
+    assert len(projections["e1"]) == 8
+    for part in ("e2", "product", "measure"):
+        assert projections[part] == projections["e1"]
+    arrays = [doc["t"], doc["decomposition"]["a"], doc["decomposition"]["b"]]
+    distinct = {m["entries"].tobytes() for m in arrays}
+    distinct.update(projections["e1"])
+    assert sorted(blocks) == sorted(distinct)  # 64 pairs: one block each
+
+
 @pytest.mark.parametrize("count", BLOCK_EDGES)
 def test_entries_at_block_edges_round_trip(tmp_path, count):
     doc = {"dim": count, "entries": _entries(count, count)}

@@ -309,6 +309,40 @@ def test_guard_reads_the_norm_off_the_one_sided_solve(monkeypatch):
         assert len(calls) == 1
 
 
+def _bits(e: SpectralMeasure) -> tuple:
+    """A measure's points and stacked basis as uint64, which see -0.0."""
+    return tuple(np.ascontiguousarray(x).view(np.uint64)
+                 for x in (e.points, e.stacked_basis()))
+
+
+def test_cross_check_tests_normality_once_per_operator(monkeypatch):
+    # T in _bounded_pair and B's local form in E_B's pvm_from_normal; the
+    # cross-check's direct solve of T relies on _bounded_pair's test
+    t = generate(OperatorSpec("random_normal", dim=12, scale=10.0, seed=5))
+    calls = []
+    test = linalg.is_normal
+
+    def counted(m, tol=None):
+        calls.append(m.dim)
+        return test(m, tol)
+
+    for module in [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "spectral_forge"]:
+        if "is_normal" in vars(module):
+            monkeypatch.setattr(module, "is_normal", counted)
+    res = spectral_theorem(t, direct_check=True)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    # the same direct measure as pvm_from_normal's, so the same report
+    for got, want in zip(_bits(res.direct_measure), _bits(pvm_from_normal(t))):
+        np.testing.assert_array_equal(got, want)
+    assert res.report.to_json_dict() == spectral_theorem(
+        t, direct_check=True).report.to_json_dict()
+    assert {"cross_point_gap", "cross_projection_gap",
+            "cross_unmatched"} <= set(res.report.residuals)
+    assert res.report.all_passed
+
+
 def test_pipeline_sweeps_once_cold(monkeypatch):
     # every sweep head of either Jacobi kernel, the one-sided kernel's
     # Gram matrices included, measures its off-diagonal mass once; the
