@@ -42,8 +42,6 @@ def _tolerances(args) -> Tolerances:
     kwargs = {}
     if args.tol_rel is not None:
         kwargs["rtol"] = args.tol_rel
-    if args.tol_abs is not None:
-        kwargs["atol"] = args.tol_abs
     if args.cluster is not None:
         kwargs["cluster"] = args.cluster
     try:
@@ -271,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol-rel", type=float, default=None, metavar="X",
                        help="relative tolerance (default 1e-10 times the "
                             "dimension)")
-    solve.add_argument("--tol-abs", type=float, default=None, metavar="X",
-                       help="absolute tolerance floor (default 1e-12)")
     solve.add_argument("--cluster", type=float, default=None, metavar="X",
                        help="absolute radius within which the atoms of T's "
                             "measure join; E_A and E_B keep their own rules "
@@ -307,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true",
                    help="also diagonalize directly and compare")
     p.add_argument("--force-scale", action="store_true",
-                   help="run past the documented range, norms up to 1e6 "
-                        "(an entry past 2^128 is still refused)")
+                   help="run past the documented range, which ends at a "
+                        "norm of 1e6 (an entry past 2^128 is still "
+                        "refused)")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("verify", parents=[solve],

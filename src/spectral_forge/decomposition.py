@@ -29,12 +29,12 @@ import numpy as np
 from .errors import DimensionMismatch, NotNormal
 from .linalg import (
     _EPS,
+    ATOL,
     EigenSystem,
     OperatorMatrix,
     Tolerances,
     _eigensystem,
     _jacobi_one_sided,
-    _norm_in_frame,
     _power_of_two_scaled,
     _refuse_past_scale_limit,
     _resolve,
@@ -121,7 +121,7 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
         raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
     _refuse_past_scale_limit(t)
     scaled, e = _power_of_two_scaled(t.array)
-    sigma, u = _jacobi_one_sided(scaled, tol.atol)
+    sigma, u = _jacobi_one_sided(scaled)
     # T's null modes from s, not w: w rounds to 1 for every s below
     # 1e-8.  G and s carry the same scale, so U = G/s takes them scaled
     null = sigma <= 100.0 * t.dim * _EPS * sigma.max()
@@ -196,10 +196,10 @@ def verify(t: OperatorMatrix, d: Decomposition,
     # solved so that a non-Hermitian A fails a check instead of raising.
     a_h = (aa + aa.conj().T) / 2.0
     shift = 1.0 + float(np.linalg.norm(a_h))
-    s, g = _jacobi_one_sided(a_h + shift * np.eye(t.dim), tol.atol)
+    s, g = _jacobi_one_sided(a_h + shift * np.eye(t.dim))
     min_eig_a = float(s.min()) - shift
     # A's eigenframe nearly diagonalizes T*T, so the norm solve is warm.
-    op_t = _norm_in_frame(t, g / s, tol)
+    op_t = op_norm_2(OperatorMatrix(ta @ (g / s)))
     fro_t = float(np.linalg.norm(ta))
     fro_a = float(np.linalg.norm(aa))
     fro_b = float(np.linalg.norm(ba))
@@ -215,7 +215,7 @@ def verify(t: OperatorMatrix, d: Decomposition,
         ("reconstruction", float(np.linalg.norm(gram @ ba - ta)),
          RECONSTRUCTION_FACTOR * rel * (1.0 + fro_t)),
         ("commutator", float(np.linalg.norm(aa @ ba - ba @ aa)),
-         rel * fro_a * fro_b + tol.atol),
+         rel * fro_a * fro_b + ATOL),
         ("claim_product", float(np.linalg.norm(aa @ ta - ba)), identity_bound),
         ("adjoint_identity", float(np.linalg.norm(bh - ta.conj().T @ aa)),
          identity_bound),
@@ -230,11 +230,10 @@ def verify(t: OperatorMatrix, d: Decomposition,
     return VerificationReport.from_checks(checks)
 
 
-def norm_bounds(d: Decomposition, tol: Tolerances | None = None) -> tuple[float, float]:
+def norm_bounds(d: Decomposition) -> tuple[float, float]:
     """Spectral norms ``(||A||_2, ||B||_2)`` of the pair.
 
-    For a decomposition of a normal operator these stay within
-    ``1 + tol`` and ``1/2 + tol`` at every scaling of the source.
+    For a decomposition of a normal operator these stay within rounding
+    of 1 and 1/2 at every scaling of the source.
     """
-    tol = _resolve(tol)
-    return op_norm_2(d.a, tol), op_norm_2(d.b, tol)
+    return op_norm_2(d.a), op_norm_2(d.b)

@@ -54,8 +54,14 @@ _TINY_PIVOT = float(np.finfo(np.float64).tiny)
 # Machine epsilon of float64, the scale of the Jacobi stopping test.
 _EPS = float(np.finfo(np.float64).eps)
 
-# Relative gap within which default clusters join (``_clusters``).
+# Relative gaps within which default clusters and E_A's weights join
+# (``_reach``).
 _CLUSTER_REL = 1e-8
+_WEIGHT_REL = 3e-8
+
+# Absolute floor of the Jacobi targets ``ATOL (1 + ||M||)`` and of the
+# bounds that must not fall to 0 with the operator.
+ATOL = 1e-12
 
 # Largest block of rows or columns one two-sided Jacobi update gathers.
 # Only rounds of more than 128 KB split, n > 128.  A round gathered whole
@@ -82,8 +88,6 @@ class Tolerances:
     rtol : float or None
         Relative tolerance.  When None it defaults to ``1e-10 * n`` at
         the point of use, where n is the matrix dimension.
-    atol : float
-        Absolute floor, also the Jacobi convergence target scale.
     cluster : float or None
         Absolute radius within which the atoms of a measure of T join;
         E_A, E_B and ``normal_eig``'s split keep their own rules
@@ -93,11 +97,10 @@ class Tolerances:
     """
 
     rtol: float | None = None
-    atol: float = 1e-12
     cluster: float | None = None
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "cluster"):
+        for name in ("rtol", "cluster"):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -366,7 +369,7 @@ def _round_robin_rounds(n: int) -> tuple:
     return tuple((p[k][keep[k]], q[k][keep[k]]) for k in range(m - 1))
 
 
-def _jacobi_hermitian(matrix: np.ndarray, atol: float):
+def _jacobi_hermitian(matrix: np.ndarray):
     """Diagonalize the Hermitian part of an array by cyclic Jacobi rotations.
 
     The solve works on ``W = (M + M*)/2`` in complex128, so callers pass
@@ -376,7 +379,7 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float):
     and a round is applied in place, a block of pairs at a time, each
     block's gathered rows and columns at most ``_BLOCK_BYTES``.
     ``_sweep_head`` decides at level eps, against the target
-    ``atol (1 + ||W||_F)`` and the rotation budget ``30 n^2``.  W is
+    ``ATOL (1 + ||W||_F)`` and the rotation budget ``30 n^2``.  W is
     scaled by a power of two first when its largest entry lies outside
     ``[2^-128, 2^128]``: below about 1e-154 the squares in the norms
     underflow, and an off-diagonal mass that reads 0 would stop the
@@ -399,7 +402,7 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float):
     m = np.asarray(matrix, dtype=np.complex128)
     w, e = _power_of_two_scaled((m + m.conj().T) / 2.0)
     fro = float(np.linalg.norm(w))
-    off_target = float(np.ldexp(atol * (1.0 + np.ldexp(fro, e)), -e))
+    off_target = float(np.ldexp(ATOL * (1.0 + np.ldexp(fro, e)), -e))
     n = w.shape[0]
     vt = np.eye(n, dtype=np.complex128)  # rows are eigenvectors
     width = max(1, _BLOCK_BYTES // (16 * n))  # pairs per block
@@ -442,7 +445,7 @@ def _jacobi_hermitian(matrix: np.ndarray, atol: float):
     return np.ldexp(w.diagonal().real, e), vt.T
 
 
-def _jacobi_one_sided(matrix: np.ndarray, atol: float):
+def _jacobi_one_sided(matrix: np.ndarray):
     """Singular values and rotated columns by one-sided Jacobi.
 
     Hestenes' method rotates column pairs of ``G = M`` until they are
@@ -456,7 +459,7 @@ def _jacobi_one_sided(matrix: np.ndarray, atol: float):
     formed per sweep for ``_sweep_head`` at level sqrt(m) eps, the
     rounding floor of an m-term inner product (as in LAPACK's zgesvj),
     which also marks a pair active; the target is
-    ``atol (1 + ||M*M||_F)``, the budget ``30 n^2`` rotations.
+    ``ATOL (1 + ||M*M||_F)``, the budget ``30 n^2`` rotations.
 
     Returns ``(singular values, G)``, the values unsorted and in the
     order of G's columns.
@@ -469,7 +472,7 @@ def _jacobi_one_sided(matrix: np.ndarray, atol: float):
     rotations = 0
     prev_off = np.inf
     gram = gt.conj() @ gt.T
-    off_target = atol * (1.0 + np.linalg.norm(gram))
+    off_target = ATOL * (1.0 + np.linalg.norm(gram))
     while True:
         head = _sweep_head(gram, level, prev_off, rotations, budget, off_target)
         if head is None:
@@ -521,7 +524,7 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSyst
         Hermitian input; checked first (NotHermitian on failure), then
         ScaleLimit past an entry of 2^128.
     tol : Tolerances, optional
-        Convergence target is ``atol * (1 + ||M||_F)``.
+        Relative tolerance of the Hermitian test.
 
     Returns
     -------
@@ -532,7 +535,7 @@ def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSyst
     if not is_hermitian(m, tol):
         raise NotHermitian("hermitian_eig requires a Hermitian matrix")
     _refuse_past_scale_limit(m)
-    return _eigensystem(*_jacobi_hermitian(m.array, tol.atol))
+    return _eigensystem(*_jacobi_hermitian(m.array))
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -546,18 +549,21 @@ def _reach(mags: np.ndarray, tol: Tolerances, of: str) -> np.ndarray:
     """How far points of moduli ``mags`` reach in a measure of ``of``.
 
     ``min(R, 1e-8 |x| + 100 eps s)``, s the largest modulus and
-    ``R = tol.cluster_radius(s)``; for E_A's weights, as accurate
-    relative to their own size as one-sided singular values, the floor
-    is 100 eps |x|.  ``tol.cluster`` is read here alone: the reach of
-    every point of T's measure, not of E_A's or E_B's, whose points lie
-    on other scales.
+    ``R = tol.cluster_radius(s)``.  E_A's weights, as accurate relative
+    to their own size as one-sided singular values, reach
+    ``min(R, 3e-8 |x| + 100 eps |x|)`` (R binds above |x| = (1 + s)/3),
+    where two errors balance: a join of radius rho moves a point z of T
+    by up to rho/2 |z|, and weights a relative delta > rho apart keep
+    singular subspaces mixed to about sqrt(n) eps / delta.
+    ``tol.cluster`` is read here alone: the reach of every point of T's
+    measure, not of E_A's or E_B's, whose points lie on other scales.
     """
     if of == "T" and tol.cluster is not None:
         return np.full(mags.shape, tol.cluster)
     top = float(np.max(mags, initial=0.0))
-    floor = mags if of == "A" else top
+    rel, floor = (_WEIGHT_REL, mags) if of == "A" else (_CLUSTER_REL, top)
     return np.minimum(tol.cluster_radius(top),
-                      _CLUSTER_REL * mags + 100.0 * _EPS * floor)
+                      rel * mags + 100.0 * _EPS * floor)
 
 
 def _clusters(points: np.ndarray, tol: Tolerances, weights=None,
@@ -656,7 +662,7 @@ def _normal_eig(m: OperatorMatrix, tol: Tolerances) -> EigenSystem:
     """``normal_eig`` past its checks, for a caller that made them."""
     a = m.array
     n = m.dim
-    h_vals, h_vecs = _jacobi_hermitian(a, tol.atol)  # H = (M + M*)/2
+    h_vals, h_vecs = _jacobi_hermitian(a)  # H = (M + M*)/2
     order = np.argsort(h_vals, kind="stable")
     h_vals = h_vals[order]
     h_vecs = h_vecs[:, order]
@@ -677,7 +683,7 @@ def _normal_eig(m: OperatorMatrix, tol: Tolerances) -> EigenSystem:
                   @ kh[:, cols].transpose(1, 0, 2))
         off = np.linalg.norm(blocks * ~np.eye(size, dtype=bool), axis=(1, 2))
         for c, kb in zip(cols[off > noise], blocks[off > noise]):
-            k_vals, k_vecs = _jacobi_hermitian(kb, tol.atol)
+            k_vals, k_vecs = _jacobi_hermitian(kb)
             # Rayleigh quotient of H per joint vector: |k_vecs|^2 column
             # sums against the member h values
             vals[c] = h_vals[c] @ np.abs(k_vecs) ** 2 + 1.0j * k_vals
@@ -686,22 +692,15 @@ def _normal_eig(m: OperatorMatrix, tol: Tolerances) -> EigenSystem:
     return _eigensystem(vals, h_vecs)
 
 
-def op_norm_2(m: OperatorMatrix, tol: Tolerances | None = None) -> float:
-    """Spectral norm, the largest singular value, from ``_norm_in_frame``."""
-    return _norm_in_frame(m, None, tol)
+def op_norm_2(m: OperatorMatrix) -> float:
+    """Spectral norm, the largest singular value, by one one-sided solve.
 
-
-def _norm_in_frame(m: OperatorMatrix, frame: np.ndarray | None = None,
-                   tol: Tolerances | None = None) -> float:
-    """Spectral norm, the top singular value of ``M F`` for any unitary F.
-
-    None stands for the identity.  A frame of nearly right singular
-    vectors of M leaves a one-sided solve of a few sweeps; a poorer frame
-    costs sweeps, not accuracy.  M is scaled by a power of two first
-    when an entry is large enough for a norm to overflow.
+    M F has the singular values of M for every unitary F, so a caller
+    holding nearly right singular vectors F of M passes ``M F``: the
+    solve then takes a few sweeps, and a poorer frame costs sweeps, not
+    accuracy.  M is scaled by a power of two first when an entry is
+    large enough for a norm to overflow.
     """
-    tol = _resolve(tol)
     a, e = _power_of_two_scaled(m.array)
-    g = a if frame is None else a @ frame
-    sigma, _ = _jacobi_one_sided(g, tol.atol)
+    sigma, _ = _jacobi_one_sided(a)
     return float(np.ldexp(sigma.max(), e))

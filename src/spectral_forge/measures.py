@@ -344,13 +344,13 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     the total rank deficit, and ``min_point_gap``: the gap and join
     radius of the pair of atoms nearest to joining, by the rule of the
     measure's ``of`` (``_reach``): within 1e-8 of its own size above 100
-    eps of the largest point (of its own size for A), never past
-    ``tol.cluster_radius``; ``tol.cluster`` is one absolute radius for a
-    measure of T alone.  A single atom has no pair to keep apart, so
-    its report has no gap record.  Always returns a report.  Factored
-    atoms are judged from the Gram matrix of their stacked basis, their
-    Hermitian defect 0 by construction; dense atoms are measured as
-    stored.
+    eps of the largest point (for A, 3e-8 plus 100 eps of its own size),
+    never past ``tol.cluster_radius``; ``tol.cluster`` is one absolute
+    radius for a measure of T alone.  A single atom has no pair to keep
+    apart, so its report has no gap record.  Always returns a report.
+    Factored atoms are judged from the Gram matrix of their stacked
+    basis, their Hermitian defect 0 by construction; dense atoms are
+    measured as stored.
     """
     tol = _resolve(tol)
     checks = _store_checks(e, tol)

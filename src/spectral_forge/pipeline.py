@@ -27,13 +27,14 @@ would not commute with E_A.
 
 E_A's weights keep the relative accuracy of the one-sided singular
 values (Demmel & Veselic 1992), so E_A's points join relative to their
-own size alone: within 1e-8 |x| + 100 eps |x|, with no floor set by the
-largest weight.  The result then meets the reconstruction rule of
-``spectrum`` and ``verify`` on every input tried but the one
-``spectral_theorem`` names, forced runs past ``NORM_LIMIT`` included.
-Normality is tested first and an entry past 2^128 refused next, both
-before the solve; unless forced, a norm past ``NORM_LIMIT``, the end
-of the documented range, read off the same solve, is refused after it.
+own size alone: within 3e-8 |x| + 100 eps |x|, with no floor set by the
+largest weight, a radius at which the error of joining balances the
+mixing of singular subspaces kept apart (``linalg._reach``).  The result
+then meets the reconstruction rule of ``spectrum`` and ``verify`` on
+every input tried, forced runs past ``NORM_LIMIT`` included.  Normality
+is tested first and an entry past 2^128 refused next, both before the
+solve; unless forced, a norm past ``NORM_LIMIT``, the end of the
+documented range, read off the same solve, is refused after it.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     """Resolve a normal operator into a discrete spectral measure.
 
     The route of the module docstring; E_B's bases are rotated back by U.
-    ``tests/test_designed_spectra`` records one failure at 9e5: an E_A
-    atom of equal moduli at far phases whose singular subspace mixes
-    with a cluster 1.1e-8 below it in modulus.
 
     Parameters
     ----------

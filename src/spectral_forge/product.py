@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, NotCommuting
 from .linalg import (
+    ATOL,
     OperatorMatrix,
     Tolerances,
     _jacobi_one_sided,
@@ -164,8 +165,7 @@ def _outside_norm(ui: np.ndarray, wj: np.ndarray, block: np.ndarray) -> float:
     return float(np.linalg.norm(d @ block.conj().T))
 
 
-def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
-                  tol: Tolerances):
+def _intersection(ui: np.ndarray, block: np.ndarray, outside: float):
     """``(z, ||z z* - P_i Q_j||_F)`` for the intersection of two ranges.
 
     Left singular vectors of the cross block C with singular value near
@@ -183,7 +183,7 @@ def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
             return None
         z = ui if ui.shape[1] == 1 else ui @ block / norm
         return z, float(np.hypot(1.0 - norm * norm, outside))
-    s, g = _jacobi_one_sided(block, tol.atol)
+    s, g = _jacobi_one_sided(block)
     keep = s * s > 0.25
     if not keep.any():
         return None
@@ -194,7 +194,7 @@ def _intersection(ui: np.ndarray, block: np.ndarray, outside: float,
 
 def _commute_threshold(n: int, tol: Tolerances) -> float:
     """Commutator norm above which two projections do not commute."""
-    return PVM_FACTOR * tol.rel(n) + tol.atol
+    return PVM_FACTOR * tol.rel(n) + ATOL
 
 
 def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
@@ -257,7 +257,7 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
             raise DimensionMismatch(
                 f"factor {name} is not a resolution of the identity: its "
                 f"atom ranks sum to {sum(e.ranks)}, not the dimension {n}")
-    if float(np.max(np.abs(e1.points.imag))) > tol.atol:
+    if float(np.max(np.abs(e1.points.imag))) > ATOL:
         raise ValueError("the first factor must be supported on the real line")
     threshold = _commute_threshold(n, tol)
     prune = PRUNE_FACTOR * n
@@ -272,7 +272,7 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
             raise NotCommuting("projections of the two measures do not commute")
         if mass <= prune:
             continue
-        atom = _intersection(ui, block, outside, tol)
+        atom = _intersection(ui, block, outside)
         if atom is None:
             if mass > 0.1:
                 raise NotCommuting(

@@ -680,6 +680,11 @@ def test_non_object_part_exits_2(tmp_path, capsys):
     ("decompose", ["--seed", "1"]),
     ("spectrum", ["--seed", "1"]),
     ("pipeline", ["--seed", "1"]),
+    # the absolute floor is a constant: no subcommand reads --tol-abs
+    ("decompose", ["--tol-abs", "1e-12"]),
+    ("spectrum", ["--tol-abs", "1e-12"]),
+    ("pipeline", ["--tol-abs", "1e-12"]),
+    ("verify", ["--tol-abs", "1e-12"]),
 ])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command,
                                                flag):
@@ -800,7 +805,7 @@ def test_non_normal_past_2_128_is_refused_as_non_normal(tmp_path, capsys):
 def test_tolerance_flags_are_read_and_checked(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "5", "--seed", "4")
-    code, out, _ = run(["spectrum", "--input", t, "--tol-abs", "1e-10",
+    code, out, _ = run(["spectrum", "--input", t, "--tol-rel", "1e-8",
                         "--emit", "report"], capsys)
     assert code == 0
     assert set(json.loads(out)) == {"residuals", "pass", "tolerances"}

@@ -172,18 +172,26 @@ def test_source_norm_comes_from_the_pair_solve(monkeypatch):
 
 def test_verify_norm_comes_from_its_own_eigenframe(monkeypatch):
     # the margin bound uses ||T||_2 solved in the frame of verify's own
-    # eigensolve of A: no cold op_norm_2, and never the stored source_norm
+    # eigensolve of A: op_norm_2 of T F, whose Gram F* T*T F is diagonal
+    # to rounding, never of the cold T, and never the stored source_norm
     from spectral_forge import decomposition
     t = generate(OperatorSpec("random_normal", dim=16, scale=30.0, seed=9))
     d = decompose(t)
     cold = op_norm_2(t)
+    seen = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify ran a cold op_norm_2")
+    def recorded(m):
+        seen.append(m.array)
+        return op_norm_2(m)
 
-    monkeypatch.setattr(decomposition, "op_norm_2", refuse)
+    monkeypatch.setattr(decomposition, "op_norm_2", recorded)
     report = verify(t, d)
     tampered = verify(t, Decomposition(d.a, d.b, 1e-3))
+    assert len(seen) == 2
+    for m in seen:
+        gram = m.conj().T @ m
+        off = gram - np.diag(gram.diagonal())
+        assert np.linalg.norm(off) <= 1e-12 * np.linalg.norm(gram)
     assert report.all_passed, report.residuals
     assert tampered.residuals == report.residuals
     assert tampered.tolerances == report.tolerances

@@ -100,22 +100,34 @@ def _matched_gap(z, e):
     return worst
 
 
-# Equal moduli at far phases share an E_A atom, whose singular subspace
-# is accurate to eps/delta against a cluster delta = 1.1e-8 below it in
-# modulus; seed 8's far point takes 0.17 of error, against a bound of
-# 0.13.  How far past the bound depends on rounding, so not strict.
-SUBSPACE = pytest.mark.xfail(strict=False, reason="singular subspaces of "
-                             "moduli 1.1e-8 apart mix across phases")
-KNOWN = {("cluster_3e-08", 6, 9e5): SUBSPACE}
+def _passes(t, norm, where):
+    """The pipeline passes its report on T and matches numpy's eig."""
+    res = spectral_theorem(t, force_scale=norm > NORM_LIMIT)
+    assert res.report.all_passed, (where, res.report.failed)
+    gap = _matched_gap(np.linalg.eigvals(t.array), res.spectral_measure)
+    assert gap <= 1e-7 * (1.0 + norm), (where, gap)
 
 
 @pytest.mark.parametrize("name, n, norm", [
-    pytest.param(name, n, norm, marks=KNOWN.get((name, n, norm), ()))
+    (name, n, norm)
     for name in SPECTRA for n in DIMS for norm in NORMS + FORCED_NORMS])
 def test_designed_spectrum(name, n, norm):
     for seed in SEEDS:
-        t = _designed(name, n, seed, norm)
-        res = spectral_theorem(t, force_scale=norm > NORM_LIMIT)
-        assert res.report.all_passed, (seed, res.report.failed)
-        gap = _matched_gap(np.linalg.eigvals(t.array), res.spectral_measure)
-        assert gap <= 1e-7 * (1.0 + norm), (seed, gap)
+        _passes(_designed(name, n, seed, norm), norm, seed)
+
+
+# Clusters of 4 at small n, where E_A's join radius meets the mixing of
+# singular subspaces kept apart: when E_A joined within 1e-8, 10 of
+# these 432 runs failed reconstruction (worst 1.20 of the bound, spreads
+# 4.7e-9 to 1e-7, n 5 and 6, all at 1e3 and 9e5).
+@pytest.mark.parametrize("spread", np.logspace(np.log10(3e-9), -7, 9).tolist(),
+                         ids=lambda s: f"{s:.2g}")
+def test_small_clusters_stress(spread):
+    for n in (5, 6):
+        for seed in range(12):
+            q = _gram_schmidt_unitary(seed, n)
+            z = _clusters(n, np.random.default_rng(seed), spread)
+            for norm in (1e3, 9e5):
+                t = OperatorMatrix((q * (norm * z / np.max(np.abs(z))))
+                                   @ q.conj().T)
+                _passes(t, norm, (n, seed, norm))

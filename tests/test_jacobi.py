@@ -29,10 +29,10 @@ from spectral_forge.linalg import (
 from spectral_forge.measures import pvm_from_normal
 
 
-def ref_jacobi_hermitian(matrix, atol):
+def ref_jacobi_hermitian(matrix):
     m = np.asarray(matrix, dtype=np.complex128)
     w = (m + m.conj().T) / 2.0
-    off_target = atol * (1.0 + np.linalg.norm(w))
+    off_target = linalg.ATOL * (1.0 + np.linalg.norm(w))
     n = w.shape[0]
     vt = np.eye(n, dtype=np.complex128)
     budget = linalg.JACOBI_BUDGET_FACTOR * n * n
@@ -131,8 +131,8 @@ def _check_system(w, vals, vecs):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_the_linear_threshold_kernel(case):
     w = CASES[case]()
-    vals, vecs = _jacobi_hermitian(w, 1e-12)
-    ref_vals, _ = ref_jacobi_hermitian(w, 1e-12)
+    vals, vecs = _jacobi_hermitian(w)
+    ref_vals, _ = ref_jacobi_hermitian(w)
     _check_system(w, vals, vecs)
     # both kernels stop at the relative floor: on a graded matrix they
     # agree to eps relative to each eigenvalue, far below eps ||W||
@@ -149,8 +149,8 @@ def test_graded_eigenvalues_keep_relative_accuracy(seed):
     n = 6 + 3 * seed
     w = _graded(100 + seed, n, 14)
     perm = np.random.default_rng(seed).permutation(n)
-    a = np.sort(_jacobi_hermitian(w, 1e-12)[0])
-    b = np.sort(_jacobi_hermitian(w[np.ix_(perm, perm)], 1e-12)[0])
+    a = np.sort(_jacobi_hermitian(w)[0])
+    b = np.sort(_jacobi_hermitian(w[np.ix_(perm, perm)])[0])
     assert a.min() < 1e-20 * a.max()
     assert np.all(np.abs(a - b) <= 8 * n * _EPS * a)
 
@@ -164,7 +164,7 @@ def test_refused_pivot_under_accepted_mass_still_turns():
     w = np.diag([1.0, 1.0, 1e-30, 1e-30]).astype(complex)
     w[0, 1] = w[1, 0] = 1e-17
     w[2, 3] = w[3, 2] = 1e-36
-    vals = np.sort(_jacobi_hermitian(w, 1e-12)[0])
+    vals = np.sort(_jacobi_hermitian(w)[0])
     want = np.array([1e-30 - 1e-36, 1e-30 + 1e-36])
     assert np.all(np.abs(vals[:2] - want) <= 4 * _EPS * want)
 
@@ -210,9 +210,9 @@ def test_tiny_off_diagonal_under_a_normal_peak_still_turns():
 def test_blocks_of_any_width_give_the_same_system(monkeypatch):
     # blocks of 3 pairs, the last one short, against one block per round
     w = _random_hermitian(21, 21)
-    one = _jacobi_hermitian(w, 1e-12)
+    one = _jacobi_hermitian(w)
     monkeypatch.setattr(linalg, "_BLOCK_BYTES", 3 * 16 * 21)
-    vals, vecs = _jacobi_hermitian(w, 1e-12)
+    vals, vecs = _jacobi_hermitian(w)
     _check_system(w, vals, vecs)
     np.testing.assert_allclose(np.sort(vals), np.sort(one[0]),
                                rtol=0, atol=32 * 21 * _EPS)
@@ -229,7 +229,7 @@ def test_budget_zero_gives_the_same_outcome(case, monkeypatch):
     outcomes = []
     for kernel in (_jacobi_hermitian, ref_jacobi_hermitian):
         try:
-            vals, _ = kernel(w, 1e-12)
+            vals, _ = kernel(w)
             outcomes.append(("returned", np.sort(vals).tolist()))
         except NoConvergence as exc:
             outcomes.append(("raised", str(exc)))
@@ -251,7 +251,7 @@ def test_unitary_hermitian_part_converges_quadratically(monkeypatch):
 
     monkeypatch.setattr(linalg, "_off_diagonal_norm", counted)
     t = generate(OperatorSpec("random_unitary", dim=32, seed=5))
-    _jacobi_hermitian(t.array, 1e-12)
+    _jacobi_hermitian(t.array)
     assert len(heads) <= 11
 
 
@@ -266,7 +266,7 @@ def test_kernel_peak_memory_at_n_256():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        vals, vecs = _jacobi_hermitian(h, 1e-12)
+        vals, vecs = _jacobi_hermitian(h)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

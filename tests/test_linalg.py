@@ -95,7 +95,7 @@ def test_tolerances_defaults_and_validation():
     with pytest.raises(ValueError):
         Tolerances(rtol=-1e-10)
     with pytest.raises(ValueError):
-        Tolerances(atol=0.0)
+        Tolerances(cluster=0.0)
 
 
 def test_hermitian_eig_hand_values_real_symmetric():
@@ -152,16 +152,18 @@ def test_jacobi_budget_exhaustion(monkeypatch):
     m = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(NoConvergence,
                        match="sweep budget of 0 rotations exhausted"):
-        linalg._jacobi_hermitian(m, 1e-14)
+        linalg._jacobi_hermitian(m)
 
 
-def test_jacobi_target_below_rounding_floor_raises():
+def test_jacobi_target_below_rounding_floor_raises(monkeypatch):
     # the mass left at the relative stopping point is about eps ||M||,
     # far above an absolute target of 1e-20
+    from spectral_forge import linalg
+    monkeypatch.setattr(linalg, "ATOL", 1e-20)
     m = random_hermitian(np.random.default_rng(3), 8)
     with pytest.raises(NoConvergence,
                        match="reached the relative rounding floor"):
-        hermitian_eig(m, Tolerances(atol=1e-20))
+        hermitian_eig(m)
 
 
 def test_jacobi_stops_at_relative_rounding_floor(monkeypatch):
@@ -325,7 +327,7 @@ def test_one_sided_budget_exhaustion(monkeypatch):
     m = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(NoConvergence,
                        match="sweep budget of 0 rotations exhausted"):
-        linalg._jacobi_one_sided(m, 1e-14)
+        linalg._jacobi_one_sided(m)
 
 
 def test_one_sided_graded_relative_accuracy():
@@ -347,7 +349,7 @@ def test_one_sided_graded_relative_accuracy():
         want += list(s * np.linalg.svd(c, compute_uv=False))
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     g = (q @ x)[:, rng.permutation(n)]
-    sigma, cols = _jacobi_one_sided(g, 1e-12)
+    sigma, cols = _jacobi_one_sided(g)
     want = np.sort(want)
     rel = np.abs(np.sort(sigma) - want) / want
     assert rel.max() <= 8 * n * np.finfo(np.float64).eps

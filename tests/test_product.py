@@ -399,12 +399,10 @@ def test_rectangle_gap_matches_dense_product(n, r1, r2, shift, log_delta,
                                              seed):
     # pair by pair, tilted or not, against the literal n x n product; the
     # examples put a one-column atom on either side of the closed form
-    from spectral_forge.linalg import DEFAULT_TOLERANCES
     from spectral_forge.product import _intersection, _outside_norm, _pairs
     e1, e2, _ = _pair(n, r1, r2, shift, log_delta, seed)
     for _, _, u, w, block, _ in _pairs(e1, e2, 0.0):
-        atom = _intersection(u, block, _outside_norm(u, w, block),
-                             DEFAULT_TOLERANCES)
+        atom = _intersection(u, block, _outside_norm(u, w, block))
         if atom is None:
             continue
         z, gap = atom

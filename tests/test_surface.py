@@ -1,11 +1,13 @@
 """The public surface is pinned: adding or removing a name is a deliberate edit."""
 
+import argparse
+import dataclasses
 import inspect
 
 import pytest
 
 import spectral_forge
-from spectral_forge import errors, linalg, measures, product
+from spectral_forge import cli, decomposition, errors, linalg, measures, product
 from spectral_forge.gallery import KINDS, OperatorSpec
 
 PACKAGE = [
@@ -53,6 +55,7 @@ def test_all_is_pinned_and_resolves(module, names):
     ("spectral_forge.linalg", "adjoint"),
     ("spectral_forge.pipeline", "pipeline_tolerance"),
     ("spectral_forge.pipeline", "SINGULAR_MARGIN"),
+    ("spectral_forge.linalg", "_norm_in_frame"),
 ])
 def test_removed_names_cannot_be_imported(module, name):
     for where in ("spectral_forge", module):
@@ -73,3 +76,34 @@ def test_removed_entry_points_are_gone():
         assert "own" not in inspect.signature(rule).parameters
     assert list(inspect.signature(linalg._refuse_past_scale_limit).parameters
                 ) == ["m"]
+
+
+def test_absolute_floor_is_a_constant_not_a_knob():
+    # linalg.ATOL is read where it is used: nothing carries it
+    fields = [f.name for f in dataclasses.fields(linalg.Tolerances)]
+    assert fields == ["rtol", "cluster"]
+    for kernel in (linalg._jacobi_hermitian, linalg._jacobi_one_sided):
+        assert list(inspect.signature(kernel).parameters) == ["matrix"]
+    assert list(inspect.signature(linalg.op_norm_2).parameters) == ["m"]
+    assert list(inspect.signature(decomposition.norm_bounds).parameters
+                ) == ["d"]
+    assert "tol" not in inspect.signature(product._intersection).parameters
+
+
+def test_cli_options_are_pinned():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in p._actions for o in a.option_strings
+                        if o.startswith("--"))
+           for name, p in sub.choices.items()}
+    solve = ["--cluster", "--help", "--input", "--tol-rel"]
+    assert got == {
+        "decompose": sorted(solve + ["--emit", "--output"]),
+        "spectrum": sorted(solve + ["--emit", "--output"]),
+        "pipeline": sorted(solve + ["--cross-check", "--emit",
+                                    "--force-scale", "--output"]),
+        "verify": sorted(solve + ["--decomposition", "--dir", "--output",
+                                  "--pvm"]),
+        "gen": ["--dim", "--help", "--kind", "--output", "--scale", "--seed"],
+    }
