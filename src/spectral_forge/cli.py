@@ -39,13 +39,8 @@ _USAGE_ERRORS = (ParseError, BadSpec, FileError, DimensionMismatch)
 
 
 def _tolerances(args) -> Tolerances:
-    kwargs = {}
-    if args.tol_rel is not None:
-        kwargs["rtol"] = args.tol_rel
-    if args.cluster is not None:
-        kwargs["cluster"] = args.cluster
     try:
-        return Tolerances(**kwargs)
+        return Tolerances(cluster=args.cluster)
     except ValueError as exc:
         raise BadSpec(str(exc))
 
@@ -73,10 +68,9 @@ def _summarize(label: str, report: VerificationReport) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    tol = _tolerances(args)
     t = _read_input(args)
-    d = decompose(t, tol)
-    report = verify(t, d, tol)
+    d = decompose(t)
+    report = verify(t, d)
     if args.emit == "report":
         doc = io.report_to_doc(report)
     else:
@@ -87,7 +81,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _pvm_report(t: OperatorMatrix, e, tol: Tolerances) -> VerificationReport:
-    return pvm_validate(e, tol).extended([_reconstruction_check(t, e, tol)])
+    return pvm_validate(e, tol).extended([_reconstruction_check(t, e)])
 
 
 def _cmd_spectrum(args) -> int:
@@ -177,11 +171,11 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str,
     if part == "decomposition":
         t, d = io.decomposition_from_doc(doc, where=name)
         t = t if t is not None else operator
-        return None if t is None else verify(t, d, tol)
+        return None if t is None else verify(t, d)
     atoms = doc.get("atoms") if isinstance(doc, dict) else None
     if (isinstance(atoms, list) and atoms and isinstance(atoms[0], dict)
             and "t" in atoms[0]):
-        return product_validate(io.product_from_doc(doc, where=name), tol)
+        return product_validate(io.product_from_doc(doc, where=name))
     e = io.pvm_from_doc(doc, where=name)
     if e.of == "T" and operator is not None and operator.dim == e.dim:
         return _pvm_report(operator, e, tol)
@@ -265,17 +259,15 @@ def _cmd_gen(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     # Shared flags, grouped by the subcommands that read them.
-    solve = argparse.ArgumentParser(add_help=False)
-    solve.add_argument("--tol-rel", type=float, default=None, metavar="X",
-                       help="relative tolerance (default 1e-10 times the "
-                            "dimension)")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", metavar="FILE",
+                        help="input operator file")
+    solve = argparse.ArgumentParser(add_help=False, parents=[source])
     solve.add_argument("--cluster", type=float, default=None, metavar="X",
                        help="absolute radius within which the atoms of T's "
                             "measure join; E_A and E_B keep their own rules "
                             "(default: points join within 1e-8 of their own "
                             "size)")
-    solve.add_argument("--input", metavar="FILE",
-                       help="input operator file")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", metavar="FILE",
                         help="write the JSON result here instead of stdout")
@@ -289,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Operator decomposition and spectral measure toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", parents=[solve, output, emit],
+    p = sub.add_parser("decompose", parents=[source, output, emit],
                        help="split a normal operator into its bounded pair")
     p.set_defaults(func=_cmd_decompose)
 

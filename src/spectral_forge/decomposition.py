@@ -32,15 +32,14 @@ from .linalg import (
     ATOL,
     EigenSystem,
     OperatorMatrix,
-    Tolerances,
     _eigensystem,
     _jacobi_one_sided,
     _power_of_two_scaled,
     _refuse_past_scale_limit,
-    _resolve,
     is_hermitian,
     is_normal,
     op_norm_2,
+    rel,
 )
 from .report import VerificationReport
 
@@ -95,7 +94,7 @@ def _complement(u: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _bounded_pair(t: OperatorMatrix, tol: Tolerances
+def _bounded_pair(t: OperatorMatrix
                   ) -> tuple[Decomposition, EigenSystem, np.ndarray]:
     """``(D, E, U* B U)`` from one one-sided Jacobi solve of T.
 
@@ -117,7 +116,7 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
     (NotNormal), then an entry past 2^128 refused (ScaleLimit); below
     it, T is scaled by a power of two when a norm would leave the float range.
     """
-    if not is_normal(t, tol):
+    if not is_normal(t):
         raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
     _refuse_past_scale_limit(t)
     scaled, e = _power_of_two_scaled(t.array)
@@ -149,17 +148,16 @@ def _bounded_pair(t: OperatorMatrix, tol: Tolerances
                          float(sigma.max())), es, b_local
 
 
-def decompose(t: OperatorMatrix, tol: Tolerances | None = None) -> Decomposition:
+def decompose(t: OperatorMatrix) -> Decomposition:
     """Split a normal T into its bounded pair, from one solve of T.
 
     Raises NotNormal on a non-normal input, then ScaleLimit past an
     entry of 2^128, where the I + T*T of ``verify`` would overflow.
     """
-    return _bounded_pair(t, _resolve(tol))[0]
+    return _bounded_pair(t)[0]
 
 
-def verify(t: OperatorMatrix, d: Decomposition,
-           tol: Tolerances | None = None) -> VerificationReport:
+def verify(t: OperatorMatrix, d: Decomposition) -> VerificationReport:
     """Measure every defining identity of a decomposition.
 
     Residuals reported (Frobenius norms throughout):
@@ -182,12 +180,11 @@ def verify(t: OperatorMatrix, d: Decomposition,
     entry of T, A or B past 2^128 is refused with ScaleLimit before any
     product is formed.
     """
-    tol = _resolve(tol)
     if t.dim != d.dim:
         raise DimensionMismatch("operator and decomposition dimensions differ")
     for m in (t, d.a, d.b):
         _refuse_past_scale_limit(m)
-    rel = tol.rel(t.dim)
+    base = rel(t.dim)
     ta = t.array
     aa = d.a.array
     ba = d.b.array
@@ -204,8 +201,8 @@ def verify(t: OperatorMatrix, d: Decomposition,
     fro_a = float(np.linalg.norm(aa))
     fro_b = float(np.linalg.norm(ba))
 
-    margin_bound = 1.0 / (1.0 + op_t * op_t) - rel
-    identity_bound = IDENTITY_FACTOR * rel * (1.0 + op_t)
+    margin_bound = 1.0 / (1.0 + op_t * op_t) - base
+    identity_bound = IDENTITY_FACTOR * base * (1.0 + op_t)
     gram = ta.conj().T @ ta
     gram = (gram + gram.conj().T) / 2.0 + np.eye(t.dim)  # I + T*T
     bh = ba.conj().T
@@ -213,9 +210,9 @@ def verify(t: OperatorMatrix, d: Decomposition,
         ("injectivity_margin", min_eig_a, margin_bound,
          min_eig_a >= margin_bound),
         ("reconstruction", float(np.linalg.norm(gram @ ba - ta)),
-         RECONSTRUCTION_FACTOR * rel * (1.0 + fro_t)),
+         RECONSTRUCTION_FACTOR * base * (1.0 + fro_t)),
         ("commutator", float(np.linalg.norm(aa @ ba - ba @ aa)),
-         rel * fro_a * fro_b + ATOL),
+         base * fro_a * fro_b + ATOL),
         ("claim_product", float(np.linalg.norm(aa @ ta - ba)), identity_bound),
         ("adjoint_identity", float(np.linalg.norm(bh - ta.conj().T @ aa)),
          identity_bound),
@@ -224,7 +221,7 @@ def verify(t: OperatorMatrix, d: Decomposition,
         ("normality_defect_b", float(np.linalg.norm(bh @ ba - ba @ bh)),
          identity_bound),
     ]
-    if is_hermitian(t, tol):
+    if is_hermitian(t):
         checks.append(("hermitian_defect_b", float(np.linalg.norm(ba - bh)),
                        identity_bound))
     return VerificationReport.from_checks(checks)

@@ -28,11 +28,11 @@ class NonFiniteValue(SpectralForgeError):
 
 
 class NotHermitian(SpectralForgeError):
-    """Input fails the Hermitian test at the requested tolerance."""
+    """Input fails the Hermitian test at the relative tolerance rel(n)."""
 
 
 class NotNormal(SpectralForgeError):
-    """Input fails the normality test at the requested tolerance."""
+    """Input fails the normality test at the relative tolerance rel(n)."""
 
 
 class NoConvergence(SpectralForgeError):

@@ -63,6 +63,10 @@ _WEIGHT_REL = 3e-8
 # bounds that must not fall to 0 with the operator.
 ATOL = 1e-12
 
+# Relative tolerance per dimension: every relative bound on C^n scales
+# ``rel(n) = REL n``, read at call time.
+REL = 1e-10
+
 # Largest block of rows or columns one two-sided Jacobi update gathers.
 # Only rounds of more than 128 KB split, n > 128.  A round gathered whole
 # (295 KB of columns at n = 192) costs more to allocate than to rotate:
@@ -81,13 +85,13 @@ _SCALE_LIMIT = 2.0 ** 128
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle shared by every numerical routine.
+    """The one tolerance a caller sets: the radius at which T's atoms join.
+
+    Every other bound is fixed: relative ones scale with ``rel(n)`` and
+    absolute floors are ``ATOL``.
 
     Parameters
     ----------
-    rtol : float or None
-        Relative tolerance.  When None it defaults to ``1e-10 * n`` at
-        the point of use, where n is the matrix dimension.
     cluster : float or None
         Absolute radius within which the atoms of a measure of T join;
         E_A, E_B and ``normal_eig``'s split keep their own rules
@@ -96,20 +100,13 @@ class Tolerances:
         |point|, and never past ``cluster_radius(s)``.
     """
 
-    rtol: float | None = None
     cluster: float | None = None
 
     def __post_init__(self):
-        for name in ("rtol", "cluster"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-
-    def rel(self, dim: int) -> float:
-        """Relative tolerance for matrices on C^dim."""
-        return self.rtol if self.rtol is not None else 1e-10 * dim
+        if self.cluster is not None and (not np.isfinite(self.cluster)
+                                         or self.cluster <= 0.0):
+            raise ValueError(
+                f"cluster must be strictly positive, got {self.cluster!r}")
 
     def cluster_radius(self, scale: float) -> float:
         """Cap of the default rule up to ``scale``: ``1e-8 (1 + scale)``."""
@@ -121,6 +118,11 @@ DEFAULT_TOLERANCES = Tolerances()
 
 def _resolve(tol: Tolerances | None) -> Tolerances:
     return DEFAULT_TOLERANCES if tol is None else tol
+
+
+def rel(n: int) -> float:
+    """Relative tolerance for matrices on C^n: ``REL n``."""
+    return REL * n
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,28 +248,24 @@ def frobenius(m: OperatorMatrix) -> float:
     return _norm(m.array)
 
 
-def is_hermitian(m: OperatorMatrix, tol: Tolerances | None = None) -> bool:
-    """True when ``||M - M*||_F <= rel ||M||_F``, rel = max(rtol, n eps).
+def is_hermitian(m: OperatorMatrix) -> bool:
+    """True when ``||M - M*||_F <= rel(n) ||M||_F``.
 
     Both sides scale with M, so s M gets the verdict of M for every
-    s > 0.  The floor n eps is the rounding level of the products this
-    test and ``is_normal`` form: a tiny rtol tightens the residual checks
-    that share it without calling every computed matrix non-normal.
+    s > 0.
     """
-    tol = _resolve(tol)
     a, _ = _power_of_two_scaled(m.array)
     defect = np.linalg.norm(a - a.conj().T)
-    return bool(defect <= max(tol.rel(m.dim), m.dim * _EPS) * np.linalg.norm(a))
+    return bool(defect <= rel(m.dim) * np.linalg.norm(a))
 
 
-def is_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> bool:
-    """True when ``||M*M - MM*||_F <= rel ||M||_F^2``, rel as in ``is_hermitian``."""
-    tol = _resolve(tol)
+def is_normal(m: OperatorMatrix) -> bool:
+    """True when ``||M*M - MM*||_F <= rel(n) ||M||_F^2``."""
     a, _ = _power_of_two_scaled(m.array)
     ah = a.conj().T
     defect = np.linalg.norm(ah @ a - a @ ah)
     fro = np.linalg.norm(a)
-    return bool(defect <= max(tol.rel(m.dim), m.dim * _EPS) * fro * fro)
+    return bool(defect <= rel(m.dim) * fro * fro)
 
 
 def _off_diagonal_norm(w: np.ndarray) -> float:
@@ -515,24 +513,22 @@ def _eigensystem(vals: np.ndarray, vecs: np.ndarray) -> EigenSystem:
                        vals[order])
 
 
-def hermitian_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
+def hermitian_eig(m: OperatorMatrix) -> EigenSystem:
     """Diagonalize a Hermitian matrix.
 
     Parameters
     ----------
     m : OperatorMatrix
-        Hermitian input; checked first (NotHermitian on failure), then
-        ScaleLimit past an entry of 2^128.
-    tol : Tolerances, optional
-        Relative tolerance of the Hermitian test.
+        Hermitian input; checked first against ``rel(n)``
+        (``is_hermitian``; NotHermitian on failure), then ScaleLimit
+        past an entry of 2^128.
 
     Returns
     -------
     EigenSystem
         Real eigenvalues (imaginary parts zeroed) in ascending order.
     """
-    tol = _resolve(tol)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitian("hermitian_eig requires a Hermitian matrix")
     _refuse_past_scale_limit(m)
     return _eigensystem(*_jacobi_hermitian(m.array))
@@ -561,9 +557,9 @@ def _reach(mags: np.ndarray, tol: Tolerances, of: str) -> np.ndarray:
     if of == "T" and tol.cluster is not None:
         return np.full(mags.shape, tol.cluster)
     top = float(np.max(mags, initial=0.0))
-    rel, floor = (_WEIGHT_REL, mags) if of == "A" else (_CLUSTER_REL, top)
+    slope, floor = (_WEIGHT_REL, mags) if of == "A" else (_CLUSTER_REL, top)
     return np.minimum(tol.cluster_radius(top),
-                      rel * mags + 100.0 * _EPS * floor)
+                      slope * mags + 100.0 * _EPS * floor)
 
 
 def _clusters(points: np.ndarray, tol: Tolerances, weights=None,
@@ -637,7 +633,7 @@ def cluster_points(points: np.ndarray, radius: float) -> list[np.ndarray]:
     return np.split(members, offsets[1:-1]) if members.size else []
 
 
-def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
+def normal_eig(m: OperatorMatrix) -> EigenSystem:
     """Diagonalize a normal matrix through its Hermitian/skew split.
 
     Writes ``M = H + iK`` with ``H = (M + M*)/2`` and ``K = (M - M*)/(2i)``,
@@ -651,14 +647,13 @@ def normal_eig(m: OperatorMatrix, tol: Tolerances | None = None) -> EigenSystem:
     Raises NotNormal when the commutator test fails, first, ScaleLimit
     past an entry of 2^128 and NoConvergence when a Jacobi stage stalls.
     """
-    tol = _resolve(tol)
-    if not is_normal(m, tol):
+    if not is_normal(m):
         raise NotNormal("normal_eig requires a normal matrix")
     _refuse_past_scale_limit(m)
-    return _normal_eig(m, tol)
+    return _normal_eig(m)
 
 
-def _normal_eig(m: OperatorMatrix, tol: Tolerances) -> EigenSystem:
+def _normal_eig(m: OperatorMatrix) -> EigenSystem:
     """``normal_eig`` past its checks, for a caller that made them."""
     a = m.array
     n = m.dim
@@ -668,7 +663,7 @@ def _normal_eig(m: OperatorMatrix, tol: Tolerances) -> EigenSystem:
     h_vecs = h_vecs[:, order]
     # H's vectors are as good as eps ||M|| over H's gaps: cut H's sorted
     # eigenvalues where a step passes the default rule's absolute radius
-    cuts = np.diff(h_vals) > tol.cluster_radius(np.abs(h_vals).max())
+    cuts = np.diff(h_vals) > _CLUSTER_REL * (1.0 + np.abs(h_vals).max())
     offsets = np.concatenate(([0], np.flatnonzero(cuts) + 1, [n]))
     kh = ((a - a.conj().T) / 2.0j) @ h_vecs
     vals = h_vals + 1.0j * np.einsum("ij,ij->j", h_vecs.conj(), kh).real

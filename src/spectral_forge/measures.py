@@ -30,6 +30,7 @@ from .linalg import (
     _resolve,
     frobenius,
     normal_eig,
+    rel,
 )
 from .report import VerificationReport
 
@@ -210,14 +211,15 @@ class SpectralMeasure(_AtomStore):
 def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> SpectralMeasure:
     """Spectral measure of a normal matrix.
 
-    Eigenvalues that cluster (``_clusters``) collapse into a single
-    atom located at the cluster mean, whose projection spans all the
-    member eigenvectors.  Raises NotNormal or NoConvergence from the
+    Eigenvalues that cluster (``_clusters``; ``tol.cluster`` is one
+    absolute radius when given) collapse into a single atom located at
+    the cluster mean, whose projection spans all the member
+    eigenvectors.  Raises NotNormal or NoConvergence from the
     underlying eigendecomposition.
     """
-    tol = _resolve(tol)
-    es = normal_eig(m, tol)
-    return _merged(es.eigenvalues, es.unitary.array, np.arange(es.dim + 1), tol)
+    es = normal_eig(m)
+    return _merged(es.eigenvalues, es.unitary.array, np.arange(es.dim + 1),
+                   _resolve(tol))
 
 
 def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
@@ -236,17 +238,18 @@ def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
 
 
 def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
-                      tol: Tolerances | None = None,
                       of: str = "T") -> SpectralMeasure:
     """Spectral measure of a normal M given in a frame as ``V* M V``.
 
     For a unitary ``frame`` V the matrix V* M V is unitarily similar to
-    M, so ``pvm_from_normal`` finds the same atoms, and one product with
-    V maps their bases back.  A frame that nearly diagonalizes M, such as
-    the eigenbasis of an operator commuting with it, leaves only
-    rounding-level mass off the diagonal and saves Jacobi sweeps.
+    M, so ``pvm_from_normal`` finds the same atoms, joined by the default
+    rule (an explicit radius is for the measure of T, which is never
+    solved in a frame), and one product with V maps their bases back.
+    A frame that nearly diagonalizes M, such as the eigenbasis of an
+    operator commuting with it, leaves only rounding-level mass off the
+    diagonal and saves Jacobi sweeps.
     """
-    e = pvm_from_normal(OperatorMatrix(local), tol)
+    e = pvm_from_normal(OperatorMatrix(local))
     return SpectralMeasure(e.dim, e.points, bases=_Blocks(
         frame @ e.stacked_basis(), e.offsets), of=of)
 
@@ -260,11 +263,10 @@ def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:
     return e._weighted_sum(weights)
 
 
-def _reconstruction_check(t: OperatorMatrix, e: SpectralMeasure,
-                          tol: Tolerances) -> tuple:
+def _reconstruction_check(t: OperatorMatrix, e: SpectralMeasure) -> tuple:
     """``||sum z_k P_k - T||_F`` against ``100 rel(n) (1 + ||T||_F)``."""
     return ("reconstruction", frobenius(pvm_integrate(lambda z: z, e) - t),
-            RECONSTRUCTION_FACTOR * tol.rel(t.dim) * (1.0 + frobenius(t)))
+            RECONSTRUCTION_FACTOR * rel(t.dim) * (1.0 + frobenius(t)))
 
 
 def _block_norms(m: np.ndarray, row_offsets: np.ndarray,
@@ -317,14 +319,14 @@ def _dense_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
     return float(idem), float(herm), float(ortho), float(completeness)
 
 
-def _store_checks(e: _AtomStore, tol: Tolerances) -> list[tuple]:
+def _store_checks(e: _AtomStore) -> list[tuple]:
     """Projection system checks shared by measures and product measures.
 
     Records, in order, for idempotency, hermitian_defect, orthogonality,
     completeness (each held to ``10 rel(n)``) and rank_deficit (held to
     zero).
     """
-    bound = PVM_FACTOR * tol.rel(e.dim)
+    bound = PVM_FACTOR * rel(e.dim)
     invariants = _factored_invariants if e.bases is not None else _dense_invariants
     idem, herm, ortho, completeness = invariants(e)
     return [
@@ -345,18 +347,18 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     radius of the pair of atoms nearest to joining, by the rule of the
     measure's ``of`` (``_reach``): within 1e-8 of its own size above 100
     eps of the largest point (for A, 3e-8 plus 100 eps of its own size),
-    never past ``tol.cluster_radius``; ``tol.cluster`` is one absolute
-    radius for a measure of T alone.  A single atom has no pair to keep
-    apart, so its report has no gap record.  Always returns a report.
+    never past ``Tolerances.cluster_radius``.  ``tol`` is read for that
+    radius alone: its ``cluster`` is one absolute radius for a measure
+    of T, and every other bound is fixed.  A single atom has no pair to
+    keep apart, so its report has no gap record.  Always returns a report.
     Factored atoms are judged from the Gram matrix of their stacked
     basis, their Hermitian defect 0 by construction; dense atoms are
     measured as stored.
     """
-    tol = _resolve(tol)
-    checks = _store_checks(e, tol)
+    checks = _store_checks(e)
     if e.num_atoms > 1:
         pts = e.points
-        reach = _reach(np.abs(pts), tol, e.of)
+        reach = _reach(np.abs(pts), _resolve(tol), e.of)
         gaps = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(gaps, np.inf)
         radii = np.maximum.outer(reach, reach)

@@ -39,13 +39,13 @@ documented range, read off the same solve, is refused after it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decomposition import Decomposition, _bounded_pair
 from .errors import ScaleLimit
-from .linalg import OperatorMatrix, Tolerances, _normal_eig, _resolve
+from .linalg import OperatorMatrix, Tolerances, _normal_eig, _resolve, rel
 from .measures import (PVM_FACTOR, SpectralMeasure, _measure_in_frame,
                        _merged, _range_gap, _reconstruction_check)
 from .product import ProductMeasure, product_measure, pushforward
@@ -96,6 +96,9 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         can round an ulp above the true one, so an input of norm exactly
         ``NORM_LIMIT`` may be refused.
     tol : Tolerances, optional
+        Read where T's atoms join, in the pushforward and the direct
+        measure: its ``cluster`` is one absolute radius for them.  E_A
+        and E_B keep their own rules, and every bound is fixed.
     direct_check : bool
         Also diagonalize T directly and fold the atom-matching residuals
         into the report.
@@ -113,7 +116,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     """
     tol = _resolve(tol)
     n = t.dim
-    d, es_a, b_local = _bounded_pair(t, tol)
+    d, es_a, b_local = _bounded_pair(t)
     source_norm = d.source_norm
     if source_norm > NORM_LIMIT and not force_scale:
         raise ScaleLimit(
@@ -127,31 +130,30 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     # E_A's points ascend, so each atom is a run of U's columns, in order
     atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
     b_local[atom[:, None] != atom] = 0.0
-    e2 = _measure_in_frame(b_local, es_a.unitary.array,
-                           replace(tol, cluster=None), of="B")
+    e2 = _measure_in_frame(b_local, es_a.unitary.array, of="B")
     del es_a, b_local  # two n x n arrays fewer under product_measure's peak
-    prod = product_measure(e1, e2, tol)
+    prod = product_measure(e1, e2)
     measure = pushforward(prod, lambda t, w: (1.0 / t) * w, tol)
     checks = [
         ("atom_count", float(measure.num_atoms), float(n),
          1 <= measure.num_atoms <= n),
-        _reconstruction_check(t, measure, tol),
+        _reconstruction_check(t, measure),
         ("e2_support_excess", max(0.0, e2.support_radius - 0.5),
-         PVM_FACTOR * tol.rel(n)),
+         PVM_FACTOR * rel(n)),
     ]
     direct = None
     if direct_check:
         # _bounded_pair has tested T's normality and scale: no second test
-        es = _normal_eig(t, tol)
+        es = _normal_eig(t)
         direct = _merged(es.eigenvalues, es.unitary.array, np.arange(n + 1),
                          tol)
-        checks += _match_measures(measure, direct, tol, source_norm)
+        checks += _match_measures(measure, direct, source_norm)
     report = VerificationReport.from_checks(checks)
     return PipelineResult(d, e1, e2, prod, measure, report, direct)
 
 
 def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
-                    tol: Tolerances, scale: float) -> list[tuple]:
+                    scale: float) -> list[tuple]:
     """Check records of a greedy nearest-pair matching of two atom systems.
 
     Pairs atoms by point distance inside the acceptance radius
@@ -180,6 +182,6 @@ def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,
     unmatched = int(np.count_nonzero(~used_a) + np.count_nonzero(~used_b))
     return [
         ("cross_point_gap", point_gap, radius),
-        ("cross_projection_gap", projection_gap, 1e4 * tol.rel(result.dim)),
+        ("cross_projection_gap", projection_gap, 1e4 * rel(result.dim)),
         ("cross_unmatched", float(unmatched), 0.0),
     ]

@@ -26,6 +26,7 @@ from .linalg import (
     _jacobi_one_sided,
     _ranges,
     _resolve,
+    rel,
 )
 from .measures import (
     PVM_FACTOR,
@@ -117,8 +118,7 @@ def _basis_defects(stacked: np.ndarray, off: np.ndarray) -> np.ndarray:
     return defects
 
 
-def _pairs(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
-           tol: Tolerances | None = None):
+def _pairs(e1: SpectralMeasure, e2: SpectralMeasure, floor: float):
     """Atom pairs whose cross block mass is above ``floor``, row-major.
 
     Yields ``(i, j, u_i, w_j, C, mass)``: atom i of the first factor with
@@ -130,7 +130,7 @@ def _pairs(e1: SpectralMeasure, e2: SpectralMeasure, floor: float,
     DimensionMismatch names the first atom whose defect exceeds the
     commutation threshold.
     """
-    limit = _commute_threshold(e1.dim, _resolve(tol))
+    limit = _commute_threshold(e1.dim)
     s1 = e1.stacked_basis()
     s2 = e2.stacked_basis()
     off1, off2 = e1.offsets, e2.offsets
@@ -192,13 +192,12 @@ def _intersection(ui: np.ndarray, block: np.ndarray, outside: float):
     return ui @ y, float(np.hypot(inside, outside))
 
 
-def _commute_threshold(n: int, tol: Tolerances) -> float:
+def _commute_threshold(n: int) -> float:
     """Commutator norm above which two projections do not commute."""
-    return PVM_FACTOR * tol.rel(n) + ATOL
+    return PVM_FACTOR * rel(n) + ATOL
 
 
-def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
-                  tol: Tolerances | None = None) -> bool:
+def commute_check(e1: SpectralMeasure, e2: SpectralMeasure) -> bool:
     """True when every projection of e1 commutes with every one of e2.
 
     For P = u u* and Q = w w* with orthonormal u and w, C = u* w and
@@ -210,17 +209,14 @@ def commute_check(e1: SpectralMeasure, e2: SpectralMeasure,
     below a quarter of the threshold are accepted unmeasured.  Raises
     DimensionMismatch when an atom basis is not orthonormal.
     """
-    tol = _resolve(tol)
     if e1.dim != e2.dim:
         raise DimensionMismatch("measures act on different dimensions")
-    threshold = _commute_threshold(e1.dim, tol)
+    threshold = _commute_threshold(e1.dim)
     return all(np.sqrt(2.0) * _outside_norm(ui, wj, block) <= threshold
-               for _, _, ui, wj, block, _ in _pairs(e1, e2, threshold / 4.0,
-                                                    tol))
+               for _, _, ui, wj, block, _ in _pairs(e1, e2, threshold / 4.0))
 
 
-def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
-                    tol: Tolerances | None = None) -> ProductMeasure:
+def product_measure(e1: SpectralMeasure, e2: SpectralMeasure) -> ProductMeasure:
     """Product of commuting measures, one atom per surviving pair.
 
     The first factor must be supported on the real line.  For each pair
@@ -248,7 +244,6 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
     NotCommuting when the measures fail the commutation test or when a
     product refuses to behave like a projection.
     """
-    tol = _resolve(tol)
     if e1.dim != e2.dim:
         raise DimensionMismatch("measures act on different dimensions")
     n = e1.dim
@@ -259,14 +254,14 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
                 f"atom ranks sum to {sum(e.ranks)}, not the dimension {n}")
     if float(np.max(np.abs(e1.points.imag))) > ATOL:
         raise ValueError("the first factor must be supported on the real line")
-    threshold = _commute_threshold(n, tol)
+    threshold = _commute_threshold(n)
     prune = PRUNE_FACTOR * n
     # A pair that commutes has P_i Q_j near a projection, so "no stable
     # intersection" only follows a pair that failed the commute test.
     screen = threshold / 4.0
     ii, jj, zs = [], [], []
     rectangle = 0.0
-    for i, j, ui, wj, block, mass in _pairs(e1, e2, min(prune, screen), tol):
+    for i, j, ui, wj, block, mass in _pairs(e1, e2, min(prune, screen)):
         outside = _outside_norm(ui, wj, block)
         if mass > screen and np.sqrt(2.0) * outside > threshold:
             raise NotCommuting("projections of the two measures do not commute")
@@ -286,7 +281,7 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure,
         zs.append(z)
     if not zs:
         raise NotCommuting("no atom pair survived pruning")
-    bound = PVM_FACTOR * tol.rel(n)
+    bound = PVM_FACTOR * rel(n)
     if rectangle > bound:
         raise NotCommuting(
             f"product projections deviate from P_i Q_j by {rectangle:.3e}, "
@@ -323,19 +318,17 @@ def marginal_residuals(prod: ProductMeasure, e1: SpectralMeasure,
             gap(prod.w_points, e2.points, e2))
 
 
-def product_validate(prod: ProductMeasure,
-                     tol: Tolerances | None = None) -> VerificationReport:
+def product_validate(prod: ProductMeasure) -> VerificationReport:
     """Projection system invariants of a product measure.
 
     Same residuals as ``pvm_validate`` (atom distinctness aside, since
     product atoms are indexed by pairs), plus the stored rectangle
     residual when available.
     """
-    tol = _resolve(tol)
-    checks = _store_checks(prod, tol)
+    checks = _store_checks(prod)
     if prod.rectangle_residual is not None:
         checks.append(("rectangle", float(prod.rectangle_residual),
-                       PVM_FACTOR * tol.rel(prod.dim)))
+                       PVM_FACTOR * rel(prod.dim)))
     return VerificationReport.from_checks(checks)
 
 
@@ -358,12 +351,12 @@ def pushforward(prod: ProductMeasure, phi,
                 tol: Tolerances | None = None) -> SpectralMeasure:
     """Image measure of a product measure under ``phi(t, w)``.
 
-    Image points that cluster (``_clusters``) merge into one atom at
-    their rank-weighted mean, with the member projections summed (their
-    bases concatenated).  Raises NonFiniteValue when phi is not finite
+    Image points that cluster (``_clusters``, by the rule for T's atoms:
+    ``tol.cluster`` when given) merge into one atom at their
+    rank-weighted mean, with the member projections summed (their bases
+    concatenated).  Raises NonFiniteValue when phi is not finite
     on some atom.
     """
-    tol = _resolve(tol)
     images = []
     for t, w in zip(prod.t_points, prod.w_points):
         value = complex(phi(float(t), complex(w)))
@@ -373,4 +366,4 @@ def pushforward(prod: ProductMeasure, phi,
             )
         images.append(value)
     return _merged(np.array(images, dtype=np.complex128),
-                   prod.stacked_basis(), prod.offsets, tol)
+                   prod.stacked_basis(), prod.offsets, _resolve(tol))

@@ -132,9 +132,9 @@ def ref_measure(es, tol=DEFAULT_TOLERANCES):
     return SpectralMeasure(es.dim, points, bases=bases)
 
 
-def ref_product_measure(e1, e2, tol=DEFAULT_TOLERANCES):
+def ref_product_measure(e1, e2):
     n = e1.dim
-    threshold = _commute_threshold(n, tol)
+    threshold = _commute_threshold(n)
     prune = PRUNE_FACTOR * n
     screen = threshold / 4.0
     s1 = np.hstack([e1.basis(i) for i in range(e1.num_atoms)])
@@ -176,7 +176,7 @@ def ref_product_measure(e1, e2, tol=DEFAULT_TOLERANCES):
         bases.append(z)
     if not t_points:
         raise NotCommuting("no atom pair survived pruning")
-    bound = PVM_FACTOR * tol.rel(n)
+    bound = PVM_FACTOR * linalg.rel(n)
     if rectangle > bound:
         raise NotCommuting(
             f"product projections deviate from P_i Q_j by {rectangle:.3e}, "
@@ -335,7 +335,7 @@ def test_normal_eig_matches_per_cluster_reference(case):
 
 
 def _factors(t):
-    d, es, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
+    d, es, b_local = _bounded_pair(t)
     e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1),
                  DEFAULT_TOLERANCES)
     return e1, _measure_in_frame(b_local, es.unitary.array)
@@ -410,8 +410,9 @@ def _outcome(build, *args):
        scaled=st.sampled_from([None, "e1", "e2"]))
 def test_batched_product_refuses_and_accepts_like_reference(
         n, r1, r2, shift, seed, log_delta, rtol, scaled):
-    # mixed ranks, tilts that break commutation, tolerances loose enough
-    # to reach "no stable intersection", and a scaled atom basis
+    # mixed ranks, tilts that break commutation, relative tolerances
+    # rel(n) = rtol loose enough to reach "no stable intersection", and a
+    # scaled atom basis; both products read the one patched linalg.REL
     e1, e2 = _tilted_pair(n, r1, r2, shift, log_delta, seed)
     factors = {"e1": e1, "e2": e2}
     if scaled is not None:
@@ -419,9 +420,11 @@ def test_batched_product_refuses_and_accepts_like_reference(
         bases = [e.basis(k) for k in range(e.num_atoms)]
         bases[1] = 2.5 * bases[1]  # refused at every tolerance drawn
         factors[scaled] = SpectralMeasure(n, e.points, bases=tuple(bases))
-    tol = Tolerances(rtol=rtol)
-    got = _outcome(product_measure, factors["e1"], factors["e2"], tol)
-    want = _outcome(ref_product_measure, factors["e1"], factors["e2"], tol)
+    with pytest.MonkeyPatch.context() as patch:
+        if rtol is not None:
+            patch.setattr(linalg, "REL", rtol / n)
+        got = _outcome(product_measure, factors["e1"], factors["e2"])
+        want = _outcome(ref_product_measure, factors["e1"], factors["e2"])
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -446,7 +449,7 @@ def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
     # with every atom of rank one, E_B's H solve is the only Jacobi solve
     # left after the one-sided solve of T: no K block, no pair solve
     t = ALL_RANK_ONE[case]()
-    d, es, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
+    d, es, b_local = _bounded_pair(t)
     e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1),
                  DEFAULT_TOLERANCES)
     calls = []
@@ -474,7 +477,7 @@ def test_measure_in_frame_peak_holds_no_per_atom_copy():
     # per-atom split or copy on top (7.2 n x n arrays before)
     import tracemalloc
     n = 256
-    d, es, b_local = _bounded_pair(_shuffled_diagonal(n), DEFAULT_TOLERANCES)
+    d, es, b_local = _bounded_pair(_shuffled_diagonal(n))
     frame = es.unitary.array
     tracemalloc.start()
     try:

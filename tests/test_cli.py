@@ -306,12 +306,19 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
-    # --tol-rel is the one way to set the relative tolerance
-    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
-                 "--dim", "8", "--seed", "3")
-    code, _, _ = run(["decompose", "--input", t, "--tol-rel", "1e-20"], capsys)
+    # the relative tolerance is the constant linalg.REL, read at call
+    # time; no flag or environment variable sets it.  A diagonal T is
+    # normal to the bit, so it passes the normality test at any budget
+    from spectral_forge import linalg
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "multiplication",
+                 "--dim", "8", "--scale", "3")
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "REL", 1e-20 / 8)
+        code, _, _ = run(["decompose", "--input", t], capsys)
     assert code == 1  # residuals cannot clear a 1e-20 relative budget
-    code, _, _ = run(["decompose", "--input", t, "--tol-rel", "1e-9"], capsys)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "REL", 1e-9 / 8)
+        code, _, _ = run(["decompose", "--input", t], capsys)
     assert code == 0
     monkeypatch.setenv("SPECTRAL_FORGE_TOL", "1e-20")
     code, _, _ = run(["decompose", "--input", t], capsys)
@@ -685,6 +692,13 @@ def test_non_object_part_exits_2(tmp_path, capsys):
     ("spectrum", ["--tol-abs", "1e-12"]),
     ("pipeline", ["--tol-abs", "1e-12"]),
     ("verify", ["--tol-abs", "1e-12"]),
+    # decompose joins no atom: it reads no tolerance
+    ("decompose", ["--cluster", "1e-3"]),
+    # the relative tolerance is a constant: no subcommand reads --tol-rel
+    ("decompose", ["--tol-rel", "1e-9"]),
+    ("spectrum", ["--tol-rel", "1e-9"]),
+    ("pipeline", ["--tol-rel", "1e-9"]),
+    ("verify", ["--tol-rel", "1e-9"]),
 ])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command,
                                                flag):
@@ -805,12 +819,12 @@ def test_non_normal_past_2_128_is_refused_as_non_normal(tmp_path, capsys):
 def test_tolerance_flags_are_read_and_checked(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "5", "--seed", "4")
-    code, out, _ = run(["spectrum", "--input", t, "--tol-rel", "1e-8",
+    code, out, _ = run(["spectrum", "--input", t, "--cluster", "1e-8",
                         "--emit", "report"], capsys)
     assert code == 0
     assert set(json.loads(out)) == {"residuals", "pass", "tolerances"}
-    code, _, err = run(["spectrum", "--input", t, "--tol-rel", "-1"], capsys)
-    assert code == 2 and "rtol must be strictly positive" in err
+    code, _, err = run(["spectrum", "--input", t, "--cluster", "-1"], capsys)
+    assert code == 2 and "cluster must be strictly positive" in err
 
 
 def test_verify_dir_of_a_report_finds_nothing_checkable(tmp_path, capsys):

@@ -262,7 +262,6 @@ def test_pair_weights_are_relative_accurate_at_every_norm(kind, n):
     # solve of the formed I + T*T loses eps ||T||^2 of their relative
     # accuracy, 1e-4 at ||T|| = 1e6
     from spectral_forge.decomposition import _bounded_pair
-    from spectral_forge.linalg import DEFAULT_TOLERANCES
     eps = np.finfo(np.float64).eps
     k = np.arange(n)
     for norm in (1e2, 1e4, 1e5, 1e6):
@@ -280,7 +279,7 @@ def test_pair_weights_are_relative_accurate_at_every_norm(kind, n):
             z = 4 * scale * np.sin((k + 1) * np.pi / (2 * (n + 1))) ** 2
             bound = max(4 * n, 2 * z.max() / z.min()) * eps
         t = generate(OperatorSpec(kind, dim=n, scale=scale))
-        d, es, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
+        d, es, _ = _bounded_pair(t)
         source_norm = d.source_norm
         want = np.sort(1.0 / (1.0 + z * z))
         got = es.eigenvalues.real
@@ -314,11 +313,10 @@ def test_null_block_completes_an_orthonormal_eigenbasis(case):
     # U = G/s holds on T's range; on its null modes G is rounding, and
     # the complement of the range columns takes their place
     from spectral_forge.decomposition import _bounded_pair
-    from spectral_forge.linalg import DEFAULT_TOLERANCES
     from spectral_forge.pipeline import spectral_theorem
     t = NULL_BLOCK_CASES[case]()
     n = t.dim
-    _, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
+    _, es_a, _ = _bounded_pair(t)
     u = es_a.unitary.array
     eps = np.finfo(np.float64).eps
     assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 8 * n * eps * np.sqrt(n)
@@ -347,6 +345,6 @@ def test_pair_solve_rotates_only_the_columns(monkeypatch):
     monkeypatch.setattr(linalg, "_rotate_rows", counted_rotate)
     monkeypatch.setattr(linalg, "_rotation", counted_rotation)
     t = generate(OperatorSpec("random_normal", dim=12, scale=10.0, seed=12))
-    _bounded_pair(t, linalg.DEFAULT_TOLERANCES)
+    _bounded_pair(t)
     assert calls["rounds"] > 0
     assert calls["rotate"] == calls["rounds"]

@@ -83,19 +83,21 @@ def test_hermitian_and_normal_predicates():
     assert not is_normal(jordan)
 
 
-def test_tolerances_defaults_and_validation():
+def test_tolerances_defaults_and_validation(monkeypatch):
+    from spectral_forge import linalg
+    assert linalg.rel(10) == pytest.approx(1e-9)
     tol = Tolerances()
-    assert tol.rel(10) == pytest.approx(1e-9)
     assert tol.cluster_radius(4.0) == pytest.approx(5e-8)
-    custom = Tolerances(rtol=1e-6, cluster=1e-3)
-    assert custom.rel(10) == 1e-6
+    custom = Tolerances(cluster=1e-3)
     # the default rule's cap whatever the radius: cluster is read by
     # the measures of T alone
     assert custom.cluster_radius(100.0) == pytest.approx(1e-8 * 101)
-    with pytest.raises(ValueError):
-        Tolerances(rtol=-1e-10)
-    with pytest.raises(ValueError):
-        Tolerances(cluster=0.0)
+    # rel is read at call time: one patched constant moves every bound
+    monkeypatch.setattr(linalg, "REL", 1e-7)
+    assert linalg.rel(10) == pytest.approx(1e-6)
+    for bad in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Tolerances(cluster=bad)
 
 
 def test_hermitian_eig_hand_values_real_symmetric():

@@ -7,8 +7,7 @@ from spectral_forge import linalg, pipeline
 from spectral_forge.decomposition import _bounded_pair
 from spectral_forge.errors import NotNormal, ScaleLimit
 from spectral_forge.gallery import OperatorSpec, generate
-from spectral_forge.linalg import (DEFAULT_TOLERANCES, OperatorMatrix,
-                                   frobenius, op_norm_2)
+from spectral_forge.linalg import OperatorMatrix, frobenius, op_norm_2, rel
 from spectral_forge.measures import (SpectralMeasure, _measure_in_frame,
                                      pvm_from_normal, pvm_integrate,
                                      pvm_validate)
@@ -217,7 +216,7 @@ def test_pipeline_reconstruction_is_the_spectrum_rule(scale):
     t = generate(OperatorSpec("random_normal", dim=8, scale=scale, seed=3))
     res = spectral_theorem(t)
     assert res.report.tolerances["reconstruction"] == \
-        100 * DEFAULT_TOLERANCES.rel(8) * (1.0 + frobenius(t))
+        100 * rel(8) * (1.0 + frobenius(t))
     assert res.report.all_passed
 
 
@@ -275,7 +274,7 @@ def _warm_cases(kind):
     for n in (5, 16, 32):
         for norm in WARM_NORMS:
             t = generate(OperatorSpec(kind, dim=n, scale=norm, seed=n + 3))
-            d, es_a, b_local = _bounded_pair(t, DEFAULT_TOLERANCES)
+            d, es_a, b_local = _bounded_pair(t)
             yield t, d.b, b_local, es_a.unitary.array
 
 
@@ -322,9 +321,9 @@ def test_cross_check_tests_normality_once_per_operator(monkeypatch):
     calls = []
     test = linalg.is_normal
 
-    def counted(m, tol=None):
+    def counted(m):
         calls.append(m.dim)
-        return test(m, tol)
+        return test(m)
 
     for module in [m for name, m in sys.modules.items()
                    if name.split(".")[0] == "spectral_forge"]:
@@ -377,7 +376,7 @@ def test_warm_e2_matches_cold_measure(kind):
         for k in range(cold.num_atoms):
             gap = np.linalg.norm(warm.projection(k).array
                                  - cold.projection(k).array)
-            assert gap <= 10 * DEFAULT_TOLERANCES.rel(n)
+            assert gap <= 10 * rel(n)
 
 
 def test_b_is_normal_to_its_own_rounding_on_a_spectrum_with_0():
@@ -386,7 +385,7 @@ def test_b_is_normal_to_its_own_rounding_on_a_spectrum_with_0():
     # normality test at rel(n) relative to itself; weighted on both
     # sides by W^(1/2), it passes, and the pipeline recovers T
     t = generate(OperatorSpec("momentum_1d", dim=4, scale=1e4))
-    d, es_a, _ = _bounded_pair(t, DEFAULT_TOLERANCES)
+    d, es_a, _ = _bounded_pair(t)
     v = es_a.unitary.array
     assert linalg.is_normal(OperatorMatrix(v.conj().T @ d.b.array @ v))
     res = spectral_theorem(t)
@@ -520,7 +519,7 @@ def test_one_scale_refusal_before_the_solve(monkeypatch, route):
     assert events == ["refuse"]
 
 
-def _dense_match(result, direct, tol, scale):
+def _dense_match(result, direct, scale):
     """The cross-check matching on sorted (gap, i, j) tuples and dense
     projections, as a reference for the rank-space one."""
     radius = 1e-7 * (1.0 + scale)
@@ -541,8 +540,7 @@ def _dense_match(result, direct, tol, scale):
         projection_gap = max(projection_gap, float(np.linalg.norm(diff)))
     unmatched = result.num_atoms + direct.num_atoms - 2 * len(used_a)
     return [("cross_point_gap", point_gap, radius),
-            ("cross_projection_gap", projection_gap,
-             1e4 * tol.rel(result.dim)),
+            ("cross_projection_gap", projection_gap, 1e4 * rel(result.dim)),
             ("cross_unmatched", float(unmatched), 0.0)]
 
 
@@ -572,8 +570,8 @@ def _match_case(name):
                                   "momentum_1d"])
 def test_match_measures_agrees_with_dense_matching(name):
     a, b, scale = _match_case(name)
-    got = pipeline._match_measures(a, b, DEFAULT_TOLERANCES, scale)
-    want = _dense_match(a, b, DEFAULT_TOLERANCES, scale)
+    got = pipeline._match_measures(a, b, scale)
+    want = _dense_match(a, b, scale)
     assert [(k, bound) for k, _, bound in got] == \
         [(k, bound) for k, _, bound in want]
     assert got[0][1] == want[0][1] and got[2][1] == want[2][1]

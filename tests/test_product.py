@@ -377,10 +377,9 @@ def test_commute_check_agrees_with_dense_commutator(n, r1, r2, shift,
                                                      log_delta, seed):
     # the last range of tilts puts commutators near the default
     # threshold, 1e-9 n + 1e-12
-    from spectral_forge.linalg import DEFAULT_TOLERANCES
     from spectral_forge.product import _commute_threshold
     e1, e2, commutator = _pair(n, r1, r2, shift, log_delta, seed)
-    threshold = _commute_threshold(n, DEFAULT_TOLERANCES)
+    threshold = _commute_threshold(n)
     assume(abs(commutator / threshold - 1.0) > 1e-3)
     commutes = commute_check(e1, e2)
     assert commutes == (commutator <= threshold)
@@ -497,16 +496,23 @@ def _rank_one_atoms(basis):
                            bases=tuple(basis[:, [k]] for k in range(n)))
 
 
-def test_loose_rtol_refusals_past_the_commute_test():
-    # under a loose rtol, pairs that pass the commute test can still fail
-    # to form atoms; at rtol 1e-3 the commute test refuses them first
-    from spectral_forge.linalg import Tolerances
+def test_loose_rtol_refusals_past_the_commute_test(monkeypatch):
+    # under a loose relative tolerance rel(n), pairs that pass the commute
+    # test can still fail to form atoms; at rel(n) = 1e-3 the commute test
+    # refuses them first.  rel(n) = linalg.REL n, so REL is patched to
+    # the wanted rel(n) / n
+    from spectral_forge import linalg
+
+    def loose(rel, n):
+        monkeypatch.setattr(linalg, "REL", rel / n)
+
     n = 128
     fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     standard = _rank_one_atoms(np.eye(n, dtype=complex))
     spread = _rank_one_atoms(fourier / np.sqrt(n))
+    loose(0.02, n)
     with pytest.raises(NotCommuting, match="no atom pair survived pruning"):
-        product_measure(standard, spread, Tolerances(rtol=0.02))
+        product_measure(standard, spread)
     # two rank-2 atoms tilted so that every principal cosine^2 is 0.2
     c, s = np.sqrt(0.2), np.sqrt(0.8)
     tilt = np.array([[c, 0, -s, 0], [0, c, 0, -s],
@@ -514,8 +520,10 @@ def test_loose_rtol_refusals_past_the_commute_test():
     flat = SpectralMeasure(4, [0.1, 0.2], bases=(np.eye(4)[:, :2],
                                                  np.eye(4)[:, 2:]))
     tilted = SpectralMeasure(4, [-0.1, 0.1], bases=(tilt[:, :2], tilt[:, 2:]))
+    loose(0.1, 4)
     with pytest.raises(NotCommuting, match="no stable intersection"):
-        product_measure(flat, tilted, Tolerances(rtol=0.1))
+        product_measure(flat, tilted)
     for e1, e2 in ((standard, spread), (flat, tilted)):
+        loose(1e-3, e1.dim)
         with pytest.raises(NotCommuting, match="do not commute"):
-            product_measure(e1, e2, Tolerances(rtol=1e-3))
+            product_measure(e1, e2)

@@ -7,7 +7,8 @@ import inspect
 import pytest
 
 import spectral_forge
-from spectral_forge import cli, decomposition, errors, linalg, measures, product
+from spectral_forge import (cli, decomposition, errors, linalg, measures,
+                            pipeline, product)
 from spectral_forge.gallery import KINDS, OperatorSpec
 
 PACKAGE = [
@@ -80,14 +81,45 @@ def test_removed_entry_points_are_gone():
 
 def test_absolute_floor_is_a_constant_not_a_knob():
     # linalg.ATOL is read where it is used: nothing carries it
-    fields = [f.name for f in dataclasses.fields(linalg.Tolerances)]
-    assert fields == ["rtol", "cluster"]
     for kernel in (linalg._jacobi_hermitian, linalg._jacobi_one_sided):
         assert list(inspect.signature(kernel).parameters) == ["matrix"]
     assert list(inspect.signature(linalg.op_norm_2).parameters) == ["m"]
     assert list(inspect.signature(decomposition.norm_bounds).parameters
                 ) == ["d"]
     assert "tol" not in inspect.signature(product._intersection).parameters
+
+
+# Routines that join no atom of T read no Tolerances: their bounds come
+# from linalg.rel and linalg.ATOL alone.
+WITHOUT_TOL = [
+    linalg.is_hermitian, linalg.is_normal, linalg.hermitian_eig,
+    linalg.normal_eig, linalg._normal_eig, decomposition.decompose,
+    decomposition._bounded_pair, decomposition.verify, product.commute_check,
+    product.product_measure, product.product_validate, product._pairs,
+    product._commute_threshold, measures._store_checks,
+    measures._reconstruction_check, measures._measure_in_frame,
+    pipeline._match_measures,
+]
+# Routines that join T's atoms, and the private rule they share.
+WITH_TOL = [
+    measures.pvm_from_normal, measures.pvm_validate, product.pushforward,
+    pipeline.spectral_theorem, measures._merged, linalg._clusters,
+    linalg._reach,
+]
+
+
+def test_relative_tolerance_is_a_constant_not_a_knob():
+    # linalg.rel(n) = linalg.REL n is read where it is used; a Tolerances
+    # holds T's joining radius and nothing else
+    fields = [f.name for f in dataclasses.fields(linalg.Tolerances)]
+    assert fields == ["cluster"]
+    with pytest.raises(TypeError):
+        linalg.Tolerances(rtol=1e-9)
+    assert linalg.REL == 1e-10 and linalg.rel(7) == 1e-10 * 7
+    for routine in WITHOUT_TOL:
+        assert "tol" not in inspect.signature(routine).parameters, routine
+    for routine in WITH_TOL:
+        assert "tol" in inspect.signature(routine).parameters, routine
 
 
 def test_cli_options_are_pinned():
@@ -97,9 +129,9 @@ def test_cli_options_are_pinned():
     got = {name: sorted(o for a in p._actions for o in a.option_strings
                         if o.startswith("--"))
            for name, p in sub.choices.items()}
-    solve = ["--cluster", "--help", "--input", "--tol-rel"]
+    solve = ["--cluster", "--help", "--input"]
     assert got == {
-        "decompose": sorted(solve + ["--emit", "--output"]),
+        "decompose": ["--emit", "--help", "--input", "--output"],
         "spectrum": sorted(solve + ["--emit", "--output"]),
         "pipeline": sorted(solve + ["--cross-check", "--emit",
                                     "--force-scale", "--output"]),
