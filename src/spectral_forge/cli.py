@@ -80,15 +80,15 @@ def _cmd_decompose(args) -> int:
     return _summarize("decompose", report)
 
 
-def _pvm_report(t: OperatorMatrix, e, tol: Tolerances) -> VerificationReport:
-    return pvm_validate(e, tol).extended([_reconstruction_check(t, e)])
+def _pvm_report(t: OperatorMatrix, e) -> VerificationReport:
+    return pvm_validate(e).extended([_reconstruction_check(t, e)])
 
 
 def _cmd_spectrum(args) -> int:
     tol = _tolerances(args)
     t = _read_input(args)
     e = pvm_from_normal(t, tol)
-    report = _pvm_report(t, e, tol)
+    report = _pvm_report(t, e)
     if args.emit == "measure":
         doc = io.pvm_to_doc(e)
     elif args.emit == "report":
@@ -158,15 +158,16 @@ def _classify(doc: dict, name: str, source: OperatorMatrix | None
     raise ParseError(f"{name}: unrecognized artifact layout")
 
 
-def _check(part: str, doc, operator: OperatorMatrix | None, name: str,
-           tol: Tolerances) -> VerificationReport | None:
+def _check(part: str, doc, operator: OperatorMatrix | None, name: str
+           ) -> VerificationReport | None:
     """Re-check one part of an artifact; None when nothing can hold it.
 
     A decomposition is verified against its own stored ``t``, else
     ``operator`` (None when there is neither).  Atoms carrying ``t`` make
     a product measure.  A measure whose ``of`` is T is also held to
     reconstruction against an ``operator`` of its dimension; measures of
-    A and B, and products, are only validated.
+    A and B, and products, are only validated.  A measure is judged by
+    the joining radius it carries, if any.
     """
     if part == "decomposition":
         t, d = io.decomposition_from_doc(doc, where=name)
@@ -178,12 +179,11 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str,
         return product_validate(io.product_from_doc(doc, where=name))
     e = io.pvm_from_doc(doc, where=name)
     if e.of == "T" and operator is not None and operator.dim == e.dim:
-        return _pvm_report(operator, e, tol)
-    return pvm_validate(e, tol)
+        return _pvm_report(operator, e)
+    return pvm_validate(e)
 
 
 def _cmd_verify(args) -> int:
-    tol = _tolerances(args)
     if args.output and bool(args.decomposition) == bool(args.pvm):
         raise ParseError("verify --output writes the report of one target: "
                          "pass exactly one of --decomposition or --pvm")
@@ -210,7 +210,7 @@ def _cmd_verify(args) -> int:
         if part is None:
             # a --dir file: one status line built from its part reports
             reports = {key: r for key in parts
-                       if (r := _check(key, *parts[key], name, tol)) is not None}
+                       if (r := _check(key, *parts[key], name)) is not None}
             if not reports:
                 print(f"{name}: " + ("skipped (no source operator; pass "
                                      "--input)" if parts else kind))
@@ -228,7 +228,7 @@ def _cmd_verify(args) -> int:
         # an explicit flag: the residual table of the part it names
         if part not in parts:
             raise ParseError(f"{name}: holds no {part} to check")
-        report = _check(part, *parts[part], name, tol)
+        report = _check(part, *parts[part], name)
         if report is None:
             raise ParseError(f"{name}: stores no source operator; "
                              "pass --input FILE")
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "refused)")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("verify", parents=[solve],
+    p = sub.add_parser("verify", parents=[source],
                        help="re-check stored artifacts")
     p.add_argument("--output", metavar="FILE",
                    help="also write the report of the one --decomposition "

@@ -16,9 +16,12 @@ copy.
 one vectorized pass, after an exact type screen, as the parser closes
 its object; a malformed list stays a list, and ``matrix_from_doc``
 names its first bad pair in a ParseError.  A measure document is
-``{"dim", "of", "atoms"}``: ``of`` is the measure's own label of the
-operator it resolves (``"T"``, ``"A"`` or ``"B"``), written from it and
-read back into it, and each atom is a ``point`` with its ``projection``.
+``{"dim", "of", "cluster", "atoms"}``: ``of`` is the measure's own label
+of the operator it resolves (``"T"``, ``"A"`` or ``"B"``), written from
+it and read back into it; ``cluster``, present only on a measure of T
+built with an explicit radius, is the radius its atoms joined by, and
+``verify`` judges the measure by it; each atom is a ``point`` with its
+``projection``.
 """
 
 from __future__ import annotations
@@ -308,17 +311,27 @@ def pvm_to_doc(e: SpectralMeasure) -> dict:
     atoms = [{"point": [point.real, point.imag],
               "projection": matrix_to_doc(e.projection(i))}
              for i, point in enumerate(e.points.tolist())]
-    return {"dim": e.dim, "of": e.of, "atoms": atoms}
+    doc = {"dim": e.dim, "of": e.of}
+    if e.cluster is not None:  # a default measure keeps its bytes
+        doc["cluster"] = e.cluster
+    doc["atoms"] = atoms
+    return doc
 
 
 def pvm_from_doc(doc: dict, where: str = "pvm") -> SpectralMeasure:
     of = _field(doc, "of", str, where)
     if of not in OPERATORS:
         raise ParseError(f"{where}: field 'of' must be T, A or B, got {of!r}")
+    cluster = _field(doc, "cluster", float, where) if "cluster" in doc \
+        else None
     dim, (points,), projections = _read_atoms(doc, where,
                                               (("point", complex),))
-    return SpectralMeasure(dim, np.array(points, dtype=np.complex128),
-                           projections=projections, of=of)
+    try:
+        return SpectralMeasure(dim, np.array(points, dtype=np.complex128),
+                               projections=projections, of=of,
+                               cluster=cluster)
+    except ValueError as exc:  # the radius: of A or B, or not positive
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def write_pvm(e: SpectralMeasure, path: str):

@@ -94,8 +94,9 @@ class Tolerances:
     ----------
     cluster : float or None
         Absolute radius within which the atoms of a measure of T join;
-        E_A, E_B and ``normal_eig``'s split keep their own rules
-        (``_reach``).  When None, points a and b join when
+        the measure carries it (``SpectralMeasure.cluster``), so it is
+        validated by it.  E_A, E_B and ``normal_eig``'s split keep their
+        own rules (``_reach``).  When None, points a and b join when
         ``|a - b| <= 1e-8 max(|a|, |b|) + 100 eps s``, s the largest
         |point|, and never past ``cluster_radius(s)``.
     """

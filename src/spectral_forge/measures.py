@@ -178,6 +178,12 @@ class SpectralMeasure(_AtomStore):
     of : str
         What the measure resolves: ``"T"``, or ``"A"`` or ``"B"`` of T's
         bounded pair; it picks the rule its points join by (``_reach``).
+    cluster : float or None
+        The absolute radius within which the atoms of this measure of T
+        joined, as ``Tolerances.cluster`` gave it; None for the default
+        rule.  ``pvm_validate`` judges the point gaps by it, so a measure
+        is re-checked by the rule it was built with.  A measure of A or B
+        joins by its own rule and carries none (ValueError).
 
     Exactly one of ``bases`` and ``projections`` must be given.
     """
@@ -187,10 +193,18 @@ class SpectralMeasure(_AtomStore):
     bases: tuple | None = None
     projections: np.ndarray | tuple | None = None
     of: str = "T"
+    cluster: float | None = None
 
     def __post_init__(self):
         if self.of not in OPERATORS:
             raise ValueError(f"of must be T, A or B, got {self.of!r}")
+        if self.cluster is not None:
+            if self.of != "T":
+                raise ValueError(f"a measure of {self.of} joins by its own "
+                                 "rule and carries no cluster radius")
+            Tolerances(cluster=self.cluster)  # its check of a radius
+            # a float, so the radius a file holds reads back as it was
+            object.__setattr__(self, "cluster", float(self.cluster))
         pts = np.array(self.points, dtype=np.complex128, copy=True)
         if pts.ndim != 1 or pts.size == 0:
             raise DimensionMismatch("a measure needs at least one atom")
@@ -212,10 +226,10 @@ def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> Spectra
     """Spectral measure of a normal matrix.
 
     Eigenvalues that cluster (``_clusters``; ``tol.cluster`` is one
-    absolute radius when given) collapse into a single atom located at
-    the cluster mean, whose projection spans all the member
-    eigenvectors.  Raises NotNormal or NoConvergence from the
-    underlying eigendecomposition.
+    absolute radius when given, and the measure carries it) collapse
+    into a single atom located at the cluster mean, whose projection
+    spans all the member eigenvectors.  Raises NotNormal or
+    NoConvergence from the underlying eigendecomposition.
     """
     es = normal_eig(m)
     return _merged(es.eigenvalues, es.unitary.array, np.arange(es.dim + 1),
@@ -228,13 +242,15 @@ def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
 
     Point k carries ``stacked[:, offsets[k]:offsets[k + 1]]``; an atom sits
     at its members' rank-weighted mean and holds their bases side by side.
+    A measure of T carries ``tol.cluster``, the radius it joined by.
     """
     ranks = np.diff(offsets)
     members, groups, means = _clusters(points, tol, ranks, of)
     ranks = ranks[members]
     return SpectralMeasure(stacked.shape[0], means, bases=_Blocks(
         stacked[:, _ranges(offsets[members], ranks)],
-        np.cumsum(np.append(0, ranks))[groups]), of=of)
+        np.cumsum(np.append(0, ranks))[groups]), of=of,
+        cluster=tol.cluster if of == "T" else None)
 
 
 def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
@@ -338,18 +354,19 @@ def _store_checks(e: _AtomStore) -> list[tuple]:
     ]
 
 
-def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> VerificationReport:
+def pvm_validate(e: SpectralMeasure) -> VerificationReport:
     """Check the defining invariants of a projection valued measure.
 
     Reports idempotency, Hermitian defect, mutual orthogonality, and
     completeness residuals (all Frobenius, each held to ``10 rel(n)``),
     the total rank deficit, and ``min_point_gap``: the gap and join
-    radius of the pair of atoms nearest to joining, by the rule of the
-    measure's ``of`` (``_reach``): within 1e-8 of its own size above 100
+    radius of the pair of atoms nearest to joining, by the rule the
+    measure carries (``_reach``): its ``cluster``, one absolute radius,
+    when set; else, by its ``of``, within 1e-8 of its own size above 100
     eps of the largest point (for A, 3e-8 plus 100 eps of its own size),
-    never past ``Tolerances.cluster_radius``.  ``tol`` is read for that
-    radius alone: its ``cluster`` is one absolute radius for a measure
-    of T, and every other bound is fixed.  A single atom has no pair to
+    never past ``Tolerances.cluster_radius``.  Every other bound is
+    fixed.  To judge a measure by another radius, validate
+    ``dataclasses.replace(e, cluster=r)``.  A single atom has no pair to
     keep apart, so its report has no gap record.  Always returns a report.
     Factored atoms are judged from the Gram matrix of their stacked
     basis, their Hermitian defect 0 by construction; dense atoms are
@@ -358,7 +375,7 @@ def pvm_validate(e: SpectralMeasure, tol: Tolerances | None = None) -> Verificat
     checks = _store_checks(e)
     if e.num_atoms > 1:
         pts = e.points
-        reach = _reach(np.abs(pts), _resolve(tol), e.of)
+        reach = _reach(np.abs(pts), Tolerances(cluster=e.cluster), e.of)
         gaps = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(gaps, np.inf)
         radii = np.maximum.outer(reach, reach)

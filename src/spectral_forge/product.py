@@ -50,10 +50,6 @@ __all__ = [
     "product_validate",
 ]
 
-# Atoms whose projection product has Frobenius mass below 1e-10 * n are
-# dropped as numerical dust.
-PRUNE_FACTOR = 1e-10
-
 @dataclass(frozen=True, eq=False)
 class ProductMeasure(_AtomStore):
     """Joint measure of a commuting pair, atoms indexed by (t, w) pairs.
@@ -219,9 +215,11 @@ def commute_check(e1: SpectralMeasure, e2: SpectralMeasure) -> bool:
 def product_measure(e1: SpectralMeasure, e2: SpectralMeasure) -> ProductMeasure:
     """Product of commuting measures, one atom per surviving pair.
 
-    The first factor must be supported on the real line.  For each pair
-    with ``||P_i Q_j||_F`` above the pruning threshold ``1e-10 n`` the
-    projection onto the intersection of ranges is
+    The first factor must be supported on the real line.  Pairs are
+    screened as ``commute_check`` screens them, at a quarter of the
+    commutation threshold: below it ``||P_i Q_j||_F`` is far under the
+    1/2 that an intersection needs.  For each pair above it the
+    projection onto the intersection of ranges, if any, is
     extracted from the singular structure of the cross block
     C = u_i* w_j, and its deviation from the literal product P_i Q_j is
     re-measured.  All of it stays in the rank space (Bjorck & Golub
@@ -255,18 +253,14 @@ def product_measure(e1: SpectralMeasure, e2: SpectralMeasure) -> ProductMeasure:
     if float(np.max(np.abs(e1.points.imag))) > ATOL:
         raise ValueError("the first factor must be supported on the real line")
     threshold = _commute_threshold(n)
-    prune = PRUNE_FACTOR * n
-    # A pair that commutes has P_i Q_j near a projection, so "no stable
-    # intersection" only follows a pair that failed the commute test.
-    screen = threshold / 4.0
     ii, jj, zs = [], [], []
     rectangle = 0.0
-    for i, j, ui, wj, block, mass in _pairs(e1, e2, min(prune, screen)):
+    # A pair that commutes has P_i Q_j near a projection, so "no stable
+    # intersection" only follows a pair that failed the commute test.
+    for i, j, ui, wj, block, mass in _pairs(e1, e2, threshold / 4.0):
         outside = _outside_norm(ui, wj, block)
-        if mass > screen and np.sqrt(2.0) * outside > threshold:
+        if np.sqrt(2.0) * outside > threshold:
             raise NotCommuting("projections of the two measures do not commute")
-        if mass <= prune:
-            continue
         atom = _intersection(ui, block, outside)
         if atom is None:
             if mass > 0.1:

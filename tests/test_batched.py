@@ -36,7 +36,6 @@ from spectral_forge.measures import (
     pvm_from_normal,
 )
 from spectral_forge.product import (
-    PRUNE_FACTOR,
     _basis_defects,
     _commute_threshold,
     _intersection,
@@ -135,7 +134,9 @@ def ref_measure(es, tol=DEFAULT_TOLERANCES):
 def ref_product_measure(e1, e2):
     n = e1.dim
     threshold = _commute_threshold(n)
-    prune = PRUNE_FACTOR * n
+    # the dust threshold product_measure once had: pairs at most this
+    # heavy were dropped unexamined, which never changed its atoms
+    prune = 1e-10 * n
     screen = threshold / 4.0
     s1 = np.hstack([e1.basis(i) for i in range(e1.num_atoms)])
     s2 = np.hstack([e2.basis(j) for j in range(e2.num_atoms)])

@@ -699,6 +699,8 @@ def test_non_object_part_exits_2(tmp_path, capsys):
     ("spectrum", ["--tol-rel", "1e-9"]),
     ("pipeline", ["--tol-rel", "1e-9"]),
     ("verify", ["--tol-rel", "1e-9"]),
+    # a measure carries the radius it joined by: verify reads no --cluster
+    ("verify", ["--cluster", "1e-6"]),
 ])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command,
                                                flag):
@@ -789,21 +791,71 @@ def test_pipeline_run_leaves_numpy_ma_unimported(tmp_path):
 
 def test_explicit_radius_passes_pipeline_and_verify(tmp_path, capsys):
     # --cluster is read for the measures of T alone: the pipeline passes
-    # its report with it, and verify --dir with any radius passes the
-    # bundle the pipeline wrote at default tolerances
+    # its report with any radius, its measures of T carry the radius and
+    # E_A and E_B none, and verify --dir passes the bundle with no flag
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "12", "--scale", "1000", "--seed", "3")
-    code, _, err = run(["pipeline", "--input", t, "--cluster", "1e-6",
-                        "--emit", "report"], capsys)
-    assert code == 0, err
-    case = tmp_path / "case"
-    case.mkdir()
-    assert main(["pipeline", "--input", t, "--emit", "all",
-                 "--output", str(case / "bundle.json")]) == 0
     for radius in ("1e-9", "1e-6", "1e-3"):
-        code, out, _ = run(["verify", "--dir", str(case), "--input", t,
-                            "--cluster", radius], capsys)
+        case = tmp_path / f"case{radius}"
+        case.mkdir()
+        bundle = case / "bundle.json"
+        code, _, err = run(["pipeline", "--input", t, "--cluster", radius,
+                            "--cross-check", "--emit", "all",
+                            "--output", str(bundle)], capsys)
+        assert code == 0, (radius, err)
+        doc = json.loads(bundle.read_text())
+        assert [doc[key].get("cluster") for key in ("e1", "e2", "measure",
+                "direct")] == [None, None, float(radius), float(radius)]
+        code, out, _ = run(["verify", "--dir", str(case), "--input", t],
+                           capsys)
         assert code == 0, (radius, out)
+        assert out == "bundle.json: bundle(decomposition,e1,e2,product," \
+            "measure,direct) pass\n"
+
+
+def test_a_measure_is_verified_by_the_radius_it_was_built_with(tmp_path,
+                                                               capsys):
+    # momentum_1d's points pi/6 apart, minus rounding, come 1.1e-16 apart
+    # at the ends; a radius of 1e-20 keeps them apart, and verify, with
+    # no flag, holds the written measure to that radius, not the default
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "momentum_1d",
+                 "--dim", "12")
+    m = str(tmp_path / "m.json")
+    code, _, err = run(["spectrum", "--input", t, "--cluster", "1e-20",
+                        "--emit", "measure", "--output", m], capsys)
+    assert (code, err) == (0, "spectrum (12 atoms): all 7 checks passed\n")
+    assert list(json.loads(open(m).read())) == ["dim", "of", "cluster",
+                                                 "atoms"]
+    code, out, _ = run(["verify", "--pvm", m, "--input", t], capsys)
+    assert code == 0, out
+    gap = next(line for line in out.splitlines() if "min_point_gap" in line)
+    assert "bound 1.000000e-20  pass" in gap
+
+
+@pytest.mark.parametrize("of, cluster, message", [
+    ("T", -1, "cluster must be strictly positive"),
+    ("T", 0, "cluster must be strictly positive"),
+    ("T", "x", "expected a number"),
+    ("T", 1e999, "not a finite double"),
+    ("A", 1e-6, "carries no cluster radius"),
+    ("B", 1e-6, "carries no cluster radius"),
+], ids=["negative", "zero", "string", "infinite", "of-A", "of-B"])
+def test_a_bad_radius_in_a_measure_doc_exits_2(tmp_path, capsys, of, cluster,
+                                               message):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "3", "--seed", "63")
+    m = tmp_path / "m.json"
+    assert main(["spectrum", "--input", t, "--emit", "measure",
+                 "--output", str(m)]) == 0
+    doc = json.loads(m.read_text())
+    doc = {"dim": doc["dim"], "of": of, "cluster": cluster,
+           "atoms": doc["atoms"]}
+    m.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+    capsys.readouterr()
+    for args in (["--pvm", str(m)], ["--dir", str(tmp_path)]):
+        code, _, err = run(["verify"] + args, capsys)
+        assert code == 2
+        assert err.startswith("error: m.json") and message in err, err
 
 
 def test_non_normal_past_2_128_is_refused_as_non_normal(tmp_path, capsys):

@@ -519,6 +519,50 @@ def test_pvm_round_trip_keeps_its_operator(tmp_path, key, of):
     assert [io.read_json(path)["of"] for path in (first, second)] == [of, of]
 
 
+def test_pvm_round_trip_keeps_its_radius(tmp_path):
+    # a measure of T built with a radius writes it between "of" and
+    # "atoms" and reads it back; a default one writes no "cluster" key
+    from spectral_forge.linalg import Tolerances
+    t = generate(OperatorSpec("random_normal", dim=5, scale=2.0, seed=27))
+    for tol, keys in ((None, ["dim", "of", "atoms"]),
+                      (Tolerances(cluster=1e-6),
+                       ["dim", "of", "cluster", "atoms"])):
+        e = pvm_from_normal(t, tol)
+        path = str(tmp_path / "e.json")
+        io.write_pvm(e, path)
+        assert list(io.read_json(path)) == keys
+        back = io.read_pvm(path)
+        assert back.cluster == e.cluster
+        assert io.dumps(io.pvm_to_doc(back)) == io.dumps(io.pvm_to_doc(e))
+
+
+@pytest.mark.parametrize("radius", [1, np.float32(0.5), np.float64(1e-6)],
+                         ids=["int", "float32", "float64"])
+def test_a_radius_is_written_as_a_double_and_rewritten_unchanged(tmp_path,
+                                                                  radius):
+    from spectral_forge.linalg import Tolerances
+    t = generate(OperatorSpec("random_normal", dim=3, scale=2.0, seed=27))
+    first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+    io.write_pvm(pvm_from_normal(t, Tolerances(cluster=radius)), first)
+    io.write_pvm(io.read_pvm(first), second)
+    assert io.read_json(first)["cluster"] == float(radius)
+    assert open(first).read() == open(second).read()
+
+
+@pytest.mark.parametrize("of, cluster, error", [
+    ("T", -1, "cluster must be strictly positive"),
+    ("T", "x", "expected a number"),
+    ("T", True, "expected a number"),
+    ("A", 1e-6, "carries no cluster radius"),
+])
+def test_pvm_doc_radius_check(of, cluster, error):
+    doc = {"dim": 1, "of": of, "cluster": cluster,
+           "atoms": [{"point": [0.0, 0.0],
+                      "projection": {"dim": 1, "entries": [[1.0, 0.0]]}}]}
+    with pytest.raises(ParseError, match=error):
+        io.pvm_from_doc(doc)
+
+
 def test_pvm_doc_dimension_check():
     doc = {"dim": 3, "of": "T",
            "atoms": [{"point": [0.0, 0.0],

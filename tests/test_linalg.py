@@ -9,6 +9,7 @@ from spectral_forge.errors import (
     NotNormal,
 )
 from spectral_forge.linalg import (
+    EigenSystem,
     OperatorMatrix,
     Tolerances,
     cluster_points,
@@ -37,6 +38,14 @@ def test_operator_matrix_validation():
         OperatorMatrix(np.array([[np.inf, 0], [0, 1]]))
     with pytest.raises(NonFiniteValue):
         OperatorMatrix(np.array([[np.nan * 1j, 0], [0, 1]]))
+
+
+def test_eigen_system_needs_one_value_per_dimension():
+    u = OperatorMatrix.identity(3)
+    for values in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(DimensionMismatch, match="eigenvalue count"):
+            EigenSystem(u, np.array(values))
+    assert EigenSystem(u, np.array([1.0, 2.0, 3.0])).dim == 3
 
 
 def test_operator_matrix_is_frozen():

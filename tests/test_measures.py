@@ -1,3 +1,4 @@
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -22,6 +23,32 @@ def test_measure_names_one_of_three_operators():
     for of in ("X", "t", None):
         with pytest.raises(ValueError, match="of must be T, A or B"):
             SpectralMeasure(2, [1.0], bases=basis, of=of)
+
+
+def test_measure_of_t_alone_carries_a_radius():
+    basis = [np.eye(2)]
+    assert SpectralMeasure(2, [1.0], bases=basis).cluster is None
+    assert SpectralMeasure(2, [1.0], bases=basis, cluster=1e-6).cluster == 1e-6
+    for of in ("A", "B"):
+        assert SpectralMeasure(2, [1.0], bases=basis, of=of).cluster is None
+        with pytest.raises(ValueError, match="carries no cluster radius"):
+            SpectralMeasure(2, [1.0], bases=basis, of=of, cluster=1e-6)
+    # a bad radius is refused by the check Tolerances makes
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="cluster must be strictly "
+                                             "positive"):
+            SpectralMeasure(2, [1.0], bases=basis, cluster=bad)
+
+
+def test_measure_of_t_carries_the_radius_it_joined_by():
+    t = OperatorMatrix(np.diag([1e-3, 1e-3 + 1e-9, 1.0]).astype(complex))
+    assert pvm_from_normal(t).cluster is None
+    e = pvm_from_normal(t, Tolerances(cluster=1e-8))
+    assert e.cluster == 1e-8 and e.ranks == (2, 1)
+    # validated by it: the two atoms 1 - 1e-3 apart clear 1e-8 ...
+    assert pvm_validate(e).tolerances["min_point_gap"] == 1e-8
+    # ... and a wider radius judges them as joining
+    assert not pvm_validate(dataclasses.replace(e, cluster=1.0)).all_passed
 
 
 def test_measure_of_a_joins_its_points_by_their_own_size():
@@ -221,8 +248,9 @@ def test_point_gap_record_holds_the_pair_closest_to_joining():
     assert report.tolerances["min_point_gap"] == pytest.approx(
         1e-17 + 100 * np.finfo(float).eps * 1e3)
     assert report.all_passed
-    # an explicit radius holds every pair to it alone
-    report = pvm_validate(apart, Tolerances(cluster=1e-8))
+    # an explicit radius, carried by the measure, holds every pair to it
+    # alone
+    report = pvm_validate(dataclasses.replace(apart, cluster=1e-8))
     assert report.tolerances["min_point_gap"] == 1e-8
     assert report.failed == ["min_point_gap"]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -237,10 +238,11 @@ def test_explicit_radius_joins_the_atoms_of_t_alone():
     # E_A's weights lie in (0, 1] and E_B's points within 1/2, so a radius
     # given for T's points leaves both to their own rules: the pipeline
     # passes its report with spectrum's atom count, E_A and E_B are those
-    # of default tolerances, and their gap records are judged by their rules
+    # of default tolerances and carry no radius (none can be put on them),
+    # and the measures of T carry the radius and pass by it
     t = generate(OperatorSpec("random_normal", dim=12, scale=1000.0, seed=3))
     tol = linalg.Tolerances(cluster=1e-6)
-    res = spectral_theorem(t, tol)
+    res = spectral_theorem(t, tol, direct_check=True)
     assert res.report.all_passed, res.report.failed
     assert res.spectral_measure.num_atoms == pvm_from_normal(t, tol).num_atoms
     default = spectral_theorem(t)
@@ -248,10 +250,15 @@ def test_explicit_radius_joins_the_atoms_of_t_alone():
         np.testing.assert_array_equal(got.points, want.points)
         np.testing.assert_array_equal(got.stacked_basis(),
                                       want.stacked_basis())
-    for radius in (1e-9, 1e-6, 1e-3):
-        wide = linalg.Tolerances(cluster=radius)
-        assert pvm_validate(default.e1, wide).passed["min_point_gap"]
-        assert pvm_validate(default.e2, wide).passed["min_point_gap"]
+        assert got.cluster is None
+        for radius in (1e-9, 1e-6, 1e-3):
+            with pytest.raises(ValueError, match="carries no cluster radius"):
+                dataclasses.replace(got, cluster=radius)
+    for e in (res.spectral_measure, res.direct_measure):
+        assert e.cluster == 1e-6
+        assert pvm_validate(e).tolerances["min_point_gap"] == 1e-6
+        assert pvm_validate(e).all_passed
+    assert default.spectral_measure.cluster is None
 
 
 def test_e2_support_within_half():

@@ -54,6 +54,14 @@ def test_commute_check_rejects_skew_projections():
         product_measure(ez, ex)
 
 
+def test_commute_check_refuses_measures_of_different_dimensions():
+    e2 = pvm_from_normal(OperatorMatrix(np.diag([1.0, 2.0])))
+    e3 = pvm_from_normal(OperatorMatrix(np.diag([1.0, 2.0, 3.0])))
+    for check in (commute_check, product_measure):
+        with pytest.raises(DimensionMismatch, match="different dimensions"):
+            check(e2, e3)
+
+
 def test_product_requires_real_first_factor():
     e1, e2 = measures_for(OperatorMatrix(np.diag([2j, -3.0])))
     with pytest.raises(ValueError):

@@ -57,6 +57,7 @@ def test_all_is_pinned_and_resolves(module, names):
     ("spectral_forge.pipeline", "pipeline_tolerance"),
     ("spectral_forge.pipeline", "SINGULAR_MARGIN"),
     ("spectral_forge.linalg", "_norm_in_frame"),
+    ("spectral_forge.product", "PRUNE_FACTOR"),
 ])
 def test_removed_names_cannot_be_imported(module, name):
     for where in ("spectral_forge", module):
@@ -98,11 +99,11 @@ WITHOUT_TOL = [
     product.product_measure, product.product_validate, product._pairs,
     product._commute_threshold, measures._store_checks,
     measures._reconstruction_check, measures._measure_in_frame,
-    pipeline._match_measures,
+    pipeline._match_measures, measures.pvm_validate,
 ]
 # Routines that join T's atoms, and the private rule they share.
 WITH_TOL = [
-    measures.pvm_from_normal, measures.pvm_validate, product.pushforward,
+    measures.pvm_from_normal, product.pushforward,
     pipeline.spectral_theorem, measures._merged, linalg._clusters,
     linalg._reach,
 ]
@@ -120,6 +121,10 @@ def test_relative_tolerance_is_a_constant_not_a_knob():
         assert "tol" not in inspect.signature(routine).parameters, routine
     for routine in WITH_TOL:
         assert "tol" in inspect.signature(routine).parameters, routine
+    # a measure carries the radius it joined by, and is validated by it
+    assert list(inspect.signature(measures.pvm_validate).parameters) == ["e"]
+    assert "cluster" in [f.name for f in
+                         dataclasses.fields(measures.SpectralMeasure)]
 
 
 def test_cli_options_are_pinned():
@@ -135,7 +140,7 @@ def test_cli_options_are_pinned():
         "spectrum": sorted(solve + ["--emit", "--output"]),
         "pipeline": sorted(solve + ["--cross-check", "--emit",
                                     "--force-scale", "--output"]),
-        "verify": sorted(solve + ["--decomposition", "--dir", "--output",
-                                  "--pvm"]),
+        "verify": ["--decomposition", "--dir", "--help", "--input",
+                   "--output", "--pvm"],
         "gen": ["--dim", "--help", "--kind", "--output", "--scale", "--seed"],
     }
