@@ -10,12 +10,18 @@ flat complex128 array, which ``dumps`` encodes a block of pairs at a
 time, so no Python float exists per entry beyond one block.  A write
 encodes each distinct array once: an array of the same bytes as one
 already written in that document reuses its text, as the measures of an
-``--emit all`` bundle do, whose atoms repeat.  A read still parses every
-copy.
+``--emit all`` bundle do, whose atoms repeat.
 ``read_json`` decodes each valid ``entries`` list to such an array in
-one vectorized pass, after an exact type screen, as the parser closes
-its object; a malformed list stays a list, and ``matrix_from_doc``
-names its first bad pair in a ParseError.  A measure document is
+one vectorized pass, after an exact type screen; a malformed list stays
+a list, and ``matrix_from_doc`` names its first bad pair in a
+ParseError.  A read decodes each distinct ``entries`` text once: copies
+of one text, found and compared in the file's text, share one array
+(``_parse_once``).  A file whose ``entries`` text never repeats, or
+whose repeats leave any doubt, is parsed whole by ``json.loads``, which
+decodes each list as the parser closes its object.  Either way the read
+peaks at about twice the file, its bytes beside its text, unless one
+matrix's pair lists, alive while that matrix decodes, cost more.
+A measure document is
 ``{"dim", "of", "cluster", "atoms"}``: ``of`` is the measure's own label
 of the operator it resolves (``"T"``, ``"A"`` or ``"B"``), written from
 it and read back into it; ``cluster``, present only on a measure of T
@@ -159,7 +165,9 @@ def read_json(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
-        doc = json.loads(raw, object_hook=_decode_entries)
+        doc = _parse_once(raw)
+        if doc is None:
+            doc = json.loads(raw, object_hook=_decode_entries)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
@@ -168,6 +176,85 @@ def read_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     return doc
+
+
+# Where an ``entries`` value starts in text as ``dumps`` writes it; a
+# valid value, a list of pairs, ends at the first ``]]`` after it.
+_ENTRIES = '"entries": ['
+
+
+def _parse_once(raw: str) -> dict | None:
+    """``raw`` parsed with each repeated ``entries`` text decoded once.
+
+    Each ``"entries": [`` value found in the text is grouped with the
+    others of the same text, compared by length and then in place, and
+    each distinct text is decoded once by ``raw_decode`` and ``_pairs``;
+    every copy gets that one array.  The rest of the document is parsed
+    with each value replaced by a reference, a string holding a NUL and
+    the value's index, which ``_resolve`` swaps for its array.  None,
+    for ``read_json`` to parse ``raw`` whole with ``json.loads``, when no
+    text repeats or when anything is in doubt: a value that does not end at
+    its first ``]]`` or does not decode to valid pairs, a reference not
+    consumed exactly once under an ``entries`` key, an error in the rest
+    of the document, or text that could hold a NUL of its own.
+    """
+    # a backslash is rare in a bundle, and finding one is 30 times
+    # cheaper than finding the escape itself
+    if "\0" in raw or "\\" in raw and "\\u0000" in raw:
+        return None
+    spans = []
+    at = raw.find(_ENTRIES)
+    while at >= 0:
+        start = at + len(_ENTRIES) - 1
+        end = raw.find("]]", start) + 2
+        if end < 2:
+            return None
+        spans.append((start, end))
+        at = raw.find(_ENTRIES, end)
+    by_length = {}
+    for i, (start, end) in enumerate(spans):
+        by_length.setdefault(end - start, []).append(i)
+    first = list(range(len(spans)))  # the first span of each span's text
+    for same in by_length.values():
+        while len(same) > 1:
+            start, end = spans[same[0]]
+            text = raw[start:end]  # one distinct text at a time
+            rest = []
+            for i in same[1:]:
+                if raw.startswith(text, spans[i][0]):
+                    first[i] = same[0]
+                else:
+                    rest.append(i)
+            same = rest
+    if first == list(range(len(spans))):  # nothing repeats: no extra copy
+        return None
+    decoder = json.JSONDecoder()
+    arrays, pieces, at, used = {}, [], 0, []
+
+    def _resolve(obj: dict) -> dict:
+        ref = obj.get("entries")
+        if isinstance(ref, str) and ref.startswith("\0"):
+            i = int(ref[1:])
+            used.append(i)
+            obj["entries"] = arrays[first[i]]
+            return obj
+        return _decode_entries(obj)
+
+    try:
+        for i in sorted(set(first)):
+            start, end = spans[i]
+            pairs, stop = decoder.raw_decode(raw, start)
+            arrays[i] = _pairs(pairs) if stop == end else None
+            if arrays[i] is None:
+                return None
+        for i, (start, end) in enumerate(spans):
+            pieces += [raw[at:start], f'"\\u0000{i}"']
+            at = end
+        pieces.append(raw[at:])
+        doc = json.loads("".join(pieces), object_hook=_resolve)
+    except (json.JSONDecodeError, RecursionError):
+        return None
+    return doc if len(used) == len(spans) else None
 
 
 def _field(doc: dict, name: str, kind, where: str):

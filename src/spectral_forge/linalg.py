@@ -104,8 +104,10 @@ class Tolerances:
     cluster: float | None = None
 
     def __post_init__(self):
-        if self.cluster is not None and (not np.isfinite(self.cluster)
-                                         or self.cluster <= 0.0):
+        # a bool is a number to numpy, and True would join within 1.0
+        if self.cluster is not None and (
+                isinstance(self.cluster, (bool, np.bool_))
+                or not np.isfinite(self.cluster) or self.cluster <= 0.0):
             raise ValueError(
                 f"cluster must be strictly positive, got {self.cluster!r}")
 

@@ -264,6 +264,35 @@ def test_verify_dir_recheck_emit_all_bundle(tmp_path, capsys):
     assert "FAIL measure" in out
 
 
+@pytest.mark.parametrize("part", ["e1", "e2", "product", "measure"])
+def test_verify_dir_names_the_part_whose_copy_of_a_projection_changed(
+        tmp_path, capsys, part):
+    # the four measures hold the same projections, and a read decodes
+    # each repeated text once: a change to one part's copy must fail that
+    # part alone, never the copies the other parts hold
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "6", "--seed", "43")
+    os.mkdir(tmp_path / "run")
+    bundle = str(tmp_path / "run" / "bundle.json")
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", bundle]) == 0
+    doc = json.loads(open(bundle).read())
+    entries = doc[part]["atoms"][0]["projection"]["entries"]
+    for other in ("e1", "e2", "product", "measure"):
+        assert entries in [atom["projection"]["entries"]
+                           for atom in doc[other]["atoms"]]
+    entries[0][0] += 0.05
+    text = json.dumps(doc) + "\n"
+    open(bundle, "w").write(text)
+    assert io._parse_once(text) is not None  # the other copies repeat
+    capsys.readouterr()
+    code, out, _ = run(["verify", "--dir", str(tmp_path / "run"),
+                        "--input", t], capsys)
+    assert code == 1
+    assert out == ("bundle.json: bundle(decomposition,e1,e2,product,measure)"
+                   f" FAIL {part}\n")
+
+
 def test_verify_dir_rechecks_direct_part(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "4", "--seed", "43")

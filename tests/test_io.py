@@ -257,6 +257,151 @@ def test_each_distinct_entries_array_is_encoded_once(tmp_path, monkeypatch):
     assert sorted(blocks) == sorted(distinct)  # 64 pairs: one block each
 
 
+def _same(got, want) -> bool:
+    """Equal keys, order and types, and arrays equal bit for bit."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, dict):
+        return list(got) == list(want) and all(_same(got[k], want[k])
+                                               for k in got)
+    if isinstance(got, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(got, np.ndarray):
+        return (got.dtype == want.dtype and got.shape == want.shape
+                and got.tobytes() == want.tobytes())
+    return got == want
+
+
+def _bundle(tmp_path, dim: int) -> str:
+    t = str(tmp_path / "t.json")
+    io.write_matrix(generate(OperatorSpec("random_normal", dim=dim,
+                                          scale=10.0, seed=3)), t)
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", bundle]) == 0
+    return bundle
+
+
+def test_each_distinct_entries_text_is_parsed_once(tmp_path, monkeypatch):
+    # the read-side mirror of the encoder's memo: E_A, E_B, the product
+    # and E_T hold the same projections, whose text is decoded once
+    bundle = _bundle(tmp_path, 8)
+    with open(bundle) as handle:
+        want = json.loads(handle.read(), object_hook=io._decode_entries)
+    decoded = []
+    pairs = io._pairs
+
+    def seen(values):
+        decoded.append(len(values))
+        return pairs(values)
+
+    monkeypatch.setattr(io, "_pairs", seen)
+    got = io.read_json(bundle)
+    monkeypatch.undo()
+    assert _same(got, want)
+    arrays = [got["t"], got["decomposition"]["a"], got["decomposition"]["b"]]
+    arrays += [atom["projection"] for part in ("e1", "e2", "product",
+                                               "measure")
+               for atom in got[part]["atoms"]]
+    assert len(arrays) == 3 + 4 * 8
+    distinct = {m["entries"].tobytes() for m in arrays}
+    assert len(distinct) == 3 + 8  # T, A, B and E_A's projections
+    assert decoded == [64] * len(distinct)
+
+
+def test_read_without_repeats_holds_no_extra_copy(tmp_path):
+    # a file whose entries text never repeats takes the one parse as it
+    # is; a single huge matrix still costs its pair lists (about 16 times
+    # this file), and the parse-once path adds nothing to that peak
+    order = np.random.default_rng(384).permutation(384)
+    diagonal = np.diag(np.linspace(-100.0, 100.0, 384)[order])
+    path = str(tmp_path / "t.json")
+    io.write_matrix(OperatorMatrix(diagonal), path)
+    with open(path) as handle:
+        assert io._parse_once(handle.read()) is None
+
+    def one_parse():
+        with open(path, encoding="utf-8") as handle:
+            return json.loads(handle.read(), object_hook=io._decode_entries)
+
+    want, floor = _peak(one_parse)
+    got, peak = _peak(lambda: io.read_json(path))
+    assert _same(got, want)
+    assert peak <= floor + 2**16
+
+
+_PAIR = '{"dim": 1, "entries": [[1.5, -2.0]]}'
+_REPEATS = f'"a": {_PAIR}, "b": {_PAIR}'
+_BAD = '{"dim": 2, "entries": [[1, 2], [3, true], [0, 0], [0, 0]]}'
+
+
+def _read(path: str):
+    """``read_json``'s document, or the text of its ParseError."""
+    try:
+        return io.read_json(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text, declined", [
+    ('{%s, "c": {"dim": 1, "entries":[[1.5, -2.0]]}}' % _REPEATS, False),
+    ('{"note": "\\"entries\\": [[1, 2]]", %s}' % _REPEATS, False),
+    ('{"x\\"entries": [[1.5, -2.0]], %s}' % _REPEATS, True),
+    ('{"m": {"dim": 1, "entries": [[1.5, -2.0]], "entries": [[1.5, -2.0]]}, '
+     '"n": %s}' % _PAIR, True),
+    ('{"a": %s, "b": %s, "source_norm": 1.0}' % (_BAD, _BAD), True),
+    ('{"a": {"dim": 2, "entries": [[1, [2]], [3, 4]]}, '
+     '"b": {"dim": 2, "entries": [[1, [2]], [3, 4]]}}', True),
+    ('{"a": {"entries": [[1.5, -2.0] ], "k": [[0]]}, '
+     '"b": {"entries": [[1.5, -2.0] ], "k": [[0]]}}', True),
+    ('{"a": {"dim": 1, "entries": []}, "b": {"dim": 1, "entries": []}}',
+     True),
+    ('{"note": "\\u0000", %s}' % _REPEATS, True),
+    ('{%s, "c": {"dim": 1, "entries": [[1.5, -2.0]]' % _REPEATS, True),
+], ids=["no-space", "in-a-string", "key-ending-in-entries", "duplicate-key",
+        "repeated-bad-pair", "nested-list", "ends-past-first-brackets",
+        "empty-lists", "nul-escape", "truncated"])
+def test_doubtful_repeats_read_as_the_one_parse_reads_them(
+        tmp_path, monkeypatch, text, declined):
+    # each document repeats an entries text; where the parse-once path
+    # is in doubt it declines, and read_json gives the document or the
+    # error of the one json.loads parse
+    path = str(tmp_path / "d.json")
+    with open(path, "w") as handle:
+        handle.write(text)
+    assert (io._parse_once(text) is None) == declined
+    got = _read(path)
+    monkeypatch.setattr(io, "_parse_once", lambda raw: None)
+    assert _same(got, _read(path))
+
+
+def test_repeated_bad_pair_is_named_by_its_index(tmp_path):
+    path = str(tmp_path / "d.json")
+    with open(path, "w") as handle:
+        handle.write('{"a": %s, "b": %s, "source_norm": 1.0}' % (_BAD, _BAD))
+    doc = io.read_json(path)
+    for part in ("a", "b"):
+        with pytest.raises(ParseError) as got:
+            io.matrix_from_doc(doc[part], part)
+        assert str(got.value) == f"{part}.entries[1]: expected a number"
+
+
+@pytest.mark.parametrize("cut", [0.3, 0.7])
+def test_truncated_bundle_names_the_same_position(tmp_path, monkeypatch, cut):
+    bundle = _bundle(tmp_path, 8)
+    with open(bundle) as handle:
+        text = handle.read()
+    with open(bundle, "w") as handle:
+        handle.write(text[:int(cut * len(text))])
+    with pytest.raises(ParseError) as got:
+        io.read_json(bundle)
+    monkeypatch.setattr(io, "_parse_once", lambda raw: None)
+    with pytest.raises(ParseError) as want:
+        io.read_json(bundle)
+    assert str(got.value) == str(want.value)
+    assert "line 1 column" in str(got.value)
+
+
 @pytest.mark.parametrize("count", BLOCK_EDGES)
 def test_entries_at_block_edges_round_trip(tmp_path, count):
     doc = {"dim": count, "entries": _entries(count, count)}

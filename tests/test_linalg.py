@@ -104,8 +104,8 @@ def test_tolerances_defaults_and_validation(monkeypatch):
     # rel is read at call time: one patched constant moves every bound
     monkeypatch.setattr(linalg, "REL", 1e-7)
     assert linalg.rel(10) == pytest.approx(1e-6)
-    for bad in (0.0, -1e-10, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1e-10, float("nan"), float("inf"), True, np.True_):
+        with pytest.raises(ValueError, match="strictly positive"):
             Tolerances(cluster=bad)
 
 
