@@ -165,9 +165,9 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str
     A decomposition is verified against its own stored ``t``, else
     ``operator`` (None when there is neither).  Atoms carrying ``t`` make
     a product measure.  A measure whose ``of`` is T is also held to
-    reconstruction against an ``operator`` of its dimension; measures of
-    A and B, and products, are only validated.  A measure is judged by
-    the joining radius it carries, if any.
+    reconstruction against ``operator``, if any, of its dimension or a
+    DimensionMismatch; measures of A and B, and products, are only
+    validated.  A measure is judged by the joining radius it carries.
     """
     if part == "decomposition":
         t, d = io.decomposition_from_doc(doc, where=name)
@@ -178,7 +178,7 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str
             and "t" in atoms[0]):
         return product_validate(io.product_from_doc(doc, where=name))
     e = io.pvm_from_doc(doc, where=name)
-    if e.of == "T" and operator is not None and operator.dim == e.dim:
+    if e.of == "T" and operator is not None:
         return _pvm_report(operator, e)
     return pvm_validate(e)
 

@@ -18,11 +18,12 @@ modified Gram-Schmidt on a Gaussian matrix, columns in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import BadSpec
-from .linalg import OperatorMatrix
+from .linalg import OperatorMatrix, _number
 
 __all__ = ["OperatorSpec", "generate", "KINDS"]
 
@@ -47,6 +48,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 class OperatorSpec:
     """Recipe for one gallery operator.
 
+    ``dim`` and ``seed`` are integers and ``scale`` a real, none a bool;
     ``seed`` is required for the random kinds.  Violations raise BadSpec.
     """
 
@@ -59,10 +61,12 @@ class OperatorSpec:
         if self.kind not in KINDS:
             raise BadSpec(f"unknown operator kind {self.kind!r}; "
                           f"choose one of {', '.join(KINDS)}")
-        if self.dim < 1:
-            raise BadSpec(f"dimension must be at least 1, got {self.dim}")
-        if not np.isfinite(self.scale) or self.scale <= 0:
+        if not _number(self.dim, Integral) or self.dim < 1:
+            raise BadSpec(f"dimension must be an integer >= 1, got {self.dim!r}")
+        if not (_number(self.scale) and 0 < self.scale < np.inf):
             raise BadSpec(f"scale must be positive and finite, got {self.scale}")
+        if self.seed is not None and not _number(self.seed, Integral):
+            raise BadSpec(f"seed must be an integer, got {self.seed!r}")
         if self.kind in _RANDOM_KINDS and self.seed is None:
             raise BadSpec(f"{self.kind} requires a seed")
 
@@ -70,7 +74,7 @@ class OperatorSpec:
 def _uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
+        z = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         z = z ^ (z >> np.uint64(31))

@@ -17,6 +17,7 @@ eigen, singular value or factorization routine is called anywhere.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,7 +36,6 @@ __all__ = [
     "Tolerances",
     "OperatorMatrix",
     "EigenSystem",
-    "DEFAULT_TOLERANCES",
     "is_hermitian",
     "is_normal",
     "frobenius",
@@ -88,39 +88,39 @@ class Tolerances:
     """The one tolerance a caller sets: the radius at which T's atoms join.
 
     Every other bound is fixed: relative ones scale with ``rel(n)`` and
-    absolute floors are ``ATOL``.
+    absolute floors are ``ATOL``.  Below the public routines, which read
+    ``cluster`` once, the radius is a float.
 
     Parameters
     ----------
     cluster : float or None
-        Absolute radius within which the atoms of a measure of T join;
-        the measure carries it (``SpectralMeasure.cluster``), so it is
-        validated by it.  E_A, E_B and ``normal_eig``'s split keep their
-        own rules (``_reach``).  When None, points a and b join when
-        ``|a - b| <= 1e-8 max(|a|, |b|) + 100 eps s``, s the largest
-        |point|, and never past ``cluster_radius(s)``.
+        Absolute radius within which the atoms of a measure of T join,
+        checked by ``_radius``; None for the default rule (``_reach``),
+        capped by ``cluster_radius``.  E_A and E_B keep their own rules.
     """
 
     cluster: float | None = None
 
     def __post_init__(self):
-        # a bool is a number to numpy, and True would join within 1.0
-        if self.cluster is not None and (
-                isinstance(self.cluster, (bool, np.bool_))
-                or not np.isfinite(self.cluster) or self.cluster <= 0.0):
-            raise ValueError(
-                f"cluster must be strictly positive, got {self.cluster!r}")
+        if self.cluster is not None:
+            object.__setattr__(self, "cluster", _radius(self.cluster))
 
-    def cluster_radius(self, scale: float) -> float:
+    @staticmethod
+    def cluster_radius(scale: float) -> float:
         """Cap of the default rule up to ``scale``: ``1e-8 (1 + scale)``."""
         return _CLUSTER_REL * (1.0 + scale)
 
 
-DEFAULT_TOLERANCES = Tolerances()
+def _number(value, kind=numbers.Real) -> bool:
+    """A ``kind`` of number (``numbers``) that is not a bool, read as 0 or 1."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _resolve(tol: Tolerances | None) -> Tolerances:
-    return DEFAULT_TOLERANCES if tol is None else tol
+def _radius(value) -> float:
+    """A radius as a float: a finite real above 0 (``_number``)."""
+    if _number(value) and 0.0 < value < np.inf:
+        return float(value)
+    raise ValueError(f"cluster must be strictly positive, got {value!r}")
 
 
 def rel(n: int) -> float:
@@ -544,34 +544,34 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
-def _reach(mags: np.ndarray, tol: Tolerances, of: str) -> np.ndarray:
+def _reach(mags: np.ndarray, cluster: float | None, of: str) -> np.ndarray:
     """How far points of moduli ``mags`` reach in a measure of ``of``.
 
-    ``min(R, 1e-8 |x| + 100 eps s)``, s the largest modulus and
-    ``R = tol.cluster_radius(s)``.  E_A's weights, as accurate relative
-    to their own size as one-sided singular values, reach
+    ``cluster``, T's radius as a float, is the reach of every point (E_A
+    and E_B carry none).  Else ``min(R, 1e-8 |x| + 100 eps s)``, s the
+    largest modulus and ``R = Tolerances.cluster_radius(s)``.  E_A's
+    weights, as accurate relative to their own size as one-sided
+    singular values, reach
     ``min(R, 3e-8 |x| + 100 eps |x|)`` (R binds above |x| = (1 + s)/3),
     where two errors balance: a join of radius rho moves a point z of T
     by up to rho/2 |z|, and weights a relative delta > rho apart keep
     singular subspaces mixed to about sqrt(n) eps / delta.
-    ``tol.cluster`` is read here alone: the reach of every point of T's
-    measure, not of E_A's or E_B's, whose points lie on other scales.
     """
-    if of == "T" and tol.cluster is not None:
-        return np.full(mags.shape, tol.cluster)
+    if cluster is not None:
+        return np.full(mags.shape, cluster)
     top = float(np.max(mags, initial=0.0))
     slope, floor = (_WEIGHT_REL, mags) if of == "A" else (_CLUSTER_REL, top)
-    return np.minimum(tol.cluster_radius(top),
+    return np.minimum(Tolerances.cluster_radius(top),
                       slope * mags + 100.0 * _EPS * floor)
 
 
-def _clusters(points: np.ndarray, tol: Tolerances, weights=None,
-              of: str = "T"
+def _clusters(points: np.ndarray, cluster: float | None = None,
+              weights=None, of: str = "T"
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The clustering rule, as arrays: ``(members, offsets, means)``.
 
     Points a and b join when ``|a - b| <= max(reach_a, reach_b)``, each
-    reach from ``_reach(|points|, tol, of)``.
+    reach from ``_reach(|points|, cluster, of)``, ``cluster`` a float.
 
     Cluster g holds ``members[offsets[g]:offsets[g + 1]]``, ascending, and
     has mean ``means[g]`` under ``weights`` (1 each when None), which
@@ -584,7 +584,7 @@ def _clusters(points: np.ndarray, tol: Tolerances, weights=None,
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[0]
     w = np.ones(k) if weights is None else weights
-    reach = _reach(np.abs(pts), tol, of)
+    reach = _reach(np.abs(pts), cluster, of)
     radius = float(np.max(reach, initial=0.0))
     by_real = np.argsort(pts.real, kind="stable")
     real = pts.real[by_real]
@@ -632,7 +632,7 @@ def cluster_points(points: np.ndarray, radius: float) -> list[np.ndarray]:
     the lexicographic (real, imaginary) position of each cluster mean,
     then by first index.
     """
-    members, offsets, _ = _clusters(points, Tolerances(cluster=radius))
+    members, offsets, _ = _clusters(points, _radius(radius))
     return np.split(members, offsets[1:-1]) if members.size else []
 
 
@@ -664,9 +664,8 @@ def _normal_eig(m: OperatorMatrix) -> EigenSystem:
     order = np.argsort(h_vals, kind="stable")
     h_vals = h_vals[order]
     h_vecs = h_vecs[:, order]
-    # H's vectors are as good as eps ||M|| over H's gaps: cut H's sorted
-    # eigenvalues where a step passes the default rule's absolute radius
-    cuts = np.diff(h_vals) > _CLUSTER_REL * (1.0 + np.abs(h_vals).max())
+    # H's vectors are as good as eps ||M|| over H's gaps: an absolute cut
+    cuts = np.diff(h_vals) > Tolerances.cluster_radius(np.abs(h_vals).max())
     offsets = np.concatenate(([0], np.flatnonzero(cuts) + 1, [n]))
     kh = ((a - a.conj().T) / 2.0j) @ h_vecs
     vals = h_vals + 1.0j * np.einsum("ij,ij->j", h_vecs.conj(), kh).real

@@ -25,9 +25,9 @@ from .linalg import (
     OperatorMatrix,
     Tolerances,
     _clusters,
+    _radius,
     _ranges,
     _reach,
-    _resolve,
     frobenius,
     normal_eig,
     rel,
@@ -202,9 +202,8 @@ class SpectralMeasure(_AtomStore):
             if self.of != "T":
                 raise ValueError(f"a measure of {self.of} joins by its own "
                                  "rule and carries no cluster radius")
-            Tolerances(cluster=self.cluster)  # its check of a radius
             # a float, so the radius a file holds reads back as it was
-            object.__setattr__(self, "cluster", float(self.cluster))
+            object.__setattr__(self, "cluster", _radius(self.cluster))
         pts = np.array(self.points, dtype=np.complex128, copy=True)
         if pts.ndim != 1 or pts.size == 0:
             raise DimensionMismatch("a measure needs at least one atom")
@@ -233,24 +232,23 @@ def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> Spectra
     """
     es = normal_eig(m)
     return _merged(es.eigenvalues, es.unitary.array, np.arange(es.dim + 1),
-                   _resolve(tol))
+                   None if tol is None else tol.cluster)
 
 
 def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
-            tol: Tolerances, of: str = "T") -> SpectralMeasure:
+            cluster: float | None = None, of: str = "T") -> SpectralMeasure:
     """One atom per cluster of ``points`` (``_clusters``), the only merge.
 
     Point k carries ``stacked[:, offsets[k]:offsets[k + 1]]``; an atom sits
     at its members' rank-weighted mean and holds their bases side by side.
-    A measure of T carries ``tol.cluster``, the radius it joined by.
+    ``cluster``, T's radius as a float, is carried by the measure.
     """
     ranks = np.diff(offsets)
-    members, groups, means = _clusters(points, tol, ranks, of)
+    members, groups, means = _clusters(points, cluster, ranks, of)
     ranks = ranks[members]
     return SpectralMeasure(stacked.shape[0], means, bases=_Blocks(
         stacked[:, _ranges(offsets[members], ranks)],
-        np.cumsum(np.append(0, ranks))[groups]), of=of,
-        cluster=tol.cluster if of == "T" else None)
+        np.cumsum(np.append(0, ranks))[groups]), of=of, cluster=cluster)
 
 
 def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
@@ -375,7 +373,7 @@ def pvm_validate(e: SpectralMeasure) -> VerificationReport:
     checks = _store_checks(e)
     if e.num_atoms > 1:
         pts = e.points
-        reach = _reach(np.abs(pts), Tolerances(cluster=e.cluster), e.of)
+        reach = _reach(np.abs(pts), e.cluster, e.of)
         gaps = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(gaps, np.inf)
         radii = np.maximum.outer(reach, reach)

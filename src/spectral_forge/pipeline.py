@@ -45,7 +45,7 @@ import numpy as np
 
 from .decomposition import Decomposition, _bounded_pair
 from .errors import ScaleLimit
-from .linalg import OperatorMatrix, Tolerances, _normal_eig, _resolve, rel
+from .linalg import OperatorMatrix, Tolerances, _normal_eig, rel
 from .measures import (PVM_FACTOR, SpectralMeasure, _measure_in_frame,
                        _merged, _range_gap, _reconstruction_check)
 from .product import ProductMeasure, product_measure, pushforward
@@ -114,7 +114,6 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         support residuals and, with ``direct_check``, the cross-check
         residuals and ``direct_measure``.
     """
-    tol = _resolve(tol)
     n = t.dim
     d, es_a, b_local = _bounded_pair(t)
     source_norm = d.source_norm
@@ -124,7 +123,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
             "the end of the documented range "
             "(pass force_scale=True to proceed anyway)"
         )
-    e1 = _merged(es_a.eigenvalues, es_a.unitary.array, np.arange(n + 1), tol,
+    e1 = _merged(es_a.eigenvalues, es_a.unitary.array, np.arange(n + 1),
                  of="A")
     # E_B on E_A's blocks by the default rule (a radius is T's alone):
     # E_A's points ascend, so each atom is a run of U's columns, in order
@@ -146,7 +145,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         # _bounded_pair has tested T's normality and scale: no second test
         es = _normal_eig(t)
         direct = _merged(es.eigenvalues, es.unitary.array, np.arange(n + 1),
-                         tol)
+                         None if tol is None else tol.cluster)
         checks += _match_measures(measure, direct, source_norm)
     report = VerificationReport.from_checks(checks)
     return PipelineResult(d, e1, e2, prod, measure, report, direct)

@@ -25,7 +25,6 @@ from .linalg import (
     Tolerances,
     _jacobi_one_sided,
     _ranges,
-    _resolve,
     rel,
 )
 from .measures import (
@@ -359,5 +358,5 @@ def pushforward(prod: ProductMeasure, phi,
                 f"pushforward map is not finite at (t={float(t)}, w={complex(w)})"
             )
         images.append(value)
-    return _merged(np.array(images, dtype=np.complex128),
-                   prod.stacked_basis(), prod.offsets, _resolve(tol))
+    return _merged(np.array(images, dtype=np.complex128), prod.stacked_basis(),
+                   prod.offsets, None if tol is None else tol.cluster)

@@ -20,7 +20,6 @@ from spectral_forge.decomposition import _bounded_pair
 from spectral_forge.errors import DimensionMismatch, NotCommuting
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import (
-    DEFAULT_TOLERANCES,
     OperatorMatrix,
     Tolerances,
     _eigensystem,
@@ -47,7 +46,7 @@ from spectral_forge.product import (
 EPS = np.finfo(float).eps
 
 
-def ref_radii(points, tol=DEFAULT_TOLERANCES, of="T"):
+def ref_radii(points, tol=Tolerances(), of="T"):
     """Join radius of every pair of points, written out pair by pair.
 
     An explicit ``tol.cluster`` is one absolute radius for a measure of
@@ -96,7 +95,7 @@ def ref_cluster_points(points, radius):
     return [clusters[g] for g in order]
 
 
-def ref_normal_eig(m, tol=DEFAULT_TOLERANCES):
+def ref_normal_eig(m, tol=Tolerances()):
     a = m.array
     n = m.dim
     h_vals, h_vecs = _jacobi_hermitian(a)
@@ -123,7 +122,7 @@ def ref_normal_eig(m, tol=DEFAULT_TOLERANCES):
     return _eigensystem(vals, vecs)
 
 
-def ref_measure(es, tol=DEFAULT_TOLERANCES):
+def ref_measure(es, tol=Tolerances()):
     vals = es.eigenvalues
     clusters = ref_cluster_points(vals, ref_radii(vals, tol))
     points = np.array([vals[c].mean() for c in clusters])
@@ -213,7 +212,7 @@ def test_cluster_points_match_dict_reference(case):
     got = cluster_points(points, radius)
     want = ref_cluster_points(points, radius)
     assert [g.tolist() for g in got] == [g.tolist() for g in want]
-    _, _, means = linalg._clusters(points, Tolerances(cluster=radius))
+    _, _, means = linalg._clusters(points, radius)
     np.testing.assert_allclose(means, [points[c].mean() for c in want],
                                rtol=0, atol=8 * EPS * np.max(np.abs(points)))
 
@@ -224,14 +223,14 @@ def test_cluster_points_match_dict_reference(case):
        draws=st.lists(st.tuples(st.integers(0, 3), st.floats(-2.0, 2.0),
                                 st.floats(-2.0, 2.0), st.integers(1, 9)),
                       min_size=1, max_size=24),
-       tol=st.sampled_from([DEFAULT_TOLERANCES, Tolerances(cluster=1e-8)]))
-def test_weighted_cluster_means(centers, draws, tol):
+       cluster=st.sampled_from([None, 1e-8]))
+def test_weighted_cluster_means(centers, draws, cluster):
     # jitters of about the join radius chain some points and split others
     points = np.array([centers[c % len(centers)] + 1e-8 * complex(re, im)
                        for c, re, im, _ in draws])
     weights = np.array([w for *_, w in draws])
-    members, offsets, means = linalg._clusters(points, tol, weights)
-    plain, plain_offsets, _ = linalg._clusters(points, tol)
+    members, offsets, means = linalg._clusters(points, cluster, weights)
+    plain, plain_offsets, _ = linalg._clusters(points, cluster)
     groups = np.split(members, offsets[1:-1])
     assert sorted(g.tolist() for g in groups) == \
         sorted(g.tolist() for g in np.split(plain, plain_offsets[1:-1]))
@@ -265,7 +264,7 @@ DEFAULT_CASES = {
 @pytest.mark.parametrize("case", sorted(DEFAULT_CASES))
 def test_default_clusters_match_pairwise_reference(case):
     points = DEFAULT_CASES[case]
-    members, offsets, _ = linalg._clusters(points, DEFAULT_TOLERANCES)
+    members, offsets, _ = linalg._clusters(points)
     want = ref_cluster_points(points, ref_radii(points))
     assert [g.tolist() for g in np.split(members, offsets[1:-1])] == \
         [g.tolist() for g in want]
@@ -274,8 +273,7 @@ def test_default_clusters_match_pairwise_reference(case):
 @pytest.mark.parametrize("case", sorted(DEFAULT_CASES))
 def test_own_size_clusters_match_pairwise_reference(case):
     points = DEFAULT_CASES[case]
-    members, offsets, _ = linalg._clusters(points, DEFAULT_TOLERANCES,
-                                           of="A")
+    members, offsets, _ = linalg._clusters(points, of="A")
     want = ref_cluster_points(points, ref_radii(points, of="A"))
     assert [g.tolist() for g in np.split(members, offsets[1:-1])] == \
         [g.tolist() for g in want]
@@ -315,7 +313,7 @@ NORMAL_CASES = {
 @pytest.mark.parametrize("case", sorted(NORMAL_CASES))
 def test_normal_eig_matches_per_cluster_reference(case):
     m = NORMAL_CASES[case]
-    got = pvm_from_normal(m, DEFAULT_TOLERANCES)
+    got = pvm_from_normal(m, Tolerances())
     want = ref_measure(ref_normal_eig(m))
     close = 100 * EPS * np.linalg.norm(m.array)
     # atoms are ordered by the real parts of their points, so two whose
@@ -337,8 +335,7 @@ def test_normal_eig_matches_per_cluster_reference(case):
 
 def _factors(t):
     d, es, b_local = _bounded_pair(t)
-    e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1),
-                 DEFAULT_TOLERANCES)
+    e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1))
     return e1, _measure_in_frame(b_local, es.unitary.array)
 
 
@@ -451,8 +448,7 @@ def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
     # left after the one-sided solve of T: no K block, no pair solve
     t = ALL_RANK_ONE[case]()
     d, es, b_local = _bounded_pair(t)
-    e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1),
-                 DEFAULT_TOLERANCES)
+    e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1))
     calls = []
 
     def counted(kernel):

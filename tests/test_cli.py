@@ -320,7 +320,9 @@ def test_verify_requires_a_target(capsys):
     assert code == 2
 
 
-def test_byte_identical_reruns(tmp_path, capsys):
+@pytest.mark.parametrize("radius", [[], ["--cluster", "1e-6"]],
+                         ids=["default", "cluster"])
+def test_byte_identical_reruns(tmp_path, capsys, radius):
     args = ["gen", "--kind", "random_normal", "--dim", "6", "--seed", "77"]
     p1 = str(tmp_path / "a.json")
     p2 = str(tmp_path / "b.json")
@@ -328,10 +330,13 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert main(args + ["--output", p2]) == 0
     assert open(p1, "rb").read() == open(p2, "rb").read()
     capsys.readouterr()
-    code1, out1, _ = run(["pipeline", "--input", p1, "--cross-check"], capsys)
-    code2, out2, _ = run(["pipeline", "--input", p1, "--cross-check"], capsys)
+    pipeline = ["pipeline", "--input", p1, "--cross-check"] + radius
+    code1, out1, _ = run(pipeline, capsys)
+    code2, out2, _ = run(pipeline, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+    # the measures of T carry the radius, and no other measure does
+    assert out1.count('"cluster": 1e-06') == (2 if radius else 0)
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
@@ -495,6 +500,39 @@ def test_verify_dir_holds_only_measures_of_t_to_t(tmp_path, capsys):
     code, out, _ = run(["verify", "--dir", str(parts), "--input", t], capsys)
     assert code == 1
     assert "e1.json: measure FAIL" in out
+
+
+@pytest.mark.parametrize("target", ["pvm", "dir", "bundle"])
+def test_verify_holds_a_measure_of_t_to_an_operator_of_its_dimension(
+        tmp_path, capsys, target):
+    # a measure of T is held to reconstruction against the operator it
+    # is checked with; one of another dimension is a DimensionMismatch,
+    # as for a decomposition, never a pass with no reconstruction
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "71")
+    other = gen_file(tmp_path, "other.json", "gen", "--kind",
+                     "random_normal", "--dim", "3", "--seed", "72")
+    work = tmp_path / "work"
+    work.mkdir()
+    if target == "bundle":
+        # a 4-dim bundle whose measures of T were swapped for a valid
+        # 3-dim measure of another operator
+        bundle = json.loads(run(["pipeline", "--input", t, "--cross-check"],
+                                capsys)[1])
+        swap = json.loads(run(["pipeline", "--input", other,
+                               "--cross-check"], capsys)[1])
+        bundle["measure"] = bundle["direct"] = swap["measure"]
+        io.write_json(bundle, str(work / "bundle.json"))
+        args = ["--dir", str(work)]
+    else:
+        m = str(work / "m.json")
+        assert main(["spectrum", "--input", other, "--emit", "measure",
+                     "--output", m]) == 0
+        args = ["--pvm", m] if target == "pvm" else ["--dir", str(work)]
+    capsys.readouterr()
+    code, out, err = run(["verify"] + args + ["--input", t], capsys)
+    assert code == 2, out
+    assert "dimension mismatch: 3 versus 4" in err
 
 
 def test_verify_pvm_on_a_measure_of_a_has_no_reconstruction(tmp_path, capsys):

@@ -108,6 +108,24 @@ def test_bad_specs():
         OperatorSpec("multiplication", dim=4, scale=-2.0)
     with pytest.raises(BadSpec):
         OperatorSpec("from_file")
+    # dim and seed are integers and scale a real number, none of them a
+    # bool: each is refused here, not deep inside generate
+    for bad in (dict(kind="random_normal", dim=4.5, seed=1),
+                dict(kind="laplacian_1d", dim=3.0),
+                dict(kind="random_normal", dim=4, seed=1.5),
+                dict(kind="multiplication", dim=4, scale="2"),
+                dict(kind="multiplication", dim=True),
+                dict(kind="random_normal", dim=4, seed=True),
+                dict(kind="multiplication", dim=4, scale=True)):
+        with pytest.raises(BadSpec):
+            OperatorSpec(**bad)
+    # numpy numbers are numbers, and give the same operator
+    spec = OperatorSpec("random_normal", dim=np.int64(4), seed=np.int64(3),
+                        scale=np.float64(2.0))
+    np.testing.assert_array_equal(
+        generate(spec).array,
+        generate(OperatorSpec("random_normal", dim=4, seed=3,
+                              scale=2.0)).array)
 
 
 def test_kinds_tuple_is_complete():

@@ -20,6 +20,7 @@ from spectral_forge.linalg import (
     normal_eig,
     op_norm_2,
 )
+from spectral_forge.measures import SpectralMeasure
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -104,9 +105,19 @@ def test_tolerances_defaults_and_validation(monkeypatch):
     # rel is read at call time: one patched constant moves every bound
     monkeypatch.setattr(linalg, "REL", 1e-7)
     assert linalg.rel(10) == pytest.approx(1e-6)
-    for bad in (0.0, -1e-10, float("nan"), float("inf"), True, np.True_):
+    # one check of a radius (linalg._radius), wherever a radius enters
+    points = np.array([0.0, 1e-4, 1.0])
+    for bad in (0.0, -1e-10, float("nan"), float("inf"), True, np.True_,
+                "1e-3", 1e-3 + 0j, [1e-3], np.array([1e-3])):
         with pytest.raises(ValueError, match="strictly positive"):
             Tolerances(cluster=bad)
+        with pytest.raises(ValueError, match="strictly positive"):
+            SpectralMeasure(2, [1.0], bases=[np.eye(2)], cluster=bad)
+        with pytest.raises(ValueError, match="strictly positive"):
+            cluster_points(points, bad)
+    # below the public edge the radius is a Python float
+    radius = Tolerances(cluster=np.float32(1e-3)).cluster
+    assert type(radius) is float and radius == float(np.float32(1e-3))
 
 
 def test_hermitian_eig_hand_values_real_symmetric():

@@ -33,7 +33,8 @@ def test_measure_of_t_alone_carries_a_radius():
         assert SpectralMeasure(2, [1.0], bases=basis, of=of).cluster is None
         with pytest.raises(ValueError, match="carries no cluster radius"):
             SpectralMeasure(2, [1.0], bases=basis, of=of, cluster=1e-6)
-    # a bad radius is refused by the check Tolerances makes
+    # a bad radius is refused by the one check of a radius, as in
+    # Tolerances (linalg._radius)
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="cluster must be strictly "
                                              "positive"):

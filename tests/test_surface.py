@@ -58,6 +58,8 @@ def test_all_is_pinned_and_resolves(module, names):
     ("spectral_forge.pipeline", "SINGULAR_MARGIN"),
     ("spectral_forge.linalg", "_norm_in_frame"),
     ("spectral_forge.product", "PRUNE_FACTOR"),
+    ("spectral_forge.linalg", "DEFAULT_TOLERANCES"),
+    ("spectral_forge.linalg", "_resolve"),
 ])
 def test_removed_names_cannot_be_imported(module, name):
     for where in ("spectral_forge", module):
@@ -101,12 +103,12 @@ WITHOUT_TOL = [
     measures._reconstruction_check, measures._measure_in_frame,
     pipeline._match_measures, measures.pvm_validate,
 ]
-# Routines that join T's atoms, and the private rule they share.
+# Routines that join T's atoms: a Tolerances stops at them.
 WITH_TOL = [
-    measures.pvm_from_normal, product.pushforward,
-    pipeline.spectral_theorem, measures._merged, linalg._clusters,
-    linalg._reach,
+    measures.pvm_from_normal, product.pushforward, pipeline.spectral_theorem,
 ]
+# The private rule they share reads the radius itself, a float.
+WITH_CLUSTER = [measures._merged, linalg._clusters, linalg._reach]
 
 
 def test_relative_tolerance_is_a_constant_not_a_knob():
@@ -121,6 +123,9 @@ def test_relative_tolerance_is_a_constant_not_a_knob():
         assert "tol" not in inspect.signature(routine).parameters, routine
     for routine in WITH_TOL:
         assert "tol" in inspect.signature(routine).parameters, routine
+    for routine in WITH_CLUSTER:
+        params = inspect.signature(routine).parameters
+        assert "cluster" in params and "tol" not in params, routine
     # a measure carries the radius it joined by, and is validated by it
     assert list(inspect.signature(measures.pvm_validate).parameters) == ["e"]
     assert "cluster" in [f.name for f in
