@@ -208,22 +208,36 @@ def _cmd_verify(args) -> int:
         name = os.path.basename(path)
         kind, parts = _classify(io.read_json(path), name, source)
         if part is None:
-            # a --dir file: one status line built from its part reports
-            reports = {key: r for key in parts
-                       if (r := _check(key, *parts[key], name)) is not None}
-            if not reports:
+            # a --dir file: one status line built from its part reports;
+            # a part of another dimension than its operator fails the
+            # file, named on stderr, and the files after it are checked
+            reports, mismatched = {}, []
+            for key in parts:
+                try:
+                    report = _check(key, *parts[key], name)
+                except DimensionMismatch as exc:
+                    print(f"error: {name}: {key}: {exc}", file=sys.stderr)
+                    mismatched.append(key)
+                    continue
+                if report is not None:
+                    reports[key] = report
+            if not reports and not mismatched:
                 print(f"{name}: " + ("skipped (no source operator; pass "
                                      "--input)" if parts else kind))
                 continue
             if kind == "bundle":
-                kind = "bundle(" + ",".join(reports) + ")"
-                failed = [key for key, r in reports.items() if r.failed]
+                done = [key for key in parts
+                        if key in reports or key in mismatched]
+                kind = "bundle(" + ",".join(done) + ")"
+                failed = [key for key in done
+                          if key in mismatched or reports[key].failed]
             else:
-                failed = [c for r in reports.values() for c in r.failed]
+                failed = mismatched + [c for r in reports.values()
+                                       for c in r.failed]
             print(f"{name}: {kind} " + ("FAIL " + ",".join(failed) if failed
                                         else "pass"))
             checked = True
-            worst = 1 if failed else worst
+            worst = 2 if mismatched else max(worst, 1 if failed else 0)
             continue
         # an explicit flag: the residual table of the part it names
         if part not in parts:
@@ -239,7 +253,7 @@ def _cmd_verify(args) -> int:
             verdict = "pass" if report.passed[key] else "FAIL"
             print(f"  {key:<24} value {residual:.6e}  bound {bound:.6e}  {verdict}")
         if not report.all_passed:
-            worst = 1
+            worst = max(worst, 1)
         if args.output:
             io.write_json(io.report_to_doc(report), args.output)
     if not checked:

@@ -15,14 +15,15 @@ W = diag(1/(1 + s^2)), whose relative accuracy is that of s at every
 norm, A = U W U* and B = U W^(1/2) (U* T U) W^(1/2) U*, which equals
 T A because A and T commute; ||T||_2 = max s.  On T's null modes,
 where G holds only rounding, U is the orthogonal complement of the
-range columns.  ``verify`` checks the pair against the exactly known
-I + T*T through the residual (I + T*T) B - T, which shares nothing
-with that solve.
+range columns.  The pair ``decompose`` returns holds U, W and B's
+local form W^(1/2) (U* T U) W^(1/2), and forms A and B on first read.
+``verify`` checks the pair against the exactly known I + T*T through
+the residual (I + T*T) B - T, which shares nothing with that solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .errors import DimensionMismatch, NotNormal
 from .linalg import (
     _EPS,
     ATOL,
-    EigenSystem,
     OperatorMatrix,
     _eigensystem,
     _jacobi_one_sided,
@@ -50,22 +50,46 @@ __all__ = ["Decomposition", "decompose", "verify", "norm_bounds"]
 RECONSTRUCTION_FACTOR = 100.0
 IDENTITY_FACTOR = 10.0
 
-@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Pair (A, B) with the spectral norm of the source operator.
 
     ``a`` is Hermitian positive definite with norm at most 1, ``b`` is
     normal with norm at most 1/2, and ``a^(-1) b`` recovers the source.
     ``source_norm`` records ||T||_2, which the pipeline's guard reads.
+    A pair read from a file or built by hand keeps the matrices it is
+    given.  A pair the route solves (``_bounded_pair``) holds U, the
+    weights w and B's local form L instead, and forms ``a = (U w) U*``
+    and ``b = U_r L U_r*`` once each, on first read: a run that writes
+    only its report never forms them.
     """
 
-    a: OperatorMatrix
-    b: OperatorMatrix
-    source_norm: float
+    def __init__(self, a: OperatorMatrix, b: OperatorMatrix,
+                 source_norm: float):
+        self.a, self.b = a, b
+        self.source_norm = source_norm
+        self.dim = a.dim
 
-    @property
-    def dim(self) -> int:
-        return self.a.dim
+    @classmethod
+    def _factored(cls, unitary: np.ndarray, weights: np.ndarray,
+                  local: np.ndarray, source_norm: float) -> "Decomposition":
+        """The pair of U, weights w and B's r x r local form L."""
+        d = cls.__new__(cls)
+        d._unitary, d._weights, d._local = unitary, weights, local
+        d.source_norm = source_norm
+        d.dim = unitary.shape[0]
+        return d
+
+    # a pair given as matrices holds them as instance attributes, which
+    # shadow these
+    @cached_property
+    def a(self) -> OperatorMatrix:
+        u = self._unitary
+        return OperatorMatrix((u * self._weights) @ u.conj().T)
+
+    @cached_property
+    def b(self) -> OperatorMatrix:
+        ur = self._unitary[:, :self._local.shape[0]]
+        return OperatorMatrix(ur @ self._local @ ur.conj().T)
 
 
 def _complement(u: np.ndarray, k: int) -> np.ndarray:
@@ -94,9 +118,9 @@ def _complement(u: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _bounded_pair(t: OperatorMatrix
-                  ) -> tuple[Decomposition, EigenSystem, np.ndarray]:
-    """``(D, E, U* B U)`` from one one-sided Jacobi solve of T.
+def _bounded_pair(t: OperatorMatrix) -> tuple[
+        Decomposition, np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, w, U, U* B U)`` from one one-sided Jacobi solve of T.
 
     The solve rotates T into T V = G and V is never formed: the columns
     of G give the singular values s and U = G/s.  T is normal, so these
@@ -104,17 +128,19 @@ def _bounded_pair(t: OperatorMatrix
     ones would.  On T's null modes, s <= 100 n eps max s, G holds only
     rounding (some columns are exactly 0), so U is completed there by
     the orthogonal complement of the range columns (``_complement``).
-    With W the weights 1/(1 + s^2), E is A's eigensystem (W ascending
-    on the columns of U), D holds A = U W U*,
-    B = U W^(1/2) (U* T U) W^(1/2) U* and ||T||_2 = max s, and the last
-    entry is B's local form W^(1/2) (U* T U) W^(1/2), which a solve of
-    E_B takes as it is.  U* T U carries rounding of about
-    eps ||T|| per entry: formed as T A, B would keep it unweighted, and
-    ||[A, B]|| would reach eps ||T||.  In the rows and columns of T's
-    null modes, where T u = T* u = 0, it is all there is, so only the
-    range block is formed and the rest is 0.  Normality is tested first
-    (NotNormal), then an entry past 2^128 refused (ScaleLimit); below
-    it, T is scaled by a power of two when a norm would leave the float range.
+    With W the weights 1/(1 + s^2), w and U are A's eigensystem (W
+    ascending, as complex128, on the columns of U, read-only and in
+    column-major order); D holds ||T||_2 = max s and forms A = U W U*
+    and B = U W^(1/2) (U* T U) W^(1/2) U* on first read; and the last
+    entry is B's local form W^(1/2) (U* T U) W^(1/2), read-only, which
+    D forms B from and a solve of E_B takes as it is.  U* T U carries
+    rounding of about eps ||T|| per entry: formed as T A, B would keep
+    it unweighted, and ||[A, B]|| would reach eps ||T||.  In the rows
+    and columns of T's null modes, where T u = T* u = 0, it is all there
+    is, so only the range block is formed and the rest is 0.  Normality
+    is tested first (NotNormal), then an entry past 2^128 refused
+    (ScaleLimit); below it, T is scaled by a power of two when a norm
+    would leave the float range.
     """
     if not is_normal(t):
         raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
@@ -143,9 +169,13 @@ def _bounded_pair(t: OperatorMatrix
     # sqrt(w_i w_j), exactly w_i on the diagonal
     np.multiply(ur.conj().T @ (t.array @ ur), np.sqrt(np.outer(w[:r], w[:r])),
                 out=b_local[:r, :r])
-    return Decomposition(OperatorMatrix((u * w) @ u.conj().T),
-                         OperatorMatrix(ur @ b_local[:r, :r] @ ur.conj().T),
-                         float(sigma.max())), es, b_local
+    b_local.setflags(write=False)  # B is formed from it on first read
+    # E_A's basis is U itself, in the layout a gathered copy of its
+    # columns would have: products with one atom's columns round by it
+    u = np.asfortranarray(u)
+    u.setflags(write=False)
+    return (Decomposition._factored(u, w, b_local[:r, :r], float(sigma.max())),
+            es.eigenvalues, u, b_local)
 
 
 def decompose(t: OperatorMatrix) -> Decomposition:

@@ -23,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BadSpec
-from .linalg import OperatorMatrix, _number
+from .linalg import OperatorMatrix, _number, _positive
 
 __all__ = ["OperatorSpec", "generate", "KINDS"]
 
@@ -63,7 +63,7 @@ class OperatorSpec:
                           f"choose one of {', '.join(KINDS)}")
         if not _number(self.dim, Integral) or self.dim < 1:
             raise BadSpec(f"dimension must be an integer >= 1, got {self.dim!r}")
-        if not (_number(self.scale) and 0 < self.scale < np.inf):
+        if _positive(self.scale) is None:
             raise BadSpec(f"scale must be positive and finite, got {self.scale}")
         if self.seed is not None and not _number(self.seed, Integral):
             raise BadSpec(f"seed must be an integer, got {self.seed!r}")

@@ -11,16 +11,24 @@ time, so no Python float exists per entry beyond one block.  A write
 encodes each distinct array once: an array of the same bytes as one
 already written in that document reuses its text, as the measures of an
 ``--emit all`` bundle do, whose atoms repeat.
-``read_json`` decodes each valid ``entries`` list to such an array in
-one vectorized pass, after an exact type screen; a malformed list stays
-a list, and ``matrix_from_doc`` names its first bad pair in a
-ParseError.  A read decodes each distinct ``entries`` text once: copies
-of one text, found and compared in the file's text, share one array
-(``_parse_once``).  A file whose ``entries`` text never repeats, or
-whose repeats leave any doubt, is parsed whole by ``json.loads``, which
-decodes each list as the parser closes its object.  Either way the read
-peaks at about twice the file, its bytes beside its text, unless one
-matrix's pair lists, alive while that matrix decodes, cost more.
+``read_json`` decodes each valid ``entries`` list to such an array,
+after an exact type screen; a malformed list stays a list, and
+``matrix_from_doc`` names its first bad pair in a ParseError.  A read
+decodes each distinct ``entries`` text once: copies of one text, found
+and compared in the file's text, share one array (``_parse_once``).
+Each distinct text decodes in pieces of about ``_PIECE`` characters,
+cut between pairs, into one array, so one piece's pair lists are the
+only Python lists and floats alive at once, whether the file holds one
+matrix or many.  A file with no such text, or whose text leaves any
+doubt (other separators, a bad pair, a string), is parsed whole by
+``json.loads``, which decodes each list as the parser closes its
+object and reports errors as it always did.  The read peaks at the
+text, the distinct arrays at 16 bytes a pair and one piece, or the
+file's bytes beside its text while it decodes: the bench's n = 384
+input, a 1.8 MB file, reads at a 5.0 MiB ``tracemalloc`` peak against
+the whole parse's 27.1 MiB, and its ``pipeline --emit report`` child
+peaks at 57.0 MB against 63.9 MB before pieces and the pair's lazy A
+and B (``ru_maxrss``, median of 6 runs).
 A measure document is
 ``{"dim", "of", "cluster", "atoms"}``: ``of`` is the measure's own label
 of the operator it resolves (``"T"``, ``"A"`` or ``"B"``), written from
@@ -60,6 +68,10 @@ __all__ = [
 # Pairs of an ``entries`` array per encoder call: bounds the Python
 # floats that exist at once while a matrix is written.
 _BLOCK = 1024
+# Characters of an ``entries`` text per decoder call, give or take one
+# pair: bounds the Python lists and floats that exist at once while a
+# matrix is read.
+_PIECE = 1 << 16
 
 
 def _plain(value):
@@ -171,6 +183,8 @@ def read_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # past the digits int() reads from text
+        raise ParseError(f"{path}: an integer has too many digits") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
@@ -184,19 +198,21 @@ _ENTRIES = '"entries": ['
 
 
 def _parse_once(raw: str) -> dict | None:
-    """``raw`` parsed with each repeated ``entries`` text decoded once.
+    """``raw`` parsed with each distinct ``entries`` text decoded once.
 
     Each ``"entries": [`` value found in the text is grouped with the
     others of the same text, compared by length and then in place, and
-    each distinct text is decoded once by ``raw_decode`` and ``_pairs``;
-    every copy gets that one array.  The rest of the document is parsed
-    with each value replaced by a reference, a string holding a NUL and
-    the value's index, which ``_resolve`` swaps for its array.  None,
-    for ``read_json`` to parse ``raw`` whole with ``json.loads``, when no
-    text repeats or when anything is in doubt: a value that does not end at
-    its first ``]]`` or does not decode to valid pairs, a reference not
-    consumed exactly once under an ``entries`` key, an error in the rest
-    of the document, or text that could hold a NUL of its own.
+    each distinct text is decoded once, in bounded pieces
+    (``_decode_span``); every copy gets that one array.  The rest of the
+    document is parsed with each value replaced by a reference, a
+    string holding a NUL and the value's index, which ``_resolve`` swaps
+    for its array.  None, for ``read_json`` to parse ``raw`` whole with
+    ``json.loads``, when the text has no such value or when anything is
+    in doubt: a value that does not end at its first ``]]``, whose pairs
+    are not separated by ``, `` or do not decode to valid pairs, a
+    reference not consumed exactly once under an ``entries`` key, an
+    error in the rest of the document, or text that could hold a NUL of
+    its own.
     """
     # a backslash is rare in a bundle, and finding one is 30 times
     # cheaper than finding the escape itself
@@ -211,6 +227,8 @@ def _parse_once(raw: str) -> dict | None:
             return None
         spans.append((start, end))
         at = raw.find(_ENTRIES, end)
+    if not spans:
+        return None
     by_length = {}
     for i, (start, end) in enumerate(spans):
         by_length.setdefault(end - start, []).append(i)
@@ -226,9 +244,6 @@ def _parse_once(raw: str) -> dict | None:
                 else:
                     rest.append(i)
             same = rest
-    if first == list(range(len(spans))):  # nothing repeats: no extra copy
-        return None
-    decoder = json.JSONDecoder()
     arrays, pieces, at, used = {}, [], 0, []
 
     def _resolve(obj: dict) -> dict:
@@ -242,9 +257,7 @@ def _parse_once(raw: str) -> dict | None:
 
     try:
         for i in sorted(set(first)):
-            start, end = spans[i]
-            pairs, stop = decoder.raw_decode(raw, start)
-            arrays[i] = _pairs(pairs) if stop == end else None
+            arrays[i] = _decode_span(raw, *spans[i])
             if arrays[i] is None:
                 return None
         for i, (start, end) in enumerate(spans):
@@ -255,6 +268,38 @@ def _parse_once(raw: str) -> dict | None:
     except (json.JSONDecodeError, RecursionError):
         return None
     return doc if len(used) == len(spans) else None
+
+
+def _decode_span(raw: str, start: int, end: int) -> np.ndarray | None:
+    """The pairs of the list ``raw[start:end]`` as complex128, or None.
+
+    The list is cut after a pair's ``]`` at each ``], [`` found at least
+    ``_PIECE`` characters into a piece, and each piece is decoded by
+    ``json.loads`` and ``_pairs``, so at most one piece's lists and
+    floats exist at once.  The pieces are valid lists of pairs exactly
+    when the whole is.  A list of more than one piece goes into one
+    array allocated up front, one pair per ``], [`` plus one.  None when
+    a piece is not valid, or when the pieces hold another count of
+    pairs: a pair separator other than ``, ``.
+    """
+    out, filled, at, last = None, 0, start + 1, end - 1
+    while at < last:
+        cut = raw.find("], [", min(at + _PIECE, last), last)
+        stop = cut + 1 if cut >= 0 else last
+        values = _pairs(json.loads(f"[{raw[at:stop]}]"))
+        if values is None:
+            return None
+        if out is None:
+            if cut < 0:  # the whole list in one piece
+                return values
+            out = np.empty(raw.count("], [", start, end) + 1,
+                           dtype=np.complex128)
+        if filled + values.size > out.size:
+            return None
+        out[filled:filled + values.size] = values
+        filled += values.size
+        at = stop + 2  # past the ", " between two pairs
+    return out if out is not None and filled == out.size else None
 
 
 def _field(doc: dict, name: str, kind, where: str):
@@ -348,10 +393,22 @@ def matrix_to_doc(m: OperatorMatrix) -> dict:
     return {"dim": m.dim, "entries": m.array.reshape(-1)}
 
 
-def matrix_from_doc(doc: dict, where: str = "matrix") -> OperatorMatrix:
+def _dim(doc: dict, where: str) -> int:
+    """``doc["dim"]``, an integer from 1 to below 2^32, else ParseError.
+
+    A larger one is refused by the limit, not quoted: it may run to any
+    number of digits, and no file holds its square of entries.
+    """
     dim = _field(doc, "dim", int, where)
     if dim < 1:
         raise ParseError(f"{where}: dim must be at least 1")
+    if dim >= 2**32:
+        raise ParseError(f"{where}: dim must be below 2^32")
+    return dim
+
+
+def matrix_from_doc(doc: dict, where: str = "matrix") -> OperatorMatrix:
+    dim = _dim(doc, where)
     entries = doc.get("entries")
     if not isinstance(entries, np.ndarray):  # else decoded by read_json
         entries = _field(doc, "entries", list, where)
@@ -377,7 +434,7 @@ def _read_atoms(doc: dict, where: str, head: tuple) -> tuple:
     ``head`` lists the kind's own atom fields as ``(name, kind)`` pairs;
     their values come back as one column per field, in atom order.
     """
-    dim = _field(doc, "dim", int, where)
+    dim = _dim(doc, where)
     atoms = _field(doc, "atoms", list, where)
     if not atoms:
         raise ParseError(f"{where}: a measure needs at least one atom")

@@ -116,11 +116,27 @@ def _number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _positive(value) -> float | None:
+    """``value`` as a float if it is a finite real above 0 (``_number``).
+
+    None otherwise, an integer past the double range among them.
+    """
+    if _number(value):
+        try:
+            x = float(value)
+        except OverflowError:
+            return None
+        if 0.0 < x < np.inf:
+            return x
+    return None
+
+
 def _radius(value) -> float:
-    """A radius as a float: a finite real above 0 (``_number``)."""
-    if _number(value) and 0.0 < value < np.inf:
-        return float(value)
-    raise ValueError(f"cluster must be strictly positive, got {value!r}")
+    """A radius as a float: a finite real above 0 (``_positive``)."""
+    radius = _positive(value)
+    if radius is None:
+        raise ValueError(f"cluster must be strictly positive, got {value!r}")
+    return radius
 
 
 def rel(n: int) -> float:

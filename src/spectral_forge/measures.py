@@ -25,6 +25,7 @@ from .linalg import (
     OperatorMatrix,
     Tolerances,
     _clusters,
+    _norm,
     _radius,
     _ranges,
     _reach,
@@ -143,8 +144,9 @@ class _AtomStore:
             return OperatorMatrix(b @ b.conj().T)
         return OperatorMatrix(self.projections[i])
 
-    def _weighted_sum(self, weights: np.ndarray) -> OperatorMatrix:
-        """``sum weights[k] P_k``; NonFiniteValue names the first bad atom."""
+    def _weighted_sum(self, weights: np.ndarray) -> np.ndarray:
+        """``sum weights[k] P_k`` as a new array; NonFiniteValue names the
+        first bad atom."""
         bad = ~np.isfinite(weights.view(np.float64)).reshape(-1, 2).all(axis=1)
         if bad.any():
             where = int(np.argmax(bad))
@@ -155,8 +157,8 @@ class _AtomStore:
         if self.bases is not None:
             stacked = self.stacked_basis()
             per_column = np.repeat(weights, self.ranks)
-            return OperatorMatrix((stacked * per_column) @ stacked.conj().T)
-        return OperatorMatrix((weights[:, None, None] * self.projections).sum(axis=0))
+            return (stacked * per_column) @ stacked.conj().T
+        return (weights[:, None, None] * self.projections).sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,17 +243,26 @@ def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
 
     Point k carries ``stacked[:, offsets[k]:offsets[k + 1]]``; an atom sits
     at its members' rank-weighted mean and holds their bases side by side.
-    ``cluster``, T's radius as a float, is carried by the measure.
+    Where that order is ``stacked``'s own, as for points that join in
+    contiguous runs (E_A's ascending weights), and ``stacked`` is
+    column-major, the layout of a gathered copy, by which products with
+    an atom's columns round, the measure holds ``stacked`` itself,
+    frozen, rather than a copy.  ``cluster``, T's radius as a float, is
+    carried by the measure.
     """
     ranks = np.diff(offsets)
     members, groups, means = _clusters(points, cluster, ranks, of)
     ranks = ranks[members]
+    columns = _ranges(offsets[members], ranks)
+    if not (stacked.flags.f_contiguous
+            and np.array_equal(columns, np.arange(stacked.shape[1]))):
+        stacked = stacked[:, columns]
     return SpectralMeasure(stacked.shape[0], means, bases=_Blocks(
-        stacked[:, _ranges(offsets[members], ranks)],
-        np.cumsum(np.append(0, ranks))[groups]), of=of, cluster=cluster)
+        stacked, np.cumsum(np.append(0, ranks))[groups]), of=of,
+        cluster=cluster)
 
 
-def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
+def _measure_in_frame(local: OperatorMatrix, frame: np.ndarray,
                       of: str = "T") -> SpectralMeasure:
     """Spectral measure of a normal M given in a frame as ``V* M V``.
 
@@ -263,7 +274,7 @@ def _measure_in_frame(local: np.ndarray, frame: np.ndarray,
     operator commuting with it, leaves only rounding-level mass off the
     diagonal and saves Jacobi sweeps.
     """
-    e = pvm_from_normal(OperatorMatrix(local))
+    e = pvm_from_normal(local)
     return SpectralMeasure(e.dim, e.points, bases=_Blocks(
         frame @ e.stacked_basis(), e.offsets), of=of)
 
@@ -274,12 +285,22 @@ def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:
     Raises NonFiniteValue when f produces a NaN or infinity on an atom.
     """
     weights = np.array([complex(f(complex(z))) for z in e.points])
-    return e._weighted_sum(weights)
+    return OperatorMatrix(e._weighted_sum(weights))
 
 
 def _reconstruction_check(t: OperatorMatrix, e: SpectralMeasure) -> tuple:
-    """``||sum z_k P_k - T||_F`` against ``100 rel(n) (1 + ||T||_F)``."""
-    return ("reconstruction", frobenius(pvm_integrate(lambda z: z, e) - t),
+    """``||sum z_k P_k - T||_F`` against ``100 rel(n) (1 + ||T||_F)``.
+
+    The difference is formed in the one buffer of the sum.
+    DimensionMismatch when the measure and T differ in dimension.
+    """
+    if e.dim != t.dim:
+        raise DimensionMismatch(f"dimension mismatch: {e.dim} versus {t.dim}")
+    residual = e._weighted_sum(e.points)
+    residual -= t.array
+    if not np.isfinite(residual).all():
+        raise NonFiniteValue("matrix entries must be finite")
+    return ("reconstruction", _norm(residual),
             RECONSTRUCTION_FACTOR * rel(t.dim) * (1.0 + frobenius(t)))
 
 

@@ -16,7 +16,9 @@ U = G/s, completed on T's null modes by the orthogonal complement of
 the range columns; T is normal, so U spans T's singular subspaces as
 V would.  The solve gives the weights W = diag(1/(1 + s^2)),
 A = U W U*, B = T A formed as U W^(1/2) (U* T U) W^(1/2) U*, E_A (W on
-the columns of U) and ||T||_2 = max s.  Since T, A and B share
+the columns of U, which it holds as its basis) and ||T||_2 = max s.
+The result's decomposition forms A and B on first read, so a run that
+reads only the report never forms them.  Since T, A and B share
 eigenvectors, U nearly diagonalizes B, so E_B is solved warm from B's
 local form W^(1/2) (U* T U) W^(1/2), the U* B U that B was formed
 from, unitarily similar to B.  B commutes with A, so between different
@@ -115,7 +117,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         residuals and ``direct_measure``.
     """
     n = t.dim
-    d, es_a, b_local = _bounded_pair(t)
+    d, weights, u, b_local = _bounded_pair(t)
     source_norm = d.source_norm
     if source_norm > NORM_LIMIT and not force_scale:
         raise ScaleLimit(
@@ -123,14 +125,15 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
             "the end of the documented range "
             "(pass force_scale=True to proceed anyway)"
         )
-    e1 = _merged(es_a.eigenvalues, es_a.unitary.array, np.arange(n + 1),
-                 of="A")
+    e1 = _merged(weights, u, np.arange(n + 1), of="A")
     # E_B on E_A's blocks by the default rule (a radius is T's alone):
     # E_A's points ascend, so each atom is a run of U's columns, in order
     atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
-    b_local[atom[:, None] != atom] = 0.0
-    e2 = _measure_in_frame(b_local, es_a.unitary.array, of="B")
-    del es_a, b_local  # two n x n arrays fewer under product_measure's peak
+    # d forms B from the raw local form, so the zeroed one is a copy, and
+    # only its frozen wrapper stays alive under E_B's solve
+    local = OperatorMatrix(np.where(atom[:, None] == atom, b_local, 0.0))
+    e2 = _measure_in_frame(local, u, of="B")
+    del local  # one n x n array fewer under product_measure's peak
     prod = product_measure(e1, e2)
     measure = pushforward(prod, lambda t, w: (1.0 / t) * w, tol)
     checks = [

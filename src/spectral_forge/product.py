@@ -88,9 +88,9 @@ class ProductMeasure(_AtomStore):
 
     def integrate(self, g) -> OperatorMatrix:
         """``sum g(t_k, w_k) Pi_k`` for a scalar function of the pair."""
-        return self._weighted_sum(np.array([
+        return OperatorMatrix(self._weighted_sum(np.array([
             complex(g(float(t), complex(w)))
-            for t, w in zip(self.t_points, self.w_points)]))
+            for t, w in zip(self.t_points, self.w_points)])))
 
 
 def _basis_defects(stacked: np.ndarray, off: np.ndarray) -> np.ndarray:

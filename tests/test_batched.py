@@ -334,9 +334,9 @@ def test_normal_eig_matches_per_cluster_reference(case):
 
 
 def _factors(t):
-    d, es, b_local = _bounded_pair(t)
-    e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1))
-    return e1, _measure_in_frame(b_local, es.unitary.array)
+    d, w, u, b_local = _bounded_pair(t)
+    e1 = _merged(w, u, np.arange(t.dim + 1))
+    return e1, _measure_in_frame(OperatorMatrix(b_local), u)
 
 
 def _assert_same_product(got, want):
@@ -447,8 +447,8 @@ def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
     # with every atom of rank one, E_B's H solve is the only Jacobi solve
     # left after the one-sided solve of T: no K block, no pair solve
     t = ALL_RANK_ONE[case]()
-    d, es, b_local = _bounded_pair(t)
-    e1 = _merged(es.eigenvalues, es.unitary.array, np.arange(t.dim + 1))
+    d, w, u, b_local = _bounded_pair(t)
+    e1 = _merged(w, u, np.arange(t.dim + 1))
     calls = []
 
     def counted(kernel):
@@ -461,7 +461,7 @@ def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
                         counted(linalg._jacobi_hermitian))
     monkeypatch.setattr(product, "_jacobi_one_sided",
                         counted(product._jacobi_one_sided))
-    e2 = _measure_in_frame(b_local, es.unitary.array)
+    e2 = _measure_in_frame(OperatorMatrix(b_local), u)
     prod = product_measure(e1, e2)
     assert set(e1.ranks) == set(e2.ranks) == set(prod.ranks) == {1}
     assert calls == [(t.dim, t.dim)]
@@ -474,12 +474,11 @@ def test_measure_in_frame_peak_holds_no_per_atom_copy():
     # per-atom split or copy on top (7.2 n x n arrays before)
     import tracemalloc
     n = 256
-    d, es, b_local = _bounded_pair(_shuffled_diagonal(n))
-    frame = es.unitary.array
+    d, _, frame, b_local = _bounded_pair(_shuffled_diagonal(n))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        e2 = _measure_in_frame(b_local, frame)
+        e2 = _measure_in_frame(OperatorMatrix(b_local), frame)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -489,9 +488,13 @@ def test_measure_in_frame_peak_holds_no_per_atom_copy():
 
 @pytest.mark.parametrize("kind", ["shuffled_diagonal", "random_normal"])
 def test_route_peak_holds_no_extra_square_copy(kind):
-    # the whole route's tracemalloc peak above its input sits in E_B's
-    # eigensystem, at 10.16 n x n complex arrays at n = 256 (10.21 at
-    # n = 128) on both inputs; one more n x n copy there reads 11.16
+    # the whole route's tracemalloc peak above its input sits in the
+    # reconstruction check, at 8.04 n x n complex arrays at n = 256 on
+    # both inputs: the sum's weighted basis, the basis's adjoint and
+    # their product over five held arrays, U (E_A's basis too), B's raw
+    # local form and the bases of E_B, the product and E_T.  E_B's solve
+    # peaks at 7.2.  One more n x n copy at the peak reads 9.04; A and B
+    # formed eagerly read 10.16
     import tracemalloc
     n = 256
     t = (_shuffled_diagonal(n) if kind == "shuffled_diagonal" else
@@ -505,7 +508,35 @@ def test_route_peak_holds_no_extra_square_copy(kind):
     finally:
         tracemalloc.stop()
     assert res.report.all_passed
-    assert peak <= 10.5 * 16 * n * n + 64 * 16 * n
+    assert peak <= 8.5 * 16 * n * n + 64 * 16 * n
+
+
+def test_route_forms_a_and_b_on_first_read(monkeypatch):
+    # the route's pair holds U, the weights and B's local form; A and B
+    # are formed once, on first read, from exactly those arrays
+    formed = []
+    init = OperatorMatrix.__post_init__
+
+    def counted(self):
+        formed.append(self.array.shape)
+        init(self)
+
+    t = generate(OperatorSpec("random_normal", dim=12, scale=10.0, seed=5))
+    d, w, u, b_local = _bounded_pair(t)
+    res = pipeline.spectral_theorem(t)
+    pair = res.decomposition
+    assert not {"a", "b"} & (set(vars(pair)) | set(vars(d)))
+    w = w.real
+    r = int(np.count_nonzero(np.abs(b_local).sum(axis=0)))  # range modes
+    ur = u[:, :r]
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", counted)
+    a = pair.a
+    assert pair.a is a and formed == [(12, 12)]
+    np.testing.assert_array_equal(a.array, (u * w) @ u.conj().T)
+    np.testing.assert_array_equal(pair.b.array,
+                                  ur @ b_local[:r, :r] @ ur.conj().T)
+    assert pair.b is pair.b and len(formed) == 2
+    assert not b_local.flags.writeable
 
 
 def test_atom_store_keeps_one_stacked_basis():

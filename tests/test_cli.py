@@ -535,6 +535,36 @@ def test_verify_holds_a_measure_of_t_to_an_operator_of_its_dimension(
     assert "dimension mismatch: 3 versus 4" in err
 
 
+def test_verify_dir_fails_a_part_of_another_dimension_and_goes_on(
+        tmp_path, capsys):
+    # a measure of T or a decomposition of another dimension than the
+    # operator fails its own file, named with its part; the files after
+    # it are still checked, and the exit code is that of a usage error
+    from spectral_forge.decomposition import decompose
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "71")
+    other = gen_file(tmp_path, "other.json", "gen", "--kind",
+                     "random_normal", "--dim", "3", "--seed", "72")
+    work = tmp_path / "work"
+    work.mkdir()
+    for name, source in (("a.json", other), ("c.json", t)):
+        assert main(["spectrum", "--input", source, "--emit", "measure",
+                     "--output", str(work / name)]) == 0
+    io.write_decomposition(None, decompose(io.read_matrix(other)),
+                           str(work / "b.json"))
+    capsys.readouterr()
+    code, out, err = run(["verify", "--dir", str(work), "--input", t],
+                         capsys)
+    assert code == 2
+    assert out.splitlines() == ["a.json: measure FAIL measure",
+                                "b.json: decomposition FAIL decomposition",
+                                "c.json: measure pass"]
+    assert err.splitlines() == [
+        "error: a.json: measure: dimension mismatch: 3 versus 4",
+        "error: b.json: decomposition: operator and decomposition "
+        "dimensions differ"]
+
+
 def test_verify_pvm_on_a_measure_of_a_has_no_reconstruction(tmp_path, capsys):
     t, parts = _bundle_parts_as_files(tmp_path, capsys, 61)
     for key, rows in (("e1", ()), ("measure", ("reconstruction",))):

@@ -106,6 +106,8 @@ def test_bad_specs():
         OperatorSpec("multiplication", dim=4, scale=0.0)
     with pytest.raises(BadSpec):
         OperatorSpec("multiplication", dim=4, scale=-2.0)
+    with pytest.raises(BadSpec):  # an int past the double range
+        OperatorSpec("random_normal", dim=4, scale=10**400, seed=1)
     with pytest.raises(BadSpec):
         OperatorSpec("from_file")
     # dim and seed are integers and scale a real number, none of them a

@@ -309,25 +309,72 @@ def test_each_distinct_entries_text_is_parsed_once(tmp_path, monkeypatch):
     assert decoded == [64] * len(distinct)
 
 
-def test_read_without_repeats_holds_no_extra_copy(tmp_path):
-    # a file whose entries text never repeats takes the one parse as it
-    # is; a single huge matrix still costs its pair lists (about 16 times
-    # this file), and the parse-once path adds nothing to that peak
+def _shuffled_diagonal_file(tmp_path) -> str:
     order = np.random.default_rng(384).permutation(384)
     diagonal = np.diag(np.linspace(-100.0, 100.0, 384)[order])
     path = str(tmp_path / "t.json")
     io.write_matrix(OperatorMatrix(diagonal), path)
-    with open(path) as handle:
-        assert io._parse_once(handle.read()) is None
+    return path
 
-    def one_parse():
-        with open(path, encoding="utf-8") as handle:
-            return json.loads(handle.read(), object_hook=io._decode_entries)
 
-    want, floor = _peak(one_parse)
+def _one_parse(path: str):
+    with open(path, encoding="utf-8") as handle:
+        return json.loads(handle.read(), object_hook=io._decode_entries)
+
+
+def test_read_without_repeats_holds_no_extra_copy(tmp_path):
+    # one n = 384 matrix, 1.8 MB of text, decodes piece by piece into
+    # one array: the text, its 2.4 MB of complex128 and one piece's pair
+    # lists, 5.0 MiB in all; the one json.loads parse, which holds every
+    # pair's list and floats, peaks at 27.1 MiB
+    path = _shuffled_diagonal_file(tmp_path)
+    want = _one_parse(path)
     got, peak = _peak(lambda: io.read_json(path))
     assert _same(got, want)
-    assert peak <= floor + 2**16
+    assert peak <= 8 * 2**20
+
+
+def _rewritten(path: str, **layout) -> str:
+    """The document at ``path`` rewritten by ``json.dumps`` with ``layout``."""
+    with open(path) as handle:
+        doc = json.load(handle)
+    with open(path, "w") as handle:
+        handle.write(json.dumps(doc, **layout))
+    return path
+
+
+@pytest.mark.parametrize("layout", [{"separators": (",", ":")},
+                                    {"indent": 1}],
+                         ids=["compact", "indent"])
+def test_other_layouts_read_as_the_one_parse_reads_them(tmp_path, layout):
+    path = _rewritten(_shuffled_diagonal_file(tmp_path), **layout)
+    with open(path) as handle:
+        assert io._parse_once(handle.read()) is None
+    assert _same(io.read_json(path), _one_parse(path))
+
+
+@pytest.mark.parametrize("value, message", [
+    ("true", "t.json.entries[{}]: expected a number"),
+    ('"1.5"', "t.json.entries[{}]: expected a number"),
+], ids=["bad-pair", "string"])
+def test_a_bad_pair_in_a_late_piece_is_named_by_its_index(
+        tmp_path, value, message):
+    # the piecewise decode declines, and the one parse keeps the list
+    # for matrix_from_doc to name its bad pair
+    path = _shuffled_diagonal_file(tmp_path)
+    with open(path) as handle:
+        text = handle.read()
+    at = 2 * io._PIECE + 100  # inside the third piece
+    at = text.index("], [", at) + 3
+    index = text.count("], [", 0, at + 1)
+    comma = text.index(",", at)
+    text = text[:at + 1] + value + text[comma:]
+    with open(path, "w") as handle:
+        handle.write(text)
+    assert io._parse_once(text) is None
+    with pytest.raises(ParseError) as got:
+        io.read_matrix(path)
+    assert str(got.value) == message.format(index)
 
 
 _PAIR = '{"dim": 1, "entries": [[1.5, -2.0]]}'
@@ -818,3 +865,26 @@ def test_matrix_of_dimension_0_exits_2(tmp_path, capsys):
     t.write_text('{"dim": 0, "entries": []}')
     assert main(["spectrum", "--input", str(t)]) == 2
     assert "t.json: dim must be at least 1" in capsys.readouterr().err
+
+
+def test_matrix_of_a_huge_dimension_is_not_quoted(tmp_path, capsys):
+    # a dim past the double range exits 2 with a message of bounded
+    # length, which names the limit and not the number
+    t = tmp_path / "t.json"
+    t.write_text('{"dim": %d, "entries": [[1, 2]]}' % 10**400)
+    assert main(["spectrum", "--input", str(t)]) == 2
+    err = capsys.readouterr().err
+    assert "t.json: dim must be below 2^32" in err
+    assert "0" * 20 not in err and len(err) < 200
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "entries": [[%s, 0]]}', '{"dim": %s, "entries": [[1, 0]]}'],
+    ids=["entry", "dim"])
+def test_integer_of_too_many_digits_exits_2(tmp_path, capsys, text):
+    # past the digits int() reads from text, json raises a ValueError of
+    # its own, which is a parse error like any other
+    t = tmp_path / "t.json"
+    t.write_text(text % ("1" * 5000))
+    assert main(["spectrum", "--input", str(t)]) == 2
+    assert "t.json: an integer has too many digits" in capsys.readouterr().err

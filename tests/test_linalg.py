@@ -115,6 +115,9 @@ def test_tolerances_defaults_and_validation(monkeypatch):
             SpectralMeasure(2, [1.0], bases=[np.eye(2)], cluster=bad)
         with pytest.raises(ValueError, match="strictly positive"):
             cluster_points(points, bad)
+    # an int past the double range is refused as any other bad radius
+    with pytest.raises(ValueError, match="strictly positive"):
+        Tolerances(cluster=10**400)
     # below the public edge the radius is a Python float
     radius = Tolerances(cluster=np.float32(1e-3)).cluster
     assert type(radius) is float and radius == float(np.float32(1e-3))
