@@ -209,35 +209,35 @@ def _cmd_verify(args) -> int:
         kind, parts = _classify(io.read_json(path), name, source)
         if part is None:
             # a --dir file: one status line built from its part reports;
-            # a part of another dimension than its operator fails the
-            # file, named on stderr, and the files after it are checked
-            reports, mismatched = {}, []
+            # a part whose check raises fails the file, named on stderr
+            # with the error, and the files after it are checked
+            reports, raised = {}, {}  # raised: part -> its exit code
             for key in parts:
                 try:
                     report = _check(key, *parts[key], name)
-                except DimensionMismatch as exc:
+                except SpectralForgeError as exc:
                     print(f"error: {name}: {key}: {exc}", file=sys.stderr)
-                    mismatched.append(key)
+                    raised[key] = 2 if isinstance(exc, _USAGE_ERRORS) else 3
                     continue
                 if report is not None:
                     reports[key] = report
-            if not reports and not mismatched:
+            if not reports and not raised:
                 print(f"{name}: " + ("skipped (no source operator; pass "
                                      "--input)" if parts else kind))
                 continue
             if kind == "bundle":
                 done = [key for key in parts
-                        if key in reports or key in mismatched]
+                        if key in reports or key in raised]
                 kind = "bundle(" + ",".join(done) + ")"
                 failed = [key for key in done
-                          if key in mismatched or reports[key].failed]
+                          if key in raised or reports[key].failed]
             else:
-                failed = mismatched + [c for r in reports.values()
-                                       for c in r.failed]
+                failed = list(raised) + [c for r in reports.values()
+                                         for c in r.failed]
             print(f"{name}: {kind} " + ("FAIL " + ",".join(failed) if failed
                                         else "pass"))
             checked = True
-            worst = 2 if mismatched else max(worst, 1 if failed else 0)
+            worst = max(worst, 1 if failed else 0, *raised.values())
             continue
         # an explicit flag: the residual table of the part it names
         if part not in parts:

@@ -7,16 +7,34 @@ For a normal matrix T the pair
 consists of a Hermitian positive definite A with ||A|| <= 1 and a
 normal B with ||B|| <= 1/2 that commute, and T is recovered as
 A^(-1) B.  At finite dimension A T equals B exactly (in the unbounded
-setting the product is only contained in B).  ``decompose`` builds the
-pair from one one-sided Jacobi solve T V = G, whose columns give the
-singular values s and U = G/s; V is never formed.  T is normal, so U
-spans the singular subspaces that V does, and with the weights
-W = diag(1/(1 + s^2)), whose relative accuracy is that of s at every
-norm, A = U W U* and B = U W^(1/2) (U* T U) W^(1/2) U*, which equals
-T A because A and T commute; ||T||_2 = max s.  On T's null modes,
-where G holds only rounding, U is the orthogonal complement of the
-range columns.  The pair ``decompose`` returns holds U, W and B's
-local form W^(1/2) (U* T U) W^(1/2), and forms A and B on first read.
+setting the product is only contained in B).
+
+``decompose`` builds the pair from one one-sided Jacobi solve of T,
+which rotates T into T V = G and never forms V: the columns of G give
+the singular values s and U = G/s.  T is normal, so these left singular
+vectors span the singular subspaces of T that right ones would, and
+||T||_2 = max s.  On T's null modes, s <= 100 n eps max s, G holds only
+rounding (some columns are exactly 0), so U is completed there by the
+orthogonal complement of the range columns (``_complement``).  With the
+weights w = 1/(1 + s^2), whose relative accuracy is that of s at every
+norm (Demmel & Veselic 1992), U and w are A's eigensystem: w ascends,
+T's null modes come last among equal weights, and each column of U has
+its largest entry real and positive.  So
+
+    A = U W U*        B = U W^(1/2) (U* T U) W^(1/2) U*,
+
+which equals T A because A and T commute.  U* T U carries rounding of
+about eps ||T|| per entry: formed as T A, B would keep it unweighted,
+and ||[A, B]|| would reach eps ||T||.  In the rows and columns of T's
+null modes, where T u = T* u = 0, that rounding is all there is, so
+only the range block of B's local form L = W^(1/2) (U* T U) W^(1/2) is
+formed, r x r for the r range modes.  The pair holds U, w and L and
+forms A and B on first read, so a run that reads only its report never
+forms them; E_A is w on the columns of U, and E_B is solved from L.
+Normality is tested first (NotNormal), then an entry past 2^128 is
+refused (ScaleLimit); below it, T is scaled by a power of two when a
+norm would leave the float range.
+
 ``verify`` checks the pair against the exactly known I + T*T through
 the residual (I + T*T) B - T, which shares nothing with that solve.
 """
@@ -32,8 +50,8 @@ from .linalg import (
     _EPS,
     ATOL,
     OperatorMatrix,
-    _eigensystem,
     _jacobi_one_sided,
+    _norm,
     _power_of_two_scaled,
     _refuse_past_scale_limit,
     is_hermitian,
@@ -57,10 +75,9 @@ class Decomposition:
     normal with norm at most 1/2, and ``a^(-1) b`` recovers the source.
     ``source_norm`` records ||T||_2, which the pipeline's guard reads.
     A pair read from a file or built by hand keeps the matrices it is
-    given.  A pair the route solves (``_bounded_pair``) holds U, the
-    weights w and B's local form L instead, and forms ``a = (U w) U*``
-    and ``b = U_r L U_r*`` once each, on first read: a run that writes
-    only its report never forms them.
+    given.  A pair ``decompose`` solves holds U, the weights w and B's
+    local form L instead, and forms ``a = (U w) U*`` and
+    ``b = U_r L U_r*`` once each, on first read.
     """
 
     def __init__(self, a: OperatorMatrix, b: OperatorMatrix,
@@ -118,29 +135,15 @@ def _complement(u: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _bounded_pair(t: OperatorMatrix) -> tuple[
-        Decomposition, np.ndarray, np.ndarray, np.ndarray]:
-    """``(D, w, U, U* B U)`` from one one-sided Jacobi solve of T.
+def decompose(t: OperatorMatrix) -> Decomposition:
+    """Split a normal T into its bounded pair, from one solve of T.
 
-    The solve rotates T into T V = G and V is never formed: the columns
-    of G give the singular values s and U = G/s.  T is normal, so these
-    left singular vectors span the singular subspaces of T that right
-    ones would.  On T's null modes, s <= 100 n eps max s, G holds only
-    rounding (some columns are exactly 0), so U is completed there by
-    the orthogonal complement of the range columns (``_complement``).
-    With W the weights 1/(1 + s^2), w and U are A's eigensystem (W
-    ascending, as complex128, on the columns of U, read-only and in
-    column-major order); D holds ||T||_2 = max s and forms A = U W U*
-    and B = U W^(1/2) (U* T U) W^(1/2) U* on first read; and the last
-    entry is B's local form W^(1/2) (U* T U) W^(1/2), read-only, which
-    D forms B from and a solve of E_B takes as it is.  U* T U carries
-    rounding of about eps ||T|| per entry: formed as T A, B would keep
-    it unweighted, and ||[A, B]|| would reach eps ||T||.  In the rows
-    and columns of T's null modes, where T u = T* u = 0, it is all there
-    is, so only the range block is formed and the rest is 0.  Normality
-    is tested first (NotNormal), then an entry past 2^128 refused
-    (ScaleLimit); below it, T is scaled by a power of two when a norm
-    would leave the float range.
+    The solve of the module docstring.  Raises NotNormal on a non-normal
+    input, then ScaleLimit past an entry of 2^128, where the I + T*T of
+    ``verify`` would overflow.  The pair holds U (read-only, in
+    column-major order, the layout a gathered copy of its columns would
+    have: products with one atom's columns round by it), the ascending
+    weights w and B's read-only r x r local form L.
     """
     if not is_normal(t):
         raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
@@ -156,41 +159,30 @@ def _bounded_pair(t: OperatorMatrix) -> tuple[
         u[:, null] = _complement(u[:, ~null], k)
     sigma = np.ldexp(sigma, e)
     weights = 1.0 / (1.0 + sigma * sigma)
-    # E's order: ascending, and a null mode has no smaller weight than a
-    # range mode, so with null modes last among equal weights the range
-    # modes come first
+    # ascending, and a null mode has no smaller weight than a range
+    # mode, so with null modes last among equal weights the range modes
+    # come first
     order = np.lexsort((null, weights))
-    es = _eigensystem(weights[order], u[:, order])
-    u = es.unitary.array
-    w = es.eigenvalues.real
-    r = t.dim - k
-    ur = u[:, :r]
-    b_local = np.zeros_like(u)
-    # sqrt(w_i w_j), exactly w_i on the diagonal
-    np.multiply(ur.conj().T @ (t.array @ ur), np.sqrt(np.outer(w[:r], w[:r])),
-                out=b_local[:r, :r])
-    b_local.setflags(write=False)  # B is formed from it on first read
-    # E_A's basis is U itself, in the layout a gathered copy of its
-    # columns would have: products with one atom's columns round by it
-    u = np.asfortranarray(u)
+    w = weights[order]
+    u = np.asfortranarray(u[:, order])
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(t.dim)]
+    u *= lead.conj() / np.abs(lead)
     u.setflags(write=False)
-    return (Decomposition._factored(u, w, b_local[:r, :r], float(sigma.max())),
-            es.eigenvalues, u, b_local)
-
-
-def decompose(t: OperatorMatrix) -> Decomposition:
-    """Split a normal T into its bounded pair, from one solve of T.
-
-    Raises NotNormal on a non-normal input, then ScaleLimit past an
-    entry of 2^128, where the I + T*T of ``verify`` would overflow.
-    """
-    return _bounded_pair(t)[0]
+    r = t.dim - k
+    # products round by their operands' layout, and L is formed from a
+    # row-major copy of the range columns
+    ur = np.ascontiguousarray(u[:, :r])
+    local = ur.conj().T @ (t.array @ ur)
+    local *= np.sqrt(np.outer(w[:r], w[:r]))  # exactly w_i on the diagonal
+    local.setflags(write=False)
+    return Decomposition._factored(u, w, local, float(sigma.max()))
 
 
 def verify(t: OperatorMatrix, d: Decomposition) -> VerificationReport:
     """Measure every defining identity of a decomposition.
 
-    Residuals reported (Frobenius norms throughout):
+    Residuals reported (Frobenius norms throughout, taken by
+    ``linalg._norm``, so no square overflows or underflows):
 
     - ``injectivity_margin``: smallest eigenvalue of A's Hermitian part
       A_h, compared against ``1/(1 + ||T||_2^2) - rel(n)``.  A_h + cI,
@@ -227,9 +219,9 @@ def verify(t: OperatorMatrix, d: Decomposition) -> VerificationReport:
     min_eig_a = float(s.min()) - shift
     # A's eigenframe nearly diagonalizes T*T, so the norm solve is warm.
     op_t = op_norm_2(OperatorMatrix(ta @ (g / s)))
-    fro_t = float(np.linalg.norm(ta))
-    fro_a = float(np.linalg.norm(aa))
-    fro_b = float(np.linalg.norm(ba))
+    fro_t = _norm(ta)
+    fro_a = _norm(aa)
+    fro_b = _norm(ba)
 
     margin_bound = 1.0 / (1.0 + op_t * op_t) - base
     identity_bound = IDENTITY_FACTOR * base * (1.0 + op_t)
@@ -239,20 +231,20 @@ def verify(t: OperatorMatrix, d: Decomposition) -> VerificationReport:
     checks = [
         ("injectivity_margin", min_eig_a, margin_bound,
          min_eig_a >= margin_bound),
-        ("reconstruction", float(np.linalg.norm(gram @ ba - ta)),
+        ("reconstruction", _norm(gram @ ba - ta),
          RECONSTRUCTION_FACTOR * base * (1.0 + fro_t)),
-        ("commutator", float(np.linalg.norm(aa @ ba - ba @ aa)),
+        ("commutator", _norm(aa @ ba - ba @ aa),
          base * fro_a * fro_b + ATOL),
-        ("claim_product", float(np.linalg.norm(aa @ ta - ba)), identity_bound),
-        ("adjoint_identity", float(np.linalg.norm(bh - ta.conj().T @ aa)),
+        ("claim_product", _norm(aa @ ta - ba), identity_bound),
+        ("adjoint_identity", _norm(bh - ta.conj().T @ aa),
          identity_bound),
-        ("hermitian_defect_a", float(np.linalg.norm(aa - aa.conj().T)),
+        ("hermitian_defect_a", _norm(aa - aa.conj().T),
          identity_bound),
-        ("normality_defect_b", float(np.linalg.norm(bh @ ba - ba @ bh)),
+        ("normality_defect_b", _norm(bh @ ba - ba @ bh),
          identity_bound),
     ]
     if is_hermitian(t):
-        checks.append(("hermitian_defect_b", float(np.linalg.norm(ba - bh)),
+        checks.append(("hermitian_defect_b", _norm(ba - bh),
                        identity_bound))
     return VerificationReport.from_checks(checks)
 

@@ -292,14 +292,16 @@ def _reconstruction_check(t: OperatorMatrix, e: SpectralMeasure) -> tuple:
     """``||sum z_k P_k - T||_F`` against ``100 rel(n) (1 + ||T||_F)``.
 
     The difference is formed in the one buffer of the sum.
-    DimensionMismatch when the measure and T differ in dimension.
+    DimensionMismatch when the measure and T differ in dimension, and
+    NonFiniteValue when the sum overflows.
     """
     if e.dim != t.dim:
         raise DimensionMismatch(f"dimension mismatch: {e.dim} versus {t.dim}")
-    residual = e._weighted_sum(e.points)
-    residual -= t.array
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        residual = e._weighted_sum(e.points)
+        residual -= t.array
     if not np.isfinite(residual).all():
-        raise NonFiniteValue("matrix entries must be finite")
+        raise NonFiniteValue("sum z_k P_k - T overflows the float range")
     return ("reconstruction", _norm(residual),
             RECONSTRUCTION_FACTOR * rel(t.dim) * (1.0 + frobenius(t)))
 

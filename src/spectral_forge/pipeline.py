@@ -10,22 +10,15 @@ T's own measure.  E_A's weights t are all positive, so phi is defined
 on every joint atom.
 A direct diagonalization of T is kept only as an optional cross check.
 
-Exactly one Jacobi solve starts cold: the one-sided solve T V = G,
-which never forms V.  The columns of G give the singular values s and
-U = G/s, completed on T's null modes by the orthogonal complement of
-the range columns; T is normal, so U spans T's singular subspaces as
-V would.  The solve gives the weights W = diag(1/(1 + s^2)),
-A = U W U*, B = T A formed as U W^(1/2) (U* T U) W^(1/2) U*, E_A (W on
-the columns of U, which it holds as its basis) and ||T||_2 = max s.
-The result's decomposition forms A and B on first read, so a run that
-reads only the report never forms them.  Since T, A and B share
-eigenvectors, U nearly diagonalizes B, so E_B is solved warm from B's
-local form W^(1/2) (U* T U) W^(1/2), the U* B U that B was formed
-from, unitarily similar to B.  B commutes with A, so between different
-atoms of E_A that form holds rounding alone: it is set to 0 there and
-E_B is solved on E_A's blocks, in a few sweeps.  Left in, the rounding
-would couple nearly equal eigenvalues of B across E_A's atoms, and E_B
-would not commute with E_A.
+Exactly one Jacobi solve starts cold: ``decompose``'s one-sided solve
+of T, which ``spectral_forge.decomposition`` describes.  Its pair gives
+||T||_2, E_A (the weights w on the columns of U) and B's local form L,
+unitarily similar to B.  Since T, A and B share eigenvectors, U nearly
+diagonalizes B, so E_B is solved warm from L.  B commutes with A, so
+between different atoms of E_A that form holds rounding alone: it is
+set to 0 there and E_B is solved on E_A's blocks, in a few sweeps.
+Left in, the rounding would couple nearly equal eigenvalues of B across
+E_A's atoms, and E_B would not commute with E_A.
 
 E_A's weights keep the relative accuracy of the one-sided singular
 values (Demmel & Veselic 1992), so E_A's points join relative to their
@@ -45,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, _bounded_pair
+from .decomposition import Decomposition, decompose
 from .errors import ScaleLimit
 from .linalg import OperatorMatrix, Tolerances, _normal_eig, rel
 from .measures import (PVM_FACTOR, SpectralMeasure, _measure_in_frame,
@@ -117,7 +110,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         residuals and ``direct_measure``.
     """
     n = t.dim
-    d, weights, u, b_local = _bounded_pair(t)
+    d = decompose(t)
     source_norm = d.source_norm
     if source_norm > NORM_LIMIT and not force_scale:
         raise ScaleLimit(
@@ -125,13 +118,17 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
             "the end of the documented range "
             "(pass force_scale=True to proceed anyway)"
         )
-    e1 = _merged(weights, u, np.arange(n + 1), of="A")
+    u, r = d._unitary, d._local.shape[0]
+    e1 = _merged(d._weights, u, np.arange(n + 1), of="A")
     # E_B on E_A's blocks by the default rule (a radius is T's alone):
-    # E_A's points ascend, so each atom is a run of U's columns, in order
+    # E_A's points ascend, so each atom is a run of U's columns, in order.
+    # L is 0 on T's null modes and between atoms; only the frozen wrapper
+    # stays alive under E_B's solve
     atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
-    # d forms B from the raw local form, so the zeroed one is a copy, and
-    # only its frozen wrapper stays alive under E_B's solve
-    local = OperatorMatrix(np.where(atom[:, None] == atom, b_local, 0.0))
+    local = np.zeros((n, n), dtype=np.complex128)
+    local[:r, :r] = d._local
+    local[atom[:, None] != atom] = 0.0
+    local = OperatorMatrix(local)
     e2 = _measure_in_frame(local, u, of="B")
     del local  # one n x n array fewer under product_measure's peak
     prod = product_measure(e1, e2)
@@ -145,7 +142,7 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
     ]
     direct = None
     if direct_check:
-        # _bounded_pair has tested T's normality and scale: no second test
+        # decompose has tested T's normality and scale: no second test
         es = _normal_eig(t)
         direct = _merged(es.eigenvalues, es.unitary.array, np.arange(n + 1),
                          None if tol is None else tol.cluster)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_forge import linalg, measures, pipeline, product
-from spectral_forge.decomposition import _bounded_pair
+from spectral_forge.decomposition import decompose
 from spectral_forge.errors import DimensionMismatch, NotCommuting
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import (
@@ -333,10 +333,18 @@ def test_normal_eig_matches_per_cluster_reference(case):
                                    atol=1e-12)
 
 
+def _local_form(d) -> np.ndarray:
+    """The pair's r x r local form of B, zero-padded to n x n."""
+    r = d._local.shape[0]
+    local = np.zeros((d.dim, d.dim), dtype=np.complex128)
+    local[:r, :r] = d._local
+    return local
+
+
 def _factors(t):
-    d, w, u, b_local = _bounded_pair(t)
-    e1 = _merged(w, u, np.arange(t.dim + 1))
-    return e1, _measure_in_frame(OperatorMatrix(b_local), u)
+    d = decompose(t)
+    e1 = _merged(d._weights, d._unitary, np.arange(t.dim + 1))
+    return e1, _measure_in_frame(OperatorMatrix(_local_form(d)), d._unitary)
 
 
 def _assert_same_product(got, want):
@@ -447,8 +455,9 @@ def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
     # with every atom of rank one, E_B's H solve is the only Jacobi solve
     # left after the one-sided solve of T: no K block, no pair solve
     t = ALL_RANK_ONE[case]()
-    d, w, u, b_local = _bounded_pair(t)
-    e1 = _merged(w, u, np.arange(t.dim + 1))
+    d = decompose(t)
+    u, b_local = d._unitary, _local_form(d)
+    e1 = _merged(d._weights, u, np.arange(t.dim + 1))
     calls = []
 
     def counted(kernel):
@@ -474,7 +483,8 @@ def test_measure_in_frame_peak_holds_no_per_atom_copy():
     # per-atom split or copy on top (7.2 n x n arrays before)
     import tracemalloc
     n = 256
-    d, _, frame, b_local = _bounded_pair(_shuffled_diagonal(n))
+    d = decompose(_shuffled_diagonal(n))
+    frame, b_local = d._unitary, _local_form(d)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -522,21 +532,20 @@ def test_route_forms_a_and_b_on_first_read(monkeypatch):
         init(self)
 
     t = generate(OperatorSpec("random_normal", dim=12, scale=10.0, seed=5))
-    d, w, u, b_local = _bounded_pair(t)
+    d = decompose(t)
+    w, u, local = d._weights, d._unitary, d._local
     res = pipeline.spectral_theorem(t)
     pair = res.decomposition
     assert not {"a", "b"} & (set(vars(pair)) | set(vars(d)))
-    w = w.real
-    r = int(np.count_nonzero(np.abs(b_local).sum(axis=0)))  # range modes
+    r = local.shape[0]  # range modes
     ur = u[:, :r]
     monkeypatch.setattr(OperatorMatrix, "__post_init__", counted)
     a = pair.a
     assert pair.a is a and formed == [(12, 12)]
     np.testing.assert_array_equal(a.array, (u * w) @ u.conj().T)
-    np.testing.assert_array_equal(pair.b.array,
-                                  ur @ b_local[:r, :r] @ ur.conj().T)
+    np.testing.assert_array_equal(pair.b.array, ur @ local @ ur.conj().T)
     assert pair.b is pair.b and len(formed) == 2
-    assert not b_local.flags.writeable
+    assert not local.flags.writeable
 
 
 def test_atom_store_keeps_one_stacked_basis():

@@ -565,6 +565,49 @@ def test_verify_dir_fails_a_part_of_another_dimension_and_goes_on(
         "dimensions differ"]
 
 
+def test_verify_dir_fails_a_part_that_raises_and_goes_on(tmp_path, capsys):
+    # any error from a part's check fails that file alone, named with its
+    # part: a pair with A = 1e40 I is refused past 2^128, and a measure
+    # whose weighted sum overflows, though each entry is finite, is named
+    # as such; the exit code is the worst over the files, 3 above 2
+    import json
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "71")
+    other = gen_file(tmp_path, "other.json", "gen", "--kind",
+                     "random_normal", "--dim", "3", "--seed", "72")
+    work = tmp_path / "work"
+    work.mkdir()
+    for name, source in (("a.json", t), ("b.json", other)):
+        assert main(["spectrum", "--input", source, "--emit", "measure",
+                     "--output", str(work / name)]) == 0
+    doc = json.loads((work / "a.json").read_text())
+    doc["atoms"][0]["point"] = [1e250, 0.0]
+    doc["atoms"][0]["projection"]["entries"][0] = [1e70, 0.0]
+    (work / "a.json").write_text(json.dumps(doc))
+    eye = [[1e40 if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
+    zero = [[0.0, 0.0]] * 16
+    (work / "a_dec.json").write_text(json.dumps({
+        "a": {"dim": 4, "entries": eye}, "b": {"dim": 4, "entries": zero},
+        "source_norm": 1.0}))
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", str(work / "c.json")]) == 0
+    capsys.readouterr()
+    code, out, err = run(["verify", "--dir", str(work), "--input", t],
+                         capsys)
+    assert code == 3
+    assert out.splitlines() == [
+        "a.json: measure FAIL measure",
+        "a_dec.json: decomposition FAIL decomposition",
+        "b.json: measure FAIL measure",
+        "c.json: bundle(decomposition,e1,e2,product,measure) pass"]
+    assert [line for line in err.splitlines()
+            if line.startswith("error: ")] == [
+        "error: a.json: measure: sum z_k P_k - T overflows the float range",
+        "error: a_dec.json: decomposition: largest entry 1.000e+40 passes "
+        "2^128; the sums of squares this route forms unscaled would overflow",
+        "error: b.json: measure: dimension mismatch: 3 versus 4"]
+
+
 def test_verify_pvm_on_a_measure_of_a_has_no_reconstruction(tmp_path, capsys):
     t, parts = _bundle_parts_as_files(tmp_path, capsys, 61)
     for key, rows in (("e1", ()), ("measure", ("reconstruction",))):

@@ -255,13 +255,29 @@ def test_verify_fails_a_at_1e38_without_warnings():
     assert "claim_product" in report.failed
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-300])
+def test_verify_residuals_keep_their_size_at_small_scales(scale):
+    # with B = 0 the reconstruction residual ||(I + T*T) B - T||_F is
+    # ||T||_F itself; its squares underflow at 1e-300, where a norm taken
+    # without scaling read 0
+    from spectral_forge.linalg import frobenius
+    n = 24
+    t = generate(OperatorSpec("random_normal", dim=n, scale=scale, seed=7))
+    d = decompose(t)
+    report = verify(t, Decomposition(d.a, OperatorMatrix.zeros(n),
+                                      d.source_norm))
+    fro = frobenius(t)
+    assert fro > 0.0
+    assert report.residuals["reconstruction"] == pytest.approx(
+        fro, rel=4 * n * np.finfo(float).eps, abs=0.0)
+
+
 @pytest.mark.parametrize("n", [32, 96])
 @pytest.mark.parametrize("kind", ["momentum_1d", "laplacian_1d"])
 def test_pair_weights_are_relative_accurate_at_every_norm(kind, n):
     # the weights 1/(1 + s^2) of A against the closed-form spectrum; a
     # solve of the formed I + T*T loses eps ||T||^2 of their relative
     # accuracy, 1e-4 at ||T|| = 1e6
-    from spectral_forge.decomposition import _bounded_pair
     eps = np.finfo(np.float64).eps
     k = np.arange(n)
     for norm in (1e2, 1e4, 1e5, 1e6):
@@ -279,10 +295,10 @@ def test_pair_weights_are_relative_accurate_at_every_norm(kind, n):
             z = 4 * scale * np.sin((k + 1) * np.pi / (2 * (n + 1))) ** 2
             bound = max(4 * n, 2 * z.max() / z.min()) * eps
         t = generate(OperatorSpec(kind, dim=n, scale=scale))
-        d, w, _, _ = _bounded_pair(t)
+        d = decompose(t)
         source_norm = d.source_norm
         want = np.sort(1.0 / (1.0 + z * z))
-        got = w.real
+        got = d._weights
         assert np.all(np.diff(got) >= 0.0)
         assert np.max(np.abs(got - want) / want) <= bound, (norm, bound)
         assert abs(source_norm - z.max()) <= 4 * n * eps * z.max()
@@ -312,11 +328,10 @@ NULL_BLOCK_CASES = {
 def test_null_block_completes_an_orthonormal_eigenbasis(case):
     # U = G/s holds on T's range; on its null modes G is rounding, and
     # the complement of the range columns takes their place
-    from spectral_forge.decomposition import _bounded_pair
     from spectral_forge.pipeline import spectral_theorem
     t = NULL_BLOCK_CASES[case]()
     n = t.dim
-    _, _, u, _ = _bounded_pair(t)
+    u = decompose(t)._unitary
     eps = np.finfo(np.float64).eps
     assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 8 * n * eps * np.sqrt(n)
     report = spectral_theorem(t).report
@@ -329,7 +344,6 @@ def test_pair_solve_rotates_only_the_columns(monkeypatch):
     # V is never formed: each round with an active pivot turns the rows
     # of G^T once, where accumulating V turned a second array
     from spectral_forge import linalg
-    from spectral_forge.decomposition import _bounded_pair
     calls = {"rotate": 0, "rounds": 0}
     rotate, rotation = linalg._rotate_rows, linalg._rotation
 
@@ -344,6 +358,6 @@ def test_pair_solve_rotates_only_the_columns(monkeypatch):
     monkeypatch.setattr(linalg, "_rotate_rows", counted_rotate)
     monkeypatch.setattr(linalg, "_rotation", counted_rotation)
     t = generate(OperatorSpec("random_normal", dim=12, scale=10.0, seed=12))
-    _bounded_pair(t)
+    decompose(t)
     assert calls["rounds"] > 0
     assert calls["rotate"] == calls["rounds"]

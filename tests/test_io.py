@@ -343,11 +343,28 @@ def _rewritten(path: str, **layout) -> str:
     return path
 
 
-@pytest.mark.parametrize("layout", [{"separators": (",", ":")},
-                                    {"indent": 1}],
-                         ids=["compact", "indent"])
+def _mixed(path: str) -> str:
+    """The file at ``path`` with its pairs compact after its first pieces.
+
+    The first ``], [`` cuts pieces as usual; past them only ``],[`` is
+    left, so the last piece holds more pairs than the count of ``], [``
+    allows for.
+    """
+    with open(path) as handle:
+        text = handle.read()
+    at = 2 * io._PIECE + 100
+    with open(path, "w") as handle:
+        handle.write(text[:at] + text[at:].replace("], [", "],["))
+    return path
+
+
+@pytest.mark.parametrize("layout", [
+    lambda path: _rewritten(path, separators=(",", ":")),
+    lambda path: _rewritten(path, indent=1),
+    _mixed,
+], ids=["compact", "indent", "mixed"])
 def test_other_layouts_read_as_the_one_parse_reads_them(tmp_path, layout):
-    path = _rewritten(_shuffled_diagonal_file(tmp_path), **layout)
+    path = layout(_shuffled_diagonal_file(tmp_path))
     with open(path) as handle:
         assert io._parse_once(handle.read()) is None
     assert _same(io.read_json(path), _one_parse(path))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spectral_forge import linalg, pipeline
-from spectral_forge.decomposition import _bounded_pair
+from spectral_forge.decomposition import decompose
 from spectral_forge.errors import NotNormal, ScaleLimit
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import OperatorMatrix, frobenius, op_norm_2, rel
@@ -281,8 +281,11 @@ def _warm_cases(kind):
     for n in (5, 16, 32):
         for norm in WARM_NORMS:
             t = generate(OperatorSpec(kind, dim=n, scale=norm, seed=n + 3))
-            d, _, u, b_local = _bounded_pair(t)
-            yield t, d.b, b_local, u
+            d = decompose(t)
+            r = d._local.shape[0]
+            b_local = np.zeros((n, n), dtype=np.complex128)
+            b_local[:r, :r] = d._local
+            yield t, d.b, b_local, d._unitary
 
 
 def test_guard_reads_the_norm_off_the_one_sided_solve(monkeypatch):
@@ -315,6 +318,32 @@ def test_guard_reads_the_norm_off_the_one_sided_solve(monkeypatch):
         assert len(calls) == 1
 
 
+def test_route_solves_t_through_decompose_once(monkeypatch):
+    # the route's first stage is the public decompose, called once per
+    # run: its pair is the result's decomposition, and E_A's points and
+    # basis are the pair's weights and U
+    calls = []
+
+    def counted(t):
+        calls.append(decompose(t))
+        return calls[-1]
+
+    monkeypatch.setattr(pipeline, "decompose", counted)
+    for spec in (OperatorSpec("random_normal", dim=12, scale=3.0, seed=4),
+                 OperatorSpec("momentum_1d", dim=8, scale=10.0),
+                 OperatorSpec("multiplication", dim=1, scale=1e6)):
+        calls.clear()
+        res = spectral_theorem(generate(spec), direct_check=True)
+        assert res.report.all_passed
+        assert len(calls) == 1 and res.decomposition is calls[0]
+        d = calls[0]
+        # equal weights on these inputs differ by rounding alone
+        np.testing.assert_allclose(np.repeat(res.e1.points.real,
+                                             res.e1.ranks), d._weights,
+                                   rtol=1e-14, atol=0)
+        assert np.shares_memory(res.e1.stacked_basis(), d._unitary)
+
+
 def _bits(e: SpectralMeasure) -> tuple:
     """A measure's points and stacked basis as uint64, which see -0.0."""
     return tuple(np.ascontiguousarray(x).view(np.uint64)
@@ -322,8 +351,8 @@ def _bits(e: SpectralMeasure) -> tuple:
 
 
 def test_cross_check_tests_normality_once_per_operator(monkeypatch):
-    # T in _bounded_pair and B's local form in E_B's pvm_from_normal; the
-    # cross-check's direct solve of T relies on _bounded_pair's test
+    # T in decompose and B's local form in E_B's pvm_from_normal; the
+    # cross-check's direct solve of T relies on decompose's test
     t = generate(OperatorSpec("random_normal", dim=12, scale=10.0, seed=5))
     calls = []
     test = linalg.is_normal
@@ -392,7 +421,8 @@ def test_b_is_normal_to_its_own_rounding_on_a_spectrum_with_0():
     # normality test at rel(n) relative to itself; weighted on both
     # sides by W^(1/2), it passes, and the pipeline recovers T
     t = generate(OperatorSpec("momentum_1d", dim=4, scale=1e4))
-    d, _, v, _ = _bounded_pair(t)
+    d = decompose(t)
+    v = d._unitary
     assert linalg.is_normal(OperatorMatrix(v.conj().T @ d.b.array @ v))
     res = spectral_theorem(t)
     assert res.report.all_passed, res.report.residuals
@@ -437,7 +467,7 @@ def test_normality_is_tested_before_the_norm_guard():
 @pytest.mark.parametrize("scale", [1.0, 2e6, 1e300])
 def test_non_normal_input_is_refused_before_the_solve(monkeypatch, route,
                                                       scale):
-    # _bounded_pair tests normality first, for both routes: a non-normal
+    # decompose tests normality first, for both routes: a non-normal
     # T costs no one-sided solve, and its norm or its size decides nothing
     from spectral_forge import decomposition
     calls = []
@@ -497,7 +527,7 @@ def test_guard_holds_past_squared_overflow(kind, seed, scale):
 
 @pytest.mark.parametrize("route", ["decompose", "spectral_theorem"])
 def test_one_scale_refusal_before_the_solve(monkeypatch, route):
-    # _bounded_pair refuses an entry past 2^128 once, before its one
+    # decompose refuses an entry past 2^128 once, before its one
     # solve, for both routes; forcing the pipeline changes nothing
     from spectral_forge import decomposition
     events = []

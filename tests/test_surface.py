@@ -60,6 +60,7 @@ def test_all_is_pinned_and_resolves(module, names):
     ("spectral_forge.product", "PRUNE_FACTOR"),
     ("spectral_forge.linalg", "DEFAULT_TOLERANCES"),
     ("spectral_forge.linalg", "_resolve"),
+    ("spectral_forge.decomposition", "_bounded_pair"),
 ])
 def test_removed_names_cannot_be_imported(module, name):
     for where in ("spectral_forge", module):
@@ -97,7 +98,7 @@ def test_absolute_floor_is_a_constant_not_a_knob():
 WITHOUT_TOL = [
     linalg.is_hermitian, linalg.is_normal, linalg.hermitian_eig,
     linalg.normal_eig, linalg._normal_eig, decomposition.decompose,
-    decomposition._bounded_pair, decomposition.verify, product.commute_check,
+    decomposition.verify, product.commute_check,
     product.product_measure, product.product_validate, product._pairs,
     product._commute_threshold, measures._store_checks,
     measures._reconstruction_check, measures._measure_in_frame,
