@@ -17,6 +17,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import io
 from .decomposition import decompose, verify
 from .errors import (
@@ -36,6 +38,11 @@ from .report import VerificationReport
 __all__ = ["main"]
 
 _USAGE_ERRORS = (ParseError, BadSpec, FileError, DimensionMismatch)
+
+
+def _exit_code(exc: SpectralForgeError) -> int:
+    """2 for a usage or file/parse problem, else 3 (numerical)."""
+    return 2 if isinstance(exc, _USAGE_ERRORS) else 3
 
 
 def _tolerances(args) -> Tolerances:
@@ -132,47 +139,50 @@ _BUNDLE_PARTS = ("decomposition", "e1", "e2", "product", "measure", "direct")
 
 
 def _classify(doc: dict, name: str, source: OperatorMatrix | None
-              ) -> tuple[str, dict]:
+              ) -> tuple[str, dict, OperatorMatrix | None]:
     """Map one artifact document to its checkable parts.
 
-    Returns the document's kind and ``{part: (part document, operator)}``,
-    the operator being what a decomposition without its own ``t`` and a
-    measure of T are held to: a bundle's stored ``t``, else ``source``.
-    A bundle's ``t`` that is not a matrix is a ParseError, never a
-    silent fallback.  A matrix or report file is inert: its skip message
-    and no parts.
+    Returns the document's kind, ``{part: (part document, operator)}``
+    and the ``t`` the document stores (None if it stores none).  The
+    operator is what a decomposition and a measure of T are held to:
+    the stored ``t`` of a decomposition or bundle, else ``source``.  A
+    stored ``t`` that is not a matrix is a ParseError, never a silent
+    fallback.  A matrix or report file is inert: its skip message and
+    no parts.
     """
     if "a" in doc and "b" in doc:
-        return "decomposition", {"decomposition": (doc, source)}
-    if "atoms" in doc:
-        return "measure", {"measure": (doc, source)}
-    if isinstance(doc.get("measure"), dict):
-        if "t" in doc:
-            source = io.matrix_from_doc(doc["t"], where=f"{name}.t")
-        return "bundle", {key: (doc[key], source)
-                          for key in _BUNDLE_PARTS if key in doc}
-    if "entries" in doc:
-        return "skipped (operator matrix)", {}
-    if "residuals" in doc:
-        return "skipped (report artifact)", {}
-    raise ParseError(f"{name}: unrecognized artifact layout")
+        kind, parts = "decomposition", {"decomposition": doc}
+    elif "atoms" in doc:
+        return "measure", {"measure": (doc, source)}, None
+    elif isinstance(doc.get("measure"), dict):
+        kind, parts = "bundle", {key: doc[key] for key in _BUNDLE_PARTS
+                                 if key in doc}
+    elif "entries" in doc:
+        return "skipped (operator matrix)", {}, None
+    elif "residuals" in doc:
+        return "skipped (report artifact)", {}, None
+    else:
+        raise ParseError(f"{name}: unrecognized artifact layout")
+    stored = io.matrix_from_doc(doc["t"], where=f"{name}.t") \
+        if "t" in doc else None
+    operator = source if stored is None else stored
+    return kind, {key: (part, operator) for key, part in parts.items()}, stored
 
 
 def _check(part: str, doc, operator: OperatorMatrix | None, name: str
            ) -> VerificationReport | None:
     """Re-check one part of an artifact; None when nothing can hold it.
 
-    A decomposition is verified against its own stored ``t``, else
-    ``operator`` (None when there is neither).  Atoms carrying ``t`` make
-    a product measure.  A measure whose ``of`` is T is also held to
-    reconstruction against ``operator``, if any, of its dimension or a
-    DimensionMismatch; measures of A and B, and products, are only
-    validated.  A measure is judged by the joining radius it carries.
+    A decomposition is verified against ``operator`` (None when there
+    is none).  Atoms carrying ``t`` make a product measure.  A measure
+    whose ``of`` is T is also held to reconstruction against
+    ``operator``, if any, of its dimension or a DimensionMismatch;
+    measures of A and B, and products, are only validated.  A measure is
+    judged by the joining radius it carries.
     """
     if part == "decomposition":
-        t, d = io.decomposition_from_doc(doc, where=name)
-        t = t if t is not None else operator
-        return None if t is None else verify(t, d)
+        _, d = io.decomposition_from_doc(doc, where=name)
+        return None if operator is None else verify(operator, d)
     atoms = doc.get("atoms") if isinstance(doc, dict) else None
     if (isinstance(atoms, list) and atoms and isinstance(atoms[0], dict)
             and "t" in atoms[0]):
@@ -206,7 +216,20 @@ def _cmd_verify(args) -> int:
     checked = False
     for path, part in targets:
         name = os.path.basename(path)
-        kind, parts = _classify(io.read_json(path), name, source)
+        try:
+            kind, parts, stored = _classify(io.read_json(path), name, source)
+        except SpectralForgeError as exc:
+            if part is not None:
+                raise
+            # a --dir file that cannot be read or classified fails alone
+            print(f"error: {exc}", file=sys.stderr)
+            print(f"{name}: FAIL")
+            checked = True
+            worst = max(worst, _exit_code(exc))
+            continue
+        # a stored t that is not --input fails its file, named t
+        differs = (stored is not None and source is not None
+                   and not np.array_equal(stored.array, source.array))
         if part is None:
             # a --dir file: one status line built from its part reports;
             # a part whose check raises fails the file, named on stderr
@@ -217,7 +240,7 @@ def _cmd_verify(args) -> int:
                     report = _check(key, *parts[key], name)
                 except SpectralForgeError as exc:
                     print(f"error: {name}: {key}: {exc}", file=sys.stderr)
-                    raised[key] = 2 if isinstance(exc, _USAGE_ERRORS) else 3
+                    raised[key] = _exit_code(exc)
                     continue
                 if report is not None:
                     reports[key] = report
@@ -234,6 +257,8 @@ def _cmd_verify(args) -> int:
             else:
                 failed = list(raised) + [c for r in reports.values()
                                          for c in r.failed]
+            if differs:
+                failed.insert(0, "t")
             print(f"{name}: {kind} " + ("FAIL " + ",".join(failed) if failed
                                         else "pass"))
             checked = True
@@ -248,6 +273,9 @@ def _cmd_verify(args) -> int:
                              "pass --input FILE")
         checked = True
         print(name)
+        if differs:
+            print(f"  {'t':<24} differs from --input  FAIL")
+            worst = max(worst, 1)
         for key, residual in report.residuals.items():
             bound = report.tolerances[key]
             verdict = "pass" if report.passed[key] else "FAIL"
@@ -348,12 +376,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SpectralForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ imaginary] pairs; matrices store row-major entry lists under their
 dimension.  A ``*_to_doc`` document holds each matrix's entries as its
 flat complex128 array, which ``dumps`` encodes a block of pairs at a
 time, so no Python float exists per entry beyond one block.  A write
-encodes each distinct array once: an array of the same bytes as one
-already written in that document reuses its text, as the measures of an
-``--emit all`` bundle do, whose atoms repeat.
+encodes each distinct array once, keyed on its exact bytes: an array
+whose bytes equal one already written in that document reuses its
+text, as the measures of an ``--emit all`` bundle do, whose atoms
+repeat.
 ``read_json`` decodes each valid ``entries`` list to such an array,
 after an exact type screen; a malformed list stays a list, and
 ``matrix_from_doc`` names its first bad pair in a ParseError.  A read
@@ -24,11 +25,7 @@ doubt (other separators, a bad pair, a string), is parsed whole by
 ``json.loads``, which decodes each list as the parser closes its
 object and reports errors as it always did.  The read peaks at the
 text, the distinct arrays at 16 bytes a pair and one piece, or the
-file's bytes beside its text while it decodes: the bench's n = 384
-input, a 1.8 MB file, reads at a 5.0 MiB ``tracemalloc`` peak against
-the whole parse's 27.1 MiB, and its ``pipeline --emit report`` child
-peaks at 57.0 MB against 63.9 MB before pieces and the pair's lazy A
-and B (``ru_maxrss``, median of 6 runs).
+file's bytes beside its text while it decodes.
 A measure document is
 ``{"dim", "of", "cluster", "atoms"}``: ``of`` is the measure's own label
 of the operator it resolves (``"T"``, ``"A"`` or ``"B"``), written from
@@ -43,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import zlib
 from itertools import chain
 
 import numpy as np
@@ -109,21 +105,16 @@ def _encode(value, pieces: list, texts: dict, key=None):
 
     Containers are walked, so that an ``entries`` array can be written
     ``_BLOCK`` pairs per encoder call; keys and every other leaf go
-    through ``json.dumps``.  ``texts`` holds each ``entries`` array
-    encoded so far with its text pieces, under the CRC-32 of its bytes,
-    so equal bytes, and only they (``-0.0`` is not ``0.0``), are encoded
-    once.
+    through ``json.dumps``.  ``texts`` maps the bytes of each ``entries``
+    array encoded so far to its text pieces, so equal bytes, and only
+    they (``-0.0`` is not ``0.0``), are encoded once.
     """
     if (key == "entries" and isinstance(value, np.ndarray)
             and value.dtype == np.complex128):
         bits = _bits(value)
-        # a checksum finds a candidate without copying the bytes (zlib is
-        # loaded at startup, where hashlib would map OpenSSL, about 4 MB);
-        # the words decide, compared as memoryviews, which make no
-        # temporary, so text is reused for bit-equal arrays alone
-        crc = zlib.crc32(bits)
-        seen, text = texts.get(crc, (None, None))
-        if seen is None or memoryview(_bits(seen)) != memoryview(bits):
+        data = bits.tobytes()
+        text = texts.get(data)
+        if text is None:
             pairs = bits.view(np.float64).reshape(-1, 2)
             text = ["["]
             for start in range(0, len(pairs), _BLOCK):
@@ -131,9 +122,7 @@ def _encode(value, pieces: list, texts: dict, key=None):
                                    allow_nan=False)[1:-1]
                 text.append(", " + block if start else block)
             text.append("]")
-            # the document's own array, not a view of it: views made and
-            # kept here raised the n = 64 bundle's write peak by 11 MiB
-            texts[crc] = value, text
+            texts[data] = text
         pieces.extend(text)
     elif isinstance(value, dict):
         pieces.append("{")

@@ -247,9 +247,14 @@ def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a.view(np.float64), -e).view(a.dtype), e
 
 
-def _refuse_past_scale_limit(m: OperatorMatrix):
-    """ScaleLimit past an entry of 2^128, every route's one refusal."""
-    peak = float(np.max(np.abs(m.array.view(np.float64))))
+def _refuse_past_scale_limit(m: OperatorMatrix | np.ndarray):
+    """ScaleLimit past an entry of 2^128, every route's one refusal.
+
+    ``m`` is an operator or a complex array of any shape, such as a
+    measure's stack of dense projections.
+    """
+    values = m.array if isinstance(m, OperatorMatrix) else m
+    peak = float(np.max(np.abs(values.view(np.float64))))
     if peak > _SCALE_LIMIT:
         raise ScaleLimit(f"largest entry {peak:.3e} passes 2^128; the sums "
                          "of squares this route forms unscaled would "

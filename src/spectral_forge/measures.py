@@ -29,6 +29,7 @@ from .linalg import (
     _radius,
     _ranges,
     _reach,
+    _refuse_past_scale_limit,
     frobenius,
     normal_eig,
     rel,
@@ -347,6 +348,7 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 
 def _dense_invariants(e: _AtomStore) -> tuple[float, float, float, float]:
     p = e.projections
+    _refuse_past_scale_limit(p)  # before any product, which could overflow
     idem = _norms(p @ p - p).max()
     herm = _norms(p - p.conj().transpose(0, 2, 1)).max()
     # ||P_i P_j|| for j > i, one batched product per atom
@@ -388,10 +390,11 @@ def pvm_validate(e: SpectralMeasure) -> VerificationReport:
     never past ``Tolerances.cluster_radius``.  Every other bound is
     fixed.  To judge a measure by another radius, validate
     ``dataclasses.replace(e, cluster=r)``.  A single atom has no pair to
-    keep apart, so its report has no gap record.  Always returns a report.
-    Factored atoms are judged from the Gram matrix of their stacked
-    basis, their Hermitian defect 0 by construction; dense atoms are
-    measured as stored.
+    keep apart, so its report has no gap record.  Factored atoms are
+    judged from the Gram matrix of their stacked basis, their Hermitian
+    defect 0 by construction; dense atoms are measured as stored.
+    Always returns a report, save that a dense atom's entry past 2^128
+    is refused with ScaleLimit before any product is formed.
     """
     checks = _store_checks(e)
     if e.num_atoms > 1:

@@ -581,8 +581,9 @@ def test_verify_dir_fails_a_part_that_raises_and_goes_on(tmp_path, capsys):
         assert main(["spectrum", "--input", source, "--emit", "measure",
                      "--output", str(work / name)]) == 0
     doc = json.loads((work / "a.json").read_text())
-    doc["atoms"][0]["point"] = [1e250, 0.0]
-    doc["atoms"][0]["projection"]["entries"][0] = [1e70, 0.0]
+    # entries below 2^128, which dense atoms are refused past
+    doc["atoms"][0]["point"] = [1e300, 0.0]
+    doc["atoms"][0]["projection"]["entries"][0] = [1e10, 0.0]
     (work / "a.json").write_text(json.dumps(doc))
     eye = [[1e40 if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
     zero = [[0.0, 0.0]] * 16
@@ -606,6 +607,107 @@ def test_verify_dir_fails_a_part_that_raises_and_goes_on(tmp_path, capsys):
         "error: a_dec.json: decomposition: largest entry 1.000e+40 passes "
         "2^128; the sums of squares this route forms unscaled would overflow",
         "error: b.json: measure: dimension mismatch: 3 versus 4"]
+
+
+@pytest.mark.parametrize("bad", ["json", "layout", "t"])
+def test_verify_dir_fails_a_file_it_cannot_read_and_goes_on(tmp_path, capsys,
+                                                            bad):
+    # a file that is no JSON, of no known layout, or whose stored t is no
+    # n x n matrix fails alone, its error named on stderr; the good
+    # bundle after it still gets its status line, and the exit code is 2
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "73")
+    work = tmp_path / "work"
+    work.mkdir()
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", str(work / "b.json")]) == 0
+    if bad == "t":
+        doc = json.loads((work / "b.json").read_text())
+        doc["t"]["entries"].pop()
+        text = json.dumps(doc)
+    else:
+        text = "{not json" if bad == "json" else '{"foo": 1}'
+    (work / "a.json").write_text(text)
+    capsys.readouterr()
+    code, out, err = run(["verify", "--dir", str(work), "--input", t],
+                         capsys)
+    assert code == 2
+    assert out.splitlines() == [
+        "a.json: FAIL",
+        "b.json: bundle(decomposition,e1,e2,product,measure) pass"]
+    message = {"json": f"{work / 'a.json'}: invalid JSON at line 1 column 2",
+               "layout": "a.json: unrecognized artifact layout",
+               "t": "a.json.t: expected 16 entries, got 15"}[bad]
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_verify_fails_a_file_whose_t_is_not_the_input(tmp_path, capsys):
+    # a bundle or decomposition storing another t than --input fails,
+    # named t, in --dir and as an explicit target; a measure stores no t
+    # and is held to --input by its reconstruction
+    t3 = gen_file(tmp_path, "t3.json", "gen", "--kind", "random_normal",
+                  "--dim", "6", "--seed", "3")
+    t4 = gen_file(tmp_path, "t4.json", "gen", "--kind", "random_normal",
+                  "--dim", "6", "--seed", "4")
+    work = tmp_path / "work"
+    work.mkdir()
+    assert main(["pipeline", "--input", t3, "--emit", "all",
+                 "--output", str(work / "b.json")]) == 0
+    assert main(["decompose", "--input", t3,
+                 "--output", str(work / "d.json")]) == 0
+    assert main(["spectrum", "--input", t3, "--emit", "measure",
+                 "--output", str(work / "m.json")]) == 0
+    capsys.readouterr()
+    code, out, _ = run(["verify", "--dir", str(work), "--input", t3], capsys)
+    assert code == 0, out
+    code, out, _ = run(["verify", "--dir", str(work), "--input", t4], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "b.json: bundle(decomposition,e1,e2,product,measure) FAIL t",
+        "d.json: decomposition FAIL t",
+        "m.json: measure FAIL reconstruction"]
+    for flag, name in (("--pvm", "b.json"), ("--decomposition", "d.json")):
+        code, same, _ = run(["verify", flag, str(work / name),
+                             "--input", t3], capsys)
+        assert code == 0 and " t " not in same
+        code, out, _ = run(["verify", flag, str(work / name),
+                            "--input", t4], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1].split() == ["t", "differs", "from", "--input", "FAIL"]
+        assert [lines[0]] + lines[2:] == same.splitlines()
+
+
+@pytest.mark.parametrize("target", ["pvm", "dir"])
+def test_verify_refuses_a_dense_atom_entry_past_2_128(tmp_path, capsys,
+                                                      target):
+    # a stored projection entry of 1e200 is refused before any product
+    # is formed: exit 3 with ScaleLimit's message, no numpy overflow
+    # warning, and no report written
+    import warnings
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "3")
+    work = tmp_path / "work"
+    work.mkdir()
+    m = work / "m.json"
+    assert main(["spectrum", "--input", t, "--emit", "measure",
+                 "--output", str(m)]) == 0
+    doc = json.loads(m.read_text())
+    doc["atoms"][0]["projection"]["entries"][1][0] = 1e200
+    m.write_text(json.dumps(doc))
+    report = tmp_path / "r.json"
+    args = (["--pvm", str(m), "--output", str(report)] if target == "pvm"
+            else ["--dir", str(work)])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["verify"] + args + ["--input", t], capsys)
+    assert code == 3
+    assert "largest entry 1.000e+200 passes 2^128" in err, err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "nan" not in out and "inf" not in out
+    assert not report.exists()
 
 
 def test_verify_pvm_on_a_measure_of_a_has_no_reconstruction(tmp_path, capsys):

@@ -200,10 +200,9 @@ def test_arrays_differing_in_the_sign_of_a_zero_are_written_apart():
                              '{"entries": [[-0.0, 0.0], [2.0, 1.0]]}]\n')
 
 
-def test_a_checksum_collision_does_not_reuse_text(monkeypatch):
-    # the checksum only proposes a candidate: here every array shares
-    # one, and the bits alone decide which text is reused
-    monkeypatch.setattr(io.zlib, "crc32", lambda data: 0)
+def test_one_ulp_twins_do_not_reuse_text():
+    # arrays one ulp apart, repeated, copied and sliced: the exact bytes
+    # alone decide which text is reused
     first, second = _twins(io._BLOCK + 1, 4, "ulp", 5)
     doc = [{"entries": first}, {"entries": second}, {"entries": first},
            {"entries": first.copy()}, {"entries": second[:1]}]

@@ -5,8 +5,13 @@ with the maps that act on it in a known way:
 
 - unitary similarity: Q T Q* has T's points, with projections Q P_k Q*;
 - adjoint: T* has the conjugate points and the same projections;
-- real scaling: c T has the points c z and as many atoms, from 1e-150
-  to 1e37 (forced past ``NORM_LIMIT``).
+- real scaling: c T has the points c z and as many atoms, from 1e-300
+  to 1e37 (forced past ``NORM_LIMIT``, and only there);
+- direct sum: diag(T, S) has the atoms of T and of S, each projection
+  embedded in its own block, when their points lie far apart against
+  the joining radius;
+- functional calculus: the integral of the conjugate against T's
+  measure is T*, within the reconstruction rule.
 
 No eigensolver outside the package is involved.  Every bound is read
 from the package's own constants.  A point may move by ``rel(n)`` times
@@ -25,10 +30,21 @@ gallery operators with fixed seeds, among them atoms of rank 2
 import numpy as np
 import pytest
 
+from spectral_forge.decomposition import RECONSTRUCTION_FACTOR
 from spectral_forge.errors import ScaleLimit
 from spectral_forge.gallery import OperatorSpec, generate
-from spectral_forge.linalg import _WEIGHT_REL, OperatorMatrix, rel
-from spectral_forge.measures import PVM_FACTOR
+from spectral_forge.linalg import (
+    _WEIGHT_REL,
+    OperatorMatrix,
+    _reach,
+    frobenius,
+    rel,
+)
+from spectral_forge.measures import (
+    PVM_FACTOR,
+    SpectralMeasure,
+    pvm_integrate,
+)
 from spectral_forge.pipeline import NORM_LIMIT, spectral_theorem
 
 INPUTS = {
@@ -38,12 +54,17 @@ INPUTS = {
                                    seed=3),
     "laplacian_1d": OperatorSpec("laplacian_1d", dim=10, scale=1.0),
 }
-SCALES = [1e-150, 1e-3, 1e3, 1e37]
+SCALES = [1e-300, 1e-200, 1e-150, 1e-100, 1e-3, 1e3, 1e37]
+# pairs whose points lie far apart: the imaginary axis and the real
+# points of the Laplacian, which avoid 0; the unit circle and 10 k / 6
+SUMS = [("momentum_1d", "laplacian_1d"),
+        ("random_unitary", OperatorSpec("multiplication", dim=6,
+                                        scale=10.0))]
 
 
-def _measure(t: OperatorMatrix):
-    """T's measure by the route, forced past ``NORM_LIMIT`` when needed."""
-    res = spectral_theorem(t, force_scale=True)
+def _measure(t: OperatorMatrix, force_scale: bool = False):
+    """T's measure by the route, forced past ``NORM_LIMIT`` if asked."""
+    res = spectral_theorem(t, force_scale=force_scale)
     assert res.report.all_passed, res.report.residuals
     return res.spectral_measure
 
@@ -99,9 +120,44 @@ def test_real_scaling_scales_the_points_alone(name, c):
     t = generate(INPUTS[name])
     e = _measure(t)
     scaled = OperatorMatrix(c * t.array)
-    if c * float(np.max(np.abs(e.points))) > NORM_LIMIT:
+    past = c * float(np.max(np.abs(e.points))) > NORM_LIMIT
+    if past:
         with pytest.raises(ScaleLimit, match="documented range"):
             spectral_theorem(scaled)
-    got = _measure(scaled)
+    got = _measure(scaled, force_scale=past)
     assert got.num_atoms == e.num_atoms
     _assert_same_measure(got, e, c * e.points)
+
+
+def _embedded(p: np.ndarray, at: int, n: int) -> np.ndarray:
+    """``p`` as the block at rows and columns ``at`` of an n x n zero."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[at:at + len(p), at:at + len(p)] = p
+    return out
+
+
+@pytest.mark.parametrize("pair", SUMS, ids=["momentum+laplacian",
+                                            "unitary+multiplication"])
+def test_direct_sum_unites_the_measures(pair):
+    t, s = (generate(INPUTS[x] if isinstance(x, str) else x) for x in pair)
+    e, f = _measure(t), _measure(s)
+    points = np.concatenate([e.points, f.points])
+    gap = float(np.min(np.abs(e.points[:, None] - f.points[None, :])))
+    assert gap > 1e3 * float(np.max(_reach(np.abs(points), None, "T")))
+    n = t.dim + s.dim
+    union = SpectralMeasure(n, points, projections=[
+        _embedded(m.projection(k).array, at, n)
+        for m, at in ((e, 0), (f, t.dim)) for k in range(m.num_atoms)])
+    total = np.zeros((n, n), dtype=np.complex128)
+    total[:t.dim, :t.dim] = t.array
+    total[t.dim:, t.dim:] = s.array
+    _assert_same_measure(_measure(OperatorMatrix(total)), union, points)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_integrating_the_conjugate_gives_the_adjoint(name):
+    t = generate(INPUTS[name])
+    adjoint = pvm_integrate(np.conj, _measure(t))
+    residual = np.linalg.norm(adjoint.array - t.adjoint().array)
+    assert residual <= RECONSTRUCTION_FACTOR * rel(t.dim) * (
+        1.0 + frobenius(t)), residual
