@@ -181,7 +181,8 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str
     judged by the joining radius it carries.
     """
     if part == "decomposition":
-        _, d = io.decomposition_from_doc(doc, where=name)
+        # a stored t is ``operator``, parsed once by _classify
+        d = io._pair_from_doc(doc, where=name)
         return None if operator is None else verify(operator, d)
     atoms = doc.get("atoms") if isinstance(doc, dict) else None
     if (isinstance(atoms, list) and atoms and isinstance(atoms[0], dict)

@@ -28,9 +28,10 @@ about eps ||T|| per entry: formed as T A, B would keep it unweighted,
 and ||[A, B]|| would reach eps ||T||.  In the rows and columns of T's
 null modes, where T u = T* u = 0, that rounding is all there is, so
 only the range block of B's local form L = W^(1/2) (U* T U) W^(1/2) is
-formed, r x r for the r range modes.  The pair holds U, w and L and
-forms A and B on first read, so a run that reads only its report never
-forms them; E_A is w on the columns of U, and E_B is solved from L.
+formed, r x r for the r range modes.  The pair holds U, w, r and T, and
+forms L on demand, for B and for E_B, so no L outlives ``decompose``; A
+and B form on first read, so a run that reads only its report never
+forms them.  E_A is w on the columns of U, and E_B is solved from L.
 Normality is tested first (NotNormal), then an entry past 2^128 is
 refused (ScaleLimit); below it, T is scaled by a power of two when a
 norm would leave the float range.
@@ -75,8 +76,8 @@ class Decomposition:
     normal with norm at most 1/2, and ``a^(-1) b`` recovers the source.
     ``source_norm`` records ||T||_2, which the pipeline's guard reads.
     A pair read from a file or built by hand keeps the matrices it is
-    given.  A pair ``decompose`` solves holds U, the weights w and B's
-    local form L instead, and forms ``a = (U w) U*`` and
+    given.  A pair ``decompose`` solves holds U, the weights w, the
+    range rank r and T instead, and forms ``a = (U w) U*`` and
     ``b = U_r L U_r*`` once each, on first read.
     """
 
@@ -87,14 +88,28 @@ class Decomposition:
         self.dim = a.dim
 
     @classmethod
-    def _factored(cls, unitary: np.ndarray, weights: np.ndarray,
-                  local: np.ndarray, source_norm: float) -> "Decomposition":
-        """The pair of U, weights w and B's r x r local form L."""
+    def _factored(cls, t: OperatorMatrix, unitary: np.ndarray,
+                  weights: np.ndarray, rank: int,
+                  source_norm: float) -> "Decomposition":
+        """The pair of T, U, the weights w and the range rank r."""
         d = cls.__new__(cls)
-        d._unitary, d._weights, d._local = unitary, weights, local
+        d._t, d._unitary, d._weights, d._rank = t, unitary, weights, rank
         d.source_norm = source_norm
         d.dim = unitary.shape[0]
         return d
+
+    def _local_form(self) -> np.ndarray:
+        """B's local form L, a fresh n x n array, 0 outside its r x r
+        range block: two O(n^3) products on each call."""
+        r, w = self._rank, self._weights[:self._rank]
+        # products round by their operands' layout, and L is formed from
+        # a row-major copy of the range columns
+        ur = np.ascontiguousarray(self._unitary[:, :r])
+        local = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        block = local[:r, :r]
+        np.matmul(ur.conj().T, self._t.array @ ur, out=block)
+        block *= np.sqrt(np.outer(w, w))  # exactly w_i on the diagonal
+        return local
 
     # a pair given as matrices holds them as instance attributes, which
     # shadow these
@@ -105,8 +120,9 @@ class Decomposition:
 
     @cached_property
     def b(self) -> OperatorMatrix:
-        ur = self._unitary[:, :self._local.shape[0]]
-        return OperatorMatrix(ur @ self._local @ ur.conj().T)
+        r = self._rank
+        ur = self._unitary[:, :r]
+        return OperatorMatrix(ur @ self._local_form()[:r, :r] @ ur.conj().T)
 
 
 def _complement(u: np.ndarray, k: int) -> np.ndarray:
@@ -143,7 +159,7 @@ def decompose(t: OperatorMatrix) -> Decomposition:
     ``verify`` would overflow.  The pair holds U (read-only, in
     column-major order, the layout a gathered copy of its columns would
     have: products with one atom's columns round by it), the ascending
-    weights w and B's read-only r x r local form L.
+    weights w, the rank r of T's range and T itself.
     """
     if not is_normal(t):
         raise NotNormal("input is not normal: T*T - TT* exceeds tolerance")
@@ -168,14 +184,8 @@ def decompose(t: OperatorMatrix) -> Decomposition:
     lead = u[np.argmax(np.abs(u), axis=0), np.arange(t.dim)]
     u *= lead.conj() / np.abs(lead)
     u.setflags(write=False)
-    r = t.dim - k
-    # products round by their operands' layout, and L is formed from a
-    # row-major copy of the range columns
-    ur = np.ascontiguousarray(u[:, :r])
-    local = ur.conj().T @ (t.array @ ur)
-    local *= np.sqrt(np.outer(w[:r], w[:r]))  # exactly w_i on the diagonal
-    local.setflags(write=False)
-    return Decomposition._factored(u, w, local, float(sigma.max()))
+    return Decomposition._factored(t, u, w, t.dim - k,
+                                   float(sigma.max()))
 
 
 def verify(t: OperatorMatrix, d: Decomposition) -> VerificationReport:

@@ -8,10 +8,10 @@ imaginary] pairs; matrices store row-major entry lists under their
 dimension.  A ``*_to_doc`` document holds each matrix's entries as its
 flat complex128 array, which ``dumps`` encodes a block of pairs at a
 time, so no Python float exists per entry beyond one block.  A write
-encodes each distinct array once, keyed on its exact bytes: an array
-whose bytes equal one already written in that document reuses its
-text, as the measures of an ``--emit all`` bundle do, whose atoms
-repeat.
+encodes each distinct array once, keyed on a checksum of its bytes
+read in place and confirmed by comparing them: an array whose bytes
+equal one already written in that document reuses its text, as the
+measures of an ``--emit all`` bundle do, whose atoms repeat.
 ``read_json`` decodes each valid ``entries`` list to such an array,
 after an exact type screen; a malformed list stays a list, and
 ``matrix_from_doc`` names its first bad pair in a ParseError.  A read
@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zlib
 from itertools import chain
 
 import numpy as np
@@ -105,15 +106,17 @@ def _encode(value, pieces: list, texts: dict, key=None):
 
     Containers are walked, so that an ``entries`` array can be written
     ``_BLOCK`` pairs per encoder call; keys and every other leaf go
-    through ``json.dumps``.  ``texts`` maps the bytes of each ``entries``
-    array encoded so far to its text pieces, so equal bytes, and only
-    they (``-0.0`` is not ``0.0``), are encoded once.
+    through ``json.dumps``.  ``texts`` maps the CRC-32 of each
+    ``entries`` array's bytes to the words and text pieces encoded so
+    far, so equal bytes, and only they (``-0.0`` is not ``0.0``), are
+    encoded once, with no copy of any array's bytes.
     """
     if (key == "entries" and isinstance(value, np.ndarray)
             and value.dtype == np.complex128):
         bits = _bits(value)
-        data = bits.tobytes()
-        text = texts.get(data)
+        same = texts.setdefault(zlib.crc32(bits), [])
+        text = next((text for seen, text in same
+                     if np.array_equal(seen, bits)), None)
         if text is None:
             pairs = bits.view(np.float64).reshape(-1, 2)
             text = ["["]
@@ -122,7 +125,7 @@ def _encode(value, pieces: list, texts: dict, key=None):
                                    allow_nan=False)[1:-1]
                 text.append(", " + block if start else block)
             text.append("]")
-            texts[data] = text
+            same.append((bits, text))
         pieces.extend(text)
     elif isinstance(value, dict):
         pieces.append("{")
@@ -531,12 +534,17 @@ def decomposition_to_doc(t: OperatorMatrix | None, d: Decomposition,
     return doc
 
 
-def decomposition_from_doc(doc: dict, where: str = "decomposition"):
+def _pair_from_doc(doc: dict, where: str) -> Decomposition:
+    """The pair of a decomposition document, its ``t`` left unread."""
     a = matrix_from_doc(_field(doc, "a", dict, where), f"{where}.a")
     b = matrix_from_doc(_field(doc, "b", dict, where), f"{where}.b")
-    norm = _field(doc, "source_norm", float, where)
+    return Decomposition(a, b, _field(doc, "source_norm", float, where))
+
+
+def decomposition_from_doc(doc: dict, where: str = "decomposition"):
+    d = _pair_from_doc(doc, where)
     t = matrix_from_doc(doc["t"], f"{where}.t") if "t" in doc else None
-    return t, Decomposition(a, b, norm)
+    return t, d
 
 
 def write_decomposition(t: OperatorMatrix | None, d: Decomposition, path: str,

@@ -17,6 +17,7 @@ eigen, singular value or factorization routine is called anywhere.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -232,6 +233,13 @@ class EigenSystem:
         return self.unitary.dim
 
 
+def _peak(a: np.ndarray) -> float:
+    """Largest modulus of a complex array's real and imaginary parts, 0
+    for none, read off their max and min: no copy of ``abs``."""
+    parts = a.view(np.float64)
+    return max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+
+
 def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``(a 2^-e, e)``, e = 0 for a peak entry of 0 or in ``[2^-128, 2^128]``.
 
@@ -240,7 +248,7 @@ def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     without rounding, and the Jacobi rotations commute with it, so only
     the exponent is carried.
     """
-    peak = float(np.max(np.abs(a.view(np.float64)), initial=0.0))
+    peak = _peak(a)
     if peak == 0.0 or 1.0 / _SCALE_LIMIT <= peak <= _SCALE_LIMIT:
         return a, 0
     e = int(np.frexp(peak)[1])
@@ -253,8 +261,7 @@ def _refuse_past_scale_limit(m: OperatorMatrix | np.ndarray):
     ``m`` is an operator or a complex array of any shape, such as a
     measure's stack of dense projections.
     """
-    values = m.array if isinstance(m, OperatorMatrix) else m
-    peak = float(np.max(np.abs(values.view(np.float64))))
+    peak = _peak(m.array if isinstance(m, OperatorMatrix) else m)
     if peak > _SCALE_LIMIT:
         raise ScaleLimit(f"largest entry {peak:.3e} passes 2^128; the sums "
                          "of squares this route forms unscaled would "
@@ -284,12 +291,26 @@ def is_hermitian(m: OperatorMatrix) -> bool:
 
 
 def is_normal(m: OperatorMatrix) -> bool:
-    """True when ``||M*M - MM*||_F <= rel(n) ||M||_F^2``."""
+    """True when ``||M*M - MM*||_F <= rel(n) ||M||_F^2``.
+
+    The defect D is summed over blocks of rows of at most
+    ``_BLOCK_BYTES``, with no copy of M* or of a whole product.  D is
+    Hermitian, so each block is formed from its diagonal block rightward
+    and the part right of that block counts twice: half the products,
+    which pays for repacking M on each block.
+    """
     a, _ = _power_of_two_scaled(m.array)
-    ah = a.conj().T
-    defect = np.linalg.norm(ah @ a - a @ ah)
-    fro = np.linalg.norm(a)
-    return bool(defect <= rel(m.dim) * fro * fro)
+    n = m.dim
+    rows = max(1, _BLOCK_BYTES // (16 * n))
+    square = 0.0
+    for lo in range(0, n, rows):
+        # these rows of conj(D), from column lo on: conj(M*M) - conj(MM*)
+        block = a[:, lo:lo + rows].conj().T @ a[:, lo:]
+        np.conjugate(block, out=block)
+        block -= a[lo:lo + rows].conj() @ a[lo:].T
+        head = block[:, :rows]
+        square += 2.0 * np.vdot(block, block).real - np.vdot(head, head).real
+    return bool(math.sqrt(square) <= rel(n) * np.vdot(a, a).real)
 
 
 def _off_diagonal_norm(w: np.ndarray) -> float:
@@ -312,7 +333,9 @@ def _sweep_head(w: np.ndarray, level: float, prev_off: float, rotations: int,
     """
     off = _off_diagonal_norm(w)
     root = np.sqrt(np.abs(w.diagonal().real))
-    bound = np.maximum(level * np.outer(root, root), _TINY_PIVOT)
+    bound = np.outer(root, root)
+    bound *= level
+    np.maximum(bound, _TINY_PIVOT, out=bound)
     np.fill_diagonal(bound, np.inf)  # the diagonal is not tested
     mag = np.abs(w)
     if np.all(mag <= bound):
@@ -422,7 +445,10 @@ def _jacobi_hermitian(matrix: np.ndarray):
     Returns ``(eigenvalues, vectors)`` unsorted.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    w, e = _power_of_two_scaled((m + m.conj().T) / 2.0)
+    w = np.conjugate(m.T, order="C")
+    w += m
+    w /= 2.0
+    w, e = _power_of_two_scaled(w)
     fro = float(np.linalg.norm(w))
     off_target = float(np.ldexp(ATOL * (1.0 + np.ldexp(fro, e)), -e))
     n = w.shape[0]
@@ -533,8 +559,8 @@ def _eigensystem(vals: np.ndarray, vecs: np.ndarray) -> EigenSystem:
     order = np.lexsort((vals.imag, vals.real))
     vecs = vecs[:, order]
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    return EigenSystem(OperatorMatrix(vecs * (lead.conj() / np.abs(lead))),
-                       vals[order])
+    vecs *= lead.conj() / np.abs(lead)
+    return EigenSystem(OperatorMatrix(vecs), vals[order])
 
 
 def hermitian_eig(m: OperatorMatrix) -> EigenSystem:

@@ -13,10 +13,11 @@ A direct diagonalization of T is kept only as an optional cross check.
 Exactly one Jacobi solve starts cold: ``decompose``'s one-sided solve
 of T, which ``spectral_forge.decomposition`` describes.  Its pair gives
 ||T||_2, E_A (the weights w on the columns of U) and B's local form L,
-unitarily similar to B.  Since T, A and B share eigenvectors, U nearly
-diagonalizes B, so E_B is solved warm from L.  B commutes with A, so
-between different atoms of E_A that form holds rounding alone: it is
-set to 0 there and E_B is solved on E_A's blocks, in a few sweeps.
+unitarily similar to B, formed afresh for E_B and masked in place.
+Since T, A and B share eigenvectors, U nearly diagonalizes B, so E_B is
+solved warm from L.  B commutes with A, so between different atoms of
+E_A that form holds rounding alone: it is set to 0 there and E_B is
+solved on E_A's blocks, in a few sweeps.
 Left in, the rounding would couple nearly equal eigenvalues of B across
 E_A's atoms, and E_B would not commute with E_A.
 
@@ -118,15 +119,14 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
             "the end of the documented range "
             "(pass force_scale=True to proceed anyway)"
         )
-    u, r = d._unitary, d._local.shape[0]
+    u = d._unitary
     e1 = _merged(d._weights, u, np.arange(n + 1), of="A")
     # E_B on E_A's blocks by the default rule (a radius is T's alone):
     # E_A's points ascend, so each atom is a run of U's columns, in order.
     # L is 0 on T's null modes and between atoms; only the frozen wrapper
     # stays alive under E_B's solve
     atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
-    local = np.zeros((n, n), dtype=np.complex128)
-    local[:r, :r] = d._local
+    local = d._local_form()
     local[atom[:, None] != atom] = 0.0
     local = OperatorMatrix(local)
     e2 = _measure_in_frame(local, u, of="B")

@@ -333,18 +333,10 @@ def test_normal_eig_matches_per_cluster_reference(case):
                                    atol=1e-12)
 
 
-def _local_form(d) -> np.ndarray:
-    """The pair's r x r local form of B, zero-padded to n x n."""
-    r = d._local.shape[0]
-    local = np.zeros((d.dim, d.dim), dtype=np.complex128)
-    local[:r, :r] = d._local
-    return local
-
-
 def _factors(t):
     d = decompose(t)
     e1 = _merged(d._weights, d._unitary, np.arange(t.dim + 1))
-    return e1, _measure_in_frame(OperatorMatrix(_local_form(d)), d._unitary)
+    return e1, _measure_in_frame(OperatorMatrix(d._local_form()), d._unitary)
 
 
 def _assert_same_product(got, want):
@@ -456,7 +448,7 @@ def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
     # left after the one-sided solve of T: no K block, no pair solve
     t = ALL_RANK_ONE[case]()
     d = decompose(t)
-    u, b_local = d._unitary, _local_form(d)
+    u, b_local = d._unitary, d._local_form()
     e1 = _merged(d._weights, u, np.arange(t.dim + 1))
     calls = []
 
@@ -484,7 +476,7 @@ def test_measure_in_frame_peak_holds_no_per_atom_copy():
     import tracemalloc
     n = 256
     d = decompose(_shuffled_diagonal(n))
-    frame, b_local = d._unitary, _local_form(d)
+    frame, b_local = d._unitary, d._local_form()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -496,19 +488,30 @@ def test_measure_in_frame_peak_holds_no_per_atom_copy():
     assert peak <= 6.5 * 16 * n * n + 64 * 16 * n
 
 
-@pytest.mark.parametrize("kind", ["shuffled_diagonal", "random_normal"])
+ROUTE_PEAK_INPUTS = {
+    "shuffled_diagonal": _shuffled_diagonal,
+    "random_normal": lambda n: generate(OperatorSpec("random_normal", dim=n,
+                                                     scale=10.0, seed=7)),
+    "random_unitary": lambda n: generate(OperatorSpec("random_unitary",
+                                                      dim=n, seed=7)),
+    # two null modes: B's local form is 0 outside its r x r block, r < n
+    "momentum_1d": lambda n: generate(OperatorSpec("momentum_1d", dim=n,
+                                                   scale=1000.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_PEAK_INPUTS))
 def test_route_peak_holds_no_extra_square_copy(kind):
-    # the whole route's tracemalloc peak above its input sits in the
-    # reconstruction check, at 8.04 n x n complex arrays at n = 256 on
-    # both inputs: the sum's weighted basis, the basis's adjoint and
-    # their product over five held arrays, U (E_A's basis too), B's raw
-    # local form and the bases of E_B, the product and E_T.  E_B's solve
-    # peaks at 7.2.  One more n x n copy at the peak reads 9.04; A and B
-    # formed eagerly read 10.16
+    # the whole route's tracemalloc peak above its input, at n = 256, in
+    # n x n complex arrays: 5.4 in the reconstruction check (U and the
+    # bases of E_B, the product and E_T held, the sum's one buffer and
+    # its row blocks) or 5.6 to 6.0 in E_B's solve (U and B's local form
+    # held, the solve's copies and vectors).  The pair keeps T, not B's
+    # local form, and no check copies a whole matrix: 8.0 with the
+    # pair's L and the sum's weighted basis, adjoint and product at once
     import tracemalloc
     n = 256
-    t = (_shuffled_diagonal(n) if kind == "shuffled_diagonal" else
-         generate(OperatorSpec("random_normal", dim=n, scale=10.0, seed=7)))
+    t = ROUTE_PEAK_INPUTS[kind](n)
     linalg._round_robin_rounds(n)  # the pairing cache is filled once
     tracemalloc.start()
     try:
@@ -518,34 +521,45 @@ def test_route_peak_holds_no_extra_square_copy(kind):
     finally:
         tracemalloc.stop()
     assert res.report.all_passed
-    assert peak <= 8.5 * 16 * n * n + 64 * 16 * n
+    assert res.decomposition._rank == (n - 2 if kind == "momentum_1d" else n)
+    assert peak <= 6.5 * 16 * n * n + 64 * 16 * n
 
 
 def test_route_forms_a_and_b_on_first_read(monkeypatch):
-    # the route's pair holds U, the weights and B's local form; A and B
-    # are formed once, on first read, from exactly those arrays
-    formed = []
+    # the route's pair holds T, U, the weights and the range rank, not B's
+    # local form; A and B are formed once, on first read, from them, and
+    # each _local_form call forms L afresh, 0 outside its range block
+    # (momentum_1d has two null modes, so r < n)
     init = OperatorMatrix.__post_init__
+    for kind, rank in (("random_normal", 12), ("momentum_1d", 10)):
+        formed = []
 
-    def counted(self):
-        formed.append(self.array.shape)
-        init(self)
+        def counted(self):
+            formed.append(self.array.shape)
+            init(self)
 
-    t = generate(OperatorSpec("random_normal", dim=12, scale=10.0, seed=5))
-    d = decompose(t)
-    w, u, local = d._weights, d._unitary, d._local
-    res = pipeline.spectral_theorem(t)
-    pair = res.decomposition
-    assert not {"a", "b"} & (set(vars(pair)) | set(vars(d)))
-    r = local.shape[0]  # range modes
-    ur = u[:, :r]
-    monkeypatch.setattr(OperatorMatrix, "__post_init__", counted)
-    a = pair.a
-    assert pair.a is a and formed == [(12, 12)]
-    np.testing.assert_array_equal(a.array, (u * w) @ u.conj().T)
-    np.testing.assert_array_equal(pair.b.array, ur @ local @ ur.conj().T)
-    assert pair.b is pair.b and len(formed) == 2
-    assert not local.flags.writeable
+        t = generate(OperatorSpec(kind, dim=12, scale=10.0, seed=5))
+        d = decompose(t)
+        w, u, r, local = d._weights, d._unitary, d._rank, d._local_form()
+        assert r == rank
+        res = pipeline.spectral_theorem(t)
+        pair = res.decomposition
+        assert set(vars(pair)) == set(vars(d)) == {
+            "_t", "_unitary", "_weights", "_rank", "source_norm", "dim"}
+        assert pair._t is t
+        again = pair._local_form()
+        assert again.flags.writeable and not np.shares_memory(again, local)
+        np.testing.assert_array_equal(again, local)
+        assert not local[r:].any() and not local[:, r:].any()
+        ur = u[:, :r]
+        with monkeypatch.context() as patch:
+            patch.setattr(OperatorMatrix, "__post_init__", counted)
+            a = pair.a
+            assert pair.a is a and formed == [(12, 12)]
+            np.testing.assert_array_equal(a.array, (u * w) @ u.conj().T)
+            np.testing.assert_array_equal(pair.b.array,
+                                          ur @ local[:r, :r] @ ur.conj().T)
+            assert pair.b is pair.b and len(formed) == 2
 
 
 def test_atom_store_keeps_one_stacked_basis():

@@ -158,6 +158,31 @@ def test_verify_decomposition_pass_and_tamper(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("flag", ["--decomposition", "--dir"])
+def test_verify_parses_a_stored_t_once(tmp_path, capsys, monkeypatch, flag):
+    # the t a decomposition stores is parsed once, to compare it with
+    # --input and to hold the pair to; a, b and --input once each
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "21")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    path = str(run_dir / "d.json")
+    assert main(["decompose", "--input", t, "--output", path]) == 0
+    capsys.readouterr()
+    parsed = []
+    parse = io.matrix_from_doc
+
+    def counted(doc, where="matrix"):
+        parsed.append(where)
+        return parse(doc, where)
+
+    monkeypatch.setattr(io, "matrix_from_doc", counted)
+    target = path if flag == "--decomposition" else str(run_dir)
+    code, out, _ = run(["verify", flag, target, "--input", t], capsys)
+    assert code == 0 and "FAIL" not in out
+    assert sorted(parsed) == ["d.json.a", "d.json.b", "d.json.t", "t.json"]
+
+
 def test_verify_pvm_with_source(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "6", "--seed", "31")

@@ -209,6 +209,16 @@ def test_one_ulp_twins_do_not_reuse_text():
     assert io.dumps(doc) == json.dumps(_listed(doc)) + "\n"
 
 
+def test_equal_checksums_do_not_reuse_text(monkeypatch):
+    # with every array under one checksum, the compare of their words
+    # alone decides which text is reused
+    monkeypatch.setattr(io.zlib, "crc32", lambda data: 0)
+    first, second = _twins(io._BLOCK + 1, 4, "zero sign", 7)
+    doc = [{"entries": first}, {"entries": second}, {"entries": first[:3]},
+           {"entries": second.copy()}, {"entries": first}]
+    assert io.dumps(doc) == json.dumps(_listed(doc)) + "\n"
+
+
 @pytest.mark.parametrize("how", ["same", "copy"])
 def test_repeated_array_outside_entries_is_still_refused(how):
     first, second = _twins(3, 2, how, 0)
@@ -516,6 +526,20 @@ def test_write_peak_stays_near_twice_the_text():
                                               scale=10.0, seed=1)))
     text, peak = _peak(lambda: io.dumps(io.pvm_to_doc(e)))
     assert peak <= 2.5 * len(text)
+
+
+def test_write_of_one_large_matrix_copies_no_entries(tmp_path):
+    # the bench's n = 384 input, 1.8 MB of text: the write holds the
+    # text's pieces and their join, 3.4 MiB, and no copy of the matrix's
+    # 2.4 MB of entries as its memo key (4.24 MiB with one)
+    n, seed = 384, 601 * 100_000
+    t = generate(OperatorSpec("multiplication", dim=n, scale=100.0, seed=seed))
+    order = np.random.default_rng(seed).permutation(n)
+    t = OperatorMatrix(np.diag(np.diag(t.array)[order]))
+    path = str(tmp_path / "t.json")
+    _, peak = _peak(lambda: io.write_matrix(t, path))
+    assert peak <= 3.5 * 2**20
+    assert np.array_equal(io.read_matrix(path).array, t.array)
 
 
 def test_read_peak_stays_near_twice_the_file(tmp_path):

@@ -19,6 +19,7 @@ from spectral_forge.linalg import (
     is_normal,
     normal_eig,
     op_norm_2,
+    rel,
 )
 from spectral_forge.measures import SpectralMeasure
 
@@ -384,6 +385,32 @@ def test_one_sided_graded_relative_accuracy():
     # test's level, graded as they are
     u = cols / sigma
     assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-13
+
+
+def _plain_defect_ratio(a: np.ndarray) -> float:
+    """``||A*A - AA*||_F / (rel(n) ||A||_F^2)`` from whole products."""
+    ah = a.conj().T
+    fro = np.linalg.norm(a)
+    return np.linalg.norm(ah @ a - a @ ah) / (rel(a.shape[0]) * fro * fro)
+
+
+@pytest.mark.parametrize("target", [0.5, 0.9, 1.1, 2.0])
+def test_blocked_normality_gives_the_plain_verdict(target):
+    # the defect summed over 19 row blocks gives the plain formula's
+    # verdict at n = 384; a diagonal plus s E has a defect nearly linear
+    # in s, so two secant steps put it at target x the bound.  At 0.9 and
+    # 1.1 a block sum that counted the part right of each diagonal block
+    # once, not twice, would misjudge it
+    n = 384
+    rng = np.random.default_rng(11)
+    diag = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+    bump = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    s = 1e-12
+    for _ in range(2):
+        s *= target / _plain_defect_ratio(diag + s * bump)
+    a = diag + s * bump
+    assert abs(_plain_defect_ratio(a) / target - 1.0) < 0.05
+    assert is_normal(OperatorMatrix(a)) == (target < 1.0)
 
 
 @pytest.mark.parametrize("m", [

@@ -6,9 +6,11 @@ import pytest
 
 from spectral_forge.errors import DimensionMismatch, NonFiniteValue
 from spectral_forge.gallery import OperatorSpec, generate
-from spectral_forge.linalg import OperatorMatrix, Tolerances
+from spectral_forge.linalg import OperatorMatrix, Tolerances, _norm
 from spectral_forge.measures import (
     SpectralMeasure,
+    _Blocks,
+    _reconstruction_check,
     pvm_from_normal,
     pvm_integrate,
     pvm_validate,
@@ -380,6 +382,25 @@ def test_block_norm_invariants_match_per_pair_loop(kind):
     eps = np.finfo(np.float64).eps
     assert abs(report.residuals["idempotency"] - idem) <= 8 * eps * idem
     assert abs(report.residuals["orthogonality"] - ortho) <= 8 * eps * ortho
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_reconstruction_residual_is_the_plain_sum_to_the_bit(order):
+    # the sum is formed in row blocks and conjugated in place (n = 100
+    # spans two blocks); its residual's norm is that of one product over
+    # the whole basis, bit for bit.  momentum_1d's atoms have rank 2
+    n = 100
+    t = generate(OperatorSpec("momentum_1d", dim=n, scale=3.0))
+    e = pvm_from_normal(t)
+    stacked = np.array(e.stacked_basis(), order=order)
+    e = SpectralMeasure(n, e.points,
+                        bases=_Blocks(stacked, np.cumsum((0,) + e.ranks)))
+    assert e.stacked_basis().flags[f"{order}_CONTIGUOUS"]
+    assert max(e.ranks) == 2
+    plain = (stacked * np.repeat(e.points, e.ranks)) @ stacked.conj().T
+    name, value, _ = _reconstruction_check(t, e)
+    assert name == "reconstruction" and value > 0.0
+    assert value == _norm(plain - t.array)
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 5])

@@ -282,10 +282,7 @@ def _warm_cases(kind):
         for norm in WARM_NORMS:
             t = generate(OperatorSpec(kind, dim=n, scale=norm, seed=n + 3))
             d = decompose(t)
-            r = d._local.shape[0]
-            b_local = np.zeros((n, n), dtype=np.complex128)
-            b_local[:r, :r] = d._local
-            yield t, d.b, b_local, d._unitary
+            yield t, d.b, d._local_form(), d._unitary
 
 
 def test_guard_reads_the_norm_off_the_one_sided_solve(monkeypatch):
