@@ -194,7 +194,26 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str
     return pvm_validate(e)
 
 
+def _explicit_report(parts: dict, part: str, name: str) -> VerificationReport:
+    """The report of the part an explicit flag names, or a ParseError."""
+    if part not in parts:
+        raise ParseError(f"{name}: holds no {part} to check")
+    report = _check(part, *parts[part], name)
+    if report is None:
+        raise ParseError(f"{name}: stores no source operator; "
+                         "pass --input FILE")
+    return report
+
+
 def _cmd_verify(args) -> int:
+    """Re-check every target; a target that fails, fails alone.
+
+    A ``--dir`` file and an explicit flag's file take one path: read,
+    classify, check.  A SpectralForgeError on the way fails that target
+    alone, on stderr, and the targets after it are still checked; the
+    exit code is the worst over all.  A ``--dir`` file gets a status
+    line; an explicit flag its part's table and ``--output``, if checked.
+    """
     if args.output and bool(args.decomposition) == bool(args.pvm):
         raise ParseError("verify --output writes the report of one target: "
                          "pass exactly one of --decomposition or --pvm")
@@ -211,81 +230,61 @@ def _cmd_verify(args) -> int:
                 ((args.decomposition, "decomposition"), (args.pvm, "measure"))
                 if path]
     if not (args.dir or args.decomposition or args.pvm):
-        raise ParseError(
-            "verify needs --decomposition, --pvm, or --dir")
-    worst = 0
-    checked = False
+        raise ParseError("verify needs --decomposition, --pvm, or --dir")
+    worst, skipped = 0, 0
     for path, part in targets:
         name = os.path.basename(path)
+        reports, raised = {}, {}  # part -> its report; part -> exit code
         try:
             kind, parts, stored = _classify(io.read_json(path), name, source)
-        except SpectralForgeError as exc:
             if part is not None:
-                raise
-            # a --dir file that cannot be read or classified fails alone
+                reports[part] = _explicit_report(parts, part, name)
+        except SpectralForgeError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            print(f"{name}: FAIL")
-            checked = True
+            if part is None:
+                print(f"{name}: FAIL")
             worst = max(worst, _exit_code(exc))
             continue
+        # a --dir file's part that raises fails the file, not its other parts
+        for key in parts if part is None else ():
+            try:
+                reports[key] = _check(key, *parts[key], name)
+            except SpectralForgeError as exc:
+                print(f"error: {name}: {key}: {exc}", file=sys.stderr)
+                raised[key] = _exit_code(exc)
+        reports = {key: r for key, r in reports.items() if r is not None}
+        if not reports and not raised:
+            print(f"{name}: " + ("skipped (no source operator; pass "
+                                 "--input)" if parts else kind))
+            skipped += 1
+            continue
+        if kind == "bundle":
+            done = [key for key in parts if key in reports or key in raised]
+            kind = "bundle(" + ",".join(done) + ")"
+            failed = [key for key in done
+                      if key in raised or reports[key].failed]
+        else:
+            failed = list(raised) + [c for r in reports.values()
+                                     for c in r.failed]
         # a stored t that is not --input fails its file, named t
         differs = (stored is not None and source is not None
                    and not np.array_equal(stored.array, source.array))
+        worst = max(worst, 1 if failed or differs else 0, *raised.values())
         if part is None:
-            # a --dir file: one status line built from its part reports;
-            # a part whose check raises fails the file, named on stderr
-            # with the error, and the files after it are checked
-            reports, raised = {}, {}  # raised: part -> its exit code
-            for key in parts:
-                try:
-                    report = _check(key, *parts[key], name)
-                except SpectralForgeError as exc:
-                    print(f"error: {name}: {key}: {exc}", file=sys.stderr)
-                    raised[key] = _exit_code(exc)
-                    continue
-                if report is not None:
-                    reports[key] = report
-            if not reports and not raised:
-                print(f"{name}: " + ("skipped (no source operator; pass "
-                                     "--input)" if parts else kind))
-                continue
-            if kind == "bundle":
-                done = [key for key in parts
-                        if key in reports or key in raised]
-                kind = "bundle(" + ",".join(done) + ")"
-                failed = [key for key in done
-                          if key in raised or reports[key].failed]
-            else:
-                failed = list(raised) + [c for r in reports.values()
-                                         for c in r.failed]
-            if differs:
-                failed.insert(0, "t")
+            failed = ["t"] + failed if differs else failed
             print(f"{name}: {kind} " + ("FAIL " + ",".join(failed) if failed
                                         else "pass"))
-            checked = True
-            worst = max(worst, 1 if failed else 0, *raised.values())
             continue
-        # an explicit flag: the residual table of the part it names
-        if part not in parts:
-            raise ParseError(f"{name}: holds no {part} to check")
-        report = _check(part, *parts[part], name)
-        if report is None:
-            raise ParseError(f"{name}: stores no source operator; "
-                             "pass --input FILE")
-        checked = True
+        report = reports[part]
         print(name)
         if differs:
             print(f"  {'t':<24} differs from --input  FAIL")
-            worst = max(worst, 1)
-        for key, residual in report.residuals.items():
-            bound = report.tolerances[key]
-            verdict = "pass" if report.passed[key] else "FAIL"
-            print(f"  {key:<24} value {residual:.6e}  bound {bound:.6e}  {verdict}")
-        if not report.all_passed:
-            worst = max(worst, 1)
+        for key, ok in report.passed.items():
+            print(f"  {key:<24} value {report.residuals[key]:.6e}  bound "
+                  f"{report.tolerances[key]:.6e}  {'pass' if ok else 'FAIL'}")
         if args.output:
             io.write_json(io.report_to_doc(report), args.output)
-    if not checked:
+    if skipped == len(targets):
         print("nothing checkable found", file=sys.stderr)
     return worst
 

@@ -1,7 +1,7 @@
 """Test operator gallery with a reproducible generator.
 
-Randomness comes from a counter-based SplitMix64 stream so the same
-seed yields bit-identical matrices on any platform, and the recipe is
+Randomness comes from a counter-based SplitMix64 stream, so the same
+seed yields bit-identical uniforms on any platform, and the recipe is
 simple enough to replay in another language:
 
     state   = seed + (index + 1) * 0x9E3779B97F4A7C15   (mod 2^64)
@@ -13,6 +13,8 @@ simple enough to replay in another language:
 Complex Gaussians use the polar form sqrt(-log(1 - u1)) * exp(2 pi i u2)
 on consecutive uniforms, and unitaries come from twice-iterated
 modified Gram-Schmidt on a Gaussian matrix, columns in index order.
+Gram-Schmidt and U D U* are BLAS products: a random kind is bit-identical
+only at a fixed BLAS thread count (bench/run.py sets OPENBLAS_NUM_THREADS=1).
 """
 
 from __future__ import annotations

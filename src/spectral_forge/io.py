@@ -508,7 +508,7 @@ def report_from_doc(doc: dict, where: str = "report") -> VerificationReport:
             else:
                 _double(value, f"{where}.{key}.{name}")
     try:
-        return VerificationReport.from_json_dict(doc)
+        return VerificationReport._from_json_dict(doc)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 

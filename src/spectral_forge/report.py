@@ -60,9 +60,7 @@ class VerificationReport:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "VerificationReport":
-        return cls(
-            residuals=dict(doc.get("residuals", {})),
-            passed=dict(doc.get("pass", {})),
-            tolerances=dict(doc.get("tolerances", {})),
-        )
+    def _from_json_dict(cls, doc: dict) -> "VerificationReport":
+        """The report a document holds; ``io.report_from_doc`` reads it."""
+        return cls(dict(doc["residuals"]), dict(doc["pass"]),
+                   dict(doc["tolerances"]))

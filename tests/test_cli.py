@@ -666,6 +666,102 @@ def test_verify_dir_fails_a_file_it_cannot_read_and_goes_on(tmp_path, capsys,
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+MEASURE_ROWS = ["idempotency", "hermitian_defect", "orthogonality",
+                "completeness", "rank_deficit", "min_point_gap",
+                "reconstruction"]
+
+
+def _measure_and_source(tmp_path, dim=8, seed=3):
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", str(dim), "--seed", str(seed))
+    m = str(tmp_path / "m.json")
+    assert main(["spectrum", "--input", t, "--emit", "measure",
+                 "--output", m]) == 0
+    return t, m
+
+
+def test_verify_goes_on_past_an_explicit_target_it_cannot_read(tmp_path,
+                                                                capsys):
+    # an explicit target fails alone, as a --dir file does: the missing
+    # file is named on stderr and the measure after it is still checked
+    t, m = _measure_and_source(tmp_path)
+    missing = str(tmp_path / "missing.json")
+    capsys.readouterr()
+    code, out, err = run(["verify", "--decomposition", missing, "--pvm", m,
+                          "--input", t], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot read ") and "missing.json" in err
+    assert err.count("\n") == 1, err
+    lines = out.splitlines()
+    assert lines[0] == "m.json"
+    assert [line.split()[0] for line in lines[1:]] == MEASURE_ROWS
+    assert all(line.endswith("pass") for line in lines[1:])
+
+
+def test_verify_goes_on_past_an_explicit_part_the_file_lacks(tmp_path,
+                                                             capsys):
+    # --decomposition on a measure fails that target alone; --pvm on the
+    # same file still prints the measure's table
+    t, m = _measure_and_source(tmp_path)
+    capsys.readouterr()
+    code, out, err = run(["verify", "--decomposition", m, "--pvm", m,
+                          "--input", t], capsys)
+    assert code == 2
+    assert err == "error: m.json: holds no decomposition to check\n"
+    lines = out.splitlines()
+    assert lines[0] == "m.json"
+    assert [line.split()[0] for line in lines[1:]] == MEASURE_ROWS
+
+
+def test_verify_output_of_a_failing_target_is_not_written(tmp_path, capsys):
+    # a measure held to an operator of another dimension fails before
+    # its report exists: exit 2, and no --output file
+    t5 = gen_file(tmp_path, "t5.json", "gen", "--kind", "random_normal",
+                  "--dim", "5", "--seed", "4")
+    m5 = str(tmp_path / "m5.json")
+    assert main(["spectrum", "--input", t5, "--emit", "measure",
+                 "--output", m5]) == 0
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "8", "--seed", "3")
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    code, out, err = run(["verify", "--pvm", m5, "--input", t,
+                          "--output", str(report)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: dimension mismatch: 5 versus 8\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("bad, worst", [("missing", 2), ("huge", 3)])
+def test_verify_dir_and_a_failing_explicit_target(tmp_path, capsys, bad,
+                                                  worst):
+    # --dir files and explicit targets are checked alike: the passing
+    # bundle gets its status line, the explicit target its error, and
+    # the exit code is the worst over both
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "4", "--seed", "73")
+    work = tmp_path / "work"
+    work.mkdir()
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", str(work / "b.json")]) == 0
+    target = tmp_path / "d.json"
+    if bad == "huge":
+        eye = [[1e40 if i == j else 0.0, 0.0]
+               for i in range(4) for j in range(4)]
+        target.write_text(json.dumps({
+            "a": {"dim": 4, "entries": eye},
+            "b": {"dim": 4, "entries": [[0.0, 0.0]] * 16},
+            "source_norm": 1.0}))
+    capsys.readouterr()
+    code, out, err = run(["verify", "--dir", str(work), "--decomposition",
+                          str(target), "--input", t], capsys)
+    assert code == worst
+    assert out == "b.json: bundle(decomposition,e1,e2,product,measure) pass\n"
+    message = {"missing": "error: cannot read ",
+               "huge": "error: largest entry 1.000e+40 passes 2^128"}[bad]
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
 def test_verify_fails_a_file_whose_t_is_not_the_input(tmp_path, capsys):
     # a bundle or decomposition storing another t than --input fails,
     # named t, in --dir and as an explicit target; a measure stores no t

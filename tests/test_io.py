@@ -831,6 +831,20 @@ def test_report_doc_type_checks():
         io.report_from_doc(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {},
+    {"residuals": {"x": "nan?"}, "pass": {"x": "yes"},
+     "tolerances": {"x": None}},
+], ids=["empty", "untyped"])
+def test_read_report_refuses_what_is_no_report(tmp_path, doc):
+    # report_from_doc is the one reader: neither document reads as a
+    # report whose every check passed
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="rep.json"):
+        io.read_report(str(path))
+
+
 def test_report_with_mismatched_blocks_is_rejected(tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({"residuals": {"reconstruction": 5.0},

@@ -73,6 +73,8 @@ def test_removed_entry_points_are_gone():
     assert "path" not in inspect.signature(OperatorSpec).parameters
     assert not hasattr(measures.SpectralMeasure, "atoms")
     assert not hasattr(product.ProductMeasure, "atoms")
+    # io.report_from_doc is the one reader of a report document
+    assert not hasattr(spectral_forge.VerificationReport, "from_json_dict")
     for kernel in (linalg._jacobi_hermitian, linalg._jacobi_one_sided):
         assert "rotation_budget" not in inspect.signature(kernel).parameters
     assert "relative" not in inspect.signature(linalg._clusters).parameters
