@@ -139,34 +139,38 @@ _BUNDLE_PARTS = ("decomposition", "e1", "e2", "product", "measure", "direct")
 
 
 def _classify(doc: dict, name: str, source: OperatorMatrix | None
-              ) -> tuple[str, dict, OperatorMatrix | None]:
+              ) -> tuple[str, dict, list]:
     """Map one artifact document to its checkable parts.
 
     Returns the document's kind, ``{part: (part document, operator)}``
-    and the ``t`` the document stores (None if it stores none).  The
-    operator is what a decomposition and a measure of T are held to:
-    the stored ``t`` of a decomposition or bundle, else ``source``.  A
-    stored ``t`` that is not a matrix is a ParseError, never a silent
-    fallback.  A matrix or report file is inert: its skip message and
-    no parts.
+    and the records the file itself is held to.  The operator is what a
+    decomposition and a measure of T are held to: the stored ``t`` of a
+    decomposition or bundle (a ParseError if it is no matrix), else
+    ``source``.  A stored ``t`` beside ``source`` is the record ``t``:
+    how many of its entries differ from ``source`` (all of them across
+    dimensions), bound 0.  A matrix or report file is inert: its skip
+    message and no parts.
     """
     if "a" in doc and "b" in doc:
         kind, parts = "decomposition", {"decomposition": doc}
     elif "atoms" in doc:
-        return "measure", {"measure": (doc, source)}, None
+        return "measure", {"measure": (doc, source)}, []
     elif isinstance(doc.get("measure"), dict):
         kind, parts = "bundle", {key: doc[key] for key in _BUNDLE_PARTS
                                  if key in doc}
     elif "entries" in doc:
-        return "skipped (operator matrix)", {}, None
+        return "skipped (operator matrix)", {}, []
     elif "residuals" in doc:
-        return "skipped (report artifact)", {}, None
+        return "skipped (report artifact)", {}, []
     else:
         raise ParseError(f"{name}: unrecognized artifact layout")
     stored = io.matrix_from_doc(doc["t"], where=f"{name}.t") \
         if "t" in doc else None
+    own = [] if stored is None or source is None else [("t", float(
+        stored.array.size if stored.dim != source.dim
+        else np.count_nonzero(stored.array != source.array)), 0.0)]
     operator = source if stored is None else stored
-    return kind, {key: (part, operator) for key, part in parts.items()}, stored
+    return kind, {key: (part, operator) for key, part in parts.items()}, own
 
 
 def _check(part: str, doc, operator: OperatorMatrix | None, name: str
@@ -181,7 +185,6 @@ def _check(part: str, doc, operator: OperatorMatrix | None, name: str
     judged by the joining radius it carries.
     """
     if part == "decomposition":
-        # a stored t is ``operator``, parsed once by _classify
         d = io._pair_from_doc(doc, where=name)
         return None if operator is None else verify(operator, d)
     atoms = doc.get("atoms") if isinstance(doc, dict) else None
@@ -236,7 +239,7 @@ def _cmd_verify(args) -> int:
         name = os.path.basename(path)
         reports, raised = {}, {}  # part -> its report; part -> exit code
         try:
-            kind, parts, stored = _classify(io.read_json(path), name, source)
+            kind, parts, own = _classify(io.read_json(path), name, source)
             if part is not None:
                 reports[part] = _explicit_report(parts, part, name)
         except SpectralForgeError as exc:
@@ -258,27 +261,22 @@ def _cmd_verify(args) -> int:
                                  "--input)" if parts else kind))
             skipped += 1
             continue
+        failed = VerificationReport.from_checks(own).failed  # t leads
         if kind == "bundle":
             done = [key for key in parts if key in reports or key in raised]
             kind = "bundle(" + ",".join(done) + ")"
-            failed = [key for key in done
-                      if key in raised or reports[key].failed]
+            failed += [key for key in done
+                       if key in raised or reports[key].failed]
         else:
-            failed = list(raised) + [c for r in reports.values()
-                                     for c in r.failed]
-        # a stored t that is not --input fails its file, named t
-        differs = (stored is not None and source is not None
-                   and not np.array_equal(stored.array, source.array))
-        worst = max(worst, 1 if failed or differs else 0, *raised.values())
+            failed += list(raised) + [c for r in reports.values()
+                                      for c in r.failed]
+        worst = max(worst, 1 if failed else 0, *raised.values())
         if part is None:
-            failed = ["t"] + failed if differs else failed
             print(f"{name}: {kind} " + ("FAIL " + ",".join(failed) if failed
                                         else "pass"))
             continue
-        report = reports[part]
+        report = reports[part].extended(own)
         print(name)
-        if differs:
-            print(f"  {'t':<24} differs from --input  FAIL")
         for key, ok in report.passed.items():
             print(f"  {key:<24} value {report.residuals[key]:.6e}  bound "
                   f"{report.tolerances[key]:.6e}  {'pass' if ok else 'FAIL'}")

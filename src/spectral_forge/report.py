@@ -28,10 +28,12 @@ class VerificationReport:
     def from_checks(cls, checks) -> "VerificationReport":
         """Report from ``(name, value, bound[, passed])`` records.
 
-        ``passed`` defaults to ``value <= bound``.
+        ``passed`` defaults to ``value <= bound``; a name twice is a ValueError.
         """
         residuals, passed, tolerances = {}, {}, {}
         for name, value, bound, *verdict in checks:
+            if name in residuals:
+                raise ValueError(f"two checks named {name!r}")
             residuals[name] = value
             tolerances[name] = bound
             passed[name] = verdict[0] if verdict else value <= bound

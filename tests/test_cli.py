@@ -790,13 +790,55 @@ def test_verify_fails_a_file_whose_t_is_not_the_input(tmp_path, capsys):
     for flag, name in (("--pvm", "b.json"), ("--decomposition", "d.json")):
         code, same, _ = run(["verify", flag, str(work / name),
                              "--input", t3], capsys)
-        assert code == 0 and " t " not in same
+        assert code == 0
+        assert same.splitlines()[-1].split() == [
+            "t", "value", "0.000000e+00", "bound", "0.000000e+00", "pass"]
         code, out, _ = run(["verify", flag, str(work / name),
                             "--input", t4], capsys)
         assert code == 1
         lines = out.splitlines()
-        assert lines[1].split() == ["t", "differs", "from", "--input", "FAIL"]
-        assert [lines[0]] + lines[2:] == same.splitlines()
+        # all 36 entries of a 6x6 t differ between the two seeds
+        assert lines[-1].split() == [
+            "t", "value", "3.600000e+01", "bound", "0.000000e+00", "FAIL"]
+        assert lines[:-1] == same.splitlines()[:-1]
+    # a measure stores no t, so its table gains no t row
+    code, out, _ = run(["verify", "--pvm", str(work / "m.json"),
+                        "--input", t3], capsys)
+    assert code == 0 and "\n  t " not in out
+
+
+def test_verify_output_holds_the_t_record_it_prints(tmp_path, capsys):
+    # the stored-t compare is a report record: --output, the table and
+    # the exit code all give it, for a pair and for a bundle's measure
+    t3 = gen_file(tmp_path, "t3.json", "gen", "--kind", "random_normal",
+                  "--dim", "6", "--seed", "3")
+    t4 = gen_file(tmp_path, "t4.json", "gen", "--kind", "random_normal",
+                  "--dim", "6", "--seed", "4")
+    d, b = str(tmp_path / "d.json"), str(tmp_path / "b.json")
+    assert main(["decompose", "--input", t3, "--emit", "all",
+                 "--output", d]) == 0
+    assert main(["pipeline", "--input", t3, "--emit", "all",
+                 "--output", b]) == 0
+    capsys.readouterr()
+    r = tmp_path / "r.json"
+    for flag, path in (("--decomposition", d), ("--pvm", b)):
+        code, out, _ = run(["verify", flag, path, "--input", t4,
+                            "--output", str(r)], capsys)
+        assert code == 1
+        report = io.read_report(str(r))
+        assert not report.all_passed
+        assert report.failed == ["t"]
+        assert report.residuals["t"] == 36.0
+        rows = [line.split()[0] for line in out.splitlines()[1:]]
+        assert rows == list(report.residuals)
+        r.unlink()
+    # across dimensions every entry of the stored t counts
+    t5 = gen_file(tmp_path, "t5.json", "gen", "--kind", "random_normal",
+                  "--dim", "5", "--seed", "4")
+    code, _, _ = run(["verify", "--decomposition", d, "--input", t5,
+                      "--output", str(r)], capsys)
+    assert code == 1
+    assert io.read_report(str(r)).residuals["t"] == 36.0
 
 
 @pytest.mark.parametrize("target", ["pvm", "dir"])

@@ -85,6 +85,16 @@ def test_maps_naming_different_checks_are_rejected(residuals, passed,
         VerificationReport(residuals, passed, tolerances)
 
 
+def test_two_records_of_one_name_are_rejected():
+    # a second record of one name is refused, never written over the
+    # first record's slot, whether it comes in one list or is appended
+    base = [("small", 1.0, 2.0), ("large", 3.0, 2.0)]
+    with pytest.raises(ValueError, match="two checks named 'small'"):
+        VerificationReport.from_checks(base + [("small", 9.0, 0.0)])
+    with pytest.raises(ValueError, match="two checks named 'small'"):
+        VerificationReport.from_checks(base).extended([("small", 0.0, 1.0)])
+
+
 @pytest.fixture(scope="module")
 def runs():
     t = generate(OperatorSpec("random_normal", dim=6, scale=2.0, seed=21))
