@@ -62,7 +62,7 @@ def _deliver(doc: dict, args):
     if args.output:
         io.write_json(doc, args.output)
     else:
-        sys.stdout.write(io.dumps(doc))
+        sys.stdout.writelines(io._pieces(doc))
 
 
 def _summarize(label: str, report: VerificationReport) -> int:

@@ -11,21 +11,25 @@ time, so no Python float exists per entry beyond one block.  A write
 encodes each distinct array once, keyed on a checksum of its bytes
 read in place and confirmed by comparing them: an array whose bytes
 equal one already written in that document reuses its text, as the
-measures of an ``--emit all`` bundle do, whose atoms repeat.
+measures of an ``--emit all`` bundle do, whose atoms repeat.  Every
+piece is encoded before the file is opened, then the pieces are
+written one by one, so a write holds the distinct texts and the piece
+list, never the joined text.
 ``read_json`` decodes each valid ``entries`` list to such an array,
 after an exact type screen; a malformed list stays a list, and
 ``matrix_from_doc`` names its first bad pair in a ParseError.  A read
 decodes each distinct ``entries`` text once: copies of one text, found
-and compared in the file's text, share one array (``_parse_once``).
+and compared in the file's bytes, share one array (``_parse_once``).
 Each distinct text decodes in pieces of about ``_PIECE`` characters,
 cut between pairs, into one array, so one piece's pair lists are the
 only Python lists and floats alive at once, whether the file holds one
-matrix or many.  A file with no such text, or whose text leaves any
-doubt (other separators, a bad pair, a string), is parsed whole by
+matrix or many.  A file with no such text, or whose bytes leave any
+doubt (other separators, a bad pair, a string, a byte that is not
+ASCII), is decoded as a text-mode read decodes it and parsed whole by
 ``json.loads``, which decodes each list as the parser closes its
 object and reports errors as it always did.  The read peaks at the
-text, the distinct arrays at 16 bytes a pair and one piece, or the
-file's bytes beside its text while it decodes.
+file's bytes, the distinct arrays at 16 bytes a pair and one piece;
+a file parsed whole also holds its text.
 A measure document is
 ``{"dim", "of", "cluster", "atoms"}``: ``of`` is the measure's own label
 of the operator it resolves (``"T"``, ``"A"`` or ``"B"``), written from
@@ -90,6 +94,15 @@ def dumps(doc) -> str:
     value JSON cannot hold, an array anywhere but under ``entries`` among
     them.
     """
+    return "".join(_pieces(doc))
+
+
+def _pieces(doc) -> list:
+    """The pieces of ``dumps(doc)``, in order and not joined.
+
+    A writer passes them to ``writelines``, so the whole text never
+    exists at once; every piece is encoded before the first is written.
+    """
     pieces = []
     try:
         _encode(doc, pieces, {})
@@ -98,7 +111,7 @@ def dumps(doc) -> str:
     except TypeError as exc:
         raise ParseError(str(exc)) from exc
     pieces.append("\n")
-    return "".join(pieces)
+    return pieces
 
 
 def _encode(value, pieces: list, texts: dict, key=None):
@@ -152,26 +165,29 @@ def _bits(values: np.ndarray) -> np.ndarray:
 
 
 def write_json(doc: dict, path: str):
-    text = dumps(doc)
+    pieces = _pieces(doc)
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise FileError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
         doc = _parse_once(raw)
         if doc is None:
-            doc = json.loads(raw, object_hook=_decode_entries)
+            text = raw.decode("utf-8")
+            if "\r" in text:  # the newlines a text-mode read translates
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            doc = json.loads(text, object_hook=_decode_entries)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
@@ -186,35 +202,36 @@ def read_json(path: str) -> dict:
 
 # Where an ``entries`` value starts in text as ``dumps`` writes it; a
 # valid value, a list of pairs, ends at the first ``]]`` after it.
-_ENTRIES = '"entries": ['
+_ENTRIES = b'"entries": ['
 
 
-def _parse_once(raw: str) -> dict | None:
+def _parse_once(raw: bytes) -> dict | None:
     """``raw`` parsed with each distinct ``entries`` text decoded once.
 
-    Each ``"entries": [`` value found in the text is grouped with the
+    Each ``"entries": [`` value found in the file is grouped with the
     others of the same text, compared by length and then in place, and
     each distinct text is decoded once, in bounded pieces
     (``_decode_span``); every copy gets that one array.  The rest of the
     document is parsed with each value replaced by a reference, a
     string holding a NUL and the value's index, which ``_resolve`` swaps
-    for its array.  None, for ``read_json`` to parse ``raw`` whole with
-    ``json.loads``, when the text has no such value or when anything is
-    in doubt: a value that does not end at its first ``]]``, whose pairs
-    are not separated by ``, `` or do not decode to valid pairs, a
-    reference not consumed exactly once under an ``entries`` key, an
-    error in the rest of the document, or text that could hold a NUL of
-    its own.
+    for its array.  None, for ``read_json`` to decode ``raw`` and parse
+    it whole with ``json.loads``, when the file has no such value or
+    when anything is in doubt: a value that does not end at its first
+    ``]]``, whose pairs are not separated by ``, `` or do not decode to
+    valid pairs, a reference not consumed exactly once under an
+    ``entries`` key, an error in the rest of the document, a byte that
+    is not ASCII, or text that could hold a NUL of its own.
     """
     # a backslash is rare in a bundle, and finding one is 30 times
     # cheaper than finding the escape itself
-    if "\0" in raw or "\\" in raw and "\\u0000" in raw:
+    if (not raw.isascii() or b"\0" in raw
+            or b"\\" in raw and b"\\u0000" in raw):
         return None
     spans = []
     at = raw.find(_ENTRIES)
     while at >= 0:
         start = at + len(_ENTRIES) - 1
-        end = raw.find("]]", start) + 2
+        end = raw.find(b"]]", start) + 2
         if end < 2:
             return None
         spans.append((start, end))
@@ -253,16 +270,16 @@ def _parse_once(raw: str) -> dict | None:
             if arrays[i] is None:
                 return None
         for i, (start, end) in enumerate(spans):
-            pieces += [raw[at:start], f'"\\u0000{i}"']
+            pieces += [raw[at:start], b'"\\u0000%d"' % i]
             at = end
         pieces.append(raw[at:])
-        doc = json.loads("".join(pieces), object_hook=_resolve)
+        doc = json.loads(b"".join(pieces).decode(), object_hook=_resolve)
     except (json.JSONDecodeError, RecursionError):
         return None
     return doc if len(used) == len(spans) else None
 
 
-def _decode_span(raw: str, start: int, end: int) -> np.ndarray | None:
+def _decode_span(raw: bytes, start: int, end: int) -> np.ndarray | None:
     """The pairs of the list ``raw[start:end]`` as complex128, or None.
 
     The list is cut after a pair's ``]`` at each ``], [`` found at least
@@ -276,15 +293,15 @@ def _decode_span(raw: str, start: int, end: int) -> np.ndarray | None:
     """
     out, filled, at, last = None, 0, start + 1, end - 1
     while at < last:
-        cut = raw.find("], [", min(at + _PIECE, last), last)
+        cut = raw.find(b"], [", min(at + _PIECE, last), last)
         stop = cut + 1 if cut >= 0 else last
-        values = _pairs(json.loads(f"[{raw[at:stop]}]"))
+        values = _pairs(json.loads(f"[{raw[at:stop].decode()}]"))
         if values is None:
             return None
         if out is None:
             if cut < 0:  # the whole list in one piece
                 return values
-            out = np.empty(raw.count("], [", start, end) + 1,
+            out = np.empty(raw.count(b"], [", start, end) + 1,
                            dtype=np.complex128)
         if filled + values.size > out.size:
             return None

@@ -140,6 +140,19 @@ def test_pipeline_emit_measure(tmp_path, capsys):
     assert "atoms" in doc
 
 
+def test_stdout_gets_the_text_output_writes(tmp_path, capsysbinary):
+    # both deliveries stream the same pieces, repeated projections included
+    t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
+                 "--dim", "5", "--seed", "2")
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["pipeline", "--input", t, "--emit", "all",
+                 "--output", bundle]) == 0
+    capsysbinary.readouterr()
+    assert main(["pipeline", "--input", t, "--emit", "all"]) == 0
+    with open(bundle, "rb") as handle:
+        assert capsysbinary.readouterr().out == handle.read()
+
+
 def test_verify_decomposition_pass_and_tamper(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "5", "--seed", "21")
@@ -309,7 +322,7 @@ def test_verify_dir_names_the_part_whose_copy_of_a_projection_changed(
     entries[0][0] += 0.05
     text = json.dumps(doc) + "\n"
     open(bundle, "w").write(text)
-    assert io._parse_once(text) is not None  # the other copies repeat
+    assert io._parse_once(text.encode()) is not None  # the other copies repeat
     capsys.readouterr()
     code, out, _ = run(["verify", "--dir", str(tmp_path / "run"),
                         "--input", t], capsys)

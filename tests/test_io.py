@@ -374,7 +374,7 @@ def _mixed(path: str) -> str:
 ], ids=["compact", "indent", "mixed"])
 def test_other_layouts_read_as_the_one_parse_reads_them(tmp_path, layout):
     path = layout(_shuffled_diagonal_file(tmp_path))
-    with open(path) as handle:
+    with open(path, "rb") as handle:
         assert io._parse_once(handle.read()) is None
     assert _same(io.read_json(path), _one_parse(path))
 
@@ -397,7 +397,7 @@ def test_a_bad_pair_in_a_late_piece_is_named_by_its_index(
     text = text[:at + 1] + value + text[comma:]
     with open(path, "w") as handle:
         handle.write(text)
-    assert io._parse_once(text) is None
+    assert io._parse_once(text.encode()) is None
     with pytest.raises(ParseError) as got:
         io.read_matrix(path)
     assert str(got.value) == message.format(index)
@@ -442,7 +442,7 @@ def test_doubtful_repeats_read_as_the_one_parse_reads_them(
     path = str(tmp_path / "d.json")
     with open(path, "w") as handle:
         handle.write(text)
-    assert (io._parse_once(text) is None) == declined
+    assert (io._parse_once(text.encode()) is None) == declined
     got = _read(path)
     monkeypatch.setattr(io, "_parse_once", lambda raw: None)
     assert _same(got, _read(path))
@@ -528,34 +528,108 @@ def test_write_peak_stays_near_twice_the_text():
     assert peak <= 2.5 * len(text)
 
 
-def test_write_of_one_large_matrix_copies_no_entries(tmp_path):
-    # the bench's n = 384 input, 1.8 MB of text: the write holds the
-    # text's pieces and their join, 3.4 MiB, and no copy of the matrix's
-    # 2.4 MB of entries as its memo key (4.24 MiB with one)
+def _bench_input() -> OperatorMatrix:
+    """The bench's n = 384 input: a diagonal in a seeded order."""
     n, seed = 384, 601 * 100_000
     t = generate(OperatorSpec("multiplication", dim=n, scale=100.0, seed=seed))
     order = np.random.default_rng(seed).permutation(n)
-    t = OperatorMatrix(np.diag(np.diag(t.array)[order]))
+    return OperatorMatrix(np.diag(np.diag(t.array)[order]))
+
+
+def test_write_of_one_large_matrix_copies_no_entries(tmp_path):
+    # the bench's n = 384 input, 1.8 MB of text: the write holds the
+    # text's pieces, and no copy of the matrix's 2.4 MB of entries as its
+    # memo key
+    t = _bench_input()
     path = str(tmp_path / "t.json")
     _, peak = _peak(lambda: io.write_matrix(t, path))
     assert peak <= 3.5 * 2**20
     assert np.array_equal(io.read_matrix(path).array, t.array)
 
 
-def test_read_peak_stays_near_twice_the_file(tmp_path):
-    # decoding holds the file's bytes beside its text for a moment; the
-    # parse then holds the text, the arrays and one matrix's pair lists
+def _peak_bundle(tmp_path) -> str:
+    """The n = 32 ``--emit all`` bundle whose read and write peaks are
+    pinned: 6.2 MB of text, 35 distinct ``entries`` texts among 131."""
     t = str(tmp_path / "t.json")
     io.write_matrix(generate(OperatorSpec("random_normal", dim=32,
                                           scale=10.0, seed=1)), t)
     bundle = str(tmp_path / "bundle.json")
     assert main(["pipeline", "--input", t, "--emit", "all",
                  "--output", bundle]) == 0
+    return bundle
+
+
+def test_read_peak_stays_near_twice_the_file(tmp_path):
+    # the parse holds the file's bytes, the arrays and one matrix's pair
+    # lists
+    bundle = _peak_bundle(tmp_path)
     size = os.path.getsize(bundle)
     doc, peak = _peak(lambda: io.read_json(bundle))
     assert peak <= 2 * size + 2**16
     assert isinstance(doc["e1"]["atoms"][0]["projection"]["entries"],
                       np.ndarray)
+
+
+def test_write_holds_the_distinct_texts_and_never_their_join(tmp_path):
+    # the pieces go to the file one by one: the write holds each distinct
+    # entries text once and the piece list, 0.33 of the file
+    bundle = _peak_bundle(tmp_path)
+    doc = io.read_json(bundle)
+    copy = str(tmp_path / "copy.json")
+    _, peak = _peak(lambda: io.write_json(doc, copy))
+    with open(bundle, "rb") as want, open(copy, "rb") as got:
+        assert got.read() == want.read()
+    assert peak <= 0.5 * os.path.getsize(bundle)
+
+
+def test_read_holds_the_file_bytes_once(tmp_path):
+    # the bytes are searched and decoded in place: the read holds them,
+    # the distinct arrays and one piece, 1.13 of the file
+    bundle = _peak_bundle(tmp_path)
+    _, peak = _peak(lambda: io.read_json(bundle))
+    assert peak <= 1.25 * os.path.getsize(bundle)
+
+
+def test_write_of_one_large_matrix_holds_about_its_text(tmp_path):
+    # the bench's n = 384 input: its one distinct text is all the write
+    # holds, 1.18 of the file
+    t = _bench_input()
+    path = str(tmp_path / "t.json")
+    _, peak = _peak(lambda: io.write_matrix(t, path))
+    assert peak <= 1.3 * os.path.getsize(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: b"\xef\xbb\xbf" + raw, "invalid JSON at line 1 column 1: "
+     "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (lambda raw: raw.replace(b"{", '{"note": "é", '.encode(), 1), None),
+    (lambda raw: b"\0" + raw,
+     "invalid JSON at line 1 column 1: Expecting value"),
+    (lambda raw: raw[:-2] + b', "note": "\xff"}\n',
+     "not UTF-8 text at byte {at}"),
+    (lambda raw: raw[:len(raw) // 2].replace(b", ", b",\r", 5),
+     "invalid JSON at line 6 column 7235: Expecting value"),
+    (lambda raw: raw[:len(raw) // 2].replace(b", ", b",\r\n", 5),
+     "invalid JSON at line 6 column 7235: Expecting value"),
+], ids=["bom", "non-ascii", "nul-led", "not-utf8", "cr", "crlf"])
+def test_files_the_bytes_path_declines_read_as_text(tmp_path, edit, message):
+    # a file that is not plain ASCII JSON is decoded as a text-mode read
+    # decodes it, newlines translated, and parsed whole: the same
+    # document or the same error, at the same line and column
+    bundle = _bundle(tmp_path, 4)
+    with open(bundle, "rb") as handle:
+        raw = edit(handle.read())
+    with open(bundle, "wb") as handle:
+        handle.write(raw)
+    if message is None:
+        doc = io.read_json(bundle)
+        assert _same(doc, _one_parse(bundle)) and doc["note"] == "é"
+        assert isinstance(doc["t"]["entries"], np.ndarray)
+        return
+    with pytest.raises(ParseError) as got:
+        io.read_json(bundle)
+    at = raw.find(b"\xff")  # past every entries text
+    assert str(got.value) == f"{bundle}: {message.format(at=at)}"
 
 
 def test_dumps_is_deterministic():
