@@ -48,13 +48,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotNormal
 from .linalg import (
+    _BLOCK_BYTES,
     _EPS,
     ATOL,
     OperatorMatrix,
+    _column_stack,
     _jacobi_one_sided,
     _norm,
     _power_of_two_scaled,
+    _put_blocks,
     _refuse_past_scale_limit,
+    _size_groups,
     is_hermitian,
     is_normal,
     op_norm_2,
@@ -98,17 +102,46 @@ class Decomposition:
         d.dim = unitary.shape[0]
         return d
 
-    def _local_form(self) -> np.ndarray:
+    def _local_form(self, blocks: np.ndarray | None = None) -> np.ndarray:
         """B's local form L, a fresh n x n array, 0 outside its r x r
-        range block: two O(n^3) products on each call."""
-        r, w = self._rank, self._weights[:self._rank]
+        range block.
+
+        With ``blocks``, the offsets of runs of U's columns (E_A's
+        atoms), L is formed on those diagonal blocks alone and is 0
+        between them: one O(n^3) product T U_r, then one product per
+        block, a few blocks of one size at a time.  Blocks of one column
+        take the diagonal of one product of a few of them, whose entries
+        are summed as the whole range block's product sums them.
+        Without ``blocks``, or with one block, the whole range block:
+        two O(n^3) products.
+        """
+        n, r, w = self.dim, self._rank, self._weights[:self._rank]
         # products round by their operands' layout, and L is formed from
         # a row-major copy of the range columns
         ur = np.ascontiguousarray(self._unitary[:, :r])
-        local = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        block = local[:r, :r]
-        np.matmul(ur.conj().T, self._t.array @ ur, out=block)
-        block *= np.sqrt(np.outer(w, w))  # exactly w_i on the diagonal
+        tu = self._t.array @ ur
+        local = np.zeros((n, n), dtype=np.complex128)
+        if blocks is not None:  # the range part of each block
+            blocks = np.minimum(blocks, r)
+            blocks = blocks[np.append(np.diff(blocks) > 0, True)]
+        if blocks is None or blocks.size <= 2:
+            block = local[:r, :r]
+            np.matmul(ur.conj().T, tu, out=block)
+            block *= np.sqrt(np.outer(w, w))  # exactly w_i on the diagonal
+            return local
+        for size, starts in _size_groups(blocks):
+            step = max(1, _BLOCK_BYTES // (16 * n * size))
+            for lo in range(0, starts.size, step):
+                at = starts[lo:lo + step]
+                if size == 1:
+                    x = ur[:, at].conj().T @ tu[:, at]
+                    local[at, at] = np.diagonal(x) * np.sqrt(w[at] * w[at])
+                    continue
+                x = _column_stack(ur, at, size).conj().transpose(0, 2, 1)
+                x = x @ _column_stack(tu, at, size)
+                ws = w[at[:, None] + np.arange(size)]
+                x *= np.sqrt(ws[:, :, None] * ws[:, None, :])
+                _put_blocks(local, at, size, x)
         return local
 
     # a pair given as matrices holds them as instance attributes, which

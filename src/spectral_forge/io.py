@@ -24,10 +24,13 @@ Each distinct text decodes in pieces of about ``_PIECE`` characters,
 cut between pairs, into one array, so one piece's pair lists are the
 only Python lists and floats alive at once, whether the file holds one
 matrix or many.  A file with no such text, or whose bytes leave any
-doubt (other separators, a bad pair, a string, a byte that is not
-ASCII), is decoded as a text-mode read decodes it and parsed whole by
-``json.loads``, which decodes each list as the parser closes its
-object and reports errors as it always did.  The read peaks at the
+doubt (other separators, a bad pair, a string), is decoded as a
+text-mode read decodes it and parsed whole by ``json.loads``, which
+decodes each list as the parser closes its object and reports errors
+as it always did.  A file with bytes that are not ASCII is first
+checked to be UTF-8 in pieces, so it keeps the piecewise read and a
+file that is not UTF-8 is refused at the byte the whole decode names.
+The read peaks at the
 file's bytes, the distinct arrays at 16 bytes a pair and one piece;
 a file parsed whole also holds its text.
 A measure document is
@@ -41,6 +44,7 @@ built with an explicit radius, is the radius its atoms joined by, and
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -219,14 +223,16 @@ def _parse_once(raw: bytes) -> dict | None:
     when anything is in doubt: a value that does not end at its first
     ``]]``, whose pairs are not separated by ``, `` or do not decode to
     valid pairs, a reference not consumed exactly once under an
-    ``entries`` key, an error in the rest of the document, a byte that
-    is not ASCII, or text that could hold a NUL of its own.
+    ``entries`` key, an error in the rest of the document, or text that
+    could hold a NUL of its own.  A byte that is not ASCII is checked
+    to be UTF-8 first (``_check_utf8``).
     """
     # a backslash is rare in a bundle, and finding one is 30 times
     # cheaper than finding the escape itself
-    if (not raw.isascii() or b"\0" in raw
-            or b"\\" in raw and b"\\u0000" in raw):
+    if b"\0" in raw or b"\\" in raw and b"\\u0000" in raw:
         return None
+    if not raw.isascii():
+        _check_utf8(raw)
     spans = []
     at = raw.find(_ENTRIES)
     while at >= 0:
@@ -277,6 +283,25 @@ def _parse_once(raw: bytes) -> dict | None:
     except (json.JSONDecodeError, RecursionError):
         return None
     return doc if len(used) == len(spans) else None
+
+
+def _check_utf8(raw: bytes):
+    """UnicodeDecodeError where ``raw.decode("utf-8")`` would raise one.
+
+    ``raw`` is decoded ``_PIECE`` bytes at a time, each piece's text
+    dropped at once, so no text of the whole file exists; a character
+    cut between two pieces is held over to the next, and the error is
+    raised at its offset in ``raw``.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for at in range(0, len(raw), _PIECE):
+        # where the data the decoder is handed starts: its held-over bytes
+        held = at - len(decoder.getstate()[0])
+        try:
+            decoder.decode(raw[at:at + _PIECE], at + _PIECE >= len(raw))
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError("utf-8", raw, held + exc.start,
+                                     held + exc.end, exc.reason) from None
 
 
 def _decode_span(raw: bytes, start: int, end: int) -> np.ndarray | None:

@@ -247,6 +247,7 @@ def pvm_from_normal(m: OperatorMatrix, tol: Tolerances | None = None) -> Spectra
     NoConvergence from the underlying eigendecomposition.
     """
     es = normal_eig(m)
+    del m  # a matrix handed over is freed under the merge's copy
     return _merged(es.eigenvalues, es.unitary.array, np.arange(es.dim + 1),
                    None if tol is None else tol.cluster)
 
@@ -274,23 +275,6 @@ def _merged(points: np.ndarray, stacked: np.ndarray, offsets: np.ndarray,
     return SpectralMeasure(stacked.shape[0], means, bases=_Blocks(
         stacked, np.cumsum(np.append(0, ranks))[groups]), of=of,
         cluster=cluster)
-
-
-def _measure_in_frame(local: OperatorMatrix, frame: np.ndarray,
-                      of: str = "T") -> SpectralMeasure:
-    """Spectral measure of a normal M given in a frame as ``V* M V``.
-
-    For a unitary ``frame`` V the matrix V* M V is unitarily similar to
-    M, so ``pvm_from_normal`` finds the same atoms, joined by the default
-    rule (an explicit radius is for the measure of T, which is never
-    solved in a frame), and one product with V maps their bases back.
-    A frame that nearly diagonalizes M, such as the eigenbasis of an
-    operator commuting with it, leaves only rounding-level mass off the
-    diagonal and saves Jacobi sweeps.
-    """
-    e = pvm_from_normal(local)
-    return SpectralMeasure(e.dim, e.points, bases=_Blocks(
-        frame @ e.stacked_basis(), e.offsets), of=of)
 
 
 def pvm_integrate(f, e: SpectralMeasure) -> OperatorMatrix:

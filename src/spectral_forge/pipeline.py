@@ -12,14 +12,20 @@ A direct diagonalization of T is kept only as an optional cross check.
 
 Exactly one Jacobi solve starts cold: ``decompose``'s one-sided solve
 of T, which ``spectral_forge.decomposition`` describes.  Its pair gives
-||T||_2, E_A (the weights w on the columns of U) and B's local form L,
-unitarily similar to B, formed afresh for E_B and masked in place.
-Since T, A and B share eigenvectors, U nearly diagonalizes B, so E_B is
-solved warm from L.  B commutes with A, so between different atoms of
-E_A that form holds rounding alone: it is set to 0 there and E_B is
-solved on E_A's blocks, in a few sweeps.
-Left in, the rounding would couple nearly equal eigenvalues of B across
-E_A's atoms, and E_B would not commute with E_A.
+||T||_2, E_A (the weights w on the columns of U, each atom a run of
+them) and B's local form L, unitarily similar to B.  B commutes with A,
+so between different atoms of E_A that form holds rounding alone: L is
+formed on E_A's atoms only, from one product T U_r and one product per
+atom, and is 0 between them.  Left in, the rounding would couple nearly
+equal eigenvalues of B across E_A's atoms, and E_B would not commute
+with E_A.  E_B is one ``pvm_from_normal`` call on L, which works block
+by block: an atom of rank one is a block of one entry, its own
+eigenpair, and needs no Jacobi solve.  The product of E_A and E_B is
+read off E_B's frame, where each column lies in one atom of E_A: it
+groups E_B's columns by (E_A atom, E_B atom), with no pair screened or
+intersected (``_labelled``).  The O(n^3) products left are the
+one-sided solve's Gram matrices, T's normality test on its dense
+blocks, T U_r and the reconstruction sum.
 
 E_A's weights keep the relative accuracy of the one-sided singular
 values (Demmel & Veselic 1992), so E_A's points join relative to their
@@ -40,11 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Decomposition, decompose
-from .errors import ScaleLimit
+from .errors import NotCommuting, ScaleLimit
 from .linalg import OperatorMatrix, Tolerances, _normal_eig, rel
-from .measures import (PVM_FACTOR, SpectralMeasure, _measure_in_frame,
-                       _merged, _range_gap, _reconstruction_check)
-from .product import ProductMeasure, product_measure, pushforward
+from .measures import (PVM_FACTOR, SpectralMeasure, _Blocks, _merged,
+                       _range_gap, _reconstruction_check, pvm_from_normal)
+from .product import ProductMeasure, pushforward
 from .report import VerificationReport
 
 __all__ = [
@@ -121,17 +127,12 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         )
     u = d._unitary
     e1 = _merged(d._weights, u, np.arange(n + 1), of="A")
-    # E_B on E_A's blocks by the default rule (a radius is T's alone):
-    # E_A's points ascend, so each atom is a run of U's columns, in order.
-    # L is 0 on T's null modes and between atoms; only the frozen wrapper
-    # stays alive under E_B's solve
-    atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
-    local = d._local_form()
-    local[atom[:, None] != atom] = 0.0
-    local = OperatorMatrix(local)
-    e2 = _measure_in_frame(local, u, of="B")
-    del local  # one n x n array fewer under product_measure's peak
-    prod = product_measure(e1, e2)
+    # E_B in U's frame by the default rule (a radius is T's alone), from
+    # L formed on E_A's atoms alone: they are runs of U's columns, as
+    # E_A's points ascend.  L and E_B's frame are handed over, so each is
+    # freed once read
+    e2, prod = _labelled(e1, pvm_from_normal(OperatorMatrix(
+        d._local_form(e1.offsets))), u)
     measure = pushforward(prod, lambda t, w: (1.0 / t) * w, tol)
     checks = [
         ("atom_count", float(measure.num_atoms), float(n),
@@ -149,6 +150,66 @@ def spectral_theorem(t: OperatorMatrix, tol: Tolerances | None = None, *,
         checks += _match_measures(measure, direct, source_norm)
     report = VerificationReport.from_checks(checks)
     return PipelineResult(d, e1, e2, prod, measure, report, direct)
+
+
+def _labelled(e1: SpectralMeasure, frame: SpectralMeasure, u: np.ndarray
+              ) -> tuple[SpectralMeasure, ProductMeasure]:
+    """E_B and the product E_A x E_B, read off E_B's frame.
+
+    ``frame`` is E_B solved in U's frame, where E_A's atom i is the run
+    of coordinates ``e1.offsets[i]:e1.offsets[i + 1]``.  Each column f of
+    its basis F is labelled with the E_A atom its entries lie in; a
+    column with entries in two atoms raises NotCommuting.  U f is then
+    U's column on an atom of rank one (f is that coordinate's unit
+    vector, up to a phase no projection sees), taken as a gather, and
+    the atom's columns times f's entries on a larger one.  The columns
+    of U F grouped by E_A atom, in F's order within each, are also
+    grouped by (E_A atom, E_B atom), since F's columns come in atom
+    order: so they are the product's basis, atom (i, j) spanned by the
+    columns of E_B's atom j labelled i.  In U's frame that span is
+    P_i Q_j exactly, as no column crosses two atoms, so the product's
+    rectangle residual is 0; U's own orthonormality is E_A's to meet.
+    E_B's basis is the same columns in F's order.
+    """
+    f = frame.stacked_basis()
+    n, m = f.shape
+    points, offsets = frame.points, frame.offsets
+    which = np.repeat(np.arange(frame.num_atoms), frame.ranks)
+    del frame  # f is freed with it below
+    atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
+    nonzero = f != 0.0
+    label = atom[np.argmax(nonzero, axis=0)]
+    last = atom[n - 1 - np.argmax(nonzero[::-1], axis=0)]
+    del nonzero
+    crossed = np.flatnonzero(label != last)
+    if crossed.size:
+        c = int(crossed[0])
+        raise NotCommuting(
+            f"column {c} of E_B's frame has entries in E_A atoms "
+            f"{label[c]} and {last[c]}: the measures do not commute")
+    order = np.argsort(label, kind="stable")
+    label = label[order]
+    lo, ranks = e1.offsets[label], np.diff(e1.offsets)[label]
+    # U's first column of each column's atom, the whole of it on an atom
+    # of rank one; the rest is overwritten below
+    basis = np.empty((n, m), dtype=np.complex128, order="F")
+    np.take(u, lo, axis=1, out=basis, mode="clip")  # "clip" writes unbuffered
+    runs = np.flatnonzero(np.append(True, label[1:] != label[:-1]))
+    for s, e in zip(runs.tolist(), np.append(runs[1:], m).tolist()):
+        if ranks[s] > 1:
+            rows = slice(lo[s], lo[s] + ranks[s])
+            np.matmul(u[:, rows], f[rows][:, order[s:e]], out=basis[:, s:e])
+    del f
+    which = which[order]
+    firsts = np.flatnonzero(np.append(True, (label[1:] != label[:-1])
+                                      | (which[1:] != which[:-1])))
+    prod = ProductMeasure(n, e1.points.real[label[firsts]],
+                          points[which[firsts]],
+                          bases=_Blocks(basis, np.append(firsts, m)),
+                          rectangle_residual=0.0)
+    e2 = SpectralMeasure(n, points, bases=_Blocks(
+        basis[:, np.argsort(order)], offsets), of="B")
+    return e2, prod
 
 
 def _match_measures(result: SpectralMeasure, direct: SpectralMeasure,

@@ -30,7 +30,6 @@ from spectral_forge.measures import (
     PVM_FACTOR,
     SpectralMeasure,
     _block_norms,
-    _measure_in_frame,
     _merged,
     pvm_from_normal,
 )
@@ -334,9 +333,8 @@ def test_normal_eig_matches_per_cluster_reference(case):
 
 
 def _factors(t):
-    d = decompose(t)
-    e1 = _merged(d._weights, d._unitary, np.arange(t.dim + 1))
-    return e1, _measure_in_frame(OperatorMatrix(d._local_form()), d._unitary)
+    res = pipeline.spectral_theorem(t)
+    return res.e1, res.e2
 
 
 def _assert_same_product(got, want):
@@ -444,12 +442,10 @@ ALL_RANK_ONE = {
 
 @pytest.mark.parametrize("case", sorted(ALL_RANK_ONE))
 def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
-    # with every atom of rank one, E_B's H solve is the only Jacobi solve
-    # left after the one-sided solve of T: no K block, no pair solve
+    # with every atom of E_A of rank one, B's local form is diagonal on
+    # E_A's blocks: the one-sided solve of T in decompose is the route's
+    # only Jacobi solve, with no H solve, K block or pair solve after it
     t = ALL_RANK_ONE[case]()
-    d = decompose(t)
-    u, b_local = d._unitary, d._local_form()
-    e1 = _merged(d._weights, u, np.arange(t.dim + 1))
     calls = []
 
     def counted(kernel):
@@ -458,33 +454,44 @@ def test_rank_one_atoms_need_one_jacobi_solve(case, monkeypatch):
             return kernel(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(linalg, "_jacobi_hermitian",
-                        counted(linalg._jacobi_hermitian))
-    monkeypatch.setattr(product, "_jacobi_one_sided",
-                        counted(product._jacobi_one_sided))
-    e2 = _measure_in_frame(OperatorMatrix(b_local), u)
-    prod = product_measure(e1, e2)
-    assert set(e1.ranks) == set(e2.ranks) == set(prod.ranks) == {1}
-    assert calls == [(t.dim, t.dim)]
+    for module, name in ((linalg, "_jacobi_hermitian"),
+                         (linalg, "_jacobi_one_sided"),
+                         (product, "_jacobi_one_sided")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    solve = pipeline.decompose
+
+    def decompose_counted(t):
+        d = solve(t)
+        calls.append("decompose")
+        return d
+
+    monkeypatch.setattr(pipeline, "decompose", decompose_counted)
+    res = pipeline.spectral_theorem(t)
+    assert res.report.all_passed
+    assert set(res.e1.ranks) == set(res.e2.ranks) == set(res.product.ranks) \
+        == {1}
+    assert calls == ["decompose"]
 
 
-def test_measure_in_frame_peak_holds_no_per_atom_copy():
-    # the peak sits in the eigensystem's sort: the input's copy, H's
-    # vectors, and their sorted, phased and frozen copies (about 6.2 n x n
-    # complex arrays); the bases are rotated back in one product, with no
-    # per-atom split or copy on top (7.2 n x n arrays before)
+def test_e2_and_product_peak_holds_no_per_atom_copy():
+    # E_B's stage on rank-one atoms: L formed on E_A's blocks (the frozen
+    # copy, U's range columns and T U_r beside it), E_B's solve in U's
+    # frame (its sorted, phased and frozen copies of a frame with no H
+    # solve) and the bases of E_B and the product gathered from U's
+    # columns, with no per-atom split or copy on top
     import tracemalloc
     n = 256
     d = decompose(_shuffled_diagonal(n))
-    frame, b_local = d._unitary, d._local_form()
+    e1 = _merged(d._weights, d._unitary, np.arange(n + 1), of="A")
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        e2 = _measure_in_frame(OperatorMatrix(b_local), frame)
+        frame = pvm_from_normal(OperatorMatrix(d._local_form(e1.offsets)))
+        e2, prod = pipeline._labelled(e1, frame, d._unitary)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert e2.num_atoms == n
+    assert e2.num_atoms == prod.num_atoms == n
     assert peak <= 6.5 * 16 * n * n + 64 * 16 * n
 
 

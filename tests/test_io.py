@@ -632,6 +632,55 @@ def test_files_the_bytes_path_declines_read_as_text(tmp_path, edit, message):
     assert str(got.value) == f"{bundle}: {message.format(at=at)}"
 
 
+def _with_note(path: str):
+    """The file at ``path`` with a first field that is not ASCII."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(raw.replace(b"{", '{"note": "\u00e9", '.encode(), 1))
+
+
+def test_a_file_past_ascii_keeps_the_piecewise_read(tmp_path):
+    # bytes that are not ASCII are checked to be UTF-8 a piece at a time,
+    # and the file is then read as any other: the n = 32 bundle holds its
+    # bytes once, and the bench's n = 384 input holds its bytes, its
+    # array and one piece, as without the note (28.8 MiB when such a
+    # file was parsed whole)
+    bundle = _peak_bundle(tmp_path)
+    _with_note(bundle)
+    got, peak = _peak(lambda: io.read_json(bundle))
+    assert _same(got, _one_parse(bundle)) and got["note"] == "\u00e9"
+    assert peak <= 1.25 * os.path.getsize(bundle)
+    path = str(tmp_path / "t.json")
+    io.write_matrix(_bench_input(), path)
+    _, plain = _peak(lambda: io.read_json(path))
+    _with_note(path)
+    got, peak = _peak(lambda: io.read_json(path))
+    assert _same(got, _one_parse(path)) and got["note"] == "\u00e9"
+    assert isinstance(got["entries"], np.ndarray)
+    assert peak <= plain + 64 * 1024
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x82",
+                                 b"\xed\xa0\x80"],
+                         ids=["byte", "lead", "truncated", "surrogate"])
+def test_utf8_check_names_the_byte_the_whole_decode_names(cut, bad):
+    # characters of two to four bytes cut by a piece boundary pass; a bad
+    # sequence at or across it is named where the whole decode names it
+    text = "a" * (io._PIECE - cut) + "\u00e9\u20ac\U0001f600" + "b" * 9
+    text = text.encode()
+    io._check_utf8(text)
+    at = io._PIECE - cut + 1
+    raw = text[:at] + bad + text[at:]
+    with pytest.raises(UnicodeDecodeError) as want:
+        raw.decode("utf-8")
+    with pytest.raises(UnicodeDecodeError) as got:
+        io._check_utf8(raw)
+    assert (got.value.start, got.value.end, got.value.reason) == \
+        (want.value.start, want.value.end, want.value.reason)
+
+
 def test_dumps_is_deterministic():
     m = generate(OperatorSpec("random_hermitian", dim=5, scale=1.0, seed=3))
     doc1 = io.matrix_to_doc(m)

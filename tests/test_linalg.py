@@ -433,3 +433,122 @@ def test_tiny_non_hermitian_matrix_is_not_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(m)
     assert op_norm_2(m) == 1e-13
+
+
+def _direct_sum(*blocks) -> np.ndarray:
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def test_diagonal_blocks_are_the_finest_contiguous_cut():
+    from spectral_forge.linalg import _diagonal_blocks
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(4, 4)) + 0j
+    a = _direct_sum(dense, np.eye(1), np.zeros((2, 2)), dense[:3, :3])
+    np.testing.assert_array_equal(_diagonal_blocks(a), [0, 4, 5, 6, 7, 10])
+    # one entry above the diagonal, or below it, joins what it spans
+    a[1, 5] = 1e-300
+    np.testing.assert_array_equal(_diagonal_blocks(a), [0, 6, 7, 10])
+    a[1, 5] = 0.0
+    a[9, 6] = -0.5
+    np.testing.assert_array_equal(_diagonal_blocks(a), [0, 4, 5, 6, 10])
+    assert _diagonal_blocks(dense).tolist() == [0, 4]
+    assert _diagonal_blocks(np.zeros((3, 3))).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("target", [0.9, 1.1])
+def test_normality_summed_over_blocks_gives_the_plain_verdict(target):
+    # a direct sum of diagonals plus s E: the defect, summed over its
+    # blocks of 1, 3 and 40, gives the whole matrix's verdict at 0.9 and
+    # 1.1 times the bound
+    rng = np.random.default_rng(12)
+
+    def block(n, s):
+        d = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+        return d + s * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+    parts = [block(3, 0.0), block(40, 1.0), block(1, 0.0), block(3, 1.0)]
+    bumps = [p - np.diag(p.diagonal()) for p in parts]
+    diags = [np.diag(p.diagonal()) for p in parts]
+    s = 1e-12
+    for _ in range(2):
+        s *= target / _plain_defect_ratio(_direct_sum(
+            *[d + s * b for d, b in zip(diags, bumps)]))
+    a = _direct_sum(*[d + s * b for d, b in zip(diags, bumps)])
+    assert abs(_plain_defect_ratio(a) / target - 1.0) < 0.05
+    assert is_normal(OperatorMatrix(a)) == (target < 1.0)
+
+
+def test_a_direct_sum_with_one_non_normal_block_is_not_normal():
+    from spectral_forge.gallery import OperatorSpec, generate
+    normal = generate(OperatorSpec("random_normal", dim=6, seed=3)).array
+    jordan = generate(OperatorSpec("jordan_block", dim=3)).array
+    parts = [normal, np.diag([2.0, -1j]), 1e-3 * jordan, np.eye(2)]
+    assert not is_normal(OperatorMatrix(_direct_sum(*parts)))
+    with pytest.raises(NotNormal):
+        normal_eig(OperatorMatrix(_direct_sum(*parts)))
+    del parts[2]
+    assert is_normal(OperatorMatrix(_direct_sum(*parts)))
+
+
+def _assert_matches_eig(a: np.ndarray):
+    es = normal_eig(OperatorMatrix(a))
+    n = len(a)
+    want = np.linalg.eigvals(a)
+    got = es.eigenvalues
+    # every eigenvalue of numpy's has its own match, in the package's order
+    match = np.argmin(np.abs(got[:, None] - want[None, :]), axis=1)
+    assert sorted(match.tolist()) == list(range(n))
+    scale = np.linalg.norm(a)
+    assert np.abs(got - want[match]).max() <= 1e-13 * scale
+    u = es.unitary.array
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-13 * n
+    assert np.linalg.norm((u * got) @ u.conj().T - a) <= 1e-13 * scale
+
+
+def test_direct_sum_is_solved_block_by_block():
+    # blocks of 1, 3, 4 and 4 (two of one size, one stack) solve as the
+    # whole would, against numpy's eig
+    from spectral_forge.gallery import OperatorSpec, generate
+    parts = [generate(OperatorSpec("random_normal", dim=3, seed=1)).array,
+             np.array([[2.5 - 1j]]),
+             generate(OperatorSpec("random_unitary", dim=4, seed=2)).array,
+             generate(OperatorSpec("momentum_1d", dim=4, scale=3.0)).array]
+    _assert_matches_eig(_direct_sum(*parts))
+
+
+def test_interleaved_blocks_are_solved_as_one_coarser_block():
+    # rows 0, 2, 4 against rows 1, 3: no contiguous cut separates them,
+    # so they are one block of 5, which solves as numpy's eig does
+    from spectral_forge.gallery import OperatorSpec, generate
+    from spectral_forge.linalg import _diagonal_blocks
+    a = _direct_sum(generate(OperatorSpec("random_normal", dim=3,
+                                          seed=4)).array,
+                    generate(OperatorSpec("random_unitary", dim=2,
+                                          seed=4)).array)
+    order = [0, 3, 1, 4, 2]
+    a = a[np.ix_(order, order)]
+    assert _diagonal_blocks(a).tolist() == [0, 5]
+    _assert_matches_eig(a)
+
+
+def test_a_stack_is_solved_as_each_matrix_alone():
+    # each matrix of a stack keeps its own threshold and stop test: the
+    # stack's values and vectors are those of each solve alone, bit for
+    # bit, a zero and a diagonal matrix among them
+    from spectral_forge.linalg import _jacobi_hermitian
+    rng = np.random.default_rng(8)
+    stack = np.stack([random_hermitian(rng, 5).array,
+                      np.zeros((5, 5), dtype=complex),
+                      np.diag(rng.normal(size=5)).astype(complex),
+                      random_hermitian(rng, 5, 1e3).array])
+    values, vectors = _jacobi_hermitian(stack)
+    for k, m in enumerate(stack):
+        alone = _jacobi_hermitian(m)
+        np.testing.assert_array_equal(values[k], alone[0])
+        np.testing.assert_array_equal(vectors[k], alone[1])

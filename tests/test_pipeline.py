@@ -6,12 +6,11 @@ import pytest
 
 from spectral_forge import linalg, pipeline
 from spectral_forge.decomposition import decompose
-from spectral_forge.errors import NotNormal, ScaleLimit
+from spectral_forge.errors import NotCommuting, NotNormal, ScaleLimit
 from spectral_forge.gallery import OperatorSpec, generate
 from spectral_forge.linalg import OperatorMatrix, frobenius, op_norm_2, rel
-from spectral_forge.measures import (SpectralMeasure, _measure_in_frame,
-                                     pvm_from_normal, pvm_integrate,
-                                     pvm_validate)
+from spectral_forge.measures import (SpectralMeasure, pvm_from_normal,
+                                     pvm_integrate, pvm_validate)
 from spectral_forge.pipeline import NORM_LIMIT, spectral_theorem
 
 
@@ -378,14 +377,15 @@ def test_cross_check_tests_normality_once_per_operator(monkeypatch):
 def test_pipeline_sweeps_once_cold(monkeypatch):
     # every sweep head of either Jacobi kernel, the one-sided kernel's
     # Gram matrices included, measures its off-diagonal mass once; the
-    # cold one-sided solve of T and the warm E_B solve take 13 here,
-    # where three cold solves of 64 x 64 matrices took 51 and a skip
-    # threshold falling linearly with the off-diagonal mass 16
+    # cold one-sided solve of T takes them all here, as every atom of
+    # E_A has rank one and E_B needs no solve, where three cold solves of
+    # 64 x 64 matrices took 51 and a skip threshold falling linearly with
+    # the off-diagonal mass 16
     heads = []
     measure = linalg._off_diagonal_norm
 
     def counted(w):
-        if w.shape[0] >= 8:
+        if w.shape[-1] >= 8:
             heads.append(1)
         return measure(w)
 
@@ -398,8 +398,9 @@ def test_pipeline_sweeps_once_cold(monkeypatch):
 @pytest.mark.parametrize("kind", WARM_KINDS)
 def test_warm_e2_matches_cold_measure(kind):
     eps = np.finfo(float).eps
-    for t, b, b_local, frame in _warm_cases(kind):
-        warm = _measure_in_frame(OperatorMatrix(b_local), frame)
+    # the route's E_B, solved from L on E_A's blocks in U's frame
+    for t, b, _, _ in _warm_cases(kind):
+        warm = spectral_theorem(t, force_scale=True).e2
         cold = pvm_from_normal(b)
         n = t.dim
         assert warm.ranks == cold.ranks
@@ -609,3 +610,74 @@ def test_match_measures_agrees_with_dense_matching(name):
         [(k, bound) for k, _, bound in want]
     assert got[0][1] == want[0][1] and got[2][1] == want[2][1]
     assert got[1][1] == pytest.approx(want[1][1], rel=1e-9, abs=1e-14)
+
+
+def _direct_sum(*blocks) -> OperatorMatrix:
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return OperatorMatrix(out)
+
+
+LABELLED_CASES = {
+    "rank_one": lambda: generate(OperatorSpec("random_normal", dim=12,
+                                              scale=10.0, seed=5)),
+    "rank_two": lambda: generate(OperatorSpec("momentum_1d", dim=16,
+                                              scale=10.0)),
+    "one_block": lambda: generate(OperatorSpec("random_unitary", dim=10,
+                                               seed=5)),
+    "null_modes": lambda: _direct_sum(
+        generate(OperatorSpec("random_normal", dim=6, seed=5)).array,
+        np.zeros((3, 3))),
+    "direct_sum": lambda: _direct_sum(
+        generate(OperatorSpec("random_normal", dim=8, seed=5)).array,
+        generate(OperatorSpec("momentum_1d", dim=8, scale=3.0)).array),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABELLED_CASES))
+def test_route_product_is_the_product_of_its_factors(case):
+    # the product read off E_B's frame, against the product of the two
+    # measures taken as unrelated: the same (t, w) pairs in the same
+    # order, and the same projections
+    from spectral_forge.product import product_measure
+    t = LABELLED_CASES[case]()
+    res = spectral_theorem(t)
+    assert res.report.all_passed, res.report.residuals
+    want = product_measure(res.e1, res.e2)
+    got = res.product
+    np.testing.assert_array_equal(got.t_points, want.t_points)
+    np.testing.assert_array_equal(got.w_points, want.w_points)
+    assert got.ranks == want.ranks
+    for k in range(want.num_atoms):
+        gap = np.linalg.norm(got.projection(k).array
+                             - want.projection(k).array)
+        assert gap <= 10 * rel(t.dim)
+    if case == "null_modes":
+        assert res.decomposition._rank == 6
+    if case in ("rank_two", "direct_sum", "one_block"):
+        assert max(res.e1.ranks) > 1
+
+
+def test_route_refuses_an_e2_that_crosses_e1_atoms(monkeypatch):
+    # E_B's frame turned so that two of its columns mix coordinates of
+    # two E_A atoms: the route refuses it rather than label the mix
+    t = generate(OperatorSpec("random_normal", dim=6, scale=10.0, seed=5))
+    solve = pipeline.pvm_from_normal
+
+    def crossing(local):
+        e = solve(local)
+        basis = np.array(e.stacked_basis())
+        a, b = basis[:, 1].copy(), basis[:, 4].copy()
+        basis[:, 1], basis[:, 4] = (a + b) / np.sqrt(2), (a - b) / np.sqrt(2)
+        return SpectralMeasure(e.dim, e.points, bases=tuple(
+            basis[:, e.offsets[k]:e.offsets[k + 1]]
+            for k in range(e.num_atoms)))
+
+    assert spectral_theorem(t).report.all_passed
+    monkeypatch.setattr(pipeline, "pvm_from_normal", crossing)
+    with pytest.raises(NotCommuting, match="column 1 of E_B's frame"):
+        spectral_theorem(t)

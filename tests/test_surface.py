@@ -61,6 +61,7 @@ def test_all_is_pinned_and_resolves(module, names):
     ("spectral_forge.linalg", "DEFAULT_TOLERANCES"),
     ("spectral_forge.linalg", "_resolve"),
     ("spectral_forge.decomposition", "_bounded_pair"),
+    ("spectral_forge.measures", "_measure_in_frame"),
 ])
 def test_removed_names_cannot_be_imported(module, name):
     for where in ("spectral_forge", module):
@@ -73,6 +74,9 @@ def test_removed_entry_points_are_gone():
     assert "path" not in inspect.signature(OperatorSpec).parameters
     assert not hasattr(measures.SpectralMeasure, "atoms")
     assert not hasattr(product.ProductMeasure, "atoms")
+    # the route reads its product off E_B's frame; product_measure stays
+    # the public product of two arbitrary measures
+    assert not hasattr(pipeline, "product_measure")
     # io.report_from_doc is the one reader of a report document
     assert not hasattr(spectral_forge.VerificationReport, "from_json_dict")
     for kernel in (linalg._jacobi_hermitian, linalg._jacobi_one_sided):
@@ -103,7 +107,7 @@ WITHOUT_TOL = [
     decomposition.verify, product.commute_check,
     product.product_measure, product.product_validate, product._pairs,
     product._commute_threshold, measures._store_checks,
-    measures._reconstruction_check, measures._measure_in_frame,
+    measures._reconstruction_check, pipeline._labelled,
     pipeline._match_measures, measures.pvm_validate,
 ]
 # Routines that join T's atoms: a Tolerances stops at them.
