@@ -52,13 +52,10 @@ from .linalg import (
     _EPS,
     ATOL,
     OperatorMatrix,
-    _column_stack,
     _jacobi_one_sided,
     _norm,
     _power_of_two_scaled,
-    _put_blocks,
     _refuse_past_scale_limit,
-    _size_groups,
     is_hermitian,
     is_normal,
     op_norm_2,
@@ -72,6 +69,36 @@ __all__ = ["Decomposition", "decompose", "verify", "norm_bounds"]
 # documented acceptance thresholds for each verified identity.
 RECONSTRUCTION_FACTOR = 100.0
 IDENTITY_FACTOR = 10.0
+
+
+def _size_groups(offsets: np.ndarray):
+    """``(size, starts)`` of the blocks at ``offsets``, one per size."""
+    sizes = np.diff(offsets)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        yield size, offsets[:-1][sizes == size]
+
+
+def _column_stack(a: np.ndarray, starts: np.ndarray,
+                  size: int) -> np.ndarray:
+    """Runs of ``a``'s columns of one width, as a stack (m x rows x size):
+    a view of a single run, a gathered copy of several."""
+    if starts.size == 1:
+        lo = int(starts[0])
+        return a[None, :, lo:lo + size]
+    return a[:, starts[:, None] + np.arange(size)].transpose(1, 0, 2)
+
+
+def _put_blocks(a: np.ndarray, starts: np.ndarray, size: int,
+                stack: np.ndarray):
+    """The diagonal blocks of ``a`` at ``starts`` set to ``stack``, in
+    place."""
+    if starts.size == 1:
+        lo = int(starts[0])
+        a[lo:lo + size, lo:lo + size] = stack[0]
+    else:
+        idx = starts[:, None] + np.arange(size)
+        a[idx[:, :, None], idx[:, None, :]] = stack
+
 
 class Decomposition:
     """Pair (A, B) with the spectral norm of the source operator.
@@ -109,11 +136,8 @@ class Decomposition:
         With ``blocks``, the offsets of runs of U's columns (E_A's
         atoms), L is formed on those diagonal blocks alone and is 0
         between them: one O(n^3) product T U_r, then one product per
-        block, a few blocks of one size at a time.  Blocks of one column
-        take the diagonal of one product of a few of them, whose entries
-        are summed as the whole range block's product sums them.
-        Without ``blocks``, or with one block, the whole range block:
-        two O(n^3) products.
+        block, a few blocks of one size at a time.  Without ``blocks``,
+        or with one block, the whole range block: two O(n^3) products.
         """
         n, r, w = self.dim, self._rank, self._weights[:self._rank]
         # products round by their operands' layout, and L is formed from
@@ -133,10 +157,6 @@ class Decomposition:
             step = max(1, _BLOCK_BYTES // (16 * n * size))
             for lo in range(0, starts.size, step):
                 at = starts[lo:lo + step]
-                if size == 1:
-                    x = ur[:, at].conj().T @ tu[:, at]
-                    local[at, at] = np.diagonal(x) * np.sqrt(w[at] * w[at])
-                    continue
                 x = _column_stack(ur, at, size).conj().transpose(0, 2, 1)
                 x = x @ _column_stack(tu, at, size)
                 ws = w[at[:, None] + np.arange(size)]

@@ -308,135 +308,76 @@ def _diagonal_blocks(a: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(reach == np.arange(n)) + 1))
 
 
-def _size_groups(offsets: np.ndarray):
-    """``(size, starts)`` of the blocks at ``offsets``, one per size."""
-    sizes = np.diff(offsets)
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        yield size, offsets[:-1][sizes == size]
-
-
-def _block_stack(a: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
-    """The diagonal blocks of ``a`` of one size, as a stack: a view of a
-    single block, a gathered copy of several."""
-    if starts.size == 1:
-        lo = int(starts[0])
-        return a[None, lo:lo + size, lo:lo + size]
-    idx = starts[:, None] + np.arange(size)
-    return a[idx[:, :, None], idx[:, None, :]]
-
-
-def _column_stack(a: np.ndarray, starts: np.ndarray,
-                  size: int) -> np.ndarray:
-    """Runs of ``a``'s columns of one width, as a stack (m x rows x size):
-    a view of a single run, a gathered copy of several."""
-    if starts.size == 1:
-        lo = int(starts[0])
-        return a[None, :, lo:lo + size]
-    return a[:, starts[:, None] + np.arange(size)].transpose(1, 0, 2)
-
-
-def _put_blocks(a: np.ndarray, starts: np.ndarray, size: int,
-                stack: np.ndarray):
-    """``_block_stack``'s blocks of ``a`` set to ``stack``, in place."""
-    if starts.size == 1:
-        lo = int(starts[0])
-        a[lo:lo + size, lo:lo + size] = stack[0]
-    else:
-        idx = starts[:, None] + np.arange(size)
-        a[idx[:, :, None], idx[:, None, :]] = stack
-
-
 def is_normal(m: OperatorMatrix) -> bool:
     """True when ``||M*M - MM*||_F <= rel(n) ||M||_F^2``.
 
     The defect D is block-diagonal with M, so it is summed over M's
     diagonal blocks (``_diagonal_blocks``); a 1 x 1 block adds nothing.
-    Blocks of one size are taken as one stack, in blocks of rows of at
-    most ``_BLOCK_BYTES``, with no copy of M* or of a whole product.  D
-    is Hermitian, so each row block is formed from its diagonal block
+    In a block it is summed over blocks of rows of at most
+    ``_BLOCK_BYTES``, with no copy of M* or of a whole product.  D is
+    Hermitian, so each row block is formed from its diagonal block
     rightward and the part right of that block counts twice: half the
     products, which pays for repacking M on each row block.
     """
     a, _ = _power_of_two_scaled(m.array)
     n = m.dim
+    offsets = _diagonal_blocks(a).tolist()
     square = 0.0
-    for size, starts in _size_groups(_diagonal_blocks(a)):
-        if size == 1:
+    for i, j in zip(offsets, offsets[1:]):
+        if j == i + 1:
             continue
-        x = _block_stack(a, starts, size)
-        rows = max(1, _BLOCK_BYTES // (16 * size * len(starts)))
-        for lo in range(0, size, rows):
+        x = a[i:j, i:j]
+        rows = max(1, _BLOCK_BYTES // (16 * (j - i)))
+        for lo in range(0, j - i, rows):
             # these rows of conj(D), from column lo on: conj(M*M) - conj(MM*)
-            block = (x[:, :, lo:lo + rows].conj().transpose(0, 2, 1)
-                     @ x[:, :, lo:])
+            block = x[:, lo:lo + rows].conj().T @ x[:, lo:]
             np.conjugate(block, out=block)
-            block -= x[:, lo:lo + rows].conj() @ x[:, lo:].transpose(0, 2, 1)
-            head = block[:, :, :rows]
+            block -= x[lo:lo + rows].conj() @ x[lo:].T
+            head = block[:, :rows]
             square += (2.0 * np.vdot(block, block).real
                        - np.vdot(head, head).real)
     return bool(math.sqrt(square) <= rel(n) * np.vdot(a, a).real)
 
 
-def _masses(mag: np.ndarray) -> np.ndarray:
-    """2-norm of each matrix of a stack of moduli, power-of-two scaled as
-    ``_norm`` scales, so no square of a large or small entry leaves the
-    float range."""
-    peak = mag.max(axis=(1, 2), initial=0.0)
-    keep = (peak == 0.0) | ((1.0 / _SCALE_LIMIT <= peak)
-                            & (peak <= _SCALE_LIMIT))
-    if keep.all():
-        return np.sqrt(np.einsum("kij,kij->k", mag, mag))
-    e = np.where(keep, 0, np.frexp(peak)[1])
-    scaled = np.ldexp(mag, -e[:, None, None])
-    return np.ldexp(np.sqrt(np.einsum("kij,kij->k", scaled, scaled)), e)
+def _off_diagonal_norm(w: np.ndarray) -> float:
+    mask = ~np.eye(w.shape[0], dtype=bool)
+    return _norm(w[mask])
 
 
-def _off_diagonal_norm(mag: np.ndarray) -> np.ndarray:
-    """Off-diagonal mass of each matrix of a stack of moduli, whose
-    diagonal is set to 0 in place."""
-    diag = np.arange(mag.shape[-1])
-    mag[:, diag, diag] = 0.0
-    return _masses(mag)
+def _sweep_head(w: np.ndarray, level: float, prev_off: float, rotations: int,
+                budget: int, off_target: float) -> tuple[float, float] | None:
+    """Stopping rule of both Jacobi kernels, run on Hermitian ``w``.
 
-
-def _sweep_head(w: np.ndarray, level: float, prev_off, rotations, budget: int,
-                off_target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stopping rule of both Jacobi kernels, run on a stack of Hermitian
-    ``w``, each matrix on its own.
-
-    A matrix's sweeps stop once every ``|w_pq| <= level sqrt(|w_pp w_qq|)``
-    or ``_TINY_PIVOT`` (Demmel & Veselic, SIAM J. Matrix Anal. Appl.
-    13(4), 1992: at level eps a further rotation moves no eigenvalue by
-    more than eps relative to itself), when a sweep fails to shrink the
-    off-diagonal mass, or when the budget is spent.  Returns
-    ``(off, refused, done)`` per matrix: the off-diagonal mass, the mass
-    of the entries above that floor, and whether its sweeps stop.  A
-    matrix that stops above its ``off_target`` raises NoConvergence.
+    Sweeps stop once every ``|w_pq| <= level sqrt(|w_pp w_qq|)`` or
+    ``_TINY_PIVOT`` (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4),
+    1992: at level eps a further rotation moves no eigenvalue by more
+    than eps relative to itself), when a sweep fails to shrink the
+    off-diagonal mass, or when the budget is spent.  While sweeps go on
+    returns ``(off, refused)``: the off-diagonal mass and the mass of
+    the entries above that floor.  Returns None when they stop at or
+    below ``off_target``; stopping above it raises NoConvergence.
     """
-    root = np.sqrt(np.abs(np.diagonal(w, axis1=1, axis2=2).real))
-    mag = np.abs(w)
-    off = _off_diagonal_norm(mag)  # the diagonal, 0 now, is not tested
-    bound = root[:, :, None] * root[:, None, :]
+    off = _off_diagonal_norm(w)
+    root = np.sqrt(np.abs(w.diagonal().real))
+    bound = np.outer(root, root)
     bound *= level
     np.maximum(bound, _TINY_PIVOT, out=bound)
-    refused = mag > bound
-    floor = ~refused.any(axis=(1, 2))
-    stalled = off >= prev_off
-    spent = rotations >= budget
-    done = floor | stalled | spent
-    over = done & (off > off_target)
-    if over.any():
-        k = int(np.argmax(over))
-        reason = ("sweeps reached the relative rounding floor" if floor[k]
-                  else "sweeps stalled" if stalled[k]
-                  else f"sweep budget of {budget} rotations exhausted")
-        target = np.broadcast_to(off_target, off.shape)[k]
-        raise NoConvergence(
-            f"Jacobi {reason} with off-diagonal mass {off[k]:.3e} "
-            f"above target {target:.3e}"
-        )
-    mag[~refused] = 0.0
-    return off, _masses(mag), done
+    np.fill_diagonal(bound, np.inf)  # the diagonal is not tested
+    mag = np.abs(w)
+    if np.all(mag <= bound):
+        reason = "sweeps reached the relative rounding floor"
+    elif off >= prev_off:
+        reason = "sweeps stalled"
+    elif rotations >= budget:
+        reason = f"sweep budget of {budget} rotations exhausted"
+    else:
+        return off, _norm(mag[mag > bound])
+    if off <= off_target:
+        return None
+    raise NoConvergence(
+        f"Jacobi {reason} with off-diagonal mass {off:.3e} "
+        f"above target {off_target:.3e}"
+    )
 
 
 def _rotation(alpha: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -460,10 +401,8 @@ def _rotation(alpha: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
 def _rotate_rows(x: np.ndarray, p, q, c, s, su, cu):
     """Rows ``(x_p, x_q)`` to ``(c x_p - su x_q, s x_p + cu x_q)``, in place.
 
-    ``p`` and ``q`` index rows of x, or rows of a stack as (matrix, row)
-    tuples.  The gathered copies of the rows are updated in place: four
-    arrays of their size per update, not the eight the plain expressions
-    take.
+    The gathered copies of the rows are updated in place: four arrays of
+    their size per update, not the eight the plain expressions take.
     """
     xp = x[p]
     xq = x[q]
@@ -529,66 +468,38 @@ def _jacobi_hermitian(matrix: np.ndarray):
     off-diagonal mass, t could sit above every refused pivot of a graded
     matrix whose mass is in accepted ones, and the sweeps would stall.)
 
-    A stack of matrices (k x n x n) is solved as k problems at once: each
-    round's rotations of every matrix are applied together, and each
-    matrix keeps its own threshold, stop test, target and budget; only
-    the power of two is one for the stack.
-
-    Returns ``(eigenvalues, vectors)`` unsorted, stacked as the input is.
+    Returns ``(eigenvalues, vectors)`` unsorted.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    stack = m.reshape((-1,) + m.shape[-2:])
-    w = np.conjugate(stack.transpose(0, 2, 1), order="C")
-    w += stack
+    w = np.conjugate(m.T, order="C")
+    w += m
     w /= 2.0
     w, e = _power_of_two_scaled(w)
-    k, n = w.shape[:2]
-    fro = np.linalg.norm(w, axis=(1, 2))
-    off_target = np.ldexp(ATOL * (1.0 + np.ldexp(fro, e)), -e)
-    fro[fro == 0.0] = 1.0  # a zero matrix stops at its first head
-    diag = np.arange(n)
-    vt = np.zeros((k, n, n), dtype=np.complex128)  # rows are eigenvectors
-    vt[:, diag, diag] = 1.0
-    # matrix h's rows are rows hn..hn + n - 1 of the stack's row view and
-    # its columns rows of its transposed view; a round visits its pairs in
-    # every matrix, and a single matrix is indexed as the round's own
-    # arrays, with 2-D views
-    rows, vrows = w.reshape(k * n, n), vt.reshape(k * n, n)
-    if k == 1:
-        cols = w[0].T
-        rounds = [(p, q, p, q, 0) for p, q in _round_robin_rounds(n)]
-    else:
-        cols = w.transpose(0, 2, 1)
-        owner = np.arange(k)[:, None]
-        rounds = [(np.tile(p, k), np.tile(q, k), (owner * n + p).ravel(),
-                   (owner * n + q).ravel(), np.repeat(owner, p.size))
-                  for p, q in _round_robin_rounds(n)]
+    fro = float(np.linalg.norm(w))
+    off_target = float(np.ldexp(ATOL * (1.0 + np.ldexp(fro, e)), -e))
+    n = w.shape[0]
+    vt = np.eye(n, dtype=np.complex128)  # rows are eigenvectors
     width = max(1, _BLOCK_BYTES // (16 * n))  # pairs per block
     budget = JACOBI_BUDGET_FACTOR * n * n
-    rotations = np.zeros(k, dtype=np.int64)
-    prev_off = np.full(k, np.inf)
-    live = np.ones(k, dtype=bool)
+    rotations = 0
+    prev_off = np.inf
     while True:
-        prev_off, r, done = _sweep_head(w, _EPS, prev_off, rotations, budget,
-                                        off_target)
-        live &= ~done
-        if not live.any():
+        head = _sweep_head(w, _EPS, prev_off, rotations, budget, off_target)
+        if head is None:
             break
+        prev_off, r = head
         # denormal pivots are noise, and dividing by them overflows
-        threshold = np.maximum(r * (r / fro) / (4.0 * n), _TINY_PIVOT)
-        threshold[~live] = np.inf
-        for p_all, q_all, fp_all, fq_all, of in rounds:
-            beta = rows[fp_all, q_all]
-            alpha = rows[fp_all, p_all].real
-            gamma = rows[fq_all, q_all].real
+        threshold = max(r * (r / fro) / (4.0 * n), _TINY_PIVOT)
+        for p_all, q_all in _round_robin_rounds(n):
+            beta = w[p_all, q_all]
+            alpha = w[p_all, p_all].real
+            gamma = w[q_all, q_all].real
             floor = _EPS * (np.sqrt(np.abs(alpha)) * np.sqrt(np.abs(gamma)))
-            active = np.abs(beta) > np.maximum(floor, threshold[of])
+            active = np.abs(beta) > np.maximum(floor, threshold)
             if not active.any():
                 continue
             p = p_all[active]
             q = q_all[active]
-            fp, fq, kk = (p, q, 0) if k == 1 else (
-                fp_all[active], fq_all[active], of[active])
             alpha = alpha[active]
             gamma = gamma[active]
             shift, c, s, u = _rotation(alpha, gamma, beta[active])
@@ -596,23 +507,16 @@ def _jacobi_hermitian(matrix: np.ndarray):
             cu = c * u
             for lo in range(0, p.size, width):
                 b = slice(lo, lo + width)
-                cb, sb = c[b], s[b]
-                cp, cq = (p[b], q[b]) if k == 1 else ((kk[b], p[b]),
-                                                      (kk[b], q[b]))
-                _rotate_rows(cols, cp, cq, cb, sb, su[b], cu[b])
-                _rotate_rows(rows, fp[b], fq[b], cb, sb, su[b].conj(),
-                             cu[b].conj())
-                _rotate_rows(vrows, fp[b], fq[b], cb, sb, su[b], cu[b])
-            rows[fp, q] = 0.0
-            rows[fq, p] = 0.0
-            rows[fp, p] = alpha - shift
-            rows[fq, q] = gamma + shift
-            rotations += p.size if k == 1 else np.bincount(kk, minlength=k)
-    values = np.ldexp(np.diagonal(w, axis1=1, axis2=2).real, e)
-    vectors = vt.transpose(0, 2, 1)
-    if m.ndim == 2:
-        return values[0], vectors[0]
-    return values, vectors
+                pb, qb, cb, sb = p[b], q[b], c[b], s[b]
+                _rotate_rows(w.T, pb, qb, cb, sb, su[b], cu[b])  # columns
+                _rotate_rows(w, pb, qb, cb, sb, su[b].conj(), cu[b].conj())
+                _rotate_rows(vt, pb, qb, cb, sb, su[b], cu[b])
+            w[p, q] = 0.0
+            w[q, p] = 0.0
+            w[p, p] = alpha - shift
+            w[q, q] = gamma + shift
+            rotations += int(p.size)
+    return np.ldexp(w.diagonal().real, e), vt.T
 
 
 def _jacobi_one_sided(matrix: np.ndarray):
@@ -644,11 +548,10 @@ def _jacobi_one_sided(matrix: np.ndarray):
     gram = gt.conj() @ gt.T
     off_target = ATOL * (1.0 + np.linalg.norm(gram))
     while True:
-        off, _, done = _sweep_head(gram[None], level, prev_off, rotations,
-                                   budget, off_target)
-        if done[0]:
+        head = _sweep_head(gram, level, prev_off, rotations, budget, off_target)
+        if head is None:
             break
-        prev_off = off
+        prev_off = head[0]
         norms = gram.diagonal().real.copy()
         for p_all, q_all in _round_robin_rounds(n):
             beta = np.einsum("ij,ij->i", gt[p_all].conj(), gt[q_all])
@@ -811,15 +714,15 @@ def normal_eig(m: OperatorMatrix) -> EigenSystem:
 
     Writes ``M = H + iK`` with ``H = (M + M*)/2`` and ``K = (M - M*)/(2i)``,
     which commute exactly when M is normal.  Each diagonal block of M
-    (``_diagonal_blocks``) is solved alone, blocks of one size as one
-    stack, and a 1 x 1 block is its own eigenpair.  In a block H is
-    diagonalized first and K is formed on H's vectors with one product.
-    K is then diagonalized inside each cluster of nearby H eigenvalues
-    whose K block has off-diagonal mass above ``n eps ||M||_F``; every
-    other vector keeps its K Rayleigh quotient.  The joint eigenvalue of
-    a vector is its H Rayleigh quotient plus i times its K eigenvalue.
-    H's clusters are cut by the largest |h| of all of M, and K's floor
-    is M's, so a block is solved by the rules of the whole matrix.
+    (``_diagonal_blocks``) is solved alone, and a 1 x 1 block is its own
+    eigenpair.  In a block H is diagonalized first and K is formed on
+    H's vectors with one product.  K is then diagonalized inside each
+    cluster of nearby H eigenvalues whose K block has off-diagonal mass
+    above ``n eps ||M||_F``; every other vector keeps its K Rayleigh
+    quotient.  The joint eigenvalue of a vector is its H Rayleigh
+    quotient plus i times its K eigenvalue.  H's clusters are cut by the
+    largest |h| of all of M, and K's floor is M's, so a block is solved
+    by the rules of the whole matrix.
 
     Raises NotNormal when the commutator test fails, first, ScaleLimit
     past an entry of 2^128 and NoConvergence when a Jacobi stage stalls.
@@ -835,63 +738,61 @@ def _normal_eig(m: OperatorMatrix) -> EigenSystem:
     a = m.array
     n = m.dim
     offsets = _diagonal_blocks(a)
+    ones = offsets[:-1][np.diff(offsets) == 1]
     vals = a.diagonal().copy()  # a 1 x 1 block is its own eigenpair
-    top = float(np.abs(vals.real).max())
+    top = float(np.abs(vals[ones].real).max(initial=0.0))
     solved = []
-    for size, starts in _size_groups(offsets):
-        if size == 1:
-            continue
-        stack = _block_stack(a, starts, size)
-        h_vals, h_vecs = _jacobi_hermitian(stack)  # H = (M + M*)/2
-        order = np.argsort(h_vals, axis=1, kind="stable")
-        h_vals = np.take_along_axis(h_vals, order, 1)
-        h_vecs = np.take_along_axis(h_vecs, order[:, None, :], 2)
-        top = max(top, float(np.abs(h_vals).max()))
-        solved.append((size, starts, stack, h_vals, h_vecs))
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        if hi - lo > 1:  # the block's H = (M + M*)/2, sorted
+            h_vals, h_vecs = _jacobi_hermitian(a[lo:hi, lo:hi])
+            order = np.argsort(h_vals, kind="stable")
+            solved.append((lo, hi, h_vals[order], h_vecs[:, order]))
+            top = max(top, float(np.abs(h_vals).max()))
     # H's vectors are as good as eps ||M|| over H's gaps: an absolute cut
     radius = Tolerances.cluster_radius(top)
     # a K block whose off-diagonal is rounding of M keeps H's vectors:
     # rotating on it would mix the H values of a chained cluster at random
     noise = n * _EPS * np.linalg.norm(a)
-    for size, starts, stack, h_vals, h_vecs in solved:
-        kh = ((stack - stack.conj().transpose(0, 2, 1)) / 2.0j) @ h_vecs
-        v = h_vals + 1.0j * np.einsum("kij,kij->kj", h_vecs.conj(), kh).real
-        # H's clusters, never across blocks, by flat index b size + j
-        cut = np.ones(h_vals.shape, dtype=bool)
-        cut[:, :-1] = np.diff(h_vals, axis=1) > radius
-        ends = np.concatenate(([0], np.flatnonzero(cut) + 1))
-        sizes = np.diff(ends)
-        # np.unique would import numpy.ma, about 17 ms of every CLI run
-        for c in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
-            block, col = np.divmod(ends[:-1][sizes == c], size)
-            block = block[:, None]
-            cols = col[:, None] + np.arange(c)
-            # (clusters, c, size): each row one of H's vectors
-            vecs = h_vecs[block, :, cols]
-            kb = vecs.conj() @ kh[block, :, cols].transpose(0, 2, 1)
-            off = np.linalg.norm(kb * ~np.eye(c, dtype=bool), axis=(1, 2))
-            turn = off > noise
-            if not turn.any():
-                continue
-            block, cols = block[turn], cols[turn]
-            k_vals, k_vecs = _jacobi_hermitian(kb[turn])
-            # Rayleigh quotient of H per joint vector: |k_vecs|^2 column
-            # sums against the member h values
-            v[block, cols] = np.einsum("ma,mab->mb", h_vals[block, cols],
-                                       np.abs(k_vecs) ** 2) + 1.0j * k_vals
-            h_vecs[block, :, cols] = k_vecs.transpose(0, 2, 1) @ vecs[turn]
-        vals[starts[:, None] + np.arange(size)] = v
-        del stack, h_vals, h_vecs, kh
+    for lo, hi, h_vals, h_vecs in solved:
+        vals[lo:hi] = _k_stage(a[lo:hi, lo:hi], h_vals, h_vecs, radius,
+                               noise)
     # one n x n frame, block-diagonal, filled once the K stage's arrays
     # are gone
     frame = np.zeros((n, n), dtype=np.complex128)
-    ones = offsets[:-1][np.diff(offsets) == 1]
     frame[ones, ones] = 1.0
     while solved:
-        size, starts, stack, h_vals, h_vecs = solved.pop()
-        _put_blocks(frame, starts, size, h_vecs)
-        del stack, h_vals, h_vecs
+        lo, hi, _, h_vecs = solved.pop()
+        frame[lo:hi, lo:hi] = h_vecs
+        del h_vecs
     return _eigensystem(vals, frame)
+
+
+def _k_stage(a: np.ndarray, h_vals: np.ndarray, h_vecs: np.ndarray,
+             radius: float, noise: float) -> np.ndarray:
+    """Joint eigenvalues of a normal block ``a`` on H's sorted eigenpairs.
+
+    K is diagonalized inside each cluster of H values closer than
+    ``radius`` whose K block has off-diagonal mass above ``noise``, and
+    those columns of ``h_vecs`` are rotated in place.
+    """
+    cuts = np.diff(h_vals) > radius
+    offsets = np.concatenate(([0], np.flatnonzero(cuts) + 1, [h_vals.size]))
+    kh = ((a - a.conj().T) / 2.0j) @ h_vecs
+    vals = h_vals + 1.0j * np.einsum("ij,ij->j", h_vecs.conj(), kh).real
+    sizes = np.diff(offsets)
+    # np.unique would import numpy.ma, about 17 ms of every CLI run
+    for size in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
+        cols = offsets[:-1][sizes == size, None] + np.arange(size)
+        blocks = (h_vecs[:, cols].conj().transpose(1, 2, 0)
+                  @ kh[:, cols].transpose(1, 0, 2))
+        off = np.linalg.norm(blocks * ~np.eye(size, dtype=bool), axis=(1, 2))
+        for c, kb in zip(cols[off > noise], blocks[off > noise]):
+            k_vals, k_vecs = _jacobi_hermitian(kb)
+            # Rayleigh quotient of H per joint vector: |k_vecs|^2 column
+            # sums against the member h values
+            vals[c] = h_vals[c] @ np.abs(k_vecs) ** 2 + 1.0j * k_vals
+            h_vecs[:, c] = h_vecs[:, c] @ k_vecs
+    return vals
 
 
 def op_norm_2(m: OperatorMatrix) -> float:

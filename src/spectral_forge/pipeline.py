@@ -50,7 +50,7 @@ from .errors import NotCommuting, ScaleLimit
 from .linalg import OperatorMatrix, Tolerances, _normal_eig, rel
 from .measures import (PVM_FACTOR, SpectralMeasure, _Blocks, _merged,
                        _range_gap, _reconstruction_check, pvm_from_normal)
-from .product import ProductMeasure, pushforward
+from .product import ProductMeasure, _basis_defects, pushforward
 from .report import VerificationReport
 
 __all__ = [
@@ -167,13 +167,15 @@ def _labelled(e1: SpectralMeasure, frame: SpectralMeasure, u: np.ndarray
     grouped by (E_A atom, E_B atom), since F's columns come in atom
     order: so they are the product's basis, atom (i, j) spanned by the
     columns of E_B's atom j labelled i.  In U's frame that span is
-    P_i Q_j exactly, as no column crosses two atoms, so the product's
-    rectangle residual is 0; U's own orthonormality is E_A's to meet.
-    E_B's basis is the same columns in F's order.
+    P_i Q_j exactly when F is orthonormal, as no column crosses two
+    atoms, so the product's rectangle residual is the largest
+    ``||F_j* F_j - I||_F`` over E_B's atoms j; U's own orthonormality
+    is E_A's to meet.  E_B's basis is the same columns in F's order.
     """
     f = frame.stacked_basis()
     n, m = f.shape
     points, offsets = frame.points, frame.offsets
+    rectangle = float(_basis_defects(f, offsets).max())
     which = np.repeat(np.arange(frame.num_atoms), frame.ranks)
     del frame  # f is freed with it below
     atom = np.repeat(np.arange(e1.num_atoms), e1.ranks)
@@ -206,7 +208,7 @@ def _labelled(e1: SpectralMeasure, frame: SpectralMeasure, u: np.ndarray
     prod = ProductMeasure(n, e1.points.real[label[firsts]],
                           points[which[firsts]],
                           bases=_Blocks(basis, np.append(firsts, m)),
-                          rectangle_residual=0.0)
+                          rectangle_residual=rectangle)
     e2 = SpectralMeasure(n, points, bases=_Blocks(
         basis[:, np.argsort(order)], offsets), of="B")
     return e2, prod

@@ -60,8 +60,7 @@ class ProductMeasure(_AtomStore):
     in the atom store shared with SpectralMeasure.
     ``rectangle_residual`` is the largest deviation of
     a stored projection from the literal product P_i Q_j, measured at
-    construction time; 0 for the product ``spectral_theorem`` reads off
-    E_B's frame, whose atoms are P_i Q_j exactly in that frame.
+    construction time.
     """
 
     dim: int

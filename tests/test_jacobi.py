@@ -39,11 +39,10 @@ def ref_jacobi_hermitian(matrix):
     rotations = 0
     prev_off = np.inf
     while True:
-        off, _, done = _sweep_head(w[None], _EPS, prev_off, rotations,
-                                   budget, off_target)
-        if done[0]:
+        head = _sweep_head(w, _EPS, prev_off, rotations, budget, off_target)
+        if head is None:
             break
-        off = prev_off = off[0]
+        off = prev_off = head[0]
         skip_threshold = off / (4.0 * n)
         for p_all, q_all in _round_robin_rounds(n):
             beta = w[p_all, q_all]

@@ -512,8 +512,8 @@ def _assert_matches_eig(a: np.ndarray):
 
 
 def test_direct_sum_is_solved_block_by_block():
-    # blocks of 1, 3, 4 and 4 (two of one size, one stack) solve as the
-    # whole would, against numpy's eig
+    # blocks of 1, 3, 4 and 4, each solved alone, solve as the whole
+    # would, against numpy's eig
     from spectral_forge.gallery import OperatorSpec, generate
     parts = [generate(OperatorSpec("random_normal", dim=3, seed=1)).array,
              np.array([[2.5 - 1j]]),
@@ -535,20 +535,3 @@ def test_interleaved_blocks_are_solved_as_one_coarser_block():
     a = a[np.ix_(order, order)]
     assert _diagonal_blocks(a).tolist() == [0, 5]
     _assert_matches_eig(a)
-
-
-def test_a_stack_is_solved_as_each_matrix_alone():
-    # each matrix of a stack keeps its own threshold and stop test: the
-    # stack's values and vectors are those of each solve alone, bit for
-    # bit, a zero and a diagonal matrix among them
-    from spectral_forge.linalg import _jacobi_hermitian
-    rng = np.random.default_rng(8)
-    stack = np.stack([random_hermitian(rng, 5).array,
-                      np.zeros((5, 5), dtype=complex),
-                      np.diag(rng.normal(size=5)).astype(complex),
-                      random_hermitian(rng, 5, 1e3).array])
-    values, vectors = _jacobi_hermitian(stack)
-    for k, m in enumerate(stack):
-        alone = _jacobi_hermitian(m)
-        np.testing.assert_array_equal(values[k], alone[0])
-        np.testing.assert_array_equal(vectors[k], alone[1])

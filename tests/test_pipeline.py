@@ -385,7 +385,7 @@ def test_pipeline_sweeps_once_cold(monkeypatch):
     measure = linalg._off_diagonal_norm
 
     def counted(w):
-        if w.shape[-1] >= 8:
+        if w.shape[0] >= 8:
             heads.append(1)
         return measure(w)
 
@@ -681,3 +681,32 @@ def test_route_refuses_an_e2_that_crosses_e1_atoms(monkeypatch):
     monkeypatch.setattr(pipeline, "pvm_from_normal", crossing)
     with pytest.raises(NotCommuting, match="column 1 of E_B's frame"):
         spectral_theorem(t)
+
+
+@pytest.mark.parametrize("case", ["rank_one", "rank_two"])
+def test_route_product_measures_its_rectangle_residual(case, monkeypatch):
+    # the record is the largest ||F_j* F_j - I||_F of E_B's frame: 0 on
+    # the unit vectors of rank-one atoms, rounding on rank-two ones, and
+    # it fails product_validate when the frame's columns drift from unit
+    # length, even where the product's bases are U's own columns
+    from spectral_forge.product import product_validate
+    t = LABELLED_CASES[case]()
+    res = spectral_theorem(t)
+    bound = product_validate(res.product).tolerances["rectangle"]
+    if case == "rank_one":
+        assert res.product.rectangle_residual == 0.0
+    else:
+        assert 0.0 < res.product.rectangle_residual <= bound
+    solve = pipeline.pvm_from_normal
+
+    def stretched(local):
+        e = solve(local)
+        basis = np.array(e.stacked_basis()) * (1.0 + 1e-6)
+        return SpectralMeasure(e.dim, e.points, bases=tuple(
+            basis[:, e.offsets[k]:e.offsets[k + 1]]
+            for k in range(e.num_atoms)))
+
+    monkeypatch.setattr(pipeline, "pvm_from_normal", stretched)
+    product = spectral_theorem(t).product
+    assert product.rectangle_residual > bound
+    assert "rectangle" in product_validate(product).failed
