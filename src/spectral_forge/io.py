@@ -21,19 +21,19 @@ after an exact type screen; a malformed list stays a list, and
 decodes each distinct ``entries`` text once: copies of one text, found
 and compared in the file's bytes, share one array (``_parse_once``).
 Each distinct text decodes in pieces of about ``_PIECE`` characters,
-cut between pairs, into one array, so one piece's pair lists are the
-only Python lists and floats alive at once, whether the file holds one
-matrix or many.  A file with no such text, or whose bytes leave any
-doubt (other separators, a bad pair, a string), is decoded as a
-text-mode read decodes it and parsed whole by ``json.loads``, which
-decodes each list as the parser closes its object and reports errors
-as it always did.  A file with bytes that are not ASCII is first
-checked to be UTF-8 in pieces, so it keeps the piecewise read and a
-file that is not UTF-8 is refused at the byte the whole decode names.
-The read peaks at the
-file's bytes, the distinct arrays at 16 bytes a pair and one piece;
-a file parsed whole also holds its text.
-A measure document is
+cut between pairs, into one array; a piece is parsed as one flat list
+of numbers after a byte screen and a proof from its commas that every
+pair holds two (``_flat``), so one piece's floats and no list per pair
+are alive at once, whether the file holds one matrix or many.  A file
+with no such text, or whose bytes leave any doubt (other separators or
+whitespace, a bad pair, a string), is decoded as a text-mode read
+decodes it and parsed whole by ``json.loads``, which decodes each list
+as the parser closes its object and reports errors as it always did.
+A file with bytes that are not ASCII is first checked to be UTF-8 in
+pieces, so it keeps the piecewise read and a file that is not UTF-8 is
+refused at the byte the whole decode names.  The read peaks at the
+file's bytes, the distinct arrays at 16 bytes a pair and one piece; a
+file parsed whole also holds its text.  A measure document is
 ``{"dim", "of", "cluster", "atoms"}``: ``of`` is the measure's own label
 of the operator it resolves (``"T"``, ``"A"`` or ``"B"``), written from
 it and read back into it; ``cluster``, present only on a measure of T
@@ -74,8 +74,8 @@ __all__ = [
 # floats that exist at once while a matrix is written.
 _BLOCK = 1024
 # Characters of an ``entries`` text per decoder call, give or take one
-# pair: bounds the Python lists and floats that exist at once while a
-# matrix is read.
+# pair: bounds the Python floats that exist at once while a matrix is
+# read.
 _PIECE = 1 << 16
 
 
@@ -309,18 +309,18 @@ def _decode_span(raw: bytes, start: int, end: int) -> np.ndarray | None:
 
     The list is cut after a pair's ``]`` at each ``], [`` found at least
     ``_PIECE`` characters into a piece, and each piece is decoded by
-    ``json.loads`` and ``_pairs``, so at most one piece's lists and
-    floats exist at once.  The pieces are valid lists of pairs exactly
-    when the whole is.  A list of more than one piece goes into one
-    array allocated up front, one pair per ``], [`` plus one.  None when
-    a piece is not valid, or when the pieces hold another count of
-    pairs: a pair separator other than ``, ``.
+    ``_flat`` as one flat list of numbers, so at most one piece's floats
+    and no list per pair exist at once.  The pieces are valid lists of
+    pairs exactly when the whole is.  A list of more than one piece goes
+    into one array allocated up front, one pair per ``], [`` plus one.
+    None when ``_flat`` is in doubt about a piece, or when the pieces
+    hold another count of pairs: a pair separator other than ``, ``.
     """
     out, filled, at, last = None, 0, start + 1, end - 1
     while at < last:
         cut = raw.find(b"], [", min(at + _PIECE, last), last)
         stop = cut + 1 if cut >= 0 else last
-        values = _pairs(json.loads(f"[{raw[at:stop].decode()}]"))
+        values = _flat(raw[at:stop])
         if values is None:
             return None
         if out is None:
@@ -334,6 +334,30 @@ def _decode_span(raw: bytes, start: int, end: int) -> np.ndarray | None:
         filled += values.size
         at = stop + 2  # past the ", " between two pairs
     return out if out is not None and filled == out.size else None
+
+
+def _flat(piece: bytes) -> np.ndarray | None:
+    """The pairs ``[a, b], [c, d], ...`` of ``piece`` as complex128, or None.
+
+    With its outer brackets dropped and each ``], [`` made ``, ``, the
+    piece may hold only digits, ``.eE+-``, commas and spaces, so
+    ``json.loads`` returns nothing but numbers; its commas must
+    alternate, an odd count with exactly every second one after a ``]``,
+    so every pair holds two numbers.  None on any doubt, for the whole
+    parse to judge.
+    """
+    flat = piece[1:-1].replace(b"], [", b", ")
+    chars = np.frombuffer(piece, np.uint8)
+    after = chars[np.flatnonzero(chars == ord(",")) - 1] == ord("]")
+    if (piece[:1] + piece[-1:] != b"[]"
+            or flat.translate(None, b"0123456789.eE+-, ")
+            or after.size % 2 == 0 or after[::2].any()
+            or not after[1::2].all()):
+        return None
+    try:
+        return _finite(json.loads(b"[" + flat + b"]"))
+    except ValueError:  # not a list of numbers, or an integer too long
+        return None
 
 
 def _field(doc: dict, name: str, kind, where: str):
@@ -395,19 +419,22 @@ def _pairs(pairs: list) -> np.ndarray | None:
     """[real, imaginary] pairs as complex128, or None if any is not valid.
 
     Two-element lists of exact ``float``/``int`` leaves (so ``true`` and
-    ``"1.5"`` are refused) convert in one ``np.fromiter`` pass; an integer
-    past double range or a non-finite value gives None.
+    ``"1.5"`` are refused) convert in one pass (``_finite``).
     """
     if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
         leaves = list(chain.from_iterable(pairs))
         if set(map(type, leaves)) <= {float, int}:
-            try:
-                flat = np.fromiter(leaves, np.float64, len(leaves))
-            except OverflowError:  # an integer past double range
-                return None
-            if np.isfinite(flat).all():
-                return flat.view(np.complex128)
+            return _finite(leaves)
     return None
+
+
+def _finite(numbers: list) -> np.ndarray | None:
+    """Numbers as complex128 pairs, or None if one is not a finite double."""
+    try:
+        flat = np.fromiter(numbers, np.float64, len(numbers))
+    except OverflowError:  # an integer past double range
+        return None
+    return flat.view(np.complex128) if np.isfinite(flat).all() else None
 
 
 def _complexes(pairs: list, where) -> np.ndarray:

@@ -278,6 +278,8 @@ def _same(got, want) -> bool:
     if isinstance(got, np.ndarray):
         return (got.dtype == want.dtype and got.shape == want.shape
                 and got.tobytes() == want.tobytes())
+    if isinstance(got, float):  # bit for bit, so NaN is itself
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
     return got == want
 
 
@@ -298,13 +300,14 @@ def test_each_distinct_entries_text_is_parsed_once(tmp_path, monkeypatch):
     with open(bundle) as handle:
         want = json.loads(handle.read(), object_hook=io._decode_entries)
     decoded = []
-    pairs = io._pairs
+    flat = io._flat
 
-    def seen(values):
-        decoded.append(len(values))
-        return pairs(values)
+    def seen(piece):
+        values = flat(piece)
+        decoded.append(values.size)
+        return values
 
-    monkeypatch.setattr(io, "_pairs", seen)
+    monkeypatch.setattr(io, "_flat", seen)
     got = io.read_json(bundle)
     monkeypatch.undo()
     assert _same(got, want)
@@ -333,14 +336,34 @@ def _one_parse(path: str):
 
 def test_read_without_repeats_holds_no_extra_copy(tmp_path):
     # one n = 384 matrix, 1.8 MB of text, decodes piece by piece into
-    # one array: the text, its 2.4 MB of complex128 and one piece's pair
-    # lists, 5.0 MiB in all; the one json.loads parse, which holds every
-    # pair's list and floats, peaks at 27.1 MiB
+    # one array: the text, its 2.4 MB of complex128 and one piece's flat
+    # list of floats, 4.6 MiB in all; the one json.loads parse, which
+    # holds every pair's list and floats, peaks at 27.1 MiB
     path = _shuffled_diagonal_file(tmp_path)
     want = _one_parse(path)
     got, peak = _peak(lambda: io.read_json(path))
     assert _same(got, want)
     assert peak <= 8 * 2**20
+
+
+def test_canonical_files_build_no_list_per_pair(tmp_path, monkeypatch):
+    # every entries text of the n = 32 bundle and of the n = 384 input
+    # decodes as one flat list of numbers a piece: _pairs, which screens
+    # a list per pair, is never called
+    paths = [_peak_bundle(tmp_path), _shuffled_diagonal_file(tmp_path)]
+    wants = [_one_parse(path) for path in paths]
+    calls = []
+    pairs = io._pairs
+
+    def seen(values):
+        calls.append(len(values))
+        return pairs(values)
+
+    monkeypatch.setattr(io, "_pairs", seen)
+    gots = [io.read_json(path) for path in paths]
+    assert calls == []
+    assert all(map(_same, gots, wants))
+    assert isinstance(gots[1]["entries"], np.ndarray)
 
 
 def _rewritten(path: str, **layout) -> str:
@@ -446,6 +469,80 @@ def test_doubtful_repeats_read_as_the_one_parse_reads_them(
     got = _read(path)
     monkeypatch.setattr(io, "_parse_once", lambda raw: None)
     assert _same(got, _read(path))
+
+
+def _small_pieces(text: str, path: str) -> tuple:
+    """``text`` read from ``path`` with pieces of about 24 characters.
+
+    Returns ``_parse_once``'s document, ``read_json``'s outcome and the
+    outcome of the one ``json.loads`` parse (a document or the text of a
+    ParseError).
+    """
+    with open(path, "w") as handle:
+        handle.write(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_PIECE", 24)
+        once = io._parse_once(text.encode())
+        got = _read(path)
+        patch.setattr(io, "_parse_once", lambda raw: None)
+        return once, got, _read(path)
+
+
+def _around_pairs(middle: str) -> str:
+    """A matrix document whose entries hold ``middle`` between pairs."""
+    fill = ", ".join(["[0.5, -1.25]"] * 4)
+    return '{"dim": 3, "entries": [%s, %s, %s]}' % (fill, middle, fill)
+
+
+@pytest.mark.parametrize("number", [
+    "-0.0", "5e-324", "1.7976931348623157e308", "0", "-7", str(2**53 + 1),
+    str(2**70), "1E5", "-2.5e-3"])
+def test_flat_decode_of_a_number_reads_as_the_one_parse(tmp_path, number):
+    once, got, want = _small_pieces(_around_pairs(f"[{number}, {number}]"),
+                                    str(tmp_path / "d.json"))
+    assert once is not None and isinstance(got["entries"], np.ndarray)
+    assert _same(got, want)
+
+
+@PROPERTY
+@given(st.lists(FINITE, min_size=18, max_size=18))
+def test_flat_decode_of_any_doubles_reads_as_the_one_parse(tmp_path_factory,
+                                                           parts):
+    pairs = ", ".join(json.dumps(parts[i:i + 2]) for i in range(0, 18, 2))
+    once, got, want = _small_pieces(
+        '{"dim": 3, "entries": [%s]}' % pairs,
+        str(tmp_path_factory.getbasetemp() / "flat.json"))
+    assert once is not None and _same(got, want)
+    assert got["entries"].tobytes() == np.array(parts).tobytes()
+
+
+@pytest.mark.parametrize("text", [_around_pairs(middle) for middle in [
+    "[1, 2, 3], [4]", "[1, 2],[3, 4]", "[1, 2] , [3, 4]", "[1,\t2]",
+    "[1,\n2]", "[[1, 2]]", '["], [", 1]', "[true, 1]", "[null, 1]",
+    "[NaN, 1]", "[-Infinity, 1]", "[1e400, 1]", "[1%s, 1]" % ("0" * 399),
+    "[%s, 1]" % ("1" * 5000)]] + [
+    '{"dim": 2, "entries": [[1, 2], [3]]}', '{"dim": 1, "entries": [11, 2]]}',
+    '{"dim": 3, "entries": [[1], [2], [3, 4]]}',
+    '{"dim": 1, "entries": [[1, 2, 3, 4]]}'],
+    ids=["three-and-one", "no-space", "spaced", "tab", "newline", "nested",
+         "string", "true", "null", "nan", "infinity", "past-range",
+         "400-digits", "5000-digits", "last-pair-short", "no-pair-brackets",
+         "one-one-two", "four-in-one"])
+def test_doubtful_pairs_read_as_the_one_parse_reads_them(tmp_path, text):
+    # the flat decode declines, and read_json gives the document or the
+    # error of the one json.loads parse
+    once, got, want = _small_pieces(text, str(tmp_path / "d.json"))
+    assert once is None and _same(got, want)
+    if len(text) > 5000:
+        assert got.endswith("d.json: an integer has too many digits")
+
+
+@pytest.mark.parametrize("piece", [
+    b"[1, 2], [3]", b"[3]", b"[]", b"1, 2]", b"[1, 2", b"[1, 2]]",
+    b"[1, 2], [3, 4], [5, 6, 7]", b"[1, 2], [, 3]", b"[1 2, 3]",
+    b"[1], [2], [3, 4]", b"[1, 2, 3, 4]"])
+def test_flat_decode_refuses_what_is_not_pairs(piece):
+    assert io._flat(piece) is None
 
 
 def test_repeated_bad_pair_is_named_by_its_index(tmp_path):
@@ -584,7 +681,7 @@ def test_write_holds_the_distinct_texts_and_never_their_join(tmp_path):
 
 def test_read_holds_the_file_bytes_once(tmp_path):
     # the bytes are searched and decoded in place: the read holds them,
-    # the distinct arrays and one piece, 1.13 of the file
+    # the distinct arrays and one piece, 1.14 of the file
     bundle = _peak_bundle(tmp_path)
     _, peak = _peak(lambda: io.read_json(bundle))
     assert peak <= 1.25 * os.path.getsize(bundle)
@@ -608,14 +705,17 @@ def test_write_of_one_large_matrix_holds_about_its_text(tmp_path):
     (lambda raw: raw[:-2] + b', "note": "\xff"}\n',
      "not UTF-8 text at byte {at}"),
     (lambda raw: raw[:len(raw) // 2].replace(b", ", b",\r", 5),
-     "invalid JSON at line 6 column 7235: Expecting value"),
+     "invalid JSON at {error}"),
     (lambda raw: raw[:len(raw) // 2].replace(b", ", b",\r\n", 5),
-     "invalid JSON at line 6 column 7235: Expecting value"),
+     "invalid JSON at {error}"),
 ], ids=["bom", "non-ascii", "nul-led", "not-utf8", "cr", "crlf"])
 def test_files_the_bytes_path_declines_read_as_text(tmp_path, edit, message):
     # a file that is not plain ASCII JSON is decoded as a text-mode read
     # decodes it, newlines translated, and parsed whole: the same
-    # document or the same error, at the same line and column
+    # document or the same error, at the same line and column.  A cut
+    # file's error is placed by json.loads of its translated text, on
+    # the sixth line after five newlines, wherever the route's digits
+    # put the cut
     bundle = _bundle(tmp_path, 4)
     with open(bundle, "rb") as handle:
         raw = edit(handle.read())
@@ -629,7 +729,15 @@ def test_files_the_bytes_path_declines_read_as_text(tmp_path, edit, message):
     with pytest.raises(ParseError) as got:
         io.read_json(bundle)
     at = raw.find(b"\xff")  # past every entries text
-    assert str(got.value) == f"{bundle}: {message.format(at=at)}"
+    error = None
+    if b"\r" in raw:
+        text = raw.decode().replace("\r\n", "\n").replace("\r", "\n")
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text)
+        assert want.value.lineno == 6
+        error = (f"line {want.value.lineno} column {want.value.colno}: "
+                 f"{want.value.msg}")
+    assert str(got.value) == f"{bundle}: {message.format(at=at, error=error)}"
 
 
 def _with_note(path: str):
