@@ -52,10 +52,13 @@ from .linalg import (
     _EPS,
     ATOL,
     OperatorMatrix,
+    _column_stack,
     _jacobi_one_sided,
     _norm,
     _power_of_two_scaled,
+    _put_blocks,
     _refuse_past_scale_limit,
+    _size_groups,
     is_hermitian,
     is_normal,
     op_norm_2,
@@ -69,35 +72,6 @@ __all__ = ["Decomposition", "decompose", "verify", "norm_bounds"]
 # documented acceptance thresholds for each verified identity.
 RECONSTRUCTION_FACTOR = 100.0
 IDENTITY_FACTOR = 10.0
-
-
-def _size_groups(offsets: np.ndarray):
-    """``(size, starts)`` of the blocks at ``offsets``, one per size."""
-    sizes = np.diff(offsets)
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        yield size, offsets[:-1][sizes == size]
-
-
-def _column_stack(a: np.ndarray, starts: np.ndarray,
-                  size: int) -> np.ndarray:
-    """Runs of ``a``'s columns of one width, as a stack (m x rows x size):
-    a view of a single run, a gathered copy of several."""
-    if starts.size == 1:
-        lo = int(starts[0])
-        return a[None, :, lo:lo + size]
-    return a[:, starts[:, None] + np.arange(size)].transpose(1, 0, 2)
-
-
-def _put_blocks(a: np.ndarray, starts: np.ndarray, size: int,
-                stack: np.ndarray):
-    """The diagonal blocks of ``a`` at ``starts`` set to ``stack``, in
-    place."""
-    if starts.size == 1:
-        lo = int(starts[0])
-        a[lo:lo + size, lo:lo + size] = stack[0]
-    else:
-        idx = starts[:, None] + np.arange(size)
-        a[idx[:, :, None], idx[:, None, :]] = stack
 
 
 class Decomposition:
@@ -129,15 +103,14 @@ class Decomposition:
         d.dim = unitary.shape[0]
         return d
 
-    def _local_form(self, blocks: np.ndarray | None = None) -> np.ndarray:
+    def _local_form(self, blocks: np.ndarray) -> np.ndarray:
         """B's local form L, a fresh n x n array, 0 outside its r x r
         range block.
 
-        With ``blocks``, the offsets of runs of U's columns (E_A's
-        atoms), L is formed on those diagonal blocks alone and is 0
-        between them: one O(n^3) product T U_r, then one product per
-        block, a few blocks of one size at a time.  Without ``blocks``,
-        or with one block, the whole range block: two O(n^3) products.
+        ``blocks`` are the offsets of runs of U's columns (E_A's atoms,
+        or ``[0, r]``), and L is formed on those diagonal blocks alone:
+        one O(n^3) product T U_r, then one product per block, a few
+        blocks of one size at a time.
         """
         n, r, w = self.dim, self._rank, self._weights[:self._rank]
         # products round by their operands' layout, and L is formed from
@@ -145,14 +118,8 @@ class Decomposition:
         ur = np.ascontiguousarray(self._unitary[:, :r])
         tu = self._t.array @ ur
         local = np.zeros((n, n), dtype=np.complex128)
-        if blocks is not None:  # the range part of each block
-            blocks = np.minimum(blocks, r)
-            blocks = blocks[np.append(np.diff(blocks) > 0, True)]
-        if blocks is None or blocks.size <= 2:
-            block = local[:r, :r]
-            np.matmul(ur.conj().T, tu, out=block)
-            block *= np.sqrt(np.outer(w, w))  # exactly w_i on the diagonal
-            return local
+        blocks = np.minimum(blocks, r)  # the range part of each block
+        blocks = blocks[np.append(np.diff(blocks) > 0, True)]
         for size, starts in _size_groups(blocks):
             step = max(1, _BLOCK_BYTES // (16 * n * size))
             for lo in range(0, starts.size, step):
@@ -175,7 +142,8 @@ class Decomposition:
     def b(self) -> OperatorMatrix:
         r = self._rank
         ur = self._unitary[:, :r]
-        return OperatorMatrix(ur @ self._local_form()[:r, :r] @ ur.conj().T)
+        local = self._local_form(np.array([0, r]))[:r, :r]
+        return OperatorMatrix(ur @ local @ ur.conj().T)
 
 
 def _complement(u: np.ndarray, k: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BadSpec
-from .linalg import OperatorMatrix, _number, _positive
+from .linalg import _DIM_LIMIT, OperatorMatrix, _number, _positive
 
 __all__ = ["OperatorSpec", "generate", "KINDS"]
 
@@ -50,8 +50,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 class OperatorSpec:
     """Recipe for one gallery operator.
 
-    ``dim`` and ``seed`` are integers and ``scale`` a real, none a bool;
-    ``seed`` is required for the random kinds.  Violations raise BadSpec.
+    ``dim`` (below 2^32) and ``seed`` are integers and ``scale`` a real,
+    none a bool; ``seed`` is required for the random kinds.  Violations
+    raise BadSpec.
     """
 
     kind: str
@@ -65,6 +66,8 @@ class OperatorSpec:
                           f"choose one of {', '.join(KINDS)}")
         if not _number(self.dim, Integral) or self.dim < 1:
             raise BadSpec(f"dimension must be an integer >= 1, got {self.dim!r}")
+        if self.dim >= _DIM_LIMIT:  # not quoted: it may have any length
+            raise BadSpec("dimension must be below 2^32")
         if _positive(self.scale) is None:
             raise BadSpec(f"scale must be positive and finite, got {self.scale}")
         if self.seed is not None and not _number(self.seed, Integral):

@@ -29,9 +29,9 @@ with no such text, or whose bytes leave any doubt (other separators or
 whitespace, a bad pair, a string), is decoded as a text-mode read
 decodes it and parsed whole by ``json.loads``, which decodes each list
 as the parser closes its object and reports errors as it always did.
-A file with bytes that are not ASCII is first checked to be UTF-8 in
-pieces, so it keeps the piecewise read and a file that is not UTF-8 is
-refused at the byte the whole decode names.  The read peaks at the
+A file whose text outside its ``entries`` lists is not UTF-8 is one
+such doubt, so that one parse refuses it at the byte its decode names;
+valid text past ASCII keeps the piecewise read.  The read peaks at the
 file's bytes, the distinct arrays at 16 bytes a pair and one piece; a
 file parsed whole also holds its text.  A measure document is
 ``{"dim", "of", "cluster", "atoms"}``: ``of`` is the measure's own label
@@ -44,7 +44,6 @@ built with an explicit radius, is the radius its atoms joined by, and
 
 from __future__ import annotations
 
-import codecs
 import json
 import math
 import os
@@ -55,7 +54,7 @@ import numpy as np
 
 from .decomposition import Decomposition
 from .errors import FileError, NonFiniteValue, ParseError
-from .linalg import OperatorMatrix
+from .linalg import _DIM_LIMIT, OperatorMatrix
 from .measures import OPERATORS, SpectralMeasure
 from .product import ProductMeasure
 from .report import VerificationReport
@@ -223,16 +222,13 @@ def _parse_once(raw: bytes) -> dict | None:
     when anything is in doubt: a value that does not end at its first
     ``]]``, whose pairs are not separated by ``, `` or do not decode to
     valid pairs, a reference not consumed exactly once under an
-    ``entries`` key, an error in the rest of the document, or text that
-    could hold a NUL of its own.  A byte that is not ASCII is checked
-    to be UTF-8 first (``_check_utf8``).
+    ``entries`` key, an error in the rest of the document, text that
+    could hold a NUL of its own, or a rest that is not UTF-8.
     """
     # a backslash is rare in a bundle, and finding one is 30 times
     # cheaper than finding the escape itself
     if b"\0" in raw or b"\\" in raw and b"\\u0000" in raw:
         return None
-    if not raw.isascii():
-        _check_utf8(raw)
     spans = []
     at = raw.find(_ENTRIES)
     while at >= 0:
@@ -280,28 +276,9 @@ def _parse_once(raw: bytes) -> dict | None:
             at = end
         pieces.append(raw[at:])
         doc = json.loads(b"".join(pieces).decode(), object_hook=_resolve)
-    except (json.JSONDecodeError, RecursionError):
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError):
         return None
     return doc if len(used) == len(spans) else None
-
-
-def _check_utf8(raw: bytes):
-    """UnicodeDecodeError where ``raw.decode("utf-8")`` would raise one.
-
-    ``raw`` is decoded ``_PIECE`` bytes at a time, each piece's text
-    dropped at once, so no text of the whole file exists; a character
-    cut between two pieces is held over to the next, and the error is
-    raised at its offset in ``raw``.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    for at in range(0, len(raw), _PIECE):
-        # where the data the decoder is handed starts: its held-over bytes
-        held = at - len(decoder.getstate()[0])
-        try:
-            decoder.decode(raw[at:at + _PIECE], at + _PIECE >= len(raw))
-        except UnicodeDecodeError as exc:
-            raise UnicodeDecodeError("utf-8", raw, held + exc.start,
-                                     held + exc.end, exc.reason) from None
 
 
 def _decode_span(raw: bytes, start: int, end: int) -> np.ndarray | None:
@@ -370,8 +347,8 @@ def _field(doc: dict, name: str, kind, where: str):
     if kind is float:
         return _double(value, f"{where}.{name}")
     if kind is complex:
-        pair = _field(doc, name, list, where)
-        return _complexes([pair], lambda i: f"{where}.{name}")[0]
+        return _complex_from(_field(doc, name, list, where),
+                             f"{where}.{name}")
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParseError(f"{where}: field {name!r} must be an integer")
@@ -437,19 +414,6 @@ def _finite(numbers: list) -> np.ndarray | None:
     return flat.view(np.complex128) if np.isfinite(flat).all() else None
 
 
-def _complexes(pairs: list, where) -> np.ndarray:
-    """[real, imaginary] pairs as complex128; ``where(i)`` names pair i.
-
-    Valid pairs take the one-pass ``_pairs``; anything else goes through
-    the per-entry ``_complex_from`` loop, which names the first bad pair.
-    """
-    values = _pairs(pairs)
-    if values is not None:
-        return values
-    return np.array([_complex_from(pair, where(i))
-                     for i, pair in enumerate(pairs)], dtype=np.complex128)
-
-
 def matrix_to_doc(m: OperatorMatrix) -> dict:
     return {"dim": m.dim, "entries": m.array.reshape(-1)}
 
@@ -463,7 +427,7 @@ def _dim(doc: dict, where: str) -> int:
     dim = _field(doc, "dim", int, where)
     if dim < 1:
         raise ParseError(f"{where}: dim must be at least 1")
-    if dim >= 2**32:
+    if dim >= _DIM_LIMIT:
         raise ParseError(f"{where}: dim must be below 2^32")
     return dim
 
@@ -476,8 +440,11 @@ def matrix_from_doc(doc: dict, where: str = "matrix") -> OperatorMatrix:
     if len(entries) != dim * dim:
         raise ParseError(f"{where}: expected {dim * dim} entries, "
                          f"got {len(entries)}")
-    if isinstance(entries, list):
-        entries = _complexes(entries, lambda i: f"{where}.entries[{i}]")
+    if isinstance(entries, list):  # the loop only names a bad pair
+        values = _pairs(entries)
+        entries = values if values is not None else np.array(
+            [_complex_from(pair, f"{where}.entries[{i}]")
+             for i, pair in enumerate(entries)], dtype=np.complex128)
     return OperatorMatrix(entries.reshape(dim, dim))
 
 

@@ -83,6 +83,9 @@ _BLOCK_BYTES = 128 * 1024
 # far inside the float range.
 _SCALE_LIMIT = 2.0 ** 128
 
+# A dim, of a file or a spec, is below this: no file holds its square.
+_DIM_LIMIT = 2 ** 32
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -306,6 +309,36 @@ def _diagonal_blocks(a: np.ndarray) -> np.ndarray:
     far = n - 1 - np.argmax(nz[:, ::-1], axis=1)
     reach = np.maximum.accumulate(far)
     return np.concatenate(([0], np.flatnonzero(reach == np.arange(n)) + 1))
+
+
+def _size_groups(offsets: np.ndarray):
+    """``(size, starts)`` of the blocks at ``offsets``, one per size."""
+    sizes = np.diff(offsets)
+    # np.unique would import numpy.ma, about 17 ms of every CLI run
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        yield size, offsets[:-1][sizes == size]
+
+
+def _column_stack(a: np.ndarray, starts: np.ndarray,
+                  size: int) -> np.ndarray:
+    """Runs of ``a``'s columns of one width, as a stack (m x rows x size):
+    a view of a single run, a gathered copy of several."""
+    if starts.size == 1:
+        lo = int(starts[0])
+        return a[None, :, lo:lo + size]
+    return a[:, starts[:, None] + np.arange(size)].transpose(1, 0, 2)
+
+
+def _put_blocks(a: np.ndarray, starts: np.ndarray, size: int,
+                stack: np.ndarray):
+    """The diagonal blocks of ``a`` at ``starts`` set to ``stack``, in
+    place."""
+    if starts.size == 1:
+        lo = int(starts[0])
+        a[lo:lo + size, lo:lo + size] = stack[0]
+    else:
+        idx = starts[:, None] + np.arange(size)
+        a[idx[:, :, None], idx[:, None, :]] = stack
 
 
 def is_normal(m: OperatorMatrix) -> bool:
@@ -779,12 +812,12 @@ def _k_stage(a: np.ndarray, h_vals: np.ndarray, h_vecs: np.ndarray,
     offsets = np.concatenate(([0], np.flatnonzero(cuts) + 1, [h_vals.size]))
     kh = ((a - a.conj().T) / 2.0j) @ h_vecs
     vals = h_vals + 1.0j * np.einsum("ij,ij->j", h_vecs.conj(), kh).real
-    sizes = np.diff(offsets)
-    # np.unique would import numpy.ma, about 17 ms of every CLI run
-    for size in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
-        cols = offsets[:-1][sizes == size, None] + np.arange(size)
-        blocks = (h_vecs[:, cols].conj().transpose(1, 2, 0)
-                  @ kh[:, cols].transpose(1, 0, 2))
+    for size, starts in _size_groups(offsets):
+        if size == 1:
+            continue
+        cols = starts[:, None] + np.arange(size)
+        blocks = (_column_stack(h_vecs, starts, size).conj()
+                  .transpose(0, 2, 1) @ _column_stack(kh, starts, size))
         off = np.linalg.norm(blocks * ~np.eye(size, dtype=bool), axis=(1, 2))
         for c, kb in zip(cols[off > noise], blocks[off > noise]):
             k_vals, k_vecs = _jacobi_hermitian(kb)

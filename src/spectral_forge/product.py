@@ -23,8 +23,10 @@ from .linalg import (
     ATOL,
     OperatorMatrix,
     Tolerances,
+    _column_stack,
     _jacobi_one_sided,
     _ranges,
+    _size_groups,
     rel,
 )
 from .measures import (
@@ -101,15 +103,11 @@ def _basis_defects(stacked: np.ndarray, off: np.ndarray) -> np.ndarray:
     """
     ranks = np.diff(off)
     defects = np.empty(ranks.size)
-    for r in set(ranks.tolist()):
-        atoms = np.flatnonzero(ranks == r)
-        if atoms.size == 1:
-            u = stacked[None, :, off[atoms[0]]:off[atoms[0] + 1]]
-        else:
-            u = stacked[:, off[atoms, None] + np.arange(r)].transpose(1, 0, 2)
+    for r, starts in _size_groups(off):
+        u = _column_stack(stacked, starts, r)
         gram = u.conj().transpose(0, 2, 1) @ u
-        gram.reshape(atoms.size, -1)[:, ::r + 1] -= 1.0
-        defects[atoms] = np.linalg.norm(gram, axis=(1, 2))
+        gram.reshape(starts.size, -1)[:, ::r + 1] -= 1.0
+        defects[ranks == r] = np.linalg.norm(gram, axis=(1, 2))
     return defects
 
 

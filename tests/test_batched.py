@@ -547,14 +547,15 @@ def test_route_forms_a_and_b_on_first_read(monkeypatch):
 
         t = generate(OperatorSpec(kind, dim=12, scale=10.0, seed=5))
         d = decompose(t)
-        w, u, r, local = d._weights, d._unitary, d._rank, d._local_form()
+        w, u, r = d._weights, d._unitary, d._rank
+        local = d._local_form(np.array([0, r]))
         assert r == rank
         res = pipeline.spectral_theorem(t)
         pair = res.decomposition
         assert set(vars(pair)) == set(vars(d)) == {
             "_t", "_unitary", "_weights", "_rank", "source_norm", "dim"}
         assert pair._t is t
-        again = pair._local_form()
+        again = pair._local_form(np.array([0, r]))
         assert again.flags.writeable and not np.shares_memory(again, local)
         np.testing.assert_array_equal(again, local)
         assert not local[r:].any() and not local[:, r:].any()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,25 @@ def test_gen_bad_spec_is_usage_error(capsys):
                        capsys)
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize("dim", [2**32, 10**12], ids=["2^32", "1e12"])
+def test_gen_refuses_a_dim_past_the_file_limit(capsys, monkeypatch, dim):
+    # the limit a file's dim is held to: one error line and exit 2, with
+    # no operator generated and no array allocated
+    def refuse(spec):
+        raise AssertionError(f"generated {spec}")
+
+    monkeypatch.setattr("spectral_forge.cli.generate", refuse)
+    tracemalloc.start()
+    try:
+        code, out, err = run(["gen", "--kind", "multiplication",
+                              "--dim", str(dim)], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: dimension must be below 2^32\n")
+    assert peak < 1 << 20
 
 
 def test_verify_pvm_on_product_from_bundle(tmp_path, capsys):

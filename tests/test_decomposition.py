@@ -361,3 +361,26 @@ def test_pair_solve_rotates_only_the_columns(monkeypatch):
     decompose(t)
     assert calls["rounds"] > 0
     assert calls["rotate"] == calls["rounds"]
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("random_normal", 12), ("momentum_1d", 12), ("random_unitary", 16),
+], ids=["random_normal", "momentum_1d", "random_unitary"])
+def test_b_is_the_whole_range_local_form_bit_for_bit(kind, n):
+    # B = U_r (W^1/2 (U_r* T U_r) W^1/2) U_r*, its range block taken as one
+    # block of the block-by-block local form; the reference is formed as
+    # one product into the range block of an n x n array, from the same
+    # row-major copy of U_r (momentum_1d has two null modes, so r < n)
+    t = generate(OperatorSpec(kind, dim=n, scale=10.0, seed=5))
+    d = decompose(t)
+    r, w = d._rank, d._weights[:d._rank]
+    assert (r < n) == (kind == "momentum_1d")
+    ur = np.ascontiguousarray(d._unitary[:, :r])
+    local = np.zeros((n, n), dtype=np.complex128)
+    block = local[:r, :r]
+    np.matmul(ur.conj().T, t.array @ ur, out=block)
+    block *= np.sqrt(np.outer(w, w))
+    u = d._unitary[:, :r]
+    want = u @ local[:r, :r] @ u.conj().T
+    got = d.b.array
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -121,6 +121,12 @@ def test_bad_specs():
                 dict(kind="multiplication", dim=4, scale=True)):
         with pytest.raises(BadSpec):
             OperatorSpec(**bad)
+    # a dim is below 2^32, as a file's is, and a larger one is not quoted
+    OperatorSpec("multiplication", dim=2**32 - 1)
+    for dim in (2**32, 10**12, np.uint64(2**32)):
+        with pytest.raises(BadSpec) as got:
+            OperatorSpec("multiplication", dim=dim)
+        assert str(got.value) == "dimension must be below 2^32"
     # numpy numbers are numbers, and give the same operator
     spec = OperatorSpec("random_normal", dim=np.int64(4), seed=np.int64(3),
                         scale=np.float64(2.0))

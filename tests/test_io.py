@@ -749,11 +749,11 @@ def _with_note(path: str):
 
 
 def test_a_file_past_ascii_keeps_the_piecewise_read(tmp_path):
-    # bytes that are not ASCII are checked to be UTF-8 a piece at a time,
-    # and the file is then read as any other: the n = 32 bundle holds its
-    # bytes once, and the bench's n = 384 input holds its bytes, its
-    # array and one piece, as without the note (28.8 MiB when such a
-    # file was parsed whole)
+    # text past ASCII outside the entries lists is decoded with the
+    # rest of the skeleton, so the file is read as any other: the n = 32
+    # bundle holds its bytes once, and the bench's n = 384 input holds
+    # its bytes, its array and one piece, as without the note (28.8 MiB
+    # when such a file was parsed whole)
     bundle = _peak_bundle(tmp_path)
     _with_note(bundle)
     got, peak = _peak(lambda: io.read_json(bundle))
@@ -769,24 +769,33 @@ def test_a_file_past_ascii_keeps_the_piecewise_read(tmp_path):
     assert peak <= plain + 64 * 1024
 
 
-@pytest.mark.parametrize("cut", [1, 2, 3])
+@pytest.mark.parametrize("behind", [1, 2, 3])
 @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x82",
                                  b"\xed\xa0\x80"],
                          ids=["byte", "lead", "truncated", "surrogate"])
-def test_utf8_check_names_the_byte_the_whole_decode_names(cut, bad):
-    # characters of two to four bytes cut by a piece boundary pass; a bad
-    # sequence at or across it is named where the whole decode names it
-    text = "a" * (io._PIECE - cut) + "\u00e9\u20ac\U0001f600" + "b" * 9
-    text = text.encode()
-    io._check_utf8(text)
-    at = io._PIECE - cut + 1
-    raw = text[:at] + bad + text[at:]
+def test_utf8_check_names_the_byte_the_whole_decode_names(tmp_path, behind,
+                                                          bad):
+    # a bad sequence in the skeleton, after an entries list that decodes
+    # in three pieces and behind one to three valid characters of two to
+    # four bytes, leaves the fast path in doubt, and the one parse names
+    # the byte the whole decode names
+    path = str(tmp_path / "t.json")
+    io.write_matrix(generate(OperatorSpec("random_normal", dim=64, seed=6)),
+                    path)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    note = "\u00e9\u20ac\U0001f600"[:behind].encode()
+    raw = raw[:-2] + b', "note": "' + note + bad + b'"}\n'
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    assert len(raw) > 2 * io._PIECE and io._parse_once(raw) is None
     with pytest.raises(UnicodeDecodeError) as want:
         raw.decode("utf-8")
-    with pytest.raises(UnicodeDecodeError) as got:
-        io._check_utf8(raw)
-    assert (got.value.start, got.value.end, got.value.reason) == \
-        (want.value.start, want.value.end, want.value.reason)
+    with pytest.raises(ParseError) as got:
+        io.read_json(path)
+    assert want.value.start == len(raw) - len(bad) - 3
+    assert str(got.value) == \
+        f"{path}: not UTF-8 text at byte {want.value.start}"
 
 
 def test_dumps_is_deterministic():
@@ -926,9 +935,14 @@ def test_bad_last_entry_is_named_by_index(last, message):
 
 def test_valid_documents_skip_the_per_entry_loop(tmp_path, monkeypatch):
     # the loop only names a malformed pair; a valid document must decode
-    # without it, however large
+    # without it, however large.  A complex field (a point, a w) is one
+    # pair, read alone
+    complex_from = io._complex_from
+
     def refuse(pair, where):
-        raise AssertionError(f"per-entry decode of {where}")
+        if not where.endswith((".point", ".w")):
+            raise AssertionError(f"per-entry decode of {where}")
+        return complex_from(pair, where)
 
     t = generate(OperatorSpec("random_normal", dim=5, scale=10.0, seed=9))
     io.write_matrix(t, str(tmp_path / "t.json"))

@@ -281,7 +281,7 @@ def _warm_cases(kind):
         for norm in WARM_NORMS:
             t = generate(OperatorSpec(kind, dim=n, scale=norm, seed=n + 3))
             d = decompose(t)
-            yield t, d.b, d._local_form(), d._unitary
+            yield t, d.b, d._local_form(np.array([0, d._rank])), d._unitary
 
 
 def test_guard_reads_the_norm_off_the_one_sided_solve(monkeypatch):

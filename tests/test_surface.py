@@ -62,6 +62,7 @@ def test_all_is_pinned_and_resolves(module, names):
     ("spectral_forge.linalg", "_resolve"),
     ("spectral_forge.decomposition", "_bounded_pair"),
     ("spectral_forge.measures", "_measure_in_frame"),
+    ("spectral_forge.io", "_check_utf8"),
 ])
 def test_removed_names_cannot_be_imported(module, name):
     for where in ("spectral_forge", module):
