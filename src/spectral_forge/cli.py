@@ -292,7 +292,10 @@ def _cmd_gen(args) -> int:
         raise ParseError("gen needs --kind")
     spec = OperatorSpec(kind=args.kind, dim=args.dim or 0,
                         scale=args.scale, seed=args.seed)
-    m = generate(spec)
+    try:
+        m = generate(spec)
+    except MemoryError:
+        raise BadSpec(f"dimension {spec.dim} does not fit in memory") from None
     _deliver(io.matrix_to_doc(m), args)
     return 0
 

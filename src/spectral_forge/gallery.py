@@ -24,7 +24,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BadSpec
+from .errors import BadSpec, NonFiniteValue
 from .linalg import _DIM_LIMIT, OperatorMatrix, _number, _positive
 
 __all__ = ["OperatorSpec", "generate", "KINDS"]
@@ -123,37 +123,45 @@ def generate(spec: OperatorSpec) -> OperatorMatrix:
     unitary.  multiplication is ``diag(scale k / n)``, laplacian_1d the
     second difference with -1, 2, -1 stencil, momentum_1d the centered
     first difference times i on a ring, and jordan_block the nilpotent
-    shift, the gallery's non-normal control.
+    shift, the gallery's non-normal control.  A scale at which an entry
+    overflows raises BadSpec.
     """
     n = spec.dim
     kind = spec.kind
-    if kind == "random_normal":
-        u = _uniforms(spec.seed, 2 * n, offset=2 * n * n)
-        mags = spec.scale * np.sqrt(0.01 + 0.99 * u[:n])
-        angles = 2.0 * np.pi * u[n:]
-        diag = mags * np.exp(1j * angles)
-        return OperatorMatrix(_conjugated_diagonal(spec.seed, n, diag))
-    if kind == "random_hermitian":
-        u = _uniforms(spec.seed, n, offset=2 * n * n)
-        diag = spec.scale * (2.0 * u - 1.0) + 0.0j
-        return OperatorMatrix(_conjugated_diagonal(spec.seed, n, diag))
-    if kind == "random_unitary":
-        u = _uniforms(spec.seed, n, offset=2 * n * n)
-        diag = spec.scale * np.exp(2.0j * np.pi * u)
-        return OperatorMatrix(_conjugated_diagonal(spec.seed, n, diag))
-    if kind == "multiplication":
-        k = np.arange(1, n + 1, dtype=np.float64)
-        return OperatorMatrix(np.diag(spec.scale * k / n).astype(np.complex128))
-    if kind == "laplacian_1d":
-        m = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        return OperatorMatrix(spec.scale * m.astype(np.complex128))
-    if kind == "momentum_1d":
-        forward = np.zeros((n, n))
-        backward = np.zeros((n, n))
-        idx = np.arange(n)
-        forward[idx, (idx + 1) % n] = 1.0
-        backward[idx, (idx - 1) % n] = 1.0
-        return OperatorMatrix(0.5j * spec.scale * (forward - backward))
-    if kind == "jordan_block":
-        return OperatorMatrix(spec.scale * np.eye(n, k=1).astype(np.complex128))
-    raise BadSpec(f"unhandled kind {kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "random_normal":
+            u = _uniforms(spec.seed, 2 * n, offset=2 * n * n)
+            mags = spec.scale * np.sqrt(0.01 + 0.99 * u[:n])
+            angles = 2.0 * np.pi * u[n:]
+            diag = mags * np.exp(1j * angles)
+            a = _conjugated_diagonal(spec.seed, n, diag)
+        elif kind == "random_hermitian":
+            u = _uniforms(spec.seed, n, offset=2 * n * n)
+            diag = spec.scale * (2.0 * u - 1.0) + 0.0j
+            a = _conjugated_diagonal(spec.seed, n, diag)
+        elif kind == "random_unitary":
+            u = _uniforms(spec.seed, n, offset=2 * n * n)
+            diag = spec.scale * np.exp(2.0j * np.pi * u)
+            a = _conjugated_diagonal(spec.seed, n, diag)
+        elif kind == "multiplication":
+            k = np.arange(1, n + 1, dtype=np.float64)
+            a = np.diag(spec.scale * k / n).astype(np.complex128)
+        elif kind == "laplacian_1d":
+            m = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+            a = spec.scale * m.astype(np.complex128)
+        elif kind == "momentum_1d":
+            forward = np.zeros((n, n))
+            backward = np.zeros((n, n))
+            idx = np.arange(n)
+            forward[idx, (idx + 1) % n] = 1.0
+            backward[idx, (idx - 1) % n] = 1.0
+            a = 0.5j * spec.scale * (forward - backward)
+        elif kind == "jordan_block":
+            a = spec.scale * np.eye(n, k=1).astype(np.complex128)
+        else:
+            raise BadSpec(f"unhandled kind {kind!r}")
+    try:
+        return OperatorMatrix(a)
+    except NonFiniteValue:
+        raise BadSpec(f"{kind} at dim {n} and scale {spec.scale!r} overflows: "
+                      "its entries are not finite") from None

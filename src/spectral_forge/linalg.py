@@ -150,11 +150,11 @@ def rel(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Square complex matrix acting on C^n.
+    """Square complex matrix on C^n, the input of every public routine.
 
-    The wrapped array is copied on construction, validated to be square
-    with finite entries, and frozen.  All operations return new values,
-    so instances can be shared freely between threads.
+    The wrapped array is copied on construction into C-ordered complex128,
+    checked to be square, non-empty and finite, and frozen, so instances
+    can be shared freely between threads.
     """
 
     array: np.ndarray
@@ -173,43 +173,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.array.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "OperatorMatrix":
-        return cls(np.eye(dim, dtype=np.complex128))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "OperatorMatrix":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.array.conj().T)
-
-    def _check_dim(self, other: "OperatorMatrix"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(
-                f"dimension mismatch: {self.dim} versus {other.dim}"
-            )
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_dim(other)
-        return OperatorMatrix(self.array @ other.array)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_dim(other)
-        return OperatorMatrix(self.array + other.array)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_dim(other)
-        return OperatorMatrix(self.array - other.array)
-
-    def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.array * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(-self.array)
 
 
 @dataclass(frozen=True, eq=False)

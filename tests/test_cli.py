@@ -438,6 +438,39 @@ def test_gen_refuses_a_dim_past_the_file_limit(capsys, monkeypatch, dim):
     assert peak < 1 << 20
 
 
+def test_gen_reports_a_dim_past_memory_as_a_bad_spec(capsys, monkeypatch):
+    # a dim below 2^32 that the machine cannot hold: one error line and
+    # exit 2, not numpy's traceback
+    def exhaust(spec):
+        raise MemoryError
+
+    monkeypatch.setattr("spectral_forge.cli.generate", exhaust)
+    code, out, err = run(["gen", "--kind", "multiplication",
+                          "--dim", "3000000000"], capsys)
+    assert (code, out, err) == (
+        2, "", "error: dimension 3000000000 does not fit in memory\n")
+
+
+@pytest.mark.parametrize("kind,dim", [("laplacian_1d", 3),
+                                      ("multiplication", 4)])
+def test_gen_refuses_an_overflowing_scale(tmp_path, kind, dim):
+    # in a fresh process, where numpy would print its overflow warning:
+    # one error line, exit 2 and no file
+    src = str(Path(spectral_forge.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = tmp_path / "big.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "spectral_forge.cli", "gen", "--kind", kind,
+         "--dim", str(dim), "--scale", "1e308", "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.count("error:") == 1, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert f"{kind} at dim {dim} and scale 1e+308" in done.stderr
+    assert not out.exists()
+
+
 def test_verify_pvm_on_product_from_bundle(tmp_path, capsys):
     t = gen_file(tmp_path, "t.json", "gen", "--kind", "random_normal",
                  "--dim", "5", "--seed", "47")

@@ -136,6 +136,25 @@ def test_bad_specs():
                               scale=2.0)).array)
 
 
+@pytest.mark.parametrize("kind,dim", [("laplacian_1d", 3),
+                                      ("multiplication", 4)])
+def test_an_overflowing_scale_is_a_bad_spec(kind, dim):
+    # 2 scale and scale k overflow: a BadSpec naming the recipe, and no
+    # RuntimeWarning on the way (the suite turns one into an error)
+    with pytest.raises(BadSpec) as got:
+        generate(OperatorSpec(kind, dim=dim, scale=1e308))
+    assert str(got.value) == (f"{kind} at dim {dim} and scale 1e+308 "
+                              "overflows: its entries are not finite")
+
+
+@pytest.mark.parametrize("kind", ["jordan_block", "momentum_1d",
+                                  "random_normal"])
+def test_a_scale_near_the_float_limit_still_generates(kind):
+    m = generate(OperatorSpec(kind, dim=4, scale=1e308, seed=3))
+    assert np.all(np.isfinite(m.array))
+    assert np.max(np.abs(m.array)) > 1e307
+
+
 def test_kinds_tuple_is_complete():
     assert set(KINDS) == {
         "random_normal", "random_hermitian", "random_unitary",

@@ -29,7 +29,7 @@ def test_matrix_round_trip_bit_identical(tmp_path):
 
 def test_identity_round_trip(tmp_path):
     path = str(tmp_path / "i.json")
-    io.write_matrix(OperatorMatrix.identity(2), path)
+    io.write_matrix(OperatorMatrix(np.eye(2)), path)
     back = io.read_matrix(path)
     assert np.array_equal(back.array, np.eye(2))
 
@@ -817,7 +817,7 @@ def test_read_missing_file():
 
 def test_write_to_bad_directory():
     with pytest.raises(FileError):
-        io.write_matrix(OperatorMatrix.identity(1), "/nonexistent/dir/m.json")
+        io.write_matrix(OperatorMatrix(np.eye(1)), "/nonexistent/dir/m.json")
 
 
 def test_truncated_json_names_position(tmp_path):

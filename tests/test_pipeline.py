@@ -36,7 +36,7 @@ def test_intermediate_measures_of_scalar_example():
 
 
 def test_zero_operator_single_atom():
-    res = spectral_theorem(OperatorMatrix.zeros(3))
+    res = spectral_theorem(OperatorMatrix(np.zeros((3, 3))))
     e = res.spectral_measure
     assert e.num_atoms == 1
     assert e.points[0] == 0.0

@@ -70,7 +70,7 @@ def test_product_requires_real_first_factor():
 
 def test_product_dimension_mismatch():
     e1, e2 = measures_for(OperatorMatrix(np.diag([2j, -3.0])))
-    other = pvm_from_normal(OperatorMatrix.identity(3))
+    other = pvm_from_normal(OperatorMatrix(np.eye(3)))
     with pytest.raises(DimensionMismatch):
         product_measure(e1, other)
 

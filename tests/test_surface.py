@@ -88,6 +88,10 @@ def test_removed_entry_points_are_gone():
         assert "own" not in inspect.signature(rule).parameters
     assert list(inspect.signature(linalg._refuse_past_scale_limit).parameters
                 ) == ["m"]
+    # OperatorMatrix is a checked, frozen matrix and carries no algebra
+    for name in ("identity", "zeros", "adjoint", "_check_dim", "__matmul__",
+                 "__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+        assert not hasattr(linalg.OperatorMatrix, name), name
 
 
 def test_absolute_floor_is_a_constant_not_a_knob():
